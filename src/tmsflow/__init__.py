@@ -72,11 +72,9 @@ from .qkd import (
 )
 from .analysis import (
     CrossoverResult,
-    Interpolant,
     SweepGrid,
     asymptote_estimate,
     crossover_point,
-    hermite_interpolate,
     sudden_death_point,
     sweep,
 )

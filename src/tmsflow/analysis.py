@@ -1,7 +1,6 @@
 """Sweep engine and feature extraction over (squeezing, noise) grids.
 
-Produces grids of correlation reports, monotone cubic Hermite
-interpolants of the resulting curves, and the two noise thresholds of
+Produces grids of correlation reports and the two noise thresholds of
 interest: the entanglement sudden-death point ``n_sd`` (root of the
 entanglement-of-formation curve) and the discord/EoF crossover point
 ``n_c`` per discord flavor.
@@ -16,11 +15,9 @@ which is the quantity whose minimum over the squeezing level sits near
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .correlations import (
     REPORT_CSV_HEADER,
@@ -28,7 +25,7 @@ from .correlations import (
     correlation_report,
     report_to_csv_row,
 )
-from .errors import BadKnotsError, DomainError, NoSignChangeError, TmsflowError
+from .errors import DomainError, NoSignChangeError, TmsflowError
 from .states import StateModel
 
 # Log-spaced default scan grid: resolves both the crossover region
@@ -66,64 +63,23 @@ def _check_axis(values, name: str) -> tuple[float, ...]:
     return vals
 
 
-def sweep(model: StateModel, s_values, n_values, threads: int | None = None) -> SweepGrid:
+def sweep(model: StateModel, s_values, n_values) -> SweepGrid:
     """Evaluate correlation reports on an (S, n) grid.
 
-    Cells are independent; with ``threads`` > 1 they are computed by a
-    thread pool, and results are assembled in axis order either way, so
-    the output is deterministic regardless of parallelism.
+    Cells are independent and evaluated in axis order; a cell whose
+    evaluation fails carries the failure reason instead of a report.
     """
     s_vals = _check_axis(s_values, "squeezing")
     n_vals = _check_axis(n_values, "noise")
-    points = [(s, n) for s in s_vals for n in n_vals]
-
-    def evaluate(point: tuple[float, float]) -> SweepCell:
-        s_db, n = point
-        try:
-            return SweepCell(s_db=s_db, n=n, report=correlation_report(model.state(s_db, n)))
-        except TmsflowError as exc:
-            return SweepCell(s_db=s_db, n=n, report=None, error=str(exc))
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = tuple(pool.map(evaluate, points))
-    else:
-        cells = tuple(map(evaluate, points))
-    return SweepGrid(s_values=s_vals, n_values=n_vals, cells=cells)
-
-
-class Interpolant:
-    """Monotonicity-preserving C1 cubic Hermite interpolant.
-
-    Slopes follow the Fritsch-Carlson limiter (PCHIP), so on any interval
-    where the data are monotone the curve is monotone and never
-    overshoots the neighboring knot values; knot values are reproduced
-    exactly.
-    """
-
-    def __init__(self, xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or xs.size < 2 or xs.shape != ys.shape:
-            raise BadKnotsError("need two or more knots with matching values")
-        if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
-            raise BadKnotsError("knots and values must be finite")
-        if np.any(np.diff(xs) <= 0):
-            raise BadKnotsError("knots must be strictly increasing")
-        self.xs = xs
-        self.ys = ys
-        self._pchip = PchipInterpolator(xs, ys, extrapolate=False)
-
-    def __call__(self, x):
-        return self._pchip(x)
-
-    def roots(self) -> np.ndarray:
-        """All roots inside the knot span, in increasing order."""
-        return np.sort(self._pchip.roots(extrapolate=False))
-
-
-def hermite_interpolate(xs, ys) -> Interpolant:
-    return Interpolant(xs, ys)
+    cells = []
+    for s_db in s_vals:
+        for n in n_vals:
+            try:
+                cell = SweepCell(s_db=s_db, n=n, report=correlation_report(model.state(s_db, n)))
+            except TmsflowError as exc:
+                cell = SweepCell(s_db=s_db, n=n, report=None, error=str(exc))
+            cells.append(cell)
+    return SweepGrid(s_values=s_vals, n_values=n_vals, cells=tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -147,27 +103,19 @@ def _bisect_root(f, lo: float, hi: float, f_lo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _curve_root(curve, grid: np.ndarray, lo_bound: float, hi_bound: float) -> tuple[float, tuple[float, float]]:
+def _curve_root(curve, grid: np.ndarray) -> tuple[float, tuple[float, float]]:
     """Root of ``curve`` located from a grid scan plus exact-model bisection.
 
-    The grid values seed a monotone Hermite interpolant whose root picks
-    the bracket; one bisection pass on the exact curve then polishes the
-    root.  Only sign changes whose root lies in (lo_bound, hi_bound) are
-    accepted.
+    The first grid interval whose exact end values change sign brackets
+    the root (a grid point where the curve is exactly zero is returned
+    as is); one bisection pass on the exact curve then polishes it.
     """
     values = np.array([curve(n) for n in grid])
     for i in range(len(grid) - 1):
         a, b = values[i], values[i + 1]
-        if a == 0.0 and grid[i] > lo_bound:
+        if a == 0.0:
             return float(grid[i]), (float(grid[i]), float(grid[i]))
         if a * b < 0.0:
-            root_hint = None
-            interp = Interpolant(grid[max(0, i - 1) : i + 3], values[max(0, i - 1) : i + 3])
-            hints = [r for r in interp.roots() if grid[i] <= r <= grid[i + 1]]
-            if hints:
-                root_hint = float(hints[0])
-            if not (lo_bound < (root_hint if root_hint is not None else grid[i]) < hi_bound):
-                continue
             root = _bisect_root(curve, float(grid[i]), float(grid[i + 1]), float(a))
             return root, (float(grid[i]), float(grid[i + 1]))
     raise NoSignChangeError(
@@ -178,14 +126,14 @@ def _curve_root(curve, grid: np.ndarray, lo_bound: float, hi_bound: float) -> tu
 def sudden_death_point(model: StateModel, s_db: float) -> float:
     """Noise photon number where the EoF bound crosses zero.
 
-    Scans the default feature grid, interpolates, and polishes the root
-    against the exact model; exactly 1 for the ideal channel at every
+    Scans the default feature grid for a sign change and polishes the
+    root against the exact model; exactly 1 for the ideal channel at every
     squeezing level.
     """
     def e_f(n: float) -> float:
         return correlation_report(model.state(s_db, n)).e_f
 
-    root, _ = _curve_root(e_f, FEATURE_GRID, lo_bound=0.0, hi_bound=FEATURE_GRID[-1])
+    root, _ = _curve_root(e_f, FEATURE_GRID)
     return root
 
 
@@ -219,7 +167,7 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
         return rep.delta_a if flavor == "A" else rep.delta_b
 
     grid = FEATURE_GRID[FEATURE_GRID < 1.0]
-    root, bracket = _curve_root(delta, grid, lo_bound=0.0, hi_bound=1.0)
+    root, bracket = _curve_root(delta, grid)
     return CrossoverResult(flavor=flavor, s_db=s_db, n_c=root, bracket=bracket)
 
 

@@ -6,8 +6,7 @@ Grid arguments accept a single value (``6.5``), a comma list
 within half a step).  A JSON config file can stand in for any flag;
 explicit flags win on conflict.  Every output embeds the tool version
 and the effective config, as ``#`` comment lines in CSV or a ``meta``
-field in JSON, and identical configs produce byte-identical files
-regardless of thread count.
+field in JSON, and identical configs produce byte-identical files.
 
 Exit codes: 0 success, 2 usage or config error, 3 model or numeric
 failure.
@@ -18,9 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .analysis import (
@@ -30,7 +27,7 @@ from .analysis import (
     sweep_to_csv,
     sweep_to_json,
 )
-from .errors import NoSignChangeError, TmsflowError
+from .errors import DomainError, NoSignChangeError, TmsflowError
 from .fit import (
     DEFAULT_COUPLING,
     DEFAULT_WEIGHTS,
@@ -77,6 +74,8 @@ def parse_grid(spec: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"non-numeric range {spec!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"non-finite range {spec!r}")
         if step <= 0:
             raise ConfigError(f"range step must be positive, got {step}")
         if stop < start:
@@ -84,9 +83,12 @@ def parse_grid(spec: str) -> list[float]:
         count = int(math.floor((stop - start) / step + 0.5)) + 1
         return [start + i * step for i in range(count)]
     try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"non-numeric grid {spec!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"non-finite grid {spec!r}")
+    return values
 
 
 def _load_config(path: str | None) -> dict:
@@ -135,18 +137,6 @@ def _build_model(args, config) -> StateModel:
     raise ConfigError(f"unknown model {name!r} (ideal | coupler | realistic)")
 
 
-def _threads(args, config) -> int | None:
-    val = _merged(args, config, "threads")
-    if val is None:
-        val = os.environ.get("TMSFLOW_THREADS")
-    if val in (None, ""):
-        return None
-    t = int(val)
-    if t < 1:
-        raise ConfigError(f"thread count must be positive, got {t}")
-    return t
-
-
 def _meta_config(pairs: dict) -> str:
     return json.dumps({k: v for k, v in sorted(pairs.items()) if v is not None})
 
@@ -181,7 +171,10 @@ def _cmd_sweep(args, config) -> int:
     if s_spec is None or n_spec is None:
         raise ConfigError("sweep needs both --s and --n grids")
     s_vals, n_vals = parse_grid(s_spec), parse_grid(n_spec)
-    grid = sweep(model, s_vals, n_vals, threads=_threads(args, config))
+    try:
+        grid = sweep(model, s_vals, n_vals)
+    except DomainError as exc:  # only raised for a malformed axis
+        raise ConfigError(str(exc)) from None
     echo = _meta_config(
         {"command": "sweep", "s": s_spec, "n": n_spec, "model": model.kind}
     )
@@ -265,19 +258,11 @@ def _cmd_qkd(args, config) -> int:
         _emit(_json_with_meta(payload, echo), out)
         return 0
 
-    points = [(s, nq) for s in s_vals for nq in nq_vals]
-
-    def row(point):
-        s_db, n_q = point
-        scenario = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q, beta=beta)
-        return key_result_to_csv_row(s_db, n_q, secret_key(scenario))
-
-    threads = _threads(args, config)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, points))
-    else:
-        rows = [row(p) for p in points]
+    rows = []
+    for s_db in s_vals:
+        for n_q in nq_vals:
+            scenario = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q, beta=beta)
+            rows.append(key_result_to_csv_row(s_db, n_q, secret_key(scenario)))
     _emit(
         _csv_header_lines(echo) + QKD_CSV_HEADER + "\n" + "\n".join(rows) + "\n", out
     )
@@ -441,7 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON config file; explicit flags win")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--threads", type=int, help="worker threads for grid evaluation")
 
     p = sub.add_parser("sweep", help="correlation reports on an (S, n) grid")
     add_common(p)

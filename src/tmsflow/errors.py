@@ -43,10 +43,6 @@ class NumericalError(TmsflowError):
     that should be non-negative came out significantly negative)."""
 
 
-class BadKnotsError(TmsflowError):
-    """Interpolation knots are not strictly increasing or too few."""
-
-
 class NoSignChangeError(TmsflowError):
     """Root bracketing failed: the target function does not change sign on
     the scanned interval."""

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .correlations import correlation_report
 from .errors import DomainError, ModelFailureError, TmsflowError
@@ -111,6 +110,8 @@ def fit(
     cost spread below 1e-12; on iteration exhaustion the best vertex is
     returned with ``converged=False``.
     """
+    from scipy.optimize import minimize
+
     usable = [r for r in records if r.s_db > 0.0]
     if len(usable) < len(records):
         warnings.warn(

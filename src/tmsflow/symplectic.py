@@ -197,11 +197,18 @@ def validate(V: CovarianceMatrix) -> ValidationVerdict:
     1/4 (within ``PHYSICALITY_TOL``).  Raises :class:`NonFiniteError` if
     any entry is NaN or infinite.
     """
+    return _validate(V)[0]
+
+
+def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
+    """:func:`validate` plus the extended-precision invariants of the
+    symmetrised matrix, computed for two-mode positive-definite states
+    (None otherwise) so callers need not recompute them."""
     m = V.entries
     if not np.all(np.isfinite(m)):
         raise NonFiniteError("covariance matrix has NaN or infinite entries")
     if V.n_modes == 0:
-        return ValidationVerdict(ok=True)
+        return ValidationVerdict(ok=True), None
 
     violations: list[str] = []
     scale = max(1.0, float(np.abs(m).max()))
@@ -211,11 +218,13 @@ def validate(V: CovarianceMatrix) -> ValidationVerdict:
     sym = 0.5 * (m + m.T)
     eigs = np.linalg.eigvalsh(sym)
     min_nu: float | None = None
+    invariants = None
     if eigs.min() <= 0.0:
         violations.append("not positive definite")
     else:
         if V.n_modes == 2:
-            min_nu = min(_two_mode_nu(sym, partial_transpose=False))
+            invariants = _two_mode_invariants_ld(sym)
+            min_nu = min(_two_mode_nu(invariants))
         else:
             min_nu = float(_symplectic_eigenvalues_psd(sym).min())
         # Strongly squeezed states cannot even be assembled in double
@@ -234,16 +243,19 @@ def validate(V: CovarianceMatrix) -> ValidationVerdict:
         ok=not violations,
         violations=tuple(violations),
         min_symplectic_eigenvalue=min_nu,
-    )
+    ), invariants
 
 
-def require_valid(V: CovarianceMatrix) -> None:
-    verdict = validate(V)
+def require_valid(V: CovarianceMatrix) -> tuple | None:
+    """Raise :class:`UnphysicalStateError` unless ``V`` validates; return
+    the extended-precision two-mode invariants (None for other sizes)."""
+    verdict, invariants = _validate(V)
     if not verdict.ok:
         raise UnphysicalStateError(
             "unphysical covariance matrix: " + "; ".join(verdict.violations),
             violations=verdict.violations,
         )
+    return invariants
 
 
 def _symplectic_eigenvalues_psd(sym: np.ndarray) -> np.ndarray:
@@ -310,7 +322,7 @@ def symplectic_eigenvalues(V: CovarianceMatrix) -> np.ndarray:
         det = float(np.linalg.det(V.entries))
         return np.array([math.sqrt(max(det, 0.0))])
     if V.n_modes == 2:
-        nu_plus, nu_minus = _two_mode_nu(V.entries, partial_transpose=False)
+        nu_plus, nu_minus = _two_mode_nu(_two_mode_invariants_ld(V.entries))
         return np.array([nu_plus, nu_minus])
     return _symplectic_eigenvalues_psd(0.5 * (V.entries + V.entries.T))
 
@@ -351,23 +363,32 @@ def _det_small_ld(m: np.ndarray):
     return det * a[n - 1, n - 1]
 
 
-def _two_mode_nu(m: np.ndarray, partial_transpose: bool) -> tuple[float, float]:
+def _two_mode_invariants_ld(m: np.ndarray) -> tuple:
+    """Two-mode invariants ``i1..i4`` in extended precision."""
+    ml = m.astype(np.longdouble)
+    return (
+        _det_small_ld(ml[0:2, 0:2]),
+        _det_small_ld(ml[2:4, 2:4]),
+        _det_small_ld(ml[0:2, 2:4]),
+        _det_small_ld(ml),
+    )
+
+
+def _two_mode_nu(invariants: tuple, partial_transpose: bool = False) -> tuple[float, float]:
     """Two-mode symplectic eigenvalues from the invariant closed form.
 
-    Evaluated in extended precision: the invariants of strongly squeezed
+    Evaluated in extended precision on the invariants of
+    :func:`_two_mode_invariants_ld`: the invariants of strongly squeezed
     or high-photon-number states reach ~1e6 while the small eigenvalue
     sits near 1/4, and the entropy kernel's log-divergent slope at the
     Heisenberg bound amplifies any eigenvalue noise, so plain double
     arithmetic here would cap the accuracy of entropy differences near
-    1e-8.  The discriminant is clamped to zero inside a tiny relative
-    window (degenerate pairs of pure states) and the smaller root uses
-    the cancellation-free quotient form.
+    1e-8.  The partial transpose of the second mode only flips the sign
+    of ``i3``.  The discriminant is clamped to zero inside a tiny
+    relative window (degenerate pairs of pure states) and the smaller
+    root uses the cancellation-free quotient form.
     """
-    ml = m.astype(np.longdouble)
-    i1 = _det_small_ld(ml[0:2, 0:2])
-    i2 = _det_small_ld(ml[2:4, 2:4])
-    i3 = _det_small_ld(ml[0:2, 2:4])
-    i4 = _det_small_ld(ml)
+    i1, i2, i3, i4 = invariants
     if partial_transpose:
         i3 = -i3
     delta = i1 + i2 + 2.0 * i3
@@ -394,12 +415,12 @@ def symplectic_summary(V: TwoModeCovariance) -> SymplecticSummary:
     eigenvalue of a two-mode state."""
     if V.n_modes != 2:
         raise DimensionMismatchError("symplectic_summary requires a two-mode state")
-    require_valid(V)
+    invariants = require_valid(V)
     m = 0.5 * (V.entries + V.entries.T)
     i1, i2, i3, i4 = _two_mode_invariants(m)
     delta = i1 + i2 + 2.0 * i3
-    nu_plus, nu_minus = _two_mode_nu(m, partial_transpose=False)
-    _, nu_pt_min = _two_mode_nu(m, partial_transpose=True)
+    nu_plus, nu_minus = _two_mode_nu(invariants)
+    _, nu_pt_min = _two_mode_nu(invariants, partial_transpose=True)
     return SymplecticSummary(
         i1=i1,
         i2=i2,

@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tmsflow.analysis import (
     FEATURE_GRID,
     crossover_point,
     asymptote_estimate,
-    hermite_interpolate,
     sudden_death_point,
     sweep,
     sweep_to_csv,
-    sweep_to_json,
 )
 from tmsflow.correlations import correlation_report
-from tmsflow.errors import BadKnotsError, DomainError, NoSignChangeError
+from tmsflow.errors import DomainError, NoSignChangeError
 from tmsflow.states import StateModel
 
 IDEAL = StateModel.ideal()
@@ -39,14 +35,6 @@ class TestSweep:
             assert cell.report is not None
             assert cell.report.d_b > 0.0
 
-    def test_thread_determinism(self):
-        s_vals = list(np.linspace(1, 8, 4))
-        n_vals = list(np.linspace(0, 2, 5))
-        serial = sweep(IDEAL, s_vals, n_vals, threads=None)
-        parallel = sweep(IDEAL, s_vals, n_vals, threads=4)
-        assert sweep_to_csv(serial) == sweep_to_csv(parallel)
-        assert sweep_to_json(serial) == sweep_to_json(parallel)
-
     def test_failed_cell_is_marked(self):
         grid = sweep(IDEAL, [-1.0, 6.0], [0.1])
         bad = grid.cell(0, 0)
@@ -61,68 +49,6 @@ class TestSweep:
             sweep(IDEAL, [], [0.0])
         with pytest.raises(DomainError):
             sweep(IDEAL, [2.0, 1.0], [0.0])
-
-
-class TestHermiteInterpolation:
-    def test_linear_data_reproduced(self):
-        interp = hermite_interpolate([0.0, 1.0, 3.0], [1.0, 3.0, 7.0])
-        assert interp(0.5) == pytest.approx(2.0, abs=1e-14)
-        assert interp(2.0) == pytest.approx(5.0, abs=1e-14)
-
-    def test_knots_exact(self):
-        xs = [0.0, 0.4, 1.1, 2.0]
-        ys = [3.0, -1.0, 0.5, 0.2]
-        interp = hermite_interpolate(xs, ys)
-        for x, y in zip(xs, ys):
-            assert interp(x) == pytest.approx(y, abs=1e-14)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.floats(min_value=-50, max_value=50, allow_nan=False),
-            min_size=2,
-            max_size=12,
-        )
-    )
-    def test_monotone_data_stays_inside_envelope(self, raw):
-        ys = np.sort(np.asarray(raw))
-        xs = np.arange(len(ys), dtype=float)
-        interp = hermite_interpolate(xs, ys)
-        fine = np.linspace(xs[0], xs[-1], 257)
-        vals = interp(fine)
-        assert vals.max() <= ys[-1] + 1e-9
-        assert vals.min() >= ys[0] - 1e-9
-        assert np.all(np.diff(vals) >= -1e-9)
-
-    def test_dense_eof_curve_error(self):
-        # Dense knots on the smooth side of the sudden-death kink (the
-        # bound behaves like x log x right at its zero, where no cubic
-        # interpolant can hold a global 1e-4 error).
-        model = IDEAL
-
-        def e_f(n):
-            return correlation_report(model.state(8.69, n)).e_f  # r = 1
-
-        knots = np.linspace(0.0, 0.8, 81)
-        interp = hermite_interpolate(knots, [e_f(n) for n in knots])
-        fine = np.linspace(0.0, 0.8, 801)
-        errs = [abs(interp(x) - e_f(x)) for x in fine]
-        assert max(errs) < 1e-4
-
-    def test_bad_knots(self):
-        with pytest.raises(BadKnotsError):
-            hermite_interpolate([0.0], [1.0])
-        with pytest.raises(BadKnotsError):
-            hermite_interpolate([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
-        with pytest.raises(BadKnotsError):
-            hermite_interpolate([0.0, 1.0], [np.nan, 2.0])
-
-    def test_roots_of_sign_changing_curve(self):
-        xs = np.linspace(0.0, 2.0, 21)
-        interp = hermite_interpolate(xs, 1.0 - xs)
-        roots = interp.roots()
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSuddenDeath:

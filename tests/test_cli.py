@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tmsflow
 from tmsflow.cli import main, parse_grid
 from tmsflow.states import ideal_tms, vacuum
 from tmsflow.symplectic import covariance_to_json
@@ -31,7 +35,7 @@ class TestGridParsing:
     def test_bad_specs(self):
         from tmsflow.cli import ConfigError
 
-        for bad in ("", "1:2", "1:2:0", "2:1:0.5", "a,b"):
+        for bad in ("", "1:2", "1:2:0", "2:1:0.5", "a,b", "nan", "1,inf", "0:inf:1"):
             with pytest.raises(ConfigError):
                 parse_grid(bad)
 
@@ -42,7 +46,7 @@ class TestSweepCommand:
         out2 = tmp_path / "b.csv"
         args = ["sweep", "--s", "2:8:2", "--n", "0:1:0.25", "--model", "ideal"]
         assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2), "--threads", "4"]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_metadata_header(self, tmp_path):
@@ -61,6 +65,10 @@ class TestSweepCommand:
     def test_empty_grid_is_usage_error(self):
         assert main(["sweep", "--n", "0:1:0.5"]) == 2
         assert main(["sweep", "--s", "", "--n", "0:1:0.5"]) == 2
+
+    def test_unsorted_axis_is_usage_error(self, capsys):
+        assert main(["sweep", "--s", "6,5", "--n", "0"]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
 
     def test_realistic_model_flags(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -232,3 +240,14 @@ class TestConfigFile:
 
     def test_no_command_prints_help(self):
         assert main([]) == 2
+
+
+class TestStartup:
+    def test_cli_import_does_not_load_scipy(self):
+        src = os.path.dirname(os.path.dirname(tmsflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, tmsflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"

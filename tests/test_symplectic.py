@@ -12,6 +12,7 @@ from tmsflow.errors import (
     UnphysicalStateError,
 )
 from tmsflow.states import ideal_tms, inject_noise_ideal, thermal, vacuum
+import tmsflow.symplectic as symplectic
 from tmsflow.symplectic import (
     CovarianceMatrix,
     SymplecticOperation,
@@ -112,6 +113,18 @@ class TestSymplecticSummary:
     def test_unphysical_rejected(self):
         with pytest.raises(UnphysicalStateError):
             symplectic_summary(CovarianceMatrix(np.eye(4) / 8.0))
+
+    def test_one_extended_precision_invariant_pass(self, monkeypatch):
+        det = symplectic._det_small_ld
+        calls = []
+
+        def counting_det(m):
+            calls.append(m.shape)
+            return det(m)
+
+        monkeypatch.setattr(symplectic, "_det_small_ld", counting_det)
+        symplectic_summary(inject_noise_ideal(ideal_tms(1.0), 0.3))
+        assert len(calls) == 4
 
 
 class TestEntropyKernel:
