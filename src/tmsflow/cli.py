@@ -70,25 +70,25 @@ def parse_grid(spec: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range must be start:stop:step, got {spec!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"non-numeric range {spec!r}") from None
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ConfigError(f"non-finite range {spec!r}")
+        start, stop, step = (_finite(p, "grid value") for p in parts)
         if step <= 0:
             raise ConfigError(f"range step must be positive, got {step}")
         if stop < start:
             raise ConfigError(f"range stop below start in {spec!r}")
         count = int(math.floor((stop - start) / step + 0.5)) + 1
         return [start + i * step for i in range(count)]
+    return [_finite(tok, "grid value") for tok in spec.split(",") if tok.strip()]
+
+
+def _finite(value, what: str) -> float:
+    """A grid token, flag or config value as a finite float."""
     try:
-        values = [float(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"non-numeric grid {spec!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"non-finite grid {spec!r}")
-    return values
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def _load_config(path: str | None) -> dict:
@@ -120,19 +120,22 @@ def _build_model(args, config) -> StateModel:
         jpa = model_spec.get("jpa")
         jpa_model = None
         if jpa is not None:
-            jpa_model = JpaNoiseModel(chi1=float(jpa["chi1"]), chi2=float(jpa["chi2"]))
+            jpa_model = JpaNoiseModel(
+                chi1=_finite(jpa["chi1"], "chi1"), chi2=_finite(jpa["chi2"], "chi2")
+            )
         return StateModel(
-            coupling_beta=None if beta is None else float(beta), jpa=jpa_model
+            coupling_beta=None if beta is None else _finite(beta, "coupling_beta"),
+            jpa=jpa_model,
         )
     name = str(model_spec)
     if name == "ideal":
         return StateModel.ideal()
-    beta = float(_merged(args, config, "beta", DEFAULT_COUPLING))
+    beta = _finite(_merged(args, config, "beta", DEFAULT_COUPLING), "beta")
     if name == "coupler":
         return StateModel.coupler(beta)
     if name == "realistic":
-        chi1 = float(_merged(args, config, "chi1", 0.05))
-        chi2 = float(_merged(args, config, "chi2", 0.56))
+        chi1 = _finite(_merged(args, config, "chi1", 0.05), "chi1")
+        chi2 = _finite(_merged(args, config, "chi2", 0.56), "chi2")
         return StateModel.realistic(chi1, chi2, beta)
     raise ConfigError(f"unknown model {name!r} (ideal | coupler | realistic)")
 
@@ -247,29 +250,25 @@ def _cmd_qkd(args, config) -> int:
     if s_spec is None or nq_spec is None:
         raise ConfigError("qkd needs --s and --nq")
     s_vals, nq_vals = parse_grid(s_spec), parse_grid(nq_spec)
-    beta = float(_merged(args, config, "cloner-beta", DEFAULT_CLONER_COUPLING))
+    beta = _finite(_merged(args, config, "cloner-beta", DEFAULT_CLONER_COUPLING), "cloner-beta")
+    tol = _finite(_merged(args, config, "tolerance", 1e-6), "tolerance")
     echo = _meta_config(
         {"command": "qkd", "s": s_spec, "nq": nq_spec, "cloner_beta": beta}
     )
-    out = _merged(args, config, "out")
     if len(s_vals) == 1 and len(nq_vals) == 1:
         scenario = QkdScenario(r=squeezing_db_to_r(s_vals[0]), n_q=nq_vals[0], beta=beta)
-        payload = key_result_to_json(scenario, secret_key(scenario))
-        _emit(_json_with_meta(payload, echo), out)
-        return 0
-
-    rows = []
-    for s_db in s_vals:
-        for n_q in nq_vals:
-            scenario = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q, beta=beta)
-            rows.append(key_result_to_csv_row(s_db, n_q, secret_key(scenario)))
-    _emit(
-        _csv_header_lines(echo) + QKD_CSV_HEADER + "\n" + "\n".join(rows) + "\n", out
-    )
+        text = _json_with_meta(key_result_to_json(scenario, secret_key(scenario)), echo)
+    else:
+        rows = []
+        for s_db in s_vals:
+            for n_q in nq_vals:
+                scenario = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q, beta=beta)
+                rows.append(key_result_to_csv_row(s_db, n_q, secret_key(scenario)))
+        text = _csv_header_lines(echo) + QKD_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+    _emit(text, _merged(args, config, "out"))
 
     threshold_out = _merged(args, config, "threshold-out")
-    if threshold_out or _merged(args, config, "threshold"):
-        tol = float(_merged(args, config, "tolerance", 1e-6))
+    if threshold_out:
         tl = ["s_db,n_q_threshold,status"]
         any_ok = False
         for s_db in s_vals:
@@ -296,15 +295,15 @@ def _cmd_fit(args, config) -> int:
     except ValueError as exc:
         raise ConfigError(f"malformed records CSV: {exc}") from None
     weights = (
-        float(_merged(args, config, "w1", DEFAULT_WEIGHTS[0])),
-        float(_merged(args, config, "w2", DEFAULT_WEIGHTS[1])),
-        float(_merged(args, config, "w3", DEFAULT_WEIGHTS[2])),
+        _finite(_merged(args, config, "w1", DEFAULT_WEIGHTS[0]), "w1"),
+        _finite(_merged(args, config, "w2", DEFAULT_WEIGHTS[1]), "w2"),
+        _finite(_merged(args, config, "w3", DEFAULT_WEIGHTS[2]), "w3"),
     )
     init_spec = str(_merged(args, config, "init", "0,1"))
-    init = tuple(float(x) for x in init_spec.split(","))
+    init = tuple(_finite(x, "init") for x in init_spec.split(","))
     if len(init) != 2:
         raise ConfigError(f"--init needs two comma-separated values, got {init_spec!r}")
-    beta = float(_merged(args, config, "beta", DEFAULT_COUPLING))
+    beta = _finite(_merged(args, config, "beta", DEFAULT_COUPLING), "beta")
     result = fit(records, weights=weights, initial=init, coupling_beta=beta)
     echo = _meta_config(
         {
@@ -330,7 +329,7 @@ def _cmd_tomo(args, config) -> int:
         raise ConfigError(f"cannot read samples: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"malformed samples CSV: {exc}") from None
-    threshold = float(_merged(args, config, "threshold", 5.0))
+    threshold = _finite(_merged(args, config, "threshold", 5.0), "threshold")
     echo = _meta_config(
         {"command": "tomo", "samples": path, "threshold": threshold}
     )
@@ -381,10 +380,10 @@ def _cmd_validate(args, config) -> int:
 def _cmd_gen_synthetic(args, config) -> int:
     s_spec = _merged(args, config, "s", "3:9:1.5")
     n_spec = _merged(args, config, "n", "0,0.1,0.25,0.5,1,2")
-    chi1 = float(_merged(args, config, "chi1", 0.05))
-    chi2 = float(_merged(args, config, "chi2", 0.56))
-    beta = float(_merged(args, config, "beta", DEFAULT_COUPLING))
-    noise = float(_merged(args, config, "noise", 0.0))
+    chi1 = _finite(_merged(args, config, "chi1", 0.05), "chi1")
+    chi2 = _finite(_merged(args, config, "chi2", 0.56), "chi2")
+    beta = _finite(_merged(args, config, "beta", DEFAULT_COUPLING), "beta")
+    noise = _finite(_merged(args, config, "noise", 0.0), "noise")
     seed_val = _merged(args, config, "seed")
     seed = None if seed_val is None else int(seed_val)
     records = synthetic_records(
@@ -452,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", help="squeezing grid in dB")
     p.add_argument("--nq", help="detected-quadrature noise grid")
     p.add_argument("--cloner-beta", type=float, dest="cloner_beta")
-    p.add_argument("--threshold", action="store_true", help="also emit the K=0 curve")
     p.add_argument("--threshold-out", dest="threshold_out", help="path for the threshold curve")
     p.add_argument("--tolerance", type=float, help="|K| tolerance at the threshold")
 

@@ -127,6 +127,9 @@ def _eof_gamma(s) -> float:
     if z_hi <= 0.0:
         raise NumericalError("boundary quadratic has no positive root")
     z_lo = k0 / (k4 * z_hi)
+    # On the boundary within roundoff nu_pt_min cannot pick the side.
+    if min(abs(z_lo - 1.0), abs(z_hi - 1.0)) <= 1e-12:
+        return 0.0
     entangled = s.nu_pt_min < VACUUM_VARIANCE
     if entangled:
         above = [z for z in (z_lo, z_hi) if z > 1.0]

@@ -25,6 +25,7 @@ from .states import StateModel
 DEFAULT_WEIGHTS = (0.5, 0.5, 1.0)
 DEFAULT_COUPLING = 0.01  # -20 dB directional coupler
 DEFAULT_INITIAL = (0.0, 1.0)
+_MAX_ITERATIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,6 @@ def fit(
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
     initial: tuple[float, float] = DEFAULT_INITIAL,
     coupling_beta: float = DEFAULT_COUPLING,
-    max_iterations: int = 2000,
 ) -> FitResult:
     """Simplex descent of the weighted cost from the given initial point.
 
@@ -136,8 +136,8 @@ def fit(
         options={
             "xatol": 1e-6,
             "fatol": 1e-12,
-            "maxiter": max_iterations,
-            "maxfev": 4 * max_iterations,
+            "maxiter": _MAX_ITERATIONS,
+            "maxfev": 4 * _MAX_ITERATIONS,
         },
     )
     chi1 = max(float(result.x[0]), 0.0)

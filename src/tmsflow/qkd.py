@@ -7,8 +7,11 @@ with ``n`` the injected photon number; the receiver homodynes the q
 quadrature of B, so the effective noise in the detected quadrature is
 ``n_q = n/2``.  The secret key is ``K = I_s - chi_E`` with the Shannon
 mutual information of the homodyne channel and the eavesdropper's Holevo
-quantity.  This module alone works in bits: the entropy kernel is
-evaluated in nats and divided by ln 2 so that K is unit-consistent.
+quantity.  The four-mode cloner output is pure, so chi_E follows from
+the two-mode channel state alone (:func:`holevo_quantity`);
+:func:`cloner_state` builds the full state for checks.  This module alone
+works in bits: the entropy kernel is evaluated in nats and divided by
+ln 2 so that K is unit-consistent.
 """
 
 from __future__ import annotations
@@ -17,16 +20,17 @@ import json
 import math
 from dataclasses import dataclass
 
+from .analysis import _bisect_root
 from .errors import BadCouplingError, DomainError, NoSignChangeError, NumericalError
 from .symplectic import (
     CovarianceMatrix,
+    apply_symplectic,
     beam_splitter,
     homodyne_condition,
-    partial_trace,
     tensor,
     von_neumann_entropy,
 )
-from .states import eve_tms, ideal_tms
+from .states import NoiseChannelSpec, eve_tms, ideal_tms, inject_noise_coupler, squeezing_db_to_r
 
 _LN2 = math.log(2.0)
 
@@ -93,24 +97,24 @@ def cloner_state(scenario: QkdScenario) -> CovarianceMatrix:
 def apply_cloner_coupling(joint: CovarianceMatrix, beta: float) -> CovarianceMatrix:
     if joint.n_modes != 4:
         raise DomainError("cloner coupling expects the 4-mode (A, B, E1, E2) state")
-    return CovarianceMatrix(
-        beam_splitter(beta, 1, 2, 4).matrix @ joint.entries @ beam_splitter(beta, 1, 2, 4).matrix.T
-    )
+    return apply_symplectic(joint, beam_splitter(beta, 1, 2, 4))
 
 
 def holevo_quantity(scenario: QkdScenario) -> float:
     """Eavesdropper's Holevo bound in bits for reverse reconciliation.
 
-    chi_E = S(E) - S(E|B) with B homodyned in q; both entropies are taken
-    over the (E1, E2) pair of the cloner state.
+    (A, B, E1, E2) is pure, and so is (A, E1, E2) after B is homodyned, so
+    chi_E = S(E) - S(E|x_B) = S(AB') - S(A|x_B), taken on the two-mode
+    channel state AB': the coupler with Eve's E1 (variance W/4) at its port.
     """
-    full = cloner_state(scenario)
-    eve = partial_trace(full, (2, 3))
-    s_e = von_neumann_entropy(eve) / _LN2
-    conditioned = homodyne_condition(full, measured_mode=1, quadrature="q")
-    eve_cond = partial_trace(conditioned, (1, 2))  # (A, E1, E2) -> (E1, E2)
-    s_e_cond = von_neumann_entropy(eve_cond) / _LN2
-    chi = s_e - s_e_cond
+    channel = inject_noise_coupler(
+        ideal_tms(scenario.r),
+        NoiseChannelSpec(scenario.beta, env_photons=0.5 * (scenario.w - 1.0)),
+    )
+    s_ab = von_neumann_entropy(channel) / _LN2
+    conditioned = homodyne_condition(channel, measured_mode=1, quadrature="q")
+    s_a_cond = von_neumann_entropy(conditioned) / _LN2
+    chi = s_ab - s_a_cond
     return max(chi, 0.0)
 
 
@@ -154,8 +158,6 @@ def key_threshold(
     """
     if s_db <= 0:
         raise DomainError(f"squeezing level must be > 0 dB, got {s_db}")
-    from .states import squeezing_db_to_r
-
     r = squeezing_db_to_r(s_db)
 
     def key_at(n_q: float) -> float:
@@ -168,13 +170,7 @@ def key_threshold(
             f"no key sign change on [{lo}, {hi}] at {s_db} dB "
             f"(K({lo}) = {k_lo:.3e}, K({hi}) = {k_hi:.3e})"
         )
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if key_at(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
+    mid = _bisect_root(key_at, lo, hi, k_lo)
     if not abs(key_at(mid)) < tolerance:
         raise NumericalError(
             f"key at the bisection point exceeds the requested tolerance: "

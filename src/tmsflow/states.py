@@ -25,11 +25,16 @@ from .symplectic import CovarianceMatrix, TwoModeCovariance, VACUUM_VARIANCE
 
 _DB_PER_UNIT_R = 20.0 * math.log10(math.e)
 
+# Largest level whose gain exp(2r) = 10^(S/10) is a finite double (3082.5 dB).
+_MAX_LEVEL_DB = 10.0 * math.log10(np.finfo(float).max)
+
 
 def squeezing_db_to_r(level_db: float) -> float:
     """Convert a squeezing level in dB to the dimensionless factor r."""
     if not math.isfinite(level_db):
         raise DomainError(f"squeezing level must be finite, got {level_db}")
+    if level_db > _MAX_LEVEL_DB:
+        raise DomainError(f"squeezing level {level_db} dB is above {_MAX_LEVEL_DB:.1f} dB")
     return level_db / _DB_PER_UNIT_R
 
 

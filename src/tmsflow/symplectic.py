@@ -457,20 +457,18 @@ def von_neumann_entropy(V: CovarianceMatrix) -> float:
     Heisenberg bound are treated as exactly pure: the entropy kernel has
     a log-divergent slope at 1/4, so structure below that noise scale
     would otherwise surface as jitter much larger than its actual
-    (negligible) entropy contribution.
+    (negligible) entropy contribution.  Once that noise reaches 1/4 itself
+    purity cannot be decided and :class:`NumericalError` is raised.
     """
-    nus = symplectic_eigenvalues(V)
-    sym = 0.5 * (V.entries + V.entries.T)
-    eigs = np.linalg.eigvalsh(sym)
-    slack = 0.0
-    if eigs.min() > 0.0:
-        slack = 1000.0 * np.finfo(float).eps * eigs.max() * math.sqrt(
-            eigs.max() / eigs.min()
-        )
+    nus = symplectic_eigenvalues(V)  # validated, so positive definite
+    eigs = np.linalg.eigvalsh(0.5 * (V.entries + V.entries.T))
+    slack = 1000.0 * np.finfo(float).eps * eigs.max() * math.sqrt(eigs.max() / eigs.min())
     total = 0.0
     for nu in nus:
         if nu > VACUUM_VARIANCE + slack:
             total += entropy_f(nu)
+        elif slack >= VACUUM_VARIANCE:
+            raise NumericalError(f"eigenvalue {nu:.6g} lies within the spectrum noise {slack:.3e}")
     return total
 
 

@@ -43,6 +43,7 @@ _HIGHER_ORDERS = [
 
 DEFAULT_THRESHOLD = 5.0  # standard errors
 _BATCHES = 25
+_MIN_BATCH = 40  # samples per batch: ten per cumulant order, up to the fourth
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,6 @@ def _bivariate_k_statistics(x: np.ndarray, y: np.ndarray) -> dict[tuple[int, int
 
 def cumulants(
     samples: QuadratureSamples,
-    max_order: int = 4,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> CumulantReport:
     """Joint cumulants of all column pairs with a Gaussianity verdict.
@@ -166,11 +166,9 @@ def cumulants(
     stays below ``threshold`` batch-estimated standard errors in
     magnitude.
     """
-    if max_order != 4:
-        raise ValueError("only max_order=4 is implemented")
-    if samples.n_samples < 10 * max_order:
+    if samples.n_samples < _MIN_BATCH:
         raise TooFewSamplesError(
-            f"need at least {10 * max_order} samples, got {samples.n_samples}"
+            f"need at least {_MIN_BATCH} samples, got {samples.n_samples}"
         )
     data = samples.data
     n = samples.n_samples
@@ -183,7 +181,7 @@ def cumulants(
     for i in range(4):
         second[f"{COLUMN_NAMES[i]}{COLUMN_NAMES[i]}"] = float(cov[i, i])
 
-    n_batches = max(2, min(_BATCHES, n // (10 * max_order)))
+    n_batches = max(2, min(_BATCHES, n // _MIN_BATCH))
     bounds = np.linspace(0, n, n_batches + 1, dtype=int)
 
     entries: list[CumulantEntry] = []

@@ -131,6 +131,76 @@ class TestQkdCommand:
     def test_missing_axis_is_usage_error(self):
         assert main(["qkd", "--s", "1:30:1"]) == 2
 
+    def test_single_point_writes_threshold_curve(self, tmp_path, capsys):
+        th_out = tmp_path / "thr.csv"
+        assert main(["qkd", "--s", "30", "--nq", "0.1", "--threshold-out", str(th_out)]) == 0
+        assert json.loads(capsys.readouterr().out)["key_bits"] > 0.0
+        th_rows = [l for l in th_out.read_text().splitlines() if not l.startswith("#")]
+        assert th_rows[0] == "s_db,n_q_threshold,status"
+        assert float(th_rows[1].split(",")[1]) == pytest.approx(0.26, abs=0.01)
+
+    def test_threshold_config_key_is_not_a_switch(self, tmp_path, capsys):
+        # "threshold" is tomo's Gaussianity level; a shared config file
+        # must not send a K = 0 curve to stdout
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": 5.0}))
+        out = tmp_path / "k.csv"
+        args = ["qkd", "--config", str(cfg), "--s", "6,10", "--nq", "0.1", "--out", str(out)]
+        assert main(args) == 0
+        assert capsys.readouterr().out == ""
+        with pytest.raises(SystemExit) as exc:
+            main(["qkd", "--s", "6,10", "--nq", "0.1", "--threshold"])
+        assert exc.value.code == 2
+
+
+def _records_file(tmp_path):
+    path = tmp_path / "records.csv"
+    assert main(["gen-synthetic", "--s", "3,6", "--n", "0,0.5", "--out", str(path)]) == 0
+    return str(path)
+
+
+def _samples_file(tmp_path):
+    path = tmp_path / "samples.csv"
+    rng = np.random.default_rng(7)
+    path.write_text(samples_to_csv(QuadratureSamples(sample_gaussian(ideal_tms(0.5), 200, rng))))
+    return str(path)
+
+
+class TestScalarInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--records", _records_file, "--w1", "nan"],
+            ["fit", "--records", _records_file, "--init", "nan,1"],
+            ["qkd", "--s", "10", "--nq", "0.1", "--cloner-beta", "nan"],
+            ["qkd", "--s", "10", "--nq", "0.1", "--tolerance", "inf"],
+            ["sweep", "--s", "6", "--n", "0.1", "--model", "coupler", "--beta", "nan"],
+            ["tomo", "--samples", _samples_file, "--threshold", "nan"],
+            ["gen-synthetic", "--noise", "inf"],
+        ],
+    )
+    def test_non_finite_value_is_usage_error(self, argv, tmp_path, capsys):
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("tmsflow: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"s": "6", "n": "0.1", "model": "coupler", "beta": NaN}')
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "beta must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--n", "0.1"], ["features"], ["qkd", "--nq", "0.1"]]
+    )
+    def test_overflowing_squeezing_level(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--s", "1e6", "--out", str(out)]) == 3
+        text = out.read_text() if out.exists() else capsys.readouterr().err
+        assert "above 3082.5 dB" in text
+
 
 class TestFitAndGenSynthetic:
     def test_synthetic_then_fit_roundtrip(self, tmp_path, capsys):

@@ -155,6 +155,13 @@ class TestEofLowerBound:
                 hi = mid
         assert 0.5 * (lo + hi) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("s_db", [4.0, 4.5, 18.5, 23.0])
+    def test_boundary_state_takes_the_near_root(self, s_db):
+        # nu_pt_min rounds just below 1/4 here; the far root has E_F up to 4.9
+        report = correlation_report(StateModel.ideal().state(s_db, 1.0))
+        assert abs(report.e_f) < 1e-12
+        assert abs(report.gamma) < 1e-12
+
     def test_signed_continuation(self):
         assert eof_lower_bound(noisy_tms(1.0, 3.0)) < 0.0
         assert eof_from_gamma(-0.3) == -eof_from_gamma(0.3)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tmsflow.errors import BadCouplingError, DomainError, NoSignChangeError
+import tmsflow.qkd
+from tmsflow.errors import BadCouplingError, DomainError, NoSignChangeError, TmsflowError
 from tmsflow.qkd import (
     QkdScenario,
     cloner_state,
@@ -58,6 +59,34 @@ def holevo_dense_oracle(r, n_q, beta):
             return float(total / mp.log(2))
 
     return entropy_bits(eve) - entropy_bits(eve_cond)
+
+
+def holevo_reference(s_db, n_q, beta):
+    """50-digit chi_E in bits from the analytic channel state alone, in
+    vacuum-1 units: a = cosh 2r, b = (1 - beta) a + beta W,
+    c = sqrt(1 - beta) sinh 2r; chi_E = f(nu+) + f(nu-) - f(nu_A|x_B)."""
+    import mpmath as mp
+
+    def f(x):
+        plus, minus = (x + 1) / 2, (x - 1) / 2
+        return mp.mpf(0) if minus <= 0 else plus * mp.log(plus) - minus * mp.log(minus)
+
+    with mp.workdps(50):
+        r = mp.mpf(s_db) * mp.log(10) / 20
+        beta = mp.mpf(beta)
+        w = max(mp.mpf(1), 4 * mp.mpf(n_q) / beta)
+        a = mp.cosh(2 * r)
+        b = (1 - beta) * a + beta * w
+        c = mp.sqrt(1 - beta) * mp.sinh(2 * r)
+        delta = a * a + b * b - 2 * c * c
+        root = mp.sqrt(max(delta * delta - 4 * (a * b - c * c) ** 2, 0))
+        nu_plus, nu_minus = mp.sqrt((delta + root) / 2), mp.sqrt((delta - root) / 2)
+        nu_cond = mp.sqrt(a * (a - c * c / b))
+        return float((f(nu_plus) + f(nu_minus) - f(nu_cond)) / mp.log(2))
+
+
+REFERENCE_S_DB = (0.1, 0.25, 1.0, 3.0, 6.0, 10.0, 20.0, 30.0, 40.0)
+REFERENCE_BETA = (1e-4, 1e-3, 1e-2, 1e-1)
 
 
 class TestScenario:
@@ -140,6 +169,29 @@ class TestHolevo:
             mine = holevo_quantity(QkdScenario(r=r, n_q=n_q, beta=1e-4))
             assert mine == pytest.approx(holevo_dense_oracle(r, n_q, 1e-4), abs=1e-8)
 
+    @pytest.mark.parametrize("n_q", [1e-3, 0.01, 0.1, 1.0, 2.0])
+    def test_matches_fifty_digit_reference(self, n_q):
+        # covers (0.25 dB, n_q = 1, beta = 1e-4): W = 4e4, where a
+        # four-mode evaluation misses by 8e-3 bits
+        for s_db in REFERENCE_S_DB:
+            for beta in REFERENCE_BETA:
+                s = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q, beta=beta)
+                ref = holevo_reference(s_db, n_q, beta)
+                assert holevo_quantity(s) == pytest.approx(ref, abs=1e-9), (s_db, beta)
+
+    @pytest.mark.parametrize("n_q", [0.0, 1e-4])
+    def test_near_pure_corners_match_reference(self, n_q):
+        for s_db in REFERENCE_S_DB:
+            for beta in REFERENCE_BETA:
+                s = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q, beta=beta)
+                ref = holevo_reference(s_db, n_q, beta)
+                assert holevo_quantity(s) == pytest.approx(ref, abs=1e-7), (s_db, beta)
+
+    @pytest.mark.parametrize("s_db", [150.0, 400.0])
+    def test_unresolvable_squeezing_is_refused(self, s_db):
+        with pytest.raises(TmsflowError):
+            holevo_quantity(QkdScenario(r=squeezing_db_to_r(s_db), n_q=0.1))
+
     def test_nonnegative(self, rng):
         for _ in range(20):
             s = QkdScenario(
@@ -193,6 +245,16 @@ class TestSecretKey:
             for nq in np.linspace(1e-4, 1.0, 30)
         ]
         assert all(a > b for a, b in zip(keys, keys[1:]))
+
+
+class TestTwoModeKeyPath:
+    def test_no_four_mode_state_is_built(self, monkeypatch):
+        def forbidden(scenario):
+            raise AssertionError("cloner_state called on the key path")
+
+        monkeypatch.setattr(tmsflow.qkd, "cloner_state", forbidden)
+        secret_key(QkdScenario(r=squeezing_db_to_r(10.0), n_q=0.1))
+        key_threshold(10.0)
 
 
 class TestKeyThreshold:

@@ -62,6 +62,11 @@ class TestSqueezingConversion:
         with pytest.raises(DomainError):
             SqueezingSpec.from_db(-1.0)
 
+    def test_largest_representable_level(self):
+        assert math.isfinite(math.cosh(2 * squeezing_db_to_r(3082.5)))
+        with pytest.raises(DomainError, match="3082.5 dB"):
+            squeezing_db_to_r(1e6)
+
 
 class TestIdealTms:
     def test_zero_squeezing_is_vacuum(self):

@@ -8,6 +8,7 @@ from tmsflow.errors import (
     DimensionMismatchError,
     DomainError,
     NonFiniteError,
+    NumericalError,
     SingularMeasurementError,
     UnphysicalStateError,
 )
@@ -161,6 +162,12 @@ class TestVonNeumannEntropy:
 
     def test_pure_tms_zero(self):
         assert von_neumann_entropy(ideal_tms(1.0)) == pytest.approx(0.0, abs=1e-10)
+
+    def test_mixed_mode_inside_noise_band_is_refused(self):
+        # nu ~ 3e6 lies inside the ~7e8 storage-noise band of so
+        # ill-conditioned a matrix; calling it pure would return 0
+        with pytest.raises(NumericalError):
+            von_neumann_entropy(CovarianceMatrix(np.diag([0.1, 1e14])))
 
 
 class TestSymplecticOperations:
