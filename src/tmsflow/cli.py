@@ -75,7 +75,10 @@ def parse_grid(spec: str) -> list[float]:
             raise ConfigError(f"range step must be positive, got {step}")
         if stop < start:
             raise ConfigError(f"range stop below start in {spec!r}")
-        count = int(math.floor((stop - start) / step + 0.5)) + 1
+        steps = (stop - start) / step + 0.5
+        if steps >= 1e6:  # also catches an overflowing quotient
+            raise ConfigError(f"range {spec!r} has more than 10**6 points")
+        count = int(math.floor(steps)) + 1
         return [start + i * step for i in range(count)]
     return [_finite(tok, "grid value") for tok in spec.split(",") if tok.strip()]
 
@@ -120,6 +123,8 @@ def _build_model(args, config) -> StateModel:
         jpa = model_spec.get("jpa")
         jpa_model = None
         if jpa is not None:
+            if not isinstance(jpa, dict) or not {"chi1", "chi2"} <= jpa.keys():
+                raise ConfigError(f"model jpa must be an object with chi1 and chi2, got {jpa!r}")
             jpa_model = JpaNoiseModel(
                 chi1=_finite(jpa["chi1"], "chi1"), chi2=_finite(jpa["chi2"], "chi2")
             )
@@ -201,6 +206,8 @@ def _cmd_features(args, config) -> int:
     s_vals = parse_grid(s_spec)
     what = str(_merged(args, config, "what", "nsd,nc")).split(",")
     flavors = str(_merged(args, config, "flavors", "A,B,AB")).split(",")
+    if not set(flavors) <= {"A", "B", "AB"}:
+        raise ConfigError(f"flavors must be a comma list of A, B, AB, got {','.join(flavors)!r}")
     echo = _meta_config(
         {
             "command": "features",
@@ -384,8 +391,9 @@ def _cmd_gen_synthetic(args, config) -> int:
     chi2 = _finite(_merged(args, config, "chi2", 0.56), "chi2")
     beta = _finite(_merged(args, config, "beta", DEFAULT_COUPLING), "beta")
     noise = _finite(_merged(args, config, "noise", 0.0), "noise")
-    seed_val = _merged(args, config, "seed")
-    seed = None if seed_val is None else int(seed_val)
+    seed = _merged(args, config, "seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     records = synthetic_records(
         parse_grid(s_spec),
         parse_grid(n_spec),

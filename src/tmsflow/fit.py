@@ -211,6 +211,8 @@ def records_from_csv(text: str) -> list[MeasurementRecord]:
             vals = [float(tok) for tok in row]
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"line {line_no}: non-finite entry")
         extra = {}
         if len(vals) == 8:
             extra = {"sd_a": vals[5], "sd_b": vals[6], "se_f": vals[7]}

@@ -262,10 +262,7 @@ class StateModel:
         spec = SqueezingSpec.from_db(s_db)
         if self.coupling_beta is None:
             return inject_noise_ideal(ideal_tms(spec), n)
-        if n == 0.0:
-            channel = NoiseChannelSpec(coupling_beta=self.coupling_beta, env_photons=0.0)
-        else:
-            channel = NoiseChannelSpec.from_injected_noise(self.coupling_beta, n)
+        channel = NoiseChannelSpec.from_injected_noise(self.coupling_beta, n)
         if self.jpa is None:
             return inject_noise_coupler(ideal_tms(spec), channel)
         return realistic_tms(spec, self.jpa, channel)

@@ -140,12 +140,6 @@ class SymplecticOperation:
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
 
-    def then(self, other: "SymplecticOperation") -> "SymplecticOperation":
-        """Composition: apply ``self`` first, then ``other``."""
-        if other.n_modes != self.n_modes:
-            raise DimensionMismatchError("cannot compose operations on different mode counts")
-        return SymplecticOperation(other.matrix @ self.matrix, kind="composite")
-
 
 def identity_op(n_modes: int) -> SymplecticOperation:
     return SymplecticOperation(np.eye(2 * n_modes), kind="identity")
@@ -201,14 +195,14 @@ def validate(V: CovarianceMatrix) -> ValidationVerdict:
 
 
 def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
-    """:func:`validate` plus the extended-precision invariants of the
-    symmetrised matrix, computed for two-mode positive-definite states
-    (None otherwise) so callers need not recompute them."""
+    """:func:`validate` plus the only spectral pass, ``(nus, noise,
+    invariants)`` of the symmetrised matrix (None unless positive definite):
+    symplectic eigenvalues, their noise band and, for two modes, ``i1..i4``."""
     m = V.entries
     if not np.all(np.isfinite(m)):
         raise NonFiniteError("covariance matrix has NaN or infinite entries")
     if V.n_modes == 0:
-        return ValidationVerdict(ok=True), None
+        return ValidationVerdict(ok=True), (np.empty(0), 0.0, None)
 
     violations: list[str] = []
     scale = max(1.0, float(np.abs(m).max()))
@@ -218,15 +212,17 @@ def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
     sym = 0.5 * (m + m.T)
     eigs = np.linalg.eigvalsh(sym)
     min_nu: float | None = None
-    invariants = None
+    spectrum = invariants = None
     if eigs.min() <= 0.0:
         violations.append("not positive definite")
     else:
-        if V.n_modes == 2:
+        if V.n_modes == 1:
+            nus = np.array([math.sqrt(max(float(np.linalg.det(sym)), 0.0))])
+        elif V.n_modes == 2:
             invariants = _two_mode_invariants_ld(sym)
-            min_nu = min(_two_mode_nu(invariants))
+            nus = np.array(_two_mode_nu(invariants))
         else:
-            min_nu = float(_symplectic_eigenvalues_psd(sym).min())
+            nus = _symplectic_eigenvalues_psd(sym)
         # Strongly squeezed states cannot even be assembled in double
         # precision with their spectrum resolved better than about
         # eps * norm * sqrt(cond) (times pipeline length), so the
@@ -235,6 +231,8 @@ def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
         noise = 1000.0 * np.finfo(float).eps * eigs.max() * math.sqrt(
             eigs.max() / eigs.min()
         )
+        spectrum = (nus, noise, invariants)
+        min_nu = float(nus.min())
         if min_nu < VACUUM_VARIANCE - max(PHYSICALITY_TOL, noise):
             violations.append(
                 f"symplectic eigenvalue {min_nu:.6g} below the Heisenberg bound 1/4"
@@ -243,19 +241,19 @@ def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
         ok=not violations,
         violations=tuple(violations),
         min_symplectic_eigenvalue=min_nu,
-    ), invariants
+    ), spectrum
 
 
-def require_valid(V: CovarianceMatrix) -> tuple | None:
+def require_valid(V: CovarianceMatrix) -> tuple:
     """Raise :class:`UnphysicalStateError` unless ``V`` validates; return
-    the extended-precision two-mode invariants (None for other sizes)."""
-    verdict, invariants = _validate(V)
+    the spectral pass ``(nus, noise, invariants)`` of :func:`_validate`."""
+    verdict, spectrum = _validate(V)
     if not verdict.ok:
         raise UnphysicalStateError(
             "unphysical covariance matrix: " + "; ".join(verdict.violations),
             violations=verdict.violations,
         )
-    return invariants
+    return spectrum
 
 
 def _symplectic_eigenvalues_psd(sym: np.ndarray) -> np.ndarray:
@@ -312,19 +310,10 @@ def _williamson(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def symplectic_eigenvalues(V: CovarianceMatrix) -> np.ndarray:
-    """All symplectic eigenvalues of a validated covariance matrix.
-
-    Two-mode states use the invariant closed form; other sizes fall back
-    to the spectral route.
-    """
-    require_valid(V)
-    if V.n_modes == 1:
-        det = float(np.linalg.det(V.entries))
-        return np.array([math.sqrt(max(det, 0.0))])
-    if V.n_modes == 2:
-        nu_plus, nu_minus = _two_mode_nu(_two_mode_invariants_ld(V.entries))
-        return np.array([nu_plus, nu_minus])
-    return _symplectic_eigenvalues_psd(0.5 * (V.entries + V.entries.T))
+    """All symplectic eigenvalues of a validated covariance matrix, from
+    the validation pass: ``sqrt(det)`` for one mode, the invariant closed
+    form for two, the spectral route for more."""
+    return require_valid(V)[0]
 
 
 def _det2(b: np.ndarray) -> float:
@@ -415,11 +404,11 @@ def symplectic_summary(V: TwoModeCovariance) -> SymplecticSummary:
     eigenvalue of a two-mode state."""
     if V.n_modes != 2:
         raise DimensionMismatchError("symplectic_summary requires a two-mode state")
-    invariants = require_valid(V)
+    nus, _, invariants = require_valid(V)
     m = 0.5 * (V.entries + V.entries.T)
     i1, i2, i3, i4 = _two_mode_invariants(m)
     delta = i1 + i2 + 2.0 * i3
-    nu_plus, nu_minus = _two_mode_nu(invariants)
+    nu_plus, nu_minus = float(nus[0]), float(nus[1])
     _, nu_pt_min = _two_mode_nu(invariants, partial_transpose=True)
     return SymplecticSummary(
         i1=i1,
@@ -451,7 +440,7 @@ def entropy_f(x: float) -> float:
 
 
 def von_neumann_entropy(V: CovarianceMatrix) -> float:
-    """Von Neumann entropy in nats: sum of f over the symplectic spectrum.
+    """Von Neumann entropy in nats: f summed over the validation pass.
 
     Eigenvalues within the double-precision storage noise of the
     Heisenberg bound are treated as exactly pure: the entropy kernel has
@@ -460,15 +449,13 @@ def von_neumann_entropy(V: CovarianceMatrix) -> float:
     (negligible) entropy contribution.  Once that noise reaches 1/4 itself
     purity cannot be decided and :class:`NumericalError` is raised.
     """
-    nus = symplectic_eigenvalues(V)  # validated, so positive definite
-    eigs = np.linalg.eigvalsh(0.5 * (V.entries + V.entries.T))
-    slack = 1000.0 * np.finfo(float).eps * eigs.max() * math.sqrt(eigs.max() / eigs.min())
+    nus, noise, _ = require_valid(V)
     total = 0.0
     for nu in nus:
-        if nu > VACUUM_VARIANCE + slack:
+        if nu > VACUUM_VARIANCE + noise:
             total += entropy_f(nu)
-        elif slack >= VACUUM_VARIANCE:
-            raise NumericalError(f"eigenvalue {nu:.6g} lies within the spectrum noise {slack:.3e}")
+        elif noise >= VACUUM_VARIANCE:
+            raise NumericalError(f"eigenvalue {nu:.6g} lies within the spectrum noise {noise:.3e}")
     return total
 
 
@@ -554,6 +541,8 @@ def covariance_from_json(text: str) -> CovarianceMatrix:
         raise DimensionMismatchError(
             f"expected {(2 * n) ** 2} entries for {n} modes, got {flat.size}"
         )
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("entries must be finite numbers")
     return CovarianceMatrix(flat.reshape(2 * n, 2 * n))
 
 
@@ -567,4 +556,7 @@ def covariance_from_csv(text: str) -> CovarianceMatrix:
         for line in text.strip().splitlines()
         if line.strip()
     ]
+    for row_no, row in enumerate(rows, start=1):
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"matrix row {row_no}: non-finite entry")
     return CovarianceMatrix(np.array(rows, dtype=float))

@@ -18,6 +18,7 @@ I mapping to q and Q mapping to p.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -116,30 +117,34 @@ def project_to_physical(V: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(0.5 * (out + out.T))
 
 
-def _bivariate_k_statistics(x: np.ndarray, y: np.ndarray) -> dict[tuple[int, int], float]:
-    """Unbiased joint cumulant estimators k_mn up to total order four.
+def _k_statistics(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """Unbiased joint cumulant estimators k_mn (2 <= m + n <= 4) of every
+    column pair of a sample block: entry ``[i, j]`` has power m on column i
+    and n on column j.
 
     Central-moment formulas (Kendall & Stuart): third order scales m_mn by
     n^2/((n-1)(n-2)); fourth order combines (n+1) m_4-type terms with
-    products of second-order moments.
+    products of second-order moments.  Each power of the centred columns
+    is formed once; means run along a contiguous sample axis with no
+    matrix product, so results do not depend on the BLAS build.
     """
-    n = float(x.size)
-    dx = x - x.mean()
-    dy = y - y.mean()
+    n = float(block.shape[0])
+    d = np.ascontiguousarray(block.T)
+    d = d - d.mean(axis=1, keepdims=True)
+    d2 = d * d
+    powers = {1: d, 2: d2, 3: d2 * d, 4: d2 * d2}
 
-    def m(p: int, q: int) -> float:
-        if p == 0:
-            return float(np.mean(dy**q))
+    def m(p: int, q: int) -> np.ndarray:
         if q == 0:
-            return float(np.mean(dx**p))
-        return float(np.mean(dx**p * dy**q))
+            return powers[p].mean(axis=1)[:, None]
+        if p == 0:
+            return powers[q].mean(axis=1)[None, :]
+        return np.array([np.mean(row * powers[q], axis=-1) for row in powers[p]])
 
     c3 = n * n / ((n - 1.0) * (n - 2.0))
     c4 = n * n / ((n - 1.0) * (n - 2.0) * (n - 3.0))
     m20, m02, m11 = m(2, 0), m(0, 2), m(1, 1)
     out = {
-        (1, 0): float(x.mean()),
-        (0, 1): float(y.mean()),
         (2, 0): n / (n - 1.0) * m20,
         (1, 1): n / (n - 1.0) * m11,
         (0, 2): n / (n - 1.0) * m02,
@@ -153,7 +158,7 @@ def _bivariate_k_statistics(x: np.ndarray, y: np.ndarray) -> dict[tuple[int, int
         (1, 3): c4 * ((n + 1.0) * m(1, 3) - 3.0 * (n - 1.0) * m02 * m11),
         (0, 4): c4 * ((n + 1.0) * m(0, 4) - 3.0 * (n - 1.0) * m02 * m02),
     }
-    return out
+    return {order: np.broadcast_to(k, m11.shape) for order, k in out.items()}
 
 
 def cumulants(
@@ -164,7 +169,9 @@ def cumulants(
 
     The verdict is true iff every third- and fourth-order k-statistic
     stays below ``threshold`` batch-estimated standard errors in
-    magnitude.
+    magnitude.  One :func:`_k_statistics` pass on the whole sample (which
+    also gives the second-order entries) plus one per batch; each
+    univariate cumulant is reported once, under its first pair.
     """
     if samples.n_samples < _MIN_BATCH:
         raise TooFewSamplesError(
@@ -172,43 +179,32 @@ def cumulants(
         )
     data = samples.data
     n = samples.n_samples
-
-    sigmas = np.std(data, axis=0, ddof=1)
-    second: dict[str, float] = {}
-    cov = np.cov(data, rowvar=False, ddof=1)
-    for i, j in combinations(range(4), 2):
-        second[f"{COLUMN_NAMES[i]}{COLUMN_NAMES[j]}"] = float(cov[i, j])
-    for i in range(4):
-        second[f"{COLUMN_NAMES[i]}{COLUMN_NAMES[i]}"] = float(cov[i, i])
-
     n_batches = max(2, min(_BATCHES, n // _MIN_BATCH))
     bounds = np.linspace(0, n, n_batches + 1, dtype=int)
+    full = _k_statistics(data)
+    batches = [_k_statistics(data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    cov = full[(1, 1)]
+    sigmas = np.sqrt(np.diag(cov))
+    second: dict[str, float] = {}
+    for i, j in [*combinations(range(4), 2), *((i, i) for i in range(4))]:
+        second[f"{COLUMN_NAMES[i]}{COLUMN_NAMES[j]}"] = float(cov[i, j])
 
     entries: list[CumulantEntry] = []
     gaussian = True
-    seen_univariate: set[tuple[int, tuple[int, int]]] = set()
+    seen_univariate: set[tuple[int, int]] = set()
+    spreads = {o: np.std([b[o] for b in batches], axis=0, ddof=1) for o in _HIGHER_ORDERS}
     for i, j in combinations(range(4), 2):
-        full = _bivariate_k_statistics(data[:, i], data[:, j])
-        batch_vals = [
-            _bivariate_k_statistics(data[a:b, i], data[a:b, j])
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
         for order in _HIGHER_ORDERS:
             m_i, m_j = order
             # Univariate cumulants appear once per column, not per pair.
-            if m_j == 0:
-                key = (i, order)
+            if m_i == 0 or m_j == 0:
+                key = (i if m_j == 0 else j, m_i + m_j)
                 if key in seen_univariate:
                     continue
                 seen_univariate.add(key)
-            elif m_i == 0:
-                key = (j, order)
-                if key in seen_univariate:
-                    continue
-                seen_univariate.add(key)
-            spread = np.std([bv[order] for bv in batch_vals], ddof=1)
-            se = float(spread / np.sqrt(n_batches))
-            value = full[order]
+            se = float(spreads[order][i, j] / np.sqrt(n_batches))
+            value = float(full[order][i, j])
             norm = value / (sigmas[i] ** m_i * sigmas[j] ** m_j)
             entries.append(
                 CumulantEntry(
@@ -248,6 +244,8 @@ def samples_from_csv(text: str) -> QuadratureSamples:
             rows.append([float(t) for t in toks])
         except ValueError:
             raise ValueError(f"line {line_no}: non-numeric entry") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise ValueError(f"line {line_no}: non-finite entry")
     if not rows:
         raise ValueError("no data rows found")
     return QuadratureSamples(np.array(rows))

@@ -35,7 +35,11 @@ class TestGridParsing:
     def test_bad_specs(self):
         from tmsflow.cli import ConfigError
 
-        for bad in ("", "1:2", "1:2:0", "2:1:0.5", "a,b", "nan", "1,inf", "0:inf:1"):
+        for bad in (
+            *("", "1:2", "1:2:0", "2:1:0.5", "a,b", "nan", "1,inf", "0:inf:1"),
+            # above the 10**6-point cap; never expanded
+            *("0:1:1e-12", "0:1e6:1", "-1e308:1e308:1e-300"),
+        ):
             with pytest.raises(ConfigError):
                 parse_grid(bad)
 
@@ -166,6 +170,15 @@ def _samples_file(tmp_path):
     return str(path)
 
 
+def _file(name, text):
+    def write(tmp_path):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    return write
+
+
 class TestScalarInputs:
     @pytest.mark.parametrize(
         "argv",
@@ -191,6 +204,36 @@ class TestScalarInputs:
         cfg.write_text('{"s": "6", "n": "0.1", "model": "coupler", "beta": NaN}')
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "beta must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-synthetic", "--config", _file("c.json", '{"seed": "abc"}')],
+            ["gen-synthetic", "--config", _file("c.json", '{"seed": 1.7}')],
+            ["gen-synthetic", "--seed", "-1"],
+            *(
+                ["sweep", "--s", "6", "--n", "0.1", "--config", _file("c.json", doc)]
+                for doc in (
+                    '{"model": {"coupling_beta": 0.01, "jpa": {"chi1": 0.05}}}',
+                    '{"model": {"coupling_beta": 0.01, "jpa": 5}}',
+                )
+            ),
+            ["features", "--s", "6", "--flavors", "X"],
+            [
+                "tomo",
+                "--samples",
+                _file("s.csv", "I1,Q1,I2,Q2\n" + "0.1,0.2,0.3,0.4\n" * 50 + "0.1,nan,0.3,0.4\n"),
+            ],
+            ["validate", "--state", _file("v.json", '{"n_modes": 1, "entries": [0.3, 0, 0, NaN]}')],
+            ["validate", "--state", _file("v.csv", "0.3,0\n0,inf\n")],
+            ["fit", "--records", _file("r.csv", "s_db,n,d_a,d_b,e_f\n3,0.1,nan,0.1,0.1\n")],
+        ],
+    )
+    def test_malformed_config_or_file_is_usage_error(self, argv, tmp_path, capsys):
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("tmsflow: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv", [["sweep", "--n", "0.1"], ["features"], ["qkd", "--nq", "0.1"]]

@@ -29,6 +29,7 @@ from tmsflow.symplectic import (
     partial_trace,
     single_mode_squeezer,
     symplectic_form,
+    symplectic_eigenvalues,
     symplectic_summary,
     tensor,
     validate,
@@ -116,16 +117,24 @@ class TestSymplecticSummary:
             symplectic_summary(CovarianceMatrix(np.eye(4) / 8.0))
 
     def test_one_extended_precision_invariant_pass(self, monkeypatch):
-        det = symplectic._det_small_ld
+        det, eigvalsh = symplectic._det_small_ld, np.linalg.eigvalsh
         calls = []
 
         def counting_det(m):
-            calls.append(m.shape)
+            calls.append("det")
             return det(m)
 
+        def counting_eigvalsh(m):
+            calls.append("eigvalsh")
+            return eigvalsh(m)
+
         monkeypatch.setattr(symplectic, "_det_small_ld", counting_det)
-        symplectic_summary(inject_noise_ideal(ideal_tms(1.0), 0.3))
-        assert len(calls) == 4
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        V = inject_noise_ideal(ideal_tms(1.0), 0.3)
+        for f in (symplectic_summary, symplectic_eigenvalues, von_neumann_entropy):
+            calls.clear()
+            f(V)
+            assert (calls.count("det"), calls.count("eigvalsh")) == (4, 1), f.__name__
 
 
 class TestEntropyKernel:

@@ -15,7 +15,7 @@ from tmsflow.tomography import (
     project_to_physical,
     samples_from_csv,
     samples_to_csv,
-    _bivariate_k_statistics,
+    _k_statistics,
 )
 
 from conftest import sample_gaussian
@@ -94,6 +94,25 @@ class TestProjection:
         assert np.abs(out.entries - V.entries).max() < 1e-14
 
 
+def _kendall_stuart(x, y, p, q):
+    """Bivariate k-statistic k_pq (p, q >= 1, p + q in {3, 4}) of one pair."""
+    n = x.size
+    dx, dy = x - x.mean(), y - y.mean()
+
+    def m(a, b):
+        return np.mean(dx**a * dy**b)
+
+    if p + q == 3:
+        return n * n / ((n - 1) * (n - 2)) * m(p, q)
+    products = {
+        (3, 1): 3 * m(2, 0) * m(1, 1),
+        (2, 2): m(2, 0) * m(0, 2) + 2 * m(1, 1) ** 2,
+        (1, 3): 3 * m(0, 2) * m(1, 1),
+    }
+    c4 = n * n / ((n - 1) * (n - 2) * (n - 3))
+    return c4 * ((n + 1) * m(p, q) - (n - 1) * products[(p, q)])
+
+
 class TestCumulants:
     def test_gaussian_data_passes(self, rng):
         samples = QuadratureSamples(sample_gaussian(ideal_tms(1.0), 30000, rng))
@@ -112,11 +131,10 @@ class TestCumulants:
 
     def test_second_order_matches_covariance(self, rng):
         data = sample_gaussian(ideal_tms(0.5), 5000, rng)
-        ks = _bivariate_k_statistics(data[:, 0], data[:, 2])
+        ks = _k_statistics(data)
         cov = np.cov(data[:, 0], data[:, 2], ddof=1)
-        assert ks[(1, 1)] == pytest.approx(cov[0, 1], rel=1e-12)
-        assert ks[(2, 0)] == pytest.approx(cov[0, 0], rel=1e-12)
-        assert ks[(1, 0)] == pytest.approx(data[:, 0].mean(), rel=1e-12)
+        assert ks[(1, 1)][0, 2] == pytest.approx(cov[0, 1], rel=1e-12)
+        assert ks[(2, 0)][0, 2] == pytest.approx(cov[0, 0], rel=1e-12)
 
     def test_joint_k_statistics_unbiased_on_correlated_gaussians(self):
         sums = {(3, 1): 0.0, (2, 2): 0.0, (1, 3): 0.0, (3, 0): 0.0, (4, 0): 0.0}
@@ -124,11 +142,36 @@ class TestCumulants:
         for t in range(trials):
             r = np.random.default_rng(t)
             z = r.multivariate_normal([0, 0], [[1, 0.7], [0.7, 1]], size=50)
-            ks = _bivariate_k_statistics(z[:, 0], z[:, 1])
+            ks = _k_statistics(z)
             for o in sums:
-                sums[o] += ks[o]
+                sums[o] += ks[o][0, 1]
         for o, total in sums.items():
             assert abs(total / trials) < 0.05, f"k{o} biased: {total / trials}"
+
+    def test_entries_match_direct_k_statistics(self):
+        from scipy.stats import kstat
+
+        rng = np.random.default_rng(21)
+        mix = np.eye(4) + np.diag([0.4, 0.5, 0.6], k=1) + np.diag([0.3, 0.2], k=-2)
+        data = rng.gamma(2.0, size=(4000, 4)) @ mix  # skewed, correlated columns
+        report = cumulants(QuadratureSamples(data))
+        assert len(report.entries) == 38
+        # each univariate cumulant once: (column, total order) is unique
+        univariate = [
+            (e.pair[0] if e.order[1] == 0 else e.pair[1], sum(e.order))
+            for e in report.entries
+            if 0 in e.order
+        ]
+        assert len(univariate) == len(set(univariate)) == 8
+        for e in report.entries:
+            x, y = data[:, e.pair[0]], data[:, e.pair[1]]
+            if e.order[1] == 0:
+                expected = kstat(x, e.order[0])
+            elif e.order[0] == 0:
+                expected = kstat(y, e.order[1])
+            else:
+                expected = _kendall_stuart(x, y, *e.order)
+            assert e.value == pytest.approx(expected, rel=1e-9), (e.pair, e.order)
 
     def test_false_alarm_rate(self):
         alarms = 0
