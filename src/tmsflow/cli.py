@@ -27,7 +27,7 @@ from .analysis import (
     sweep_to_csv,
     sweep_to_json,
 )
-from .errors import DomainError, NoSignChangeError, TmsflowError
+from .errors import NoSignChangeError, TmsflowError
 from .fit import (
     DEFAULT_COUPLING,
     DEFAULT_WEIGHTS,
@@ -116,6 +116,14 @@ def _merged(args: argparse.Namespace, config: dict, key: str, default=None):
     return default
 
 
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a parameter it rejects is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except TmsflowError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _build_model(args, config) -> StateModel:
     model_spec = _merged(args, config, "model", "ideal")
     if isinstance(model_spec, dict):
@@ -173,16 +181,13 @@ def _json_with_meta(payload: str, config_echo: str) -> str:
 
 
 def _cmd_sweep(args, config) -> int:
-    model = _build_model(args, config)
+    model = _checked(_build_model, args, config)
     s_spec = _merged(args, config, "s")
     n_spec = _merged(args, config, "n")
     if s_spec is None or n_spec is None:
         raise ConfigError("sweep needs both --s and --n grids")
     s_vals, n_vals = parse_grid(s_spec), parse_grid(n_spec)
-    try:
-        grid = sweep(model, s_vals, n_vals)
-    except DomainError as exc:  # only raised for a malformed axis
-        raise ConfigError(str(exc)) from None
+    grid = _checked(sweep, model, s_vals, n_vals)  # rejects only a malformed axis
     echo = _meta_config(
         {"command": "sweep", "s": s_spec, "n": n_spec, "model": model.kind}
     )
@@ -199,12 +204,14 @@ def _cmd_sweep(args, config) -> int:
 
 
 def _cmd_features(args, config) -> int:
-    model = _build_model(args, config)
+    model = _checked(_build_model, args, config)
     s_spec = _merged(args, config, "s")
     if s_spec is None:
         raise ConfigError("features needs an --s grid")
     s_vals = parse_grid(s_spec)
     what = str(_merged(args, config, "what", "nsd,nc")).split(",")
+    if not set(what) <= {"nsd", "nc"}:
+        raise ConfigError(f"what must be a comma list of nsd, nc, got {','.join(what)!r}")
     flavors = str(_merged(args, config, "flavors", "A,B,AB")).split(",")
     if not set(flavors) <= {"A", "B", "AB"}:
         raise ConfigError(f"flavors must be a comma list of A, B, AB, got {','.join(flavors)!r}")
@@ -263,13 +270,13 @@ def _cmd_qkd(args, config) -> int:
         {"command": "qkd", "s": s_spec, "nq": nq_spec, "cloner_beta": beta}
     )
     if len(s_vals) == 1 and len(nq_vals) == 1:
-        scenario = QkdScenario(r=squeezing_db_to_r(s_vals[0]), n_q=nq_vals[0], beta=beta)
+        scenario = _checked(QkdScenario, squeezing_db_to_r(s_vals[0]), nq_vals[0], beta)
         text = _json_with_meta(key_result_to_json(scenario, secret_key(scenario)), echo)
     else:
         rows = []
         for s_db in s_vals:
             for n_q in nq_vals:
-                scenario = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q, beta=beta)
+                scenario = _checked(QkdScenario, squeezing_db_to_r(s_db), n_q, beta)
                 rows.append(key_result_to_csv_row(s_db, n_q, secret_key(scenario)))
         text = _csv_header_lines(echo) + QKD_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     _emit(text, _merged(args, config, "out"))
@@ -311,6 +318,7 @@ def _cmd_fit(args, config) -> int:
     if len(init) != 2:
         raise ConfigError(f"--init needs two comma-separated values, got {init_spec!r}")
     beta = _finite(_merged(args, config, "beta", DEFAULT_COUPLING), "beta")
+    _checked(StateModel.coupler, beta)
     result = fit(records, weights=weights, initial=init, coupling_beta=beta)
     echo = _meta_config(
         {
@@ -394,6 +402,7 @@ def _cmd_gen_synthetic(args, config) -> int:
     seed = _merged(args, config, "seed")
     if seed is not None and (type(seed) is not int or seed < 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    _checked(StateModel.realistic, chi1, chi2, beta)
     records = synthetic_records(
         parse_grid(s_spec),
         parse_grid(n_spec),

@@ -21,8 +21,11 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
 from .symplectic import (
+    _GUARD,
     TwoModeCovariance,
     VACUUM_VARIANCE,
+    _ratio,
+    _summary,
     entropy_f,
     symplectic_summary,
 )
@@ -51,8 +54,6 @@ def _mutual_information(s) -> float:
 
 
 def _clamped_sqrt(det: float) -> float:
-    if det < 0:
-        raise NumericalError(f"negative marginal determinant {det:.3e}")
     return max(math.sqrt(det), VACUUM_VARIANCE)
 
 
@@ -178,32 +179,40 @@ def eof_lower_bound(V: TwoModeCovariance) -> float:
     return eof_from_gamma(eof_gamma(V))
 
 
-def _conditional_det_min(a: float, b: float, c: float, d: float) -> float:
+def _conditional_det_min(a: int, b: int, c: int, d: int, q: int) -> float:
     """Minimized conditional-state determinant after measuring the second mode.
 
-    Arguments are the block determinants of the covariance matrix rescaled
-    to vacuum variance 1 (``a`` unmeasured block, ``b`` measured block,
-    ``c`` cross block, ``d`` full matrix).  Two-branch closed form; the
-    branch-1 radicand vanishes identically for pure states, so it is
-    clamped to zero inside a relative dead band.
+    Arguments are the exact block determinants in vacuum-variance-1 units
+    times ``q``, an even power of two (``a`` unmeasured block, ``b``
+    measured block, ``c`` cross block; ``d`` the full matrix, times
+    ``q**2``).  Two-branch closed form (Adesso and Datta, PRL 105, 030501
+    (2010)) whose branch test and radicands are exact integers, so floats
+    enter only at the square roots.  The radicands vanish identically for
+    pure states; :func:`_dead_band` absorbs the rounding of stored entries.
     """
-    if (d - a * b) ** 2 <= (1.0 + b) * c * c * (a + d) and abs(b - 1.0) > 1e-9:
-        rad = c * c + (b - 1.0) * (d - a)
-        tol = _RADICAND_TOL * max(1.0, c * c, abs((b - 1.0) * (d - a)))
-        if abs(rad) <= tol:
-            rad = 0.0
-        elif rad < 0.0:
-            raise NumericalError(f"negative branch-1 radicand {rad:.3e}")
-        return (2.0 * c * c + (b - 1.0) * (d - a) + 2.0 * abs(c) * math.sqrt(rad)) / (
-            (b - 1.0) ** 2
-        )
-    rad = c**4 + (d - a * b) ** 2 - 2.0 * c * c * (a * b + d)
-    tol = _RADICAND_TOL * max(1.0, c**4, (d - a * b) ** 2, abs(2.0 * c * c * (a * b + d)))
-    if abs(rad) <= tol:
-        rad = 0.0
-    elif rad < 0.0:
-        raise NumericalError(f"negative branch-2 radicand {rad:.3e}")
-    return (a * b - c * c + d - math.sqrt(rad)) / (2.0 * b)
+    if (d - a * b) ** 2 * q <= (q + b) * c * c * (a * q + d) and abs(b - q) * 10**9 > q:
+        rad = _dead_band((c * c * q, (b - q) * (d - a * q)), q**3, "branch-1")
+        # The numerator 2c^2 + (b-1)(d-a) + 2|c| sqrt(rad) is (|c| + sqrt(rad))^2.
+        s = math.isqrt(q)
+        x = (abs(c) * s << _GUARD) + math.isqrt(rad << 2 * _GUARD)
+        return x * x / ((b - q) * s << _GUARD) ** 2
+    ab = a * b
+    rad = _dead_band((c**4, (d - ab) ** 2, -2 * c * c * (ab + d)), q**4, "branch-2")
+    # (ab - c^2 + d - sqrt(rad)) / 2b, free of cancellation since the
+    # product of that numerator with ab - c^2 + d + sqrt(rad) is 4abd.
+    x = ((ab - c * c + d) << _GUARD) + math.isqrt(rad << 2 * _GUARD)
+    return (a * d << (_GUARD + 1)) / (x * q)
+
+
+def _dead_band(terms: tuple[int, ...], one: int, branch: str) -> int:
+    """Sum of exact radicand terms; zero if it is negative by no more than
+    ``_RADICAND_TOL`` times the largest term (or ``one``, the integer 1)."""
+    rad = sum(terms)
+    if rad >= 0:
+        return rad
+    if -rad * 10**12 <= max(one, *map(abs, terms)):
+        return 0
+    raise NumericalError(f"negative {branch} radicand {_ratio(rad, one):.3e}")
 
 
 def discord(V: TwoModeCovariance, measured: str) -> float:
@@ -215,24 +224,16 @@ def discord(V: TwoModeCovariance, measured: str) -> float:
     """
     if measured not in ("A", "B"):
         raise DomainError(f"measured subsystem must be 'A' or 'B', got {measured!r}")
-    return _discord(symplectic_summary(V), measured)
+    return _discord(*_summary(V), measured)
 
 
-def _discord(s, measured: str) -> float:
-    # Rescale determinants to vacuum-variance-1 units: 2x2 blocks pick up
-    # a factor 16, the full 4x4 matrix a factor 256.
-    a = 16.0 * s.i1
-    b = 16.0 * s.i2
-    c = 16.0 * s.i3
-    d = 256.0 * s.i4
-    if measured == "B":
-        leading = _clamped_sqrt(s.i2)
-        e_min = _conditional_det_min(a, b, c, d)
-    else:
-        leading = _clamped_sqrt(s.i1)
-        e_min = _conditional_det_min(b, a, c, d)
-    if e_min < 0:
-        raise NumericalError(f"negative conditional determinant {e_min:.3e}")
+def _discord(s, invariants: tuple, measured: str) -> float:
+    # Rescale the exact determinants to vacuum-variance-1 units: 2x2 blocks
+    # pick up a factor 16, the full 4x4 matrix a factor 256.
+    i1, i2, i3, i4, e = invariants
+    a, b = (i1 << 4, i2 << 4) if measured == "B" else (i2 << 4, i1 << 4)
+    e_min = _conditional_det_min(a, b, i3 << 4, i4 << 8, 1 << 2 * e)
+    leading = _clamped_sqrt(s.i2 if measured == "B" else s.i1)
     nu_cond = max(math.sqrt(e_min / 16.0), VACUUM_VARIANCE)
     value = (
         entropy_f(leading)
@@ -267,11 +268,11 @@ class CorrelationReport:
 
 def correlation_report(V: TwoModeCovariance) -> CorrelationReport:
     """Full correlation report for a two-mode state."""
-    s = symplectic_summary(V)
+    s, invariants = _summary(V)
     g = _eof_gamma(s)
     e_f = eof_from_gamma(g)
-    d_a = _discord(s, "B")
-    d_b = _discord(s, "A")
+    d_a = _discord(s, invariants, "B")
+    d_b = _discord(s, invariants, "A")
     return CorrelationReport(
         d_a=d_a,
         d_b=d_b,

@@ -216,11 +216,13 @@ def records_from_csv(text: str) -> list[MeasurementRecord]:
         extra = {}
         if len(vals) == 8:
             extra = {"sd_a": vals[5], "sd_b": vals[6], "se_f": vals[7]}
-        records.append(
-            MeasurementRecord(
+        try:
+            record = MeasurementRecord(
                 s_db=vals[0], n=vals[1], d_a=vals[2], d_b=vals[3], e_f=vals[4], **extra
             )
-        )
+        except DomainError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
+        records.append(record)
     return records
 
 

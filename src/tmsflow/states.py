@@ -249,6 +249,8 @@ class StateModel:
     def __post_init__(self) -> None:
         if self.jpa is not None and self.coupling_beta is None:
             raise BadCouplingError("the amplifier-noise model needs a coupler beta")
+        if self.coupling_beta is not None:
+            NoiseChannelSpec(self.coupling_beta, 0.0)  # rejects beta outside (0, 1)
 
     @property
     def kind(self) -> str:

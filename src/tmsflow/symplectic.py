@@ -69,16 +69,6 @@ class CovarianceMatrix:
     def n_modes(self) -> int:
         return self.entries.shape[0] // 2
 
-    def block(self, row_mode: int, col_mode: int) -> np.ndarray:
-        """2x2 block coupling the quadratures of two modes."""
-        r, c = 2 * row_mode, 2 * col_mode
-        return np.array(self.entries[r : r + 2, c : c + 2])
-
-    def variance(self, mode: int, quadrature: str) -> float:
-        """Diagonal variance of one quadrature ('q' or 'p') of one mode."""
-        i = 2 * mode + _quadrature_offset(quadrature)
-        return float(self.entries[i, i])
-
 
 #: Type alias used in signatures where exactly two modes are required.
 TwoModeCovariance = CovarianceMatrix
@@ -197,7 +187,9 @@ def validate(V: CovarianceMatrix) -> ValidationVerdict:
 def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
     """:func:`validate` plus the only spectral pass, ``(nus, noise,
     invariants)`` of the symmetrised matrix (None unless positive definite):
-    symplectic eigenvalues, their noise band and, for two modes, ``i1..i4``."""
+    symplectic eigenvalues, their noise band and, for two modes, the exact
+    integer invariants of :func:`_exact_invariants`, which also decide
+    positive definiteness exactly."""
     m = V.entries
     if not np.all(np.isfinite(m)):
         raise NonFiniteError("covariance matrix has NaN or infinite entries")
@@ -211,15 +203,15 @@ def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
 
     sym = 0.5 * (m + m.T)
     eigs = np.linalg.eigvalsh(sym)
+    invariants = _exact_invariants(sym) if V.n_modes == 2 else None
     min_nu: float | None = None
-    spectrum = invariants = None
-    if eigs.min() <= 0.0:
+    spectrum = None
+    if eigs.min() <= 0.0 or (V.n_modes == 2 and invariants is None):
         violations.append("not positive definite")
     else:
         if V.n_modes == 1:
             nus = np.array([math.sqrt(max(float(np.linalg.det(sym)), 0.0))])
         elif V.n_modes == 2:
-            invariants = _two_mode_invariants_ld(sym)
             nus = np.array(_two_mode_nu(invariants))
         else:
             nus = _symplectic_eigenvalues_psd(sym)
@@ -316,110 +308,101 @@ def symplectic_eigenvalues(V: CovarianceMatrix) -> np.ndarray:
     return require_valid(V)[0]
 
 
-def _det2(b: np.ndarray) -> float:
-    return float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
+# Binary digits the integer square roots below carry past the units place.
+_GUARD = 64
 
 
-def _two_mode_invariants(m: np.ndarray) -> tuple[float, float, float, float]:
-    i1 = _det2(m[0:2, 0:2])
-    i2 = _det2(m[2:4, 2:4])
-    i3 = _det2(m[0:2, 2:4])
-    i4 = float(np.linalg.det(m))
-    return i1, i2, i3, i4
+def _exact_invariants(sym: np.ndarray) -> tuple | None:
+    """Exact invariants ``(i1, i2, i3, i4, e)`` of a symmetric 4x4 matrix.
 
-
-def _det_small_ld(m: np.ndarray):
-    """Determinant via LU with partial pivoting, carried in the input
-    dtype (numpy.linalg would silently cast longdouble to float64, and a
-    cofactor expansion is catastrophically cancellative for the strongly
-    correlated matrices seen here)."""
-    a = m.copy()
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    if n == 2:
-        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    det = a.dtype.type(1.0)
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            return a.dtype.type(0.0)
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
-            det = -det
-        det = det * a[k, k]
-        a[k + 1 :, k:] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k:])
-    return det * a[n - 1, n - 1]
-
-
-def _two_mode_invariants_ld(m: np.ndarray) -> tuple:
-    """Two-mode invariants ``i1..i4`` in extended precision."""
-    ml = m.astype(np.longdouble)
-    return (
-        _det_small_ld(ml[0:2, 0:2]),
-        _det_small_ld(ml[2:4, 2:4]),
-        _det_small_ld(ml[0:2, 2:4]),
-        _det_small_ld(ml),
+    Integer determinants of the A, B and cross blocks and of the whole
+    matrix (Laplace expansion in 2x2 minors), with the entries scaled to
+    integers by their common power-of-two denominator ``2**e``.  None
+    unless the matrix is exactly positive definite (Sylvester's criterion).
+    """
+    rows = sym.tolist()
+    ratios = [rows[i][j].as_integer_ratio() for i in range(4) for j in range(i, 4)]
+    scale = max(den for _, den in ratios)
+    a00, a01, a02, a03, a11, a12, a13, a22, a23, a33 = (
+        num * (scale // den) for num, den in ratios
     )
+    # Minors of rows (0, 1) and of rows (2, 3), by column pair.
+    t01 = a00 * a11 - a01 * a01
+    t02 = a00 * a12 - a02 * a01
+    t03 = a00 * a13 - a03 * a01
+    t12 = a01 * a12 - a02 * a11
+    t13 = a01 * a13 - a03 * a11
+    t23 = a02 * a13 - a03 * a12
+    b02 = a02 * a23 - a22 * a03
+    b03 = a02 * a33 - a23 * a03
+    b12 = a12 * a23 - a22 * a13
+    b13 = a12 * a33 - a23 * a13
+    b23 = a22 * a33 - a23 * a23
+    det = t01 * b23 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + t23 * t23
+    if a00 <= 0 or t01 <= 0 or a02 * t12 - a12 * t02 + a22 * t01 <= 0 or det <= 0:
+        return None
+    return t01, b23, t23, det, scale.bit_length() - 1
+
+
+def _ratio(num: int, den: int) -> float:
+    """``num / den`` correctly rounded, infinite beyond the double range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """``sqrt(num / den)`` for integers ``num >= 0``, ``den > 0``."""
+    shift = max(0, 2 * _GUARD + den.bit_length() - num.bit_length()) // 2
+    return math.isqrt((num << 2 * shift) // den) / (1 << shift)
 
 
 def _two_mode_nu(invariants: tuple, partial_transpose: bool = False) -> tuple[float, float]:
     """Two-mode symplectic eigenvalues from the invariant closed form.
 
-    Evaluated in extended precision on the invariants of
-    :func:`_two_mode_invariants_ld`: the invariants of strongly squeezed
-    or high-photon-number states reach ~1e6 while the small eigenvalue
-    sits near 1/4, and the entropy kernel's log-divergent slope at the
-    Heisenberg bound amplifies any eigenvalue noise, so plain double
-    arithmetic here would cap the accuracy of entropy differences near
-    1e-8.  The partial transpose of the second mode only flips the sign
-    of ``i3``.  The discriminant is clamped to zero inside a tiny
-    relative window (degenerate pairs of pure states) and the smaller
-    root uses the cancellation-free quotient form.
+    Evaluated on the exact invariants of :func:`_exact_invariants`, so
+    ``delta**2 - 4 i4 = (nu+**2 - nu-**2)**2`` is exact and never negative,
+    and only the square roots round (the entropy kernel's log-divergent
+    slope at the Heisenberg bound amplifies any eigenvalue noise).  The
+    partial transpose of the second mode only flips the sign of ``i3``;
+    the smaller root uses the cancellation-free quotient form.
     """
-    i1, i2, i3, i4 = invariants
-    if partial_transpose:
-        i3 = -i3
-    delta = i1 + i2 + 2.0 * i3
-    disc = delta * delta - 4.0 * i4
-    tol = 1e-15 * max(1.0, float(delta * delta), float(abs(4.0 * i4)))
-    if abs(float(disc)) <= tol:
-        disc = np.longdouble(0.0)
-    elif disc < 0.0:
-        raise NumericalError(
-            f"negative symplectic discriminant {float(disc):.3e} beyond tolerance"
-        )
-    root = np.sqrt(disc)
-    nu_plus_sq = 0.5 * (delta + root)
-    if nu_plus_sq <= 0.0:
-        raise NumericalError("non-positive squared symplectic eigenvalue")
-    nu_minus_sq = 2.0 * i4 / (delta + root)
-    if nu_minus_sq < 0.0:
-        raise NumericalError("negative squared symplectic eigenvalue")
-    return float(np.sqrt(nu_plus_sq)), float(np.sqrt(nu_minus_sq))
+    i1, i2, i3, i4, e = invariants
+    delta = i1 + i2 + (-2 if partial_transpose else 2) * i3
+    # (delta + sqrt(discriminant)) * 2**_GUARD, the root rounded down.
+    x = (delta << _GUARD) + math.isqrt((delta * delta - 4 * i4) << 2 * _GUARD)
+    return (
+        _sqrt_ratio(x, 1 << (_GUARD + 1 + 2 * e)),
+        _sqrt_ratio(i4 << (_GUARD + 1), x << 2 * e),
+    )
 
 
 def symplectic_summary(V: TwoModeCovariance) -> SymplecticSummary:
     """Invariants, symplectic eigenvalues and the partial-transpose minimum
-    eigenvalue of a two-mode state."""
+    eigenvalue of a two-mode state, all from the exact invariant pass of
+    validation (the invariants and ``delta`` correctly rounded)."""
+    return _summary(V)[0]
+
+
+def _summary(V: TwoModeCovariance) -> tuple[SymplecticSummary, tuple]:
+    """:func:`symplectic_summary` plus the exact invariants it reads."""
     if V.n_modes != 2:
         raise DimensionMismatchError("symplectic_summary requires a two-mode state")
     nus, _, invariants = require_valid(V)
-    m = 0.5 * (V.entries + V.entries.T)
-    i1, i2, i3, i4 = _two_mode_invariants(m)
-    delta = i1 + i2 + 2.0 * i3
-    nu_plus, nu_minus = float(nus[0]), float(nus[1])
-    _, nu_pt_min = _two_mode_nu(invariants, partial_transpose=True)
-    return SymplecticSummary(
-        i1=i1,
-        i2=i2,
-        i3=i3,
-        i4=i4,
-        delta=delta,
-        nu_plus=nu_plus,
-        nu_minus=nu_minus,
-        nu_pt_min=nu_pt_min,
+    i1, i2, i3, i4, e = invariants
+    q = 1 << 2 * e
+    summary = SymplecticSummary(
+        i1=_ratio(i1, q),
+        i2=_ratio(i2, q),
+        i3=_ratio(i3, q),
+        i4=_ratio(i4, q * q),
+        delta=_ratio(i1 + i2 + 2 * i3, q),
+        nu_plus=float(nus[0]),
+        nu_minus=float(nus[1]),
+        nu_pt_min=_two_mode_nu(invariants, partial_transpose=True)[1],
     )
+    return summary, invariants
 
 
 def entropy_f(x: float) -> float:

@@ -236,6 +236,34 @@ class TestScalarInputs:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--s", "6", "--n", "0.1", "--model", "coupler", "--beta", "2"], "(0, 1)"),
+            (["sweep", "--s", "6", "--n", "0.1", "--model", "realistic", "--chi1", "-1"], "chi1"),
+            (
+                ["sweep", "--s", "6", "--n", "0.1", "--config",
+                 _file("c.json", '{"model": {"jpa": {"chi1": 0.05, "chi2": 0.56}}}')],
+                "needs a coupler beta",
+            ),
+            (["qkd", "--s", "10", "--nq", "0.1", "--cloner-beta", "2"], "(0, 1)"),
+            (["qkd", "--s", "6,10", "--nq", "-0.1"], "quadrature noise"),
+            (["gen-synthetic", "--s", "3,6", "--n", "0.1", "--beta", "0"], "(0, 1)"),
+            (
+                ["fit", "--records",
+                 _file("r.csv", "s_db,n,d_a,d_b,e_f\n3,0.1,0.1,0.1,0.1\n-3,0.1,0.1,0.1,0.1\n")],
+                "line 3",
+            ),
+            (["features", "--s", "6", "--what", "xyz"], "nsd, nc"),
+        ],
+    )
+    def test_out_of_range_parameter_is_usage_error(self, argv, message, tmp_path, capsys):
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tmsflow: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "argv", [["sweep", "--n", "0.1"], ["features"], ["qkd", "--nq", "0.1"]]
     )
     def test_overflowing_squeezing_level(self, argv, tmp_path, capsys):

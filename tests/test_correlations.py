@@ -17,8 +17,16 @@ from tmsflow.correlations import (
     report_to_json,
 )
 from tmsflow.errors import DomainError
-from tmsflow.states import StateModel, ideal_tms, inject_noise_ideal, thermal, vacuum
-from tmsflow.symplectic import apply_symplectic, tensor
+from tmsflow.qkd import QkdScenario, secret_key
+from tmsflow.states import (
+    StateModel,
+    ideal_tms,
+    inject_noise_ideal,
+    squeezing_db_to_r,
+    thermal,
+    vacuum,
+)
+from tmsflow.symplectic import apply_symplectic, symplectic_summary, tensor
 
 from conftest import random_local_op, random_physical_state
 
@@ -74,6 +82,106 @@ def discord_measurement_oracle(V, measured):
     nu_p = math.sqrt((delta + root) / 2)
     nu_m = math.sqrt(max((delta - root) / 2, 0.0))
     return f(math.sqrt(lead_det)) - f(nu_p) - f(nu_m) + f(math.sqrt(best))
+
+
+def _f_reference(x):
+    """Entropy kernel in vacuum-1 units (mpmath); f(1) = 0."""
+    import mpmath as mp
+
+    plus, minus = (x + 1) / 2, (x - 1) / 2
+    return mp.mpf(0) if minus <= 0 else plus * mp.log(plus) - minus * mp.log(minus)
+
+
+def standard_form_reference(a, b, c):
+    """50-digit D_A, D_B and I_AB of the state with blocks a*1, b*1 and
+    c*sigma_z in vacuum-1 units, from its block determinants (Adesso and
+    Datta's two-branch conditional determinant)."""
+    import mpmath as mp
+
+    f = _f_reference
+
+    def det_min(a, b, c, d):
+        if b != 1 and (d - a * b) ** 2 <= (1 + b) * c * c * (a + d):
+            return ((abs(c) + mp.sqrt(max(c * c + (b - 1) * (d - a), 0))) / (b - 1)) ** 2
+        rad = c**4 + (d - a * b) ** 2 - 2 * c * c * (a * b + d)
+        return (a * b - c * c + d - mp.sqrt(max(rad, 0))) / (2 * b)
+
+    det_a, det_b, det_c, det = a * a, b * b, -c * c, (a * b - c * c) ** 2
+    delta = det_a + det_b + 2 * det_c
+    root = mp.sqrt(max(delta * delta - 4 * det, 0))
+    s_ab = f(mp.sqrt((delta + root) / 2)) + f(mp.sqrt((delta - root) / 2))
+    return {
+        "d_a": f(b) - s_ab + f(mp.sqrt(det_min(det_a, det_b, det_c, det))),
+        "d_b": f(a) - s_ab + f(mp.sqrt(det_min(det_b, det_a, det_c, det))),
+        "i_ab": f(a) + f(b) - s_ab,
+    }
+
+
+def ideal_reference(s_db, n):
+    """50-digit correlation report of the ideal noise-injected TMS family:
+    a = cosh 2r, b = a + 2n, c = sinh 2r, and
+    gamma = ln[(e^{2r} + n) / (1 + e^{2r} n)] / 2."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        r, n = mp.mpf(s_db) * mp.log(10) / 20, mp.mpf(n)
+        ref = standard_form_reference(mp.cosh(2 * r), mp.cosh(2 * r) + 2 * n, mp.sinh(2 * r))
+        g = mp.exp(2 * r)
+        gamma = mp.log((g + n) / (1 + g * n)) / 2
+        e_f = mp.sign(gamma) * _f_reference(mp.cosh(2 * gamma))
+        ref.update(
+            e_f=e_f,
+            delta_a=ref["d_a"] - e_f,
+            delta_b=ref["d_b"] - e_f,
+            delta_ab=(ref["d_a"] + ref["d_b"]) / 2 - e_f,
+        )
+        return {k: float(v) for k, v in ref.items()}
+
+
+class TestReference:
+    @pytest.mark.parametrize("s_db", [0.5, 2.0, 13.0, 25.5, 29.5])
+    @pytest.mark.parametrize("n", [1e-9, 1e-6])
+    def test_near_pure_ideal_cells(self, s_db, n):
+        report = correlation_report(StateModel.ideal().state(s_db, n))
+        for key, value in ideal_reference(s_db, n).items():
+            assert getattr(report, key) == pytest.approx(value, abs=1e-8), key
+
+    def test_coupler_discord_at_zero_noise(self):
+        import mpmath as mp
+
+        beta = 0.01
+        with mp.workdps(50):
+            r = mp.mpf(0.5) * mp.log(10) / 20
+            a = mp.cosh(2 * r)
+            c = mp.sqrt(1 - beta) * mp.sinh(2 * r)
+            ref = standard_form_reference(a, (1 - beta) * a + beta, c)
+        d_a = correlation_report(StateModel.coupler(beta).state(0.5, 0.0)).d_a
+        assert d_a == pytest.approx(float(ref["d_a"]), abs=1e-9)
+
+    def test_results_do_not_depend_on_long_double(self, monkeypatch):
+        states = [
+            inject_noise_ideal(ideal_tms(r), n)
+            for r in np.linspace(0.1, 2.0, 20)
+            for n in np.linspace(0.0, 5.0, 20)
+        ] + [StateModel.coupler(0.01).state(s_db, n) for s_db in (0.5, 15.0) for n in (0.0, 1e-6)]
+        scenarios = [
+            QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q)
+            for s_db in (0.25, 10.0, 30.0)
+            for n_q in (1e-3, 0.1, 0.3)
+        ]
+
+        def results():
+            return repr(
+                (
+                    [correlation_report(V) for V in states],
+                    [symplectic_summary(V) for V in states],
+                    [secret_key(sc) for sc in scenarios],
+                )
+            )
+
+        native = results()
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        assert results() == native
 
 
 class TestMutualInformation:

@@ -251,3 +251,8 @@ class TestScenarioFiles:
     def test_jpa_requires_coupler(self):
         with pytest.raises(BadCouplingError):
             StateModel(jpa=JpaNoiseModel(0.05, 0.56))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, -0.1])
+    def test_coupler_beta_checked_on_construction(self, beta):
+        with pytest.raises(BadCouplingError):
+            StateModel.coupler(beta)

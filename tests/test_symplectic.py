@@ -12,7 +12,7 @@ from tmsflow.errors import (
     SingularMeasurementError,
     UnphysicalStateError,
 )
-from tmsflow.states import ideal_tms, inject_noise_ideal, thermal, vacuum
+from tmsflow.states import StateModel, ideal_tms, inject_noise_ideal, thermal, vacuum
 import tmsflow.symplectic as symplectic
 from tmsflow.symplectic import (
     CovarianceMatrix,
@@ -69,6 +69,17 @@ class TestValidate:
         assert not verdict.ok
         assert any("positive definite" in v for v in verdict.violations)
 
+    @pytest.mark.parametrize("scale, ok", [(1e100, True), (1e-100, False)])
+    def test_extreme_scale(self, scale, ok):
+        # a mixed state with distinct symplectic eigenvalues, whose
+        # determinant leaves the double range at either scale
+        V = StateModel.coupler(0.01).state(6.0, 0.1)
+        verdict = validate(CovarianceMatrix(scale * V.entries))
+        assert verdict.ok is ok
+        assert verdict.min_symplectic_eigenvalue == pytest.approx(
+            scale * validate(V).min_symplectic_eigenvalue, rel=1e-12, abs=0.0
+        )
+
     def test_nan_raises(self):
         m = 0.25 * np.eye(4)
         m[2, 2] = np.nan
@@ -116,25 +127,37 @@ class TestSymplecticSummary:
         with pytest.raises(UnphysicalStateError):
             symplectic_summary(CovarianceMatrix(np.eye(4) / 8.0))
 
-    def test_one_extended_precision_invariant_pass(self, monkeypatch):
-        det, eigvalsh = symplectic._det_small_ld, np.linalg.eigvalsh
+    def test_one_exact_invariant_pass(self, monkeypatch):
+        exact, eigvalsh = symplectic._exact_invariants, np.linalg.eigvalsh
         calls = []
 
-        def counting_det(m):
-            calls.append("det")
-            return det(m)
+        def counting_exact(m):
+            calls.append("exact")
+            return exact(m)
 
         def counting_eigvalsh(m):
             calls.append("eigvalsh")
             return eigvalsh(m)
 
-        monkeypatch.setattr(symplectic, "_det_small_ld", counting_det)
+        monkeypatch.setattr(symplectic, "_exact_invariants", counting_exact)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         V = inject_noise_ideal(ideal_tms(1.0), 0.3)
         for f in (symplectic_summary, symplectic_eigenvalues, von_neumann_entropy):
             calls.clear()
             f(V)
-            assert (calls.count("det"), calls.count("eigvalsh")) == (4, 1), f.__name__
+            assert (calls.count("exact"), calls.count("eigvalsh")) == (1, 1), f.__name__
+
+    def test_exact_invariants_of_a_dyadic_matrix(self):
+        # entries with different power-of-two denominators; integer answers
+        m = np.array(
+            [[2.5, 0.25, 1.0, 0.0], [0.25, 2.0, 0.0, -1.0],
+             [1.0, 0.0, 3.0, 0.125], [0.0, -1.0, 0.125, 2.0]]
+        )
+        i1, i2, i3, i4, e = symplectic._exact_invariants(m)
+        scale = 2**e
+        assert (i1, i2, i3) == (4.9375 * scale**2, 5.984375 * scale**2, -1.0 * scale**2)
+        assert i4 == round(np.linalg.det(m) * scale**4)
+        assert symplectic._exact_invariants(np.diag([1.0, 1.0, 1.0, -1e-300])) is None
 
 
 class TestEntropyKernel:
