@@ -1,9 +1,8 @@
 """Sweep engine and feature extraction over (squeezing, noise) grids.
 
 Produces grids of correlation reports and the two noise thresholds of
-interest: the entanglement sudden-death point ``n_sd`` (root of the
-entanglement-of-formation curve) and the discord/EoF crossover point
-``n_c`` per discord flavor.
+interest: the entanglement sudden-death point ``n_sd`` (in closed form)
+and the discord/EoF crossover point ``n_c`` per discord flavor.
 
 Flavors: "A" and "B" locate the root of the corresponding
 information-flow difference ``delta_A`` / ``delta_B`` on the unit noise
@@ -15,6 +14,7 @@ which is the quantity whose minimum over the squeezing level sits near
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +26,9 @@ from .correlations import (
     report_to_csv_row,
 )
 from .errors import DomainError, NoSignChangeError, TmsflowError
-from .states import StateModel
+from .states import SqueezingSpec, StateModel, jpa_noise
 
-# Log-spaced default scan grid: resolves both the crossover region
-# (n ~ 0.2) and the sudden-death point (n = 1).
+# Log-spaced default scan grid; the crossover scans its points below n = 1.
 FEATURE_GRID = np.logspace(-3.0, np.log10(4.0), 41)
 
 
@@ -108,12 +107,13 @@ def _curve_root(curve, grid: np.ndarray) -> tuple[float, tuple[float, float]]:
 
     The first grid interval whose exact end values change sign brackets
     the root (a grid point where the curve is exactly zero is returned
-    as is); one bisection pass on the exact curve then polishes it.
+    as is when the curve changes sign across it); one bisection pass on
+    the exact curve then polishes it.
     """
     values = np.array([curve(n) for n in grid])
     for i in range(len(grid) - 1):
         a, b = values[i], values[i + 1]
-        if a == 0.0:
+        if a == 0.0 and i > 0 and values[i - 1] * b < 0.0:
             return float(grid[i]), (float(grid[i]), float(grid[i]))
         if a * b < 0.0:
             root = _bisect_root(curve, float(grid[i]), float(grid[i + 1]), float(a))
@@ -126,15 +126,23 @@ def _curve_root(curve, grid: np.ndarray) -> tuple[float, tuple[float, float]]:
 def sudden_death_point(model: StateModel, s_db: float) -> float:
     """Noise photon number where the EoF bound crosses zero.
 
-    Scans the default feature grid for a sign change and polishes the
-    root against the exact model; exactly 1 for the ideal channel at every
-    squeezing level.
+    Closed form, since the separability boundary ``(a - 1)(b - 1) = c^2``
+    of every model is linear in n: with ``delta = 2 sinh^2 r``,
+    ``p = 1 + 2 n_jpa(e^{2r})`` (1 without amplifier) and ``beta = 0`` for
+    the ideal model, ``n_sd = [delta p (2 - beta (1 + p)) - (p - 1)^2] /
+    [2p (p delta + (p - 1))]``; exactly 1 for the ideal channel and
+    ``1 - beta`` for the coupler at every squeezing level.  Raises
+    :class:`NoSignChangeError` when the state is separable even at n = 0.
     """
-    def e_f(n: float) -> float:
-        return correlation_report(model.state(s_db, n)).e_f
-
-    root, _ = _curve_root(e_f, FEATURE_GRID)
-    return root
+    r = SqueezingSpec.from_db(s_db).factor
+    delta = 2.0 * math.sinh(r) ** 2
+    beta = model.coupling_beta or 0.0
+    p = 1.0 if model.jpa is None else 1.0 + 2.0 * jpa_noise(math.exp(2.0 * r), model.jpa)
+    # (p - 1) * (p - 1) rounds to inf where (p - 1) ** 2 would raise OverflowError.
+    num = delta * p * (2.0 - beta * (1.0 + p)) - (p - 1.0) * (p - 1.0)
+    if not num > 0.0:
+        raise NoSignChangeError(f"not entangled at {s_db} dB even without injected noise")
+    return num / (2.0 * p * (p * delta + (p - 1.0)))
 
 
 def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverResult:

@@ -27,7 +27,7 @@ from .analysis import (
     sweep_to_csv,
     sweep_to_json,
 )
-from .errors import NoSignChangeError, TmsflowError
+from .errors import DomainError, NoSignChangeError, TmsflowError
 from .fit import (
     DEFAULT_COUPLING,
     DEFAULT_WEIGHTS,
@@ -172,7 +172,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _json_with_meta(payload: str, config_echo: str) -> str:
     doc = json.loads(payload)
     doc["meta"] = {"tool": f"tmsflow {__version__}", "config": json.loads(config_echo)}
-    return json.dumps(doc) + "\n"
+    return json.dumps(doc, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +244,10 @@ def _cmd_features(args, config) -> int:
                 notes.append(f"n_sd: {exc}")
                 ok = False
         if "nc" in what:
+            solved: dict = {}
             for flavor in flavors:
                 try:
-                    row.append(repr(crossover_point(model, s_db, flavor).n_c))
+                    row.append(repr(_crossover_n_c(model, s_db, flavor, solved)))
                 except NoSignChangeError as exc:
                     row.append("nan")
                     notes.append(f"n_c_{flavor}: {exc}")
@@ -256,6 +257,22 @@ def _cmd_features(args, config) -> int:
         lines.append(",".join(row))
     _emit(_csv_header_lines(echo) + "\n".join(lines) + "\n", _merged(args, config, "out"))
     return 0 if successes else 3
+
+
+def _crossover_n_c(model: StateModel, s_db: float, flavor: str, solved: dict) -> float:
+    """``crossover_point(model, s_db, flavor).n_c`` with the A and B roots
+    (or their failures) kept in ``solved``, so AB reuses them."""
+    if flavor == "AB":
+        n_a = _crossover_n_c(model, s_db, "A", solved)
+        return 0.5 * (n_a + _crossover_n_c(model, s_db, "B", solved))
+    if flavor not in solved:
+        try:
+            solved[flavor] = crossover_point(model, s_db, flavor).n_c
+        except NoSignChangeError as exc:
+            solved[flavor] = exc
+    if isinstance(solved[flavor], NoSignChangeError):
+        raise solved[flavor]
+    return solved[flavor]
 
 
 def _cmd_qkd(args, config) -> int:
@@ -348,10 +365,13 @@ def _cmd_tomo(args, config) -> int:
     echo = _meta_config(
         {"command": "tomo", "samples": path, "threshold": threshold}
     )
+    try:
+        report = cumulants(samples, threshold=threshold)
+    except DomainError as exc:  # a constant column
+        raise ConfigError(f"samples: {exc}") from None
     cov = covariance_from_samples(samples)
     if _merged(args, config, "project"):
         cov = project_to_physical(cov)
-    report = cumulants(samples, threshold=threshold)
     _emit(
         _json_with_meta(covariance_to_json(cov), echo),
         _merged(args, config, "covariance-out"),

@@ -112,9 +112,12 @@ def _eof_gamma(s) -> float:
     # significant digits near pure states; this equivalent expression stays
     # accurate because (i4 - 1) and (a - b) vanish there individually.
     ab = a * b
-    disc = (i4 - 1.0) ** 2 - (a - b) ** 2 * (
-        (ab + 1.0) ** 2 - (ab + 1.0) * sumsq + i3 * i3
-    )
+    try:
+        disc = (i4 - 1.0) ** 2 - (a - b) ** 2 * (
+            (ab + 1.0) ** 2 - (ab + 1.0) * sumsq + i3 * i3
+        )
+    except OverflowError:
+        raise NumericalError("separability discriminant overflows double precision") from None
     if disc < 0.0:
         tol = _RADICAND_TOL * max(1.0, (i4 - 1.0) ** 2, k2 * k2)
         if disc < -tol:

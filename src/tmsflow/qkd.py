@@ -7,8 +7,8 @@ with ``n`` the injected photon number; the receiver homodynes the q
 quadrature of B, so the effective noise in the detected quadrature is
 ``n_q = n/2``.  The secret key is ``K = I_s - chi_E`` with the Shannon
 mutual information of the homodyne channel and the eavesdropper's Holevo
-quantity.  The four-mode cloner output is pure, so chi_E follows from
-the two-mode channel state alone (:func:`holevo_quantity`);
+quantity.  The four-mode cloner output is pure, so chi_E is a closed form
+in the two-mode channel state (:func:`holevo_quantity`);
 :func:`cloner_state` builds the full state for checks.  This module alone
 works in bits: the entropy kernel is evaluated in nats and divided by
 ln 2 so that K is unit-consistent.
@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from .analysis import _bisect_root
 from .errors import BadCouplingError, DomainError, NoSignChangeError, NumericalError
 from .symplectic import (
+    VACUUM_VARIANCE,
     CovarianceMatrix,
     apply_symplectic,
     beam_splitter,
-    homodyne_condition,
+    entropy_f,
     tensor,
-    von_neumann_entropy,
 )
-from .states import NoiseChannelSpec, eve_tms, ideal_tms, inject_noise_coupler, squeezing_db_to_r
+from .states import eve_tms, ideal_tms, squeezing_db_to_r
 
 _LN2 = math.log(2.0)
 
@@ -106,15 +106,19 @@ def holevo_quantity(scenario: QkdScenario) -> float:
     (A, B, E1, E2) is pure, and so is (A, E1, E2) after B is homodyned, so
     chi_E = S(E) - S(E|x_B) = S(AB') - S(A|x_B), taken on the two-mode
     channel state AB': the coupler with Eve's E1 (variance W/4) at its port.
+    In vacuum-1 units, with ``a = cosh 2r``, ``b = (1 - beta) a + beta W``
+    and ``g = ab - c^2 = (1 - beta) + beta a W``, AB' has
+    ``nu+ = (sqrt((b - a)^2 + 4g) + |b - a|)/2`` and ``nu- = g/nu+``, and
+    homodyning q on B leaves A with ``nu_A|x_B = sqrt(ag/b)``.
     """
-    channel = inject_noise_coupler(
-        ideal_tms(scenario.r),
-        NoiseChannelSpec(scenario.beta, env_photons=0.5 * (scenario.w - 1.0)),
-    )
-    s_ab = von_neumann_entropy(channel) / _LN2
-    conditioned = homodyne_condition(channel, measured_mode=1, quadrature="q")
-    s_a_cond = von_neumann_entropy(conditioned) / _LN2
-    chi = s_ab - s_a_cond
+    beta, w = scenario.beta, scenario.w
+    a = math.cosh(2.0 * scenario.r)
+    b = (1.0 - beta) * a + beta * w
+    g = (1.0 - beta) + beta * a * w
+    d = abs(beta * (a - w))
+    nu_plus = 0.5 * (math.hypot(d, 2.0 * math.sqrt(g)) + d)
+    s_ab = entropy_f(VACUUM_VARIANCE * nu_plus) + entropy_f(VACUUM_VARIANCE * g / nu_plus)
+    chi = (s_ab - entropy_f(VACUUM_VARIANCE * math.sqrt(a / b * g))) / _LN2
     return max(chi, 0.0)
 
 
@@ -152,9 +156,9 @@ def key_threshold(
     and negative at the upper end (it decreases with noise), otherwise
     :class:`NoSignChangeError` is raised.  The bracket is bisected down to
     relative width 1e-12 and the midpoint is verified to satisfy
-    |K| < tolerance.  The evaluation noise of K (entropy differences of
-    nearly pure states) is around 1e-7 at weak squeezing, so tolerances
-    much below 1e-6 are only attainable at strong squeezing.
+    |K| < tolerance.  K is evaluated in closed form with about 1e-15 bits
+    of rounding noise, so that width, not the evaluation, sets |K| at the
+    returned point (a few 1e-12 bits).
     """
     if s_db <= 0:
         raise DomainError(f"squeezing level must be > 0 dB, got {s_db}")

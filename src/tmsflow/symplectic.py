@@ -408,18 +408,15 @@ def _summary(V: TwoModeCovariance) -> tuple[SymplecticSummary, tuple]:
 def entropy_f(x: float) -> float:
     """Entropy kernel f(x) = (2x + 1/2) ln(2x + 1/2) - (2x - 1/2) ln(2x - 1/2).
 
-    Defined for x >= 1/4 with f(1/4) = 0 (the second limb evaluates to its
-    0 * ln 0 = 0 limit); strictly increasing above the vacuum point.
+    Defined for x >= 1/4 with f(1/4) = 0 and strictly increasing above it;
+    evaluated as ``log1p(m) + m log1p(1/m)``, ``m = 2x - 1/2``, which never cancels.
     """
     if not math.isfinite(x):
         raise DomainError(f"entropy argument must be finite, got {x}")
     if x < VACUUM_VARIANCE - 1e-12:
         raise DomainError(f"entropy argument {x} below the vacuum variance 1/4")
-    plus = 2.0 * x + 0.5
-    minus = 2.0 * x - 0.5
-    if minus <= 0.0:
-        return 0.0
-    return plus * math.log(plus) - minus * math.log(minus)
+    m = 2.0 * x - 0.5
+    return math.log1p(m) + m * math.log1p(1.0 / m) if m > 0.0 else 0.0
 
 
 def von_neumann_entropy(V: CovarianceMatrix) -> float:

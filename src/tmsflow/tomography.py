@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NonFiniteError, TooFewSamplesError
+from .errors import DomainError, NonFiniteError, TooFewSamplesError
 from .symplectic import CovarianceMatrix, TwoModeCovariance
 
 COLUMN_NAMES = ("I1", "Q1", "I2", "Q2")
@@ -171,13 +171,18 @@ def cumulants(
     stays below ``threshold`` batch-estimated standard errors in
     magnitude.  One :func:`_k_statistics` pass on the whole sample (which
     also gives the second-order entries) plus one per batch; each
-    univariate cumulant is reported once, under its first pair.
+    univariate cumulant is reported once, under its first pair.  A
+    constant column has no normalized cumulants and raises
+    :class:`DomainError`.
     """
     if samples.n_samples < _MIN_BATCH:
         raise TooFewSamplesError(
             f"need at least {_MIN_BATCH} samples, got {samples.n_samples}"
         )
     data = samples.data
+    constant = np.flatnonzero(data.min(axis=0) == data.max(axis=0))
+    if constant.size:
+        raise DomainError(f"column {COLUMN_NAMES[constant[0]]} is constant")
     n = samples.n_samples
     n_batches = max(2, min(_BATCHES, n // _MIN_BATCH))
     bounds = np.linspace(0, n, n_batches + 1, dtype=int)

@@ -14,6 +14,25 @@ from tmsflow.errors import DomainError, NoSignChangeError
 from tmsflow.states import StateModel
 
 IDEAL = StateModel.ideal()
+REALISTIC = StateModel.realistic(0.05, 0.56, 0.01)
+
+
+def sudden_death_reference(model, s_db):
+    """50-digit root of the PT boundary (p a - 1)(p b - 1) = p^2 c^2 in
+    vacuum-1 units, with a = cosh 2r, b = (1 - beta) a + beta + 2n,
+    c^2 = (1 - beta) sinh^2 2r and p = 1 + 2 chi1 (G - 1)^chi2, G = e^{2r}."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        r = mp.mpf(s_db) * mp.log(10) / 20
+        beta = mp.mpf(model.coupling_beta or 0)
+        p = mp.mpf(1)
+        if model.jpa is not None:
+            p += 2 * model.jpa.chi1 * (mp.exp(2 * r) - 1) ** model.jpa.chi2
+        a = mp.cosh(2 * r)
+        c2 = (1 - beta) * mp.sinh(2 * r) ** 2
+        b = (1 + p * p * c2 / (p * a - 1)) / p
+        return float((b - (1 - beta) * a - beta) / 2)
 
 
 class TestSweep:
@@ -68,6 +87,38 @@ class TestSuddenDeath:
         # enough amplifier noise keeps the bound negative on the whole grid
         model = StateModel.realistic(5.0, 1.0, 0.01)
         with pytest.raises(NoSignChangeError):
+            sudden_death_point(model, 6.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [IDEAL, StateModel.coupler(0.01), StateModel.coupler(0.3), REALISTIC],
+        ids=["ideal", "coupler-0.01", "coupler-0.3", "realistic"],
+    )
+    def test_matches_fifty_digit_reference(self, model):
+        for s_db in (0.1, 0.5, 1.0, 3.0, 6.5, 10.0, 20.0, 30.0):
+            assert sudden_death_point(model, s_db) == pytest.approx(
+                sudden_death_reference(model, s_db), abs=1e-12
+            ), s_db
+        if model.jpa is None:
+            beta = model.coupling_beta or 0.0
+            assert sudden_death_point(model, 6.5) == pytest.approx(1.0 - beta, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "model", [IDEAL, StateModel.coupler(0.01), REALISTIC], ids=["ideal", "coupler", "realistic"]
+    )
+    def test_unsqueezed_state_is_never_entangled(self, model):
+        with pytest.raises(NoSignChangeError):
+            sudden_death_point(model, 0.0)
+
+    def test_no_state_is_built_or_reported(self, monkeypatch):
+        import tmsflow.analysis
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sudden_death_point evaluated a state")
+
+        monkeypatch.setattr(StateModel, "state", forbidden)
+        monkeypatch.setattr(tmsflow.analysis, "correlation_report", forbidden)
+        for model in (IDEAL, StateModel.coupler(0.01), REALISTIC):
             sudden_death_point(model, 6.0)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tmsflow
+from tmsflow.analysis import crossover_point
 from tmsflow.cli import main, parse_grid
 from tmsflow.states import ideal_tms, vacuum
 from tmsflow.symplectic import covariance_to_json
@@ -109,6 +110,41 @@ class TestFeaturesCommand:
         assert 5.0 <= s_min <= 6.5
         assert table[s_min] == pytest.approx(0.23, abs=0.01)
 
+    def test_unsqueezed_row_reports_a_reason(self, tmp_path):
+        # every correlation vanishes identically at S = 0, so no curve
+        # changes sign and no threshold exists
+        out = tmp_path / "f.csv"
+        assert main(["features", "--s", "0,6", "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        cells = rows[0].split(",")
+        assert cells[1:5] == ["nan"] * 4
+        for name in ("n_sd", "n_c_A", "n_c_B", "n_c_AB"):
+            assert f"{name}: " in cells[5]
+        assert rows[1].endswith(",ok")
+
+    def test_each_crossover_root_is_solved_once(self, tmp_path, monkeypatch):
+        import tmsflow.cli
+
+        calls = []
+
+        def counting(model, s_db, flavor):
+            calls.append((s_db, flavor))
+            return crossover_point(model, s_db, flavor)
+
+        monkeypatch.setattr(tmsflow.cli, "crossover_point", counting)
+        out = tmp_path / "f.csv"
+        argv = ["features", "--s", "0.01,6", "--what", "nc", "--flavors", "AB,A,B"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert sorted(calls) == [(0.01, "A"), (0.01, "B"), (6.0, "A"), (6.0, "B")]
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        weak, strong = (r.split(",") for r in rows)
+        # crossover B does not exist at 0.01 dB; AB carries B's reason
+        assert weak[1] == "nan" and weak[3] == "nan" and float(weak[2]) > 0.0
+        reason = weak[4].split("n_c_B: ")[1]
+        assert weak[4] == f"n_c_AB: {reason}; n_c_B: {reason}"
+        n_ab, n_a, n_b = map(float, strong[1:4])
+        assert n_ab == 0.5 * (n_a + n_b)
+
 
 class TestQkdCommand:
     def test_single_point_value(self, capsys):
@@ -134,6 +170,12 @@ class TestQkdCommand:
 
     def test_missing_axis_is_usage_error(self):
         assert main(["qkd", "--s", "1:30:1"]) == 2
+
+    def test_strong_squeezing_gives_a_key(self, capsys):
+        assert main(["qkd", "--s", "400", "--nq", "0.1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["key_bits"] > 0.0
+        assert doc["key_bits"] == pytest.approx(doc["shannon_mi_bits"] - doc["holevo_bits"])
 
     def test_single_point_writes_threshold_curve(self, tmp_path, capsys):
         th_out = tmp_path / "thr.csv"
@@ -263,6 +305,13 @@ class TestScalarInputs:
         assert err.startswith("tmsflow: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_coupler_sweep_marks_cells(self, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--s", "1000", "--n", "0,0.1,1", "--model", "coupler"]
+        assert main(argv + ["--out", str(out)]) in (0, 3)
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 3 and all(not r.endswith(",ok") for r in rows)
+
     @pytest.mark.parametrize(
         "argv", [["sweep", "--n", "0.1"], ["features"], ["qkd", "--nq", "0.1"]]
     )
@@ -311,6 +360,16 @@ class TestTomoCommand:
         assert json.loads(cum_out.read_text())["gaussian"] is True
         cov_doc = json.loads(cov_out.read_text())
         assert cov_doc["n_modes"] == 2
+
+    def test_constant_column_is_usage_error(self, tmp_path, capsys):
+        data = sample_gaussian(ideal_tms(0.5), 200, np.random.default_rng(3))
+        data[:, 2] = 0.5
+        path = tmp_path / "s.csv"
+        path.write_text(samples_to_csv(QuadratureSamples(data)))
+        cum_out = tmp_path / "cum.json"
+        assert main(["tomo", "--samples", str(path), "--cumulants-out", str(cum_out)]) == 2
+        assert "column I2 is constant" in capsys.readouterr().err
+        assert not cum_out.exists()
 
     def test_malformed_samples_reports_line(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
@@ -384,6 +443,24 @@ class TestConfigFile:
 
 
 class TestStartup:
+    def test_threshold_jobs_do_not_load_scipy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(tmsflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys\n"
+            "from tmsflow.cli import main\n"
+            "out, th = sys.argv[1], sys.argv[2]\n"
+            "assert main(['features', '--s', '2,6.5', '--out', out]) == 0\n"
+            "argv = ['qkd', '--s', '6,10', '--nq', '0.1', '--threshold-out', th]\n"
+            "assert main(argv + ['--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out.csv"), str(tmp_path / "th.csv")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
     def test_cli_import_does_not_load_scipy(self):
         src = os.path.dirname(os.path.dirname(tmsflow.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -57,9 +57,10 @@ class TestCost:
             MeasurementRecord(s_db=3.0, n=0.1, d_a=0.5, d_b=0.5, e_f=0.4),
             MeasurementRecord(s_db=6.0, n=0.2, d_a=0.5, d_b=0.5, e_f=0.4),
         ]
-        # chi2 so negative that the power law overflows the state builder
-        with pytest.raises(ModelFailureError) as err:
-            cost(bad, (1e6, -900.0))
+        # chi1 so large that the amplifier prefactor overflows to inf, so
+        # the first record's state has non-finite entries
+        with pytest.raises(ModelFailureError) as err, np.errstate(invalid="ignore"):
+            cost(bad, (1e308, 1.0))
         assert err.value.record_index is not None
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tmsflow.qkd
-from tmsflow.errors import BadCouplingError, DomainError, NoSignChangeError, TmsflowError
+from tmsflow.errors import BadCouplingError, DomainError, NoSignChangeError
 from tmsflow.qkd import (
     QkdScenario,
     cloner_state,
@@ -62,16 +62,18 @@ def holevo_dense_oracle(r, n_q, beta):
 
 
 def holevo_reference(s_db, n_q, beta):
-    """50-digit chi_E in bits from the analytic channel state alone, in
-    vacuum-1 units: a = cosh 2r, b = (1 - beta) a + beta W,
-    c = sqrt(1 - beta) sinh 2r; chi_E = f(nu+) + f(nu-) - f(nu_A|x_B)."""
+    """chi_E in bits from the analytic channel state alone, in vacuum-1
+    units: a = cosh 2r, b = (1 - beta) a + beta W, c = sqrt(1 - beta) sinh 2r;
+    chi_E = f(nu+) + f(nu-) - f(nu_A|x_B).  The eigenvalue discriminant
+    cancels about 4 S/10 digits (a ~ 10^(S/10)), so the working precision
+    is 50 digits plus S/2."""
     import mpmath as mp
 
     def f(x):
         plus, minus = (x + 1) / 2, (x - 1) / 2
         return mp.mpf(0) if minus <= 0 else plus * mp.log(plus) - minus * mp.log(minus)
 
-    with mp.workdps(50):
+    with mp.workdps(50 + int(s_db) // 2):
         r = mp.mpf(s_db) * mp.log(10) / 20
         beta = mp.mpf(beta)
         w = max(mp.mpf(1), 4 * mp.mpf(n_q) / beta)
@@ -187,10 +189,13 @@ class TestHolevo:
                 ref = holevo_reference(s_db, n_q, beta)
                 assert holevo_quantity(s) == pytest.approx(ref, abs=1e-7), (s_db, beta)
 
-    @pytest.mark.parametrize("s_db", [150.0, 400.0])
-    def test_unresolvable_squeezing_is_refused(self, s_db):
-        with pytest.raises(TmsflowError):
-            holevo_quantity(QkdScenario(r=squeezing_db_to_r(s_db), n_q=0.1))
+    @pytest.mark.parametrize("s_db", [*REFERENCE_S_DB, 150.0, 400.0, 1000.0, 3000.0])
+    def test_matches_reference_to_1e10_bits(self, s_db):
+        for n_q in (0.0, 1e-4, 0.1, 1.0):
+            for beta in REFERENCE_BETA:
+                s = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q, beta=beta)
+                ref = holevo_reference(s_db, n_q, beta)
+                assert holevo_quantity(s) == pytest.approx(ref, abs=1e-10), (n_q, beta)
 
     def test_nonnegative(self, rng):
         for _ in range(20):
@@ -253,6 +258,22 @@ class TestTwoModeKeyPath:
             raise AssertionError("cloner_state called on the key path")
 
         monkeypatch.setattr(tmsflow.qkd, "cloner_state", forbidden)
+        secret_key(QkdScenario(r=squeezing_db_to_r(10.0), n_q=0.1))
+        key_threshold(10.0)
+
+    def test_no_state_is_built_validated_or_diagonalised(self, monkeypatch):
+        import tmsflow.states
+        import tmsflow.symplectic
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("matrix route called on the key path")
+
+        # Patched where they are defined and under any name qkd holds.
+        for module in (tmsflow.states, tmsflow.symplectic, tmsflow.qkd):
+            for name in (
+                "inject_noise_coupler", "von_neumann_entropy", "homodyne_condition", "_validate"
+            ):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
         secret_key(QkdScenario(r=squeezing_db_to_r(10.0), n_q=0.1))
         key_threshold(10.0)
 

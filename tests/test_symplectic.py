@@ -175,6 +175,17 @@ class TestEntropyKernel:
         vals = [entropy_f(x) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_matches_mpmath_to_full_precision(self):
+        import mpmath as mp
+
+        xs = [0.25 + 1e-16, 0.25 + 1e-12, 0.2500001, 0.3, 0.75, 1e3, 1e10, 1e20, 1e100, 1e300]
+        xs += list(0.25 + np.logspace(-15, 300, 200))
+        for x in xs:
+            with mp.workdps(400):  # the two limbs cancel about log10(x) digits
+                plus, minus = 2 * mp.mpf(x) + 0.5, 2 * mp.mpf(x) - 0.5
+                ref = float(plus * mp.log(plus) - minus * mp.log(minus))
+            assert abs(entropy_f(x) - ref) <= 1e-15 * ref, x
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             entropy_f(0.25 - 1e-9)
