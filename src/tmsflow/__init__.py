@@ -44,8 +44,6 @@ from .states import (
     inject_noise_ideal,
     jpa_noise,
     realistic_tms,
-    scenario_from_json,
-    scenario_to_json,
     squeezing_db_to_r,
     squeezing_r_to_db,
     thermal,
@@ -73,7 +71,6 @@ from .qkd import (
 from .analysis import (
     CrossoverResult,
     SweepGrid,
-    asymptote_estimate,
     crossover_point,
     sudden_death_point,
     sweep,

@@ -179,14 +179,6 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
     return CrossoverResult(flavor=flavor, s_db=s_db, n_c=root, bracket=bracket)
 
 
-def asymptote_estimate(model: StateModel, flavor: str, s_db_large: float = 30.0) -> CrossoverResult:
-    """Crossover point in the strong-squeezing regime (S >= 20 dB), where
-    both flavors approach the same constant."""
-    if s_db_large < 20.0:
-        raise DomainError(f"asymptote estimate needs S >= 20 dB, got {s_db_large}")
-    return crossover_point(model, s_db_large, flavor)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .analysis import (
     sweep_to_csv,
     sweep_to_json,
 )
-from .errors import DomainError, NoSignChangeError, TmsflowError
+from .errors import DomainError, TmsflowError
 from .fit import (
     DEFAULT_COUPLING,
     DEFAULT_WEIGHTS,
@@ -239,7 +239,7 @@ def _cmd_features(args, config) -> int:
         if "nsd" in what:
             try:
                 row.append(repr(sudden_death_point(model, s_db)))
-            except NoSignChangeError as exc:
+            except TmsflowError as exc:
                 row.append("nan")
                 notes.append(f"n_sd: {exc}")
                 ok = False
@@ -248,7 +248,7 @@ def _cmd_features(args, config) -> int:
             for flavor in flavors:
                 try:
                     row.append(repr(_crossover_n_c(model, s_db, flavor, solved)))
-                except NoSignChangeError as exc:
+                except TmsflowError as exc:
                     row.append("nan")
                     notes.append(f"n_c_{flavor}: {exc}")
                     ok = False
@@ -268,9 +268,9 @@ def _crossover_n_c(model: StateModel, s_db: float, flavor: str, solved: dict) ->
     if flavor not in solved:
         try:
             solved[flavor] = crossover_point(model, s_db, flavor).n_c
-        except NoSignChangeError as exc:
+        except TmsflowError as exc:
             solved[flavor] = exc
-    if isinstance(solved[flavor], NoSignChangeError):
+    if isinstance(solved[flavor], TmsflowError):
         raise solved[flavor]
     return solved[flavor]
 

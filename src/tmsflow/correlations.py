@@ -15,40 +15,45 @@ one-way classical correlation about A), and vice versa.  The
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericalError
+from .errors import DimensionMismatchError, DomainError, NumericalError
 from .symplectic import (
     _GUARD,
     TwoModeCovariance,
     VACUUM_VARIANCE,
     _ratio,
-    _summary,
     entropy_f,
-    symplectic_summary,
+    require_valid,
 )
 
 # Discord values this close below zero are clamped to 0; they arise from
 # the floating-point limit of the pure-state coincidence D = E_F.
 _DISCORD_CLAMP = 1e-10
 
-# Relative dead band for radicands that vanish identically at pure states.
-_RADICAND_TOL = 1e-12
+
+def _validated(V: TwoModeCovariance) -> tuple:
+    """The validation pass ``(nus, invariants)`` every measure reads."""
+    if V.n_modes != 2:
+        raise DimensionMismatchError("correlation measures require a two-mode state")
+    nus, _, invariants = require_valid(V)
+    return nus, invariants
 
 
 def mutual_information(V: TwoModeCovariance) -> float:
     """Quantum mutual information I(A:B) = S(A) + S(B) - S(AB) in nats."""
-    return _mutual_information(symplectic_summary(V))
+    return _mutual_information(*_validated(V))
 
 
-def _mutual_information(s) -> float:
+def _mutual_information(nus, invariants: tuple) -> float:
+    i1, i2, _, _, e = invariants
+    q = 1 << 2 * e
     value = (
-        entropy_f(_clamped_sqrt(s.i1))
-        + entropy_f(_clamped_sqrt(s.i2))
-        - entropy_f(max(s.nu_plus, VACUUM_VARIANCE))
-        - entropy_f(max(s.nu_minus, VACUUM_VARIANCE))
+        entropy_f(_clamped_sqrt(_ratio(i1, q)))
+        + entropy_f(_clamped_sqrt(_ratio(i2, q)))
+        - entropy_f(max(float(nus[0]), VACUUM_VARIANCE))
+        - entropy_f(max(float(nus[1]), VACUUM_VARIANCE))
     )
     return max(value, 0.0)
 
@@ -60,91 +65,64 @@ def _clamped_sqrt(det: float) -> float:
 def eof_gamma(V: TwoModeCovariance) -> float:
     """Signed minimal two-mode squeezing to reach the separability boundary.
 
-    gamma > 0 iff the state is entangled (nu_pt_min < 1/4): undoing two-mode
-    squeezing by gamma makes the partial transpose positive.  gamma < 0 for
-    separable states, measuring how much extra squeezing the state tolerates
-    before its partial transpose turns negative.
+    gamma > 0 iff the state is entangled: undoing two-mode squeezing by
+    gamma makes the partial transpose positive.  gamma < 0 for separable
+    states, measuring how much extra squeezing the state tolerates before
+    its partial transpose turns negative.
 
-    Closed form: with standard-form parameters (a, b, c1, c2) in vacuum-1
-    units, ``z = exp(4 gamma)`` solves ``k4 z^2 + k2 z + k0 = 0`` where
-    ``k4 = (a+b-2c1)(a+b+2c2)/4`` and ``k0 = (a+b+2c1)(a+b-2c2)/4`` are the
-    EPR-variance products and ``k2 = -[det + 1 - (a-b)^2/2]``; the root on
-    the entangled/separable side nearest the boundary is taken.  Everything
-    is built from the block determinants, so the result is invariant under
-    local symplectics; k4 and k0 are assembled from ``c1 - c2`` and
-    ``(c1 + c2)^2`` directly, which stays well conditioned when
-    ``c1 ~ -c2`` (the near-pure regime where the individual cross
-    eigenvalues cancel).
+    Closed form: with standard-form parameters (a, b, c1 >= |c2|) in
+    vacuum-1 units and ``g_i = ab - c_i^2``, ``z = exp(4 gamma)`` solves
+    ``k4 z^2 + k2 z + k0 = 0`` with the EPR-variance products
+    ``k4 = (a+b-2c1)(a+b+2c2)/4 > 0``, ``k0 = (a+b+2c1)(a+b-2c2)/4`` and
+    ``-k2 = I4 + 1 - (a-b)^2/2``.  The quadratic at z = 1 is
+    ``k4 + k2 + k0 = I1 + I2 - 2 I3 - I4 - 1``, positive exactly for
+    entangled states; then both roots lie on one side of 1, and above it,
+    since their product ``k0 / k4`` is at least 1 (``k0 - k4 = (a+b)(c1 -
+    c2)``).  For separable states 1 lies between the roots.  Either way the
+    smaller root ``z = 2 k0 / (-k2 + sqrt(disc))`` is the one on the
+    boundary side of the state, so no root is chosen.
+
+    Every term is assembled sign-definitely from the exact invariants
+    ``I1..I4`` of the validation pass: ``k0 = [(a-b)^2 + 4(ab - I3) +
+    2(a+b)(c1-c2)]/4`` and ``disc = k2^2 - 4 k4 k0 = (g1+1)(g2+1) N +
+    (c1+c2)^2 (I4 + 1 + 2(ab - I3))`` with ``N = I4 - (I1 + I2 + 2 I3) + 1
+    = (nu+^2 - 1)(nu-^2 - 1)`` an exact integer (clamped at 0, where only
+    the rounding of stored entries makes it negative).  Of
+    ``ab (c1 -+ c2)^2 = t -+ 2 I3 ab``, ``t = I1 I2 + I3^2 - I4``, the one
+    that cancels is taken as the exact ``t^2 - 4 I3^2 I1 I2`` over the
+    other, and ``ab - I3`` likewise, so nothing cancels near pure states.
     """
-    return _eof_gamma(symplectic_summary(V))
+    return _eof_gamma(_validated(V)[1])
 
 
-def _eof_gamma(s) -> float:
-    i1 = 16.0 * s.i1
-    i2 = 16.0 * s.i2
-    i3 = 16.0 * s.i3
-    i4 = 256.0 * s.i4
-    a = math.sqrt(i1)
-    b = math.sqrt(i2)
-    if a <= 0 or b <= 0:
-        raise NumericalError("non-positive marginal determinant")
-    # det V = (ab - c1^2)(ab - c2^2) fixes c1^2 + c2^2 given c1 c2 = i3.
-    sumsq = (i1 * i2 + i3 * i3 - i4) / (a * b)
-    m_minus = sumsq - 2.0 * i3  # (c1 - c2)^2
-    m_plus = sumsq + 2.0 * i3  # (c1 + c2)^2
-    tol = _RADICAND_TOL * max(1.0, abs(sumsq), abs(2.0 * i3))
-    if m_minus < 0.0:
-        if m_minus < -tol:
-            raise NumericalError(f"negative (c1-c2)^2 term {m_minus:.3e}")
-        m_minus = 0.0
-    if m_plus < 0.0:
-        if m_plus < -tol:
-            raise NumericalError(f"negative (c1+c2)^2 term {m_plus:.3e}")
-        m_plus = 0.0
-    s_minus = math.sqrt(m_minus)  # c1 - c2 >= 0 in standard form
-    ab_sum = a + b
-    k4 = 0.25 * ((ab_sum - s_minus) ** 2 - m_plus)
-    k0 = 0.25 * ((ab_sum + s_minus) ** 2 - m_plus)
-    k2 = -(i4 + 1.0 - 0.5 * (a - b) ** 2)
-    if k4 <= 0.0 or k0 <= 0.0:
-        raise NumericalError("non-positive EPR variance product")
-    # Algebraically disc = k2^2 - 4 k4 k0, but that form loses half the
-    # significant digits near pure states; this equivalent expression stays
-    # accurate because (i4 - 1) and (a - b) vanish there individually.
-    ab = a * b
-    try:
-        disc = (i4 - 1.0) ** 2 - (a - b) ** 2 * (
-            (ab + 1.0) ** 2 - (ab + 1.0) * sumsq + i3 * i3
-        )
-    except OverflowError:
-        raise NumericalError("separability discriminant overflows double precision") from None
-    if disc < 0.0:
-        tol = _RADICAND_TOL * max(1.0, (i4 - 1.0) ** 2, k2 * k2)
-        if disc < -tol:
-            raise NumericalError(
-                f"no squeezing reaches the separability boundary ({disc:.3e})"
-            )
-        disc = 0.0
-    # Roots of the boundary quadratic; z_hi is cancellation-free and z_lo
-    # follows from the product z_hi z_lo = k0 / k4.
-    z_hi = (-k2 + math.sqrt(disc)) / (2.0 * k4)
-    if z_hi <= 0.0:
-        raise NumericalError("boundary quadratic has no positive root")
-    z_lo = k0 / (k4 * z_hi)
-    # On the boundary within roundoff nu_pt_min cannot pick the side.
-    if min(abs(z_lo - 1.0), abs(z_hi - 1.0)) <= 1e-12:
-        return 0.0
-    entangled = s.nu_pt_min < VACUUM_VARIANCE
-    if entangled:
-        above = [z for z in (z_lo, z_hi) if z > 1.0]
-        if not above:
-            raise NumericalError("entangled state but no unsqueezing root above 1")
-        z = min(above)
-    else:
-        below = [z for z in (z_lo, z_hi) if z <= 1.0]
-        # Boundary states (nu_pt_min == 1/4) sit at z = 1 exactly.
-        z = max(below) if below else 1.0
-    return 0.25 * math.log(z)
+def _eof_gamma(invariants: tuple) -> float:
+    # The invariants in vacuum-1 units as exact integers over q (q**2 for i4).
+    i1, i2, i3, i4, e = invariants
+    i1, i2, i3, i4, q = i1 << 4, i2 << 4, i3 << 4, i4 << 8, 1 << 2 * e
+    qq, i12, i33 = q * q, i1 * i2, i3 * i3
+    a, b = math.sqrt(_ratio(i1, q)), math.sqrt(_ratio(i2, q))
+    ab, c1c2 = a * b, _ratio(i3, q)
+    i4_1 = _ratio(i4 + qq, qq)  # I4 + 1
+    n = _ratio(max(i4 - (i1 + i2 + 2 * i3) * q + qq, 0), qq)
+    # ab - c1 c2 > 0, from the exact I1 I2 - I3^2 where it would cancel.
+    gap = _ratio(i12 - i33, qq) / (ab + c1c2) if i3 > 0 else ab - c1c2
+    # ab (c1 -+ c2)^2 = t -+ 2 I3 ab: the sum directly, the difference
+    # from their exact product t^2 - 4 I3^2 I1 I2.
+    t = i12 + i33 - i4
+    big = _ratio(t, qq) + 2.0 * abs(c1c2) * ab
+    prod = t * t - 4 * i33 * i12
+    small = _ratio(prod, qq * qq) / big if prod else 0.0
+    m_minus, m_plus = (big, small) if i3 < 0 else (small, big)
+    amb = _ratio(i1 - i2, q) / (a + b)  # a - b
+    k0 = 0.25 * amb * amb + gap + 0.5 * (a + b) * math.sqrt(m_minus / ab)
+    minus_k2 = i4_1 - 0.5 * amb * amb
+    gg = i4_1 + _ratio(i12 - i33 + i4, qq) / ab  # (g1 + 1)(g2 + 1)
+    # z = 2 k0 / (-k2 + sqrt(disc)); sqrt(disc) as a hypot and the halved
+    # sum stay finite wherever I4 itself is.
+    root = math.hypot(
+        math.sqrt(gg) * math.sqrt(n), math.sqrt(m_plus / ab) * math.sqrt(i4_1 + 2.0 * gap)
+    )
+    return 0.25 * math.log(k0 / (0.5 * minus_k2 + 0.5 * root))
 
 
 def gamma_ideal(r: float, n: float) -> float:
@@ -190,32 +168,27 @@ def _conditional_det_min(a: int, b: int, c: int, d: int, q: int) -> float:
     measured block, ``c`` cross block; ``d`` the full matrix, times
     ``q**2``).  Two-branch closed form (Adesso and Datta, PRL 105, 030501
     (2010)) whose branch test and radicands are exact integers, so floats
-    enter only at the square roots.  The radicands vanish identically for
-    pure states; :func:`_dead_band` absorbs the rounding of stored entries.
+    enter only at the square roots.  Both radicands are sums of
+    nonnegative terms: the first is ``I3^2 + (I2 - 1)(I4 - I1) = (I2 - 1) N
+    + (I2 + I3 - 1)^2`` with ``N = (nu+^2 - 1)(nu-^2 - 1)``, negative only
+    through the rounding of stored entries and clamped at 0 (the branch
+    needs ``I2 > 1``); the second equals ``I1 I2 (c1 - c2)^2 (c1 + c2)^2``
+    in standard form, so it is never negative for a positive-definite
+    matrix.
     """
-    if (d - a * b) ** 2 * q <= (q + b) * c * c * (a * q + d) and abs(b - q) * 10**9 > q:
-        rad = _dead_band((c * c * q, (b - q) * (d - a * q)), q**3, "branch-1")
+    if (d - a * b) ** 2 * q <= (q + b) * c * c * (a * q + d) and (b - q) * 10**9 > q:
+        n = max(d - (a + b + 2 * c) * q + q * q, 0)
+        rad = (b - q) * n + (b + c - q) ** 2 * q
         # The numerator 2c^2 + (b-1)(d-a) + 2|c| sqrt(rad) is (|c| + sqrt(rad))^2.
         s = math.isqrt(q)
         x = (abs(c) * s << _GUARD) + math.isqrt(rad << 2 * _GUARD)
         return x * x / ((b - q) * s << _GUARD) ** 2
     ab = a * b
-    rad = _dead_band((c**4, (d - ab) ** 2, -2 * c * c * (ab + d)), q**4, "branch-2")
+    rad = c**4 + (d - ab) ** 2 - 2 * c * c * (ab + d)
     # (ab - c^2 + d - sqrt(rad)) / 2b, free of cancellation since the
     # product of that numerator with ab - c^2 + d + sqrt(rad) is 4abd.
     x = ((ab - c * c + d) << _GUARD) + math.isqrt(rad << 2 * _GUARD)
     return (a * d << (_GUARD + 1)) / (x * q)
-
-
-def _dead_band(terms: tuple[int, ...], one: int, branch: str) -> int:
-    """Sum of exact radicand terms; zero if it is negative by no more than
-    ``_RADICAND_TOL`` times the largest term (or ``one``, the integer 1)."""
-    rad = sum(terms)
-    if rad >= 0:
-        return rad
-    if -rad * 10**12 <= max(one, *map(abs, terms)):
-        return 0
-    raise NumericalError(f"negative {branch} radicand {_ratio(rad, one):.3e}")
 
 
 def discord(V: TwoModeCovariance, measured: str) -> float:
@@ -227,21 +200,21 @@ def discord(V: TwoModeCovariance, measured: str) -> float:
     """
     if measured not in ("A", "B"):
         raise DomainError(f"measured subsystem must be 'A' or 'B', got {measured!r}")
-    return _discord(*_summary(V), measured)
+    return _discord(*_validated(V), measured)
 
 
-def _discord(s, invariants: tuple, measured: str) -> float:
+def _discord(nus, invariants: tuple, measured: str) -> float:
     # Rescale the exact determinants to vacuum-variance-1 units: 2x2 blocks
     # pick up a factor 16, the full 4x4 matrix a factor 256.
     i1, i2, i3, i4, e = invariants
     a, b = (i1 << 4, i2 << 4) if measured == "B" else (i2 << 4, i1 << 4)
     e_min = _conditional_det_min(a, b, i3 << 4, i4 << 8, 1 << 2 * e)
-    leading = _clamped_sqrt(s.i2 if measured == "B" else s.i1)
+    leading = _clamped_sqrt(_ratio(i2 if measured == "B" else i1, 1 << 2 * e))
     nu_cond = max(math.sqrt(e_min / 16.0), VACUUM_VARIANCE)
     value = (
         entropy_f(leading)
-        - entropy_f(max(s.nu_plus, VACUUM_VARIANCE))
-        - entropy_f(max(s.nu_minus, VACUUM_VARIANCE))
+        - entropy_f(max(float(nus[0]), VACUUM_VARIANCE))
+        - entropy_f(max(float(nus[1]), VACUUM_VARIANCE))
         + entropy_f(nu_cond)
     )
     if value < 0.0:
@@ -271,16 +244,16 @@ class CorrelationReport:
 
 def correlation_report(V: TwoModeCovariance) -> CorrelationReport:
     """Full correlation report for a two-mode state."""
-    s, invariants = _summary(V)
-    g = _eof_gamma(s)
+    nus, invariants = _validated(V)
+    g = _eof_gamma(invariants)
     e_f = eof_from_gamma(g)
-    d_a = _discord(s, invariants, "B")
-    d_b = _discord(s, invariants, "A")
+    d_a = _discord(nus, invariants, "B")
+    d_b = _discord(nus, invariants, "A")
     return CorrelationReport(
         d_a=d_a,
         d_b=d_b,
         e_f=e_f,
-        i_ab=_mutual_information(s),
+        i_ab=_mutual_information(nus, invariants),
         delta_a=d_a - e_f,
         delta_b=d_b - e_f,
         delta_ab=0.5 * (d_a + d_b) - e_f,
@@ -304,23 +277,3 @@ def report_to_csv_row(report: CorrelationReport, s_db: float, n: float) -> str:
         report.delta_ab,
     ]
     return ",".join(repr(float(x)) for x in fields)
-
-
-def report_to_json(
-    report: CorrelationReport, s_db: float | None = None, n: float | None = None
-) -> str:
-    doc = {
-        "d_a": report.d_a,
-        "d_b": report.d_b,
-        "e_f": report.e_f,
-        "i_ab": report.i_ab,
-        "delta_a": report.delta_a,
-        "delta_b": report.delta_b,
-        "delta_ab": report.delta_ab,
-        "gamma": report.gamma,
-    }
-    if s_db is not None:
-        doc["s_db"] = s_db
-    if n is not None:
-        doc["n"] = n
-    return json.dumps(doc)

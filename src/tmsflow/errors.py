@@ -39,8 +39,9 @@ class BadCouplingError(TmsflowError):
 
 
 class NumericalError(TmsflowError):
-    """A guarded numerical identity failed beyond tolerance (e.g. a radicand
-    that should be non-negative came out significantly negative)."""
+    """A numerical evaluation failed: a value left the double range, or a
+    guarded identity failed beyond tolerance (e.g. a discord below its
+    clamp window)."""
 
 
 class NoSignChangeError(TmsflowError):

@@ -14,13 +14,12 @@ dB relates to r via ``r = S / (20 log10 e)``; equivalently
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCouplingError, DomainError
+from .errors import BadCouplingError, DomainError, NumericalError
 from .symplectic import CovarianceMatrix, TwoModeCovariance, VACUUM_VARIANCE
 
 _DB_PER_UNIT_R = 20.0 * math.log10(math.e)
@@ -205,7 +204,10 @@ def jpa_noise(G: float, jpa: JpaNoiseModel) -> float:
         raise DomainError(f"degenerate gain must be >= 1, got {G}")
     if G == 1.0:
         return 0.0
-    return jpa.chi1 * (G - 1.0) ** jpa.chi2
+    try:
+        return jpa.chi1 * (G - 1.0) ** jpa.chi2
+    except OverflowError:
+        raise NumericalError(f"amplifier noise at gain {G:.3g} overflows double precision") from None
 
 
 def realistic_tms(
@@ -225,11 +227,6 @@ def realistic_tms(
     base = inject_noise_coupler(ideal_tms(r), channel)
     prefactor = 1.0 + 2.0 * jpa_noise(math.exp(2 * r), jpa)
     return CovarianceMatrix(prefactor * base.entries)
-
-
-# ---------------------------------------------------------------------------
-# Scenario files: a JSON description of which state model to build.
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -280,29 +277,3 @@ class StateModel:
     @classmethod
     def realistic(cls, chi1: float, chi2: float, beta: float) -> "StateModel":
         return cls(coupling_beta=beta, jpa=JpaNoiseModel(chi1=chi1, chi2=chi2))
-
-
-def scenario_to_json(model: StateModel, s_db: float, n: float) -> str:
-    doc: dict = {"squeezing_db": s_db, "noise_photons": n}
-    if model.coupling_beta is not None:
-        doc["coupling_beta"] = model.coupling_beta
-    if model.jpa is not None:
-        doc["jpa"] = {"chi1": model.jpa.chi1, "chi2": model.jpa.chi2}
-    return json.dumps(doc)
-
-
-def scenario_from_json(text: str) -> tuple[StateModel, float, float]:
-    """Parse a scenario file; an omitted "jpa" block means a noiseless chain."""
-    doc = json.loads(text)
-    s_db = float(doc["squeezing_db"])
-    n = float(doc.get("noise_photons", 0.0))
-    beta = doc.get("coupling_beta")
-    jpa_doc = doc.get("jpa")
-    jpa = None
-    if jpa_doc is not None:
-        jpa = JpaNoiseModel(chi1=float(jpa_doc["chi1"]), chi2=float(jpa_doc["chi2"]))
-    model = StateModel(
-        coupling_beta=None if beta is None else float(beta),
-        jpa=jpa,
-    )
-    return model, s_db, n

@@ -345,11 +345,12 @@ def _exact_invariants(sym: np.ndarray) -> tuple | None:
 
 
 def _ratio(num: int, den: int) -> float:
-    """``num / den`` correctly rounded, infinite beyond the double range."""
+    """``num / den`` correctly rounded; :class:`NumericalError` beyond the
+    double range."""
     try:
         return num / den
     except OverflowError:
-        return math.inf if num > 0 else -math.inf
+        raise NumericalError("exact invariant beyond the double range") from None
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
@@ -381,18 +382,14 @@ def _two_mode_nu(invariants: tuple, partial_transpose: bool = False) -> tuple[fl
 def symplectic_summary(V: TwoModeCovariance) -> SymplecticSummary:
     """Invariants, symplectic eigenvalues and the partial-transpose minimum
     eigenvalue of a two-mode state, all from the exact invariant pass of
-    validation (the invariants and ``delta`` correctly rounded)."""
-    return _summary(V)[0]
-
-
-def _summary(V: TwoModeCovariance) -> tuple[SymplecticSummary, tuple]:
-    """:func:`symplectic_summary` plus the exact invariants it reads."""
+    validation (the invariants and ``delta`` correctly rounded, or
+    :class:`NumericalError` beyond the double range)."""
     if V.n_modes != 2:
         raise DimensionMismatchError("symplectic_summary requires a two-mode state")
     nus, _, invariants = require_valid(V)
     i1, i2, i3, i4, e = invariants
     q = 1 << 2 * e
-    summary = SymplecticSummary(
+    return SymplecticSummary(
         i1=_ratio(i1, q),
         i2=_ratio(i2, q),
         i3=_ratio(i3, q),
@@ -402,7 +399,6 @@ def _summary(V: TwoModeCovariance) -> tuple[SymplecticSummary, tuple]:
         nu_minus=float(nus[1]),
         nu_pt_min=_two_mode_nu(invariants, partial_transpose=True)[1],
     )
-    return summary, invariants
 
 
 def entropy_f(x: float) -> float:

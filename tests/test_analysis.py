@@ -4,7 +4,6 @@ import pytest
 from tmsflow.analysis import (
     FEATURE_GRID,
     crossover_point,
-    asymptote_estimate,
     sudden_death_point,
     sweep,
     sweep_to_csv,
@@ -144,19 +143,15 @@ class TestCrossover:
         assert res_ab.bracket[0] <= res_ab.n_c <= res_ab.bracket[1]
 
     def test_asymptotes_at_strong_squeezing(self):
-        res_a = asymptote_estimate(IDEAL, "A", 30.0)
-        res_b = asymptote_estimate(IDEAL, "B", 30.0)
+        res_a = crossover_point(IDEAL, 30.0, "A")
+        res_b = crossover_point(IDEAL, 30.0, "B")
         assert res_a.n_c == pytest.approx(0.26, abs=0.01)
         assert res_b.n_c == pytest.approx(0.26, abs=0.01)
 
     def test_asymptote_converged(self):
-        a30 = asymptote_estimate(IDEAL, "A", 30.0).n_c
-        a40 = asymptote_estimate(IDEAL, "A", 40.0).n_c
+        a30 = crossover_point(IDEAL, 30.0, "A").n_c
+        a40 = crossover_point(IDEAL, 40.0, "A").n_c
         assert abs(a30 - a40) < 0.005
-
-    def test_asymptote_requires_strong_squeezing(self):
-        with pytest.raises(DomainError):
-            asymptote_estimate(IDEAL, "A", 10.0)
 
     def test_monotone_in_squeezing(self):
         s_grid = np.linspace(2.0, 12.0, 6)

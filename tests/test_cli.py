@@ -122,6 +122,14 @@ class TestFeaturesCommand:
             assert f"{name}: " in cells[5]
         assert rows[1].endswith(",ok")
 
+    def test_failing_row_is_marked_per_column(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["features", "--s", "6,200", "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert rows[0].startswith("6.0,") and rows[0].endswith(",ok")
+        assert rows[1].startswith("200.0,1.0,nan,nan,nan,")
+        assert "n_c_A: unphysical covariance matrix: not positive definite" in rows[1]
+
     def test_each_crossover_root_is_solved_once(self, tmp_path, monkeypatch):
         import tmsflow.cli
 
@@ -311,6 +319,14 @@ class TestScalarInputs:
         assert main(argv + ["--out", str(out)]) in (0, 3)
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 3 and all(not r.endswith(",ok") for r in rows)
+
+    @pytest.mark.parametrize("argv", [["sweep", "--n", "0"], ["features"]])
+    def test_overflowing_amplifier_noise_marks_cells(self, argv, tmp_path):
+        out = tmp_path / "out.csv"
+        argv = argv + ["--s", "3000", "--model", "realistic", "--chi2", "2"]
+        assert main(argv + ["--out", str(out)]) == 3
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 1 and "amplifier noise at gain 1e+300 overflows" in rows[0]
 
     @pytest.mark.parametrize(
         "argv", [["sweep", "--n", "0.1"], ["features"], ["qkd", "--nq", "0.1"]]

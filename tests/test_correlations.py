@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,8 +13,8 @@ from tmsflow.correlations import (
     gamma_ideal,
     mutual_information,
     report_to_csv_row,
-    report_to_json,
 )
+from tmsflow.analysis import sweep
 from tmsflow.errors import DomainError
 from tmsflow.qkd import QkdScenario, secret_key
 from tmsflow.states import (
@@ -26,6 +25,7 @@ from tmsflow.states import (
     thermal,
     vacuum,
 )
+from tmsflow import symplectic
 from tmsflow.symplectic import apply_symplectic, symplectic_summary, tensor
 
 from conftest import random_local_op, random_physical_state
@@ -92,10 +92,32 @@ def _f_reference(x):
     return mp.mpf(0) if minus <= 0 else plus * mp.log(plus) - minus * mp.log(minus)
 
 
+def gamma_reference(a, b, c1, c2):
+    """gamma of the standard form (a, b, c1 >= |c2|) in vacuum-1 units at
+    the working precision, with the root chosen the way the closed form
+    once chose it: the smallest root above 1 for an entangled state, the
+    largest root at or below 1 (1 itself if there is none) otherwise."""
+    import mpmath as mp
+
+    det = (a * b - c1 * c1) * (a * b - c2 * c2)
+    k4 = (a + b - 2 * c1) * (a + b + 2 * c2) / 4
+    k0 = (a + b + 2 * c1) * (a + b - 2 * c2) / 4
+    k2 = -(det + 1 - (a - b) ** 2 / 2)
+    root = mp.sqrt(max(k2 * k2 - 4 * k4 * k0, 0))
+    roots = ((-k2 - root) / (2 * k4), (-k2 + root) / (2 * k4))
+    # the partial transpose is negative iff a^2 + b^2 - 2 c1 c2 > det + 1
+    if a * a + b * b - 2 * c1 * c2 > det + 1:
+        z = min(z for z in roots if z > 1)
+    else:
+        z = max((z for z in roots if z <= 1), default=mp.mpf(1))
+    return mp.log(z) / 4
+
+
 def standard_form_reference(a, b, c):
-    """50-digit D_A, D_B and I_AB of the state with blocks a*1, b*1 and
-    c*sigma_z in vacuum-1 units, from its block determinants (Adesso and
-    Datta's two-branch conditional determinant)."""
+    """50-digit D_A, D_B, I_AB and E_F, with the information-flow
+    differences, of the state with blocks a*1, b*1 and c*sigma_z (c >= 0)
+    in vacuum-1 units, from its block determinants (Adesso and Datta's
+    two-branch conditional determinant)."""
     import mpmath as mp
 
     f = _f_reference
@@ -110,10 +132,18 @@ def standard_form_reference(a, b, c):
     delta = det_a + det_b + 2 * det_c
     root = mp.sqrt(max(delta * delta - 4 * det, 0))
     s_ab = f(mp.sqrt((delta + root) / 2)) + f(mp.sqrt((delta - root) / 2))
+    d_a = f(b) - s_ab + f(mp.sqrt(det_min(det_a, det_b, det_c, det)))
+    d_b = f(a) - s_ab + f(mp.sqrt(det_min(det_b, det_a, det_c, det)))
+    gamma = gamma_reference(a, b, c, -c)
+    e_f = mp.sign(gamma) * f(mp.cosh(2 * gamma))
     return {
-        "d_a": f(b) - s_ab + f(mp.sqrt(det_min(det_a, det_b, det_c, det))),
-        "d_b": f(a) - s_ab + f(mp.sqrt(det_min(det_b, det_a, det_c, det))),
+        "d_a": d_a,
+        "d_b": d_b,
         "i_ab": f(a) + f(b) - s_ab,
+        "e_f": e_f,
+        "delta_a": d_a - e_f,
+        "delta_b": d_b - e_f,
+        "delta_ab": (d_a + d_b) / 2 - e_f,
     }
 
 
@@ -138,6 +168,42 @@ def ideal_reference(s_db, n):
         return {k: float(v) for k, v in ref.items()}
 
 
+def channel_reference(s_db, n, beta, jpa=None):
+    """50-digit correlation report of the coupler model, or of the
+    realistic model for ``jpa = (chi1, chi2)``: a = p cosh 2r,
+    b = p[(1 - beta) cosh 2r + beta + 2n], c = p sqrt(1 - beta) sinh 2r,
+    with p = 1 + 2 chi1 (e^{2r} - 1)^chi2 (1 without the amplifier)."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        r, n = mp.mpf(s_db) * mp.log(10) / 20, mp.mpf(n)
+        p = 1 if jpa is None else 1 + 2 * jpa[0] * (mp.exp(2 * r) - 1) ** jpa[1]
+        a = mp.cosh(2 * r)
+        ref = standard_form_reference(
+            p * a, p * ((1 - beta) * a + beta + 2 * n), p * mp.sqrt(1 - beta) * mp.sinh(2 * r)
+        )
+        return {k: float(v) for k, v in ref.items()}
+
+
+EXTREME_S = tuple(0.5 * k for k in range(61))
+EXTREME_N = (0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1000.0)
+REALISTIC = (0.05, 0.56, 0.01)
+
+# Coupler cells (beta = 0.01) whose E_F once failed with "no squeezing
+# reaches the separability boundary".
+FORMER_COUPLER_FAILURES = (18.5, 19.0, 21.0, 22.0, 22.5, 26.0, 27.5, 28.0, 28.5, 29.5)
+
+
+def _extreme_block(model, reference, bound):
+    """Assert that every extreme-block cell is ok and that each reported
+    quantity lies within ``bound(n)`` of ``reference(s_db, n)``."""
+    for cell in sweep(model, EXTREME_S, EXTREME_N).cells:
+        assert cell.error is None, (cell.s_db, cell.n, cell.error)
+        ref = reference(cell.s_db, cell.n)
+        dev = max(abs(getattr(cell.report, key) - value) for key, value in ref.items())
+        assert dev <= bound(cell.n), (cell.s_db, cell.n, dev)
+
+
 class TestReference:
     @pytest.mark.parametrize("s_db", [0.5, 2.0, 13.0, 25.5, 29.5])
     @pytest.mark.parametrize("n", [1e-9, 1e-6])
@@ -157,6 +223,49 @@ class TestReference:
             ref = standard_form_reference(a, (1 - beta) * a + beta, c)
         d_a = correlation_report(StateModel.coupler(beta).state(0.5, 0.0)).d_a
         assert d_a == pytest.approx(float(ref["d_a"]), abs=1e-9)
+
+    def test_ideal_extreme_block(self):
+        _extreme_block(StateModel.ideal(), ideal_reference, lambda n: 1e-9)
+
+    def test_realistic_extreme_block(self):
+        model = StateModel.realistic(*REALISTIC)
+
+        def reference(s_db, n):
+            return channel_reference(s_db, n, REALISTIC[2], REALISTIC[:2])
+
+        _extreme_block(model, reference, lambda n: 1e-10)
+
+    def test_coupler_extreme_block(self):
+        # At n = 0 the stored matrix's own rounding sits at a double root.
+        def bound(n):
+            return 1e-5 if n == 0.0 else 1e-7 if n < 1e-3 else 1e-9
+
+        _extreme_block(StateModel.coupler(0.01), lambda s, n: channel_reference(s, n, 0.01), bound)
+
+    @pytest.mark.parametrize("s_db", FORMER_COUPLER_FAILURES)
+    def test_former_coupler_failures(self, s_db):
+        report = correlation_report(StateModel.coupler(0.01).state(s_db, 0.0))
+        for key, value in channel_reference(s_db, 0.0, 0.01).items():
+            assert getattr(report, key) == pytest.approx(value, abs=1e-5), key
+
+    def test_gamma_takes_the_root_of_the_old_selection(self, rng):
+        import mpmath as mp
+
+        for _ in range(200):
+            V = random_physical_state(rng)
+            with mp.workdps(50):
+                m = [[4 * mp.mpf(float(x)) for x in row] for row in V.entries]
+                i1 = m[0][0] * m[1][1] - m[0][1] ** 2
+                i2 = m[2][2] * m[3][3] - m[2][3] ** 2
+                i3 = m[0][2] * m[1][3] - m[0][3] * m[1][2]
+                i4 = mp.det(mp.matrix(m))
+                a, b = mp.sqrt(i1), mp.sqrt(i2)
+                t = i1 * i2 + i3 * i3 - i4
+                # c1 -+ c2 >= 0 from ab (c1 -+ c2)^2 = t -+ 2 i3 ab
+                minus = mp.sqrt(max(t - 2 * i3 * a * b, 0) / (a * b))
+                plus = mp.sqrt(max(t + 2 * i3 * a * b, 0) / (a * b))
+                ref = gamma_reference(a, b, (plus + minus) / 2, (plus - minus) / 2)
+            assert eof_gamma(V) == pytest.approx(float(ref), abs=1e-12)
 
     def test_results_do_not_depend_on_long_double(self, monkeypatch):
         states = [
@@ -374,6 +483,26 @@ class TestCorrelationReport:
         rep_large = correlation_report(model.state(6.5, 0.3))
         assert rep_small.delta_b < 0.0 < rep_large.delta_b
 
+    def test_reads_only_the_validation_pass(self, monkeypatch):
+        calls = []
+        two_mode_nu, summary = symplectic._two_mode_nu, symplectic.SymplecticSummary
+
+        def counting_nu(invariants, partial_transpose=False):
+            calls.append("pt" if partial_transpose else "nu")
+            return two_mode_nu(invariants, partial_transpose)
+
+        def counting_summary(**fields):
+            calls.append("summary")
+            return summary(**fields)
+
+        monkeypatch.setattr(symplectic, "_two_mode_nu", counting_nu)
+        monkeypatch.setattr(symplectic, "SymplecticSummary", counting_summary)
+        V = noisy_tms(1.0, 0.3)
+        for f in (correlation_report, mutual_information, eof_gamma, lambda V: discord(V, "A")):
+            calls.clear()
+            f(V)
+            assert calls == ["nu"]
+
     def test_csv_row_format(self):
         rep = correlation_report(ideal_tms(0.5))
         row = report_to_csv_row(rep, 4.34, 0.0)
@@ -381,11 +510,3 @@ class TestCorrelationReport:
         assert len(fields) == 9
         assert float(fields[0]) == 4.34
         assert float(fields[2]) == pytest.approx(rep.d_a)
-
-    def test_json_fields(self):
-        rep = correlation_report(ideal_tms(0.5))
-        doc = json.loads(report_to_json(rep, s_db=4.34, n=0.1))
-        for key in ("d_a", "d_b", "e_f", "i_ab", "delta_a", "delta_b", "delta_ab", "gamma"):
-            assert key in doc
-        assert doc["s_db"] == 4.34
-        assert doc["n"] == 0.1

@@ -15,8 +15,6 @@ from tmsflow.states import (
     inject_noise_ideal,
     jpa_noise,
     realistic_tms,
-    scenario_from_json,
-    scenario_to_json,
     squeezing_db_to_r,
     squeezing_r_to_db,
     thermal,
@@ -235,19 +233,6 @@ class TestEveTms:
 
 
 class TestScenarioFiles:
-    def test_roundtrip_realistic(self):
-        model = StateModel.realistic(0.05, 0.56, 0.01)
-        text = scenario_to_json(model, 6.5, 0.3)
-        back, s_db, n = scenario_from_json(text)
-        assert back == model
-        assert (s_db, n) == (6.5, 0.3)
-
-    def test_omitted_jpa_means_ideal_chain(self):
-        model, s_db, n = scenario_from_json('{"squeezing_db": 4.0, "noise_photons": 0.2}')
-        assert model.kind == "ideal"
-        ref = inject_noise_ideal(ideal_tms(squeezing_db_to_r(4.0)), 0.2)
-        assert np.allclose(model.state(s_db, n).entries, ref.entries)
-
     def test_jpa_requires_coupler(self):
         with pytest.raises(BadCouplingError):
             StateModel(jpa=JpaNoiseModel(0.05, 0.56))
