@@ -5,10 +5,12 @@ interest: the entanglement sudden-death point ``n_sd`` (in closed form)
 and the discord/EoF crossover point ``n_c`` per discord flavor.
 
 Flavors: "A" and "B" locate the root of the corresponding
-information-flow difference ``delta_A`` / ``delta_B`` on the unit noise
-interval.  "AB" is the arithmetic mean of the A and B crossover points,
-which is the quantity whose minimum over the squeezing level sits near
-(5.7 dB, 0.23); the root of ``delta_AB`` itself lies lower and elsewhere.
+information-flow difference ``delta_A`` / ``delta_B`` by bisection on the
+bracket ``[1e-3, n_sd]``: at the sudden-death point the EoF bound is zero
+while the discord is not, so ``delta(n_sd) = D > 0``.  "AB" is the
+arithmetic mean of the A and B crossover points, which is the quantity
+whose minimum over the squeezing level sits near (5.7 dB, 0.23); the root
+of ``delta_AB`` itself lies lower and elsewhere.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .correlations import (
     REPORT_CSV_HEADER,
@@ -27,9 +27,6 @@ from .correlations import (
 )
 from .errors import DomainError, NoSignChangeError, TmsflowError
 from .states import SqueezingSpec, StateModel, jpa_noise
-
-# Log-spaced default scan grid; the crossover scans its points below n = 1.
-FEATURE_GRID = np.logspace(-3.0, np.log10(4.0), 41)
 
 
 @dataclass(frozen=True)
@@ -86,6 +83,7 @@ class CrossoverResult:
     flavor: str
     s_db: float
     n_c: float
+    # (1e-3, n_sd): delta < 0 at the lower end, delta(n_sd) = D > 0 at the upper.
     bracket: tuple[float, float]
 
 
@@ -100,27 +98,6 @@ def _bisect_root(f, lo: float, hi: float, f_lo: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _curve_root(curve, grid: np.ndarray) -> tuple[float, tuple[float, float]]:
-    """Root of ``curve`` located from a grid scan plus exact-model bisection.
-
-    The first grid interval whose exact end values change sign brackets
-    the root (a grid point where the curve is exactly zero is returned
-    as is when the curve changes sign across it); one bisection pass on
-    the exact curve then polishes it.
-    """
-    values = np.array([curve(n) for n in grid])
-    for i in range(len(grid) - 1):
-        a, b = values[i], values[i + 1]
-        if a == 0.0 and i > 0 and values[i - 1] * b < 0.0:
-            return float(grid[i]), (float(grid[i]), float(grid[i]))
-        if a * b < 0.0:
-            root = _bisect_root(curve, float(grid[i]), float(grid[i + 1]), float(a))
-            return root, (float(grid[i]), float(grid[i + 1]))
-    raise NoSignChangeError(
-        f"no sign change found on [{grid[0]:.4g}, {grid[-1]:.4g}]"
-    )
 
 
 def sudden_death_point(model: StateModel, s_db: float) -> float:
@@ -149,23 +126,21 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
     """Crossover noise photon number n_c for one discord flavor.
 
     For flavors A and B, n_c is the root of the corresponding
-    information-flow difference on the open unit interval (the curves are
-    negative below the crossover and positive above).  Flavor AB returns
-    the arithmetic mean of the A and B crossover points, bracketed by the
-    hull of the two component brackets.
+    information-flow difference ``delta = D - E_F``, negative below n_c and
+    positive above.  The bracket is ``[1e-3, n_sd]`` with the closed-form
+    sudden-death point: there ``E_F = 0`` while the state is still
+    correlated, so ``delta(n_sd) = D > 0``, and beyond it the signed
+    ``E_F`` is negative, so no root with that orientation lies above.  The
+    curve must be negative at 1e-3 and positive at ``n_sd``, otherwise
+    :class:`NoSignChangeError` is raised; plain bisection keeps that
+    orientation at every step.  Flavor AB returns the arithmetic mean of
+    the A and B crossover points, which share the bracket.
     """
     if flavor == "AB":
         res_a = crossover_point(model, s_db, "A")
         res_b = crossover_point(model, s_db, "B")
-        bracket = (
-            min(res_a.bracket[0], res_b.bracket[0]),
-            max(res_a.bracket[1], res_b.bracket[1]),
-        )
         return CrossoverResult(
-            flavor="AB",
-            s_db=s_db,
-            n_c=0.5 * (res_a.n_c + res_b.n_c),
-            bracket=bracket,
+            flavor="AB", s_db=s_db, n_c=0.5 * (res_a.n_c + res_b.n_c), bracket=res_a.bracket
         )
     if flavor not in ("A", "B"):
         raise DomainError(f"flavor must be 'A', 'B' or 'AB', got {flavor!r}")
@@ -174,9 +149,16 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
         rep = correlation_report(model.state(s_db, n))
         return rep.delta_a if flavor == "A" else rep.delta_b
 
-    grid = FEATURE_GRID[FEATURE_GRID < 1.0]
-    root, bracket = _curve_root(delta, grid)
-    return CrossoverResult(flavor=flavor, s_db=s_db, n_c=root, bracket=bracket)
+    lo, hi = 1e-3, sudden_death_point(model, s_db)
+    d_lo, d_hi = delta(lo), delta(hi)
+    if not d_lo < 0.0 < d_hi:
+        raise NoSignChangeError(
+            f"delta_{flavor} does not go from negative to positive on [{lo:.4g}, {hi:.4g}] "
+            f"(delta({lo:.4g}) = {d_lo:.3e}, delta(n_sd) = {d_hi:.3e})"
+        )
+    return CrossoverResult(
+        flavor=flavor, s_db=s_db, n_c=_bisect_root(delta, lo, hi, d_lo), bracket=(lo, hi)
+    )
 
 
 # ---------------------------------------------------------------------------

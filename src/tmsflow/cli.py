@@ -419,6 +419,8 @@ def _cmd_gen_synthetic(args, config) -> int:
     chi2 = _finite(_merged(args, config, "chi2", 0.56), "chi2")
     beta = _finite(_merged(args, config, "beta", DEFAULT_COUPLING), "beta")
     noise = _finite(_merged(args, config, "noise", 0.0), "noise")
+    if noise < 0.0:
+        raise ConfigError(f"noise amplitude must be >= 0, got {noise}")
     seed = _merged(args, config, "seed")
     if seed is not None and (type(seed) is not int or seed < 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")

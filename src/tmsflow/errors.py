@@ -46,7 +46,7 @@ class NumericalError(TmsflowError):
 
 class NoSignChangeError(TmsflowError):
     """Root bracketing failed: the target function does not change sign on
-    the scanned interval."""
+    the bracket."""
 
 
 class ModelFailureError(TmsflowError):

@@ -161,6 +161,8 @@ def synthetic_records(
 ) -> list[MeasurementRecord]:
     """Model-generated records, optionally with Gaussian perturbations of
     the given amplitude on every observable."""
+    if not noise >= 0.0:
+        raise DomainError(f"noise amplitude must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     records = []
     for s_db in s_values:

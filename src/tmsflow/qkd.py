@@ -35,6 +35,8 @@ from .states import eve_tms, ideal_tms, squeezing_db_to_r
 _LN2 = math.log(2.0)
 
 DEFAULT_CLONER_COUPLING = 1e-4
+# Noise interval on which key_threshold looks for K = 0.
+_KEY_BRACKET = (1e-4, 2.0)
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,10 @@ def key_threshold(
     s_db: float,
     tolerance: float = 1e-6,
     beta: float = DEFAULT_CLONER_COUPLING,
-    bracket: tuple[float, float] = (1e-4, 2.0),
 ) -> float:
     """Noise photon number n_q at which the secret key changes sign.
 
-    Bisection on the bracket; the key must be positive at the lower end
+    Bisection on ``[1e-4, 2]``; the key must be positive at the lower end
     and negative at the upper end (it decreases with noise), otherwise
     :class:`NoSignChangeError` is raised.  The bracket is bisected down to
     relative width 1e-12 and the midpoint is verified to satisfy
@@ -167,7 +168,7 @@ def key_threshold(
     def key_at(n_q: float) -> float:
         return secret_key(QkdScenario(r=r, n_q=n_q, beta=beta)).key
 
-    lo, hi = bracket
+    lo, hi = _KEY_BRACKET
     k_lo, k_hi = key_at(lo), key_at(hi)
     if not (k_lo > 0.0 > k_hi):
         raise NoSignChangeError(

@@ -201,7 +201,8 @@ def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
     if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
         violations.append("asymmetric beyond 1e-12 relative tolerance")
 
-    sym = 0.5 * (m + m.T)
+    half = 0.5 * m  # halved first: m + m.T overflows beyond 9e307
+    sym = half + half.T
     eigs = np.linalg.eigvalsh(sym)
     invariants = _exact_invariants(sym) if V.n_modes == 2 else None
     min_nu: float | None = None

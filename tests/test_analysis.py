@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tmsflow.analysis import (
-    FEATURE_GRID,
     crossover_point,
     sudden_death_point,
     sweep,
@@ -32,6 +31,74 @@ def sudden_death_reference(model, s_db):
         c2 = (1 - beta) * mp.sinh(2 * r) ** 2
         b = (1 + p * p * c2 / (p * a - 1)) / p
         return float((b - (1 - beta) * a - beta) / 2)
+
+
+TABLE_MODELS = {
+    "ideal": IDEAL,
+    "coupler-0.01": StateModel.coupler(0.01),
+    "coupler-0.3": StateModel.coupler(0.3),
+    "realistic": REALISTIC,
+}
+
+# (n_c A, n_c B) per model and squeezing level (dB), as found by a scan of
+# 34 log-spaced points on [1e-3, 0.93] plus bisection; None where no
+# crossover exists.  Coupler 0.3 flavor A at 2 and 3 dB is None although
+# that scan returned 1.23e-3 and 5.47e-3: delta_A is positive at 1e-3
+# there and those are its + -> - crossings.
+CROSSOVER_TABLE = {
+    "ideal": {
+        0.0: (None, None),
+        0.05: (0.6773818368839064, None),
+        0.3: (0.6172557750298941, None),
+        0.7: (0.5729244432770846, None),
+        1.0: (0.5488483883502302, 0.002220375685848267),
+        2.0: (0.48746004865912723, 0.014116335111930339),
+        3.0: (0.4386400480004534, 0.03622114149191555),
+        6.0: (0.3337728841225594, 0.12039859124832139),
+        12.0: (0.2668386618919344, 0.21826634195818487),
+        30.0: (0.2565198756563103, 0.2557970806765618),
+        100.0: (0.25641942024266784, 0.25641942024266784),
+    },
+    "coupler-0.01": {
+        0.0: (None, None),
+        0.05: (0.6684129336237576, None),
+        0.3: (0.6083679149720969, 0.0018943202167069871),
+        0.7: (0.5640452787062507, 0.003956399334431871),
+        1.0: (0.5399488048267378, 0.006024566177231002),
+        2.0: (0.47839733736264345, 0.018079827798982533),
+        3.0: (0.42930216126198684, 0.039024752580205435),
+        6.0: (0.3234619344016003, 0.12029874095078594),
+        12.0: (0.25656359046886845, 0.21614385712926018),
+        30.0: (0.24672955468197824, 0.2530636136889751),
+        100.0: (0.24663865089389386, 0.2536767673492448),
+    },
+    "coupler-0.3": {
+        0.0: (None, None),
+        0.05: (0.4175778094670749, 0.0038878308558441196),
+        0.3: (0.3620455175669602, 0.008922947347609737),
+        0.7: (0.3194613614334636, 0.015377731404940378),
+        1.0: (0.29540680905143146, 0.020162091835632782),
+        2.0: (None, 0.03692793750940633),
+        3.0: (None, 0.054714108955075086),
+        6.0: (0.002369136238320806, 0.10502119510653984),
+        12.0: (0.016618744243249946, 0.1605840889299226),
+        30.0: (0.025860050584001204, 0.18259072051085282),
+        100.0: (0.026027655601294837, 0.18296024799364832),
+    },
+    "realistic": {
+        0.0: (None, None),
+        0.05: (None, None),
+        0.3: (None, None),
+        0.7: (None, None),
+        1.0: (0.01618076178379858, 0.002434204880319932),
+        2.0: (0.08577579677163016, 0.011104479437340994),
+        3.0: (0.1224731264644213, 0.021106613570651345),
+        6.0: (0.14120437821011783, 0.0653709252312568),
+        12.0: (0.13633398366407878, 0.12366039506624013),
+        30.0: (0.037550784171577284, 0.038747112590540214),
+        100.0: (None, None),
+    },
+}
 
 
 class TestSweep:
@@ -164,7 +231,42 @@ class TestCrossover:
         with pytest.raises(DomainError):
             crossover_point(IDEAL, 6.0, "C")
 
-    def test_feature_grid_shape(self):
-        assert FEATURE_GRID[0] == pytest.approx(1e-3)
-        assert FEATURE_GRID[-1] == pytest.approx(4.0)
-        assert len(FEATURE_GRID) == 41
+    @pytest.mark.parametrize("name", sorted(CROSSOVER_TABLE))
+    def test_status_and_values_match_the_table(self, name):
+        model = TABLE_MODELS[name]
+        for s_db, expected in CROSSOVER_TABLE[name].items():
+            found = {}
+            for flavor, n_ref in zip("AB", expected):
+                if n_ref is None:
+                    with pytest.raises(NoSignChangeError):
+                        crossover_point(model, s_db, flavor)
+                    continue
+                n_c = found[flavor] = crossover_point(model, s_db, flavor).n_c
+                assert n_c == pytest.approx(n_ref, abs=2e-12 if s_db >= 0.1 else 1e-9), (s_db, flavor)
+                below = correlation_report(model.state(s_db, 0.999 * n_c))
+                above = correlation_report(model.state(s_db, 1.001 * n_c))
+                key = "delta_a" if flavor == "A" else "delta_b"
+                assert getattr(below, key) < 0.0 < getattr(above, key), (s_db, flavor)
+            if len(found) == 2:
+                n_ab = crossover_point(model, s_db, "AB").n_c
+                assert n_ab == 0.5 * (found["A"] + found["B"])
+            else:
+                with pytest.raises(NoSignChangeError):
+                    crossover_point(model, s_db, "AB")
+
+    @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+    def test_evaluations_per_root(self, name, monkeypatch):
+        import tmsflow.analysis
+
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return correlation_report(state)
+
+        monkeypatch.setattr(tmsflow.analysis, "correlation_report", counted)
+        for s_db in (1.0, 6.0, 30.0):
+            for flavor in "AB":
+                calls.clear()
+                crossover_point(TABLE_MODELS[name], s_db, flavor)
+                assert len(calls) <= 45, (s_db, flavor, len(calls))

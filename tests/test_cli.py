@@ -304,6 +304,7 @@ class TestScalarInputs:
                 "line 3",
             ),
             (["features", "--s", "6", "--what", "xyz"], "nsd, nc"),
+            (["gen-synthetic", "--noise", "-1"], "noise amplitude"),
         ],
     )
     def test_out_of_range_parameter_is_usage_error(self, argv, message, tmp_path, capsys):
@@ -327,6 +328,13 @@ class TestScalarInputs:
         assert main(argv + ["--out", str(out)]) == 3
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 1 and "amplifier noise at gain 1e+300 overflows" in rows[0]
+
+    def test_amplifier_noise_near_the_double_range_marks_cells(self, tmp_path):
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--s", "1,2", "--n", "1.5", "--model", "realistic", "--chi1", "1e308"]
+        assert main(argv + ["--out", str(out)]) == 3
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 2 and all("exact invariant beyond the double range" in r for r in rows)
 
     @pytest.mark.parametrize(
         "argv", [["sweep", "--n", "0.1"], ["features"], ["qkd", "--nq", "0.1"]]

@@ -106,6 +106,11 @@ class TestFit:
         assert result.chi1 >= 0.0
         assert result.clamp_activations > 0
 
+    @pytest.mark.parametrize("noise", [-1.0, -1e-12, float("nan")])
+    def test_synthetic_records_reject_a_bad_noise_amplitude(self, noise):
+        with pytest.raises(DomainError, match="noise amplitude"):
+            synthetic_records([6.0], [0.1], noise=noise)
+
 
 class TestRecordsCsv:
     def test_roundtrip(self, clean_records):

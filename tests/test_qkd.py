@@ -302,8 +302,9 @@ class TestKeyThreshold:
         assert max(values) < 0.27
 
     def test_no_sign_change(self):
+        # K(1e-4) is already negative at 0.005 dB
         with pytest.raises(NoSignChangeError):
-            key_threshold(10.0, bracket=(1.5, 2.0))
+            key_threshold(0.005)
 
     def test_domain(self):
         with pytest.raises(DomainError):

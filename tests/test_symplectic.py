@@ -80,6 +80,12 @@ class TestValidate:
             scale * validate(V).min_symplectic_eigenvalue, rel=1e-12, abs=0.0
         )
 
+    def test_entries_near_the_double_range(self):
+        # m + m.T leaves the double range here; symmetrising must not
+        verdict = validate(CovarianceMatrix(np.diag([1.5e308, 1.5e308, 1e308, 1e308])))
+        assert verdict.ok
+        assert verdict.min_symplectic_eigenvalue == 1e308
+
     def test_nan_raises(self):
         m = 0.25 * np.eye(4)
         m[2, 2] = np.nan
