@@ -35,15 +35,12 @@ from .symplectic import (
 )
 from .states import (
     JpaNoiseModel,
-    NoiseChannelSpec,
-    SqueezingSpec,
     StateModel,
     eve_tms,
     ideal_tms,
     inject_noise_coupler,
     inject_noise_ideal,
     jpa_noise,
-    realistic_tms,
     squeezing_db_to_r,
     squeezing_r_to_db,
     thermal,

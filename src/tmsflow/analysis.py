@@ -26,7 +26,7 @@ from .correlations import (
     report_to_csv_row,
 )
 from .errors import DomainError, NoSignChangeError, TmsflowError
-from .states import SqueezingSpec, StateModel, jpa_noise
+from .states import StateModel, _squeezing_factor
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,20 @@ def sudden_death_point(model: StateModel, s_db: float) -> float:
     """Noise photon number where the EoF bound crosses zero.
 
     Closed form, since the separability boundary ``(a - 1)(b - 1) = c^2``
-    of every model is linear in n: with ``delta = 2 sinh^2 r``,
-    ``p = 1 + 2 n_jpa(e^{2r})`` (1 without amplifier) and ``beta = 0`` for
-    the ideal model, ``n_sd = [delta p (2 - beta (1 + p)) - (p - 1)^2] /
-    [2p (p delta + (p - 1))]``; exactly 1 for the ideal channel and
-    ``1 - beta`` for the coupler at every squeezing level.  Raises
+    of every model is linear in n: with ``delta = 2 sinh^2 r``, the
+    model's amplifier prefactor ``p = 1 + 2 n_jpa(e^{2r})``
+    (:meth:`StateModel.amplifier_prefactor`, 1 without amplifier) and
+    ``beta = 0`` for the ideal model, ``n_sd = [delta p (2 - beta (1 + p))
+    - (p - 1)^2] / [2p (p delta + (p - 1))]``; exactly 1 for the ideal
+    channel and ``1 - beta`` for the coupler at every squeezing level.  No
+    state is built.  The squeezing level is checked as in
+    :meth:`StateModel.state`, with the same errors; raises
     :class:`NoSignChangeError` when the state is separable even at n = 0.
     """
-    r = SqueezingSpec.from_db(s_db).factor
+    r = _squeezing_factor(s_db)
     delta = 2.0 * math.sinh(r) ** 2
     beta = model.coupling_beta or 0.0
-    p = 1.0 if model.jpa is None else 1.0 + 2.0 * jpa_noise(math.exp(2.0 * r), model.jpa)
+    p = model.amplifier_prefactor(r)
     # (p - 1) * (p - 1) rounds to inf where (p - 1) ** 2 would raise OverflowError.
     num = delta * p * (2.0 - beta * (1.0 + p)) - (p - 1.0) * (p - 1.0)
     if not num > 0.0:

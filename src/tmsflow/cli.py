@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -116,6 +117,14 @@ def _merged(args: argparse.Namespace, config: dict, key: str, default=None):
     return default
 
 
+def _path(args: argparse.Namespace, config: dict, key: str) -> str | None:
+    """A path-valued flag or config key: a non-empty string, or None if unset."""
+    path = _merged(args, config, key)
+    if path is not None and not (isinstance(path, str) and path):
+        raise ConfigError(f"{key} must be a non-empty path, got {path!r}")
+    return path
+
+
 def _checked(build, *args, **kwargs):
     """``build(*args, **kwargs)``; a parameter it rejects is a usage error."""
     try:
@@ -153,6 +162,12 @@ def _build_model(args, config) -> StateModel:
     raise ConfigError(f"unknown model {name!r} (ideal | coupler | realistic)")
 
 
+def _model_echo(model: StateModel) -> dict:
+    """The model's kind, beta and chi1/chi2 for a meta echo (None is not echoed)."""
+    jpa = dataclasses.asdict(model.jpa) if model.jpa else {}
+    return {"model": model.kind, "beta": model.coupling_beta, **jpa}
+
+
 def _meta_config(pairs: dict) -> str:
     return json.dumps({k: v for k, v in sorted(pairs.items()) if v is not None})
 
@@ -181,6 +196,7 @@ def _json_with_meta(payload: str, config_echo: str) -> str:
 
 
 def _cmd_sweep(args, config) -> int:
+    out = _path(args, config, "out")
     model = _checked(_build_model, args, config)
     s_spec = _merged(args, config, "s")
     n_spec = _merged(args, config, "n")
@@ -188,14 +204,12 @@ def _cmd_sweep(args, config) -> int:
         raise ConfigError("sweep needs both --s and --n grids")
     s_vals, n_vals = parse_grid(s_spec), parse_grid(n_spec)
     grid = _checked(sweep, model, s_vals, n_vals)  # rejects only a malformed axis
-    echo = _meta_config(
-        {"command": "sweep", "s": s_spec, "n": n_spec, "model": model.kind}
-    )
+    echo = _meta_config({"command": "sweep", "s": s_spec, "n": n_spec, **_model_echo(model)})
     fmt = _merged(args, config, "format", "csv")
     if fmt == "json":
-        _emit(_json_with_meta(sweep_to_json(grid), echo), _merged(args, config, "out"))
+        _emit(_json_with_meta(sweep_to_json(grid), echo), out)
     elif fmt == "csv":
-        _emit(_csv_header_lines(echo) + sweep_to_csv(grid), _merged(args, config, "out"))
+        _emit(_csv_header_lines(echo) + sweep_to_csv(grid), out)
     else:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     if all(cell.report is None for cell in grid.cells):
@@ -204,6 +218,7 @@ def _cmd_sweep(args, config) -> int:
 
 
 def _cmd_features(args, config) -> int:
+    out = _path(args, config, "out")
     model = _checked(_build_model, args, config)
     s_spec = _merged(args, config, "s")
     if s_spec is None:
@@ -221,7 +236,7 @@ def _cmd_features(args, config) -> int:
             "s": s_spec,
             "what": ",".join(what),
             "flavors": ",".join(flavors),
-            "model": model.kind,
+            **_model_echo(model),
         }
     )
     cols = ["s_db"]
@@ -255,7 +270,7 @@ def _cmd_features(args, config) -> int:
         row.append("ok" if not notes else "; ".join(notes).replace(",", ";"))
         successes += 1 if ok else 0
         lines.append(",".join(row))
-    _emit(_csv_header_lines(echo) + "\n".join(lines) + "\n", _merged(args, config, "out"))
+    _emit(_csv_header_lines(echo) + "\n".join(lines) + "\n", out)
     return 0 if successes else 3
 
 
@@ -276,6 +291,8 @@ def _crossover_n_c(model: StateModel, s_db: float, flavor: str, solved: dict) ->
 
 
 def _cmd_qkd(args, config) -> int:
+    out = _path(args, config, "out")
+    threshold_out = _path(args, config, "threshold-out")
     s_spec = _merged(args, config, "s")
     nq_spec = _merged(args, config, "nq")
     if s_spec is None or nq_spec is None:
@@ -296,9 +313,8 @@ def _cmd_qkd(args, config) -> int:
                 scenario = _checked(QkdScenario, squeezing_db_to_r(s_db), n_q, beta)
                 rows.append(key_result_to_csv_row(s_db, n_q, secret_key(scenario)))
         text = _csv_header_lines(echo) + QKD_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
-    _emit(text, _merged(args, config, "out"))
+    _emit(text, out)
 
-    threshold_out = _merged(args, config, "threshold-out")
     if threshold_out:
         tl = ["s_db,n_q_threshold,status"]
         any_ok = False
@@ -315,8 +331,9 @@ def _cmd_qkd(args, config) -> int:
 
 
 def _cmd_fit(args, config) -> int:
-    path = _merged(args, config, "records")
-    if not path:
+    out = _path(args, config, "out")
+    path = _path(args, config, "records")
+    if path is None:
         raise ConfigError("fit needs --records FILE")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -346,13 +363,15 @@ def _cmd_fit(args, config) -> int:
             "beta": beta,
         }
     )
-    _emit(_json_with_meta(fit_result_to_json(result), echo), _merged(args, config, "out"))
+    _emit(_json_with_meta(fit_result_to_json(result), echo), out)
     return 0
 
 
 def _cmd_tomo(args, config) -> int:
-    path = _merged(args, config, "samples")
-    if not path:
+    covariance_out = _path(args, config, "covariance-out")
+    cumulants_out = _path(args, config, "cumulants-out")
+    path = _path(args, config, "samples")
+    if path is None:
         raise ConfigError("tomo needs --samples FILE")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -362,30 +381,29 @@ def _cmd_tomo(args, config) -> int:
     except ValueError as exc:
         raise ConfigError(f"malformed samples CSV: {exc}") from None
     threshold = _finite(_merged(args, config, "threshold", 5.0), "threshold")
+    project = _merged(args, config, "project")
+    if project is not None and not isinstance(project, bool):
+        raise ConfigError(f"project must be true or false, got {project!r}")
     echo = _meta_config(
-        {"command": "tomo", "samples": path, "threshold": threshold}
+        # "project" is echoed only when set, so un-projected outputs keep their bytes
+        {"command": "tomo", "samples": path, "threshold": threshold, "project": project or None}
     )
     try:
         report = cumulants(samples, threshold=threshold)
     except DomainError as exc:  # a constant column
         raise ConfigError(f"samples: {exc}") from None
     cov = covariance_from_samples(samples)
-    if _merged(args, config, "project"):
+    if project:
         cov = project_to_physical(cov)
-    _emit(
-        _json_with_meta(covariance_to_json(cov), echo),
-        _merged(args, config, "covariance-out"),
-    )
-    _emit(
-        _json_with_meta(cumulant_report_to_json(report), echo),
-        _merged(args, config, "cumulants-out"),
-    )
+    _emit(_json_with_meta(covariance_to_json(cov), echo), covariance_out)
+    _emit(_json_with_meta(cumulant_report_to_json(report), echo), cumulants_out)
     return 0
 
 
 def _cmd_validate(args, config) -> int:
-    path = _merged(args, config, "state")
-    if not path:
+    out = _path(args, config, "out")
+    path = _path(args, config, "state")
+    if path is None:
         raise ConfigError("validate needs --state FILE")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -408,11 +426,12 @@ def _cmd_validate(args, config) -> int:
         }
     )
     echo = _meta_config({"command": "validate", "state": path})
-    _emit(_json_with_meta(payload, echo), _merged(args, config, "out"))
+    _emit(_json_with_meta(payload, echo), out)
     return 0
 
 
 def _cmd_gen_synthetic(args, config) -> int:
+    out = _path(args, config, "out")
     s_spec = _merged(args, config, "s", "3:9:1.5")
     n_spec = _merged(args, config, "n", "0,0.1,0.25,0.5,1,2")
     chi1 = _finite(_merged(args, config, "chi1", 0.05), "chi1")
@@ -445,7 +464,7 @@ def _cmd_gen_synthetic(args, config) -> int:
             "seed": seed,
         }
     )
-    _emit(_csv_header_lines(echo) + records_to_csv(records), _merged(args, config, "out"))
+    _emit(_csv_header_lines(echo) + records_to_csv(records), out)
     return 0
 
 
@@ -506,7 +525,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--samples", help="CSV with header I1,Q1,I2,Q2")
     p.add_argument("--threshold", type=float, help="Gaussianity threshold in standard errors")
-    p.add_argument("--project", action="store_true", help="clamp the spectrum to physical")
+    p.add_argument(
+        "--project", action="store_true", default=None, help="clamp the spectrum to physical"
+    )
     p.add_argument("--covariance-out", dest="covariance_out")
     p.add_argument("--cumulants-out", dest="cumulants_out")
 

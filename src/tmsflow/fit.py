@@ -59,10 +59,12 @@ class FitResult:
     clamp_activations: int = 0
 
 
-def _model_observables(
-    s_db: float, n: float, chi: tuple[float, float], coupling_beta: float
-) -> tuple[float, float, float]:
-    model = StateModel.realistic(chi1=max(chi[0], 0.0), chi2=chi[1], beta=coupling_beta)
+def _fit_model(chi: tuple[float, float], coupling_beta: float) -> StateModel:
+    """The realistic model at chi, with chi1 clamped to >= 0."""
+    return StateModel.realistic(chi1=max(chi[0], 0.0), chi2=chi[1], beta=coupling_beta)
+
+
+def _model_observables(model: StateModel, s_db: float, n: float) -> tuple[float, float, float]:
     rep = correlation_report(model.state(s_db, n))
     return rep.d_a, rep.d_b, rep.e_f
 
@@ -77,10 +79,11 @@ def cost(
     if not records:
         raise DomainError("cost needs at least one record")
     w1, w2, w3 = weights
+    model = _fit_model(chi, coupling_beta)
     total = 0.0
     for idx, rec in enumerate(records):
         try:
-            d_a, d_b, e_f = _model_observables(rec.s_db, rec.n, chi, coupling_beta)
+            d_a, d_b, e_f = _model_observables(model, rec.s_db, rec.n)
         except TmsflowError as exc:
             raise ModelFailureError(
                 f"model evaluation failed for record {idx} "
@@ -163,11 +166,12 @@ def synthetic_records(
     the given amplitude on every observable."""
     if not noise >= 0.0:
         raise DomainError(f"noise amplitude must be >= 0, got {noise}")
+    model = _fit_model(chi, coupling_beta)
     rng = np.random.default_rng(seed)
     records = []
     for s_db in s_values:
         for n in n_values:
-            d_a, d_b, e_f = _model_observables(float(s_db), float(n), chi, coupling_beta)
+            d_a, d_b, e_f = _model_observables(model, float(s_db), float(n))
             if noise > 0.0:
                 d_a += noise * rng.standard_normal()
                 d_b += noise * rng.standard_normal()

@@ -2,8 +2,11 @@
 
 Covers ideal two-mode squeezed (TMS) states, local noise injection into
 mode B (both the ideal large-bath limit and the explicit directional
-coupler), the amplifier-noise-dressed model used for fitting, and the
-squeezing-level conversions.
+coupler) and the squeezing-level conversions.  :class:`StateModel` maps
+(squeezing level, injected noise) to a state for each of the three noise
+models; it alone checks a model's parameters (the coupling beta once, when
+the model is built) and knows the amplifier prefactor of the model used
+for fitting.
 
 Squeezing conventions: the TMS state is the 50:50 superposition of a
 q-squeezed mode A and a p-squeezed mode B with equal squeezing factor r,
@@ -45,26 +48,6 @@ def squeezing_r_to_db(r: float) -> float:
 
 
 @dataclass(frozen=True)
-class SqueezingSpec:
-    """Squeezing strength, carried both as a level S (dB) and a factor r."""
-
-    level_db: float
-    factor: float
-
-    @classmethod
-    def from_db(cls, level_db: float) -> "SqueezingSpec":
-        if level_db < 0:
-            raise DomainError(f"squeezing level must be >= 0 dB, got {level_db}")
-        return cls(level_db=level_db, factor=squeezing_db_to_r(level_db))
-
-    @classmethod
-    def from_factor(cls, r: float) -> "SqueezingSpec":
-        if r < 0:
-            raise DomainError(f"squeezing factor must be >= 0, got {r}")
-        return cls(level_db=squeezing_r_to_db(r), factor=r)
-
-
-@dataclass(frozen=True)
 class JpaNoiseModel:
     """Gain-dependent amplifier noise, n(G) = chi1 * (G - 1)**chi2."""
 
@@ -74,43 +57,6 @@ class JpaNoiseModel:
     def __post_init__(self) -> None:
         if self.chi1 < 0:
             raise DomainError(f"chi1 must be >= 0, got {self.chi1}")
-
-
-@dataclass(frozen=True)
-class NoiseChannelSpec:
-    """Directional-coupler noise injection parameters.
-
-    ``coupling_beta`` is the power coupling of the coupler,
-    ``env_photons`` the thermal photon number at the coupled port, and
-    ``effective_n = coupling_beta * env_photons`` the injected noise photon
-    number seen by mode B.
-    """
-
-    coupling_beta: float
-    env_photons: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.coupling_beta < 1.0:
-            raise BadCouplingError(
-                f"power coupling must lie in (0, 1), got {self.coupling_beta}"
-            )
-        if self.env_photons < 0:
-            raise DomainError(f"environment photon number must be >= 0, got {self.env_photons}")
-
-    @property
-    def effective_n(self) -> float:
-        return self.coupling_beta * self.env_photons
-
-    @classmethod
-    def from_injected_noise(cls, coupling_beta: float, n: float) -> "NoiseChannelSpec":
-        """Build from the injected photon number n, using env = n / beta."""
-        if n < 0:
-            raise DomainError(f"injected noise photon number must be >= 0, got {n}")
-        if not 0.0 < coupling_beta < 1.0:
-            raise BadCouplingError(
-                f"power coupling must lie in (0, 1), got {coupling_beta}"
-            )
-        return cls(coupling_beta=coupling_beta, env_photons=n / coupling_beta)
 
 
 _SIGMA_Z = np.diag([1.0, -1.0])
@@ -136,13 +82,19 @@ def _tms_matrix(diag: float, off: float) -> np.ndarray:
     return m
 
 
-def ideal_tms(spec: SqueezingSpec | float) -> TwoModeCovariance:
+def _squeezing_factor(s_db: float) -> float:
+    """The factor r of a squeezing level, which must be >= 0 dB."""
+    if s_db < 0:
+        raise DomainError(f"squeezing level must be >= 0 dB, got {s_db}")
+    return squeezing_db_to_r(s_db)
+
+
+def ideal_tms(r: float) -> TwoModeCovariance:
     """Pure two-mode squeezed state for a squeezing factor r.
 
     Diagonal blocks ``cosh(2r)/4 * I`` and cross block
     ``sinh(2r)/4 * sigma_z``; both symplectic eigenvalues equal 1/4.
     """
-    r = spec.factor if isinstance(spec, SqueezingSpec) else float(spec)
     if r < 0:
         raise DomainError(f"squeezing factor must be >= 0, got {r}")
     return CovarianceMatrix(
@@ -179,19 +131,35 @@ def inject_noise_ideal(V: TwoModeCovariance, n: float) -> TwoModeCovariance:
     return CovarianceMatrix(m)
 
 
-def inject_noise_coupler(V: TwoModeCovariance, spec: NoiseChannelSpec) -> TwoModeCovariance:
+def _check_coupling(beta: float) -> None:
+    if not 0.0 < beta < 1.0:
+        raise BadCouplingError(f"power coupling must lie in (0, 1), got {beta}")
+
+
+def inject_noise_coupler(
+    V: TwoModeCovariance, beta: float, env_photons: float
+) -> TwoModeCovariance:
     """Couple mode B to a thermal environment through a directional coupler.
 
-    B block becomes ``(1 - beta) * B + beta * (1 + 2 env) / 4 * I`` and the
-    cross block is scaled by ``sqrt(1 - beta)``; equivalent to appending a
-    thermal mode, applying the asymmetric beam splitter, and tracing it
-    out.
+    ``beta`` is the power coupling and ``env_photons`` the thermal photon
+    number at the coupled port, so ``beta * env_photons`` photons reach
+    mode B.  B block becomes ``(1 - beta) * B + beta * (1 + 2 env) / 4 * I``
+    and the cross block is scaled by ``sqrt(1 - beta)``; equivalent to
+    appending a thermal mode, applying the asymmetric beam splitter, and
+    tracing it out.
     """
+    _check_coupling(beta)
+    if env_photons < 0:
+        raise DomainError(f"environment photon number must be >= 0, got {env_photons}")
+    return _couple(V, beta, env_photons)
+
+
+def _couple(V: TwoModeCovariance, beta: float, env_photons: float) -> TwoModeCovariance:
+    """:func:`inject_noise_coupler` on parameters already checked."""
     if V.n_modes != 2:
         raise DomainError("noise injection expects a two-mode state")
-    beta = spec.coupling_beta
     m = np.array(V.entries)
-    env_var = (1.0 + 2.0 * spec.env_photons) * VACUUM_VARIANCE
+    env_var = (1.0 + 2.0 * env_photons) * VACUUM_VARIANCE
     m[2:4, 2:4] = (1.0 - beta) * m[2:4, 2:4] + beta * env_var * np.eye(2)
     m[0:2, 2:4] *= math.sqrt(1.0 - beta)
     m[2:4, 0:2] *= math.sqrt(1.0 - beta)
@@ -208,25 +176,6 @@ def jpa_noise(G: float, jpa: JpaNoiseModel) -> float:
         return jpa.chi1 * (G - 1.0) ** jpa.chi2
     except OverflowError:
         raise NumericalError(f"amplifier noise at gain {G:.3g} overflows double precision") from None
-
-
-def realistic_tms(
-    spec: SqueezingSpec | float,
-    jpa: JpaNoiseModel,
-    channel: NoiseChannelSpec,
-) -> TwoModeCovariance:
-    """Noise-dressed TMS state: coupler channel plus amplifier noise.
-
-    The whole coupler-channel matrix is scaled by ``1 + 2 n_jpa(G)`` with
-    ``G = exp(2r)``, which is the model fitted against measured discord
-    and entanglement curves.
-    """
-    r = spec.factor if isinstance(spec, SqueezingSpec) else float(spec)
-    if r < 0:
-        raise DomainError(f"squeezing factor must be >= 0, got {r}")
-    base = inject_noise_coupler(ideal_tms(r), channel)
-    prefactor = 1.0 + 2.0 * jpa_noise(math.exp(2 * r), jpa)
-    return CovarianceMatrix(prefactor * base.entries)
 
 
 @dataclass(frozen=True)
@@ -247,7 +196,7 @@ class StateModel:
         if self.jpa is not None and self.coupling_beta is None:
             raise BadCouplingError("the amplifier-noise model needs a coupler beta")
         if self.coupling_beta is not None:
-            NoiseChannelSpec(self.coupling_beta, 0.0)  # rejects beta outside (0, 1)
+            _check_coupling(self.coupling_beta)
 
     @property
     def kind(self) -> str:
@@ -257,14 +206,25 @@ class StateModel:
             return "coupler"
         return "ideal"
 
-    def state(self, s_db: float, n: float) -> TwoModeCovariance:
-        spec = SqueezingSpec.from_db(s_db)
-        if self.coupling_beta is None:
-            return inject_noise_ideal(ideal_tms(spec), n)
-        channel = NoiseChannelSpec.from_injected_noise(self.coupling_beta, n)
+    def amplifier_prefactor(self, r: float) -> float:
+        """Scale ``1 + 2 n_jpa(e^{2r})`` of the whole realistic matrix at
+        squeezing factor r; 1 for models without amplifier noise."""
         if self.jpa is None:
-            return inject_noise_coupler(ideal_tms(spec), channel)
-        return realistic_tms(spec, self.jpa, channel)
+            return 1.0
+        return 1.0 + 2.0 * jpa_noise(math.exp(2.0 * r), self.jpa)
+
+    def state(self, s_db: float, n: float) -> TwoModeCovariance:
+        """State at squeezing level ``s_db`` (dB) with ``n`` noise photons
+        injected into mode B; the coupler's environment holds ``n / beta``."""
+        r = _squeezing_factor(s_db)
+        if self.coupling_beta is None:
+            return inject_noise_ideal(ideal_tms(r), n)
+        if n < 0:
+            raise DomainError(f"injected noise photon number must be >= 0, got {n}")
+        V = _couple(ideal_tms(r), self.coupling_beta, n / self.coupling_beta)
+        if self.jpa is None:
+            return V
+        return CovarianceMatrix(self.amplifier_prefactor(r) * V.entries)
 
     @classmethod
     def ideal(cls) -> "StateModel":

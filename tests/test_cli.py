@@ -85,6 +85,20 @@ class TestSweepCommand:
         assert "ok" in out.read_text()
 
 
+    @pytest.mark.parametrize("command", [["sweep", "--n", "0.1"], ["features", "--what", "nsd"]])
+    def test_meta_echoes_model_parameters(self, command, tmp_path):
+        echoes = {}
+        for model in ("ideal", "coupler", "realistic"):
+            out = tmp_path / f"{model}.csv"
+            params = ["--beta", "0.02", "--chi1", "0.1", "--chi2", "0.7"]
+            assert main(command + ["--s", "6", "--model", model, *params, "--out", str(out)]) == 0
+            echoes[model] = json.loads(out.read_text().splitlines()[1][len("# config: "):])
+        assert not {"beta", "chi1", "chi2"} & echoes["ideal"].keys()
+        assert echoes["coupler"]["beta"] == 0.02 and "chi1" not in echoes["coupler"]
+        realistic = echoes["realistic"]
+        assert (realistic["beta"], realistic["chi1"], realistic["chi2"]) == (0.02, 0.1, 0.7)
+
+
 class TestFeaturesCommand:
     def test_sudden_death_column_constant(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -464,6 +478,48 @@ class TestConfigFile:
 
     def test_no_command_prints_help(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("value", [7, True, ""])
+    @pytest.mark.parametrize(
+        "key, argv",
+        [
+            ("out", ["sweep", "--s", "6", "--n", "0.1"]),
+            ("records", ["fit"]),
+            ("samples", ["tomo"]),
+            ("state", ["validate"]),
+            ("threshold-out", ["qkd", "--s", "10", "--nq", "0.1"]),
+            ("covariance-out", ["tomo", "--samples", _samples_file]),
+            ("cumulants-out", ["tomo", "--samples", _samples_file]),
+        ],
+    )
+    def test_path_key_must_be_a_non_empty_string(self, key, argv, value, tmp_path, capsys):
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tmsflow: {key} must be a non-empty path, got {value!r}\n"
+
+    def test_project_config_key(self, tmp_path, capsys):
+        samples = _samples_file(tmp_path)
+
+        def covariance(*extra):
+            out = tmp_path / "cov.json"
+            argv = ["tomo", "--samples", samples, "--covariance-out", str(out)]
+            assert main(argv + ["--cumulants-out", str(tmp_path / "cum.json"), *extra]) == 0
+            return out.read_bytes()
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"project": True}))
+        projected = covariance("--config", str(cfg))
+        assert projected == covariance("--project")
+        assert json.loads(projected)["meta"]["config"]["project"] is True
+        assert "project" not in json.loads(covariance())["meta"]["config"]
+        for bad in ("yes", 1):
+            cfg.write_text(json.dumps({"project": bad}))
+            assert main(["tomo", "--samples", samples, "--config", str(cfg)]) == 2
+            assert "project must be true or false" in capsys.readouterr().err
 
 
 class TestStartup:

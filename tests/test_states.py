@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from tmsflow.errors import BadCouplingError, DomainError
+from tmsflow.analysis import sudden_death_point
 from tmsflow.states import (
     JpaNoiseModel,
-    NoiseChannelSpec,
-    SqueezingSpec,
     StateModel,
     eve_tms,
     ideal_tms,
     inject_noise_coupler,
     inject_noise_ideal,
     jpa_noise,
-    realistic_tms,
     squeezing_db_to_r,
     squeezing_r_to_db,
     thermal,
@@ -50,15 +48,11 @@ class TestSqueezingConversion:
             s_db = -10.0 * math.log10(v_s / 0.25)
             assert s_db == pytest.approx(squeezing_r_to_db(r), abs=1e-12)
 
-    def test_spec_consistency(self):
-        spec = SqueezingSpec.from_db(10.0)
-        assert spec.factor == pytest.approx(spec.level_db / (20 * math.log10(math.e)), abs=1e-12)
-        spec2 = SqueezingSpec.from_factor(spec.factor)
-        assert spec2.level_db == pytest.approx(10.0, abs=1e-12)
-
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            SqueezingSpec.from_db(-1.0)
+        with pytest.raises(DomainError, match="must be >= 0 dB"):
+            StateModel.ideal().state(-1.0, 0.0)
+        with pytest.raises(DomainError, match="must be >= 0 dB"):
+            sudden_death_point(StateModel.ideal(), -1.0)
 
     def test_largest_representable_level(self):
         assert math.isfinite(math.cosh(2 * squeezing_db_to_r(3082.5)))
@@ -113,19 +107,16 @@ class TestNoiseInjection:
         assert symplectic_summary(V).nu_pt_min == pytest.approx(0.25, abs=1e-12)
 
     def test_coupler_block_value(self):
-        spec = NoiseChannelSpec(coupling_beta=0.01, env_photons=0.0)
-        V = inject_noise_coupler(ideal_tms(1.0), spec)
+        V = inject_noise_coupler(ideal_tms(1.0), 0.01, 0.0)
         assert V.entries[2, 2] == pytest.approx(0.93364343354319879, abs=1e-14)
 
     def test_coupler_weak_limit_is_identity(self):
         V = ideal_tms(1.0)
-        spec = NoiseChannelSpec(coupling_beta=1e-12, env_photons=0.0)
-        assert np.abs(inject_noise_coupler(V, spec).entries - V.entries).max() < 1e-11
+        assert np.abs(inject_noise_coupler(V, 1e-12, 0.0).entries - V.entries).max() < 1e-11
 
     def test_coupler_matches_ideal_injection_at_weak_coupling(self):
         V = ideal_tms(1.0)
-        spec = NoiseChannelSpec.from_injected_noise(1e-4, 0.5)
-        out = inject_noise_coupler(V, spec)
+        out = inject_noise_coupler(V, 1e-4, 0.5 / 1e-4)
         ref = inject_noise_ideal(V, 0.5)
         assert np.abs(out.entries - ref.entries).max() < 1e-4
 
@@ -136,9 +127,7 @@ class TestNoiseInjection:
             beta = rng.uniform(0.001, 0.5)
             env = rng.uniform(0.0, 50.0)
             V = ideal_tms(r)
-            direct = inject_noise_coupler(
-                V, NoiseChannelSpec(coupling_beta=beta, env_photons=env)
-            )
+            direct = inject_noise_coupler(V, beta, env)
             joint = tensor(V, thermal(env))
             mixed = apply_symplectic(joint, beam_splitter(beta, 1, 2, 3))
             composed = partial_trace(mixed, [0, 1])
@@ -146,15 +135,11 @@ class TestNoiseInjection:
 
     def test_bad_coupling(self):
         with pytest.raises(BadCouplingError):
-            NoiseChannelSpec(coupling_beta=0.0, env_photons=1.0)
+            inject_noise_coupler(ideal_tms(1.0), 0.0, 1.0)
         with pytest.raises(BadCouplingError):
-            NoiseChannelSpec(coupling_beta=1.0, env_photons=1.0)
-
-    def test_effective_n_relation(self):
-        spec = NoiseChannelSpec(coupling_beta=0.01, env_photons=120.0)
-        assert spec.effective_n == pytest.approx(1.2, abs=1e-12)
-        spec2 = NoiseChannelSpec.from_injected_noise(0.01, 1.2)
-        assert spec2.env_photons == pytest.approx(120.0, abs=1e-9)
+            inject_noise_coupler(ideal_tms(1.0), 1.0, 1.0)
+        with pytest.raises(DomainError, match="environment photon number"):
+            inject_noise_coupler(ideal_tms(1.0), 0.01, -1.0)
 
 
 class TestJpaNoise:
@@ -180,18 +165,16 @@ class TestJpaNoise:
 
 class TestRealisticTms:
     def test_zero_chi_reduces_to_coupler(self):
-        spec = SqueezingSpec.from_db(6.0)
-        channel = NoiseChannelSpec.from_injected_noise(0.01, 0.3)
-        a = realistic_tms(spec, JpaNoiseModel(0.0, 0.56), channel)
-        b = inject_noise_coupler(ideal_tms(spec), channel)
+        a = StateModel.realistic(0.0, 0.56, 0.01).state(6.0, 0.3)
+        b = StateModel.coupler(0.01).state(6.0, 0.3)
         assert np.abs(a.entries - b.entries).max() == 0.0
 
     def test_prefactor_at_gain_two(self):
         r = math.log(2.0) / 2.0  # G = exp(2r) = 2
-        channel = NoiseChannelSpec(coupling_beta=0.01, env_photons=0.0)
-        jpa = JpaNoiseModel(0.05, 0.56)
-        V = realistic_tms(SqueezingSpec.from_factor(r), jpa, channel)
-        base = inject_noise_coupler(ideal_tms(r), channel)
+        model = StateModel.realistic(0.05, 0.56, 0.01)
+        assert model.amplifier_prefactor(r) == pytest.approx(1.1, abs=1e-14)
+        V = model.state(squeezing_r_to_db(r), 0.0)
+        base = inject_noise_coupler(ideal_tms(r), 0.01, 0.0)
         ratio = V.entries[0, 0] / base.entries[0, 0]
         assert ratio == pytest.approx(1.1, abs=1e-14)  # global prefactor 1 + 2 chi1
         assert ratio / 4.0 == pytest.approx(0.275, abs=1e-14)
@@ -199,8 +182,7 @@ class TestRealisticTms:
     def test_weak_coupling_limit_converges_to_ideal(self):
         r = squeezing_db_to_r(6.0)
         n = 0.4
-        channel = NoiseChannelSpec.from_injected_noise(1e-8, n)
-        out = realistic_tms(SqueezingSpec.from_factor(r), JpaNoiseModel(0.0, 1.0), channel)
+        out = StateModel.realistic(0.0, 1.0, 1e-8).state(6.0, n)
         ref = inject_noise_ideal(ideal_tms(r), n)
         assert np.abs(out.entries - ref.entries).max() < 1e-6
 
@@ -216,6 +198,50 @@ class TestRealisticTms:
                 assert abs(V.entries[0, 0] - V.entries[1, 1]) < 1e-12
                 assert abs(V.entries[0, 1]) < 1e-12
                 assert validate(V).ok
+
+
+MODELS = {
+    "ideal": StateModel.ideal(),
+    "coupler-0.01": StateModel.coupler(0.01),
+    "coupler-0.3": StateModel.coupler(0.3),
+    "realistic": StateModel.realistic(0.05, 0.56, 0.01),
+}
+
+
+class TestStateModel:
+    @pytest.mark.parametrize("name", MODELS)
+    def test_state_is_the_composition_bit_for_bit(self, name):
+        model = MODELS[name]
+        beta = model.coupling_beta
+        for s_db in (0.0, 0.1, 6.5, 30.0, 100.0):
+            r = squeezing_db_to_r(s_db)
+            for n in (0.0, 1e-9, 0.1, 1.0, 1000.0):
+                if beta is None:
+                    base = inject_noise_ideal(ideal_tms(r), n)
+                else:
+                    base = inject_noise_coupler(ideal_tms(r), beta, n / beta)
+                expected = model.amplifier_prefactor(r) * base.entries
+                assert model.state(s_db, n).entries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize(
+        "s_db, n, message",
+        [
+            (-1.0, 0.1, "squeezing level must be >= 0 dB, got -1.0"),
+            (math.nan, 0.1, "squeezing level must be finite, got nan"),
+            (3082.6, 0.1, "squeezing level 3082.6 dB is above 3082.5 dB"),
+            (-1.0, -0.5, "squeezing level must be >= 0 dB, got -1.0"),
+            (6.5, -0.5, "injected noise photon number must be >= 0, got -0.5"),
+        ],
+    )
+    def test_rejected_inputs_keep_their_messages(self, name, s_db, n, message):
+        with pytest.raises(DomainError) as err:
+            MODELS[name].state(s_db, n)
+        assert str(err.value) == message
+        if n >= 0:
+            with pytest.raises(DomainError) as err:
+                sudden_death_point(MODELS[name], s_db)
+            assert str(err.value) == message
 
 
 class TestEveTms:
