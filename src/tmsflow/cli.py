@@ -178,8 +178,11 @@ def _csv_header_lines(config_echo: str) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -480,9 +483,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tmsflow {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p):
+    def add_common(p, out=True):
         p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--out", help="output path (default: stdout)")
+        if out:
+            p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("sweep", help="correlation reports on an (S, n) grid")
     add_common(p)
@@ -522,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
 
     p = sub.add_parser("tomo", help="covariance + cumulant report from quadrature samples")
-    add_common(p)
+    add_common(p, out=False)
     p.add_argument("--samples", help="CSV with header I1,Q1,I2,Q2")
     p.add_argument("--threshold", type=float, help="Gaussianity threshold in standard errors")
     p.add_argument(

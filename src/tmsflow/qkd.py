@@ -42,10 +42,10 @@ _KEY_BRACKET = (1e-4, 2.0)
 @dataclass(frozen=True)
 class QkdScenario:
     """Protocol parameters: resource squeezing r, detected-quadrature noise
-    n_q, cloner coupling beta, and codebook variance sigma2.
+    n_q and cloner coupling beta.
 
-    ``sigma2`` defaults to ``sinh(2r)/2``, the variance of the modulated
-    quadrature of the resource state.  The cloner variance factor is
+    The codebook variance ``sigma2 = sinh(2r)/2`` is the variance of the
+    modulated quadrature of the resource state.  The cloner variance factor is
     ``W = max(1, 2n/beta)`` with ``n = 2 n_q``; the clamp at 1 keeps the
     ancilla physical when the noise is weaker than the coupling.
     """
@@ -53,7 +53,6 @@ class QkdScenario:
     r: float
     n_q: float
     beta: float = DEFAULT_CLONER_COUPLING
-    sigma2: float | None = None
 
     def __post_init__(self) -> None:
         if self.r < 0:
@@ -62,10 +61,10 @@ class QkdScenario:
             raise DomainError(f"quadrature noise must be >= 0, got {self.n_q}")
         if not 0.0 < self.beta < 1.0:
             raise BadCouplingError(f"cloner coupling must lie in (0, 1), got {self.beta}")
-        if self.sigma2 is None:
-            object.__setattr__(self, "sigma2", 0.5 * math.sinh(2.0 * self.r))
-        elif self.sigma2 < 0.0:
-            raise DomainError(f"codebook variance must be >= 0, got {self.sigma2}")
+
+    @property
+    def sigma2(self) -> float:
+        return 0.5 * math.sinh(2.0 * self.r)
 
     @property
     def n(self) -> float:

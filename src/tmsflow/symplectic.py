@@ -106,10 +106,9 @@ class ValidationVerdict:
 
 @dataclass(frozen=True)
 class SymplecticOperation:
-    """A symplectic matrix S (satisfying S Omega S^T = Omega) with a kind tag."""
+    """A symplectic matrix S (satisfying S Omega S^T = Omega)."""
 
     matrix: np.ndarray
-    kind: str = "composite"
 
     def __post_init__(self) -> None:
         arr = np.array(self.matrix, dtype=float)
@@ -132,7 +131,7 @@ class SymplecticOperation:
 
 
 def identity_op(n_modes: int) -> SymplecticOperation:
-    return SymplecticOperation(np.eye(2 * n_modes), kind="identity")
+    return SymplecticOperation(np.eye(2 * n_modes))
 
 
 def beam_splitter(coupling: float, mode_a: int, mode_b: int, n_modes: int) -> SymplecticOperation:
@@ -154,7 +153,7 @@ def beam_splitter(coupling: float, mode_a: int, mode_b: int, n_modes: int) -> Sy
         m[ia, ib] = s
         m[ib, ia] = -s
         m[ib, ib] = t
-    return SymplecticOperation(m, kind="beam-splitter")
+    return SymplecticOperation(m)
 
 
 def single_mode_squeezer(r: float, mode: int, n_modes: int) -> SymplecticOperation:
@@ -162,7 +161,7 @@ def single_mode_squeezer(r: float, mode: int, n_modes: int) -> SymplecticOperati
     m = np.eye(2 * n_modes)
     m[2 * mode, 2 * mode] = math.exp(-r)
     m[2 * mode + 1, 2 * mode + 1] = math.exp(r)
-    return SymplecticOperation(m, kind="single-mode-squeezer")
+    return SymplecticOperation(m)
 
 
 def _quadrature_offset(quadrature: str) -> int:
@@ -215,7 +214,7 @@ def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
         elif V.n_modes == 2:
             nus = np.array(_two_mode_nu(invariants))
         else:
-            nus = _symplectic_eigenvalues_psd(sym)
+            nus = _williamson(sym)[0]
         # Strongly squeezed states cannot even be assembled in double
         # precision with their spectrum resolved better than about
         # eps * norm * sqrt(cond) (times pipeline length), so the
@@ -249,14 +248,18 @@ def require_valid(V: CovarianceMatrix) -> tuple:
     return spectrum
 
 
-def _symplectic_eigenvalues_psd(sym: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a symmetric positive-definite matrix.
+def _williamson(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Williamson normal form of a symmetric PD matrix: V = S D S^T.
 
-    Uses the singular values of ``L^T Omega L`` for the Cholesky factor
-    ``V = L L^T``: that matrix is antisymmetric (hence normal) and shares
-    the spectrum of ``i Omega V``, so degenerate pairs and strongly
-    squeezed states keep full accuracy where a direct non-symmetric
-    eigensolve of ``i Omega V`` loses half the digits.
+    Returns (nus, S) with the symplectic eigenvalues in descending order,
+    D = diag(nu_1, nu_1, ..., nu_n, nu_n) and S symplectic up to roundoff.
+    For the Cholesky factor ``V = L L^T`` the Hermitian ``i L^T Omega L``
+    has eigenpairs ``(+-nu, x + iy)``; the real pairs ``sqrt(2) (y, x)`` of
+    the positive ones bring ``L^T Omega L`` to blocks ``nu J`` with an
+    orthogonal Q, and ``S = L Q D^(-1/2)``.  That Hermitian eigensolve
+    keeps degenerate pairs and strongly squeezed states at full accuracy
+    where a direct non-symmetric eigensolve of ``i Omega V`` loses half the
+    digits.
     """
     n = sym.shape[0] // 2
     try:
@@ -266,46 +269,19 @@ def _symplectic_eigenvalues_psd(sym: np.ndarray) -> np.ndarray:
         # squeezed states but tolerates semi-definite roundoff.
         w, u = np.linalg.eigh(sym)
         if w.min() <= 0:
-            raise NumericalError("symplectic spectrum requested for a non-PD matrix")
+            raise NumericalError("Williamson form requested for a non-PD matrix")
         chol = u * np.sqrt(w)
-    m = chol.T @ symplectic_form(n) @ chol
-    s = np.linalg.svd(m, compute_uv=False)  # each eigenvalue appears twice
-    return s[::2]
-
-
-def _williamson(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Williamson normal form of a symmetric PD matrix: V = S D S^T.
-
-    Returns (nus, S) with D = diag(nu_1, nu_1, ..., nu_n, nu_n) and S
-    exactly symplectic up to roundoff.  Built from the real Schur form of
-    the antisymmetric matrix V^(1/2) Omega V^(1/2).
-    """
-    import scipy.linalg
-
-    n = sym.shape[0] // 2
-    w, u = np.linalg.eigh(sym)
-    if w.min() <= 0:
-        raise NumericalError("Williamson form requested for a non-PD matrix")
-    root = (u * np.sqrt(w)) @ u.T
-    inv_root = (u / np.sqrt(w)) @ u.T
-    m = root @ symplectic_form(n) @ root
-    m = 0.5 * (m - m.T)
-    t, q = scipy.linalg.schur(m, output="real")
-    nus = np.empty(n)
-    for k in range(n):
-        b = t[2 * k, 2 * k + 1]
-        nus[k] = abs(b)
-        if b < 0:  # flip the block to the +nu J orientation
-            q[:, [2 * k, 2 * k + 1]] = q[:, [2 * k + 1, 2 * k]]
-    scale = np.repeat(1.0 / np.sqrt(nus), 2)
-    s_mat = root @ q * scale
-    return nus, s_mat
+    w, z = np.linalg.eigh(1j * (chol.T @ symplectic_form(n) @ chol))
+    nus, pairs = w[n:][::-1], math.sqrt(2.0) * z[:, n:][:, ::-1]
+    q = np.empty((2 * n, 2 * n))
+    q[:, 0::2], q[:, 1::2] = pairs.imag, pairs.real
+    return nus, chol @ q / np.repeat(np.sqrt(nus), 2)
 
 
 def symplectic_eigenvalues(V: CovarianceMatrix) -> np.ndarray:
     """All symplectic eigenvalues of a validated covariance matrix, from
     the validation pass: ``sqrt(det)`` for one mode, the invariant closed
-    form for two, the spectral route for more."""
+    form for two, :func:`_williamson` for more (in descending order)."""
     return require_valid(V)[0]
 
 

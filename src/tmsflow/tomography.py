@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, TooFewSamplesError
-from .symplectic import CovarianceMatrix, TwoModeCovariance
+from .symplectic import VACUUM_VARIANCE, CovarianceMatrix, TwoModeCovariance, _williamson
 
 COLUMN_NAMES = ("I1", "Q1", "I2", "Q2")
 
@@ -102,12 +102,14 @@ def project_to_physical(V: CovarianceMatrix) -> CovarianceMatrix:
     Finite-sample covariance estimates of nearly pure states routinely dip
     a few standard errors below nu = 1/4, which blocks the correlation
     formulas.  This projects onto the physical set by raising every
-    symplectic eigenvalue to at least 1/4 in the Williamson basis, the
-    usual post-processing step between reconstruction and analysis; the
-    perturbation is of the order of the statistical noise itself.
+    symplectic eigenvalue to at least 1/4 in the Williamson basis of the
+    symmetrised estimate (:func:`~tmsflow.symplectic._williamson`, the
+    routine that validates states of three or more modes), the usual
+    post-processing step between reconstruction and analysis; the
+    perturbation is of the order of the statistical noise itself.  A
+    symmetrised estimate that is not positive definite raises
+    :class:`~tmsflow.errors.NumericalError`.
     """
-    from .symplectic import VACUUM_VARIANCE, _williamson
-
     sym = 0.5 * (V.entries + V.entries.T)
     nus, s_mat = _williamson(sym)
     if nus.min() >= VACUUM_VARIANCE:

@@ -234,6 +234,11 @@ def _samples_file(tmp_path):
     return str(path)
 
 
+def _out_flag(argv):
+    """The flag naming a command's main output: tomo has no ``--out``."""
+    return "--covariance-out" if argv[0] == "tomo" else "--out"
+
+
 def _file(name, text):
     def write(tmp_path):
         path = tmp_path / name
@@ -258,7 +263,7 @@ class TestScalarInputs:
     )
     def test_non_finite_value_is_usage_error(self, argv, tmp_path, capsys):
         argv = [a(tmp_path) if callable(a) else a for a in argv]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert main(argv + [_out_flag(argv), str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("tmsflow: ")
         assert not (tmp_path / "out").exists()
@@ -295,7 +300,7 @@ class TestScalarInputs:
     )
     def test_malformed_config_or_file_is_usage_error(self, argv, tmp_path, capsys):
         argv = [a(tmp_path) if callable(a) else a for a in argv]
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert main(argv + [_out_flag(argv), str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("tmsflow: ")
         assert not (tmp_path / "out").exists()
 
@@ -501,6 +506,28 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err == f"tmsflow: {key} must be a non-empty path, got {value!r}\n"
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--out", ["sweep", "--s", "6", "--n", "0.1"]),
+            ("--threshold-out", ["qkd", "--s", "10", "--nq", "0.1"]),
+            ("--covariance-out", ["tomo", "--samples", _samples_file]),
+        ],
+    )
+    def test_unwritable_output_is_usage_error(self, flag, argv, tmp_path, capsys):
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
+        path = str(tmp_path / "missing_dir" / "x.csv")
+        assert main(argv + [flag, path]) == 2
+        assert capsys.readouterr().err.startswith(f"tmsflow: cannot write {path}: ")
+
+    def test_tomo_has_no_out_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["tomo", "--samples", _samples_file(tmp_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_project_config_key(self, tmp_path, capsys):
         samples = _samples_file(tmp_path)
 
@@ -522,30 +549,39 @@ class TestConfigFile:
             assert "project must be true or false" in capsys.readouterr().err
 
 
+def _loaded_scipy(code, *argv):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    src = os.path.dirname(os.path.dirname(tmsflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return proc.stdout.strip()
+
+
 class TestStartup:
     def test_threshold_jobs_do_not_load_scipy(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(tmsflow.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = (
-            "import sys\n"
             "from tmsflow.cli import main\n"
             "out, th = sys.argv[1], sys.argv[2]\n"
             "assert main(['features', '--s', '2,6.5', '--out', out]) == 0\n"
             "argv = ['qkd', '--s', '6,10', '--nq', '0.1', '--threshold-out', th]\n"
-            "assert main(argv + ['--out', out]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "assert main(argv + ['--out', out]) == 0"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "out.csv"), str(tmp_path / "th.csv")],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert proc.stdout.strip() == "[]"
+        assert _loaded_scipy(code, str(tmp_path / "out.csv"), str(tmp_path / "th.csv")) == "[]"
 
     def test_cli_import_does_not_load_scipy(self):
-        src = os.path.dirname(os.path.dirname(tmsflow.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, tmsflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert _loaded_scipy("import tmsflow.cli") == "[]"
+
+    def test_projection_does_not_load_scipy(self):
+        code = (
+            "import tmsflow.cli\n"
+            "from tmsflow.states import ideal_tms\n"
+            "from tmsflow.symplectic import CovarianceMatrix, validate\n"
+            "from tmsflow.tomography import project_to_physical\n"
+            "estimate = CovarianceMatrix(0.999 * ideal_tms(0.5).entries)\n"
+            "assert not validate(estimate).ok and validate(project_to_physical(estimate)).ok"
         )
-        assert proc.stdout.strip() == "[]"
+        assert _loaded_scipy(code) == "[]"

@@ -147,7 +147,8 @@ def _run(command: str, drawn, inputs) -> None:
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(config))
             argv += ["--config", str(path)]
-        argv += ["--out", str(Path(tmp) / "out")]
+        if command != "tomo":  # tomo writes only to its two own output flags
+            argv += ["--out", str(Path(tmp) / "out")]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:

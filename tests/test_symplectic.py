@@ -12,6 +12,7 @@ from tmsflow.errors import (
     SingularMeasurementError,
     UnphysicalStateError,
 )
+from tmsflow.qkd import QkdScenario, cloner_state
 from tmsflow.states import StateModel, ideal_tms, inject_noise_ideal, thermal, vacuum
 import tmsflow.symplectic as symplectic
 from tmsflow.symplectic import (
@@ -164,6 +165,36 @@ class TestSymplecticSummary:
         assert (i1, i2, i3) == (4.9375 * scale**2, 5.984375 * scale**2, -1.0 * scale**2)
         assert i4 == round(np.linalg.det(m) * scale**4)
         assert symplectic._exact_invariants(np.diag([1.0, 1.0, 1.0, -1e-300])) is None
+
+
+def svd_nu_oracle(entries: np.ndarray) -> np.ndarray:
+    """Cholesky-SVD symplectic spectrum: the singular values of the
+    antisymmetric ``L^T Omega L`` (``V = L L^T``) come in equal pairs."""
+    chol = np.linalg.cholesky(entries)
+    m = chol.T @ symplectic_form(entries.shape[0] // 2) @ chol
+    return np.linalg.svd(m, compute_uv=False)[::2]
+
+
+class TestWilliamson:
+    @pytest.mark.parametrize("n_q", [0.1, 1.0])
+    @pytest.mark.parametrize("r", [0.1, 1.0, 3.0])
+    def test_cloner_state_normal_form(self, r, n_q):
+        # pure four-mode states with an ancilla variance up to W/4 = 1e4
+        m = cloner_state(QkdScenario(r=r, n_q=n_q)).entries
+        V = 0.5 * (m + m.T)
+        nus, s_mat = symplectic._williamson(V)
+        omega = symplectic_form(4)
+        assert np.abs(s_mat @ omega @ s_mat.T - omega).max() <= 1e-10
+        back = (s_mat * np.repeat(nus, 2)) @ s_mat.T
+        assert np.abs(back - V).max() <= 1e-14 * np.abs(V).max()
+
+    @pytest.mark.parametrize("n_modes", [3, 4])
+    def test_eigenvalues_descend_and_match_svd_oracle(self, n_modes, rng):
+        for _ in range(20):
+            V = random_physical_state(rng, n_modes)
+            nus = symplectic_eigenvalues(V)
+            assert np.all(np.diff(nus) <= 0.0)
+            np.testing.assert_allclose(nus, svd_nu_oracle(V.entries), rtol=1e-14, atol=0.0)
 
 
 class TestEntropyKernel:

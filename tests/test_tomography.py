@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tmsflow.correlations import discord
-from tmsflow.errors import NonFiniteError, TooFewSamplesError
+from tmsflow.errors import NonFiniteError, NumericalError, TooFewSamplesError
 from tmsflow.states import ideal_tms, vacuum
-from tmsflow.symplectic import symplectic_eigenvalues, validate
+from tmsflow.symplectic import CovarianceMatrix, symplectic_eigenvalues, validate
 from tmsflow.tomography import (
     QuadratureSamples,
     covariance_from_samples,
@@ -92,6 +92,10 @@ class TestProjection:
         V = ideal_tms(0.4)
         out = project_to_physical(V)
         assert np.abs(out.entries - V.entries).max() < 1e-14
+
+    def test_indefinite_estimate_is_refused(self):
+        with pytest.raises(NumericalError):
+            project_to_physical(CovarianceMatrix(np.diag([0.3, 0.3, 0.3, -0.01])))
 
 
 def _kendall_stuart(x, y, p, q):
