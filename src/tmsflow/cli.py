@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -176,15 +177,27 @@ def _csv_header_lines(config_echo: str) -> str:
     return f"# tmsflow {__version__}\n# config: {config_echo}\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+def _emit(*documents: tuple[str, str | None]) -> None:
+    """Write each ``(text, path)`` document, to stdout where the path is None.
+
+    Every path is opened (without truncation) before any text is written,
+    and an unwritable path is a usage error that leaves no new file behind.
+    """
+    paths = [path for _, path in documents if path]
+    created = [path for path in paths if not os.path.exists(path)]
+    try:
+        for path in paths:
+            open(path, "a").close()
+        for text, path in documents:
+            if path:
+                with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+    except OSError as exc:
+        for done in filter(os.path.exists, created):
+            os.remove(done)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _json_with_meta(payload: str, config_echo: str) -> str:
@@ -210,9 +223,9 @@ def _cmd_sweep(args, config) -> int:
     echo = _meta_config({"command": "sweep", "s": s_spec, "n": n_spec, **_model_echo(model)})
     fmt = _merged(args, config, "format", "csv")
     if fmt == "json":
-        _emit(_json_with_meta(sweep_to_json(grid), echo), out)
+        _emit((_json_with_meta(sweep_to_json(grid), echo), out))
     elif fmt == "csv":
-        _emit(_csv_header_lines(echo) + sweep_to_csv(grid), out)
+        _emit((_csv_header_lines(echo) + sweep_to_csv(grid), out))
     else:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     if all(cell.report is None for cell in grid.cells):
@@ -273,7 +286,7 @@ def _cmd_features(args, config) -> int:
         row.append("ok" if not notes else "; ".join(notes).replace(",", ";"))
         successes += 1 if ok else 0
         lines.append(",".join(row))
-    _emit(_csv_header_lines(echo) + "\n".join(lines) + "\n", out)
+    _emit((_csv_header_lines(echo) + "\n".join(lines) + "\n", out))
     return 0 if successes else 3
 
 
@@ -303,6 +316,8 @@ def _cmd_qkd(args, config) -> int:
     s_vals, nq_vals = parse_grid(s_spec), parse_grid(nq_spec)
     beta = _finite(_merged(args, config, "cloner-beta", DEFAULT_CLONER_COUPLING), "cloner-beta")
     tol = _finite(_merged(args, config, "tolerance", 1e-6), "tolerance")
+    if tol <= 0.0:
+        raise ConfigError(f"tolerance must be > 0, got {tol}")
     echo = _meta_config(
         {"command": "qkd", "s": s_spec, "nq": nq_spec, "cloner_beta": beta}
     )
@@ -316,21 +331,19 @@ def _cmd_qkd(args, config) -> int:
                 scenario = _checked(QkdScenario, squeezing_db_to_r(s_db), n_q, beta)
                 rows.append(key_result_to_csv_row(s_db, n_q, secret_key(scenario)))
         text = _csv_header_lines(echo) + QKD_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
-    _emit(text, out)
-
-    if threshold_out:
-        tl = ["s_db,n_q_threshold,status"]
-        any_ok = False
-        for s_db in s_vals:
-            try:
-                tl.append(f"{s_db!r},{key_threshold(s_db, tol, beta)!r},ok")
-                any_ok = True
-            except TmsflowError as exc:
-                tl.append(f"{s_db!r},nan,{str(exc).replace(',', ';')}")
-        _emit(_csv_header_lines(echo) + "\n".join(tl) + "\n", threshold_out)
-        if not any_ok:
-            return 3
-    return 0
+    if not threshold_out:
+        _emit((text, out))
+        return 0
+    tl = ["s_db,n_q_threshold,status"]
+    any_ok = False
+    for s_db in s_vals:
+        try:
+            tl.append(f"{s_db!r},{key_threshold(s_db, tol, beta)!r},ok")
+            any_ok = True
+        except TmsflowError as exc:
+            tl.append(f"{s_db!r},nan,{str(exc).replace(',', ';')}")
+    _emit((text, out), (_csv_header_lines(echo) + "\n".join(tl) + "\n", threshold_out))
+    return 0 if any_ok else 3
 
 
 def _cmd_fit(args, config) -> int:
@@ -350,6 +363,8 @@ def _cmd_fit(args, config) -> int:
         _finite(_merged(args, config, "w2", DEFAULT_WEIGHTS[1]), "w2"),
         _finite(_merged(args, config, "w3", DEFAULT_WEIGHTS[2]), "w3"),
     )
+    if min(weights) < 0.0 or max(weights) == 0.0:
+        raise ConfigError(f"weights must be >= 0 and not all zero, got {list(weights)}")
     init_spec = str(_merged(args, config, "init", "0,1"))
     init = tuple(_finite(x, "init") for x in init_spec.split(","))
     if len(init) != 2:
@@ -366,7 +381,7 @@ def _cmd_fit(args, config) -> int:
             "beta": beta,
         }
     )
-    _emit(_json_with_meta(fit_result_to_json(result), echo), out)
+    _emit((_json_with_meta(fit_result_to_json(result), echo), out))
     return 0
 
 
@@ -398,8 +413,10 @@ def _cmd_tomo(args, config) -> int:
     cov = covariance_from_samples(samples)
     if project:
         cov = project_to_physical(cov)
-    _emit(_json_with_meta(covariance_to_json(cov), echo), covariance_out)
-    _emit(_json_with_meta(cumulant_report_to_json(report), echo), cumulants_out)
+    _emit(
+        (_json_with_meta(covariance_to_json(cov), echo), covariance_out),
+        (_json_with_meta(cumulant_report_to_json(report), echo), cumulants_out),
+    )
     return 0
 
 
@@ -429,7 +446,7 @@ def _cmd_validate(args, config) -> int:
         }
     )
     echo = _meta_config({"command": "validate", "state": path})
-    _emit(_json_with_meta(payload, echo), out)
+    _emit((_json_with_meta(payload, echo), out))
     return 0
 
 
@@ -467,7 +484,7 @@ def _cmd_gen_synthetic(args, config) -> int:
             "seed": seed,
         }
     )
-    _emit(_csv_header_lines(echo) + records_to_csv(records), out)
+    _emit((_csv_header_lines(echo) + records_to_csv(records), out))
     return 0
 
 

@@ -111,10 +111,13 @@ def fit(
     the cost; the number of evaluations that hit the clamp is reported.
     Convergence requires both the simplex diameter below 1e-6 and the
     cost spread below 1e-12; on iteration exhaustion the best vertex is
-    returned with ``converged=False``.
+    returned with ``converged=False``.  The weights must be nonnegative and
+    not all zero, or the cost has no minimum.
     """
     from scipy.optimize import minimize
 
+    if not (min(weights) >= 0.0 and max(weights) > 0.0):
+        raise DomainError(f"weights must be >= 0 and not all zero, got {list(weights)}")
     usable = [r for r in records if r.s_db > 0.0]
     if len(usable) < len(records):
         warnings.warn(

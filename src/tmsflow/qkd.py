@@ -156,12 +156,14 @@ def key_threshold(
     and negative at the upper end (it decreases with noise), otherwise
     :class:`NoSignChangeError` is raised.  The bracket is bisected down to
     relative width 1e-12 and the midpoint is verified to satisfy
-    |K| < tolerance.  K is evaluated in closed form with about 1e-15 bits
-    of rounding noise, so that width, not the evaluation, sets |K| at the
-    returned point (a few 1e-12 bits).
+    |K| < tolerance (finite, > 0).  K is evaluated in closed form with about
+    1e-15 bits of rounding noise, so that width, not the evaluation, sets |K|
+    at the returned point (a few 1e-12 bits).
     """
     if s_db <= 0:
         raise DomainError(f"squeezing level must be > 0 dB, got {s_db}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise DomainError(f"tolerance must be finite and > 0, got {tolerance}")
     r = squeezing_db_to_r(s_db)
 
     def key_at(n_q: float) -> float:

@@ -324,6 +324,15 @@ class TestScalarInputs:
             ),
             (["features", "--s", "6", "--what", "xyz"], "nsd, nc"),
             (["gen-synthetic", "--noise", "-1"], "noise amplitude"),
+            (["fit", "--records", _records_file, "--w1", "-1", "--w2", "-1", "--w3", "-1"],
+             "weights must be >= 0 and not all zero"),
+            (["fit", "--records", _records_file, "--w2", "-0.1"], "weights must be >= 0"),
+            (["fit", "--records", _records_file, "--w1", "0", "--w2", "0", "--w3", "0"],
+             "not all zero"),
+            (["qkd", "--s", "6,10", "--nq", "0.1", "--threshold-out", _file("t.csv", ""),
+              "--tolerance", "0"], "tolerance must be > 0"),
+            (["qkd", "--s", "6,10", "--nq", "0.1", "--threshold-out", _file("t.csv", ""),
+              "--tolerance", "-1"], "tolerance must be > 0"),
         ],
     )
     def test_out_of_range_parameter_is_usage_error(self, argv, message, tmp_path, capsys):
@@ -519,6 +528,27 @@ class TestConfigFile:
         path = str(tmp_path / "missing_dir" / "x.csv")
         assert main(argv + [flag, path]) == 2
         assert capsys.readouterr().err.startswith(f"tmsflow: cannot write {path}: ")
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize(
+        "argv, first, second",
+        [
+            (["qkd", "--s", "6,10", "--nq", "0.1"], "--out", "--threshold-out"),
+            (["tomo", "--samples", _samples_file], "--covariance-out", "--cumulants-out"),
+        ],
+    )
+    def test_unwritable_second_output_writes_nothing(
+        self, argv, first, second, existing, tmp_path, capsys
+    ):
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
+        written, missing = tmp_path / "first.out", str(tmp_path / "missing_dir" / "x.csv")
+        if existing:
+            written.write_text("kept")
+        assert main(argv + [first, str(written), second, missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"tmsflow: cannot write {missing}: ")
+        assert written.read_text() == "kept" if existing else not written.exists()
 
     def test_tomo_has_no_out_flag(self, tmp_path, capsys):
         out = tmp_path / "x.json"

@@ -483,6 +483,32 @@ class TestCorrelationReport:
         rep_large = correlation_report(model.state(6.5, 0.3))
         assert rep_small.delta_b < 0.0 < rep_large.delta_b
 
+    def test_single_measures_are_report_fields(self, rng):
+        states = [random_physical_state(rng) for _ in range(100)]
+        for model in (StateModel.ideal(), StateModel.coupler(0.01), StateModel.realistic(*REALISTIC)):
+            states += [model.state(s_db, n) for s_db in EXTREME_S for n in EXTREME_N]
+        for V in states:
+            rep = correlation_report(V)
+            assert discord(V, "B") == rep.d_a
+            assert discord(V, "A") == rep.d_b
+            assert mutual_information(V) == rep.i_ab
+            assert eof_gamma(V) == rep.gamma
+            assert eof_lower_bound(V) == rep.e_f
+
+    def test_each_entropy_is_evaluated_once(self, monkeypatch):
+        from tmsflow import correlations
+
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return symplectic.entropy_f(x)
+
+        monkeypatch.setattr(correlations, "entropy_f", counting)
+        correlation_report(noisy_tms(1.0, 0.3))
+        # f(sqrt(I1)), f(sqrt(I2)), f(nu+), f(nu-), two conditional terms and E_F
+        assert len(calls) == 7
+
     def test_reads_only_the_validation_pass(self, monkeypatch):
         calls = []
         two_mode_nu, summary = symplectic._two_mode_nu, symplectic.SymplecticSummary

@@ -106,6 +106,13 @@ class TestFit:
         assert result.chi1 >= 0.0
         assert result.clamp_activations > 0
 
+    @pytest.mark.parametrize(
+        "weights", [(-1.0, -1.0, -1.0), (0.5, -1e-12, 1.0), (0.0, 0.0, 0.0), (float("nan"), 1, 1)]
+    )
+    def test_weights_must_be_nonnegative_and_not_all_zero(self, clean_records, weights):
+        with pytest.raises(DomainError, match="weights"):
+            fit(clean_records, weights=weights)
+
     @pytest.mark.parametrize("noise", [-1.0, -1e-12, float("nan")])
     def test_synthetic_records_reject_a_bad_noise_amplitude(self, noise):
         with pytest.raises(DomainError, match="noise amplitude"):

@@ -309,3 +309,8 @@ class TestKeyThreshold:
     def test_domain(self):
         with pytest.raises(DomainError):
             key_threshold(0.0)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance"):
+            key_threshold(10.0, tolerance)
