@@ -371,7 +371,10 @@ def _cmd_fit(args, config) -> int:
         raise ConfigError(f"--init needs two comma-separated values, got {init_spec!r}")
     beta = _finite(_merged(args, config, "beta", DEFAULT_COUPLING), "beta")
     _checked(StateModel.coupler, beta)
-    result = fit(records, weights=weights, initial=init, coupling_beta=beta)
+    try:
+        result = fit(records, weights=weights, initial=init, coupling_beta=beta)
+    except DomainError as exc:  # too few usable records
+        raise ConfigError(f"records {path}: {exc}") from None
     echo = _meta_config(
         {
             "command": "fit",

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -322,6 +323,11 @@ class TestScalarInputs:
                  _file("r.csv", "s_db,n,d_a,d_b,e_f\n3,0.1,0.1,0.1,0.1\n-3,0.1,0.1,0.1,0.1\n")],
                 "line 3",
             ),
+            (
+                ["fit", "--records",
+                 _file("r.csv", "s_db,n,d_a,d_b,e_f\n3,0.1,0.5,0.5,0.4\n6,0.1,0.5,0.5,0.4,0.01,0,0.01\n")],
+                "line 3: standard deviations must be finite and > 0",
+            ),
             (["features", "--s", "6", "--what", "xyz"], "nsd, nc"),
             (["gen-synthetic", "--noise", "-1"], "noise amplitude"),
             (["fit", "--records", _records_file, "--w1", "-1", "--w2", "-1", "--w3", "-1"],
@@ -395,6 +401,38 @@ class TestFitAndGenSynthetic:
 
     def test_missing_file_is_config_error(self):
         assert main(["fit", "--records", "/nonexistent.csv"]) == 2
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "",
+            "0,0.1,0.1,0.1,0.1\n0,0.5,0.1,0.1,0.1\n",
+            "6,0.1,0.1,0.1,0.1\n6,0.5,0.1,0.1,0.1\n",
+        ],
+        ids=["header-only", "all-at-0-dB", "one-level"],
+    )
+    @pytest.mark.filterwarnings("ignore:excluded")
+    def test_too_few_squeezing_levels_is_usage_error(self, rows, tmp_path, capsys):
+        records = tmp_path / "few.csv"
+        records.write_text("s_db,n,d_a,d_b,e_f\n" + rows)
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--records", str(records), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"tmsflow: records {records}: ") and "two or more" in err
+
+    @pytest.mark.parametrize("chi1", ["0.05", "0"])
+    def test_fit_json_has_no_nan_token(self, chi1, tmp_path):
+        records, out = tmp_path / "records.csv", tmp_path / "fit.json"
+        argv = ["gen-synthetic", "--s", "3,6", "--n", "0,0.5", "--chi1", chi1, "--out"]
+        assert main(argv + [str(records)]) == 0
+        assert main(["fit", "--records", str(records), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        doc = json.loads(text)
+        assert doc["converged"] is True and math.isfinite(doc["reduced_chi2"])
+        # at chi1 = 0 the residuals do not depend on chi2: J^T J is singular
+        assert (doc["chi1_se"] is None) == (chi1 == "0")
 
 
 class TestTomoCommand:
@@ -601,6 +639,17 @@ class TestStartup:
             "assert main(argv + ['--out', out]) == 0"
         )
         assert _loaded_scipy(code, str(tmp_path / "out.csv"), str(tmp_path / "th.csv")) == "[]"
+
+    def test_synthetic_records_and_fit_do_not_load_scipy(self, tmp_path):
+        code = (
+            "from tmsflow.cli import main\n"
+            "records, out = sys.argv[1], sys.argv[2]\n"
+            "argv = ['gen-synthetic', '--s', '3,6', '--n', '0,0.5', '--noise', '0.01']\n"
+            "assert main(argv + ['--seed', '1', '--out', records]) == 0\n"
+            "assert main(['fit', '--records', records, '--out', out]) == 0"
+        )
+        argv = str(tmp_path / "records.csv"), str(tmp_path / "fit.json")
+        assert _loaded_scipy(code, *argv) == "[]"
 
     def test_cli_import_does_not_load_scipy(self):
         assert _loaded_scipy("import tmsflow.cli") == "[]"
