@@ -4,6 +4,12 @@ Produces grids of correlation reports and the two noise thresholds of
 interest: the entanglement sudden-death point ``n_sd`` (in closed form)
 and the discord/EoF crossover point ``n_c`` per discord flavor.
 
+Every correlation value comes from one call of the batched kernel
+(:func:`~tmsflow.correlations.correlation_arrays`) on the model's
+factored standard form (:meth:`~tmsflow.states.StateModel.standard_form`):
+one call per sweep grid, and one per batch of bisection midpoints.  No
+covariance matrix is built and no state is validated.
+
 Flavors: "A" and "B" locate the root of the corresponding
 information-flow difference ``delta_A`` / ``delta_B`` by bisection on the
 bracket ``[1e-3, n_sd]``: at the sudden-death point the EoF bound is zero
@@ -19,13 +25,15 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .correlations import (
     REPORT_CSV_HEADER,
     CorrelationReport,
-    correlation_report,
+    correlation_arrays,
     report_to_csv_row,
 )
-from .errors import DomainError, NoSignChangeError, TmsflowError
+from .errors import DomainError, NoSignChangeError
 from .states import StateModel, _squeezing_factor
 
 
@@ -62,19 +70,23 @@ def _check_axis(values, name: str) -> tuple[float, ...]:
 def sweep(model: StateModel, s_values, n_values) -> SweepGrid:
     """Evaluate correlation reports on an (S, n) grid.
 
-    Cells are independent and evaluated in axis order; a cell whose
-    evaluation fails carries the failure reason instead of a report.
+    The whole grid is one call of the correlation kernel on the model's
+    standard form, so a cell's values do not depend on the grid around it;
+    a cell whose evaluation fails carries the failure reason instead of a
+    report.
     """
     s_vals = _check_axis(s_values, "squeezing")
     n_vals = _check_axis(n_values, "noise")
+    res = correlation_arrays(model.standard_form(np.array(s_vals)[:, None], np.array(n_vals)))
+    rows = zip(*(field.ravel().tolist() for field in res[:-1]))
     cells = []
-    for s_db in s_vals:
-        for n in n_vals:
-            try:
-                cell = SweepCell(s_db=s_db, n=n, report=correlation_report(model.state(s_db, n)))
-            except TmsflowError as exc:
-                cell = SweepCell(s_db=s_db, n=n, report=None, error=str(exc))
-            cells.append(cell)
+    for i, values in enumerate(rows):
+        s_db, n = s_vals[i // len(n_vals)], n_vals[i % len(n_vals)]
+        exc = res.errors.get(i)
+        if exc is None:
+            cells.append(SweepCell(s_db=s_db, n=n, report=CorrelationReport(*values)))
+        else:
+            cells.append(SweepCell(s_db=s_db, n=n, report=None, error=str(exc)))
     return SweepGrid(s_values=s_vals, n_values=n_vals, cells=tuple(cells))
 
 
@@ -88,16 +100,49 @@ class CrossoverResult:
 
 
 def _bisect_root(f, lo: float, hi: float, f_lo: float) -> float:
-    """Plain bisection down to relative width 1e-12; sign taken from f_lo."""
-    for _ in range(100):
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0.0) == (f_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Plain bisection down to relative width 1e-12; sign taken from f_lo.
+
+    ``f(lo, hi)`` returns ``(values, errors)``: the values at the midpoints
+    that the next d steps from ``[lo, hi]`` can reach, for a d >= 1 it
+    chooses, in heap order (node k's midpoint splits its interval into node
+    2k + 1 below and node 2k + 2 above), and the error of every node that
+    failed.  The steps and the root are those of one-at-a-time bisection;
+    a node's error is raised only if a step reads that node.
+    """
+    positive = f_lo > 0.0
+    steps = 0
+    while True:
+        values, errors = f(lo, hi)
+        node = 0
+        while node < len(values):
+            if steps == 100 or hi - lo <= 1e-12 * max(1.0, hi):
+                return 0.5 * (lo + hi)
+            if node in errors:
+                raise errors[node]
+            steps += 1
+            mid = 0.5 * (lo + hi)
+            if (values[node] > 0.0) == positive:
+                lo, node = mid, 2 * node + 2
+            else:
+                hi, node = mid, 2 * node + 1
+
+
+# Bisection steps whose midpoints one kernel call evaluates: 2**4 - 1 points.
+_BISECT_DEPTH = 4
+
+
+def _midpoint_tree(lo: float, hi: float) -> np.ndarray:
+    """Every midpoint the next ``_BISECT_DEPTH`` bisection steps from
+    ``[lo, hi]`` can reach, in the heap order of :func:`_bisect_root`."""
+    points, intervals = [], [(lo, hi)]
+    for _ in range(_BISECT_DEPTH):
+        halves = []
+        for left, right in intervals:
+            mid = 0.5 * (left + right)
+            points.append(mid)
+            halves += [(left, mid), (mid, right)]
+        intervals = halves
+    return np.array(points)
 
 
 def sudden_death_point(model: StateModel, s_db: float) -> float:
@@ -136,7 +181,8 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
     ``E_F`` is negative, so no root with that orientation lies above.  The
     curve must be negative at 1e-3 and positive at ``n_sd``, otherwise
     :class:`NoSignChangeError` is raised; plain bisection keeps that
-    orientation at every step.  Flavor AB returns the arithmetic mean of
+    orientation at every step.  Each kernel call evaluates the midpoints of
+    the next four steps.  Flavor AB returns the arithmetic mean of
     the A and B crossover points, which share the bracket.
     """
     if flavor == "AB":
@@ -148,19 +194,24 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
     if flavor not in ("A", "B"):
         raise DomainError(f"flavor must be 'A', 'B' or 'AB', got {flavor!r}")
 
-    def delta(n: float) -> float:
-        rep = correlation_report(model.state(s_db, n))
-        return rep.delta_a if flavor == "A" else rep.delta_b
+    def delta(n: np.ndarray) -> tuple[list[float], dict]:
+        res = correlation_arrays(model.standard_form(s_db, n))
+        return (res.delta_a if flavor == "A" else res.delta_b).tolist(), res.errors
 
     lo, hi = 1e-3, sudden_death_point(model, s_db)
-    d_lo, d_hi = delta(lo), delta(hi)
+    (d_lo, d_hi), errors = delta(np.array([lo, hi]))
+    if errors:
+        raise errors[min(errors)]
     if not d_lo < 0.0 < d_hi:
         raise NoSignChangeError(
             f"delta_{flavor} does not go from negative to positive on [{lo:.4g}, {hi:.4g}] "
             f"(delta({lo:.4g}) = {d_lo:.3e}, delta(n_sd) = {d_hi:.3e})"
         )
     return CrossoverResult(
-        flavor=flavor, s_db=s_db, n_c=_bisect_root(delta, lo, hi, d_lo), bracket=(lo, hi)
+        flavor=flavor,
+        s_db=s_db,
+        n_c=_bisect_root(lambda lo, hi: delta(_midpoint_tree(lo, hi)), lo, hi, d_lo),
+        bracket=(lo, hi),
     )
 
 
@@ -184,6 +235,10 @@ def sweep_to_csv(grid: SweepGrid) -> str:
 
 
 def sweep_to_json(grid: SweepGrid) -> str:
+    return json.dumps(_sweep_doc(grid))
+
+
+def _sweep_doc(grid: SweepGrid) -> dict:
     cells = []
     for cell in grid.cells:
         doc: dict = {"s_db": cell.s_db, "n": cell.n}
@@ -202,10 +257,4 @@ def sweep_to_json(grid: SweepGrid) -> str:
         else:
             doc["error"] = cell.error
         cells.append(doc)
-    return json.dumps(
-        {
-            "s_values": list(grid.s_values),
-            "n_values": list(grid.n_values),
-            "reports": cells,
-        }
-    )
+    return {"s_values": list(grid.s_values), "n_values": list(grid.n_values), "reports": cells}

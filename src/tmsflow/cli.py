@@ -20,21 +20,22 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import __version__
 from .analysis import (
+    _sweep_doc,
     crossover_point,
     sudden_death_point,
     sweep,
     sweep_to_csv,
-    sweep_to_json,
 )
 from .errors import DomainError, TmsflowError
 from .fit import (
     DEFAULT_COUPLING,
     DEFAULT_WEIGHTS,
+    _fit_result_doc,
     fit,
-    fit_result_to_json,
     records_from_csv,
     records_to_csv,
     synthetic_records,
@@ -43,16 +44,16 @@ from .qkd import (
     DEFAULT_CLONER_COUPLING,
     QKD_CSV_HEADER,
     QkdScenario,
+    _key_result_doc,
     key_result_to_csv_row,
-    key_result_to_json,
     key_threshold,
     secret_key,
 )
 from .states import JpaNoiseModel, StateModel, squeezing_db_to_r
-from .symplectic import covariance_from_csv, covariance_from_json, covariance_to_json, validate
+from .symplectic import _covariance_doc, covariance_from_csv, covariance_from_json, validate
 from .tomography import (
+    _cumulant_report_doc,
     covariance_from_samples,
-    cumulant_report_to_json,
     cumulants,
     project_to_physical,
     samples_from_csv,
@@ -200,10 +201,10 @@ def _emit(*documents: tuple[str, str | None]) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _json_with_meta(payload: str, config_echo: str) -> str:
-    doc = json.loads(payload)
-    doc["meta"] = {"tool": f"tmsflow {__version__}", "config": json.loads(config_echo)}
-    return json.dumps(doc, allow_nan=False) + "\n"
+def _json_with_meta(payload: dict, config_echo: str) -> str:
+    """The payload document with a ``meta`` field, encoded once."""
+    meta = {"tool": f"tmsflow {__version__}", "config": json.loads(config_echo)}
+    return json.dumps({**payload, "meta": meta}, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def _cmd_sweep(args, config) -> int:
     echo = _meta_config({"command": "sweep", "s": s_spec, "n": n_spec, **_model_echo(model)})
     fmt = _merged(args, config, "format", "csv")
     if fmt == "json":
-        _emit((_json_with_meta(sweep_to_json(grid), echo), out))
+        _emit((_json_with_meta(_sweep_doc(grid), echo), out))
     elif fmt == "csv":
         _emit((_csv_header_lines(echo) + sweep_to_csv(grid), out))
     else:
@@ -323,7 +324,7 @@ def _cmd_qkd(args, config) -> int:
     )
     if len(s_vals) == 1 and len(nq_vals) == 1:
         scenario = _checked(QkdScenario, squeezing_db_to_r(s_vals[0]), nq_vals[0], beta)
-        text = _json_with_meta(key_result_to_json(scenario, secret_key(scenario)), echo)
+        text = _json_with_meta(_key_result_doc(scenario, secret_key(scenario)), echo)
     else:
         rows = []
         for s_db in s_vals:
@@ -372,9 +373,13 @@ def _cmd_fit(args, config) -> int:
     beta = _finite(_merged(args, config, "beta", DEFAULT_COUPLING), "beta")
     _checked(StateModel.coupler, beta)
     try:
-        result = fit(records, weights=weights, initial=init, coupling_beta=beta)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fit(records, weights=weights, initial=init, coupling_beta=beta)
     except DomainError as exc:  # too few usable records
         raise ConfigError(f"records {path}: {exc}") from None
+    for warning in caught:  # the S = 0 exclusion
+        print(f"tmsflow: warning: {warning.message}", file=sys.stderr)
     echo = _meta_config(
         {
             "command": "fit",
@@ -384,7 +389,7 @@ def _cmd_fit(args, config) -> int:
             "beta": beta,
         }
     )
-    _emit((_json_with_meta(fit_result_to_json(result), echo), out))
+    _emit((_json_with_meta(_fit_result_doc(result), echo), out))
     return 0
 
 
@@ -417,8 +422,8 @@ def _cmd_tomo(args, config) -> int:
     if project:
         cov = project_to_physical(cov)
     _emit(
-        (_json_with_meta(covariance_to_json(cov), echo), covariance_out),
-        (_json_with_meta(cumulant_report_to_json(report), echo), cumulants_out),
+        (_json_with_meta(_covariance_doc(cov), echo), covariance_out),
+        (_json_with_meta(_cumulant_report_doc(report), echo), cumulants_out),
     )
     return 0
 
@@ -441,13 +446,11 @@ def _cmd_validate(args, config) -> int:
     except (ValueError, KeyError, TmsflowError) as exc:
         raise ConfigError(f"malformed state file: {exc}") from None
     verdict = validate(cov)
-    payload = json.dumps(
-        {
-            "ok": verdict.ok,
-            "violations": list(verdict.violations),
-            "min_symplectic_eigenvalue": verdict.min_symplectic_eigenvalue,
-        }
-    )
+    payload = {
+        "ok": verdict.ok,
+        "violations": list(verdict.violations),
+        "min_symplectic_eigenvalue": verdict.min_symplectic_eigenvalue,
+    }
     echo = _meta_config({"command": "validate", "state": path})
     _emit((_json_with_meta(payload, echo), out))
     return 0

@@ -6,9 +6,14 @@ of formation, and the information-flow differences
 ``delta_A = D_A - E_F``, ``delta_B = D_B - E_F`` and
 ``delta_AB = (D_A + D_B)/2 - E_F``.  All entropic quantities are in nats.
 
-Every measure is a function of the block determinants and symplectic
-eigenvalues that validation computes, so :func:`correlation_report` takes
-them all in one exact pass and the single measures return its fields.
+Every measure is a closed function of a state's standard form, so one
+NumPy kernel, :func:`correlation_arrays`, evaluates all of them over
+arrays of :class:`~tmsflow.symplectic.StandardForm` at once.  The noise
+models supply those arrays in factored form for whole grids
+(:meth:`tmsflow.states.StateModel.standard_form`); for an arbitrary state,
+:func:`correlation_report` reduces the exact integer invariants of
+validation to the same inputs and calls the same kernel on shape-``()``
+arrays.  The single measures return fields of that report.
 
 Naming of the asymmetric discords follows the measured-subsystem rule:
 ``D_A`` is the discord extracted by measuring subsystem B (it bounds the
@@ -21,20 +26,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NumericalError
 from .symplectic import (
-    _GUARD,
+    StandardForm,
     TwoModeCovariance,
-    VACUUM_VARIANCE,
+    _entropy,
     _ratio,
-    entropy_f,
+    _sqrt_ratio,
     require_valid,
 )
 
 # Discord values this close below zero are clamped to 0; they arise from
 # the floating-point limit of the pure-state coincidence D = E_F.
 _DISCORD_CLAMP = 1e-10
+
+# The first discord branch needs b^2 - 1 above this for the measured mode.
+_BRANCH_1_MIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,53 +66,50 @@ class CorrelationReport:
     gamma: float
 
 
+class CorrelationArrays(NamedTuple):
+    """The fields of :class:`CorrelationReport` as arrays over cells, and
+    the error of every failed cell by flat (C-order) index."""
+
+    d_a: np.ndarray
+    d_b: np.ndarray
+    e_f: np.ndarray
+    i_ab: np.ndarray
+    delta_a: np.ndarray
+    delta_b: np.ndarray
+    delta_ab: np.ndarray
+    gamma: np.ndarray
+    errors: dict
+
+
 def correlation_report(V: TwoModeCovariance) -> CorrelationReport:
     """Full correlation report for a two-mode state."""
     if V.n_modes != 2:
         raise DimensionMismatchError("correlation measures require a two-mode state")
     nus, _, invariants = require_valid(V)
-    return _report(nus, invariants)
+    res = correlation_arrays(_exact_standard_form(nus, invariants))
+    if res.errors:
+        raise res.errors[0]
+    return CorrelationReport(*(float(x) for x in res[:-1]))
 
 
-def _report(nus, invariants: tuple) -> CorrelationReport:
-    """Every measure from one pass over the validation's exact invariants.
+def _exact_standard_form(nus, invariants: tuple) -> StandardForm:
+    """The kernel's inputs from validation's exact invariants, as
+    shape-``()`` arrays, each correctly rounded or nearly so.
 
-    The block determinants ``I1..I4`` are rescaled to vacuum-variance-1
-    units as exact integers over ``q``, an even power of two (``q**2`` for
-    ``I4``).  Two exact integers serve several measures:
-    ``N = I4 - (I1 + I2 + 2 I3) + 1 = (nu+^2 - 1)(nu-^2 - 1)`` (clamped at
-    0, where only the rounding of stored entries makes it negative) and
-    ``prod = t^2 - 4 I3^2 I1 I2`` with ``t = I1 I2 + I3^2 - I4``.  In
-    standard form (a, b, c1 >= |c2|), ``prod = I1 I2 (c1 - c2)^2 (c1 +
-    c2)^2``, never negative for a positive-definite matrix.  The entropies
-    f(nu+-), f(sqrt(I1)) and f(sqrt(I2)) are each evaluated once.
-
-    E_F: ``z = exp(4 gamma)`` solves ``k4 z^2 + k2 z + k0 = 0`` with the
-    EPR-variance products ``k4 = (a+b-2c1)(a+b+2c2)/4 > 0``, ``k0 =
-    (a+b+2c1)(a+b-2c2)/4`` and ``-k2 = I4 + 1 - (a-b)^2/2``, where ``g_i =
-    ab - c_i^2``.  The quadratic at z = 1 is ``k4 + k2 + k0 = I1 + I2 - 2 I3
-    - I4 - 1``, positive exactly for entangled states; then both roots lie
-    on one side of 1, and above it, since their product ``k0 / k4`` is at
-    least 1 (``k0 - k4 = (a+b)(c1 - c2)``).  For separable states 1 lies
-    between the roots.  Either way the smaller root ``z = 2 k0 / (-k2 +
-    sqrt(disc))`` is the one on the boundary side of the state, so no root
-    is chosen.  Every term is sign-definite: ``k0 = [(a-b)^2 + 4(ab - I3) +
-    2(a+b)(c1-c2)]/4`` and ``disc = k2^2 - 4 k4 k0 = (g1+1)(g2+1) N + (c1 +
-    c2)^2 (I4 + 1 + 2(ab - I3))``.  Of ``ab (c1 -+ c2)^2 = t -+ 2 I3 ab``,
-    the one that cancels is taken as ``prod`` over the other, and ``ab -
-    I3`` likewise from the exact ``I1 I2 - I3^2``, so nothing cancels near
-    pure states.
-
-    Discords: the minimized conditional-state determinant after measuring
-    one mode follows the two-branch closed form of Adesso and Datta, PRL
-    105, 030501 (2010), with ``a`` and ``b`` now the determinants of the
-    unmeasured and the measured block, ``c = I3`` and ``d = I4``.  Its
-    branch test and radicands are exact integers, so floats enter only at
-    the square roots.  The first radicand is ``I3^2 + (b - 1)(I4 - a) = (b -
-    1) N + (b + I3 - 1)^2``, with ``b > 1`` required of that branch.  The
-    second, ``c^4 + (d - ab)^2 - 2 c^2 (ab + d)``, expands to ``(ab + c^2 -
-    d)^2 - 4 c^2 ab``: it is ``prod`` itself, the same integer for both
-    measured modes.
+    The block determinants ``I1..I4`` are rescaled to vacuum-1 units as
+    exact integers over ``q``, an even power of two (``q**2`` for ``I4``).
+    ``N = I4 - (I1 + I2 + 2 I3) + 1`` is exact (clamped at 0, where only the
+    rounding of stored entries makes it negative), and so is ``prod = t^2 -
+    4 I3^2 I1 I2`` with ``t = I1 I2 + I3^2 - I4``; in standard form ``prod =
+    I1 I2 (c1 - c2)^2 (c1 + c2)^2``.  Of ``ab (c1 -+ c2)^2 = t -+ 2 I3 ab``
+    the one that cancels is taken as ``prod`` over the other.  ``g1 + g2 =
+    (I1 I2 - I3^2 + I4) / ab`` and ``g2 - g1 = (c1 - c2)(c1 + c2)`` give
+    ``g2``, and ``g1 = I4 / g2``.  The first discord radicand after
+    measuring the mode with block determinant ``m`` is the exact ``(m - 1)
+    N + (m + I3 - 1)^2``, and that branch's condition ``(I4 - I1 I2)^2 <= (1
+    + m) I3^2 (u + I4)``, with ``u`` the other block's determinant, is
+    decided on exact integers.  Beyond the double range this raises
+    :class:`NumericalError`.
     """
     i1, i2, i3, i4, e = invariants
     i1, i2, i3, i4, q = i1 << 4, i2 << 4, i3 << 4, i4 << 8, 1 << 2 * e
@@ -109,66 +117,124 @@ def _report(nus, invariants: tuple) -> CorrelationReport:
     n = max(i4 - (i1 + i2 + 2 * i3) * q + qq, 0)
     t = i12 + i33 - i4
     prod = t * t - 4 * i33 * i12
-
-    a, b = math.sqrt(_ratio(i1, q)), math.sqrt(_ratio(i2, q))
-    ab, c1c2 = a * b, _ratio(i3, q)
-    i4_1 = _ratio(i4 + qq, qq)  # I4 + 1
-    # ab - c1 c2 > 0, from the exact I1 I2 - I3^2 where it would cancel.
-    gap = _ratio(i12 - i33, qq) / (ab + c1c2) if i3 > 0 else ab - c1c2
-    # ab (c1 -+ c2)^2: the sum directly, the difference from prod.
-    big = _ratio(t, qq) + 2.0 * abs(c1c2) * ab
-    small = _ratio(prod, qq * qq) / big if prod else 0.0
-    m_minus, m_plus = (big, small) if i3 < 0 else (small, big)
-    amb = _ratio(i1 - i2, q) / (a + b)  # a - b
-    k0 = 0.25 * amb * amb + gap + 0.5 * (a + b) * math.sqrt(m_minus / ab)
-    minus_k2 = i4_1 - 0.5 * amb * amb
-    gg = i4_1 + _ratio(i12 - i33 + i4, qq) / ab  # (g1 + 1)(g2 + 1)
-    # z = 2 k0 / (-k2 + sqrt(disc)); sqrt(disc) as a hypot and the halved
-    # sum stay finite wherever I4 itself is.
-    root = math.hypot(
-        math.sqrt(gg) * math.sqrt(_ratio(n, qq)),
-        math.sqrt(m_plus / ab) * math.sqrt(i4_1 + 2.0 * gap),
-    )
-    gamma = 0.25 * math.log(k0 / (0.5 * minus_k2 + 0.5 * root))
-    e_f = eof_from_gamma(gamma)
-
-    # In vacuum-1/4 units sqrt(I1) is a / 4 exactly.
-    f_a = entropy_f(max(0.25 * a, VACUUM_VARIANCE))
-    f_b = entropy_f(max(0.25 * b, VACUUM_VARIANCE))
-    f_plus = entropy_f(max(float(nus[0]), VACUUM_VARIANCE))
-    f_minus = entropy_f(max(float(nus[1]), VACUUM_VARIANCE))
-    # Branch 2: (ab - c^2 + d - sqrt(prod)) / 2b, free of cancellation since
-    # the product of that numerator with ab - c^2 + d + sqrt(prod) is 4abd.
-    x2 = ((i12 - i33 + i4) << _GUARD) + math.isqrt(prod << 2 * _GUARD)
-    discords = []
-    # D_A measures B (leading term f(sqrt(I2))), D_B measures A.
-    for unmeasured, measured, f_lead in ((i1, i2, f_b), (i2, i1, f_a)):
-        branch_1 = (i4 - i12) ** 2 * q <= (q + measured) * i33 * (unmeasured * q + i4)
-        if branch_1 and (measured - q) * 10**9 > q:
-            # The numerator 2c^2 + (b-1)(d-a) + 2|c| sqrt(rad) is (|c| + sqrt(rad))^2.
+    try:
+        a, b = math.sqrt(_ratio(i1, q)), math.sqrt(_ratio(i2, q))
+        ab = a * b
+        big = _ratio(t, qq) + 2.0 * abs(_ratio(i3, q)) * ab
+        small = _ratio(prod, qq * qq) / big if prod else 0.0
+        m_minus, m_plus = (big, small) if i3 < 0 else (small, big)
+        c_minus, c_plus = math.sqrt(m_minus / ab), math.sqrt(m_plus / ab)
+        g2 = 0.5 * (_ratio(i12 - i33 + i4, qq) / ab + c_minus * c_plus)
+        roots, branches = [], []
+        for unmeasured, measured in ((i1, i2), (i2, i1)):
             rad = (measured - q) * n + (measured + i3 - q) ** 2 * q
-            s = math.isqrt(q)
-            x = (abs(i3) * s << _GUARD) + math.isqrt(rad << 2 * _GUARD)
-            e_min = x * x / ((measured - q) * s << _GUARD) ** 2
-        else:
-            e_min = (unmeasured * i4 << (_GUARD + 1)) / (x2 * q)
-        nu_cond = max(math.sqrt(e_min / 16.0), VACUUM_VARIANCE)
-        value = f_lead - f_plus - f_minus + entropy_f(nu_cond)
-        if value < 0.0:
-            if value < -_DISCORD_CLAMP:
-                raise NumericalError(f"discord {value:.3e} below the clamp window")
-            value = 0.0
-        discords.append(value)
-    d_a, d_b = discords
-    return CorrelationReport(
+            roots.append(_sqrt_ratio(rad, q * qq))
+            branches.append((i4 - i12) ** 2 * q <= (q + measured) * i33 * (unmeasured * q + i4))
+        fields = (
+            a, b, c_minus, c_plus, _ratio(i4, qq) / g2, g2, 4.0 * nus[0], 4.0 * nus[1],
+            _ratio(n, qq), _ratio(i1 - q, q), _ratio(i2 - q, q), *roots, *branches,
+        )
+    except OverflowError:
+        raise NumericalError("exact invariant beyond the double range") from None
+    return StandardForm(*(np.asarray(f) for f in fields), errors={})
+
+
+def correlation_arrays(sf: StandardForm) -> CorrelationArrays:
+    """Every correlation measure of every cell of ``sf`` in one NumPy pass.
+
+    Cells already failed in ``sf.errors`` keep their error; a cell whose
+    measures leave the double range fails with :class:`NumericalError`, as
+    does a discord below ``-1e-10`` (values above it are clamped to 0).
+
+    E_F: ``z = exp(4 gamma)`` solves ``k4 z^2 + k2 z + k0 = 0`` with the
+    EPR-variance products ``k4 = (a+b-2c1)(a+b+2c2)/4 > 0``, ``k0 =
+    (a+b+2c1)(a+b-2c2)/4`` and ``-k2 = I4 + 1 - (a-b)^2/2``.  The quadratic
+    at z = 1 is ``k4 + k2 + k0 = I1 + I2 - 2 I3 - I4 - 1``, positive exactly
+    for entangled states; then both roots lie on one side of 1, and above
+    it, since their product ``k0 / k4`` is at least 1 (``k0 - k4 = (a+b)(c1
+    - c2)``).  For separable states 1 lies between the roots.  Either way
+    the smaller root ``z = 2 k0 / (-k2 + sqrt(disc))`` is the one on the
+    boundary side of the state, so no root is chosen.  Every term is
+    sign-definite: ``k0 = (a-b)^2/4 + (ab - c1 c2) + (a+b)(c1-c2)/2``, ``ab -
+    c1 c2 = g1 + c1 (c1 - c2)`` and ``disc = (g1+1)(g2+1) N + (c1 + c2)^2 (I4
+    + 1 + 2(ab - c1 c2))``.  For the models (``c1 + c2 = 0``) this is ``gamma
+    = ln[(a + b + 2c) / (g + 1 + sqrt(N))] / 2``.  ``E_F = sign(gamma)
+    f(cosh(2 gamma)/4)``, with ``2x - 1/2 = sinh^2 gamma`` taken directly.
+
+    Discords: the minimized conditional-state determinant after measuring
+    one mode follows the two-branch closed form of Adesso and Datta, PRL
+    105, 030501 (2010), with ``u`` and ``m`` the determinants of the
+    unmeasured and the measured block, ``c = I3`` and ``d = I4``.  The first
+    branch (its condition from ``sf``, and ``m - 1 > 1e-9``) gives the
+    square root ``(|c| + sqrt(rad)) / (m - 1)`` of the numerator ``2c^2 + (m
+    - 1)(d - u) + 2|c| sqrt(rad) = (|c| + sqrt(rad))^2`` over ``(m - 1)^2``.
+    The second, ``(um - c^2 + d - sqrt(prod)) / 2m``, is taken as ``2ud /
+    (um - c^2 + d + sqrt(prod))``, free of cancellation, with ``um - c^2 =
+    (ab - c1 c2)(g1 + c1 (c1 + c2))`` and ``sqrt(prod) = ab (c1 - c2)(c1 +
+    c2)``.  The seven entropies f(a), f(b), f(nu+-), the two conditional
+    terms and E_F's are evaluated once each.
+    """
+    a, b, c_minus, c_plus, g1, g2 = sf.a, sf.b, sf.c_minus, sf.c_plus, sf.g1, sf.g2
+    with np.errstate(all="ignore"):
+        c1 = 0.5 * (c_minus + c_plus)
+        gap = g1 + c1 * c_minus  # ab - c1 c2
+        i4 = g1 * g2
+        amb2 = (a - b) ** 2
+        k0 = 0.25 * amb2 + gap + 0.5 * (a + b) * c_minus
+        # sqrt(disc) as a hypot of square-root products stays finite wherever I4 is.
+        root = np.hypot(
+            np.sqrt((g1 + 1.0) * (g2 + 1.0)) * np.sqrt(sf.n_prod),
+            c_plus * np.sqrt(i4 + 1.0 + 2.0 * gap),
+        )
+        gamma = 0.25 * np.log(k0 / (0.5 * (i4 + 1.0 - 0.5 * amb2) + 0.5 * root))
+
+        # The conditional symplectic eigenvalue after measuring B (D_A) and A (D_B).
+        abs_i3 = c1 * 0.5 * np.abs(c_plus - c_minus)  # |c1 c2|
+        x2 = gap * (g1 + c1 * c_plus) + i4 + a * b * c_minus * c_plus
+        second = np.sqrt(2.0 * i4 / x2)
+        cond_a = np.where(
+            sf.branch_a & (sf.b2m1 > _BRANCH_1_MIN), (abs_i3 + sf.root_a) / sf.b2m1, a * second
+        )
+        cond_b = np.where(
+            sf.branch_b & (sf.a2m1 > _BRANCH_1_MIN), (abs_i3 + sf.root_b) / sf.a2m1, b * second
+        )
+        # entropy_f(x) reads m = 2x - 1/2, which is (nu - 1)/2 for nu in vacuum-1 units.
+        f_a, f_b, f_plus, f_minus, f_cond_a, f_cond_b, f_eof = _entropy(
+            np.maximum(
+                np.stack((
+                    sf.a2m1 / (a + 1.0), sf.b2m1 / (b + 1.0), sf.nu_plus - 1.0,
+                    sf.nu_minus - 1.0, cond_a - 1.0, cond_b - 1.0, 2.0 * np.sinh(gamma) ** 2,
+                )) * 0.5,
+                0.0,
+            )
+        )
+        e_f = np.sign(gamma) * f_eof
+        d_a = f_b - f_plus - f_minus + f_cond_a
+        d_b = f_a - f_plus - f_minus + f_cond_b
+        i_ab = np.maximum(f_a + f_b - f_plus - f_minus, 0.0)
+        finite = np.isfinite(d_a + d_b + e_f + i_ab + gamma)
+
+    errors = dict(sf.errors)
+    if not finite.all():
+        for cell in np.flatnonzero(~finite):
+            errors.setdefault(int(cell), NumericalError("exact invariant beyond the double range"))
+    if (np.minimum(d_a, d_b) < -_DISCORD_CLAMP).any():
+        for d in (d_a, d_b):
+            for cell in np.flatnonzero(d < -_DISCORD_CLAMP):
+                errors.setdefault(
+                    int(cell), NumericalError(f"discord {float(d.flat[cell]):.3e} below the clamp window")
+                )
+    d_a, d_b = np.maximum(d_a, 0.0), np.maximum(d_b, 0.0)
+    return CorrelationArrays(
         d_a=d_a,
         d_b=d_b,
         e_f=e_f,
-        i_ab=max(f_a + f_b - f_plus - f_minus, 0.0),
+        i_ab=i_ab,
         delta_a=d_a - e_f,
         delta_b=d_b - e_f,
         delta_ab=0.5 * (d_a + d_b) - e_f,
         gamma=gamma,
+        errors=errors,
     )
 
 
@@ -230,10 +296,7 @@ def eof_from_gamma(gamma: float) -> float:
     ``sign(gamma) * [cosh^2 g ln cosh^2 g - sinh^2 g ln sinh^2 g]`` with
     g = |gamma|; equals ``sign(gamma) * f(cosh(2 gamma)/4)``.
     """
-    if gamma == 0.0:
-        return 0.0
-    sign = 1.0 if gamma > 0 else -1.0
-    return sign * entropy_f(math.cosh(2.0 * gamma) * VACUUM_VARIANCE)
+    return float(np.sign(gamma) * _entropy(np.sinh(np.float64(gamma)) ** 2))
 
 
 REPORT_CSV_HEADER = "S_db,n,D_A,D_B,E_F,I_AB,delta_A,delta_B,delta_AB"

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import correlation_report
-from .errors import DomainError, ModelFailureError, TmsflowError
+from .correlations import correlation_arrays
+from .errors import DomainError, ModelFailureError
 from .states import StateModel
 
 DEFAULT_WEIGHTS = (0.5, 0.5, 1.0)
@@ -88,35 +88,33 @@ def _fit_model(chi: tuple[float, float], coupling_beta: float) -> StateModel:
     return StateModel.realistic(chi1=max(chi[0], 0.0), chi2=chi[1], beta=coupling_beta)
 
 
-def _model_observables(model: StateModel, s_db: float, n: float) -> tuple[float, float, float]:
-    rep = correlation_report(model.state(s_db, n))
-    return rep.d_a, rep.d_b, rep.e_f
-
-
 def _residuals(records, chi, weights, coupling_beta: float) -> np.ndarray:
     """Residuals of (D_A, D_B, E_F), three per record: ``(model - measured)
     / sigma`` for a record that carries sigma, ``sqrt(w) (model - measured)``
-    otherwise."""
+    otherwise.  All records are one kernel call; the first record whose
+    model evaluation fails raises :class:`ModelFailureError`."""
+    s_db, n = np.array([[rec.s_db, rec.n] for rec in records]).reshape(-1, 2).T
+    res = correlation_arrays(_fit_model(chi, coupling_beta).standard_form(s_db, n))
+    if res.errors:
+        idx = min(res.errors)
+        rec = records[idx]
+        raise ModelFailureError(
+            f"model evaluation failed for record {idx} "
+            f"(S={rec.s_db} dB, n={rec.n}): {res.errors[idx]}",
+            record_index=idx,
+        ) from res.errors[idx]
     root_w = [math.sqrt(w) for w in weights]
-    model = _fit_model(chi, coupling_beta)
-    out = np.empty(3 * len(records))
-    for idx, rec in enumerate(records):
-        try:
-            predicted = _model_observables(model, rec.s_db, rec.n)
-        except TmsflowError as exc:
-            raise ModelFailureError(
-                f"model evaluation failed for record {idx} "
-                f"(S={rec.s_db} dB, n={rec.n}): {exc}",
-                record_index=idx,
-            ) from exc
-        measured = (rec.d_a, rec.d_b, rec.e_f)
+    scale, sigma = [], []
+    for rec in records:
         if rec.sd_a is None:
-            res = [w * (p - m) for w, p, m in zip(root_w, predicted, measured)]
+            scale.append(root_w)
+            sigma.append((1.0, 1.0, 1.0))
         else:
-            sigmas = (rec.sd_a, rec.sd_b, rec.se_f)
-            res = [(p - m) / s for p, m, s in zip(predicted, measured, sigmas)]
-        out[3 * idx : 3 * idx + 3] = res
-    return out
+            scale.append((1.0, 1.0, 1.0))
+            sigma.append((rec.sd_a, rec.sd_b, rec.se_f))
+    predicted = np.stack((res.d_a, res.d_b, res.e_f), axis=-1)
+    measured = np.array([(rec.d_a, rec.d_b, rec.e_f) for rec in records])
+    return ((np.array(scale) * (predicted - measured)) / np.array(sigma)).ravel()
 
 
 def cost(
@@ -281,19 +279,23 @@ def synthetic_records(
     the given amplitude on every observable."""
     if not noise >= 0.0:
         raise DomainError(f"noise amplitude must be >= 0, got {noise}")
+    s_vals = [float(s_db) for s_db in s_values]
+    n_vals = [float(n) for n in n_values]
     model = _fit_model(chi, coupling_beta)
+    res = correlation_arrays(model.standard_form(np.array(s_vals)[:, None], np.array(n_vals)))
+    if res.errors:
+        raise res.errors[min(res.errors)]
+    observables = zip(res.d_a.ravel().tolist(), res.d_b.ravel().tolist(), res.e_f.ravel().tolist())
     rng = np.random.default_rng(seed)
     records = []
-    for s_db in s_values:
-        for n in n_values:
-            d_a, d_b, e_f = _model_observables(model, float(s_db), float(n))
+    for s_db in s_vals:
+        for n in n_vals:
+            d_a, d_b, e_f = next(observables)
             if noise > 0.0:
                 d_a += noise * rng.standard_normal()
                 d_b += noise * rng.standard_normal()
                 e_f += noise * rng.standard_normal()
-            records.append(
-                MeasurementRecord(s_db=float(s_db), n=float(n), d_a=d_a, d_b=d_b, e_f=e_f)
-            )
+            records.append(MeasurementRecord(s_db=s_db, n=n, d_a=d_a, d_b=d_b, e_f=e_f))
     return records
 
 
@@ -356,17 +358,18 @@ def _is_number(tok: str) -> bool:
 
 
 def fit_result_to_json(result: FitResult) -> str:
-    return json.dumps(
-        {
-            "chi1": result.chi1,
-            "chi2": result.chi2,
-            "final_cost": result.final_cost,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "clamp_activations": result.clamp_activations,
-            "chi1_se": result.chi1_se,
-            "chi2_se": result.chi2_se,
-            "reduced_chi2": result.reduced_chi2,
-        },
-        allow_nan=False,
-    )
+    return json.dumps(_fit_result_doc(result), allow_nan=False)
+
+
+def _fit_result_doc(result: FitResult) -> dict:
+    return {
+        "chi1": result.chi1,
+        "chi2": result.chi2,
+        "final_cost": result.final_cost,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "clamp_activations": result.clamp_activations,
+        "chi1_se": result.chi1_se,
+        "chi2_se": result.chi2_se,
+        "reduced_chi2": result.reduced_chi2,
+    }

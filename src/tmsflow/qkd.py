@@ -176,7 +176,7 @@ def key_threshold(
             f"no key sign change on [{lo}, {hi}] at {s_db} dB "
             f"(K({lo}) = {k_lo:.3e}, K({hi}) = {k_hi:.3e})"
         )
-    mid = _bisect_root(key_at, lo, hi, k_lo)
+    mid = _bisect_root(lambda lo, hi: ([key_at(0.5 * (lo + hi))], {}), lo, hi, k_lo)
     if not abs(key_at(mid)) < tolerance:
         raise NumericalError(
             f"key at the bisection point exceeds the requested tolerance: "
@@ -186,17 +186,19 @@ def key_threshold(
 
 
 def key_result_to_json(scenario: QkdScenario, result: KeyResult) -> str:
-    return json.dumps(
-        {
-            "r": scenario.r,
-            "n_q": scenario.n_q,
-            "beta": scenario.beta,
-            "sigma2": scenario.sigma2,
-            "shannon_mi_bits": result.shannon_mi,
-            "holevo_bits": result.holevo,
-            "key_bits": result.key,
-        }
-    )
+    return json.dumps(_key_result_doc(scenario, result))
+
+
+def _key_result_doc(scenario: QkdScenario, result: KeyResult) -> dict:
+    return {
+        "r": scenario.r,
+        "n_q": scenario.n_q,
+        "beta": scenario.beta,
+        "sigma2": scenario.sigma2,
+        "shannon_mi_bits": result.shannon_mi,
+        "holevo_bits": result.holevo,
+        "key_bits": result.key,
+    }
 
 
 QKD_CSV_HEADER = "S_db,n_q,I_s_bits,holevo_bits,K_bits"

@@ -4,7 +4,9 @@ Covers ideal two-mode squeezed (TMS) states, local noise injection into
 mode B (both the ideal large-bath limit and the explicit directional
 coupler) and the squeezing-level conversions.  :class:`StateModel` maps
 (squeezing level, injected noise) to a state for each of the three noise
-models; it alone checks a model's parameters (the coupling beta once, when
+models, either as a covariance matrix or, broadcast over arrays of both
+parameters, as the factored standard form that the correlation kernel
+reads; it alone checks a model's parameters (the coupling beta once, when
 the model is built) and knows the amplifier prefactor of the model used
 for fitting.
 
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCouplingError, DomainError, NumericalError
-from .symplectic import CovarianceMatrix, TwoModeCovariance, VACUUM_VARIANCE
+from .errors import BadCouplingError, DomainError, NonFiniteError, NumericalError
+from .symplectic import CovarianceMatrix, StandardForm, TwoModeCovariance, VACUUM_VARIANCE
 
 _DB_PER_UNIT_R = 20.0 * math.log10(math.e)
 
@@ -175,7 +177,21 @@ def jpa_noise(G: float, jpa: JpaNoiseModel) -> float:
     try:
         return jpa.chi1 * (G - 1.0) ** jpa.chi2
     except OverflowError:
-        raise NumericalError(f"amplifier noise at gain {G:.3g} overflows double precision") from None
+        raise _gain_overflow(G) from None
+
+
+def _gain_overflow(G: float) -> NumericalError:
+    return NumericalError(f"amplifier noise at gain {G:.3g} overflows double precision")
+
+
+def _spread(errors: dict, shape: tuple, part: np.ndarray, failures) -> None:
+    """Record each ``(index into part, error)`` for every cell of the
+    broadcast ``shape`` that reads that element; earlier records win."""
+    for i, exc in failures:
+        hit = np.zeros(part.shape, dtype=bool)
+        hit.flat[i] = True
+        for cell in np.flatnonzero(np.broadcast_to(hit, shape)):
+            errors.setdefault(int(cell), exc)
 
 
 @dataclass(frozen=True)
@@ -208,10 +224,15 @@ class StateModel:
 
     def amplifier_prefactor(self, r: float) -> float:
         """Scale ``1 + 2 n_jpa(e^{2r})`` of the whole realistic matrix at
-        squeezing factor r; 1 for models without amplifier noise."""
+        squeezing factor r; 1 for models without amplifier noise.  Raises
+        :class:`NumericalError` where it is not a finite double."""
         if self.jpa is None:
             return 1.0
-        return 1.0 + 2.0 * jpa_noise(math.exp(2.0 * r), self.jpa)
+        G = math.exp(2.0 * r)
+        p = 1.0 + 2.0 * jpa_noise(G, self.jpa)
+        if not math.isfinite(p):
+            raise _gain_overflow(G)
+        return p
 
     def state(self, s_db: float, n: float) -> TwoModeCovariance:
         """State at squeezing level ``s_db`` (dB) with ``n`` noise photons
@@ -224,7 +245,109 @@ class StateModel:
         V = _couple(ideal_tms(r), self.coupling_beta, n / self.coupling_beta)
         if self.jpa is None:
             return V
-        return CovarianceMatrix(self.amplifier_prefactor(r) * V.entries)
+        p = self.amplifier_prefactor(r)
+        with np.errstate(over="ignore"):  # inf entries fail validation
+            return CovarianceMatrix(p * V.entries)
+
+    def standard_form(self, s_db, n) -> StandardForm:
+        """The model's states on arrays of squeezing levels ``s_db`` (dB)
+        and injected noise ``n``, broadcast together, as the factored
+        standard form the correlation kernel reads.
+
+        In vacuum-1 units, with ``A = cosh 2r = 1 + u``, ``S = sinh 2r``,
+        ``t = sqrt(1 - beta)`` (``beta = 0`` for the ideal model) and the
+        amplifier prefactor ``p`` (1 without amplifier), every state has
+        ``a = p A``, ``b = p (A - beta u + 2n)``, ``c1 = -c2 = p t S`` and
+        ``g = ab - c^2 = p^2 g0`` with ``g0 = 1 + beta u + 2n A`` (``1 + 2an``
+        for the ideal model).  Nothing that cancels is formed by
+        subtraction:
+
+        * the EPR variances ``e-+ = a + b -+ 2c`` are ``p [e^{2r} (1 -+ t)^2
+          + e^{-2r} (1 +- t)^2] / 2 + p (beta + 2n)``, so ``nu+ + nu- =
+          sqrt(e- e+)``, ``nu+ - nu- = |a - b|`` and ``nu- = g / nu+``;
+        * at ``p = 1``, ``N = (nu+^2 - 1)(nu-^2 - 1) = 4n(n + beta) S^2``
+          (``4 n^2 c^2`` for the ideal model) and ``nu+^2 - 1 + nu-^2 - 1 =
+          beta^2 u^2 + 2 beta u + 4n(1 - beta) u + 4n(n + 1)``; with the
+          amplifier each factor becomes ``p^2 (nu0^2 - 1) + p^2 - 1``;
+        * the first-branch discord radicands are ``(b^2 - 1) N + w_A^2`` and
+          ``(a^2 - 1) N + w_B^2`` with ``w_B = a^2 - c^2 - 1 = p^2 - 1 + p^2
+          beta S^2`` and ``w_A = b^2 - c^2 - 1 = p^2 - 1 + p^2 (4n((1 -
+          beta) u + n + 1) - beta (1 - beta) u^2)``; that branch's exact
+          condition reduces to ``c^4 (a - b g)^2 >= 0`` and always holds.
+
+        A cell whose parameters are rejected carries, in ``errors``, the
+        error :meth:`state` raises for them: the squeezing level first, then
+        the noise, then an overflowing amplifier prefactor, then entries
+        beyond the double range.  Refs: Serafini, Illuminati and De Siena,
+        J. Phys. B 37, L21 (2004); Adesso and Datta, PRL 105, 030501 (2010).
+        """
+        s = np.asarray(s_db, dtype=float)
+        n = np.asarray(n, dtype=float)
+        full = np.zeros(np.broadcast_shapes(s.shape, n.shape))
+        r, p = np.zeros(s.shape), np.ones(s.shape)
+        level_errors, gain_errors = [], []
+        for i, level in enumerate(s.flat):
+            try:
+                r.flat[i] = _squeezing_factor(float(level))
+                p.flat[i] = self.amplifier_prefactor(float(r.flat[i]))
+            except DomainError as exc:
+                level_errors.append((i, exc))
+            except NumericalError as exc:
+                gain_errors.append((i, exc))
+        noise_errors = []
+        if (n < 0.0).any():
+            noise_errors = [
+                (i, DomainError(f"injected noise photon number must be >= 0, got {float(n.flat[i])}"))
+                for i in np.flatnonzero(n < 0.0)
+            ]
+        errors: dict = {}
+        _spread(errors, full.shape, s, level_errors)
+        _spread(errors, full.shape, n, noise_errors)
+        _spread(errors, full.shape, s, gain_errors)
+
+        beta = self.coupling_beta or 0.0
+        t = math.sqrt(1.0 - beta)
+        t_minus, t_plus = beta / (1.0 + t), 1.0 + t  # 1 - t and 1 + t
+        with np.errstate(all="ignore"):
+            r, p, n = r + full, p + full, n + full  # every field takes the full shape
+            u = 2.0 * np.sinh(r) ** 2  # A - 1
+            big_s = np.sinh(2.0 * r)
+            s2 = big_s * big_s
+            gain = np.exp(2.0 * r)
+            v = (1.0 - beta) * u + 2.0 * n  # b0 - 1
+            g0 = 1.0 + beta * u + 2.0 * n * (1.0 + u)
+            # Base family (p = 1): EPR variances, nu+ and the two factors of N.
+            e_minus = 0.5 * (gain * t_minus**2 + t_plus**2 / gain) + beta + 2.0 * n
+            e_plus = 0.5 * (gain * t_plus**2 + t_minus**2 / gain) + beta + 2.0 * n
+            spread = np.abs(beta * u - 2.0 * n)  # |a0 - b0| = nu+ - nu-
+            width = np.sqrt(e_minus) * np.sqrt(e_plus)  # nu+ + nu-
+            w_a0 = 4.0 * n * ((1.0 - beta) * u + n + 1.0)
+            plus0 = 0.5 * (beta * u * (beta * u + 2.0) + w_a0 + spread * width)  # nu+^2 - 1
+            w_a0 -= beta * (1.0 - beta) * u * u
+            n0 = 4.0 * n * (n + beta) * s2
+            minus0 = n0 / np.where(plus0 > 0.0, plus0, 1.0)  # nu-^2 - 1; n0 = 0 where plus0 is
+            # Amplifier scaling.
+            p2, q2 = p * p, (p - 1.0) * (p + 1.0)
+            a, b, c = p * (1.0 + u), p * (1.0 + v), p * t * big_s
+            nu_plus = 0.5 * p * (spread + width)
+            g = p2 * g0
+            nu_minus, c_minus = g / nu_plus, 2.0 * c
+            n_prod = (p2 * plus0 + q2) * (p2 * minus0 + q2)
+            a2m1 = p2 * s2 + q2
+            b2m1 = p2 * v * (v + 2.0) + q2
+            root_n = np.sqrt(n_prod)
+            root_a = np.hypot(np.sqrt(b2m1) * root_n, q2 + p2 * w_a0)
+            root_b = np.hypot(np.sqrt(a2m1) * root_n, q2 + p2 * beta * s2)
+            # The matrix entries are a/4 and b/4 (c <= a).
+            entries = np.isfinite(p * (0.25 * np.maximum(1.0 + u, 1.0 + v)))
+        if not entries.all():
+            for cell in np.flatnonzero(~entries):
+                errors.setdefault(int(cell), NonFiniteError("covariance matrix has NaN or infinite entries"))
+        first = np.ones(full.shape, dtype=bool)
+        return StandardForm(
+            a, b, c_minus, full, g, g, nu_plus, nu_minus, n_prod, a2m1, b2m1,
+            root_a, root_b, first, first, errors=errors,
+        )
 
     @classmethod
     def ideal(cls) -> "StateModel":

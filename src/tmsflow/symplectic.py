@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -356,6 +357,41 @@ def _two_mode_nu(invariants: tuple, partial_transpose: bool = False) -> tuple[fl
     )
 
 
+class StandardForm(NamedTuple):
+    """Two-mode states as the cancellation-free inputs of the correlation
+    kernel: float arrays of one broadcast shape, in vacuum-1 units.
+
+    Every two-mode state has the standard form ``[[a 1, diag(c1, c2)],
+    [diag(c1, c2), b 1]]`` with ``c1 >= |c2|``.  The quantities that would
+    cancel if formed from ``(a, b, c1, c2)`` are supplied directly, by the
+    noise models in factored form (:meth:`tmsflow.states.StateModel.
+    standard_form`, where ``c1 = -c2 = c`` and ``g1 = g2 = g``) and by the
+    exact integer pass for arbitrary states.  ``errors`` maps the flat
+    (C-order) index of every cell that has already failed to its error;
+    the values of those cells are meaningless.
+    """
+
+    a: np.ndarray  # sqrt(I1)
+    b: np.ndarray  # sqrt(I2)
+    c_minus: np.ndarray  # c1 - c2 >= 0
+    c_plus: np.ndarray  # c1 + c2 >= 0
+    g1: np.ndarray  # ab - c1^2 > 0
+    g2: np.ndarray  # ab - c2^2 >= g1; g1 g2 = I4
+    nu_plus: np.ndarray
+    nu_minus: np.ndarray
+    n_prod: np.ndarray  # N = (nu+^2 - 1)(nu-^2 - 1) >= 0
+    a2m1: np.ndarray  # a^2 - 1
+    b2m1: np.ndarray  # b^2 - 1
+    # Square roots of the first-branch discord radicands, measuring B (for
+    # D_A) and measuring A (for D_B), and whether that branch's exact
+    # condition holds (see tmsflow.correlations.correlation_arrays).
+    root_a: np.ndarray
+    root_b: np.ndarray
+    branch_a: np.ndarray
+    branch_b: np.ndarray
+    errors: dict
+
+
 def symplectic_summary(V: TwoModeCovariance) -> SymplecticSummary:
     """Invariants, symplectic eigenvalues and the partial-transpose minimum
     eigenvalue of a two-mode state, all from the exact invariant pass of
@@ -390,6 +426,14 @@ def entropy_f(x: float) -> float:
         raise DomainError(f"entropy argument {x} below the vacuum variance 1/4")
     m = 2.0 * x - 0.5
     return math.log1p(m) + m * math.log1p(1.0 / m) if m > 0.0 else 0.0
+
+
+def _entropy(m: np.ndarray) -> np.ndarray:
+    """:func:`entropy_f` over arrays of ``m = 2x - 1/2 >= 0``; NaN passes
+    through, so a failed input stays visible."""
+    positive = m > 0.0
+    safe = np.where(positive, m, 1.0)
+    return np.where(positive, np.log1p(safe) + safe * np.log1p(1.0 / safe), m)
 
 
 def von_neumann_entropy(V: CovarianceMatrix) -> float:
@@ -481,9 +525,11 @@ def homodyne_condition(
 
 
 def covariance_to_json(V: CovarianceMatrix) -> str:
-    return json.dumps(
-        {"n_modes": V.n_modes, "entries": [float(x) for x in V.entries.ravel()]}
-    )
+    return json.dumps(_covariance_doc(V))
+
+
+def _covariance_doc(V: CovarianceMatrix) -> dict:
+    return {"n_modes": V.n_modes, "entries": [float(x) for x in V.entries.ravel()]}
 
 
 def covariance_from_json(text: str) -> CovarianceMatrix:

@@ -266,20 +266,22 @@ def samples_to_csv(samples: QuadratureSamples) -> str:
 
 
 def cumulant_report_to_json(report: CumulantReport) -> str:
-    return json.dumps(
-        {
-            "gaussian": report.gaussian,
-            "threshold": report.threshold,
-            "second_order": report.second_order,
-            "cumulants": [
-                {
-                    "pair": [COLUMN_NAMES[e.pair[0]], COLUMN_NAMES[e.pair[1]]],
-                    "order": list(e.order),
-                    "value": e.value,
-                    "standard_error": e.standard_error,
-                    "normalized": e.normalized,
-                }
-                for e in report.entries
-            ],
-        }
-    )
+    return json.dumps(_cumulant_report_doc(report))
+
+
+def _cumulant_report_doc(report: CumulantReport) -> dict:
+    return {
+        "gaussian": report.gaussian,
+        "threshold": report.threshold,
+        "second_order": report.second_order,
+        "cumulants": [
+            {
+                "pair": [COLUMN_NAMES[e.pair[0]], COLUMN_NAMES[e.pair[1]]],
+                "order": list(e.order),
+                "value": e.value,
+                "standard_error": e.standard_error,
+                "normalized": e.normalized,
+            }
+            for e in report.entries
+        ],
+    }

@@ -7,7 +7,7 @@ from tmsflow.analysis import (
     sweep,
     sweep_to_csv,
 )
-from tmsflow.correlations import correlation_report
+from tmsflow.correlations import correlation_arrays, correlation_report
 from tmsflow.errors import DomainError, NoSignChangeError
 from tmsflow.states import StateModel
 
@@ -44,7 +44,9 @@ TABLE_MODELS = {
 # 34 log-spaced points on [1e-3, 0.93] plus bisection; None where no
 # crossover exists.  Coupler 0.3 flavor A at 2 and 3 dB is None although
 # that scan returned 1.23e-3 and 5.47e-3: delta_A is positive at 1e-3
-# there and those are its + -> - crossings.
+# there and those are its + -> - crossings.  The 100 dB rows are 60-digit
+# roots of the models' delta (the scan's states had lost about 1e-7 there
+# to the rounding of their stored matrices).
 CROSSOVER_TABLE = {
     "ideal": {
         0.0: (None, None),
@@ -57,7 +59,7 @@ CROSSOVER_TABLE = {
         6.0: (0.3337728841225594, 0.12039859124832139),
         12.0: (0.2668386618919344, 0.21826634195818487),
         30.0: (0.2565198756563103, 0.2557970806765618),
-        100.0: (0.25641942024266784, 0.25641942024266784),
+        100.0: (0.2564194768672478, 0.2564194767950485),
     },
     "coupler-0.01": {
         0.0: (None, None),
@@ -70,7 +72,7 @@ CROSSOVER_TABLE = {
         6.0: (0.3234619344016003, 0.12029874095078594),
         12.0: (0.25656359046886845, 0.21614385712926018),
         30.0: (0.24672955468197824, 0.2530636136889751),
-        100.0: (0.24663865089389386, 0.2536767673492448),
+        100.0: (0.24663839602914045, 0.2536763973449),
     },
     "coupler-0.3": {
         0.0: (None, None),
@@ -83,7 +85,7 @@ CROSSOVER_TABLE = {
         6.0: (0.002369136238320806, 0.10502119510653984),
         12.0: (0.016618744243249946, 0.1605840889299226),
         30.0: (0.025860050584001204, 0.18259072051085282),
-        100.0: (0.026027655601294837, 0.18296024799364832),
+        100.0: (0.026027274228338063, 0.18295992127658),
     },
     "realistic": {
         0.0: (None, None),
@@ -183,7 +185,8 @@ class TestSuddenDeath:
             raise AssertionError("sudden_death_point evaluated a state")
 
         monkeypatch.setattr(StateModel, "state", forbidden)
-        monkeypatch.setattr(tmsflow.analysis, "correlation_report", forbidden)
+        monkeypatch.setattr(StateModel, "standard_form", forbidden)
+        monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", forbidden)
         for model in (IDEAL, StateModel.coupler(0.01), REALISTIC):
             sudden_death_point(model, 6.0)
 
@@ -256,17 +259,93 @@ class TestCrossover:
 
     @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
     def test_evaluations_per_root(self, name, monkeypatch):
+        # one kernel call for the bracket, then one per four bisection steps
         import tmsflow.analysis
 
         calls = []
 
-        def counted(state):
-            calls.append(state)
-            return correlation_report(state)
+        def counted(sf):
+            calls.append(sf.a.size)
+            return correlation_arrays(sf)
 
-        monkeypatch.setattr(tmsflow.analysis, "correlation_report", counted)
+        monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", counted)
         for s_db in (1.0, 6.0, 30.0):
             for flavor in "AB":
                 calls.clear()
                 crossover_point(TABLE_MODELS[name], s_db, flavor)
-                assert len(calls) <= 45, (s_db, flavor, len(calls))
+                assert len(calls) <= 12 and calls[0] == 2, (s_db, flavor, calls)
+                assert sum(calls) <= 2 + 11 * 15, (s_db, flavor, calls)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+    def test_batched_bisection_takes_the_one_at_a_time_steps(self, name):
+        model = TABLE_MODELS[name]
+        for s_db in (1.0, 6.0, 30.0):
+            for flavor in "AB":
+                key = "delta_a" if flavor == "A" else "delta_b"
+
+                def delta(n):
+                    return float(getattr(correlation_arrays(model.standard_form(s_db, n)), key))
+
+                res = crossover_point(model, s_db, flavor)
+                lo, hi = res.bracket
+                d_lo = delta(lo)
+                for _ in range(100):
+                    if hi - lo <= 1e-12 * max(1.0, hi):
+                        break
+                    mid = 0.5 * (lo + hi)
+                    if (delta(mid) > 0.0) == (d_lo > 0.0):
+                        lo = mid
+                    else:
+                        hi = mid
+                assert res.n_c == 0.5 * (lo + hi), (s_db, flavor)
+
+
+
+class TestEvaluationSite:
+    """A cell's values do not depend on where the kernel evaluates it (the
+    SIMD loop body and its tail must round alike)."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+    def test_cell_of_a_large_sweep_equals_the_single_cell(self, name):
+        model = TABLE_MODELS[name]
+        s_axis, n_axis = np.linspace(0.5, 25.0, 40), np.geomspace(1e-4, 10.0, 50)
+        grid = sweep(model, s_axis, n_axis)
+        assert len(grid.cells) == 2000
+        for i_s, i_n in ((0, 0), (7, 13), (21, 2), (39, 49), (39, 48), (38, 49)):
+            alone = sweep(model, [s_axis[i_s]], [n_axis[i_n]]).cell(0, 0)
+            assert repr(grid.cell(i_s, i_n)) == repr(alone)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+    def test_crossover_delta_equals_the_sweep_cell(self, name, monkeypatch):
+        import tmsflow.analysis
+
+        model = TABLE_MODELS[name]
+        seen = []
+
+        def recorded(sf):
+            res = correlation_arrays(sf)
+            seen.append((res.delta_a.ravel(), res.delta_b.ravel()))
+            return res
+
+        points = []
+        original = tmsflow.analysis._midpoint_tree
+
+        def tree(lo, hi):
+            points.append(original(lo, hi))
+            return points[-1]
+
+        monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", recorded)
+        monkeypatch.setattr(tmsflow.analysis, "_midpoint_tree", tree)
+        evaluated = {}
+        for flavor in "AB":
+            seen.clear()
+            points.clear()
+            res = crossover_point(model, 6.0, flavor)
+            n_values = np.concatenate([np.array(res.bracket)] + points)
+            row = 0 if flavor == "A" else 1
+            evaluated[flavor] = zip(n_values, np.concatenate([pair[row] for pair in seen]))
+        monkeypatch.undo()
+        for flavor, pairs in evaluated.items():
+            for n, value in pairs:
+                report = sweep(model, [6.0], [n]).cell(0, 0).report
+                assert value == (report.delta_a if flavor == "A" else report.delta_b), (flavor, n)

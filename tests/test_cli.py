@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -139,11 +140,11 @@ class TestFeaturesCommand:
 
     def test_failing_row_is_marked_per_column(self, tmp_path):
         out = tmp_path / "f.csv"
-        assert main(["features", "--s", "6,200", "--out", str(out)]) == 0
+        assert main(["features", "--s", "6,2000", "--out", str(out)]) == 0
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         assert rows[0].startswith("6.0,") and rows[0].endswith(",ok")
-        assert rows[1].startswith("200.0,1.0,nan,nan,nan,")
-        assert "n_c_A: unphysical covariance matrix: not positive definite" in rows[1]
+        assert rows[1].startswith("2000.0,1.0,nan,nan,nan,")
+        assert "n_c_A: exact invariant beyond the double range" in rows[1]
 
     def test_each_crossover_root_is_solved_once(self, tmp_path, monkeypatch):
         import tmsflow.cli
@@ -350,7 +351,7 @@ class TestScalarInputs:
 
     def test_overflowing_coupler_sweep_marks_cells(self, tmp_path):
         out = tmp_path / "s.csv"
-        argv = ["sweep", "--s", "1000", "--n", "0,0.1,1", "--model", "coupler"]
+        argv = ["sweep", "--s", "2000", "--n", "0,0.1,1", "--model", "coupler"]
         assert main(argv + ["--out", str(out)]) in (0, 3)
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 3 and all(not r.endswith(",ok") for r in rows)
@@ -392,6 +393,27 @@ class TestFitAndGenSynthetic:
         assert doc["chi1"] == pytest.approx(0.05, abs=1e-4)
         assert doc["chi2"] == pytest.approx(0.56, abs=1e-4)
         assert doc["converged"] is True
+
+    def test_zero_squeezing_warning_is_one_line(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        assert main(["gen-synthetic", "--s", "0,3,6", "--n", "0,0.5", "--out", str(records)]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--records", str(records), "--out", str(tmp_path / "fit.json")]) == 0
+        err = capsys.readouterr().err
+        assert err == "tmsflow: warning: excluded 2 record(s) at S = 0 dB from the fit\n"
+
+    def test_overflowing_start_prints_one_line(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        assert main(["gen-synthetic", "--out", str(records)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--records", str(records), "--init", "1e308,1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tmsflow: model evaluation failed for record 0 ")
+        assert captured.err.count("\n") == 1 and "overflows double precision" in captured.err
 
     def test_truncated_csv_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

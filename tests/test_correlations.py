@@ -168,15 +168,15 @@ def ideal_reference(s_db, n):
         return {k: float(v) for k, v in ref.items()}
 
 
-def channel_reference(s_db, n, beta, jpa=None):
-    """50-digit correlation report of the coupler model, or of the
-    realistic model for ``jpa = (chi1, chi2)``: a = p cosh 2r,
+def channel_reference(s_db, n, beta, jpa=None, digits=50):
+    """50-digit (or ``digits``) correlation report of the coupler model, or
+    of the realistic model for ``jpa = (chi1, chi2)``: a = p cosh 2r,
     b = p[(1 - beta) cosh 2r + beta + 2n], c = p sqrt(1 - beta) sinh 2r,
     with p = 1 + 2 chi1 (e^{2r} - 1)^chi2 (1 without the amplifier)."""
     import mpmath as mp
 
-    with mp.workdps(50):
-        r, n = mp.mpf(s_db) * mp.log(10) / 20, mp.mpf(n)
+    with mp.workdps(digits):
+        r, n, beta = mp.mpf(s_db) * mp.log(10) / 20, mp.mpf(n), mp.mpf(beta)
         p = 1 if jpa is None else 1 + 2 * jpa[0] * (mp.exp(2 * r) - 1) ** jpa[1]
         a = mp.cosh(2 * r)
         ref = standard_form_reference(
@@ -225,7 +225,7 @@ class TestReference:
         assert d_a == pytest.approx(float(ref["d_a"]), abs=1e-9)
 
     def test_ideal_extreme_block(self):
-        _extreme_block(StateModel.ideal(), ideal_reference, lambda n: 1e-9)
+        _extreme_block(StateModel.ideal(), ideal_reference, lambda n: 1e-12)
 
     def test_realistic_extreme_block(self):
         model = StateModel.realistic(*REALISTIC)
@@ -233,14 +233,30 @@ class TestReference:
         def reference(s_db, n):
             return channel_reference(s_db, n, REALISTIC[2], REALISTIC[:2])
 
-        _extreme_block(model, reference, lambda n: 1e-10)
+        _extreme_block(model, reference, lambda n: 1e-12)
 
     def test_coupler_extreme_block(self):
-        # At n = 0 the stored matrix's own rounding sits at a double root.
-        def bound(n):
-            return 1e-5 if n == 0.0 else 1e-7 if n < 1e-3 else 1e-9
+        _extreme_block(
+            StateModel.coupler(0.01), lambda s, n: channel_reference(s, n, 0.01), lambda n: 1e-12
+        )
 
-        _extreme_block(StateModel.coupler(0.01), lambda s, n: channel_reference(s, n, 0.01), bound)
+    @pytest.mark.parametrize(
+        "s_axis, n_axis",
+        [(tuple(range(35, 101, 5)), (0.0, 1e-9, 1e-6)), ((1000.0,), (0.0, 1e-9, 0.1, 1.0, 1000.0))],
+        ids=["35-100dB", "1000dB"],
+    )
+    def test_coupler_beyond_a_stored_matrix(self, s_axis, n_axis):
+        # A float matrix of these states no longer carries the model's g:
+        # E_F(80 dB, 0) read 5.59868 from it, and 1000 dB overflowed.  The
+        # reference carries 50 + S/2 digits.
+        grid = sweep(StateModel.coupler(0.01), s_axis, n_axis)
+        for cell in grid.cells:
+            assert cell.error is None, (cell.s_db, cell.n, cell.error)
+            ref = channel_reference(cell.s_db, cell.n, 0.01, digits=50 + int(cell.s_db) // 2)
+            for key, value in ref.items():
+                assert abs(getattr(cell.report, key) - value) <= 1e-12, (cell.s_db, cell.n, key)
+        e_f = sweep(StateModel.coupler(0.01), [80.0], [0.0]).cell(0, 0).report.e_f
+        assert e_f == pytest.approx(channel_reference(80.0, 0.0, 0.01)["e_f"], abs=1e-12)
 
     @pytest.mark.parametrize("s_db", FORMER_COUPLER_FAILURES)
     def test_former_coupler_failures(self, s_db):
@@ -500,14 +516,17 @@ class TestCorrelationReport:
 
         calls = []
 
-        def counting(x):
-            calls.append(x)
-            return symplectic.entropy_f(x)
+        def counting(m):
+            calls.append(m.shape)
+            return symplectic._entropy(m)
 
-        monkeypatch.setattr(correlations, "entropy_f", counting)
+        monkeypatch.setattr(correlations, "_entropy", counting)
         correlation_report(noisy_tms(1.0, 0.3))
         # f(sqrt(I1)), f(sqrt(I2)), f(nu+), f(nu-), two conditional terms and E_F
-        assert len(calls) == 7
+        assert calls == [(7,)]
+        calls.clear()
+        sweep(StateModel.realistic(*REALISTIC), [3.0, 6.0, 9.0], [0.0, 0.5])
+        assert calls == [(7, 3, 2)]
 
     def test_reads_only_the_validation_pass(self, monkeypatch):
         calls = []
@@ -528,6 +547,10 @@ class TestCorrelationReport:
             calls.clear()
             f(V)
             assert calls == ["nu"]
+        # The models' factored standard form needs no validation pass at all.
+        calls.clear()
+        sweep(StateModel.realistic(*REALISTIC), [1.0, 6.0], [0.0, 0.3])
+        assert calls == []
 
     def test_csv_row_format(self):
         rep = correlation_report(ideal_tms(0.5))

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from tmsflow.errors import BadCouplingError, DomainError
+from tmsflow.correlations import correlation_report
+from tmsflow.errors import BadCouplingError, DomainError, NonFiniteError, NumericalError
 from tmsflow.analysis import sudden_death_point
 from tmsflow.states import (
     JpaNoiseModel,
@@ -242,6 +244,29 @@ class TestStateModel:
             with pytest.raises(DomainError) as err:
                 sudden_death_point(MODELS[name], s_db)
             assert str(err.value) == message
+        # a rejected cell of a batch fails alone, with the same error
+        sf = MODELS[name].standard_form(np.array([[s_db], [6.5]]), np.array([n, 0.1]))
+        # cells (s_db, n), (s_db, 0.1), (6.5, n), (6.5, 0.1)
+        assert sorted(sf.errors) == sorted({0} | ({1} if s_db != 6.5 else set()) | ({2} if n < 0 else set()))
+        assert type(sf.errors[0]) is DomainError and str(sf.errors[0]) == message
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ((3000.0, 0.1, (0.05, 2.0)), NumericalError),  # (G - 1)**chi2 overflows
+            ((3.0, 0.1, (1e308, 1.0)), NumericalError),  # 1 + 2 n_jpa overflows
+            ((2000.0, 0.1, (0.05, 0.56)), NonFiniteError),  # p cosh 2r overflows
+            ((6.0, math.nan, (0.05, 0.56)), NonFiniteError),
+        ],
+    )
+    def test_overflowing_cells_fail_as_the_matrix_did(self, argv, error):
+        s_db, n, chi = argv
+        model = StateModel.realistic(*chi, 0.01)
+        with pytest.raises(error) as err, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            correlation_report(model.state(s_db, n))
+        sf = model.standard_form(s_db, n)
+        assert type(sf.errors[0]) is error and str(sf.errors[0]) == str(err.value)
 
 
 class TestEveTms:
