@@ -1,14 +1,14 @@
 """Sweep engine and feature extraction over (squeezing, noise) grids.
 
-Produces grids of correlation reports and the two noise thresholds of
+Produces grids of correlation measures and the two noise thresholds of
 interest: the entanglement sudden-death point ``n_sd`` (in closed form)
 and the discord/EoF crossover point ``n_c`` per discord flavor.
 
 Every correlation value comes from one call of the batched kernel
 (:func:`~tmsflow.correlations.correlation_arrays`) on the model's
 factored standard form (:meth:`~tmsflow.states.StateModel.standard_form`):
-one call per sweep grid, and one per batch of bisection midpoints.  No
-covariance matrix is built and no state is validated.
+one call per sweep grid, and one per bisection step of a whole table of
+crossovers.  No covariance matrix is built and no state is validated.
 
 Flavors: "A" and "B" locate the root of the corresponding
 information-flow difference ``delta_A`` / ``delta_B`` by bisection on the
@@ -21,41 +21,35 @@ of ``delta_AB`` itself lies lower and elsewhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .correlations import (
-    REPORT_CSV_HEADER,
-    CorrelationReport,
-    correlation_arrays,
-    report_to_csv_row,
-)
-from .errors import DomainError, NoSignChangeError
+from .correlations import CorrelationArrays, CorrelationReport, correlation_arrays
+from .errors import DomainError, NoSignChangeError, TmsflowError
 from .states import StateModel, _squeezing_factor
 
 
 @dataclass(frozen=True)
-class SweepCell:
-    s_db: float
-    n: float
-    report: CorrelationReport | None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class SweepGrid:
-    """Correlation reports on the outer product of two strictly
-    increasing axes; failed cells carry the failure reason instead."""
+    """Correlation measures on the outer product of two strictly
+    increasing axes, as the kernel computed them: every field of
+    ``arrays`` has shape ``(len(s_values), len(n_values))``, and
+    ``arrays.errors`` holds the error of every failed cell by its
+    row-major (s outer, n inner) index."""
 
     s_values: tuple[float, ...]
     n_values: tuple[float, ...]
-    cells: tuple[SweepCell, ...]  # row-major: s outer, n inner
+    arrays: CorrelationArrays
 
-    def cell(self, i_s: int, i_n: int) -> SweepCell:
-        return self.cells[i_s * len(self.n_values) + i_n]
+    def report(self, i_s: int, i_n: int) -> CorrelationReport:
+        """The measures of one cell; raises the cell's error where it failed."""
+        exc = self.arrays.errors.get(i_s * len(self.n_values) + i_n)
+        if exc is not None:
+            raise exc
+        return CorrelationReport(*(float(field[i_s, i_n]) for field in self.arrays[:-1]))
 
 
 def _check_axis(values, name: str) -> tuple[float, ...]:
@@ -68,26 +62,16 @@ def _check_axis(values, name: str) -> tuple[float, ...]:
 
 
 def sweep(model: StateModel, s_values, n_values) -> SweepGrid:
-    """Evaluate correlation reports on an (S, n) grid.
+    """Evaluate the correlation measures on an (S, n) grid.
 
     The whole grid is one call of the correlation kernel on the model's
     standard form, so a cell's values do not depend on the grid around it;
-    a cell whose evaluation fails carries the failure reason instead of a
-    report.
+    a cell whose evaluation fails carries its error in ``arrays.errors``.
     """
     s_vals = _check_axis(s_values, "squeezing")
     n_vals = _check_axis(n_values, "noise")
-    res = correlation_arrays(model.standard_form(np.array(s_vals)[:, None], np.array(n_vals)))
-    rows = zip(*(field.ravel().tolist() for field in res[:-1]))
-    cells = []
-    for i, values in enumerate(rows):
-        s_db, n = s_vals[i // len(n_vals)], n_vals[i % len(n_vals)]
-        exc = res.errors.get(i)
-        if exc is None:
-            cells.append(SweepCell(s_db=s_db, n=n, report=CorrelationReport(*values)))
-        else:
-            cells.append(SweepCell(s_db=s_db, n=n, report=None, error=str(exc)))
-    return SweepGrid(s_values=s_vals, n_values=n_vals, cells=tuple(cells))
+    arrays = correlation_arrays(model.standard_form(np.array(s_vals)[:, None], np.array(n_vals)))
+    return SweepGrid(s_values=s_vals, n_values=n_vals, arrays=arrays)
 
 
 @dataclass(frozen=True)
@@ -99,50 +83,34 @@ class CrossoverResult:
     bracket: tuple[float, float]
 
 
-def _bisect_root(f, lo: float, hi: float, f_lo: float) -> float:
-    """Plain bisection down to relative width 1e-12; sign taken from f_lo.
+def _bisect(f, lo: np.ndarray, hi: np.ndarray, positive: bool) -> tuple[np.ndarray, dict]:
+    """Plain bisection of every entry's bracket ``[lo, hi]`` (1-D arrays)
+    down to relative width 1e-12, in at most 100 steps, where ``positive``
+    is the sign of ``f`` at every lower end.
 
-    ``f(lo, hi)`` returns ``(values, errors)``: the values at the midpoints
-    that the next d steps from ``[lo, hi]`` can reach, for a d >= 1 it
-    chooses, in heap order (node k's midpoint splits its interval into node
-    2k + 1 below and node 2k + 2 above), and the error of every node that
-    failed.  The steps and the root are those of one-at-a-time bisection;
-    a node's error is raised only if a step reads that node.
+    ``f(points)`` returns ``(values, errors)``: ``f`` at every point and the
+    error of each point that failed, by index.  Each step evaluates the
+    midpoints of all entries in one call of ``f``; an entry stops once its
+    bracket is narrow enough, and fails with the error of the first midpoint
+    it reads that failed.  So every entry takes the steps, and ends at the
+    root, of one-at-a-time bisection.  Returns the midpoints of the final
+    brackets and the errors of the failed entries by index.
     """
-    positive = f_lo > 0.0
-    steps = 0
-    while True:
-        values, errors = f(lo, hi)
-        node = 0
-        while node < len(values):
-            if steps == 100 or hi - lo <= 1e-12 * max(1.0, hi):
-                return 0.5 * (lo + hi)
-            if node in errors:
-                raise errors[node]
-            steps += 1
-            mid = 0.5 * (lo + hi)
-            if (values[node] > 0.0) == positive:
-                lo, node = mid, 2 * node + 2
-            else:
-                hi, node = mid, 2 * node + 1
-
-
-# Bisection steps whose midpoints one kernel call evaluates: 2**4 - 1 points.
-_BISECT_DEPTH = 4
-
-
-def _midpoint_tree(lo: float, hi: float) -> np.ndarray:
-    """Every midpoint the next ``_BISECT_DEPTH`` bisection steps from
-    ``[lo, hi]`` can reach, in the heap order of :func:`_bisect_root`."""
-    points, intervals = [], [(lo, hi)]
-    for _ in range(_BISECT_DEPTH):
-        halves = []
-        for left, right in intervals:
-            mid = 0.5 * (left + right)
-            points.append(mid)
-            halves += [(left, mid), (mid, right)]
-        intervals = halves
-    return np.array(points)
+    active = np.ones(lo.shape, dtype=bool)
+    errors: dict = {}
+    for _ in range(100):
+        active &= hi - lo > 1e-12 * np.maximum(1.0, hi)
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        values, failed = f(mid)
+        for i, exc in failed.items():
+            if active[i]:
+                errors[i] = exc
+                active[i] = False
+        up = (values > 0.0) == positive
+        lo, hi = np.where(active & up, mid, lo), np.where(active & ~up, mid, hi)
+    return 0.5 * (lo + hi), errors
 
 
 def sudden_death_point(model: StateModel, s_db: float) -> float:
@@ -170,6 +138,58 @@ def sudden_death_point(model: StateModel, s_db: float) -> float:
     return num / (2.0 * p * (p * delta + (p - 1.0)))
 
 
+# Lower end of every crossover bracket.
+_N_LOW = 1e-3
+
+
+def _crossovers(model: StateModel, s_values) -> list[dict]:
+    """The crossover points of flavors A, B and AB at every squeezing
+    level, as ``{flavor: n_c}`` per level, with the error that ends a
+    flavor's search in place of its ``n_c``.
+
+    All levels' A and B roots are one :func:`_bisect` batch over a
+    ``(levels, 2)`` grid of entries, one column per flavor: one kernel
+    call evaluates every bracket end, and each bisection step is one more
+    on the grid of midpoints.  AB is the mean of A and B and carries A's
+    error first, then B's.
+    """
+    s_col = np.array([float(s) for s in s_values])[:, None]
+    rows = len(s_col)
+    lo, hi = np.full((rows, 2), _N_LOW), np.full((rows, 2), _N_LOW)
+    failed: dict = {}  # by flat entry index 2 * level + (0 for A, 1 for B)
+    for i, s_db in enumerate(s_col[:, 0].tolist()):
+        try:
+            hi[i] = sudden_death_point(model, s_db)
+        except TmsflowError as exc:
+            failed[2 * i] = failed[2 * i + 1] = exc
+    ends = correlation_arrays(model.standard_form(s_col, np.stack((lo[:, 0], hi[:, 0]), 1)))
+    for i, n_sd in enumerate(hi[:, 0].tolist()):
+        level_exc = failed.get(2 * i) or ends.errors.get(2 * i, ends.errors.get(2 * i + 1))
+        for k, (flavor, d) in enumerate((("A", ends.delta_a), ("B", ends.delta_b))):
+            exc, (d_lo, d_hi) = level_exc, d[i].tolist()
+            if exc is None and not d_lo < 0.0 < d_hi:
+                exc = NoSignChangeError(
+                    f"delta_{flavor} does not go from negative to positive on [{_N_LOW:.4g}, "
+                    f"{n_sd:.4g}] (delta({_N_LOW:.4g}) = {d_lo:.3e}, delta(n_sd) = {d_hi:.3e})"
+                )
+            if exc is not None:
+                failed[2 * i + k] = exc
+                hi[i, k] = _N_LOW  # an empty bracket: no step reads this entry
+
+    def delta(n: np.ndarray) -> tuple[np.ndarray, dict]:
+        res = correlation_arrays(model.standard_form(s_col, n.reshape(rows, 2)))
+        return np.where([True, False], res.delta_a, res.delta_b).ravel(), res.errors
+
+    roots, errors = _bisect(delta, lo.ravel(), hi.ravel(), False)
+    failed.update(errors)
+    n_c = [failed.get(j, root) for j, root in enumerate(roots.tolist())]
+    table = []
+    for n_a, n_b in zip(n_c[0::2], n_c[1::2]):
+        n_ab = next((x for x in (n_a, n_b) if isinstance(x, TmsflowError)), None)
+        table.append({"A": n_a, "B": n_b, "AB": 0.5 * (n_a + n_b) if n_ab is None else n_ab})
+    return table
+
+
 def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverResult:
     """Crossover noise photon number n_c for one discord flavor.
 
@@ -181,37 +201,17 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
     ``E_F`` is negative, so no root with that orientation lies above.  The
     curve must be negative at 1e-3 and positive at ``n_sd``, otherwise
     :class:`NoSignChangeError` is raised; plain bisection keeps that
-    orientation at every step.  Each kernel call evaluates the midpoints of
-    the next four steps.  Flavor AB returns the arithmetic mean of
-    the A and B crossover points, which share the bracket.
+    orientation at every step.  Flavor AB returns the arithmetic mean of
+    the A and B crossover points, which share the bracket.  One level of the
+    batch that ``features`` solves, with the same steps whatever the batch.
     """
-    if flavor == "AB":
-        res_a = crossover_point(model, s_db, "A")
-        res_b = crossover_point(model, s_db, "B")
-        return CrossoverResult(
-            flavor="AB", s_db=s_db, n_c=0.5 * (res_a.n_c + res_b.n_c), bracket=res_a.bracket
-        )
-    if flavor not in ("A", "B"):
+    if flavor not in ("A", "B", "AB"):
         raise DomainError(f"flavor must be 'A', 'B' or 'AB', got {flavor!r}")
-
-    def delta(n: np.ndarray) -> tuple[list[float], dict]:
-        res = correlation_arrays(model.standard_form(s_db, n))
-        return (res.delta_a if flavor == "A" else res.delta_b).tolist(), res.errors
-
-    lo, hi = 1e-3, sudden_death_point(model, s_db)
-    (d_lo, d_hi), errors = delta(np.array([lo, hi]))
-    if errors:
-        raise errors[min(errors)]
-    if not d_lo < 0.0 < d_hi:
-        raise NoSignChangeError(
-            f"delta_{flavor} does not go from negative to positive on [{lo:.4g}, {hi:.4g}] "
-            f"(delta({lo:.4g}) = {d_lo:.3e}, delta(n_sd) = {d_hi:.3e})"
-        )
+    n_c = _crossovers(model, [s_db])[0][flavor]
+    if isinstance(n_c, TmsflowError):
+        raise n_c
     return CrossoverResult(
-        flavor=flavor,
-        s_db=s_db,
-        n_c=_bisect_root(lambda lo, hi: delta(_midpoint_tree(lo, hi)), lo, hi, d_lo),
-        bracket=(lo, hi),
+        flavor=flavor, s_db=s_db, n_c=n_c, bracket=(_N_LOW, sudden_death_point(model, s_db))
     )
 
 
@@ -219,42 +219,37 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
 # Serialization
 # ---------------------------------------------------------------------------
 
-SWEEP_CSV_HEADER = REPORT_CSV_HEADER + ",status"
+SWEEP_CSV_HEADER = "S_db,n,D_A,D_B,E_F,I_AB,delta_A,delta_B,delta_AB,status"
+
+
+def _cells(grid: SweepGrid, fields: int):
+    """``(error, s_db, n, values)`` per cell in row-major order, with the
+    first ``fields`` kernel fields as Python floats."""
+    columns = [field.ravel().tolist() for field in grid.arrays[:fields]]
+    errors = grid.arrays.errors
+    cells = zip(product(grid.s_values, grid.n_values), zip(*columns))
+    for i, ((s_db, n), values) in enumerate(cells):
+        yield errors.get(i), s_db, n, values
 
 
 def sweep_to_csv(grid: SweepGrid) -> str:
     lines = [SWEEP_CSV_HEADER]
-    for cell in grid.cells:
-        if cell.report is not None:
-            lines.append(report_to_csv_row(cell.report, cell.s_db, cell.n) + ",ok")
+    nans = ",".join(["nan"] * 7)
+    for exc, s_db, n, values in _cells(grid, 7):
+        if exc is None:
+            lines.append(",".join(map(repr, (s_db, n, *values))) + ",ok")
         else:
-            nans = ",".join(["nan"] * 7)
-            reason = (cell.error or "failed").replace(",", ";").replace("\n", " ")
-            lines.append(f"{cell.s_db!r},{cell.n!r},{nans},{reason}")
+            reason = (str(exc) or "failed").replace(",", ";").replace("\n", " ")
+            lines.append(f"{s_db!r},{n!r},{nans},{reason}")
     return "\n".join(lines) + "\n"
 
 
-def sweep_to_json(grid: SweepGrid) -> str:
-    return json.dumps(_sweep_doc(grid))
-
-
 def _sweep_doc(grid: SweepGrid) -> dict:
-    cells = []
-    for cell in grid.cells:
-        doc: dict = {"s_db": cell.s_db, "n": cell.n}
-        if cell.report is not None:
-            r = cell.report
-            doc.update(
-                d_a=r.d_a,
-                d_b=r.d_b,
-                e_f=r.e_f,
-                i_ab=r.i_ab,
-                delta_a=r.delta_a,
-                delta_b=r.delta_b,
-                delta_ab=r.delta_ab,
-                gamma=r.gamma,
-            )
+    names = CorrelationArrays._fields[:-1]
+    reports = []
+    for exc, s_db, n, values in _cells(grid, len(names)):
+        if exc is None:
+            reports.append({"s_db": s_db, "n": n, **dict(zip(names, values))})
         else:
-            doc["error"] = cell.error
-        cells.append(doc)
-    return {"s_values": list(grid.s_values), "n_values": list(grid.n_values), "reports": cells}
+            reports.append({"s_db": s_db, "n": n, "error": str(exc)})
+    return {"s_values": list(grid.s_values), "n_values": list(grid.n_values), "reports": reports}

@@ -24,8 +24,8 @@ import warnings
 
 from . import __version__
 from .analysis import (
+    _crossovers,
     _sweep_doc,
-    crossover_point,
     sudden_death_point,
     sweep,
     sweep_to_csv,
@@ -45,8 +45,8 @@ from .qkd import (
     QKD_CSV_HEADER,
     QkdScenario,
     _key_result_doc,
+    _key_thresholds,
     key_result_to_csv_row,
-    key_threshold,
     secret_key,
 )
 from .states import JpaNoiseModel, StateModel, squeezing_db_to_r
@@ -229,9 +229,7 @@ def _cmd_sweep(args, config) -> int:
         _emit((_csv_header_lines(echo) + sweep_to_csv(grid), out))
     else:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    if all(cell.report is None for cell in grid.cells):
-        return 3
-    return 0
+    return 3 if len(grid.arrays.errors) == grid.arrays.d_a.size else 0
 
 
 def _cmd_features(args, config) -> int:
@@ -242,11 +240,13 @@ def _cmd_features(args, config) -> int:
         raise ConfigError("features needs an --s grid")
     s_vals = parse_grid(s_spec)
     what = str(_merged(args, config, "what", "nsd,nc")).split(",")
-    if not set(what) <= {"nsd", "nc"}:
-        raise ConfigError(f"what must be a comma list of nsd, nc, got {','.join(what)!r}")
+    if not set(what) <= {"nsd", "nc"} or len(set(what)) < len(what):
+        raise ConfigError(f"what must be a comma list of distinct nsd, nc, got {','.join(what)!r}")
     flavors = str(_merged(args, config, "flavors", "A,B,AB")).split(",")
-    if not set(flavors) <= {"A", "B", "AB"}:
-        raise ConfigError(f"flavors must be a comma list of A, B, AB, got {','.join(flavors)!r}")
+    if not set(flavors) <= {"A", "B", "AB"} or len(set(flavors)) < len(flavors):
+        raise ConfigError(
+            f"flavors must be a comma list of distinct A, B, AB, got {','.join(flavors)!r}"
+        )
     echo = _meta_config(
         {
             "command": "features",
@@ -263,48 +263,29 @@ def _cmd_features(args, config) -> int:
         cols += [f"n_c_{f}" for f in flavors]
     cols.append("status")
     lines = [",".join(cols)]
+    crossovers = _crossovers(model, s_vals) if "nc" in what else []
     successes = 0
-    for s_db in s_vals:
+    for i, s_db in enumerate(s_vals):
         row = [repr(float(s_db))]
         notes = []
-        ok = True
         if "nsd" in what:
             try:
                 row.append(repr(sudden_death_point(model, s_db)))
             except TmsflowError as exc:
                 row.append("nan")
                 notes.append(f"n_sd: {exc}")
-                ok = False
-        if "nc" in what:
-            solved: dict = {}
-            for flavor in flavors:
-                try:
-                    row.append(repr(_crossover_n_c(model, s_db, flavor, solved)))
-                except TmsflowError as exc:
-                    row.append("nan")
-                    notes.append(f"n_c_{flavor}: {exc}")
-                    ok = False
+        for flavor in flavors if "nc" in what else ():
+            n_c = crossovers[i][flavor]
+            if isinstance(n_c, TmsflowError):
+                row.append("nan")
+                notes.append(f"n_c_{flavor}: {n_c}")
+            else:
+                row.append(repr(n_c))
         row.append("ok" if not notes else "; ".join(notes).replace(",", ";"))
-        successes += 1 if ok else 0
+        successes += 1 if not notes else 0
         lines.append(",".join(row))
     _emit((_csv_header_lines(echo) + "\n".join(lines) + "\n", out))
     return 0 if successes else 3
-
-
-def _crossover_n_c(model: StateModel, s_db: float, flavor: str, solved: dict) -> float:
-    """``crossover_point(model, s_db, flavor).n_c`` with the A and B roots
-    (or their failures) kept in ``solved``, so AB reuses them."""
-    if flavor == "AB":
-        n_a = _crossover_n_c(model, s_db, "A", solved)
-        return 0.5 * (n_a + _crossover_n_c(model, s_db, "B", solved))
-    if flavor not in solved:
-        try:
-            solved[flavor] = crossover_point(model, s_db, flavor).n_c
-        except TmsflowError as exc:
-            solved[flavor] = exc
-    if isinstance(solved[flavor], TmsflowError):
-        raise solved[flavor]
-    return solved[flavor]
 
 
 def _cmd_qkd(args, config) -> int:
@@ -337,12 +318,12 @@ def _cmd_qkd(args, config) -> int:
         return 0
     tl = ["s_db,n_q_threshold,status"]
     any_ok = False
-    for s_db in s_vals:
-        try:
-            tl.append(f"{s_db!r},{key_threshold(s_db, tol, beta)!r},ok")
+    for s_db, threshold in zip(s_vals, _key_thresholds(s_vals, tol, beta)):
+        if isinstance(threshold, TmsflowError):
+            tl.append(f"{s_db!r},nan,{str(threshold).replace(',', ';')}")
+        else:
+            tl.append(f"{s_db!r},{threshold!r},ok")
             any_ok = True
-        except TmsflowError as exc:
-            tl.append(f"{s_db!r},nan,{str(exc).replace(',', ';')}")
     _emit((text, out), (_csv_header_lines(echo) + "\n".join(tl) + "\n", threshold_out))
     return 0 if any_ok else 3
 

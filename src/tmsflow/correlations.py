@@ -297,21 +297,3 @@ def eof_from_gamma(gamma: float) -> float:
     g = |gamma|; equals ``sign(gamma) * f(cosh(2 gamma)/4)``.
     """
     return float(np.sign(gamma) * _entropy(np.sinh(np.float64(gamma)) ** 2))
-
-
-REPORT_CSV_HEADER = "S_db,n,D_A,D_B,E_F,I_AB,delta_A,delta_B,delta_AB"
-
-
-def report_to_csv_row(report: CorrelationReport, s_db: float, n: float) -> str:
-    fields = [
-        s_db,
-        n,
-        report.d_a,
-        report.d_b,
-        report.e_f,
-        report.i_ab,
-        report.delta_a,
-        report.delta_b,
-        report.delta_ab,
-    ]
-    return ",".join(repr(float(x)) for x in fields)

@@ -16,12 +16,19 @@ ln 2 so that K is unit-consistent.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .analysis import _bisect_root
-from .errors import BadCouplingError, DomainError, NoSignChangeError, NumericalError
+import numpy as np
+
+from .analysis import _bisect
+from .errors import (
+    BadCouplingError,
+    DomainError,
+    NoSignChangeError,
+    NumericalError,
+    TmsflowError,
+)
 from .symplectic import (
     VACUUM_VARIANCE,
     CovarianceMatrix,
@@ -127,15 +134,15 @@ def shannon_mi(scenario: QkdScenario) -> float:
     """Shannon mutual information of the homodyne channel in bits.
 
     I_s = log2(1 + SNR) / 2 with
-    SNR = 4 (1 - beta) sigma2 / ((1 - beta) exp(-2r) + 4 n_q).
+    SNR = 4 (1 - beta) sigma2 / ((1 - beta) exp(-2r) + 4 n_q).  Where the
+    SNR overflows (from about 3077 dB at n_q = 0.1, and far lower without
+    noise), ``1 + SNR = SNR`` and its logarithm is taken factor by factor.
     """
     beta = scenario.beta
-    snr = (
-        4.0
-        * (1.0 - beta)
-        * scenario.sigma2
-        / ((1.0 - beta) * math.exp(-2.0 * scenario.r) + 4.0 * scenario.n_q)
-    )
+    noise = (1.0 - beta) * math.exp(-2.0 * scenario.r) + 4.0 * scenario.n_q
+    snr = 4.0 * (1.0 - beta) * scenario.sigma2 / noise
+    if math.isinf(snr):
+        return 0.5 * (math.log2(4.0 * (1.0 - beta)) + math.log2(scenario.sigma2) - math.log2(noise))
     return 0.5 * math.log2(1.0 + snr)
 
 
@@ -158,35 +165,52 @@ def key_threshold(
     relative width 1e-12 and the midpoint is verified to satisfy
     |K| < tolerance (finite, > 0).  K is evaluated in closed form with about
     1e-15 bits of rounding noise, so that width, not the evaluation, sets |K|
-    at the returned point (a few 1e-12 bits).
+    at the returned point (a few 1e-12 bits).  One level of the batch that
+    ``qkd --threshold-out`` bisects, with the same steps whatever the batch.
     """
-    if s_db <= 0:
-        raise DomainError(f"squeezing level must be > 0 dB, got {s_db}")
+    threshold = _key_thresholds([s_db], tolerance, beta)[0]
+    if isinstance(threshold, TmsflowError):
+        raise threshold
+    return threshold
+
+
+def _key_thresholds(s_values, tolerance: float, beta: float) -> list:
+    """:func:`key_threshold` at every squeezing level, with the error that
+    ends a level's search in place of its threshold: all levels are one
+    :func:`~tmsflow.analysis._bisect` batch, K the scalar closed form."""
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise DomainError(f"tolerance must be finite and > 0, got {tolerance}")
-    r = squeezing_db_to_r(s_db)
 
-    def key_at(n_q: float) -> float:
+    def key_at(r: float, n_q: float) -> float:
         return secret_key(QkdScenario(r=r, n_q=n_q, beta=beta)).key
 
     lo, hi = _KEY_BRACKET
-    k_lo, k_hi = key_at(lo), key_at(hi)
-    if not (k_lo > 0.0 > k_hi):
-        raise NoSignChangeError(
-            f"no key sign change on [{lo}, {hi}] at {s_db} dB "
-            f"(K({lo}) = {k_lo:.3e}, K({hi}) = {k_hi:.3e})"
-        )
-    mid = _bisect_root(lambda lo, hi: ([key_at(0.5 * (lo + hi))], {}), lo, hi, k_lo)
-    if not abs(key_at(mid)) < tolerance:
-        raise NumericalError(
-            f"key at the bisection point exceeds the requested tolerance: "
-            f"|{key_at(mid):.3e}| >= {tolerance}"
-        )
-    return mid
+    found, rs = {}, {}  # by level: the threshold or error, and r where K changes sign
+    for i, s_db in enumerate(s_values):
+        try:
+            if s_db <= 0:
+                raise DomainError(f"squeezing level must be > 0 dB, got {s_db}")
+            r = squeezing_db_to_r(s_db)
+            k_lo, k_hi = key_at(r, lo), key_at(r, hi)
+            if not (k_lo > 0.0 > k_hi):
+                raise NoSignChangeError(
+                    f"no key sign change on [{lo}, {hi}] at {s_db} dB "
+                    f"(K({lo}) = {k_lo:.3e}, K({hi}) = {k_hi:.3e})"
+                )
+            rs[i] = r
+        except TmsflowError as exc:
+            found[i] = exc
 
+    def keys(n_q: np.ndarray) -> tuple[np.ndarray, dict]:
+        return np.array([key_at(r, x) for r, x in zip(rs.values(), n_q.tolist())]), {}
 
-def key_result_to_json(scenario: QkdScenario, result: KeyResult) -> str:
-    return json.dumps(_key_result_doc(scenario, result))
+    mids, _ = _bisect(keys, np.full(len(rs), lo), np.full(len(rs), hi), True)
+    for (i, r), mid in zip(rs.items(), mids.tolist()):
+        k = key_at(r, mid)
+        found[i] = mid if abs(k) < tolerance else NumericalError(
+            f"key at the bisection point exceeds the requested tolerance: |{k:.3e}| >= {tolerance}"
+        )
+    return [found[i] for i in range(len(found))]
 
 
 def _key_result_doc(scenario: QkdScenario, result: KeyResult) -> dict:

@@ -439,18 +439,23 @@ def _entropy(m: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(V: CovarianceMatrix) -> float:
     """Von Neumann entropy in nats: f summed over the validation pass.
 
-    Eigenvalues within the double-precision storage noise of the
-    Heisenberg bound are treated as exactly pure: the entropy kernel has
-    a log-divergent slope at 1/4, so structure below that noise scale
-    would otherwise surface as jitter much larger than its actual
-    (negligible) entropy contribution.  Once that noise reaches 1/4 itself
-    purity cannot be decided and :class:`NumericalError` is raised.
+    For one and two modes the symplectic eigenvalues come from
+    ``sqrt(det)`` and the exact integer invariants, accurate to a few ulps
+    however ill-conditioned the matrix, so each enters as ``f(max(nu,
+    1/4))``.  From three modes on they come from the Williamson form, whose
+    error grows with the conditioning: there eigenvalues within that
+    storage-noise band of the Heisenberg bound are treated as exactly pure,
+    since the entropy kernel has a log-divergent slope at 1/4 and structure
+    below the noise scale would otherwise surface as jitter much larger
+    than its actual (negligible) entropy contribution.  Once that noise
+    reaches 1/4 itself purity cannot be decided and
+    :class:`NumericalError` is raised.
     """
     nus, noise, _ = require_valid(V)
     total = 0.0
     for nu in nus:
-        if nu > VACUUM_VARIANCE + noise:
-            total += entropy_f(nu)
+        if V.n_modes <= 2 or nu > VACUUM_VARIANCE + noise:
+            total += entropy_f(max(nu, VACUUM_VARIANCE))
         elif noise >= VACUUM_VARIANCE:
             raise NumericalError(f"eigenvalue {nu:.6g} lies within the spectrum noise {noise:.3e}")
     return total

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from tmsflow.analysis import (
+    _bisect,
+    _crossovers,
     crossover_point,
     sudden_death_point,
     sweep,
     sweep_to_csv,
 )
 from tmsflow.correlations import correlation_arrays, correlation_report
-from tmsflow.errors import DomainError, NoSignChangeError
+from tmsflow.errors import DomainError, NoSignChangeError, NumericalError
 from tmsflow.states import StateModel
 
 IDEAL = StateModel.ideal()
@@ -106,7 +108,7 @@ CROSSOVER_TABLE = {
 class TestSweep:
     def test_pure_column_has_zero_deltas(self):
         grid = sweep(IDEAL, [6.0], [0.0])
-        rep = grid.cell(0, 0).report
+        rep = grid.report(0, 0)
         assert abs(rep.delta_a) < 1e-8
         assert abs(rep.delta_b) < 1e-8
         assert abs(rep.delta_ab) < 1e-8
@@ -114,22 +116,22 @@ class TestSweep:
     def test_sudden_death_row(self):
         grid = sweep(IDEAL, [2.0, 6.0, 10.0], [1.0])
         for i in range(3):
-            assert abs(grid.cell(i, 0).report.e_f) < 1e-7
+            assert abs(grid.report(i, 0).e_f) < 1e-7
 
     def test_discord_surface_positive(self):
         grid = sweep(IDEAL, list(np.linspace(1, 10, 6)), list(np.linspace(0, 2, 9)))
-        for cell in grid.cells:
-            assert cell.report is not None
-            assert cell.report.d_b > 0.0
+        assert not grid.arrays.errors
+        assert (grid.arrays.d_b > 0.0).all()
 
     def test_failed_cell_is_marked(self):
         grid = sweep(IDEAL, [-1.0, 6.0], [0.1])
-        bad = grid.cell(0, 0)
-        assert bad.report is None and bad.error
-        good = grid.cell(1, 0)
-        assert good.report is not None
+        assert list(grid.arrays.errors) == [0]
+        with pytest.raises(DomainError, match="squeezing level"):
+            grid.report(0, 0)
+        assert grid.report(1, 0).d_b > 0.0
         csv_text = sweep_to_csv(grid)
         assert "nan" in csv_text.splitlines()[1]
+        assert csv_text.splitlines()[2].endswith(",ok")
 
     def test_axis_validation(self):
         with pytest.raises(DomainError):
@@ -258,47 +260,81 @@ class TestCrossover:
                     crossover_point(model, s_db, "AB")
 
     @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
-    def test_evaluations_per_root(self, name, monkeypatch):
-        # one kernel call for the bracket, then one per four bisection steps
-        import tmsflow.analysis
-
-        calls = []
-
-        def counted(sf):
-            calls.append(sf.a.size)
-            return correlation_arrays(sf)
-
-        monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", counted)
-        for s_db in (1.0, 6.0, 30.0):
-            for flavor in "AB":
-                calls.clear()
-                crossover_point(TABLE_MODELS[name], s_db, flavor)
-                assert len(calls) <= 12 and calls[0] == 2, (s_db, flavor, calls)
-                assert sum(calls) <= 2 + 11 * 15, (s_db, flavor, calls)
-
-    @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
-    def test_batched_bisection_takes_the_one_at_a_time_steps(self, name):
+    def test_every_entry_takes_the_one_at_a_time_steps(self, name, monkeypatch):
+        # A table of levels is one batch; each (level, flavor) entry must
+        # read the midpoints, and end at the root, of scalar bisection.
         model = TABLE_MODELS[name]
-        for s_db in (1.0, 6.0, 30.0):
-            for flavor in "AB":
+        levels = [0.05, 1.0, 3.0, 6.0, 30.0, 2000.0]
+        grids = []
+        original = StateModel.standard_form
+
+        def recorded(self, s_db, n):
+            grids.append(np.array(n, dtype=float))
+            return original(self, s_db, n)
+
+        monkeypatch.setattr(StateModel, "standard_form", recorded)
+        table = _crossovers(model, levels)
+        monkeypatch.undo()
+        steps = np.stack(grids[1:])  # the first call evaluated the bracket ends
+        assert steps.shape[1:] == (len(levels), 2)
+        for i, s_db in enumerate(levels):
+            for k, flavor in enumerate("AB"):
                 key = "delta_a" if flavor == "A" else "delta_b"
 
                 def delta(n):
-                    return float(getattr(correlation_arrays(model.standard_form(s_db, n)), key))
+                    res = correlation_arrays(model.standard_form(s_db, n))
+                    if res.errors:
+                        raise res.errors[0]
+                    return float(getattr(res, key))
 
-                res = crossover_point(model, s_db, flavor)
-                lo, hi = res.bracket
-                d_lo = delta(lo)
-                for _ in range(100):
-                    if hi - lo <= 1e-12 * max(1.0, hi):
-                        break
-                    mid = 0.5 * (lo + hi)
-                    if (delta(mid) > 0.0) == (d_lo > 0.0):
-                        lo = mid
-                    else:
-                        hi = mid
-                assert res.n_c == 0.5 * (lo + hi), (s_db, flavor)
+                try:
+                    lo, hi = 1e-3, sudden_death_point(model, s_db)
+                    d_lo = delta(lo)
+                    if not d_lo < 0.0 < delta(hi):
+                        raise NoSignChangeError("no crossover")
+                    midpoints = []
+                    for _ in range(100):
+                        if hi - lo <= 1e-12 * max(1.0, hi):
+                            break
+                        midpoints.append(0.5 * (lo + hi))
+                        if (delta(midpoints[-1]) > 0.0) == (d_lo > 0.0):
+                            lo = midpoints[-1]
+                        else:
+                            hi = midpoints[-1]
+                except (NoSignChangeError, NumericalError) as exc:
+                    assert type(table[i][flavor]) is type(exc), (s_db, flavor)
+                    continue
+                root = 0.5 * (lo + hi)
+                assert table[i][flavor] == root, (s_db, flavor)
+                assert steps[: len(midpoints), i, k].tolist() == midpoints, (s_db, flavor)
+                assert (steps[len(midpoints) :, i, k] == root).all(), (s_db, flavor)
 
+    def test_bisect_fails_only_the_entry_that_reads_a_failed_point(self):
+        roots = np.array([0.3, 0.6, 0.9, 0.25])
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            # entry 1 fails at its third step; entry 3's bracket is empty, so
+            # its failure is never read
+            failed = {1: NumericalError("third"), 3: NumericalError("unread")}
+            return x - roots, failed if len(calls) == 3 else {}
+
+        lo, hi = np.array([0.0, 0.0, 0.0, 0.5]), np.array([1.0, 1.0, 1.0, 0.5])
+        mids, errors = _bisect(f, lo, hi, False)
+        assert len(calls) == 40  # 2**-40 < 1e-12 <= 2**-39
+        assert list(errors) == [1] and str(errors[1]) == "third"
+        assert np.abs(mids[[0, 2]] - roots[[0, 2]]).max() < 1e-12
+        assert mids[3] == 0.5
+
+    def test_ab_is_the_mean_of_the_a_and_b_entries(self):
+        for row in _crossovers(StateModel.coupler(0.3), [0.05, 2.0, 6.0, 12.0]):
+            if isinstance(row["A"], Exception):
+                assert row["AB"] is row["A"]
+            elif isinstance(row["B"], Exception):
+                assert row["AB"] is row["B"]
+            else:
+                assert row["AB"] == 0.5 * (row["A"] + row["B"])
 
 
 class TestEvaluationSite:
@@ -310,42 +346,34 @@ class TestEvaluationSite:
         model = TABLE_MODELS[name]
         s_axis, n_axis = np.linspace(0.5, 25.0, 40), np.geomspace(1e-4, 10.0, 50)
         grid = sweep(model, s_axis, n_axis)
-        assert len(grid.cells) == 2000
+        assert grid.arrays.d_a.shape == (40, 50)
         for i_s, i_n in ((0, 0), (7, 13), (21, 2), (39, 49), (39, 48), (38, 49)):
-            alone = sweep(model, [s_axis[i_s]], [n_axis[i_n]]).cell(0, 0)
-            assert repr(grid.cell(i_s, i_n)) == repr(alone)
+            alone = sweep(model, [s_axis[i_s]], [n_axis[i_n]]).report(0, 0)
+            assert repr(grid.report(i_s, i_n)) == repr(alone)
 
     @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
     def test_crossover_delta_equals_the_sweep_cell(self, name, monkeypatch):
         import tmsflow.analysis
 
         model = TABLE_MODELS[name]
-        seen = []
+        seen, points = [], []
+        original = StateModel.standard_form
+
+        def recorded_form(self, s_db, n):
+            points.append(np.broadcast_arrays(np.asarray(s_db, float), np.asarray(n, float)))
+            return original(self, s_db, n)
 
         def recorded(sf):
             res = correlation_arrays(sf)
             seen.append((res.delta_a.ravel(), res.delta_b.ravel()))
             return res
 
-        points = []
-        original = tmsflow.analysis._midpoint_tree
-
-        def tree(lo, hi):
-            points.append(original(lo, hi))
-            return points[-1]
-
         monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", recorded)
-        monkeypatch.setattr(tmsflow.analysis, "_midpoint_tree", tree)
-        evaluated = {}
-        for flavor in "AB":
-            seen.clear()
-            points.clear()
-            res = crossover_point(model, 6.0, flavor)
-            n_values = np.concatenate([np.array(res.bracket)] + points)
-            row = 0 if flavor == "A" else 1
-            evaluated[flavor] = zip(n_values, np.concatenate([pair[row] for pair in seen]))
+        monkeypatch.setattr(StateModel, "standard_form", recorded_form)
+        crossover_point(model, 6.0, "AB")
         monkeypatch.undo()
-        for flavor, pairs in evaluated.items():
-            for n, value in pairs:
-                report = sweep(model, [6.0], [n]).cell(0, 0).report
-                assert value == (report.delta_a if flavor == "A" else report.delta_b), (flavor, n)
+        assert len(points) == len(seen) > 2
+        for (s_grid, n_grid), (d_a, d_b) in zip(points, seen):
+            for s_db, n, value_a, value_b in zip(s_grid.ravel(), n_grid.ravel(), d_a, d_b):
+                report = sweep(model, [s_db], [n]).report(0, 0)
+                assert (value_a, value_b) == (report.delta_a, report.delta_b), n

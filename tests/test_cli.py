@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import tmsflow
-from tmsflow.analysis import crossover_point
 from tmsflow.cli import main, parse_grid
 from tmsflow.states import ideal_tms, vacuum
 from tmsflow.symplectic import covariance_to_json
@@ -146,28 +145,62 @@ class TestFeaturesCommand:
         assert rows[1].startswith("2000.0,1.0,nan,nan,nan,")
         assert "n_c_A: exact invariant beyond the double range" in rows[1]
 
-    def test_each_crossover_root_is_solved_once(self, tmp_path, monkeypatch):
-        import tmsflow.cli
+    @pytest.mark.parametrize("s_spec", ["6", "1,6", "2:12:0.5", "0.05:30:0.05"])
+    @pytest.mark.parametrize("model", [["--model", "ideal"], ["--model", "realistic"]])
+    def test_kernel_calls_per_job_do_not_grow_with_rows(self, s_spec, model, tmp_path, monkeypatch):
+        # one call for every bracket end, then at most 100 bisection steps
+        import tmsflow.analysis
 
-        calls = []
+        calls, original = [], tmsflow.analysis.correlation_arrays
 
-        def counting(model, s_db, flavor):
-            calls.append((s_db, flavor))
-            return crossover_point(model, s_db, flavor)
+        def counted(sf):
+            calls.append(sf.a.shape)
+            return original(sf)
 
-        monkeypatch.setattr(tmsflow.cli, "crossover_point", counting)
+        monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", counted)
         out = tmp_path / "f.csv"
-        argv = ["features", "--s", "0.01,6", "--what", "nc", "--flavors", "AB,A,B"]
+        assert main(["features", "--s", s_spec, *model, "--out", str(out)]) == 0
+        rows = len(parse_grid(s_spec))
+        assert 2 < len(calls) <= 2 + 100
+        assert set(calls) == {(rows, 2)}
+
+    def test_ab_column_is_the_mean_of_the_a_and_b_columns(self, tmp_path):
+        out = tmp_path / "f.csv"
+        argv = ["features", "--s", "0.01,2,4,6,8,12", "--what", "nc", "--flavors", "AB,A,B"]
         assert main(argv + ["--out", str(out)]) == 0
-        assert sorted(calls) == [(0.01, "A"), (0.01, "B"), (6.0, "A"), (6.0, "B")]
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
-        weak, strong = (r.split(",") for r in rows)
+        weak, *strong = (r.split(",") for r in rows)
         # crossover B does not exist at 0.01 dB; AB carries B's reason
         assert weak[1] == "nan" and weak[3] == "nan" and float(weak[2]) > 0.0
         reason = weak[4].split("n_c_B: ")[1]
         assert weak[4] == f"n_c_AB: {reason}; n_c_B: {reason}"
-        n_ab, n_a, n_b = map(float, strong[1:4])
-        assert n_ab == 0.5 * (n_a + n_b)
+        for row in strong:
+            n_ab, n_a, n_b = map(float, row[1:4])
+            assert n_ab == 0.5 * (n_a + n_b)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ["--model", "ideal"],
+            ["--model", "coupler"],
+            ["--model", "coupler", "--beta", "0.3"],
+            ["--model", "realistic"],
+        ],
+    )
+    def test_batch_is_invisible(self, model, tmp_path):
+        # a table of levels gives, row for row, the bytes of one-level runs,
+        # failing rows (some models have no crossover B at 0.1 dB; 2000 dB
+        # overflows) included
+        levels = ["0.1", "1.0", "2.5", "6.0", "30.0", "2000.0"]
+
+        def rows(s_spec):
+            out = tmp_path / "f.csv"
+            assert main(["features", "--s", s_spec, *model, "--out", str(out)]) in (0, 3)
+            return [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+
+        table = rows(",".join(levels))
+        assert [rows(level) for level in levels] == [[row] for row in table]
+        assert "nan" in table[-1]
 
 
 class TestQkdCommand:
@@ -194,6 +227,37 @@ class TestQkdCommand:
 
     def test_missing_axis_is_usage_error(self):
         assert main(["qkd", "--s", "1:30:1"]) == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--cloner-beta", "0.01", "--tolerance", "1e-9"]])
+    def test_threshold_batch_is_invisible(self, extra, tmp_path):
+        # failing rows: no squeezing at 0 dB, K at the bracket's upper end
+        # off the double range at 3082.5 dB
+        levels = ["0.0", "0.001", "1.0", "6.5", "30.0", "400.0", "3082.5"]
+
+        def rows(s_spec):
+            th_out, out = tmp_path / "t.csv", tmp_path / "k.csv"
+            argv = ["qkd", "--s", s_spec, "--nq", "0.1", "--threshold-out", str(th_out)]
+            assert main(argv + extra + ["--out", str(out)]) in (0, 3)
+            return [l for l in th_out.read_text().splitlines() if not l.startswith("#")][1:]
+
+        table = rows(",".join(levels))
+        assert [rows(level) for level in levels] == [[row] for row in table]
+        assert ",nan," in table[0] and ",nan," in table[-1]
+
+    def test_key_stays_on_its_plateau_where_the_snr_overflows(self, tmp_path, capsys):
+        # At n_q = 0.1 the SNR leaves the double range from about 3077 dB.
+        plateau = 1.3792330690263839
+        assert main(["qkd", "--s", "3082.5", "--nq", "0.1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["key_bits"] == pytest.approx(plateau, abs=1e-12)
+        assert doc["shannon_mi_bits"] == pytest.approx(doc["holevo_bits"] + plateau, abs=1e-12)
+        out = tmp_path / "k.csv"
+        assert main(["qkd", "--s", "3000,3070,3082.5", "--nq", "0.1", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "inf" not in text
+        keys = [float(l.split(",")[4]) for l in text.splitlines()[3:]]
+        assert keys[:2] == [plateau, plateau]
+        assert keys[2] == pytest.approx(plateau, abs=1e-12)
 
     def test_strong_squeezing_gives_a_key(self, capsys):
         assert main(["qkd", "--s", "400", "--nq", "0.1"]) == 0
@@ -330,6 +394,8 @@ class TestScalarInputs:
                 "line 3: standard deviations must be finite and > 0",
             ),
             (["features", "--s", "6", "--what", "xyz"], "nsd, nc"),
+            (["features", "--s", "6", "--what", "nc,nsd,nc"], "distinct nsd, nc"),
+            (["features", "--s", "6", "--flavors", "A,A"], "distinct A, B, AB"),
             (["gen-synthetic", "--noise", "-1"], "noise amplitude"),
             (["fit", "--records", _records_file, "--w1", "-1", "--w2", "-1", "--w3", "-1"],
              "weights must be >= 0 and not all zero"),

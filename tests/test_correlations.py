@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from tmsflow.correlations import (
     eof_lower_bound,
     gamma_ideal,
     mutual_information,
-    report_to_csv_row,
 )
-from tmsflow.analysis import sweep
+from tmsflow.analysis import sweep, sweep_to_csv
 from tmsflow.errors import DomainError
 from tmsflow.qkd import QkdScenario, secret_key
 from tmsflow.states import (
@@ -197,11 +197,12 @@ FORMER_COUPLER_FAILURES = (18.5, 19.0, 21.0, 22.0, 22.5, 26.0, 27.5, 28.0, 28.5,
 def _extreme_block(model, reference, bound):
     """Assert that every extreme-block cell is ok and that each reported
     quantity lies within ``bound(n)`` of ``reference(s_db, n)``."""
-    for cell in sweep(model, EXTREME_S, EXTREME_N).cells:
-        assert cell.error is None, (cell.s_db, cell.n, cell.error)
-        ref = reference(cell.s_db, cell.n)
-        dev = max(abs(getattr(cell.report, key) - value) for key, value in ref.items())
-        assert dev <= bound(cell.n), (cell.s_db, cell.n, dev)
+    grid = sweep(model, EXTREME_S, EXTREME_N)
+    assert not grid.arrays.errors, grid.arrays.errors
+    for (i_s, s_db), (i_n, n) in product(enumerate(grid.s_values), enumerate(grid.n_values)):
+        report = grid.report(i_s, i_n)
+        dev = max(abs(getattr(report, key) - value) for key, value in reference(s_db, n).items())
+        assert dev <= bound(n), (s_db, n, dev)
 
 
 class TestReference:
@@ -250,12 +251,13 @@ class TestReference:
         # E_F(80 dB, 0) read 5.59868 from it, and 1000 dB overflowed.  The
         # reference carries 50 + S/2 digits.
         grid = sweep(StateModel.coupler(0.01), s_axis, n_axis)
-        for cell in grid.cells:
-            assert cell.error is None, (cell.s_db, cell.n, cell.error)
-            ref = channel_reference(cell.s_db, cell.n, 0.01, digits=50 + int(cell.s_db) // 2)
+        assert not grid.arrays.errors, grid.arrays.errors
+        for (i_s, s_db), (i_n, n) in product(enumerate(grid.s_values), enumerate(grid.n_values)):
+            report = grid.report(i_s, i_n)
+            ref = channel_reference(s_db, n, 0.01, digits=50 + int(s_db) // 2)
             for key, value in ref.items():
-                assert abs(getattr(cell.report, key) - value) <= 1e-12, (cell.s_db, cell.n, key)
-        e_f = sweep(StateModel.coupler(0.01), [80.0], [0.0]).cell(0, 0).report.e_f
+                assert abs(getattr(report, key) - value) <= 1e-12, (s_db, n, key)
+        e_f = sweep(StateModel.coupler(0.01), [80.0], [0.0]).report(0, 0).e_f
         assert e_f == pytest.approx(channel_reference(80.0, 0.0, 0.01)["e_f"], abs=1e-12)
 
     @pytest.mark.parametrize("s_db", FORMER_COUPLER_FAILURES)
@@ -553,9 +555,9 @@ class TestCorrelationReport:
         assert calls == []
 
     def test_csv_row_format(self):
-        rep = correlation_report(ideal_tms(0.5))
-        row = report_to_csv_row(rep, 4.34, 0.0)
+        rep = correlation_report(StateModel.ideal().state(4.34, 0.0))
+        row = sweep_to_csv(sweep(StateModel.ideal(), [4.34], [0.0])).splitlines()[1]
         fields = row.split(",")
-        assert len(fields) == 9
+        assert len(fields) == 10 and fields[-1] == "ok"
         assert float(fields[0]) == 4.34
         assert float(fields[2]) == pytest.approx(rep.d_a)

@@ -226,6 +226,17 @@ class TestShannonMi:
         asymptotic = 0.5 * math.log2(1 + s.sigma2 / s.n_q)
         assert shannon_mi(s) == pytest.approx(asymptotic, rel=1e-3)
 
+    @pytest.mark.parametrize("s_db, n_q", [(3082.5, 0.1), (3082.5, 100.0), (2000.0, 0.0)])
+    def test_matches_reference_where_the_snr_overflows(self, s_db, n_q):
+        import mpmath as mp
+
+        s = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q)
+        with mp.workdps(50):
+            r, beta = mp.mpf(s.r), mp.mpf(s.beta)
+            snr = 2 * (1 - beta) * mp.sinh(2 * r) / ((1 - beta) * mp.exp(-2 * r) + 4 * n_q)
+            ref = mp.log(1 + snr, 2) / 2
+        assert shannon_mi(s) == pytest.approx(float(ref), rel=1e-15)
+
 
 class TestSecretKey:
     def test_budget_identity(self):

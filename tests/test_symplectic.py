@@ -243,11 +243,39 @@ class TestVonNeumannEntropy:
     def test_pure_tms_zero(self):
         assert von_neumann_entropy(ideal_tms(1.0)) == pytest.approx(0.0, abs=1e-10)
 
-    def test_mixed_mode_inside_noise_band_is_refused(self):
-        # nu ~ 3e6 lies inside the ~7e8 storage-noise band of so
-        # ill-conditioned a matrix; calling it pure would return 0
+    @pytest.mark.parametrize(
+        "V",
+        [CovarianceMatrix(np.diag([0.1, 1e14])), StateModel.ideal().state(120.0, 0.01)],
+        ids=["one-mode-cond-1e15", "ideal-120dB"],
+    )
+    def test_ill_conditioned_state_matches_mpmath(self, V):
+        # One and two modes take nu from sqrt(det) and the exact invariants,
+        # so a conditioning-sized purity band (about 7e8 and 5.5e5 here,
+        # far above nu) must not apply.
+        import mpmath as mp
+
+        with mp.workdps(50):
+            m = mp.matrix(V.entries.tolist())
+            if V.n_modes == 1:
+                nus = [mp.sqrt(mp.det(m))]
+            else:
+                i1, i2, i3 = mp.det(m[0:2, 0:2]), mp.det(m[2:4, 2:4]), mp.det(m[0:2, 2:4])
+                i4, delta = mp.det(m), i1 + i2 + 2 * i3
+                root = mp.sqrt(delta**2 - 4 * i4)
+                nus = [mp.sqrt((delta + root) / 2), mp.sqrt((delta - root) / 2)]
+            ref = sum(
+                (2 * nu + 0.5) * mp.log(2 * nu + 0.5) - (2 * nu - 0.5) * mp.log(2 * nu - 0.5)
+                for nu in nus
+            )
+        assert von_neumann_entropy(V) == pytest.approx(float(ref), rel=1e-13)
+
+    def test_williamson_mode_inside_noise_band_is_refused(self):
+        # From three modes nu comes from the Williamson form: nu ~ 3e6 lies
+        # inside the ~7e8 storage-noise band of so ill-conditioned a matrix,
+        # and calling it pure would return 0.
+        V = tensor(CovarianceMatrix(np.diag([0.1, 1e14])), vacuum(2))
         with pytest.raises(NumericalError):
-            von_neumann_entropy(CovarianceMatrix(np.diag([0.1, 1e14])))
+            von_neumann_entropy(V)
 
 
 class TestSymplecticOperations:
