@@ -153,16 +153,17 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
     on the grid of midpoints.  AB is the mean of A and B and carries A's
     error first, then B's.
     """
-    s_col = np.array([float(s) for s in s_values])[:, None]
+    s_col = np.array(s_values, dtype=float)[:, None]
     rows = len(s_col)
-    lo, hi = np.full((rows, 2), _N_LOW), np.full((rows, 2), _N_LOW)
+    hi = np.full((rows, 2), _N_LOW)
     failed: dict = {}  # by flat entry index 2 * level + (0 for A, 1 for B)
     for i, s_db in enumerate(s_col[:, 0].tolist()):
         try:
             hi[i] = sudden_death_point(model, s_db)
         except TmsflowError as exc:
             failed[2 * i] = failed[2 * i + 1] = exc
-    ends = correlation_arrays(model.standard_form(s_col, np.stack((lo[:, 0], hi[:, 0]), 1)))
+    bracket_ends = np.stack((np.full(rows, _N_LOW), hi[:, 0]), 1)
+    ends = correlation_arrays(model.standard_form(s_col, bracket_ends))
     for i, n_sd in enumerate(hi[:, 0].tolist()):
         level_exc = failed.get(2 * i) or ends.errors.get(2 * i, ends.errors.get(2 * i + 1))
         for k, (flavor, d) in enumerate((("A", ends.delta_a), ("B", ends.delta_b))):
@@ -180,7 +181,7 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
         res = correlation_arrays(model.standard_form(s_col, n.reshape(rows, 2)))
         return np.where([True, False], res.delta_a, res.delta_b).ravel(), res.errors
 
-    roots, errors = _bisect(delta, lo.ravel(), hi.ravel(), False)
+    roots, errors = _bisect(delta, np.full(2 * rows, _N_LOW), hi.ravel(), False)
     failed.update(errors)
     n_c = [failed.get(j, root) for j, root in enumerate(roots.tolist())]
     table = []
