@@ -162,8 +162,9 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
             hi[i] = sudden_death_point(model, s_db)
         except TmsflowError as exc:
             failed[2 * i] = failed[2 * i + 1] = exc
+    levels = model._levels(s_col)
     bracket_ends = np.stack((np.full(rows, _N_LOW), hi[:, 0]), 1)
-    ends = correlation_arrays(model.standard_form(s_col, bracket_ends))
+    ends = correlation_arrays(model._standard_form(s_col, levels, bracket_ends))
     for i, n_sd in enumerate(hi[:, 0].tolist()):
         level_exc = failed.get(2 * i) or ends.errors.get(2 * i, ends.errors.get(2 * i + 1))
         for k, (flavor, d) in enumerate((("A", ends.delta_a), ("B", ends.delta_b))):
@@ -178,7 +179,7 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
                 hi[i, k] = _N_LOW  # an empty bracket: no step reads this entry
 
     def delta(n: np.ndarray) -> tuple[np.ndarray, dict]:
-        res = correlation_arrays(model.standard_form(s_col, n.reshape(rows, 2)))
+        res = correlation_arrays(model._standard_form(s_col, levels, n.reshape(rows, 2)))
         return np.where([True, False], res.delta_a, res.delta_b).ravel(), res.errors
 
     roots, errors = _bisect(delta, np.full(2 * rows, _N_LOW), hi.ravel(), False)

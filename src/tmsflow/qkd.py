@@ -117,16 +117,24 @@ def holevo_quantity(scenario: QkdScenario) -> float:
     In vacuum-1 units, with ``a = cosh 2r``, ``b = (1 - beta) a + beta W``
     and ``g = ab - c^2 = (1 - beta) + beta a W``, AB' has
     ``nu+ = (sqrt((b - a)^2 + 4g) + |b - a|)/2`` and ``nu- = g/nu+``, and
-    homodyning q on B leaves A with ``nu_A|x_B = sqrt(ag/b)``.
+    homodyning q on B leaves A with ``nu_A|x_B = sqrt(ag/b)``.  Where g
+    overflows (near the top squeezing level with a large W), ``sqrt(g)``
+    and ``g/nu+`` are taken factor by factor.
     """
     beta, w = scenario.beta, scenario.w
     a = math.cosh(2.0 * scenario.r)
     b = (1.0 - beta) * a + beta * w
     g = (1.0 - beta) + beta * a * w
     d = abs(beta * (a - w))
-    nu_plus = 0.5 * (math.hypot(d, 2.0 * math.sqrt(g)) + d)
-    s_ab = entropy_f(VACUUM_VARIANCE * nu_plus) + entropy_f(VACUUM_VARIANCE * g / nu_plus)
-    chi = (s_ab - entropy_f(VACUUM_VARIANCE * math.sqrt(a / b * g))) / _LN2
+    if math.isinf(g):  # then g = beta a W to double precision
+        root_g = math.sqrt(beta * w) * math.sqrt(a)
+        nu_plus = 0.5 * (math.hypot(d, 2.0 * root_g) + d)
+        nu_minus, nu_cond = beta * w * (a / nu_plus), math.sqrt(a / b) * root_g
+    else:
+        nu_plus = 0.5 * (math.hypot(d, 2.0 * math.sqrt(g)) + d)
+        nu_minus, nu_cond = g / nu_plus, math.sqrt(a / b * g)
+    s_ab = entropy_f(VACUUM_VARIANCE * nu_plus) + entropy_f(VACUUM_VARIANCE * nu_minus)
+    chi = (s_ab - entropy_f(VACUUM_VARIANCE * nu_cond)) / _LN2
     return max(chi, 0.0)
 
 

@@ -282,8 +282,13 @@ class StateModel:
         J. Phys. B 37, L21 (2004); Adesso and Datta, PRL 105, 030501 (2010).
         """
         s = np.asarray(s_db, dtype=float)
-        n = np.asarray(n, dtype=float)
-        full = np.zeros(np.broadcast_shapes(s.shape, n.shape))
+        return self._standard_form(s, self._levels(s), n)
+
+    def _levels(self, s: np.ndarray) -> tuple:
+        """The noise-independent part of :meth:`standard_form` on an array
+        of squeezing levels: r and the amplifier prefactor p per level, and
+        ``(index, error)`` lists of rejected levels and of overflowing
+        prefactors.  A root finder computes it once per batch."""
         r, p = np.zeros(s.shape), np.ones(s.shape)
         level_errors, gain_errors = [], []
         for i, level in enumerate(s.flat):
@@ -294,6 +299,13 @@ class StateModel:
                 level_errors.append((i, exc))
             except NumericalError as exc:
                 gain_errors.append((i, exc))
+        return r, p, level_errors, gain_errors
+
+    def _standard_form(self, s: np.ndarray, levels: tuple, n) -> StandardForm:
+        """:meth:`standard_form` on levels ``s`` whose :meth:`_levels` are given."""
+        r, p, level_errors, gain_errors = levels
+        n = np.asarray(n, dtype=float)
+        full = np.zeros(np.broadcast_shapes(s.shape, n.shape))
         noise_errors = []
         if (n < 0.0).any():
             noise_errors = [

@@ -13,6 +13,18 @@ the sample into batches, which stays honest for correlated columns where
 plug-in Gaussian-null formulas would need the full cross-covariance
 structure.  Samples are assumed pre-calibrated to photon units with
 I mapping to q and Q mapping to p.
+
+Sample files (:func:`samples_from_csv`) are read line by line:
+
+* line 1 is a header, and skipped, when one of its comma-separated fields
+  is a column name (``I1``, ``Q1``, ``I2``, ``Q2``, any case); a header on
+  any other line is a malformed data line;
+* blank lines and lines whose first non-blank character is ``#`` are
+  skipped; a ``#`` after a value is not a comment;
+* every other line holds four comma-separated finite values in Python
+  ``float`` syntax, surrounding whitespace allowed;
+* the first line that breaks these rules is named by its number in the
+  ``ValueError``, and a file with no data line is refused.
 """
 
 from __future__ import annotations
@@ -120,15 +132,18 @@ def project_to_physical(V: CovarianceMatrix) -> CovarianceMatrix:
 
 
 def _k_statistics(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Unbiased joint cumulant estimators k_mn (2 <= m + n <= 4) of every
-    column pair of a sample block: entry ``[i, j]`` has power m on column i
-    and n on column j.
+    """Unbiased joint cumulant estimators k_mn (2 <= m + n <= 4) of the
+    column pairs of a sample block: entry ``[i, j]`` has power m on column
+    i and n on column j.
 
-    Central-moment formulas (Kendall & Stuart): third order scales m_mn by
-    n^2/((n-1)(n-2)); fourth order combines (n+1) m_4-type terms with
-    products of second-order moments.  Each power of the centred columns
-    is formed once; means run along a contiguous sample axis with no
-    matrix product, so results do not depend on the BLAS build.
+    Only the entries :func:`cumulants` reads are estimated: ``i <= j`` for
+    k_11 and ``i < j`` for the other mixed orders; the rest are NaN.  The
+    univariate orders fill every entry.  Central-moment formulas (Kendall &
+    Stuart): third order scales m_mn by n^2/((n-1)(n-2)); fourth order
+    combines (n+1) m_4-type terms with products of second-order moments.
+    Each power of the centred columns is formed once; means run along a
+    contiguous sample axis with no matrix product, so results do not depend
+    on the BLAS build.
     """
     n = float(block.shape[0])
     d = np.ascontiguousarray(block.T)
@@ -141,7 +156,10 @@ def _k_statistics(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
             return powers[p].mean(axis=1)[:, None]
         if p == 0:
             return powers[q].mean(axis=1)[None, :]
-        return np.array([np.mean(row * powers[q], axis=-1) for row in powers[p]])
+        out = np.full((len(d), len(d)), np.nan)
+        rows, cols = np.triu_indices(len(d), 0 if (p, q) == (1, 1) else 1)
+        out[rows, cols] = np.mean(powers[p][rows] * powers[q][cols], axis=-1)
+        return out
 
     c3 = n * n / ((n - 1.0) * (n - 2.0))
     c4 = n * n / ((n - 1.0) * (n - 2.0) * (n - 3.0))
@@ -236,15 +254,48 @@ def cumulants(
 
 
 def samples_from_csv(text: str) -> QuadratureSamples:
-    """Parse an I1,Q1,I2,Q2 table; raises ValueError naming the bad line."""
+    """Parse an I1,Q1,I2,Q2 table; raises ValueError naming the bad line.
+
+    The data lines go through one NumPy C-level parse.  Where that parse
+    rejects the text, or returns other than four columns or a non-finite
+    value, the line-by-line :func:`_scan_samples` runs instead: it accepts
+    every text the Python ``float`` grammar allows (digit underscores and
+    non-ASCII digits included, which the bulk parse refuses) and names the
+    first bad line.  Both accept the same texts and give bit-identical
+    arrays.
+    """
+    lines = [line.strip() for line in text.splitlines()]
+    if lines and _is_header(lines[0].split(",")):
+        lines[0] = ""
+    data = [line for line in lines if line and line[0] != "#"]
+    if data:
+        try:
+            rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if rows.shape[1] == 4 and np.isfinite(rows).all():
+                return QuadratureSamples(rows)
+    return QuadratureSamples(_scan_samples(text))
+
+
+def _is_header(fields: list[str]) -> bool:
+    """Whether line 1, split at its commas, is the header: one of its
+    fields is a column name."""
+    return any(t.strip().upper() in COLUMN_NAMES for t in fields)
+
+
+def _scan_samples(text: str) -> np.ndarray:
+    """The samples grammar checked one line at a time with Python ``float``;
+    raises ValueError naming the first bad line."""
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         toks = line.split(",")
-        if line_no == 1 and any(t.strip().upper() in COLUMN_NAMES for t in toks):
-            continue  # header
+        if line_no == 1 and _is_header(toks):
+            continue
         if len(toks) != 4:
             raise ValueError(f"line {line_no}: expected 4 columns, got {len(toks)}")
         try:
@@ -255,7 +306,7 @@ def samples_from_csv(text: str) -> QuadratureSamples:
             raise ValueError(f"line {line_no}: non-finite entry")
     if not rows:
         raise ValueError("no data rows found")
-    return QuadratureSamples(np.array(rows))
+    return np.array(rows)
 
 
 def samples_to_csv(samples: QuadratureSamples) -> str:

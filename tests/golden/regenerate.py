@@ -1,8 +1,9 @@
 """Regenerate the golden sha256 manifest of the CLI's deterministic outputs.
 
-The manifest pins the bytes of the README CLI jobs and of the three
-models' extreme blocks (``0:30:0.5`` dB by ``0,1e-9,...,1000`` noise
-photons, CSV and JSON).  ``tests/test_golden.py`` reruns the same jobs and
+The manifest pins the bytes of the README CLI jobs, of the three models'
+extreme blocks (``0:30:0.5`` dB by ``0,1e-9,...,1000`` noise photons, CSV
+and JSON) and of ``tomo`` on a 2000-row sample file drawn with the
+standard library's ``random``.  ``tests/test_golden.py`` reruns the same jobs and
 compares digests.  A change that is meant to alter output bytes reruns
 this script from the repository root and states the largest absolute
 difference in the change log:
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -25,6 +27,9 @@ from pathlib import Path
 MANIFEST = Path(__file__).with_name("manifest.sha256")
 
 EXTREME = ["--s", "0:30:0.5", "--n", "0,1e-9,1e-6,1e-3,0.1,1,10,100,1000"]
+
+SAMPLES = "samples.csv"
+SAMPLE_ROWS = 2000
 
 # Jobs run in order, so ``fit`` reads the records ``gen-synthetic`` wrote.
 JOBS = (
@@ -35,6 +40,8 @@ JOBS = (
     + ["--out", "keys.csv"],
     ["gen-synthetic", "--noise", "0.01", "--seed", "1", "--out", "records.csv"],
     ["fit", "--records", "records.csv", "--out", "fit.json"],
+    ["tomo", "--samples", SAMPLES, "--project"]
+    + ["--covariance-out", "tomo_cov.json", "--cumulants-out", "tomo_cum.json"],
 ) + tuple(
     ["sweep", *EXTREME, "--model", model, "--format", fmt, "--out", f"extreme_{model}.{fmt}"]
     for model in ("ideal", "coupler", "realistic")
@@ -42,13 +49,23 @@ JOBS = (
 )
 
 
+def write_samples(path: Path) -> None:
+    """Vacuum quadrature samples (standard deviation 1/2) with ``repr``
+    floats and a header line, from ``random.Random(1).gauss``."""
+    rng = random.Random(1)
+    rows = (",".join(repr(rng.gauss(0.0, 0.5)) for _ in range(4)) for _ in range(SAMPLE_ROWS))
+    path.write_text("\n".join(["I1,Q1,I2,Q2", *rows]) + "\n", encoding="utf-8")
+
+
 def run_jobs(directory: Path) -> dict[str, str]:
-    """Run every job in ``directory``; return {file name: sha256 hex digest}.
+    """Write the sample file and run every job in ``directory``; return
+    {file name: sha256 hex digest}.
 
     Each job must exit 0.
     """
     from tmsflow.cli import main
 
+    write_samples(directory / SAMPLES)
     cwd = os.getcwd()
     os.chdir(directory)
     try:

@@ -266,13 +266,13 @@ class TestCrossover:
         model = TABLE_MODELS[name]
         levels = [0.05, 1.0, 3.0, 6.0, 30.0, 2000.0]
         grids = []
-        original = StateModel.standard_form
+        original = StateModel._standard_form
 
-        def recorded(self, s_db, n):
+        def recorded(self, s_db, levels, n):
             grids.append(np.array(n, dtype=float))
-            return original(self, s_db, n)
+            return original(self, s_db, levels, n)
 
-        monkeypatch.setattr(StateModel, "standard_form", recorded)
+        monkeypatch.setattr(StateModel, "_standard_form", recorded)
         table = _crossovers(model, levels)
         monkeypatch.undo()
         steps = np.stack(grids[1:])  # the first call evaluated the bracket ends
@@ -357,11 +357,11 @@ class TestEvaluationSite:
 
         model = TABLE_MODELS[name]
         seen, points = [], []
-        original = StateModel.standard_form
+        original = StateModel._standard_form
 
-        def recorded_form(self, s_db, n):
+        def recorded_form(self, s_db, levels, n):
             points.append(np.broadcast_arrays(np.asarray(s_db, float), np.asarray(n, float)))
-            return original(self, s_db, n)
+            return original(self, s_db, levels, n)
 
         def recorded(sf):
             res = correlation_arrays(sf)
@@ -369,7 +369,7 @@ class TestEvaluationSite:
             return res
 
         monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", recorded)
-        monkeypatch.setattr(StateModel, "standard_form", recorded_form)
+        monkeypatch.setattr(StateModel, "_standard_form", recorded_form)
         crossover_point(model, 6.0, "AB")
         monkeypatch.undo()
         assert len(points) == len(seen) > 2

@@ -10,7 +10,7 @@ import pytest
 
 import tmsflow
 from tmsflow.cli import main, parse_grid
-from tmsflow.states import ideal_tms, vacuum
+from tmsflow.states import StateModel, ideal_tms, vacuum
 from tmsflow.symplectic import covariance_to_json
 from tmsflow.tomography import QuadratureSamples, samples_to_csv
 
@@ -158,11 +158,17 @@ class TestFeaturesCommand:
             return original(sf)
 
         monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", counted)
+        prefactors, prefactor = [], StateModel.amplifier_prefactor
+        monkeypatch.setattr(
+            StateModel, "amplifier_prefactor", lambda self, r: prefactors.append(r) or prefactor(self, r)
+        )
         out = tmp_path / "f.csv"
         assert main(["features", "--s", s_spec, *model, "--out", str(out)]) == 0
         rows = len(parse_grid(s_spec))
         assert 2 < len(calls) <= 2 + 100
         assert set(calls) == {(rows, 2)}
+        # the n_sd column, the brackets and the batch's levels: not once per step
+        assert len(prefactors) == 3 * rows
 
     def test_ab_column_is_the_mean_of_the_a_and_b_columns(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -230,8 +236,8 @@ class TestQkdCommand:
 
     @pytest.mark.parametrize("extra", [[], ["--cloner-beta", "0.01", "--tolerance", "1e-9"]])
     def test_threshold_batch_is_invisible(self, extra, tmp_path):
-        # failing rows: no squeezing at 0 dB, K at the bracket's upper end
-        # off the double range at 3082.5 dB
+        # a failing row (no squeezing at 0 dB) and, at 3082.5 dB, K at the
+        # bracket's upper end with g = (1 - beta) + beta a W off the double range
         levels = ["0.0", "0.001", "1.0", "6.5", "30.0", "400.0", "3082.5"]
 
         def rows(s_spec):
@@ -242,7 +248,7 @@ class TestQkdCommand:
 
         table = rows(",".join(levels))
         assert [rows(level) for level in levels] == [[row] for row in table]
-        assert ",nan," in table[0] and ",nan," in table[-1]
+        assert ",nan," in table[0] and table[-1].endswith(",ok")
 
     def test_key_stays_on_its_plateau_where_the_snr_overflows(self, tmp_path, capsys):
         # At n_q = 0.1 the SNR leaves the double range from about 3077 dB.

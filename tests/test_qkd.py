@@ -197,6 +197,13 @@ class TestHolevo:
                 ref = holevo_reference(s_db, n_q, beta)
                 assert holevo_quantity(s) == pytest.approx(ref, abs=1e-10), (n_q, beta)
 
+    @pytest.mark.parametrize("s_db", [3000.0, 3070.0, 3082.5])
+    @pytest.mark.parametrize("n_q", [0.1, 2.0])
+    def test_matches_reference_where_g_overflows(self, s_db, n_q):
+        # g = (1 - beta) + beta a W is beyond the double range at 3082.5 dB, n_q = 2
+        s = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q)
+        assert holevo_quantity(s) == pytest.approx(holevo_reference(s_db, n_q, s.beta), abs=1e-10)
+
     def test_nonnegative(self, rng):
         for _ in range(20):
             s = QkdScenario(
@@ -293,6 +300,10 @@ class TestKeyThreshold:
     def test_strong_squeezing_asymptote(self):
         th = key_threshold(30.0)
         assert th == pytest.approx(0.26, abs=0.01)
+
+    def test_threshold_at_the_top_level(self):
+        # the bracket's upper end n_q = 2 makes g overflow at 3082.5 dB
+        assert key_threshold(3082.5) == pytest.approx(key_threshold(3000.0), rel=1e-9)
 
     def test_key_small_at_threshold(self):
         th = key_threshold(10.0, tolerance=1e-6)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmsflow.correlations import discord
-from tmsflow.errors import NonFiniteError, NumericalError, TooFewSamplesError
+from tmsflow.errors import NonFiniteError, NumericalError, TmsflowError, TooFewSamplesError
 from tmsflow.states import ideal_tms, vacuum
 from tmsflow.symplectic import CovarianceMatrix, symplectic_eigenvalues, validate
 from tmsflow.tomography import (
@@ -16,6 +18,7 @@ from tmsflow.tomography import (
     samples_from_csv,
     samples_to_csv,
     _k_statistics,
+    _scan_samples,
 )
 
 from conftest import sample_gaussian
@@ -214,3 +217,93 @@ class TestSamplesCsv:
         text = "I1,Q1,I2,Q2\n0.1,x,0.3,0.4\n"
         with pytest.raises(ValueError, match="line 2"):
             samples_from_csv(text)
+
+    def test_one_row_is_too_few(self):
+        with pytest.raises(TooFewSamplesError, match="at least two samples"):
+            samples_from_csv("I1,Q1,I2,Q2\n0.1,0.2,0.3,0.4\n")
+
+    def test_two_rows(self):
+        samples = samples_from_csv("0.1,0.2,0.3,0.4\n-1e-3, 2E5 ,+3.,.5\n")
+        assert samples.data.tolist() == [[0.1, 0.2, 0.3, 0.4], [-1e-3, 2e5, 3.0, 0.5]]
+
+    def test_well_formed_text_skips_the_line_scanner(self, monkeypatch):
+        def scan(text):
+            raise AssertionError("the line scanner ran")
+
+        monkeypatch.setattr("tmsflow.tomography._scan_samples", scan)
+        text = "I1,Q1,I2,Q2\r\n\n# comment\n 1, 2 ,3,4\n  \n-5e-1,6,7,8.5\n"
+        assert samples_from_csv(text).data.tolist() == [[1, 2, 3, 4], [-0.5, 6, 7, 8.5]]
+
+
+def _outcome(parse, text):
+    """The parsed array's bytes and shape, or the exception's class and text."""
+    try:
+        data = parse(text)
+    except (ValueError, TmsflowError) as exc:
+        return type(exc), str(exc)
+    return data.shape, data.tobytes()
+
+
+# Tokens: numbers in several spellings, the spellings only Python's float
+# reads (digit underscores, non-ASCII digits), non-finite values and junk.
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda x: st.sampled_from([repr(x), f"{x:.17g}", f"{x:+.3e}", f"{x:E}", str(abs(x))])
+)
+_VALID = st.one_of(
+    _NUMBER, _NUMBER, _NUMBER, st.sampled_from(["1_0", "\u0661", "-0", "+.5", "5.", "1e-320"])
+)
+_TOKEN = _VALID | st.sampled_from(
+    ["1__0", "nan", "-nan", "inf", "-Infinity", "1e999", "", " ", "x", "1e", "0x1", "1 2"]
+)
+_PAD = st.sampled_from(["", " ", "\t", "  ", "\u3000"])
+_GOOD_LINE = st.lists(st.tuples(_PAD, _VALID, _PAD).map("".join), min_size=4, max_size=4).map(
+    ",".join
+)
+_ANY_LINE = st.lists(st.tuples(_PAD, _TOKEN, _PAD).map("".join), min_size=3, max_size=5).map(
+    ",".join
+)
+_SKIPPED = st.sampled_from(["", "   ", "\t", "#", "# I1,Q1,I2,Q2", "  # indented"])
+_BAD_LINE = st.one_of(
+    _ANY_LINE,
+    _GOOD_LINE.map(lambda line: line + " # note"),
+    _GOOD_LINE.map(lambda line: line + ","),
+    st.sampled_from(["I1,Q1,I2,Q2", " i1 , q1,I2,Q2 ", "I1,Q1,I2", "x,y,z,w"]),
+)
+
+
+@st.composite
+def _sample_texts(draw):
+    """Texts that should parse (good and skipped lines) and texts with
+    lines of any kind, with the header on line 1, elsewhere or absent."""
+    good = st.one_of(_GOOD_LINE, _GOOD_LINE, _SKIPPED)
+    lines = draw(st.lists(draw(st.sampled_from([good, good | _BAD_LINE])), max_size=8))
+    where = draw(st.sampled_from(["first", "none", "inside"]))
+    header = draw(st.sampled_from(["I1,Q1,I2,Q2", "I1, Q1, I2, Q2", "q2,x,y,z"]))
+    if where == "first":
+        lines.insert(0, header)
+    elif where == "inside":
+        lines.insert(draw(st.integers(0, len(lines))), header)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_sample_texts())
+@example("I1,Q1,I2,Q2\n1_0,2,3,4\n5,6,7,8\n")
+@example("\n# comment\nI1,Q1,I2,Q2\n1,2,3,4\n")
+@example("1,2,3,4 # inline\n5,6,7,8\n")
+@example("1,2,3,4,\n5,6,7,8,\n")
+@example("1,2,3\n4,5,6\n")
+@example("1,2,3,4,5\n6,7,8,9,0\n")
+@example("1,2,3,4\r\n  5 ,\t6,7,8  \r\n\r\n")
+@example("nan,1,2,3\n1,2,3,4\n")
+@example("1,2,3,Infinity\n1,2,3,4\n")
+@example("1,,3,4\n1,2,3,4\n")
+@example("-1.5e-3,+2E+2,-0,0\n1,2,3,4\n")
+@example("1,2,3,4\n")
+@example("I1,Q1,I2,Q2\n")
+@example("")
+def test_bulk_parse_matches_the_line_scanner(text):
+    """Every text gives the scanner's array bit for bit, or its error."""
+    expected = _outcome(lambda t: QuadratureSamples(_scan_samples(t)).data, text)
+    assert _outcome(lambda t: samples_from_csv(t).data, text) == expected
