@@ -21,14 +21,15 @@ of ``delta_AB`` itself lies lower and elsewhere.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, repeat
 
 import numpy as np
 
 from .correlations import CorrelationArrays, CorrelationReport, correlation_arrays
-from .errors import DomainError, NoSignChangeError, TmsflowError
+from .errors import DomainError, NoSignChangeError, NumericalError, TmsflowError
 from .states import StateModel, _squeezing_factor
 
 
@@ -67,10 +68,15 @@ def sweep(model: StateModel, s_values, n_values) -> SweepGrid:
     The whole grid is one call of the correlation kernel on the model's
     standard form, so a cell's values do not depend on the grid around it;
     a cell whose evaluation fails carries its error in ``arrays.errors``.
+    So does a cell with a value that is not finite, as a
+    :class:`NumericalError`: every other cell's values are finite floats.
     """
     s_vals = _check_axis(s_values, "squeezing")
     n_vals = _check_axis(n_values, "noise")
     arrays = correlation_arrays(model.standard_form(np.array(s_vals)[:, None], np.array(n_vals)))
+    finite = np.logical_and.reduce([np.isfinite(field) for field in arrays[:-1]])
+    for cell in np.flatnonzero(~finite).tolist():
+        arrays.errors.setdefault(cell, NumericalError("a correlation measure is not finite"))
     return SweepGrid(s_values=s_vals, n_values=n_vals, arrays=arrays)
 
 
@@ -223,35 +229,73 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
 
 SWEEP_CSV_HEADER = "S_db,n,D_A,D_B,E_F,I_AB,delta_A,delta_B,delta_AB,status"
 
+# Cells per block of sweep output.
+SWEEP_BLOCK = 4096
 
-def _cells(grid: SweepGrid, fields: int):
-    """``(error, s_db, n, values)`` per cell in row-major order, with the
-    first ``fields`` kernel fields as Python floats."""
-    columns = [field.ravel().tolist() for field in grid.arrays[:fields]]
-    errors = grid.arrays.errors
-    cells = zip(product(grid.s_values, grid.n_values), zip(*columns))
-    for i, ((s_db, n), values) in enumerate(cells):
-        yield errors.get(i), s_db, n, values
+# One %-template per row: ``%r`` of a float is ``float.__repr__``, which is
+# what ``json.dumps`` writes, and the JSON separators are its defaults.
+_CSV_ROW = "%s,%s," + ",".join(["%r"] * 7) + ",ok"
+_CSV_FAILED = "%s,%s," + ",".join(["nan"] * 7) + ",%s"
+_JSON_ROW = '{"s_db": %s, "n": %s, ' + ", ".join(
+    f'"{name}": %r' for name in CorrelationArrays._fields[:-1]
+) + "}"
+_JSON_FAILED = '{"s_db": %s, "n": %s, "error": %s}'
+
+
+def _row_blocks(grid: SweepGrid, row: str, failed, fields: int):
+    """The rows of every cell in row-major order, as lists of at most
+    :data:`SWEEP_BLOCK` rows: ``row % (s, n, *values)`` with the axes'
+    ``repr`` strings and the first ``fields`` kernel fields, and ``failed(s,
+    n, exc)`` for a failed cell."""
+    s_reprs = list(map(repr, grid.s_values))
+    n_reprs = list(map(repr, grid.n_values))
+    s_col = list(chain.from_iterable(repeat(s, len(n_reprs)) for s in s_reprs))
+    n_col = n_reprs * len(s_reprs)
+    columns = [field.ravel() for field in grid.arrays[:fields]]
+    failures = sorted(grid.arrays.errors.items())  # by cell index
+    k = 0
+    for start in range(0, len(s_col), SWEEP_BLOCK):
+        stop = start + SWEEP_BLOCK
+        values = (column[start:stop].tolist() for column in columns)
+        rows = list(map(row.__mod__, zip(s_col[start:stop], n_col[start:stop], *values)))
+        while k < len(failures) and failures[k][0] < stop:
+            i, exc = failures[k]
+            rows[i - start] = failed(s_col[i], n_col[i], exc)
+            k += 1
+        yield rows
+
+
+def _csv_failed(s: str, n: str, exc: Exception) -> str:
+    return _CSV_FAILED % (s, n, (str(exc) or "failed").replace(",", ";").replace("\n", " "))
+
+
+def _json_failed(s: str, n: str, exc: Exception) -> str:
+    return _JSON_FAILED % (s, n, json.dumps(str(exc)))
+
+
+def sweep_blocks_to_csv(grid: SweepGrid):
+    """The sweep CSV (header line, then one row per cell with the status
+    ``ok`` or the cell's error) in blocks of text."""
+    yield SWEEP_CSV_HEADER + "\n"
+    for rows in _row_blocks(grid, _CSV_ROW, _csv_failed, 7):
+        rows.append("")
+        yield "\n".join(rows)
 
 
 def sweep_to_csv(grid: SweepGrid) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    nans = ",".join(["nan"] * 7)
-    for exc, s_db, n, values in _cells(grid, 7):
-        if exc is None:
-            lines.append(",".join(map(repr, (s_db, n, *values))) + ",ok")
-        else:
-            reason = (str(exc) or "failed").replace(",", ";").replace("\n", " ")
-            lines.append(f"{s_db!r},{n!r},{nans},{reason}")
-    return "\n".join(lines) + "\n"
+    return "".join(sweep_blocks_to_csv(grid))
 
 
-def _sweep_doc(grid: SweepGrid) -> dict:
-    names = CorrelationArrays._fields[:-1]
-    reports = []
-    for exc, s_db, n, values in _cells(grid, len(names)):
-        if exc is None:
-            reports.append({"s_db": s_db, "n": n, **dict(zip(names, values))})
-        else:
-            reports.append({"s_db": s_db, "n": n, "error": str(exc)})
-    return {"s_values": list(grid.s_values), "n_values": list(grid.n_values), "reports": reports}
+def sweep_blocks_to_json(grid: SweepGrid, meta: dict):
+    """The sweep JSON document ``{"s_values", "n_values", "reports",
+    "meta"}`` and a newline, in blocks of text: one report per cell with
+    every kernel field, or its ``error``, as ``json.dumps(...,
+    allow_nan=False)`` writes it."""
+    sep = '{"s_values": [%s], "n_values": [%s], "reports": [' % (
+        ", ".join(map(repr, grid.s_values)),
+        ", ".join(map(repr, grid.n_values)),
+    )
+    for rows in _row_blocks(grid, _JSON_ROW, _json_failed, len(CorrelationArrays._fields) - 1):
+        yield sep + ", ".join(rows)
+        sep = ", "
+    yield '], "meta": ' + json.dumps(meta, allow_nan=False) + "}\n"

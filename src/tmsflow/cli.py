@@ -16,21 +16,23 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 import warnings
+from itertools import chain
 
 from . import __version__
 from .analysis import (
     _crossovers,
-    _sweep_doc,
     sudden_death_point,
     sweep,
-    sweep_to_csv,
+    sweep_blocks_to_csv,
+    sweep_blocks_to_json,
 )
-from .errors import DomainError, TmsflowError
+from .errors import DomainError, TmsflowError, TooFewSamplesError
 from .fit import (
     DEFAULT_COUPLING,
     DEFAULT_WEIGHTS,
@@ -178,8 +180,9 @@ def _csv_header_lines(config_echo: str) -> str:
     return f"# tmsflow {__version__}\n# config: {config_echo}\n"
 
 
-def _emit(*documents: tuple[str, str | None]) -> None:
-    """Write each ``(text, path)`` document, to stdout where the path is None.
+def _emit(*documents: tuple) -> None:
+    """Write each ``(text, path)`` document, to stdout where the path is None;
+    the text is a string or an iterable of string chunks.
 
     Every path is opened (without truncation) before any text is written,
     and an unwritable path is a usage error that leaves no new file behind.
@@ -190,21 +193,26 @@ def _emit(*documents: tuple[str, str | None]) -> None:
         for path in paths:
             open(path, "a").close()
         for text, path in documents:
+            chunks = (text,) if isinstance(text, str) else text
             if path:
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
+                    fh.writelines(chunks)
             else:
-                sys.stdout.write(text)
+                sys.stdout.writelines(chunks)
     except OSError as exc:
         for done in filter(os.path.exists, created):
             os.remove(done)
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _meta(config_echo: str) -> dict:
+    """The ``meta`` field of a JSON output: tool version and config echo."""
+    return {"tool": f"tmsflow {__version__}", "config": json.loads(config_echo)}
+
+
 def _json_with_meta(payload: dict, config_echo: str) -> str:
     """The payload document with a ``meta`` field, encoded once."""
-    meta = {"tool": f"tmsflow {__version__}", "config": json.loads(config_echo)}
-    return json.dumps({**payload, "meta": meta}, allow_nan=False) + "\n"
+    return json.dumps({**payload, "meta": _meta(config_echo)}, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +232,9 @@ def _cmd_sweep(args, config) -> int:
     echo = _meta_config({"command": "sweep", "s": s_spec, "n": n_spec, **_model_echo(model)})
     fmt = _merged(args, config, "format", "csv")
     if fmt == "json":
-        _emit((_json_with_meta(_sweep_doc(grid), echo), out))
+        _emit((sweep_blocks_to_json(grid, _meta(echo)), out))
     elif fmt == "csv":
-        _emit((_csv_header_lines(echo) + sweep_to_csv(grid), out))
+        _emit((chain((_csv_header_lines(echo),), sweep_blocks_to_csv(grid)), out))
     else:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     return 3 if len(grid.arrays.errors) == grid.arrays.d_a.size else 0
@@ -387,6 +395,8 @@ def _cmd_tomo(args, config) -> int:
         raise ConfigError(f"cannot read samples: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"malformed samples CSV: {exc}") from None
+    except TooFewSamplesError as exc:
+        raise ConfigError(f"samples: {exc}") from None
     threshold = _finite(_merged(args, config, "threshold", 5.0), "threshold")
     project = _merged(args, config, "project")
     if project is not None and not isinstance(project, bool):
@@ -397,7 +407,7 @@ def _cmd_tomo(args, config) -> int:
     )
     try:
         report = cumulants(samples, threshold=threshold)
-    except DomainError as exc:  # a constant column
+    except (DomainError, TooFewSamplesError) as exc:  # a constant column, too few rows
         raise ConfigError(f"samples: {exc}") from None
     cov = covariance_from_samples(samples)
     if project:
@@ -478,6 +488,7 @@ def _cmd_gen_synthetic(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parse_args keeps no state on the parser, and help is formatted when printed
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tmsflow",

@@ -561,6 +561,18 @@ class TestTomoCommand:
         assert main(["tomo", "--samples", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [(1, "need at least two samples"), (10, "need at least 40 samples, got 10")],
+    )
+    def test_too_few_samples_is_usage_error(self, rows, message, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("I1,Q1,I2,Q2\n" + "0.1,0.2,0.3,0.4\n" * rows)
+        cum_out = tmp_path / "cum.json"
+        assert main(["tomo", "--samples", str(path), "--cumulants-out", str(cum_out)]) == 2
+        assert capsys.readouterr().err == f"tmsflow: samples: {message}\n"
+        assert not cum_out.exists()
+
 
 class TestValidateCommand:
     def test_clean_state(self, tmp_path, capsys):
