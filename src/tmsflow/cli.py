@@ -3,10 +3,12 @@ fitting and tomography with deterministic CSV/JSON output.
 
 Grid arguments accept a single value (``6.5``), a comma list
 (``1,2,6.5``) or an inclusive range ``start:stop:step`` (endpoints kept
-within half a step).  A JSON config file can stand in for any flag;
-explicit flags win on conflict.  Every output embeds the tool version
-and the effective config, as ``#`` comment lines in CSV or a ``meta``
-field in JSON, and identical configs produce byte-identical files.
+within half a step).  A JSON config file can stand in for any flag: its
+keys are the flag names, spelled with ``-`` or ``_``, and explicit flags
+win on conflict.  Every output embeds the tool version and the effective
+config, as ``#`` comment lines in CSV or a ``meta`` field in JSON, and
+identical configs produce byte-identical files.  Every setting is declared
+once, in ``_SETTINGS``; ``_COMMANDS`` lists each subcommand's settings.
 
 Exit codes: 0 success, 2 usage or config error, 3 model or numeric
 failure.
@@ -23,6 +25,7 @@ import os
 import sys
 import warnings
 from itertools import chain
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .analysis import (
@@ -34,7 +37,9 @@ from .analysis import (
 )
 from .errors import DomainError, TmsflowError, TooFewSamplesError
 from .fit import (
+    DEFAULT_CHI,
     DEFAULT_COUPLING,
+    DEFAULT_INITIAL,
     DEFAULT_WEIGHTS,
     _fit_result_doc,
     fit,
@@ -44,6 +49,7 @@ from .fit import (
 )
 from .qkd import (
     DEFAULT_CLONER_COUPLING,
+    DEFAULT_TOLERANCE,
     QKD_CSV_HEADER,
     QkdScenario,
     _key_result_doc,
@@ -54,6 +60,7 @@ from .qkd import (
 from .states import JpaNoiseModel, StateModel, squeezing_db_to_r
 from .symplectic import _covariance_doc, covariance_from_csv, covariance_from_json, validate
 from .tomography import (
+    DEFAULT_THRESHOLD,
     _cumulant_report_doc,
     covariance_from_samples,
     cumulants,
@@ -69,8 +76,6 @@ class ConfigError(Exception):
 def parse_grid(spec: str) -> list[float]:
     """Parse a scalar, comma list, or inclusive start:stop:step range."""
     spec = str(spec).strip()
-    if not spec:
-        raise ConfigError("empty grid specification")
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -85,7 +90,10 @@ def parse_grid(spec: str) -> list[float]:
             raise ConfigError(f"range {spec!r} has more than 10**6 points")
         count = int(math.floor(steps)) + 1
         return [start + i * step for i in range(count)]
-    return [_finite(tok, "grid value") for tok in spec.split(",") if tok.strip()]
+    values = [_finite(tok, "grid value") for tok in spec.split(",") if tok.strip()]
+    if not values:
+        raise ConfigError("empty grid specification")
+    return values
 
 
 def _finite(value, what: str) -> float:
@@ -99,7 +107,119 @@ def _finite(value, what: str) -> float:
     return number
 
 
+def _accepting(ok: Callable, wants: str):
+    """The check that keeps a value for which ``ok`` holds."""
+
+    def check(value, name: str):
+        if not ok(value):
+            raise ConfigError(f"{name} must be {wants}, got {value!r}")
+        return value
+
+    return check
+
+
+_path = _accepting(lambda v: isinstance(v, str) and v, "a non-empty path")
+_seed = _accepting(lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_bool = _accepting(lambda v: isinstance(v, bool), "true or false")
+_format = _accepting(lambda v: v in ("csv", "json"), "csv or json")
+
+
+def _pair(value, name: str) -> tuple[float, float]:
+    pair = tuple(_finite(x, name) for x in str(value).split(","))
+    if len(pair) != 2:
+        raise ConfigError(f"--{name} needs two comma-separated values, got {str(value)!r}")
+    return pair
+
+
+def _distinct(*allowed: str):
+    """The check for a comma list of distinct names from ``allowed``."""
+
+    def ok(value) -> bool:
+        names = str(value).split(",")
+        return set(names) <= set(allowed) and len(set(names)) == len(names)
+
+    return _accepting(ok, f"a comma list of distinct {', '.join(allowed)}")
+
+
+class _Setting(NamedTuple):
+    """A setting ``name`` of ``_SETTINGS``: flag ``--name``, config key ``name``."""
+
+    check: Callable | None  # (value, name) -> checked value; None keeps a grid spec or model raw
+    default: object = None  # used as is, unchecked
+    help: str | None = None
+    flag: dict = {}  # further argparse keywords
+
+
+_FLOAT = {"type": float}
+
+_SETTINGS = {
+    "out": _Setting(_path, help="output path (default: stdout)"),
+    "s": _Setting(None, help="squeezing grid in dB: value, list, or start:stop:step"),
+    "n": _Setting(None, help="noise photon grid: value, list, or start:stop:step"),
+    "model": _Setting(None, "ideal", "ideal | coupler | realistic"),
+    "beta": _Setting(_finite, DEFAULT_COUPLING, "coupler power coupling", _FLOAT),
+    "chi1": _Setting(_finite, DEFAULT_CHI[0], "amplifier noise coefficient", _FLOAT),
+    "chi2": _Setting(_finite, DEFAULT_CHI[1], "amplifier noise exponent", _FLOAT),
+    "format": _Setting(_format, "csv", "csv (default) or json"),
+    "what": _Setting(_distinct("nsd", "nc"), "nsd,nc", "comma list of nsd,nc (default both)"),
+    "flavors": _Setting(_distinct("A", "B", "AB"), "A,B,AB", "comma list of A,B,AB (default all)"),
+    "nq": _Setting(None, help="detected-quadrature noise grid"),
+    "cloner-beta": _Setting(_finite, DEFAULT_CLONER_COUPLING, flag=_FLOAT),
+    "threshold-out": _Setting(_path, help="path for the threshold curve"),
+    "tolerance": _Setting(_finite, DEFAULT_TOLERANCE, "|K| tolerance at the threshold", _FLOAT),
+    "records": _Setting(_path, help="CSV of s_db,n,d_a,d_b,e_f[,sd_a,sd_b,se_f]"),
+    "w1": _Setting(_finite, DEFAULT_WEIGHTS[0], flag=_FLOAT),
+    "w2": _Setting(_finite, DEFAULT_WEIGHTS[1], flag=_FLOAT),
+    "w3": _Setting(_finite, DEFAULT_WEIGHTS[2], flag=_FLOAT),
+    "init": _Setting(_pair, DEFAULT_INITIAL, "initial chi1,chi2 (default 0,1)"),
+    "samples": _Setting(_path, help="CSV with header I1,Q1,I2,Q2"),
+    "threshold": _Setting(
+        _finite, DEFAULT_THRESHOLD, "Gaussianity threshold in standard errors", _FLOAT
+    ),
+    "project": _Setting(
+        _bool, None, "clamp the spectrum to physical", {"action": "store_true", "default": None}
+    ),
+    "covariance-out": _Setting(_path),
+    "cumulants-out": _Setting(_path),
+    "state": _Setting(_path, help="covariance file (JSON or CSV)"),
+    "noise": _Setting(_finite, 0.0, "Gaussian perturbation amplitude", _FLOAT),
+    "seed": _Setting(_seed, flag={"type": int}),
+}
+
+
+class _Settings(dict):
+    """A command's settings by name, each resolved and checked when first
+    read: a flag wins over a config key, which wins over the default.  A
+    setting the run does not use, such as a model's unused parameter, is
+    never checked."""
+
+    def __init__(self, args: argparse.Namespace, config: dict, defaults: dict):
+        super().__init__()
+        self._args, self._config, self._defaults = args, config, defaults
+
+    def __missing__(self, name: str):
+        setting = _SETTINGS[name]
+        value = getattr(self._args, name.replace("-", "_"))
+        if value is None:
+            value = self._config.get(name)
+        if value is None:
+            value = self._defaults.get(name, setting.default)
+        elif setting.check:
+            value = setting.check(value, name)
+        self[name] = value
+        return value
+
+    def echo(self, names: tuple[str, ...], **derived) -> str:
+        """The config echo: the command, the named settings and the
+        ``derived`` values, with keys sorted and None values left out."""
+        pairs = {name.replace("-", "_"): self[name] for name in names}
+        pairs.update(command=self._args.command, **derived)
+        return json.dumps({k: v for k, v in sorted(pairs.items()) if v is not None})
+
+
 def _load_config(path: str | None) -> dict:
+    """The config file's object, keyed by setting name; a key no subcommand
+    reads, or one spelled both with ``-`` and with ``_``, is a usage error."""
     if not path:
         return {}
     try:
@@ -109,24 +229,33 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    return doc
+    config = {}
+    for key, value in doc.items():
+        name = key.replace("_", "-")
+        if name in config:
+            raise ConfigError(f"config {path} has key {name} twice, spelled with - and with _")
+        config[name] = value
+    # "command" is in every output's config echo
+    unknown = sorted(config.keys() - _SETTINGS.keys() - {"command"})
+    if unknown:
+        raise ConfigError(f"config {path} has unknown keys: {', '.join(unknown)}")
+    return config
 
 
-def _merged(args: argparse.Namespace, config: dict, key: str, default=None):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
-
-
-def _path(args: argparse.Namespace, config: dict, key: str) -> str | None:
-    """A path-valued flag or config key: a non-empty string, or None if unset."""
-    path = _merged(args, config, key)
-    if path is not None and not (isinstance(path, str) and path):
-        raise ConfigError(f"{key} must be a non-empty path, got {path!r}")
-    return path
+def _read_input(settings: _Settings, name: str, parse, what: str):
+    """``parse`` of the text of the file the path setting ``name`` names;
+    an unreadable or malformed file is a usage error."""
+    try:
+        with open(settings[name], "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {name}: {exc}") from None
+    try:
+        return parse(text)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"malformed {what}: {exc}") from None
+    except TmsflowError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _checked(build, *args, **kwargs):
@@ -137,8 +266,8 @@ def _checked(build, *args, **kwargs):
         raise ConfigError(str(exc)) from None
 
 
-def _build_model(args, config) -> StateModel:
-    model_spec = _merged(args, config, "model", "ideal")
+def _build_model(settings: _Settings) -> StateModel:
+    model_spec = settings["model"]
     if isinstance(model_spec, dict):
         beta = model_spec.get("coupling_beta")
         jpa = model_spec.get("jpa")
@@ -156,13 +285,10 @@ def _build_model(args, config) -> StateModel:
     name = str(model_spec)
     if name == "ideal":
         return StateModel.ideal()
-    beta = _finite(_merged(args, config, "beta", DEFAULT_COUPLING), "beta")
     if name == "coupler":
-        return StateModel.coupler(beta)
+        return StateModel.coupler(settings["beta"])
     if name == "realistic":
-        chi1 = _finite(_merged(args, config, "chi1", 0.05), "chi1")
-        chi2 = _finite(_merged(args, config, "chi2", 0.56), "chi2")
-        return StateModel.realistic(chi1, chi2, beta)
+        return StateModel.realistic(settings["chi1"], settings["chi2"], settings["beta"])
     raise ConfigError(f"unknown model {name!r} (ideal | coupler | realistic)")
 
 
@@ -170,10 +296,6 @@ def _model_echo(model: StateModel) -> dict:
     """The model's kind, beta and chi1/chi2 for a meta echo (None is not echoed)."""
     jpa = dataclasses.asdict(model.jpa) if model.jpa else {}
     return {"model": model.kind, "beta": model.coupling_beta, **jpa}
-
-
-def _meta_config(pairs: dict) -> str:
-    return json.dumps({k: v for k, v in sorted(pairs.items()) if v is not None})
 
 
 def _csv_header_lines(config_echo: str) -> str:
@@ -220,50 +342,25 @@ def _json_with_meta(payload: dict, config_echo: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sweep(args, config) -> int:
-    out = _path(args, config, "out")
-    model = _checked(_build_model, args, config)
-    s_spec = _merged(args, config, "s")
-    n_spec = _merged(args, config, "n")
-    if s_spec is None or n_spec is None:
-        raise ConfigError("sweep needs both --s and --n grids")
-    s_vals, n_vals = parse_grid(s_spec), parse_grid(n_spec)
+def _cmd_sweep(settings: _Settings) -> int:
+    out, fmt = settings["out"], settings["format"]
+    model = _checked(_build_model, settings)
+    s_vals, n_vals = parse_grid(settings["s"]), parse_grid(settings["n"])
     grid = _checked(sweep, model, s_vals, n_vals)  # rejects only a malformed axis
-    echo = _meta_config({"command": "sweep", "s": s_spec, "n": n_spec, **_model_echo(model)})
-    fmt = _merged(args, config, "format", "csv")
+    echo = settings.echo(("s", "n"), **_model_echo(model))
     if fmt == "json":
         _emit((sweep_blocks_to_json(grid, _meta(echo)), out))
-    elif fmt == "csv":
-        _emit((chain((_csv_header_lines(echo),), sweep_blocks_to_csv(grid)), out))
     else:
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+        _emit((chain((_csv_header_lines(echo),), sweep_blocks_to_csv(grid)), out))
     return 3 if len(grid.arrays.errors) == grid.arrays.d_a.size else 0
 
 
-def _cmd_features(args, config) -> int:
-    out = _path(args, config, "out")
-    model = _checked(_build_model, args, config)
-    s_spec = _merged(args, config, "s")
-    if s_spec is None:
-        raise ConfigError("features needs an --s grid")
-    s_vals = parse_grid(s_spec)
-    what = str(_merged(args, config, "what", "nsd,nc")).split(",")
-    if not set(what) <= {"nsd", "nc"} or len(set(what)) < len(what):
-        raise ConfigError(f"what must be a comma list of distinct nsd, nc, got {','.join(what)!r}")
-    flavors = str(_merged(args, config, "flavors", "A,B,AB")).split(",")
-    if not set(flavors) <= {"A", "B", "AB"} or len(set(flavors)) < len(flavors):
-        raise ConfigError(
-            f"flavors must be a comma list of distinct A, B, AB, got {','.join(flavors)!r}"
-        )
-    echo = _meta_config(
-        {
-            "command": "features",
-            "s": s_spec,
-            "what": ",".join(what),
-            "flavors": ",".join(flavors),
-            **_model_echo(model),
-        }
-    )
+def _cmd_features(settings: _Settings) -> int:
+    out = settings["out"]
+    model = _checked(_build_model, settings)
+    s_vals = parse_grid(settings["s"])
+    what, flavors = settings["what"].split(","), settings["flavors"].split(",")
+    echo = settings.echo(("s", "what", "flavors"), **_model_echo(model))
     cols = ["s_db"]
     if "nsd" in what:
         cols.append("n_sd")
@@ -296,21 +393,15 @@ def _cmd_features(args, config) -> int:
     return 0 if successes else 3
 
 
-def _cmd_qkd(args, config) -> int:
-    out = _path(args, config, "out")
-    threshold_out = _path(args, config, "threshold-out")
-    s_spec = _merged(args, config, "s")
-    nq_spec = _merged(args, config, "nq")
-    if s_spec is None or nq_spec is None:
-        raise ConfigError("qkd needs --s and --nq")
-    s_vals, nq_vals = parse_grid(s_spec), parse_grid(nq_spec)
-    beta = _finite(_merged(args, config, "cloner-beta", DEFAULT_CLONER_COUPLING), "cloner-beta")
-    tol = _finite(_merged(args, config, "tolerance", 1e-6), "tolerance")
+def _cmd_qkd(settings: _Settings) -> int:
+    out, threshold_out = settings["out"], settings["threshold-out"]
+    s_vals, nq_vals = parse_grid(settings["s"]), parse_grid(settings["nq"])
+    beta, tol = settings["cloner-beta"], settings["tolerance"]
     if tol <= 0.0:
         raise ConfigError(f"tolerance must be > 0, got {tol}")
-    echo = _meta_config(
-        {"command": "qkd", "s": s_spec, "nq": nq_spec, "cloner_beta": beta}
-    )
+    # "tolerance" is echoed only off its default, so default outputs keep their bytes
+    tolerance = None if tol == DEFAULT_TOLERANCE else tol
+    echo = settings.echo(("s", "nq", "cloner-beta"), tolerance=tolerance)
     if len(s_vals) == 1 and len(nq_vals) == 1:
         scenario = _checked(QkdScenario, squeezing_db_to_r(s_vals[0]), nq_vals[0], beta)
         text = _json_with_meta(_key_result_doc(scenario, secret_key(scenario)), echo)
@@ -336,75 +427,33 @@ def _cmd_qkd(args, config) -> int:
     return 0 if any_ok else 3
 
 
-def _cmd_fit(args, config) -> int:
-    out = _path(args, config, "out")
-    path = _path(args, config, "records")
-    if path is None:
-        raise ConfigError("fit needs --records FILE")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            records = records_from_csv(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read records: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"malformed records CSV: {exc}") from None
-    weights = (
-        _finite(_merged(args, config, "w1", DEFAULT_WEIGHTS[0]), "w1"),
-        _finite(_merged(args, config, "w2", DEFAULT_WEIGHTS[1]), "w2"),
-        _finite(_merged(args, config, "w3", DEFAULT_WEIGHTS[2]), "w3"),
-    )
+def _cmd_fit(settings: _Settings) -> int:
+    out = settings["out"]
+    records = _read_input(settings, "records", records_from_csv, "records CSV")
+    weights = (settings["w1"], settings["w2"], settings["w3"])
     if min(weights) < 0.0 or max(weights) == 0.0:
         raise ConfigError(f"weights must be >= 0 and not all zero, got {list(weights)}")
-    init_spec = str(_merged(args, config, "init", "0,1"))
-    init = tuple(_finite(x, "init") for x in init_spec.split(","))
-    if len(init) != 2:
-        raise ConfigError(f"--init needs two comma-separated values, got {init_spec!r}")
-    beta = _finite(_merged(args, config, "beta", DEFAULT_COUPLING), "beta")
+    init, beta = settings["init"], settings["beta"]
     _checked(StateModel.coupler, beta)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = fit(records, weights=weights, initial=init, coupling_beta=beta)
     except DomainError as exc:  # too few usable records
-        raise ConfigError(f"records {path}: {exc}") from None
+        raise ConfigError(f"records {settings['records']}: {exc}") from None
     for warning in caught:  # the S = 0 exclusion
         print(f"tmsflow: warning: {warning.message}", file=sys.stderr)
-    echo = _meta_config(
-        {
-            "command": "fit",
-            "records": path,
-            "weights": list(weights),
-            "init": list(init),
-            "beta": beta,
-        }
-    )
+    echo = settings.echo(("records", "beta"), weights=list(weights), init=list(init))
     _emit((_json_with_meta(_fit_result_doc(result), echo), out))
     return 0
 
 
-def _cmd_tomo(args, config) -> int:
-    covariance_out = _path(args, config, "covariance-out")
-    cumulants_out = _path(args, config, "cumulants-out")
-    path = _path(args, config, "samples")
-    if path is None:
-        raise ConfigError("tomo needs --samples FILE")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            samples = samples_from_csv(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read samples: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"malformed samples CSV: {exc}") from None
-    except TooFewSamplesError as exc:
-        raise ConfigError(f"samples: {exc}") from None
-    threshold = _finite(_merged(args, config, "threshold", 5.0), "threshold")
-    project = _merged(args, config, "project")
-    if project is not None and not isinstance(project, bool):
-        raise ConfigError(f"project must be true or false, got {project!r}")
-    echo = _meta_config(
-        # "project" is echoed only when set, so un-projected outputs keep their bytes
-        {"command": "tomo", "samples": path, "threshold": threshold, "project": project or None}
-    )
+def _cmd_tomo(settings: _Settings) -> int:
+    covariance_out, cumulants_out = settings["covariance-out"], settings["cumulants-out"]
+    samples = _read_input(settings, "samples", samples_from_csv, "samples CSV")
+    threshold, project = settings["threshold"], settings["project"]
+    # "project" is echoed only when set, so un-projected outputs keep their bytes
+    echo = settings.echo(("samples", "threshold"), project=project or None)
     try:
         report = cumulants(samples, threshold=threshold)
     except (DomainError, TooFewSamplesError) as exc:  # a constant column, too few rows
@@ -419,73 +468,81 @@ def _cmd_tomo(args, config) -> int:
     return 0
 
 
-def _cmd_validate(args, config) -> int:
-    out = _path(args, config, "out")
-    path = _path(args, config, "state")
-    if path is None:
-        raise ConfigError("validate needs --state FILE")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read state: {exc}") from None
-    try:
-        if text.lstrip().startswith("{"):
-            cov = covariance_from_json(text)
-        else:
-            cov = covariance_from_csv(text)
-    except (ValueError, KeyError, TmsflowError) as exc:
-        raise ConfigError(f"malformed state file: {exc}") from None
+def _covariance_from_text(text: str):
+    """A stored covariance: JSON where the text starts with ``{``, else CSV."""
+    return (covariance_from_json if text.lstrip().startswith("{") else covariance_from_csv)(text)
+
+
+def _cmd_validate(settings: _Settings) -> int:
+    out = settings["out"]
+    cov = _read_input(settings, "state", _covariance_from_text, "state file")
     verdict = validate(cov)
     payload = {
         "ok": verdict.ok,
         "violations": list(verdict.violations),
         "min_symplectic_eigenvalue": verdict.min_symplectic_eigenvalue,
     }
-    echo = _meta_config({"command": "validate", "state": path})
+    echo = settings.echo(("state",))
     _emit((_json_with_meta(payload, echo), out))
     return 0
 
 
-def _cmd_gen_synthetic(args, config) -> int:
-    out = _path(args, config, "out")
-    s_spec = _merged(args, config, "s", "3:9:1.5")
-    n_spec = _merged(args, config, "n", "0,0.1,0.25,0.5,1,2")
-    chi1 = _finite(_merged(args, config, "chi1", 0.05), "chi1")
-    chi2 = _finite(_merged(args, config, "chi2", 0.56), "chi2")
-    beta = _finite(_merged(args, config, "beta", DEFAULT_COUPLING), "beta")
-    noise = _finite(_merged(args, config, "noise", 0.0), "noise")
+def _cmd_gen_synthetic(settings: _Settings) -> int:
+    out = settings["out"]
+    chi1, chi2, beta = settings["chi1"], settings["chi2"], settings["beta"]
+    noise, seed = settings["noise"], settings["seed"]
     if noise < 0.0:
         raise ConfigError(f"noise amplitude must be >= 0, got {noise}")
-    seed = _merged(args, config, "seed")
-    if seed is not None and (type(seed) is not int or seed < 0):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     _checked(StateModel.realistic, chi1, chi2, beta)
+    s_vals, n_vals = parse_grid(settings["s"]), parse_grid(settings["n"])
     records = synthetic_records(
-        parse_grid(s_spec),
-        parse_grid(n_spec),
-        chi=(chi1, chi2),
-        coupling_beta=beta,
-        noise=noise,
-        seed=seed,
+        s_vals, n_vals, chi=(chi1, chi2), coupling_beta=beta, noise=noise, seed=seed
     )
-    echo = _meta_config(
-        {
-            "command": "gen-synthetic",
-            "s": s_spec,
-            "n": n_spec,
-            "chi1": chi1,
-            "chi2": chi2,
-            "beta": beta,
-            "noise": noise,
-            "seed": seed,
-        }
-    )
+    echo = settings.echo(("s", "n", "chi1", "chi2", "beta", "noise", "seed"))
     _emit((_csv_header_lines(echo) + records_to_csv(records), out))
     return 0
 
 
 # ---------------------------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    handler: Callable[[_Settings], int]
+    help: str
+    settings: str  # setting names in flag order, after --config
+    needs: str = ""  # the settings it cannot run without
+    defaults: dict = {}  # its own defaults, in place of the settings' defaults
+
+
+_COMMANDS = {
+    "sweep": _Command(
+        _cmd_sweep, "correlation reports on an (S, n) grid",
+        "out s n model beta chi1 chi2 format", needs="s n",
+    ),
+    "features": _Command(
+        _cmd_features, "sudden-death and crossover tables n_sd(S), n_c(S)",
+        "out s what flavors model beta chi1 chi2", needs="s",
+    ),
+    "qkd": _Command(
+        _cmd_qkd, "secret keys on an (S, n_q) grid, plus threshold curve",
+        "out s nq cloner-beta threshold-out tolerance", needs="s nq",
+    ),
+    "fit": _Command(
+        _cmd_fit, "fit the amplifier-noise power law to records",
+        "out records w1 w2 w3 init beta", needs="records",
+    ),
+    "tomo": _Command(
+        _cmd_tomo, "covariance + cumulant report from quadrature samples",
+        "samples threshold project covariance-out cumulants-out", needs="samples",
+    ),
+    "validate": _Command(
+        _cmd_validate, "physicality verdict for a stored covariance", "out state", needs="state"
+    ),
+    "gen-synthetic": _Command(
+        _cmd_gen_synthetic, "generate synthetic measurement records",
+        "out s n chi1 chi2 beta noise seed", defaults={"s": "3:9:1.5", "n": "0,0.1,0.25,0.5,1,2"},
+    ),
+}
 
 
 @functools.cache  # parse_args keeps no state on the parser, and help is formatted when printed
@@ -497,85 +554,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tmsflow {__version__}")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p, out=True):
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
         p.add_argument("--config", help="JSON config file; explicit flags win")
-        if out:
-            p.add_argument("--out", help="output path (default: stdout)")
-
-    p = sub.add_parser("sweep", help="correlation reports on an (S, n) grid")
-    add_common(p)
-    p.add_argument("--s", help="squeezing grid in dB: value, list, or start:stop:step")
-    p.add_argument("--n", help="noise photon grid: value, list, or start:stop:step")
-    p.add_argument("--model", help="ideal | coupler | realistic")
-    p.add_argument("--beta", type=float, help="coupler power coupling")
-    p.add_argument("--chi1", type=float, help="amplifier noise coefficient")
-    p.add_argument("--chi2", type=float, help="amplifier noise exponent")
-    p.add_argument("--format", help="csv (default) or json")
-
-    p = sub.add_parser("features", help="sudden-death and crossover tables n_sd(S), n_c(S)")
-    add_common(p)
-    p.add_argument("--s", help="squeezing grid in dB")
-    p.add_argument("--what", help="comma list of nsd,nc (default both)")
-    p.add_argument("--flavors", help="comma list of A,B,AB (default all)")
-    p.add_argument("--model", help="ideal | coupler | realistic")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--chi1", type=float)
-    p.add_argument("--chi2", type=float)
-
-    p = sub.add_parser("qkd", help="secret keys on an (S, n_q) grid, plus threshold curve")
-    add_common(p)
-    p.add_argument("--s", help="squeezing grid in dB")
-    p.add_argument("--nq", help="detected-quadrature noise grid")
-    p.add_argument("--cloner-beta", type=float, dest="cloner_beta")
-    p.add_argument("--threshold-out", dest="threshold_out", help="path for the threshold curve")
-    p.add_argument("--tolerance", type=float, help="|K| tolerance at the threshold")
-
-    p = sub.add_parser("fit", help="fit the amplifier-noise power law to records")
-    add_common(p)
-    p.add_argument("--records", help="CSV of s_db,n,d_a,d_b,e_f[,sd_a,sd_b,se_f]")
-    p.add_argument("--w1", type=float)
-    p.add_argument("--w2", type=float)
-    p.add_argument("--w3", type=float)
-    p.add_argument("--init", help="initial chi1,chi2 (default 0,1)")
-    p.add_argument("--beta", type=float)
-
-    p = sub.add_parser("tomo", help="covariance + cumulant report from quadrature samples")
-    add_common(p, out=False)
-    p.add_argument("--samples", help="CSV with header I1,Q1,I2,Q2")
-    p.add_argument("--threshold", type=float, help="Gaussianity threshold in standard errors")
-    p.add_argument(
-        "--project", action="store_true", default=None, help="clamp the spectrum to physical"
-    )
-    p.add_argument("--covariance-out", dest="covariance_out")
-    p.add_argument("--cumulants-out", dest="cumulants_out")
-
-    p = sub.add_parser("validate", help="physicality verdict for a stored covariance")
-    add_common(p)
-    p.add_argument("--state", help="covariance file (JSON or CSV)")
-
-    p = sub.add_parser("gen-synthetic", help="generate synthetic measurement records")
-    add_common(p)
-    p.add_argument("--s", help="squeezing grid in dB")
-    p.add_argument("--n", help="noise photon grid")
-    p.add_argument("--chi1", type=float)
-    p.add_argument("--chi2", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--noise", type=float, help="Gaussian perturbation amplitude")
-    p.add_argument("--seed", type=int)
-
+        for name in spec.settings.split():
+            setting = _SETTINGS[name]
+            p.add_argument(f"--{name}", help=setting.help, **setting.flag)
     return parser
-
-
-_HANDLERS = {
-    "sweep": _cmd_sweep,
-    "features": _cmd_features,
-    "qkd": _cmd_qkd,
-    "fit": _cmd_fit,
-    "tomo": _cmd_tomo,
-    "validate": _cmd_validate,
-    "gen-synthetic": _cmd_gen_synthetic,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -584,9 +569,13 @@ def main(argv: list[str] | None = None) -> int:
     if not args.command:
         parser.print_help(sys.stderr)
         return 2
+    command = _COMMANDS[args.command]
     try:
-        config = _load_config(getattr(args, "config", None))
-        return _HANDLERS[args.command](args, config)
+        settings = _Settings(args, _load_config(args.config), command.defaults)
+        for name in command.needs.split():
+            if settings[name] is None:
+                raise ConfigError(f"{args.command} needs --{name}")
+        return command.handler(settings)
     except ConfigError as exc:
         print(f"tmsflow: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,7 @@ from .states import StateModel
 DEFAULT_WEIGHTS = (0.5, 0.5, 1.0)
 DEFAULT_COUPLING = 0.01  # -20 dB directional coupler
 DEFAULT_INITIAL = (0.0, 1.0)
+DEFAULT_CHI = (0.05, 0.56)  # amplifier noise chi1, chi2 of synthetic records
 _MAX_ITERATIONS = 200
 _FD_STEP = math.sqrt(np.finfo(float).eps)  # relative forward-difference step
 _INITIAL_DAMPING = 1e-3
@@ -270,7 +271,7 @@ def _standard_errors(A: np.ndarray, reduced_chi2: float) -> tuple[float | None, 
 def synthetic_records(
     s_values,
     n_values,
-    chi: tuple[float, float] = (0.05, 0.56),
+    chi: tuple[float, float] = DEFAULT_CHI,
     coupling_beta: float = DEFAULT_COUPLING,
     noise: float = 0.0,
     seed: int | None = None,

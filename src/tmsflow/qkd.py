@@ -42,6 +42,7 @@ from .states import eve_tms, ideal_tms, squeezing_db_to_r
 _LN2 = math.log(2.0)
 
 DEFAULT_CLONER_COUPLING = 1e-4
+DEFAULT_TOLERANCE = 1e-6  # |K| in bits at a key threshold
 # Noise interval on which key_threshold looks for K = 0.
 _KEY_BRACKET = (1e-4, 2.0)
 
@@ -162,7 +163,7 @@ def secret_key(scenario: QkdScenario) -> KeyResult:
 
 def key_threshold(
     s_db: float,
-    tolerance: float = 1e-6,
+    tolerance: float = DEFAULT_TOLERANCE,
     beta: float = DEFAULT_CLONER_COUPLING,
 ) -> float:
     """Noise photon number n_q at which the secret key changes sign.

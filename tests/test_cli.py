@@ -38,7 +38,7 @@ class TestGridParsing:
         from tmsflow.cli import ConfigError
 
         for bad in (
-            *("", "1:2", "1:2:0", "2:1:0.5", "a,b", "nan", "1,inf", "0:inf:1"),
+            *("", ",", " , ", "1:2", "1:2:0", "2:1:0.5", "a,b", "nan", "1,inf", "0:inf:1"),
             # above the 10**6-point cap; never expanded
             *("0:1:1e-12", "0:1e6:1", "-1e308:1e308:1e-300"),
         ):
@@ -628,6 +628,48 @@ class TestConfigFile:
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert "ok" in out.read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qkd", "--s", "10", "--nq", "0.25", "--cloner-beta", "0.001"],
+            ["qkd", "--s", "10,30", "--nq", "0.1", "--tolerance", "1e-14"],
+        ],
+    )
+    def test_config_echo_reruns_the_job(self, argv, tmp_path):
+        out, th_out, cfg = tmp_path / "k.out", tmp_path / "t.csv", tmp_path / "cfg.json"
+
+        def outputs(*args):
+            assert main([*args, "--out", str(out), "--threshold-out", str(th_out)]) in (0, 3)
+            return out.read_text(), th_out.read_text()
+
+        first = outputs(*argv)
+        cfg.write_text(first[1].splitlines()[1][len("# config: "):])
+        assert outputs(argv[0], "--config", str(cfg)) == first
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"s": "6", "n": "0.1", "modle": "coupler"}, "modle"),
+            ({"s": "6", "n": "0.1", "cloner_beta": 0.001, "cloner-beta": 0.01}, "cloner-beta"),
+        ],
+    )
+    def test_unknown_or_twice_given_config_key_is_usage_error(self, doc, named, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_echo_is_not_a_config(self, tmp_path, capsys):
+        # fit echoes its three weights as one list, which no subcommand reads
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--records", _records_file(tmp_path), "--out", str(out)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(json.loads(out.read_text())["meta"]["config"]))
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert "unknown keys: weights" in capsys.readouterr().err
 
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -5,7 +5,10 @@ A change that alters output bytes on purpose regenerates the manifest with
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+from tmsflow.cli import main
 
 _spec = importlib.util.spec_from_file_location(
     "golden_regenerate", Path(__file__).with_name("golden") / "regenerate.py"
@@ -16,3 +19,33 @@ _spec.loader.exec_module(golden)
 
 def test_cli_outputs_match_golden_manifest(tmp_path):
     assert golden.run_jobs(tmp_path) == golden.read_manifest()
+
+
+# Flags that say where and in which format a job writes; its config echo
+# holds every other setting.
+OUTPUT_FLAGS = {"--out", "--threshold-out", "--covariance-out", "--cumulants-out", "--format"}
+
+
+def _config_echo(path: Path) -> dict:
+    text = path.read_text(encoding="utf-8")
+    if text.startswith("#"):
+        return json.loads(text.splitlines()[1][len("# config: "):])
+    return json.loads(text)["meta"]["config"]
+
+
+def test_config_echo_reruns_every_job_but_fit(tmp_path, monkeypatch):
+    # fit echoes its three weights as one list, which no subcommand reads
+    golden.run_jobs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv in golden.JOBS:
+        if argv[0] == "fit":
+            continue
+        flags = {flag: value for flag, value in zip(argv, argv[1:]) if flag in OUTPUT_FLAGS}
+        files = [value for flag, value in flags.items() if flag != "--format"]
+        Path("config.json").write_text(json.dumps(_config_echo(Path(files[0]))))
+        rerun = [argv[0], "--config", "config.json"]
+        for flag, value in flags.items():
+            rerun += [flag, value if flag == "--format" else "rerun_" + value]
+        assert main(rerun) == 0, argv
+        for name in files:
+            assert Path("rerun_" + name).read_bytes() == Path(name).read_bytes(), argv
