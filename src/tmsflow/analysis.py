@@ -7,16 +7,17 @@ and the discord/EoF crossover point ``n_c`` per discord flavor.
 Every correlation value comes from one call of the batched kernel
 (:func:`~tmsflow.correlations.correlation_arrays`) on the model's
 factored standard form (:meth:`~tmsflow.states.StateModel.standard_form`):
-one call per sweep grid, and one per bisection step of a whole table of
+one call per sweep grid, and one per refinement step of a whole table of
 crossovers.  No covariance matrix is built and no state is validated.
 
 Flavors: "A" and "B" locate the root of the corresponding
-information-flow difference ``delta_A`` / ``delta_B`` by bisection on the
-bracket ``[1e-3, n_sd]``: at the sudden-death point the EoF bound is zero
-while the discord is not, so ``delta(n_sd) = D > 0``.  "AB" is the
-arithmetic mean of the A and B crossover points, which is the quantity
-whose minimum over the squeezing level sits near (5.7 dB, 0.23); the root
-of ``delta_AB`` itself lies lower and elsewhere.
+information-flow difference ``delta_A`` / ``delta_B`` with Chandrupatla's
+method (:func:`_refine`) on the bracket ``[1e-3, n_sd]``: at the
+sudden-death point the EoF bound is zero while the discord is not, so
+``delta(n_sd) = D > 0``.  "AB" is the arithmetic mean of the A and B
+crossover points, which is the quantity whose minimum over the squeezing
+level sits near (5.7 dB, 0.23); the root of ``delta_AB`` itself lies
+lower and elsewhere.
 """
 
 from __future__ import annotations
@@ -89,34 +90,57 @@ class CrossoverResult:
     bracket: tuple[float, float]
 
 
-def _bisect(f, lo: np.ndarray, hi: np.ndarray, positive: bool) -> tuple[np.ndarray, dict]:
-    """Plain bisection of every entry's bracket ``[lo, hi]`` (1-D arrays)
-    down to relative width 1e-12, in at most 100 steps, where ``positive``
-    is the sign of ``f`` at every lower end.
+def _refine(f, lo, hi, f_lo, f_hi) -> tuple[np.ndarray, dict]:
+    """Chandrupatla's bracketing root finder (*Adv. Eng. Softw.* 28, 145
+    (1997)) on every entry's bracket ``[lo, hi]`` (1-D arrays), where
+    ``f_lo`` and ``f_hi`` are ``f`` at the ends, of opposite signs.
 
     ``f(points)`` returns ``(values, errors)``: ``f`` at every point and the
-    error of each point that failed, by index.  Each step evaluates the
-    midpoints of all entries in one call of ``f``; an entry stops once its
-    bracket is narrow enough, and fails with the error of the first midpoint
-    it reads that failed.  So every entry takes the steps, and ends at the
-    root, of one-at-a-time bisection.  Returns the midpoints of the final
-    brackets and the errors of the failed entries by index.
+    error of each point that failed, by index.  Each step is one call of
+    ``f`` on all entries.  An entry's next point is the inverse quadratic
+    interpolant through its last three points where Chandrupatla's xi/phi
+    test says that it is monotone on the bracket, and the midpoint
+    otherwise; it is kept at least half the stop width from either end of
+    the bracket, so every point lies strictly inside ``[lo, hi]``.  An
+    entry stops once its bracket is no wider than ``1e-12 max(1, hi)``, or
+    at a point where ``f`` is exactly 0, or after 100 steps; it fails with
+    the error of the first point it reads that failed.  A stopped entry
+    reads the newest point it kept again, and every operation is
+    elementwise, so every entry takes the steps, and ends at the root, of
+    a batch of one.  Returns the
+    midpoint of each final bracket (the zero itself where ``f`` hit one)
+    and the errors of the failed entries by index.
     """
+    x1, f1, x2, f2 = lo, f_lo, hi, f_hi  # the bracket: x1 the newest point, x2 the far end
+    x3, f3 = x2, f2  # the point that left the bracket last
+    t = np.full(lo.shape, 0.5)
     active = np.ones(lo.shape, dtype=bool)
     errors: dict = {}
     for _ in range(100):
-        active &= hi - lo > 1e-12 * np.maximum(1.0, hi)
+        width, stop = np.abs(x2 - x1), 1e-12 * np.maximum(1.0, np.maximum(x1, x2))
+        active &= (width > stop) & (f1 != 0.0)
         if not active.any():
             break
-        mid = 0.5 * (lo + hi)
-        values, failed = f(mid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tl = 0.5 * stop / width
+            x = np.where(active, x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1), x1)
+        values, failed = f(x)
         for i, exc in failed.items():
             if active[i]:
                 errors[i] = exc
                 active[i] = False
-        up = (values > 0.0) == positive
-        lo, hi = np.where(active & up, mid, lo), np.where(active & ~up, mid, hi)
-    return 0.5 * (lo + hi), errors
+        same = (values > 0.0) == (f1 > 0.0)  # a NaN counts as negative
+        moved = (x, values, np.where(same, x2, x1), np.where(same, f2, f1))
+        moved += (np.where(same, x1, x2), np.where(same, f1, f2))
+        state = (x1, f1, x2, f2, x3, f3)
+        x1, f1, x2, f2, x3, f3 = (np.where(active, a, b) for a, b in zip(moved, state))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+            alpha = (x3 - x1) / (x2 - x1)
+            t = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+        t = np.where(iqi, t, 0.5)
+    return np.where(f1 == 0.0, x1, 0.5 * (x1 + x2)), errors
 
 
 def sudden_death_point(model: StateModel, s_db: float) -> float:
@@ -153,11 +177,11 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
     level, as ``{flavor: n_c}`` per level, with the error that ends a
     flavor's search in place of its ``n_c``.
 
-    All levels' A and B roots are one :func:`_bisect` batch over a
+    All levels' A and B roots are one :func:`_refine` batch over a
     ``(levels, 2)`` grid of entries, one column per flavor: one kernel
-    call evaluates every bracket end, and each bisection step is one more
-    on the grid of midpoints.  AB is the mean of A and B and carries A's
-    error first, then B's.
+    call evaluates every bracket end, and each refinement step is one more
+    on the grid of new points, about 10 to 20 calls in all.  AB is the
+    mean of A and B and carries A's error first, then B's.
     """
     s_col = np.array(s_values, dtype=float)[:, None]
     rows = len(s_col)
@@ -188,7 +212,8 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
         res = correlation_arrays(model._standard_form(s_col, levels, n.reshape(rows, 2)))
         return np.where([True, False], res.delta_a, res.delta_b).ravel(), res.errors
 
-    roots, errors = _bisect(delta, np.full(2 * rows, _N_LOW), hi.ravel(), False)
+    f_lo, f_hi = np.stack((ends.delta_a, ends.delta_b), 1).reshape(-1, 2).T
+    roots, errors = _refine(delta, np.full(2 * rows, _N_LOW), hi.ravel(), f_lo, f_hi)
     failed.update(errors)
     n_c = [failed.get(j, root) for j, root in enumerate(roots.tolist())]
     table = []
@@ -208,10 +233,12 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
     correlated, so ``delta(n_sd) = D > 0``, and beyond it the signed
     ``E_F`` is negative, so no root with that orientation lies above.  The
     curve must be negative at 1e-3 and positive at ``n_sd``, otherwise
-    :class:`NoSignChangeError` is raised; plain bisection keeps that
-    orientation at every step.  Flavor AB returns the arithmetic mean of
-    the A and B crossover points, which share the bracket.  One level of the
-    batch that ``features`` solves, with the same steps whatever the batch.
+    :class:`NoSignChangeError` is raised.  The root is refined with
+    Chandrupatla's method (:func:`_refine`), which keeps a sign change
+    inside the bracket at every step, down to width ``1e-12 max(1, n_sd)``.
+    Flavor AB returns the arithmetic mean of the A and B crossover points,
+    which share the bracket.  One level of the batch that ``features``
+    solves, with the same steps whatever the batch.
     """
     if flavor not in ("A", "B", "AB"):
         raise DomainError(f"flavor must be 'A', 'B' or 'AB', got {flavor!r}")

@@ -219,12 +219,22 @@ class _Settings(dict):
 
 def _load_config(path: str | None) -> dict:
     """The config file's object, keyed by setting name; a key no subcommand
-    reads, or one spelled both with ``-`` and with ``_``, is a usage error."""
+    reads, one given twice in an object, or one spelled both with ``-`` and
+    with ``_``, is a usage error."""
     if not path:
         return {}
+
+    def unique(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ConfigError(f"config {path} has key {key} twice")
+            doc[key] = value
+        return doc
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -443,7 +453,7 @@ def _cmd_fit(settings: _Settings) -> int:
         raise ConfigError(f"records {settings['records']}: {exc}") from None
     for warning in caught:  # the S = 0 exclusion
         print(f"tmsflow: warning: {warning.message}", file=sys.stderr)
-    echo = settings.echo(("records", "beta"), weights=list(weights), init=list(init))
+    echo = settings.echo(("records", "beta", "w1", "w2", "w3"), init="%r,%r" % init)
     _emit((_json_with_meta(_fit_result_doc(result), echo), out))
     return 0
 

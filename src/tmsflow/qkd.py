@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _bisect
+from .analysis import _refine
 from .errors import (
     BadCouplingError,
     DomainError,
@@ -168,14 +168,16 @@ def key_threshold(
 ) -> float:
     """Noise photon number n_q at which the secret key changes sign.
 
-    Bisection on ``[1e-4, 2]``; the key must be positive at the lower end
-    and negative at the upper end (it decreases with noise), otherwise
-    :class:`NoSignChangeError` is raised.  The bracket is bisected down to
-    relative width 1e-12 and the midpoint is verified to satisfy
+    Chandrupatla's method (:func:`~tmsflow.analysis._refine`) on
+    ``[1e-4, 2]``; the key must be positive at the lower end and negative at
+    the upper end (it decreases with noise), otherwise
+    :class:`NoSignChangeError` is raised.  The bracket is refined down to
+    width 1e-12 max(1, n_q) in about ten steps, and the returned point (the
+    midpoint of the final bracket) is verified to satisfy
     |K| < tolerance (finite, > 0).  K is evaluated in closed form with about
     1e-15 bits of rounding noise, so that width, not the evaluation, sets |K|
     at the returned point (a few 1e-12 bits).  One level of the batch that
-    ``qkd --threshold-out`` bisects, with the same steps whatever the batch.
+    ``qkd --threshold-out`` refines, with the same steps whatever the batch.
     """
     threshold = _key_thresholds([s_db], tolerance, beta)[0]
     if isinstance(threshold, TmsflowError):
@@ -186,7 +188,8 @@ def key_threshold(
 def _key_thresholds(s_values, tolerance: float, beta: float) -> list:
     """:func:`key_threshold` at every squeezing level, with the error that
     ends a level's search in place of its threshold: all levels are one
-    :func:`~tmsflow.analysis._bisect` batch, K the scalar closed form."""
+    :func:`~tmsflow.analysis._refine` batch from the K already computed at
+    the bracket ends, K the scalar closed form."""
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise DomainError(f"tolerance must be finite and > 0, got {tolerance}")
 
@@ -194,7 +197,7 @@ def _key_thresholds(s_values, tolerance: float, beta: float) -> list:
         return secret_key(QkdScenario(r=r, n_q=n_q, beta=beta)).key
 
     lo, hi = _KEY_BRACKET
-    found, rs = {}, {}  # by level: the threshold or error, and r where K changes sign
+    found, rs, ends = {}, {}, []  # by level: the threshold or error; r and K at lo, hi
     for i, s_db in enumerate(s_values):
         try:
             if s_db <= 0:
@@ -207,17 +210,19 @@ def _key_thresholds(s_values, tolerance: float, beta: float) -> list:
                     f"(K({lo}) = {k_lo:.3e}, K({hi}) = {k_hi:.3e})"
                 )
             rs[i] = r
+            ends.append((k_lo, k_hi))
         except TmsflowError as exc:
             found[i] = exc
 
     def keys(n_q: np.ndarray) -> tuple[np.ndarray, dict]:
         return np.array([key_at(r, x) for r, x in zip(rs.values(), n_q.tolist())]), {}
 
-    mids, _ = _bisect(keys, np.full(len(rs), lo), np.full(len(rs), hi), True)
+    k_lo, k_hi = np.array(ends).reshape(-1, 2).T
+    mids, _ = _refine(keys, np.full(len(rs), lo), np.full(len(rs), hi), k_lo, k_hi)
     for (i, r), mid in zip(rs.items(), mids.tolist()):
         k = key_at(r, mid)
         found[i] = mid if abs(k) < tolerance else NumericalError(
-            f"key at the bisection point exceeds the requested tolerance: |{k:.3e}| >= {tolerance}"
+            f"key at the refined point exceeds the requested tolerance: |{k:.3e}| >= {tolerance}"
         )
     return [found[i] for i in range(len(found))]
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tmsflow.analysis import (
-    _bisect,
     _crossovers,
+    _refine,
     crossover_point,
     sudden_death_point,
     sweep,
@@ -12,6 +12,8 @@ from tmsflow.analysis import (
 from tmsflow.correlations import correlation_arrays, correlation_report
 from tmsflow.errors import DomainError, NoSignChangeError, NumericalError
 from tmsflow.states import StateModel
+
+from test_correlations import channel_reference, ideal_reference
 
 IDEAL = StateModel.ideal()
 REALISTIC = StateModel.realistic(0.05, 0.56, 0.01)
@@ -103,6 +105,30 @@ CROSSOVER_TABLE = {
         100.0: (None, None),
     },
 }
+
+
+def bisected_root(delta, lo, hi):
+    """Plain scalar bisection of ``[lo, hi]``, with ``delta`` negative at
+    ``lo``, down to width ``1e-12 max(1, hi)``: the crossover search as it
+    was before Chandrupatla's method replaced it."""
+    for _ in range(100):
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if delta(mid) > 0.0 else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def reference_root(delta, near):
+    """The root of ``delta`` within 1e-9 max(1, near) of ``near``, bisected
+    down to adjacent doubles.  ``delta`` is an mpmath evaluation rounded
+    to a double, so its sign is exact."""
+    width = 1e-9 * max(1.0, near)
+    lo, hi = near - width, near + width
+    assert delta(lo) < 0.0 < delta(hi), near
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if delta(mid) > 0.0 else (mid, hi)
+    return mid
 
 
 class TestSweep:
@@ -262,7 +288,7 @@ class TestCrossover:
     @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
     def test_every_entry_takes_the_one_at_a_time_steps(self, name, monkeypatch):
         # A table of levels is one batch; each (level, flavor) entry must
-        # read the midpoints, and end at the root, of scalar bisection.
+        # read the points, and end at the root, of a batch of one.
         model = TABLE_MODELS[name]
         levels = [0.05, 1.0, 3.0, 6.0, 30.0, 2000.0]
         grids = []
@@ -280,37 +306,68 @@ class TestCrossover:
         for i, s_db in enumerate(levels):
             for k, flavor in enumerate("AB"):
                 key = "delta_a" if flavor == "A" else "delta_b"
+                points = []
+
+                def kernel(n):
+                    res = correlation_arrays(model.standard_form(s_db, n))
+                    return getattr(res, key), res.errors
 
                 def delta(n):
-                    res = correlation_arrays(model.standard_form(s_db, n))
-                    if res.errors:
-                        raise res.errors[0]
-                    return float(getattr(res, key))
+                    points.append(float(n[0]))
+                    return kernel(n)
 
                 try:
                     lo, hi = 1e-3, sudden_death_point(model, s_db)
-                    d_lo = delta(lo)
-                    if not d_lo < 0.0 < delta(hi):
+                    (d_lo, d_hi), failed = kernel(np.array([lo, hi]))
+                    if failed:
+                        raise failed[min(failed)]
+                    if not d_lo < 0.0 < d_hi:
                         raise NoSignChangeError("no crossover")
-                    midpoints = []
-                    for _ in range(100):
-                        if hi - lo <= 1e-12 * max(1.0, hi):
-                            break
-                        midpoints.append(0.5 * (lo + hi))
-                        if (delta(midpoints[-1]) > 0.0) == (d_lo > 0.0):
-                            lo = midpoints[-1]
-                        else:
-                            hi = midpoints[-1]
+                    roots, errors = _refine(
+                        delta, np.array([lo]), np.array([hi]), np.array([d_lo]), np.array([d_hi])
+                    )
+                    if errors:
+                        raise errors[0]
                 except (NoSignChangeError, NumericalError) as exc:
                     assert type(table[i][flavor]) is type(exc), (s_db, flavor)
                     continue
-                root = 0.5 * (lo + hi)
-                assert table[i][flavor] == root, (s_db, flavor)
-                assert steps[: len(midpoints), i, k].tolist() == midpoints, (s_db, flavor)
-                assert (steps[len(midpoints) :, i, k] == root).all(), (s_db, flavor)
+                assert table[i][flavor] == roots[0], (s_db, flavor)
+                assert 0 < len(points) <= len(steps), (s_db, flavor)
+                assert steps[: len(points), i, k].tolist() == points, (s_db, flavor)
+                assert (steps[len(points) :, i, k] == points[-1]).all(), (s_db, flavor)
 
-    def test_bisect_fails_only_the_entry_that_reads_a_failed_point(self):
-        roots = np.array([0.3, 0.6, 0.9, 0.25])
+    @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+    def test_roots_are_no_further_from_mpmath_than_bisection(self, name):
+        # 50-digit (ideal) or 60-digit references; at 0.05 dB the coupler's
+        # flat delta_A leaves both roots several 1e-12 off, from kernel noise
+        model = TABLE_MODELS[name]
+        reference = {
+            "ideal": ideal_reference,
+            "coupler-0.01": lambda s_db, n: channel_reference(s_db, n, 0.01, digits=60),
+            "coupler-0.3": lambda s_db, n: channel_reference(s_db, n, 0.3, digits=60),
+            "realistic": lambda s_db, n: channel_reference(s_db, n, 0.01, (0.05, 0.56), 60),
+        }[name]
+        checked = 0
+        for s_db in (0.05, 0.2, 1.0, 5.73, 18.0):
+            for flavor, key in (("A", "delta_a"), ("B", "delta_b")):
+                try:
+                    n_c = crossover_point(model, s_db, flavor).n_c
+                except NoSignChangeError:
+                    continue
+
+                def kernel(n):
+                    return float(getattr(correlation_arrays(model.standard_form(s_db, n)), key))
+
+                bisected = bisected_root(kernel, 1e-3, sudden_death_point(model, s_db))
+                ref = reference_root(lambda n: reference(s_db, n)[key], n_c)
+                assert abs(n_c - bisected) <= 1e-11 * max(1.0, n_c), (s_db, flavor)
+                slack = 2e-12 * max(1.0, n_c)
+                assert abs(n_c - ref) <= abs(bisected - ref) + slack, (s_db, flavor)
+                checked += 1
+        assert checked >= 6
+
+    def test_refine_fails_only_the_entry_that_reads_a_failed_point(self):
+        roots = np.array([0.3, 0.6, 0.9, 0.25, 0.5])
         calls = []
 
         def f(x):
@@ -318,14 +375,18 @@ class TestCrossover:
             # entry 1 fails at its third step; entry 3's bracket is empty, so
             # its failure is never read
             failed = {1: NumericalError("third"), 3: NumericalError("unread")}
-            return x - roots, failed if len(calls) == 3 else {}
+            return x * x - roots * roots, failed if len(calls) == 3 else {}
 
-        lo, hi = np.array([0.0, 0.0, 0.0, 0.5]), np.array([1.0, 1.0, 1.0, 0.5])
-        mids, errors = _bisect(f, lo, hi, False)
-        assert len(calls) == 40  # 2**-40 < 1e-12 <= 2**-39
+        lo, hi = np.array([0.0, 0.0, 0.0, 0.5, 0.0]), np.array([1.0, 1.0, 1.0, 0.5, 1.0])
+        found, errors = _refine(f, lo, hi, lo * lo - roots * roots, hi * hi - roots * roots)
+        assert len(calls) == 8
         assert list(errors) == [1] and str(errors[1]) == "third"
-        assert np.abs(mids[[0, 2]] - roots[[0, 2]]).max() < 1e-12
-        assert mids[3] == 0.5
+        assert np.abs(found[[0, 2]] - roots[[0, 2]]).max() < 1e-12
+        assert found[3] == 0.5
+        # entry 4's first point is its root: it stops there, and reads it again
+        assert found[4] == 0.5 and [x[4] for x in calls] == [0.5] * 8
+        for x in calls:
+            assert ((x > lo) & (x < hi))[[0, 1, 2, 4]].all()
 
     def test_ab_is_the_mean_of_the_a_and_b_entries(self):
         for row in _crossovers(StateModel.coupler(0.3), [0.05, 2.0, 6.0, 12.0]):

@@ -148,7 +148,8 @@ class TestFeaturesCommand:
     @pytest.mark.parametrize("s_spec", ["6", "1,6", "2:12:0.5", "0.05:30:0.05"])
     @pytest.mark.parametrize("model", [["--model", "ideal"], ["--model", "realistic"]])
     def test_kernel_calls_per_job_do_not_grow_with_rows(self, s_spec, model, tmp_path, monkeypatch):
-        # one call for every bracket end, then at most 100 bisection steps
+        # one call for every bracket end, then one per refinement step: at
+        # most 23 for any table here (bisection took 40)
         import tmsflow.analysis
 
         calls, original = [], tmsflow.analysis.correlation_arrays
@@ -165,7 +166,7 @@ class TestFeaturesCommand:
         out = tmp_path / "f.csv"
         assert main(["features", "--s", s_spec, *model, "--out", str(out)]) == 0
         rows = len(parse_grid(s_spec))
-        assert 2 < len(calls) <= 2 + 100
+        assert 2 < len(calls) <= 24
         assert set(calls) == {(rows, 2)}
         # the n_sd column, the brackets and the batch's levels: not once per step
         assert len(prefactors) == 3 * rows
@@ -662,14 +663,21 @@ class TestConfigFile:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    def test_fit_echo_is_not_a_config(self, tmp_path, capsys):
-        # fit echoes its three weights as one list, which no subcommand reads
-        out = tmp_path / "fit.json"
-        assert main(["fit", "--records", _records_file(tmp_path), "--out", str(out)]) == 0
+    def test_key_given_twice_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"s": "10", "nq": "0.25", "nq": "0.5"}')
+        assert main(["qkd", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "has key nq twice" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [[], ["--w2", "0.5", "--init", "0.1,0.9", "--beta", "0.02"]])
+    def test_fit_echo_reruns_the_job(self, argv, tmp_path):
+        out, rerun, cfg = tmp_path / "fit.json", tmp_path / "rerun.json", tmp_path / "cfg.json"
+        records = _records_file(tmp_path)
+        assert main(["fit", "--records", records, *argv, "--out", str(out)]) == 0
         cfg.write_text(json.dumps(json.loads(out.read_text())["meta"]["config"]))
-        assert main(["fit", "--config", str(cfg)]) == 2
-        assert "unknown keys: weights" in capsys.readouterr().err
+        assert main(["fit", "--config", str(cfg), "--out", str(rerun)]) == 0
+        assert rerun.read_bytes() == out.read_bytes()
 
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

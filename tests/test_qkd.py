@@ -20,6 +20,7 @@ I_S_10DB_SPEC = 1.6609050251499517  # 40-digit evaluation of the SNR formula
 
 
 from conftest import cloner_blocks_oracle as analytic_cloner_blocks
+from test_analysis import bisected_root
 
 
 def holevo_dense_oracle(r, n_q, beta):
@@ -322,6 +323,19 @@ class TestKeyThreshold:
         values = [key_threshold(s) for s in (2.0, 5.0, 10.0, 20.0, 30.0, 40.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert max(values) < 0.27
+
+    def test_few_key_evaluations_and_the_bisection_root(self, monkeypatch):
+        # two bracket ends, about ten refinement steps and the check of |K|
+        # (bisection took 44 evaluations)
+        calls, original = [], tmsflow.qkd.secret_key
+        monkeypatch.setattr(tmsflow.qkd, "secret_key", lambda sc: calls.append(sc) or original(sc))
+        for s_db in (0.25, 1.0, 10.0, 30.0, 40.0, 3082.5):
+            calls.clear()
+            th = key_threshold(s_db)
+            assert len(calls) <= 20, s_db
+            r = squeezing_db_to_r(s_db)
+            bisected = bisected_root(lambda n_q: -original(QkdScenario(r, n_q)).key, 1e-4, 2.0)
+            assert abs(th - bisected) <= 1e-11 * max(1.0, th), s_db
 
     def test_no_sign_change(self):
         # K(1e-4) is already negative at 0.005 dB
