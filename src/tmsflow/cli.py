@@ -188,32 +188,30 @@ _SETTINGS = {
 
 
 class _Settings(dict):
-    """A command's settings by name, each resolved and checked when first
-    read: a flag wins over a config key, which wins over the default.  A
-    setting the run does not use, such as a model's unused parameter, is
-    never checked."""
+    """A command's settings by name, resolved and checked at once: a flag
+    wins over a config key, which wins over the default.  Every given value
+    is checked, also one the run does not use, such as a model's unused
+    parameter; defaults are used as they are."""
 
-    def __init__(self, args: argparse.Namespace, config: dict, defaults: dict):
+    def __init__(self, args: argparse.Namespace, config: dict, command: _Command):
         super().__init__()
-        self._args, self._config, self._defaults = args, config, defaults
-
-    def __missing__(self, name: str):
-        setting = _SETTINGS[name]
-        value = getattr(self._args, name.replace("-", "_"))
-        if value is None:
-            value = self._config.get(name)
-        if value is None:
-            value = self._defaults.get(name, setting.default)
-        elif setting.check:
-            value = setting.check(value, name)
-        self[name] = value
-        return value
+        self._command = args.command
+        for name in command.settings.split():
+            setting = _SETTINGS[name]
+            value = getattr(args, name.replace("-", "_"))
+            if value is None:
+                value = config.get(name)
+            if value is None:
+                value = command.defaults.get(name, setting.default)
+            elif setting.check:
+                value = setting.check(value, name)
+            self[name] = value
 
     def echo(self, names: tuple[str, ...], **derived) -> str:
         """The config echo: the command, the named settings and the
         ``derived`` values, with keys sorted and None values left out."""
         pairs = {name.replace("-", "_"): self[name] for name in names}
-        pairs.update(command=self._args.command, **derived)
+        pairs.update(command=self._command, **derived)
         return json.dumps({k: v for k, v in sorted(pairs.items()) if v is not None})
 
 
@@ -235,7 +233,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=unique)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -253,15 +251,14 @@ def _load_config(path: str | None) -> dict:
 
 
 def _read_input(settings: _Settings, name: str, parse, what: str):
-    """``parse`` of the text of the file the path setting ``name`` names;
-    an unreadable or malformed file is a usage error."""
+    """``parse`` of the open file the path setting ``name`` names; a file
+    that cannot be opened or decoded as UTF-8, or is malformed, is a usage
+    error."""
     try:
         with open(settings[name], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return parse(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {name}: {exc}") from None
-    try:
-        return parse(text)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"malformed {what}: {exc}") from None
     except TmsflowError as exc:
@@ -478,14 +475,15 @@ def _cmd_tomo(settings: _Settings) -> int:
     return 0
 
 
-def _covariance_from_text(text: str):
+def _covariance_from_file(fh):
     """A stored covariance: JSON where the text starts with ``{``, else CSV."""
+    text = fh.read()
     return (covariance_from_json if text.lstrip().startswith("{") else covariance_from_csv)(text)
 
 
 def _cmd_validate(settings: _Settings) -> int:
     out = settings["out"]
-    cov = _read_input(settings, "state", _covariance_from_text, "state file")
+    cov = _read_input(settings, "state", _covariance_from_file, "state file")
     verdict = validate(cov)
     payload = {
         "ok": verdict.ok,
@@ -581,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     command = _COMMANDS[args.command]
     try:
-        settings = _Settings(args, _load_config(args.config), command.defaults)
+        settings = _Settings(args, _load_config(args.config), command)
         for name in command.needs.split():
             if settings[name] is None:
                 raise ConfigError(f"{args.command} needs --{name}")

@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -317,9 +318,10 @@ def records_to_csv(records: list[MeasurementRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def records_from_csv(text: str) -> list[MeasurementRecord]:
-    """Parse a record table; raises ValueError naming the offending line."""
-    reader = csv.reader(io.StringIO(text))
+def records_from_csv(source: str | TextIO) -> list[MeasurementRecord]:
+    """Parse a record table, given as its text or as an open text stream;
+    raises ValueError naming the offending line."""
+    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
     records = []
     header_allowed = True
     for line_no, row in enumerate(reader, start=1):

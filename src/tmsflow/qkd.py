@@ -189,7 +189,8 @@ def _key_thresholds(s_values, tolerance: float, beta: float) -> list:
     """:func:`key_threshold` at every squeezing level, with the error that
     ends a level's search in place of its threshold: all levels are one
     :func:`~tmsflow.analysis._refine` batch from the K already computed at
-    the bracket ends, K the scalar closed form."""
+    the bracket ends, K the scalar closed form, evaluated once per point
+    of a level that has not stopped."""
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise DomainError(f"tolerance must be finite and > 0, got {tolerance}")
 
@@ -214,8 +215,14 @@ def _key_thresholds(s_values, tolerance: float, beta: float) -> list:
         except TmsflowError as exc:
             found[i] = exc
 
+    newest = [(lo, k) for k, _ in ends]  # by entry: its newest point and K there
+
     def keys(n_q: np.ndarray) -> tuple[np.ndarray, dict]:
-        return np.array([key_at(r, x) for r, x in zip(rs.values(), n_q.tolist())]), {}
+        # A stopped entry reads its newest point again; it keeps the K it has.
+        for j, (r, x) in enumerate(zip(rs.values(), n_q.tolist())):
+            if x != newest[j][0]:
+                newest[j] = (x, key_at(r, x))
+        return np.array([k for _, k in newest]), {}
 
     k_lo, k_hi = np.array(ends).reshape(-1, 2).T
     mids, _ = _refine(keys, np.full(len(rs), lo), np.full(len(rs), hi), k_lo, k_hi)

@@ -14,7 +14,10 @@ plug-in Gaussian-null formulas would need the full cross-covariance
 structure.  Samples are assumed pre-calibrated to photon units with
 I mapping to q and Q mapping to p.
 
-Sample files (:func:`samples_from_csv`) are read line by line:
+Sample files (:func:`samples_from_csv`, from their text or an open text
+stream) are parsed as they are read, a block of lines at a time, so memory
+follows the ``(N, 4)`` float array and not the text.  Their lines are
+those ``str.splitlines`` gives for the whole text, and their grammar is:
 
 * line 1 is a header, and skipped, when one of its comma-separated fields
   is a column name (``I1``, ``Q1``, ``I2``, ``Q2``, any case); a header on
@@ -32,7 +35,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -141,24 +145,32 @@ def _k_statistics(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     univariate orders fill every entry.  Central-moment formulas (Kendall &
     Stuart): third order scales m_mn by n^2/((n-1)(n-2)); fourth order
     combines (n+1) m_4-type terms with products of second-order moments.
-    Each power of the centred columns is formed once; means run along a
+    Each mixed moment is formed one leading column at a time, from row
+    slices of the centred columns (``d``) and their squares; the third and
+    fourth powers are formed where they are used.  Means run along a
     contiguous sample axis with no matrix product, so results do not depend
-    on the BLAS build.
+    on the BLAS build, and no gather copies a power of the columns.
     """
     n = float(block.shape[0])
     d = np.ascontiguousarray(block.T)
     d = d - d.mean(axis=1, keepdims=True)
     d2 = d * d
-    powers = {1: d, 2: d2, 3: d2 * d, 4: d2 * d2}
+
+    def power(k: int, cols) -> np.ndarray:
+        """The k-th power of the centred columns ``cols`` (an index or a slice)."""
+        if k < 3:
+            return (d, d2)[k - 1][cols]
+        return d2[cols] * (d if k == 3 else d2)[cols]
 
     def m(p: int, q: int) -> np.ndarray:
         if q == 0:
-            return powers[p].mean(axis=1)[:, None]
+            return power(p, slice(None)).mean(axis=1)[:, None]
         if p == 0:
-            return powers[q].mean(axis=1)[None, :]
+            return power(q, slice(None)).mean(axis=1)[None, :]
         out = np.full((len(d), len(d)), np.nan)
-        rows, cols = np.triu_indices(len(d), 0 if (p, q) == (1, 1) else 1)
-        out[rows, cols] = np.mean(powers[p][rows] * powers[q][cols], axis=-1)
+        first = 0 if (p, q) == (1, 1) else 1  # the offset of column j from column i
+        for i in range(len(d) - first):
+            out[i, i + first :] = (power(p, i) * power(q, slice(i + first, None))).mean(axis=1)
         return out
 
     c3 = n * n / ((n - 1.0) * (n - 2.0))
@@ -253,30 +265,69 @@ def cumulants(
     )
 
 
-def samples_from_csv(text: str) -> QuadratureSamples:
-    """Parse an I1,Q1,I2,Q2 table; raises ValueError naming the bad line.
+def samples_from_csv(source: str | TextIO) -> QuadratureSamples:
+    """Parse an I1,Q1,I2,Q2 table, given as its text or as an open, seekable
+    text stream; raises ValueError naming the bad line.
 
-    The data lines go through one NumPy C-level parse.  Where that parse
-    rejects the text, or returns other than four columns or a non-finite
-    value, the line-by-line :func:`_scan_samples` runs instead: it accepts
-    every text the Python ``float`` grammar allows (digit underscores and
-    non-ASCII digits included, which the bulk parse refuses) and names the
-    first bad line.  Both accept the same texts and give bit-identical
-    arrays.
+    The data lines go through one NumPy C-level parse, fed chunk by chunk
+    (:func:`_line_blocks`), so no copy of the whole text is held and memory
+    follows the ``(N, 4)`` float array.  Where that parse rejects the input,
+    or returns other than four columns or a non-finite value, the
+    line-by-line :func:`_scan_samples` reads the source again from where it
+    started: it accepts every text the Python ``float`` grammar allows
+    (digit underscores and non-ASCII digits included, which the bulk parse
+    refuses) and names the first bad line.  Both accept the same texts and
+    give bit-identical arrays.
     """
-    lines = [line.strip() for line in text.splitlines()]
-    if lines and _is_header(lines[0].split(",")):
-        lines[0] = ""
-    data = [line for line in lines if line and line[0] != "#"]
-    if data:
+    start = None if isinstance(source, str) else source.tell()
+    lines = _data_lines(source)
+    first = next(lines, None)
+    if first is not None:  # loadtxt warns on an input with no line
         try:
-            rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
+            rows = np.loadtxt(chain((first,), lines), delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a decode error too: the scanner meets it again
             pass
         else:
             if rows.shape[1] == 4 and np.isfinite(rows).all():
                 return QuadratureSamples(rows)
-    return QuadratureSamples(_scan_samples(text))
+    if start is not None:
+        source.seek(start)
+    return QuadratureSamples(_scan_samples(source))
+
+
+_CHUNK = 1 << 16  # characters read at a time from a stream
+
+
+def _line_blocks(source: str | TextIO) -> Iterator[list[str]]:
+    """The lines of ``source``, exactly as ``str.splitlines`` splits its
+    whole text, in blocks of about ``_CHUNK`` characters.
+
+    Each block ends at a ``\\n`` (or the end), so no ``\\r\\n`` pair is
+    split and every other boundary ``splitlines`` knows (``\\x0b``,
+    ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``, ``\\u2029``, a lone
+    ``\\r``) splits lines as in the whole text.
+    """
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            end = source.find("\n", start + _CHUNK) + 1 or len(source)
+            yield source[start:end].splitlines()
+            start = end
+        return
+    while chunk := source.read(_CHUNK):
+        if chunk[-1] != "\n":
+            chunk += source.readline()
+        yield chunk.splitlines()
+
+
+def _data_lines(source: str | TextIO) -> Iterator[str]:
+    """The stripped data lines of ``source``: the header on line 1, blank
+    lines and ``#`` lines left out."""
+    for k, block in enumerate(_line_blocks(source)):
+        lines = [line.strip() for line in block]
+        if k == 0 and lines and _is_header(lines[0].split(",")):
+            lines[0] = ""
+        yield from [line for line in lines if line and line[0] != "#"]
 
 
 def _is_header(fields: list[str]) -> bool:
@@ -285,11 +336,12 @@ def _is_header(fields: list[str]) -> bool:
     return any(t.strip().upper() in COLUMN_NAMES for t in fields)
 
 
-def _scan_samples(text: str) -> np.ndarray:
+def _scan_samples(source: str | TextIO) -> np.ndarray:
     """The samples grammar checked one line at a time with Python ``float``;
     raises ValueError naming the first bad line."""
     rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = chain.from_iterable(_line_blocks(source))
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -330,6 +330,9 @@ class TestScalarInputs:
             ["qkd", "--s", "10", "--nq", "0.1", "--cloner-beta", "nan"],
             ["qkd", "--s", "10", "--nq", "0.1", "--tolerance", "inf"],
             ["sweep", "--s", "6", "--n", "0.1", "--model", "coupler", "--beta", "nan"],
+            # settings the chosen model does not read are checked too
+            ["sweep", "--s", "6", "--n", "0", "--beta", "nan"],
+            ["sweep", "--s", "6", "--n", "0", "--model", "coupler", "--chi1", "nan"],
             ["tomo", "--samples", _samples_file, "--threshold", "nan"],
             ["gen-synthetic", "--noise", "inf"],
         ],
@@ -375,6 +378,34 @@ class TestScalarInputs:
         argv = [a(tmp_path) if callable(a) else a for a in argv]
         assert main(argv + [_out_flag(argv), str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("tmsflow: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["tomo", "--samples"], "samples"),
+            (["fit", "--records"], "records"),
+            (["validate", "--state"], "state"),
+            (["sweep", "--s", "6", "--n", "0.1", "--config"], "config"),
+        ],
+    )
+    def test_file_that_is_not_utf8_is_usage_error(self, argv, name, tmp_path, capsys):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\n")
+        argv = argv + [str(path)]
+        assert main(argv + [_out_flag(argv), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tmsflow: cannot read {name}")
+        assert "'utf-8' codec can't decode byte 0xff" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sample_file_undecodable_past_its_first_read_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"  # 1.2 MB of rows, more than one read, then a bad byte
+        path.write_bytes(b"I1,Q1,I2,Q2\n" + b"0.125,-0.25,0.5,1.0\n" * 60000 + b"\xff\n")
+        argv = ["tomo", "--samples", str(path), "--covariance-out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tmsflow: cannot read samples: 'utf-8' codec can't decode byte 0xff")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -6,7 +6,10 @@ import pytest
 import tmsflow.qkd
 from tmsflow.errors import BadCouplingError, DomainError, NoSignChangeError
 from tmsflow.qkd import (
+    DEFAULT_CLONER_COUPLING,
+    DEFAULT_TOLERANCE,
     QkdScenario,
+    _key_thresholds,
     cloner_state,
     holevo_quantity,
     key_threshold,
@@ -336,6 +339,17 @@ class TestKeyThreshold:
             r = squeezing_db_to_r(s_db)
             bisected = bisected_root(lambda n_q: -original(QkdScenario(r, n_q)).key, 1e-4, 2.0)
             assert abs(th - bisected) <= 1e-11 * max(1.0, th), s_db
+
+    def test_batch_evaluates_as_often_as_its_levels_one_at_a_time(self, monkeypatch):
+        # a level that has stopped keeps its K while the others refine
+        calls, original = [], tmsflow.qkd.secret_key
+        monkeypatch.setattr(tmsflow.qkd, "secret_key", lambda sc: calls.append(sc) or original(sc))
+        levels = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 16.0, 20.0, 30.0, 40.0]
+        batch = _key_thresholds(levels, DEFAULT_TOLERANCE, DEFAULT_CLONER_COUPLING)
+        batch_calls = len(calls)
+        singles = [_key_thresholds([s], DEFAULT_TOLERANCE, DEFAULT_CLONER_COUPLING)[0] for s in levels]
+        assert batch_calls == len(calls) - batch_calls
+        assert list(map(repr, batch)) == list(map(repr, singles))
 
     def test_no_sign_change(self):
         # K(1e-4) is already negative at 0.005 dB

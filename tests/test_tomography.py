@@ -1,10 +1,14 @@
+import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tmsflow import tomography
 from tmsflow.correlations import discord
 from tmsflow.errors import NonFiniteError, NumericalError, TmsflowError, TooFewSamplesError
 from tmsflow.states import ideal_tms, vacuum
@@ -226,6 +230,28 @@ class TestSamplesCsv:
         samples = samples_from_csv("0.1,0.2,0.3,0.4\n-1e-3, 2E5 ,+3.,.5\n")
         assert samples.data.tolist() == [[0.1, 0.2, 0.3, 0.4], [-1e-3, 2e5, 3.0, 0.5]]
 
+    def test_stream_is_read_from_where_it_stands(self):
+        stream = io.StringIO("skipped\nI1,Q1,I2,Q2\n1,2,3,4\n5_0,6,7,8\n")
+        stream.readline()  # the scanner, which reads 5_0, starts from here too
+        assert samples_from_csv(stream).data.tolist() == [[1, 2, 3, 4], [50, 6, 7, 8]]
+
+    def test_parse_and_cumulants_memory_scales_with_the_array(self, tmp_path):
+        """Parsing an open 50k-row file and running cumulants on it peaks
+        below 200 bytes per row (the float array takes 32): no copy of the
+        text or list of its lines, and no gather of the column powers."""
+        rows = 50_000
+        path = tmp_path / "samples.csv"
+        rng = np.random.default_rng(11)
+        path.write_text(samples_to_csv(QuadratureSamples(rng.standard_normal((rows, 4)))))
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                cumulants(samples_from_csv(fh))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * rows, f"{peak / rows:.0f} bytes per row"
+
     def test_well_formed_text_skips_the_line_scanner(self, monkeypatch):
         def scan(text):
             raise AssertionError("the line scanner ran")
@@ -271,6 +297,12 @@ _BAD_LINE = st.one_of(
 )
 
 
+# Every line boundary of str.splitlines, "\n" and "\r\n" most often.
+_BREAK = st.sampled_from(["\n", "\r\n"]) | st.sampled_from(
+    ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+
+
 @st.composite
 def _sample_texts(draw):
     """Texts that should parse (good and skipped lines) and texts with
@@ -283,27 +315,39 @@ def _sample_texts(draw):
         lines.insert(0, header)
     elif where == "inside":
         lines.insert(draw(st.integers(0, len(lines))), header)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+    breaks = draw(st.lists(_BREAK, min_size=len(lines), max_size=len(lines)))
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""  # no break after the last line
+    return "".join(line + brk for line, brk in zip(lines, breaks))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_sample_texts())
-@example("I1,Q1,I2,Q2\n1_0,2,3,4\n5,6,7,8\n")
-@example("\n# comment\nI1,Q1,I2,Q2\n1,2,3,4\n")
-@example("1,2,3,4 # inline\n5,6,7,8\n")
-@example("1,2,3,4,\n5,6,7,8,\n")
-@example("1,2,3\n4,5,6\n")
-@example("1,2,3,4,5\n6,7,8,9,0\n")
-@example("1,2,3,4\r\n  5 ,\t6,7,8  \r\n\r\n")
-@example("nan,1,2,3\n1,2,3,4\n")
-@example("1,2,3,Infinity\n1,2,3,4\n")
-@example("1,,3,4\n1,2,3,4\n")
-@example("-1.5e-3,+2E+2,-0,0\n1,2,3,4\n")
-@example("1,2,3,4\n")
-@example("I1,Q1,I2,Q2\n")
-@example("")
-def test_bulk_parse_matches_the_line_scanner(text):
-    """Every text gives the scanner's array bit for bit, or its error."""
+@given(_sample_texts(), st.integers(1, 48))
+@example("I1,Q1,I2,Q2\n1_0,2,3,4\n5,6,7,8\n", 8)
+@example("\n# comment\nI1,Q1,I2,Q2\n1,2,3,4\n", 8)
+@example("1,2,3,4 # inline\n5,6,7,8\n", 8)
+@example("1,2,3,4,\n5,6,7,8,\n", 8)
+@example("1,2,3\n4,5,6\n", 8)
+@example("1,2,3,4,5\n6,7,8,9,0\n", 8)
+@example("1,2,3,4\r\n  5 ,\t6,7,8  \r\n\r\n", 8)
+@example("nan,1,2,3\n1,2,3,4\n", 8)
+@example("1,2,3,Infinity\n1,2,3,4\n", 8)
+@example("1,,3,4\n1,2,3,4\n", 8)
+@example("-1.5e-3,+2E+2,-0,0\n1,2,3,4\n", 8)
+@example("1,2,3,4\n", 8)
+@example("I1,Q1,I2,Q2\n", 8)
+@example("", 8)
+@example("1,2,3\x0c,4\n5,6,7,8\n", 8)
+@example("1,2,3,4\r\n5,6,7,8\r\n", 8)
+@example("1,2,3,4\r5,6,7,8\r", 8)
+@example("I1,Q1,I2,Q2\u2028" + "1,2,3,4\x85" * 3, 5)
+def test_bulk_parse_matches_the_line_scanner(text, chunk):
+    """Every text gives the scanner's array bit for bit, or its error: as a
+    string or an open stream, read in blocks of the default size or of
+    ``chunk`` characters, so that lines straddle the block boundaries.  The
+    scanner reads the text in one block: the lines of ``text.splitlines()``."""
     expected = _outcome(lambda t: QuadratureSamples(_scan_samples(t)).data, text)
-    assert _outcome(lambda t: samples_from_csv(t).data, text) == expected
+    for size in (tomography._CHUNK, chunk):
+        with mock.patch.object(tomography, "_CHUNK", size):
+            for source in (text, io.StringIO(text)):
+                assert _outcome(lambda t: samples_from_csv(t).data, source) == expected, size
