@@ -19,14 +19,10 @@ from .symplectic import (
     beam_splitter,
     covariance_from_csv,
     covariance_from_json,
-    covariance_to_csv,
-    covariance_to_json,
     entropy_f,
     homodyne_condition,
-    identity_op,
     partial_trace,
     single_mode_squeezer,
-    symplectic_eigenvalues,
     symplectic_form,
     symplectic_summary,
     tensor,
@@ -42,7 +38,6 @@ from .states import (
     inject_noise_ideal,
     jpa_noise,
     squeezing_db_to_r,
-    squeezing_r_to_db,
     thermal,
     vacuum,
 )
@@ -50,11 +45,9 @@ from .correlations import (
     CorrelationReport,
     correlation_report,
     discord,
-    eof_from_gamma,
     eof_gamma,
     eof_lower_bound,
     gamma_ideal,
-    mutual_information,
 )
 from .qkd import (
     KeyResult,

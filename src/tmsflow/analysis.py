@@ -292,8 +292,14 @@ def _row_blocks(grid: SweepGrid, row: str, failed, fields: int):
         yield rows
 
 
+def csv_status(message: str) -> str:
+    """A failure message as the status field of a CSV row: ``failed`` for
+    an empty message, commas as semicolons and newlines as spaces."""
+    return (message or "failed").replace(",", ";").replace("\n", " ")
+
+
 def _csv_failed(s: str, n: str, exc: Exception) -> str:
-    return _CSV_FAILED % (s, n, (str(exc) or "failed").replace(",", ";").replace("\n", " "))
+    return _CSV_FAILED % (s, n, csv_status(str(exc)))
 
 
 def _json_failed(s: str, n: str, exc: Exception) -> str:
@@ -307,10 +313,6 @@ def sweep_blocks_to_csv(grid: SweepGrid):
     for rows in _row_blocks(grid, _CSV_ROW, _csv_failed, 7):
         rows.append("")
         yield "\n".join(rows)
-
-
-def sweep_to_csv(grid: SweepGrid) -> str:
-    return "".join(sweep_blocks_to_csv(grid))
 
 
 def sweep_blocks_to_json(grid: SweepGrid, meta: dict):

@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .analysis import (
     _crossovers,
+    csv_status,
     sudden_death_point,
     sweep,
     sweep_blocks_to_csv,
@@ -41,7 +42,6 @@ from .fit import (
     DEFAULT_COUPLING,
     DEFAULT_INITIAL,
     DEFAULT_WEIGHTS,
-    _fit_result_doc,
     fit,
     records_from_csv,
     records_to_csv,
@@ -49,7 +49,6 @@ from .fit import (
 )
 from .qkd import (
     DEFAULT_CLONER_COUPLING,
-    DEFAULT_TOLERANCE,
     QKD_CSV_HEADER,
     QkdScenario,
     _key_result_doc,
@@ -57,7 +56,7 @@ from .qkd import (
     key_result_to_csv_row,
     secret_key,
 )
-from .states import JpaNoiseModel, StateModel, squeezing_db_to_r
+from .states import StateModel, squeezing_db_to_r
 from .symplectic import _covariance_doc, covariance_from_csv, covariance_from_json, validate
 from .tomography import (
     DEFAULT_THRESHOLD,
@@ -166,7 +165,6 @@ _SETTINGS = {
     "nq": _Setting(None, help="detected-quadrature noise grid"),
     "cloner-beta": _Setting(_finite, DEFAULT_CLONER_COUPLING, flag=_FLOAT),
     "threshold-out": _Setting(_path, help="path for the threshold curve"),
-    "tolerance": _Setting(_finite, DEFAULT_TOLERANCE, "|K| tolerance at the threshold", _FLOAT),
     "records": _Setting(_path, help="CSV of s_db,n,d_a,d_b,e_f[,sd_a,sd_b,se_f]"),
     "w1": _Setting(_finite, DEFAULT_WEIGHTS[0], flag=_FLOAT),
     "w2": _Setting(_finite, DEFAULT_WEIGHTS[1], flag=_FLOAT),
@@ -253,11 +251,19 @@ def _load_config(path: str | None) -> dict:
 def _read_input(settings: _Settings, name: str, parse, what: str):
     """``parse`` of the open file the path setting ``name`` names; a file
     that cannot be opened or decoded as UTF-8, or is malformed, is a usage
-    error."""
+    error.  A decode error names the byte's offset in the file: the bytes
+    the decoder failed on end where the file has been read to."""
     try:
         with open(settings[name], "r", encoding="utf-8") as fh:
-            return parse(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+            try:
+                return parse(fh)
+            except UnicodeDecodeError as exc:
+                at = fh.buffer.tell() - len(exc.object) + exc.start
+                raise ConfigError(
+                    f"cannot read {name}: 'utf-8' codec can't decode byte "
+                    f"0x{exc.object[exc.start]:02x} at file offset {at}: {exc.reason}"
+                ) from None
+    except OSError as exc:
         raise ConfigError(f"cannot read {name}: {exc}") from None
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"malformed {what}: {exc}") from None
@@ -274,22 +280,7 @@ def _checked(build, *args, **kwargs):
 
 
 def _build_model(settings: _Settings) -> StateModel:
-    model_spec = settings["model"]
-    if isinstance(model_spec, dict):
-        beta = model_spec.get("coupling_beta")
-        jpa = model_spec.get("jpa")
-        jpa_model = None
-        if jpa is not None:
-            if not isinstance(jpa, dict) or not {"chi1", "chi2"} <= jpa.keys():
-                raise ConfigError(f"model jpa must be an object with chi1 and chi2, got {jpa!r}")
-            jpa_model = JpaNoiseModel(
-                chi1=_finite(jpa["chi1"], "chi1"), chi2=_finite(jpa["chi2"], "chi2")
-            )
-        return StateModel(
-            coupling_beta=None if beta is None else _finite(beta, "coupling_beta"),
-            jpa=jpa_model,
-        )
-    name = str(model_spec)
+    name = str(settings["model"])
     if name == "ideal":
         return StateModel.ideal()
     if name == "coupler":
@@ -393,7 +384,7 @@ def _cmd_features(settings: _Settings) -> int:
                 notes.append(f"n_c_{flavor}: {n_c}")
             else:
                 row.append(repr(n_c))
-        row.append("ok" if not notes else "; ".join(notes).replace(",", ";"))
+        row.append(csv_status("; ".join(notes)) if notes else "ok")
         successes += 1 if not notes else 0
         lines.append(",".join(row))
     _emit((_csv_header_lines(echo) + "\n".join(lines) + "\n", out))
@@ -403,12 +394,8 @@ def _cmd_features(settings: _Settings) -> int:
 def _cmd_qkd(settings: _Settings) -> int:
     out, threshold_out = settings["out"], settings["threshold-out"]
     s_vals, nq_vals = parse_grid(settings["s"]), parse_grid(settings["nq"])
-    beta, tol = settings["cloner-beta"], settings["tolerance"]
-    if tol <= 0.0:
-        raise ConfigError(f"tolerance must be > 0, got {tol}")
-    # "tolerance" is echoed only off its default, so default outputs keep their bytes
-    tolerance = None if tol == DEFAULT_TOLERANCE else tol
-    echo = settings.echo(("s", "nq", "cloner-beta"), tolerance=tolerance)
+    beta = settings["cloner-beta"]
+    echo = settings.echo(("s", "nq", "cloner-beta"))
     if len(s_vals) == 1 and len(nq_vals) == 1:
         scenario = _checked(QkdScenario, squeezing_db_to_r(s_vals[0]), nq_vals[0], beta)
         text = _json_with_meta(_key_result_doc(scenario, secret_key(scenario)), echo)
@@ -424,9 +411,9 @@ def _cmd_qkd(settings: _Settings) -> int:
         return 0
     tl = ["s_db,n_q_threshold,status"]
     any_ok = False
-    for s_db, threshold in zip(s_vals, _key_thresholds(s_vals, tol, beta)):
+    for s_db, threshold in zip(s_vals, _key_thresholds(s_vals, beta)):
         if isinstance(threshold, TmsflowError):
-            tl.append(f"{s_db!r},nan,{str(threshold).replace(',', ';')}")
+            tl.append(f"{s_db!r},nan,{csv_status(str(threshold))}")
         else:
             tl.append(f"{s_db!r},{threshold!r},ok")
             any_ok = True
@@ -451,7 +438,7 @@ def _cmd_fit(settings: _Settings) -> int:
     for warning in caught:  # the S = 0 exclusion
         print(f"tmsflow: warning: {warning.message}", file=sys.stderr)
     echo = settings.echo(("records", "beta", "w1", "w2", "w3"), init="%r,%r" % init)
-    _emit((_json_with_meta(_fit_result_doc(result), echo), out))
+    _emit((_json_with_meta(dataclasses.asdict(result), echo), out))
     return 0
 
 
@@ -533,7 +520,7 @@ _COMMANDS = {
     ),
     "qkd": _Command(
         _cmd_qkd, "secret keys on an (S, n_q) grid, plus threshold curve",
-        "out s nq cloner-beta threshold-out tolerance", needs="s nq",
+        "out s nq cloner-beta threshold-out", needs="s nq",
     ),
     "fit": _Command(
         _cmd_fit, "fit the amplifier-noise power law to records",

@@ -238,11 +238,6 @@ def correlation_arrays(sf: StandardForm) -> CorrelationArrays:
     )
 
 
-def mutual_information(V: TwoModeCovariance) -> float:
-    """Quantum mutual information I(A:B) = S(A) + S(B) - S(AB) in nats."""
-    return correlation_report(V).i_ab
-
-
 def discord(V: TwoModeCovariance, measured: str) -> float:
     """Gaussian quantum discord with a local measurement on one subsystem.
 
@@ -288,12 +283,3 @@ def gamma_ideal(r: float, n: float) -> float:
         raise DomainError(f"noise photon number must be >= 0, got {n}")
     g = math.exp(2.0 * r)
     return 0.5 * math.log((g + n) / (1.0 + g * n))
-
-
-def eof_from_gamma(gamma: float) -> float:
-    """Signed EoF lower bound for a squeezing parameter gamma.
-
-    ``sign(gamma) * [cosh^2 g ln cosh^2 g - sinh^2 g ln sinh^2 g]`` with
-    g = |gamma|; equals ``sign(gamma) * f(cosh(2 gamma)/4)``.
-    """
-    return float(np.sign(gamma) * _entropy(np.sinh(np.float64(gamma)) ** 2))

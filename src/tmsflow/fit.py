@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -358,21 +357,3 @@ def _is_number(tok: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def fit_result_to_json(result: FitResult) -> str:
-    return json.dumps(_fit_result_doc(result), allow_nan=False)
-
-
-def _fit_result_doc(result: FitResult) -> dict:
-    return {
-        "chi1": result.chi1,
-        "chi2": result.chi2,
-        "final_cost": result.final_cost,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "clamp_activations": result.clamp_activations,
-        "chi1_se": result.chi1_se,
-        "chi2_se": result.chi2_se,
-        "reduced_chi2": result.reduced_chi2,
-    }

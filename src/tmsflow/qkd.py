@@ -42,7 +42,9 @@ from .states import eve_tms, ideal_tms, squeezing_db_to_r
 _LN2 = math.log(2.0)
 
 DEFAULT_CLONER_COUPLING = 1e-4
-DEFAULT_TOLERANCE = 1e-6  # |K| in bits at a key threshold
+# Largest |K| in bits accepted at a refined key threshold, a safety check:
+# the refined roots reach a few 1e-12 bits.
+_KEY_CHECK = 1e-6
 # Noise interval on which key_threshold looks for K = 0.
 _KEY_BRACKET = (1e-4, 2.0)
 
@@ -100,13 +102,7 @@ def cloner_state(scenario: QkdScenario) -> CovarianceMatrix:
     pure since the inputs are pure and the coupling is symplectic.
     """
     joint = tensor(ideal_tms(scenario.r), eve_tms(scenario.w))
-    return apply_cloner_coupling(joint, scenario.beta)
-
-
-def apply_cloner_coupling(joint: CovarianceMatrix, beta: float) -> CovarianceMatrix:
-    if joint.n_modes != 4:
-        raise DomainError("cloner coupling expects the 4-mode (A, B, E1, E2) state")
-    return apply_symplectic(joint, beam_splitter(beta, 1, 2, 4))
+    return apply_symplectic(joint, beam_splitter(scenario.beta, 1, 2, 4))
 
 
 def holevo_quantity(scenario: QkdScenario) -> float:
@@ -161,11 +157,7 @@ def secret_key(scenario: QkdScenario) -> KeyResult:
     return KeyResult(shannon_mi=mi, holevo=chi, key=mi - chi)
 
 
-def key_threshold(
-    s_db: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-    beta: float = DEFAULT_CLONER_COUPLING,
-) -> float:
+def key_threshold(s_db: float, *, beta: float = DEFAULT_CLONER_COUPLING) -> float:
     """Noise photon number n_q at which the secret key changes sign.
 
     Chandrupatla's method (:func:`~tmsflow.analysis._refine`) on
@@ -173,26 +165,24 @@ def key_threshold(
     the upper end (it decreases with noise), otherwise
     :class:`NoSignChangeError` is raised.  The bracket is refined down to
     width 1e-12 max(1, n_q) in about ten steps, and the returned point (the
-    midpoint of the final bracket) is verified to satisfy
-    |K| < tolerance (finite, > 0).  K is evaluated in closed form with about
-    1e-15 bits of rounding noise, so that width, not the evaluation, sets |K|
-    at the returned point (a few 1e-12 bits).  One level of the batch that
-    ``qkd --threshold-out`` refines, with the same steps whatever the batch.
+    midpoint of the final bracket) is checked to satisfy |K| < 1e-6 bits.
+    K is evaluated in closed form with about 1e-15 bits of rounding noise,
+    so that width, not the evaluation, sets |K| at the returned point (a few
+    1e-12 bits).  One level of the batch that ``qkd --threshold-out``
+    refines, with the same steps whatever the batch.
     """
-    threshold = _key_thresholds([s_db], tolerance, beta)[0]
+    threshold = _key_thresholds([s_db], beta)[0]
     if isinstance(threshold, TmsflowError):
         raise threshold
     return threshold
 
 
-def _key_thresholds(s_values, tolerance: float, beta: float) -> list:
+def _key_thresholds(s_values, beta: float) -> list:
     """:func:`key_threshold` at every squeezing level, with the error that
     ends a level's search in place of its threshold: all levels are one
     :func:`~tmsflow.analysis._refine` batch from the K already computed at
     the bracket ends, K the scalar closed form, evaluated once per point
     of a level that has not stopped."""
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise DomainError(f"tolerance must be finite and > 0, got {tolerance}")
 
     def key_at(r: float, n_q: float) -> float:
         return secret_key(QkdScenario(r=r, n_q=n_q, beta=beta)).key
@@ -228,8 +218,8 @@ def _key_thresholds(s_values, tolerance: float, beta: float) -> list:
     mids, _ = _refine(keys, np.full(len(rs), lo), np.full(len(rs), hi), k_lo, k_hi)
     for (i, r), mid in zip(rs.items(), mids.tolist()):
         k = key_at(r, mid)
-        found[i] = mid if abs(k) < tolerance else NumericalError(
-            f"key at the refined point exceeds the requested tolerance: |{k:.3e}| >= {tolerance}"
+        found[i] = mid if abs(k) < _KEY_CHECK else NumericalError(
+            f"key at the refined point is not zero: |{k:.3e}| >= {_KEY_CHECK}"
         )
     return [found[i] for i in range(len(found))]
 

@@ -42,13 +42,6 @@ def squeezing_db_to_r(level_db: float) -> float:
     return level_db / _DB_PER_UNIT_R
 
 
-def squeezing_r_to_db(r: float) -> float:
-    """Inverse of :func:`squeezing_db_to_r`."""
-    if not math.isfinite(r):
-        raise DomainError(f"squeezing factor must be finite, got {r}")
-    return r * _DB_PER_UNIT_R
-
-
 @dataclass(frozen=True)
 class JpaNoiseModel:
     """Gain-dependent amplifier noise, n(G) = chi1 * (G - 1)**chi2."""

@@ -131,10 +131,6 @@ class SymplecticOperation:
         return self.matrix.shape[0] // 2
 
 
-def identity_op(n_modes: int) -> SymplecticOperation:
-    return SymplecticOperation(np.eye(2 * n_modes))
-
-
 def beam_splitter(coupling: float, mode_a: int, mode_b: int, n_modes: int) -> SymplecticOperation:
     """Beam splitter with power coupling ``coupling`` between two modes.
 
@@ -163,14 +159,6 @@ def single_mode_squeezer(r: float, mode: int, n_modes: int) -> SymplecticOperati
     m[2 * mode, 2 * mode] = math.exp(-r)
     m[2 * mode + 1, 2 * mode + 1] = math.exp(r)
     return SymplecticOperation(m)
-
-
-def _quadrature_offset(quadrature: str) -> int:
-    if quadrature == "q":
-        return 0
-    if quadrature == "p":
-        return 1
-    raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
 
 
 def validate(V: CovarianceMatrix) -> ValidationVerdict:
@@ -211,7 +199,8 @@ def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
         violations.append("not positive definite")
     else:
         if V.n_modes == 1:
-            nus = np.array([math.sqrt(max(float(np.linalg.det(sym)), 0.0))])
+            (a, b, d), q = _integers([sym[0, 0], sym[0, 1], sym[1, 1]])
+            nus = np.array([_sqrt_ratio(max(a * d - b * b, 0), q * q)])
         elif V.n_modes == 2:
             nus = np.array(_two_mode_nu(invariants))
         else:
@@ -260,9 +249,11 @@ def _williamson(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orthogonal Q, and ``S = L Q D^(-1/2)``.  That Hermitian eigensolve
     keeps degenerate pairs and strongly squeezed states at full accuracy
     where a direct non-symmetric eigensolve of ``i Omega V`` loses half the
-    digits.
+    digits.  Entries beyond the double range raise :class:`NumericalError`.
     """
     n = sym.shape[0] // 2
+    if not np.isfinite(sym).all():
+        raise NumericalError("Williamson form requested for a matrix beyond the double range")
     try:
         chol = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
@@ -279,15 +270,15 @@ def _williamson(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nus, chol @ q / np.repeat(np.sqrt(nus), 2)
 
 
-def symplectic_eigenvalues(V: CovarianceMatrix) -> np.ndarray:
-    """All symplectic eigenvalues of a validated covariance matrix, from
-    the validation pass: ``sqrt(det)`` for one mode, the invariant closed
-    form for two, :func:`_williamson` for more (in descending order)."""
-    return require_valid(V)[0]
-
-
 # Binary digits the integer square roots below carry past the units place.
 _GUARD = 64
+
+
+def _integers(values: list) -> tuple[list[int], int]:
+    """Floats as exact integers over their common power-of-two denominator."""
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios], scale
 
 
 def _exact_invariants(sym: np.ndarray) -> tuple | None:
@@ -299,10 +290,8 @@ def _exact_invariants(sym: np.ndarray) -> tuple | None:
     unless the matrix is exactly positive definite (Sylvester's criterion).
     """
     rows = sym.tolist()
-    ratios = [rows[i][j].as_integer_ratio() for i in range(4) for j in range(i, 4)]
-    scale = max(den for _, den in ratios)
-    a00, a01, a02, a03, a11, a12, a13, a22, a23, a33 = (
-        num * (scale // den) for num, den in ratios
+    (a00, a01, a02, a03, a11, a12, a13, a22, a23, a33), scale = _integers(
+        [rows[i][j] for i in range(4) for j in range(i, 4)]
     )
     # Minors of rows (0, 1) and of rows (2, 3), by column pair.
     t01 = a00 * a11 - a01 * a01
@@ -440,7 +429,7 @@ def von_neumann_entropy(V: CovarianceMatrix) -> float:
     """Von Neumann entropy in nats: f summed over the validation pass.
 
     For one and two modes the symplectic eigenvalues come from
-    ``sqrt(det)`` and the exact integer invariants, accurate to a few ulps
+    the exact integer determinant and invariants, accurate to a few ulps
     however ill-conditioned the matrix, so each enters as ``f(max(nu,
     1/4))``.  From three modes on they come from the Williamson form, whose
     error grows with the conditioning: there eigenvalues within that
@@ -505,7 +494,9 @@ def homodyne_condition(
         raise BadIndexError(f"measured mode {measured_mode} out of range for {n} modes")
     if n < 2:
         raise BadIndexError("conditioning needs at least one unmeasured mode")
-    off = _quadrature_offset(quadrature)
+    if quadrature not in ("q", "p"):
+        raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
+    off = "qp".index(quadrature)
     if V.entries[2 * measured_mode + off, 2 * measured_mode + off] <= 0.0:
         raise SingularMeasurementError(
             f"measured {quadrature} variance is not positive"
@@ -529,10 +520,6 @@ def homodyne_condition(
 # ---------------------------------------------------------------------------
 
 
-def covariance_to_json(V: CovarianceMatrix) -> str:
-    return json.dumps(_covariance_doc(V))
-
-
 def _covariance_doc(V: CovarianceMatrix) -> dict:
     return {"n_modes": V.n_modes, "entries": [float(x) for x in V.entries.ravel()]}
 
@@ -548,10 +535,6 @@ def covariance_from_json(text: str) -> CovarianceMatrix:
     if not np.all(np.isfinite(flat)):
         raise ValueError("entries must be finite numbers")
     return CovarianceMatrix(flat.reshape(2 * n, 2 * n))
-
-
-def covariance_to_csv(V: CovarianceMatrix) -> str:
-    return "\n".join(",".join(repr(float(x)) for x in row) for row in V.entries) + "\n"
 
 
 def covariance_from_csv(text: str) -> CovarianceMatrix:

@@ -32,7 +32,7 @@ those ``str.splitlines`` gives for the whole text, and their grammar is:
 
 from __future__ import annotations
 
-import json
+import io
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -40,7 +40,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, TooFewSamplesError
+from .errors import DomainError, NonFiniteError, NumericalError, TooFewSamplesError
 from .symplectic import VACUUM_VARIANCE, CovarianceMatrix, TwoModeCovariance, _williamson
 
 COLUMN_NAMES = ("I1", "Q1", "I2", "Q2")
@@ -61,6 +61,7 @@ _HIGHER_ORDERS = [
 DEFAULT_THRESHOLD = 5.0  # standard errors
 _BATCHES = 25
 _MIN_BATCH = 40  # samples per batch: ten per cumulant order, up to the fourth
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,7 @@ def _k_statistics(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     return {order: np.broadcast_to(k, m11.shape) for order, k in out.items()}
 
 
+@np.errstate(all="ignore")  # a value beyond the double range raises below
 def cumulants(
     samples: QuadratureSamples,
     threshold: float = DEFAULT_THRESHOLD,
@@ -205,7 +207,9 @@ def cumulants(
     also gives the second-order entries) plus one per batch; each
     univariate cumulant is reported once, under its first pair.  A
     constant column has no normalized cumulants and raises
-    :class:`DomainError`.
+    :class:`DomainError`; samples so large or so small that a cumulant, the
+    product of standard deviations it is normalized by, or its standard
+    error leaves the range of normal doubles raise :class:`NumericalError`.
     """
     if samples.n_samples < _MIN_BATCH:
         raise TooFewSamplesError(
@@ -230,7 +234,7 @@ def cumulants(
     entries: list[CumulantEntry] = []
     gaussian = True
     seen_univariate: set[tuple[int, int]] = set()
-    spreads = {o: np.std([b[o] for b in batches], axis=0, ddof=1) for o in _HIGHER_ORDERS}
+    spreads = {o: _spread(np.array([b[o] for b in batches])) for o in _HIGHER_ORDERS}
     for i, j in combinations(range(4), 2):
         for order in _HIGHER_ORDERS:
             m_i, m_j = order
@@ -242,7 +246,13 @@ def cumulants(
                 seen_univariate.add(key)
             se = float(spreads[order][i, j] / np.sqrt(n_batches))
             value = float(full[order][i, j])
-            norm = value / (sigmas[i] ** m_i * sigmas[j] ** m_j)
+            scale = sigmas[i] ** m_i * sigmas[j] ** m_j  # a normal double, or out of range
+            norm = value / scale
+            if not (_TINY <= scale < math.inf and math.isfinite(norm) and math.isfinite(se)):
+                raise NumericalError(
+                    f"cumulant of order {order} on ({COLUMN_NAMES[i]}, {COLUMN_NAMES[j]}) leaves "
+                    f"the double range (value {value:.3g}, scale {scale:.3g}, error {se:.3g})"
+                )
             entries.append(
                 CumulantEntry(
                     pair=(i, j),
@@ -265,21 +275,31 @@ def cumulants(
     )
 
 
+def _spread(stack: np.ndarray) -> np.ndarray:
+    """``np.std(stack, axis=0, ddof=1)``, bit for bit where that is finite,
+    on values scaled by a power of two so that no square overflows."""
+    _, e = np.frexp(np.abs(stack).max(axis=0))
+    return np.ldexp(np.std(np.ldexp(stack, -e), axis=0, ddof=1), e)
+
+
 def samples_from_csv(source: str | TextIO) -> QuadratureSamples:
     """Parse an I1,Q1,I2,Q2 table, given as its text or as an open, seekable
     text stream; raises ValueError naming the bad line.
 
     The data lines go through one NumPy C-level parse, fed chunk by chunk
-    (:func:`_line_blocks`), so no copy of the whole text is held and memory
-    follows the ``(N, 4)`` float array.  Where that parse rejects the input,
-    or returns other than four columns or a non-finite value, the
-    line-by-line :func:`_scan_samples` reads the source again from where it
-    started: it accepts every text the Python ``float`` grammar allows
+    (:func:`_line_blocks`; a text through an :class:`io.StringIO`), so no
+    copy of a stream's whole text is held and memory follows the ``(N, 4)``
+    float array.  Where that parse rejects the input, or returns other than
+    four columns or a non-finite value, the line-by-line
+    :func:`_scan_samples` reads the source again from where it started: it
+    accepts every text the Python ``float`` grammar allows
     (digit underscores and non-ASCII digits included, which the bulk parse
     refuses) and names the first bad line.  Both accept the same texts and
     give bit-identical arrays.
     """
-    start = None if isinstance(source, str) else source.tell()
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    start = source.tell()
     lines = _data_lines(source)
     first = next(lines, None)
     if first is not None:  # loadtxt warns on an input with no line
@@ -290,37 +310,29 @@ def samples_from_csv(source: str | TextIO) -> QuadratureSamples:
         else:
             if rows.shape[1] == 4 and np.isfinite(rows).all():
                 return QuadratureSamples(rows)
-    if start is not None:
-        source.seek(start)
+    source.seek(start)
     return QuadratureSamples(_scan_samples(source))
 
 
 _CHUNK = 1 << 16  # characters read at a time from a stream
 
 
-def _line_blocks(source: str | TextIO) -> Iterator[list[str]]:
-    """The lines of ``source``, exactly as ``str.splitlines`` splits its
-    whole text, in blocks of about ``_CHUNK`` characters.
+def _line_blocks(source: TextIO) -> Iterator[list[str]]:
+    """The lines of the stream ``source``, exactly as ``str.splitlines``
+    splits its whole text, in blocks of about ``_CHUNK`` characters.
 
     Each block ends at a ``\\n`` (or the end), so no ``\\r\\n`` pair is
     split and every other boundary ``splitlines`` knows (``\\x0b``,
     ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``, ``\\u2029``, a lone
     ``\\r``) splits lines as in the whole text.
     """
-    if isinstance(source, str):
-        start = 0
-        while start < len(source):
-            end = source.find("\n", start + _CHUNK) + 1 or len(source)
-            yield source[start:end].splitlines()
-            start = end
-        return
     while chunk := source.read(_CHUNK):
         if chunk[-1] != "\n":
             chunk += source.readline()
         yield chunk.splitlines()
 
 
-def _data_lines(source: str | TextIO) -> Iterator[str]:
+def _data_lines(source: TextIO) -> Iterator[str]:
     """The stripped data lines of ``source``: the header on line 1, blank
     lines and ``#`` lines left out."""
     for k, block in enumerate(_line_blocks(source)):
@@ -336,7 +348,7 @@ def _is_header(fields: list[str]) -> bool:
     return any(t.strip().upper() in COLUMN_NAMES for t in fields)
 
 
-def _scan_samples(source: str | TextIO) -> np.ndarray:
+def _scan_samples(source: TextIO) -> np.ndarray:
     """The samples grammar checked one line at a time with Python ``float``;
     raises ValueError naming the first bad line."""
     rows = []
@@ -366,10 +378,6 @@ def samples_to_csv(samples: QuadratureSamples) -> str:
     for row in samples.data:
         lines.append(",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def cumulant_report_to_json(report: CumulantReport) -> str:
-    return json.dumps(_cumulant_report_doc(report))
 
 
 def _cumulant_report_doc(report: CumulantReport) -> dict:

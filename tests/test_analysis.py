@@ -7,7 +7,7 @@ from tmsflow.analysis import (
     crossover_point,
     sudden_death_point,
     sweep,
-    sweep_to_csv,
+    sweep_blocks_to_csv,
 )
 from tmsflow.correlations import correlation_arrays, correlation_report
 from tmsflow.errors import DomainError, NoSignChangeError, NumericalError
@@ -155,7 +155,7 @@ class TestSweep:
         with pytest.raises(DomainError, match="squeezing level"):
             grid.report(0, 0)
         assert grid.report(1, 0).d_b > 0.0
-        csv_text = sweep_to_csv(grid)
+        csv_text = "".join(sweep_blocks_to_csv(grid))
         assert "nan" in csv_text.splitlines()[1]
         assert csv_text.splitlines()[2].endswith(",ok")
 

@@ -11,7 +11,7 @@ import pytest
 import tmsflow
 from tmsflow.cli import main, parse_grid
 from tmsflow.states import StateModel, ideal_tms, vacuum
-from tmsflow.symplectic import covariance_to_json
+from tmsflow.symplectic import _covariance_doc
 from tmsflow.tomography import QuadratureSamples, samples_to_csv
 
 from conftest import sample_gaussian
@@ -235,7 +235,7 @@ class TestQkdCommand:
     def test_missing_axis_is_usage_error(self):
         assert main(["qkd", "--s", "1:30:1"]) == 2
 
-    @pytest.mark.parametrize("extra", [[], ["--cloner-beta", "0.01", "--tolerance", "1e-9"]])
+    @pytest.mark.parametrize("extra", [[], ["--cloner-beta", "0.01"]])
     def test_threshold_batch_is_invisible(self, extra, tmp_path):
         # a failing row (no squeezing at 0 dB) and, at 3082.5 dB, K at the
         # bracket's upper end with g = (1 - beta) + beta a W off the double range
@@ -328,7 +328,6 @@ class TestScalarInputs:
             ["fit", "--records", _records_file, "--w1", "nan"],
             ["fit", "--records", _records_file, "--init", "nan,1"],
             ["qkd", "--s", "10", "--nq", "0.1", "--cloner-beta", "nan"],
-            ["qkd", "--s", "10", "--nq", "0.1", "--tolerance", "inf"],
             ["sweep", "--s", "6", "--n", "0.1", "--model", "coupler", "--beta", "nan"],
             # settings the chosen model does not read are checked too
             ["sweep", "--s", "6", "--n", "0", "--beta", "nan"],
@@ -356,13 +355,6 @@ class TestScalarInputs:
             ["gen-synthetic", "--config", _file("c.json", '{"seed": "abc"}')],
             ["gen-synthetic", "--config", _file("c.json", '{"seed": 1.7}')],
             ["gen-synthetic", "--seed", "-1"],
-            *(
-                ["sweep", "--s", "6", "--n", "0.1", "--config", _file("c.json", doc)]
-                for doc in (
-                    '{"model": {"coupling_beta": 0.01, "jpa": {"chi1": 0.05}}}',
-                    '{"model": {"coupling_beta": 0.01, "jpa": 5}}',
-                )
-            ),
             ["features", "--s", "6", "--flavors", "X"],
             [
                 "tomo",
@@ -399,13 +391,27 @@ class TestScalarInputs:
         assert "'utf-8' codec can't decode byte 0xff" in err
         assert not (tmp_path / "out").exists()
 
-    def test_sample_file_undecodable_past_its_first_read_is_usage_error(self, tmp_path, capsys):
-        path = tmp_path / "samples.csv"  # 1.2 MB of rows, more than one read, then a bad byte
-        path.write_bytes(b"I1,Q1,I2,Q2\n" + b"0.125,-0.25,0.5,1.0\n" * 60000 + b"\xff\n")
-        argv = ["tomo", "--samples", str(path), "--covariance-out", str(tmp_path / "out")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("tmsflow: cannot read samples: 'utf-8' codec can't decode byte 0xff")
+    @pytest.mark.parametrize(
+        "argv, name, head, row",
+        [
+            (["tomo", "--samples"], "samples", "I1,Q1,I2,Q2\n", "0.125,-0.25,0.5,1.0\n"),
+            (["fit", "--records"], "records", "s_db,n,d_a,d_b,e_f\n", "3,0.1,0.2,0.2,0.1\n"),
+            (["validate", "--state"], "state", "", "# \u00e9\u00e9\u00e9\n"),
+        ],
+    )
+    def test_undecodable_byte_is_named_by_its_file_offset(
+        self, argv, name, head, row, tmp_path, capsys
+    ):
+        # 1.2 MB, past the first 64k block and many decoder reads, then a bad byte
+        text = (head + row * (1_200_000 // len(row))).encode()
+        path = tmp_path / "input"
+        path.write_bytes(text + b"\xff\n")
+        argv = argv + [str(path)]
+        assert main(argv + [_out_flag(argv), str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"tmsflow: cannot read {name}: 'utf-8' codec can't decode byte 0xff "
+            f"at file offset {len(text)}: invalid start byte\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -415,8 +421,8 @@ class TestScalarInputs:
             (["sweep", "--s", "6", "--n", "0.1", "--model", "realistic", "--chi1", "-1"], "chi1"),
             (
                 ["sweep", "--s", "6", "--n", "0.1", "--config",
-                 _file("c.json", '{"model": {"jpa": {"chi1": 0.05, "chi2": 0.56}}}')],
-                "needs a coupler beta",
+                 _file("c.json", '{"model": {"coupling_beta": 0.01}}')],
+                """unknown model "{'coupling_beta': 0.01}" (ideal | coupler | realistic)""",
             ),
             (["qkd", "--s", "10", "--nq", "0.1", "--cloner-beta", "2"], "(0, 1)"),
             (["qkd", "--s", "6,10", "--nq", "-0.1"], "quadrature noise"),
@@ -440,10 +446,6 @@ class TestScalarInputs:
             (["fit", "--records", _records_file, "--w2", "-0.1"], "weights must be >= 0"),
             (["fit", "--records", _records_file, "--w1", "0", "--w2", "0", "--w3", "0"],
              "not all zero"),
-            (["qkd", "--s", "6,10", "--nq", "0.1", "--threshold-out", _file("t.csv", ""),
-              "--tolerance", "0"], "tolerance must be > 0"),
-            (["qkd", "--s", "6,10", "--nq", "0.1", "--threshold-out", _file("t.csv", ""),
-              "--tolerance", "-1"], "tolerance must be > 0"),
         ],
     )
     def test_out_of_range_parameter_is_usage_error(self, argv, message, tmp_path, capsys):
@@ -605,11 +607,31 @@ class TestTomoCommand:
         assert capsys.readouterr().err == f"tmsflow: samples: {message}\n"
         assert not cum_out.exists()
 
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("scale", [1e80, 1e100, 1e160, 1e200, 1e-80, 1e-100, 1e-160])
+    def test_samples_beyond_the_double_range_are_numeric_failures(
+        self, scale, project, tmp_path, capsys
+    ):
+        data = scale * sample_gaussian(ideal_tms(0.5), 200, np.random.default_rng(5))
+        path = tmp_path / "s.csv"
+        path.write_text(samples_to_csv(QuadratureSamples(data)))
+        outs = tmp_path / "cov.json", tmp_path / "cum.json"
+        argv = ["tomo", "--samples", str(path), "--covariance-out", str(outs[0])]
+        argv += ["--cumulants-out", str(outs[1])] + ["--project"] * project
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("tmsflow: cumulant of order ") and err.count("\n") == 1
+        assert "leaves the double range" in err
+        assert not any(out.exists() for out in outs)
+
 
 class TestValidateCommand:
     def test_clean_state(self, tmp_path, capsys):
         path = tmp_path / "vac.json"
-        path.write_text(covariance_to_json(vacuum(2)))
+        path.write_text(json.dumps(_covariance_doc(vacuum(2))))
         assert main(["validate", "--state", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
@@ -622,11 +644,17 @@ class TestValidateCommand:
         assert doc["ok"] is False
         assert doc["violations"]
 
+    def test_one_mode_eigenvalue_beyond_the_determinant_range(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n_modes": 1, "entries": [1e200, 0, 0, 1e200]}))
+        assert main(["validate", "--state", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is True and doc["min_symplectic_eigenvalue"] == 1e200
+
     def test_csv_state_accepted(self, tmp_path, capsys):
         path = tmp_path / "v.csv"
-        from tmsflow.symplectic import covariance_to_csv
-
-        path.write_text(covariance_to_csv(ideal_tms(0.5)))
+        rows = ideal_tms(0.5).entries
+        path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in rows) + "\n")
         assert main(["validate", "--state", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
@@ -646,26 +674,11 @@ class TestConfigFile:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n_q"] == 0.1
 
-    def test_config_model_scenario_shape(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "s": "6",
-                    "n": "0,0.5",
-                    "model": {"coupling_beta": 0.01, "jpa": {"chi1": 0.05, "chi2": 0.56}},
-                }
-            )
-        )
-        out = tmp_path / "out.csv"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        assert "ok" in out.read_text()
-
     @pytest.mark.parametrize(
         "argv",
         [
             ["qkd", "--s", "10", "--nq", "0.25", "--cloner-beta", "0.001"],
-            ["qkd", "--s", "10,30", "--nq", "0.1", "--tolerance", "1e-14"],
+            ["qkd", "--s", "0,10,30", "--nq", "0.1"],
         ],
     )
     def test_config_echo_reruns_the_job(self, argv, tmp_path):

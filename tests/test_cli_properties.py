@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tmsflow.cli import main
 from tmsflow.states import ideal_tms
-from tmsflow.symplectic import covariance_to_json
+from tmsflow.symplectic import _covariance_doc
 from tmsflow.tomography import QuadratureSamples, samples_to_csv
 
 from conftest import sample_gaussian
@@ -55,7 +55,7 @@ FLAGS = {
         "--flavors": _pick(["A", "B", "AB", "A,B,AB"], HARD + ["A,C"]),
         **MODEL_FLAGS,
     },
-    "qkd": {"--s": GRIDS, "--nq": GRIDS, "--cloner-beta": BETAS, "--tolerance": VALUES,
+    "qkd": {"--s": GRIDS, "--nq": GRIDS, "--cloner-beta": BETAS,
             "--threshold-out": _out("threshold.csv")},
     "gen-synthetic": {"--s": GRIDS, "--n": GRIDS, "--chi1": VALUES, "--chi2": VALUES,
                       "--beta": BETAS, "--noise": VALUES, "--seed": _pick(["0", "1", "7"], HARD)},
@@ -86,7 +86,7 @@ def inputs(tmp_path_factory):
         "constant": "I1,Q1,I2,Q2\n" + "0.1,0.2,0.3,0.4\n" * 50,
         "short": "I1,Q1,I2,Q2\n0.1,0.2,0.3,0.4\n",
         "malformed": "I1,Q1\n1,abc\n",
-        "state.json": covariance_to_json(ideal_tms(0.5)),
+        "state.json": json.dumps(_covariance_doc(ideal_tms(0.5))),
         "state.csv": "0.3,0\n0,0.3\n",
         "unphysical": '{"n_modes": 1, "entries": [0.1, 0, 0, 0.1]}',
         "records": "s_db,n,d_a,d_b,e_f\n3,0.1,0.2,0.2,0.1\n6,0.1,0.5,0.5,0.4\n6,0.5,0.3,0.3,0.1\n",

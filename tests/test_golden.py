@@ -33,13 +33,10 @@ def _config_echo(path: Path) -> dict:
     return json.loads(text)["meta"]["config"]
 
 
-def test_config_echo_reruns_every_job_but_fit(tmp_path, monkeypatch):
-    # fit echoes its three weights as one list, which no subcommand reads
+def test_config_echo_reruns_every_job(tmp_path, monkeypatch):
     golden.run_jobs(tmp_path)
     monkeypatch.chdir(tmp_path)
     for argv in golden.JOBS:
-        if argv[0] == "fit":
-            continue
         flags = {flag: value for flag, value in zip(argv, argv[1:]) if flag in OUTPUT_FLAGS}
         files = [value for flag, value in flags.items() if flag != "--format"]
         Path("config.json").write_text(json.dumps(_config_echo(Path(files[0]))))

@@ -7,7 +7,6 @@ import tmsflow.qkd
 from tmsflow.errors import BadCouplingError, DomainError, NoSignChangeError
 from tmsflow.qkd import (
     DEFAULT_CLONER_COUPLING,
-    DEFAULT_TOLERANCE,
     QkdScenario,
     _key_thresholds,
     cloner_state,
@@ -17,7 +16,7 @@ from tmsflow.qkd import (
     shannon_mi,
 )
 from tmsflow.states import squeezing_db_to_r
-from tmsflow.symplectic import symplectic_eigenvalues, symplectic_form
+from tmsflow.symplectic import require_valid, symplectic_form
 
 I_S_10DB_SPEC = 1.6609050251499517  # 40-digit evaluation of the SNR formula
 
@@ -126,7 +125,7 @@ class TestClonerState:
         expected_b = ((1 - 1e-3) * math.cosh(1.6) + 1e-3) / 4.0
         assert V[2, 2] == pytest.approx(expected_b, abs=1e-14)
         # Eve's pair stays vacuum-pure up to the exchanged coupling
-        assert np.abs(symplectic_eigenvalues(cloner_state(s)) - 0.25).max() < 1e-10
+        assert np.abs(require_valid(cloner_state(s))[0] - 0.25).max() < 1e-10
 
     def test_spec_block_value(self):
         s = QkdScenario(r=1.0, n_q=0.25, beta=1e-4)
@@ -152,16 +151,15 @@ class TestClonerState:
             beta = 10 ** rng.uniform(-3, -2)
             n_q = rng.uniform(0.0, 0.5)
             V = cloner_state(QkdScenario(r=r, n_q=n_q, beta=beta))
-            assert np.abs(symplectic_eigenvalues(V) - 0.25).max() < 1e-9
+            assert np.abs(require_valid(V)[0] - 0.25).max() < 1e-9
 
     def test_weak_coupling_limit_decouples(self):
         # at beta -> 0 with W fixed the coupling leaves the stacked state
-        from tmsflow.qkd import apply_cloner_coupling
         from tmsflow.states import eve_tms, ideal_tms
-        from tmsflow.symplectic import tensor
+        from tmsflow.symplectic import apply_symplectic, beam_splitter, tensor
 
         joint = tensor(ideal_tms(0.7), eve_tms(50.0))
-        out = apply_cloner_coupling(joint, 1e-16)
+        out = apply_symplectic(joint, beam_splitter(1e-16, 1, 2, 4))
         assert np.abs(out.entries - joint.entries).max() < 1e-6
 
 
@@ -309,10 +307,13 @@ class TestKeyThreshold:
         # the bracket's upper end n_q = 2 makes g overflow at 3082.5 dB
         assert key_threshold(3082.5) == pytest.approx(key_threshold(3000.0), rel=1e-9)
 
-    def test_key_small_at_threshold(self):
-        th = key_threshold(10.0, tolerance=1e-6)
-        r = squeezing_db_to_r(10.0)
-        assert abs(secret_key(QkdScenario(r=r, n_q=th)).key) < 1e-6
+    @pytest.mark.parametrize("beta", [1e-4, 1e-3, 1e-2, 0.3])
+    def test_key_small_at_threshold(self, beta):
+        # the refined width, not a tolerance, sets |K| at the root: a few 1e-12 bits
+        for s_db in (0.05, 1.0, 10.0, 100.0, 3000.0):
+            th = key_threshold(s_db, beta=beta)
+            r = squeezing_db_to_r(s_db)
+            assert abs(secret_key(QkdScenario(r=r, n_q=th, beta=beta)).key) < 1e-10, s_db
 
     def test_weak_resource_tolerates_little_noise(self):
         th = key_threshold(0.5)
@@ -345,9 +346,9 @@ class TestKeyThreshold:
         calls, original = [], tmsflow.qkd.secret_key
         monkeypatch.setattr(tmsflow.qkd, "secret_key", lambda sc: calls.append(sc) or original(sc))
         levels = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 16.0, 20.0, 30.0, 40.0]
-        batch = _key_thresholds(levels, DEFAULT_TOLERANCE, DEFAULT_CLONER_COUPLING)
+        batch = _key_thresholds(levels, DEFAULT_CLONER_COUPLING)
         batch_calls = len(calls)
-        singles = [_key_thresholds([s], DEFAULT_TOLERANCE, DEFAULT_CLONER_COUPLING)[0] for s in levels]
+        singles = [_key_thresholds([s], DEFAULT_CLONER_COUPLING)[0] for s in levels]
         assert batch_calls == len(calls) - batch_calls
         assert list(map(repr, batch)) == list(map(repr, singles))
 
@@ -360,7 +361,7 @@ class TestKeyThreshold:
         with pytest.raises(DomainError):
             key_threshold(0.0)
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
-    def test_tolerance_must_be_finite_and_positive(self, tolerance):
-        with pytest.raises(DomainError, match="tolerance"):
-            key_threshold(10.0, tolerance)
+    def test_beta_is_keyword_only(self):
+        # a stray second positional argument is refused, not read as beta
+        with pytest.raises(TypeError):
+            key_threshold(10.0, 1e-6)

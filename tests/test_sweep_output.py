@@ -20,7 +20,6 @@ from tmsflow.analysis import (
     sweep,
     sweep_blocks_to_csv,
     sweep_blocks_to_json,
-    sweep_to_csv,
 )
 from tmsflow.correlations import CorrelationArrays
 from tmsflow.errors import NumericalError
@@ -81,7 +80,7 @@ def _with_failures(grid, failures):
 
 
 def _assert_writers_match(grid):
-    assert sweep_to_csv(grid) == reference_csv(grid)
+    assert "".join(sweep_blocks_to_csv(grid)) == reference_csv(grid)
     assert "".join(sweep_blocks_to_json(grid, META)) == reference_json(grid, META)
 
 
@@ -123,7 +122,7 @@ def test_csv_blocks_join_to_the_document():
         blocks = list(sweep_blocks_to_csv(grid))
     assert blocks[0] == SWEEP_CSV_HEADER + "\n"
     assert [block.count("\n") for block in blocks[1:]] == [4, 2]
-    assert "".join(blocks) == sweep_to_csv(grid)
+    assert "".join(blocks) == "".join(sweep_blocks_to_csv(grid))
 
 
 class TestNonFiniteGuard:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,15 +23,12 @@ from tmsflow.symplectic import (
     beam_splitter,
     covariance_from_csv,
     covariance_from_json,
-    covariance_to_csv,
-    covariance_to_json,
     entropy_f,
     homodyne_condition,
-    identity_op,
     partial_trace,
     single_mode_squeezer,
     symplectic_form,
-    symplectic_eigenvalues,
+    require_valid,
     symplectic_summary,
     tensor,
     validate,
@@ -93,6 +91,31 @@ class TestValidate:
         with pytest.raises(NonFiniteError):
             validate(CovarianceMatrix(m))
 
+    def test_one_mode_determinant_beyond_the_double_range(self):
+        # det = 1e400 is no double; the exact integer determinant is
+        verdict = validate(CovarianceMatrix(np.diag([1e200, 1e200])))
+        assert verdict.ok and verdict.min_symplectic_eigenvalue == 1e200
+
+    def test_one_mode_eigenvalue_within_an_ulp(self, rng):
+        import mpmath as mp
+
+        states = [random_physical_state(rng, n_modes=1).entries for _ in range(300)]
+        states += [
+            10.0 ** rng.uniform(-150, 150) * random_physical_state(rng, n_modes=1).entries
+            for _ in range(100)
+        ]
+        # pure squeezed vacua: the determinant cancels to 1/16
+        states += [
+            apply_symplectic(vacuum(1), single_mode_squeezer(r, 0, 1)).entries
+            for r in rng.uniform(-8.0, 8.0, 100)
+        ]
+        for m in states:
+            nu = validate(CovarianceMatrix(m)).min_symplectic_eigenvalue
+            with mp.workdps(50):
+                a, b, d = (mp.mpf(float(x)) for x in (m[0, 0], m[0, 1], m[1, 1]))
+                exact = float(mp.sqrt(a * d - b * b))
+            assert abs(nu - exact) <= math.ulp(exact), m
+
 
 class TestSymplecticSummary:
     def test_vacuum(self):
@@ -149,7 +172,7 @@ class TestSymplecticSummary:
         monkeypatch.setattr(symplectic, "_exact_invariants", counting_exact)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         V = inject_noise_ideal(ideal_tms(1.0), 0.3)
-        for f in (symplectic_summary, symplectic_eigenvalues, von_neumann_entropy):
+        for f in (symplectic_summary, require_valid, von_neumann_entropy):
             calls.clear()
             f(V)
             assert (calls.count("exact"), calls.count("eigvalsh")) == (1, 1), f.__name__
@@ -188,11 +211,16 @@ class TestWilliamson:
         back = (s_mat * np.repeat(nus, 2)) @ s_mat.T
         assert np.abs(back - V).max() <= 1e-14 * np.abs(V).max()
 
+    @pytest.mark.parametrize("entries", [np.diag([np.inf] * 4), np.full((4, 4), np.nan)])
+    def test_entries_beyond_the_double_range_raise(self, entries):
+        with pytest.raises(NumericalError, match="double range"):
+            symplectic._williamson(entries)
+
     @pytest.mark.parametrize("n_modes", [3, 4])
     def test_eigenvalues_descend_and_match_svd_oracle(self, n_modes, rng):
         for _ in range(20):
             V = random_physical_state(rng, n_modes)
-            nus = symplectic_eigenvalues(V)
+            nus = require_valid(V)[0]
             assert np.all(np.diff(nus) <= 0.0)
             np.testing.assert_allclose(nus, svd_nu_oracle(V.entries), rtol=1e-14, atol=0.0)
 
@@ -281,7 +309,7 @@ class TestVonNeumannEntropy:
 class TestSymplecticOperations:
     def test_identity_fixes_state(self, rng):
         V = random_physical_state(rng)
-        out = apply_symplectic(V, identity_op(2))
+        out = apply_symplectic(V, SymplecticOperation(np.eye(4)))
         assert np.allclose(out.entries, V.entries, atol=0.0)
 
     def test_balanced_splitter_fixes_identical_thermals(self):
@@ -320,7 +348,7 @@ class TestSymplecticOperations:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            apply_symplectic(vacuum(3), identity_op(2))
+            apply_symplectic(vacuum(3), SymplecticOperation(np.eye(4)))
 
     def test_non_symplectic_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -328,7 +356,7 @@ class TestSymplecticOperations:
 
     def test_symplectic_form_preserved_by_factories(self):
         for op in (
-            identity_op(3),
+            SymplecticOperation(np.eye(6)),
             beam_splitter(0.3, 0, 2, 3),
             single_mode_squeezer(0.9, 1, 3),
         ):
@@ -435,13 +463,14 @@ class TestHomodyneConditioning:
 class TestSerialization:
     def test_json_roundtrip_exact(self, rng):
         V = random_physical_state(rng)
-        back = covariance_from_json(covariance_to_json(V))
+        back = covariance_from_json(json.dumps(symplectic._covariance_doc(V)))
         assert back.n_modes == V.n_modes
         assert np.all(back.entries == V.entries)
 
     def test_csv_roundtrip_exact(self, rng):
         V = random_physical_state(rng, n_modes=3)
-        back = covariance_from_csv(covariance_to_csv(V))
+        text = "\n".join(",".join(repr(float(x)) for x in row) for row in V.entries) + "\n"
+        back = covariance_from_csv(text)
         assert np.all(back.entries == V.entries)
 
     def test_json_shape_check(self):

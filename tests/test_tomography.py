@@ -12,11 +12,10 @@ from tmsflow import tomography
 from tmsflow.correlations import discord
 from tmsflow.errors import NonFiniteError, NumericalError, TmsflowError, TooFewSamplesError
 from tmsflow.states import ideal_tms, vacuum
-from tmsflow.symplectic import CovarianceMatrix, symplectic_eigenvalues, validate
+from tmsflow.symplectic import CovarianceMatrix, require_valid, validate
 from tmsflow.tomography import (
     QuadratureSamples,
     covariance_from_samples,
-    cumulant_report_to_json,
     cumulants,
     project_to_physical,
     samples_from_csv,
@@ -87,7 +86,7 @@ class TestProjection:
         est = covariance_from_samples(samples)
         projected = project_to_physical(est)
         assert validate(projected).ok
-        assert symplectic_eigenvalues(projected).min() >= 0.25 - 1e-12
+        assert require_valid(projected)[0].min() >= 0.25 - 1e-12
 
     def test_perturbation_is_statistical_scale(self, rng):
         samples = QuadratureSamples(sample_gaussian(ideal_tms(1.0), 10**5, rng))
@@ -197,11 +196,29 @@ class TestCumulants:
         with pytest.raises(TooFewSamplesError):
             cumulants(QuadratureSamples(rng.standard_normal((30, 4))))
 
+    def test_large_samples_scale_exactly(self, rng):
+        # 2**230 ~ 1.7e69: fourth-order k-statistics near 1e280 are doubles, the
+        # squares of their batch spreads are not
+        data = sample_gaussian(ideal_tms(0.5), 2000, rng)
+        small = cumulants(QuadratureSamples(data))
+        large = cumulants(QuadratureSamples(2.0**230 * data))
+        assert large.gaussian == small.gaussian
+        for a, b in zip(small.entries, large.entries):
+            scale = 2.0 ** (230 * sum(a.order))
+            assert b.normalized == a.normalized
+            assert (b.value, b.standard_error) == (a.value * scale, a.standard_error * scale)
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-100])
+    def test_samples_beyond_the_double_range_raise(self, scale, rng):
+        data = scale * sample_gaussian(ideal_tms(0.5), 200, rng)
+        with pytest.raises(NumericalError, match="leaves the double range"):
+            cumulants(QuadratureSamples(data))
+
     def test_report_json(self, rng):
         import json
 
         samples = QuadratureSamples(sample_gaussian(vacuum(2), 2000, rng))
-        doc = json.loads(cumulant_report_to_json(cumulants(samples)))
+        doc = json.loads(json.dumps(tomography._cumulant_report_doc(cumulants(samples))))
         assert "gaussian" in doc and "cumulants" in doc
         assert all("standard_error" in e for e in doc["cumulants"])
 
@@ -346,7 +363,7 @@ def test_bulk_parse_matches_the_line_scanner(text, chunk):
     string or an open stream, read in blocks of the default size or of
     ``chunk`` characters, so that lines straddle the block boundaries.  The
     scanner reads the text in one block: the lines of ``text.splitlines()``."""
-    expected = _outcome(lambda t: QuadratureSamples(_scan_samples(t)).data, text)
+    expected = _outcome(lambda t: QuadratureSamples(_scan_samples(io.StringIO(t))).data, text)
     for size in (tomography._CHUNK, chunk):
         with mock.patch.object(tomography, "_CHUNK", size):
             for source in (text, io.StringIO(text)):
