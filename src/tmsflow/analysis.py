@@ -172,10 +172,22 @@ def sudden_death_point(model: StateModel, s_db: float) -> float:
 _N_LOW = 1e-3
 
 
+def _sudden_deaths(model: StateModel, s_values) -> list[dict]:
+    """A row ``{"n_sd": n_sd}`` per squeezing level, with the error that
+    :func:`sudden_death_point` raises in place of ``n_sd``; no kernel call."""
+    table: list[dict] = []
+    for s_db in s_values:
+        try:
+            table.append({"n_sd": sudden_death_point(model, s_db)})
+        except TmsflowError as exc:
+            table.append({"n_sd": exc})
+    return table
+
+
 def _crossovers(model: StateModel, s_values) -> list[dict]:
-    """The crossover points of flavors A, B and AB at every squeezing
-    level, as ``{flavor: n_c}`` per level, with the error that ends a
-    flavor's search in place of its ``n_c``.
+    """The rows of :func:`_sudden_deaths` with the crossover points of
+    flavors A, B and AB added, as ``{"n_sd": n_sd, flavor: n_c}`` per
+    level, with the error that ends a search in place of a value.
 
     All levels' A and B roots are one :func:`_refine` batch over a
     ``(levels, 2)`` grid of entries, one column per flavor: one kernel
@@ -185,13 +197,14 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
     """
     s_col = np.array(s_values, dtype=float)[:, None]
     rows = len(s_col)
+    table = _sudden_deaths(model, s_col[:, 0].tolist())
     hi = np.full((rows, 2), _N_LOW)
     failed: dict = {}  # by flat entry index 2 * level + (0 for A, 1 for B)
-    for i, s_db in enumerate(s_col[:, 0].tolist()):
-        try:
-            hi[i] = sudden_death_point(model, s_db)
-        except TmsflowError as exc:
-            failed[2 * i] = failed[2 * i + 1] = exc
+    for i, row in enumerate(table):
+        if isinstance(row["n_sd"], TmsflowError):
+            failed[2 * i] = failed[2 * i + 1] = row["n_sd"]
+        else:
+            hi[i] = row["n_sd"]
     levels = model._levels(s_col)
     bracket_ends = np.stack((np.full(rows, _N_LOW), hi[:, 0]), 1)
     ends = correlation_arrays(model._standard_form(s_col, levels, bracket_ends))
@@ -216,10 +229,9 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
     roots, errors = _refine(delta, np.full(2 * rows, _N_LOW), hi.ravel(), f_lo, f_hi)
     failed.update(errors)
     n_c = [failed.get(j, root) for j, root in enumerate(roots.tolist())]
-    table = []
-    for n_a, n_b in zip(n_c[0::2], n_c[1::2]):
+    for row, n_a, n_b in zip(table, n_c[0::2], n_c[1::2]):
         n_ab = next((x for x in (n_a, n_b) if isinstance(x, TmsflowError)), None)
-        table.append({"A": n_a, "B": n_b, "AB": 0.5 * (n_a + n_b) if n_ab is None else n_ab})
+        row.update(A=n_a, B=n_b, AB=0.5 * (n_a + n_b) if n_ab is None else n_ab)
     return table
 
 
@@ -242,12 +254,10 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
     """
     if flavor not in ("A", "B", "AB"):
         raise DomainError(f"flavor must be 'A', 'B' or 'AB', got {flavor!r}")
-    n_c = _crossovers(model, [s_db])[0][flavor]
-    if isinstance(n_c, TmsflowError):
-        raise n_c
-    return CrossoverResult(
-        flavor=flavor, s_db=s_db, n_c=n_c, bracket=(_N_LOW, sudden_death_point(model, s_db))
-    )
+    row = _crossovers(model, [s_db])[0]
+    if isinstance(row[flavor], TmsflowError):
+        raise row[flavor]
+    return CrossoverResult(flavor=flavor, s_db=s_db, n_c=row[flavor], bracket=(_N_LOW, row["n_sd"]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .analysis import (
     _crossovers,
+    _sudden_deaths,
     csv_status,
-    sudden_death_point,
     sweep,
     sweep_blocks_to_csv,
     sweep_blocks_to_json,
@@ -106,6 +106,14 @@ def _finite(value, what: str) -> float:
     return number
 
 
+def _positive(value, what: str) -> float:
+    """A flag or config value as a finite float > 0."""
+    number = _finite(value, what)
+    if not number > 0.0:
+        raise ConfigError(f"{what} must be > 0, got {value!r}")
+    return number
+
+
 def _accepting(ok: Callable, wants: str):
     """The check that keeps a value for which ``ok`` holds."""
 
@@ -172,7 +180,7 @@ _SETTINGS = {
     "init": _Setting(_pair, DEFAULT_INITIAL, "initial chi1,chi2 (default 0,1)"),
     "samples": _Setting(_path, help="CSV with header I1,Q1,I2,Q2"),
     "threshold": _Setting(
-        _finite, DEFAULT_THRESHOLD, "Gaussianity threshold in standard errors", _FLOAT
+        _positive, DEFAULT_THRESHOLD, "Gaussianity threshold in standard errors (> 0)", _FLOAT
     ),
     "project": _Setting(
         _bool, None, "clamp the spectrum to physical", {"action": "store_true", "default": None}
@@ -359,31 +367,20 @@ def _cmd_features(settings: _Settings) -> int:
     s_vals = parse_grid(settings["s"])
     what, flavors = settings["what"].split(","), settings["flavors"].split(",")
     echo = settings.echo(("s", "what", "flavors"), **_model_echo(model))
-    cols = ["s_db"]
-    if "nsd" in what:
-        cols.append("n_sd")
-    if "nc" in what:
-        cols += [f"n_c_{f}" for f in flavors]
-    cols.append("status")
-    lines = [",".join(cols)]
-    crossovers = _crossovers(model, s_vals) if "nc" in what else []
+    cols = (["n_sd"] if "nsd" in what else []) + [f"n_c_{f}" for f in flavors if "nc" in what]
+    # n_sd alone makes no kernel call
+    table = (_crossovers if "nc" in what else _sudden_deaths)(model, s_vals)
+    lines = [",".join(["s_db", *cols, "status"])]
     successes = 0
-    for i, s_db in enumerate(s_vals):
-        row = [repr(float(s_db))]
-        notes = []
-        if "nsd" in what:
-            try:
-                row.append(repr(sudden_death_point(model, s_db)))
-            except TmsflowError as exc:
+    for s_db, entry in zip(s_vals, table):
+        row, notes = [repr(float(s_db))], []
+        for col in cols:
+            value = entry[col.removeprefix("n_c_")]
+            if isinstance(value, TmsflowError):
                 row.append("nan")
-                notes.append(f"n_sd: {exc}")
-        for flavor in flavors if "nc" in what else ():
-            n_c = crossovers[i][flavor]
-            if isinstance(n_c, TmsflowError):
-                row.append("nan")
-                notes.append(f"n_c_{flavor}: {n_c}")
+                notes.append(f"{col}: {value}")
             else:
-                row.append(repr(n_c))
+                row.append(repr(value))
         row.append(csv_status("; ".join(notes)) if notes else "ok")
         successes += 1 if not notes else 0
         lines.append(",".join(row))

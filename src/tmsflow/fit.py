@@ -24,7 +24,7 @@ from typing import TextIO
 import numpy as np
 
 from .correlations import correlation_arrays
-from .errors import DomainError, ModelFailureError
+from .errors import DomainError, ModelFailureError, NumericalError
 from .states import StateModel
 
 DEFAULT_WEIGHTS = (0.5, 0.5, 1.0)
@@ -132,6 +132,7 @@ def cost(
     return float(r @ r)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a cost beyond the double range raises below
 def fit(
     records: list[MeasurementRecord],
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
@@ -148,10 +149,13 @@ def fit(
     vector r (two extra residual evaluations) and tries the damped step
     ``-(J^T J + lam tr(J^T J) I)^-1 J^T r``: a step that lowers the cost is
     taken and lam divided by 10, otherwise lam is multiplied by 10 (a step
-    on which the model fails counts as infinite cost).  chi1 >= 0 is a
-    bound: the start and every step are projected onto it, and each
-    projection is counted in ``clamp_activations``; a start where the model
-    fails raises ``ModelFailureError``.  ``iterations`` counts taken steps.
+    on which the model fails, or whose cost is not a finite double, counts
+    as infinite cost).  chi1 >= 0 is a bound: the start and every step are
+    projected onto it, and each projection is counted in
+    ``clamp_activations``; a start where the model fails raises
+    ``ModelFailureError``, and one whose cost, or the ``J^T J`` and ``J^T
+    r`` of a point reached, is not finite raises :class:`NumericalError`.
+    ``iterations`` counts taken steps.
 
     The fit has converged when the Gauss-Newton step from the current
     point, over the coefficients not held at the bound, predicts a cost
@@ -190,12 +194,16 @@ def fit(
     x = projected(np.array(initial, dtype=float))
     r = residuals(x)
     c = float(r @ r)
+    if not math.isfinite(c):
+        raise NumericalError(f"the cost at the start chi = {tuple(x.tolist())} is not finite")
     lam = _INITIAL_DAMPING
     iterations = 0
     converged = False
     while True:
         J = _jacobian(residuals, x, r)
         A, g = J.T @ J, J.T @ r
+        if not (np.isfinite(A).all() and np.isfinite(g).all()):
+            raise NumericalError(f"the cost's derivatives at chi = {tuple(x.tolist())} overflow")
         if _stationary(x, A, g, c):
             converged = True
             break

@@ -146,11 +146,6 @@ def inject_noise_coupler(
     _check_coupling(beta)
     if env_photons < 0:
         raise DomainError(f"environment photon number must be >= 0, got {env_photons}")
-    return _couple(V, beta, env_photons)
-
-
-def _couple(V: TwoModeCovariance, beta: float, env_photons: float) -> TwoModeCovariance:
-    """:func:`inject_noise_coupler` on parameters already checked."""
     if V.n_modes != 2:
         raise DomainError("noise injection expects a two-mode state")
     m = np.array(V.entries)
@@ -235,7 +230,7 @@ class StateModel:
             return inject_noise_ideal(ideal_tms(r), n)
         if n < 0:
             raise DomainError(f"injected noise photon number must be >= 0, got {n}")
-        V = _couple(ideal_tms(r), self.coupling_beta, n / self.coupling_beta)
+        V = inject_noise_coupler(ideal_tms(r), self.coupling_beta, n / self.coupling_beta)
         if self.jpa is None:
             return V
         p = self.amplifier_prefactor(r)

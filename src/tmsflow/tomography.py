@@ -107,10 +107,30 @@ class CumulantReport:
     threshold: float
 
 
+@np.errstate(all="ignore")  # an entry beyond the double range raises below
 def covariance_from_samples(samples: QuadratureSamples) -> TwoModeCovariance:
-    """Unbiased sample covariance mapped to (q1, p1, q2, p2) ordering."""
-    cov = np.cov(samples.data, rowvar=False, ddof=1)
-    return CovarianceMatrix(0.5 * (cov + cov.T))
+    """Unbiased sample covariance mapped to (q1, p1, q2, p2) ordering.
+
+    Entry ``[i, j]`` is ``n/(n-1)`` times the mean product of the centred
+    columns i and j (:func:`_centred`), formed for ``i <= j`` and mirrored:
+    the second-order k-statistic that :func:`cumulants` reports, bit for bit
+    wherever the products of the unscaled columns are normal doubles.  No
+    matrix product is involved, so the entries do not depend on the BLAS
+    build.  Each centred column is scaled by a power of two first, which is
+    exact, so no product overflows where the entry itself is a double; an
+    entry beyond the double range raises :class:`NumericalError`.
+    """
+    d = _centred(samples.data)
+    _, e = np.frexp(np.abs(d).max(axis=1))
+    d = np.ldexp(d, -e[:, None])
+    n = float(samples.n_samples)
+    cov = np.empty((len(d), len(d)))
+    for i in range(len(d)):
+        cov[i, i:] = cov[i:, i] = n / (n - 1.0) * (d[i] * d[i:]).mean(axis=1)
+    cov = np.ldexp(cov, e[:, None] + e[None, :])
+    if not np.isfinite(cov).all():
+        raise NumericalError("a sample covariance entry leaves the double range")
+    return CovarianceMatrix(cov)
 
 
 def project_to_physical(V: CovarianceMatrix) -> CovarianceMatrix:
@@ -136,6 +156,12 @@ def project_to_physical(V: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(0.5 * (out + out.T))
 
 
+def _centred(block: np.ndarray) -> np.ndarray:
+    """The columns of a sample block, less their means, as contiguous rows."""
+    d = np.ascontiguousarray(block.T)
+    return d - d.mean(axis=1, keepdims=True)
+
+
 def _k_statistics(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """Unbiased joint cumulant estimators k_mn (2 <= m + n <= 4) of the
     column pairs of a sample block: entry ``[i, j]`` has power m on column
@@ -153,8 +179,7 @@ def _k_statistics(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     on the BLAS build, and no gather copies a power of the columns.
     """
     n = float(block.shape[0])
-    d = np.ascontiguousarray(block.T)
-    d = d - d.mean(axis=1, keepdims=True)
+    d = _centred(block)
     d2 = d * d
 
     def power(k: int, cols) -> np.ndarray:
@@ -210,7 +235,10 @@ def cumulants(
     :class:`DomainError`; samples so large or so small that a cumulant, the
     product of standard deviations it is normalized by, or its standard
     error leaves the range of normal doubles raise :class:`NumericalError`.
+    A threshold that is not > 0 raises :class:`DomainError`.
     """
+    if not threshold > 0.0:
+        raise DomainError(f"threshold must be > 0, got {threshold!r}")
     if samples.n_samples < _MIN_BATCH:
         raise TooFewSamplesError(
             f"need at least {_MIN_BATCH} samples, got {samples.n_samples}"

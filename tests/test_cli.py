@@ -168,8 +168,41 @@ class TestFeaturesCommand:
         rows = len(parse_grid(s_spec))
         assert 2 < len(calls) <= 24
         assert set(calls) == {(rows, 2)}
-        # the n_sd column, the brackets and the batch's levels: not once per step
-        assert len(prefactors) == 3 * rows
+        # the n_sd of each level and the batch's levels: not once per step
+        assert len(prefactors) == 2 * rows
+
+    @pytest.mark.parametrize("model", [["--model", "ideal"], ["--model", "realistic"]])
+    def test_sudden_death_alone_makes_no_kernel_call(self, model, tmp_path, monkeypatch):
+        import tmsflow.analysis
+
+        levels = "0,0.5,3,6,12,30,2000"
+
+        def rows(what):
+            out = tmp_path / "f.csv"
+            argv = ["features", "--s", levels, "--what", what, *model, "--out", str(out)]
+            assert main(argv) == 0
+            return [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+
+        full = rows("nsd,nc")
+
+        def refused(sf):
+            raise AssertionError("a kernel call")
+
+        monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", refused)
+        prefactors, prefactor = [], StateModel.amplifier_prefactor
+        monkeypatch.setattr(
+            StateModel, "amplifier_prefactor", lambda self, r: prefactors.append(r) or prefactor(self, r)
+        )
+        alone = rows("nsd")
+        assert len(prefactors) == len(alone) - 1  # one per level
+        assert alone[0] == ["s_db", "n_sd", "status"]
+        for (s_db, n_sd, status), row in zip(alone[1:], full[1:]):
+            assert [s_db, n_sd] == row[:2]
+            if n_sd == "nan":  # it leads the full row's status and fails every crossover
+                assert row[-1].startswith(status + "; n_c_A: ")
+            else:
+                assert status == "ok"
+        assert [row[1] for row in alone].count("nan") == (2 if "realistic" in model else 1)
 
     def test_ab_column_is_the_mean_of_the_a_and_b_columns(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -521,6 +554,25 @@ class TestFitAndGenSynthetic:
         assert captured.err.startswith("tmsflow: model evaluation failed for record 0 ")
         assert captured.err.count("\n") == 1 and "overflows double precision" in captured.err
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "3,0,1e200,0,0\n6,0,0,0,0\n",
+            "3,0,0.5,0.5,0.5,1e-200,1e-200,1e-200\n6,0,0.5,0.5,0.5,1e-200,1e-200,1e-200\n",
+            "3,0,0.5,0.5,0.5,1e-320,1e-320,1e-320\n6,0,0.5,0.5,0.5,1e-320,1e-320,1e-320\n",
+        ],
+        ids=["huge-observable", "sd-1e-200", "sd-1e-320"],
+    )
+    def test_overflowing_cost_is_a_numeric_failure(self, rows, tmp_path, capsys):
+        records, out = tmp_path / "records.csv", tmp_path / "fit.json"
+        records.write_text("s_db,n,d_a,d_b,e_f\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--records", str(records), "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "tmsflow: the cost at the start chi = (0.0, 1.0) is not finite\n"
+
     def test_truncated_csv_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("s_db,n,d_a,d_b,e_f\n3.0,0.1,0.4,0.4\n")
@@ -578,6 +630,41 @@ class TestTomoCommand:
         assert json.loads(cum_out.read_text())["gaussian"] is True
         cov_doc = json.loads(cov_out.read_text())
         assert cov_doc["n_modes"] == 2
+
+    def test_covariance_is_the_second_order_report(self, tmp_path):
+        cov_out, cum_out = tmp_path / "cov.json", tmp_path / "cum.json"
+        argv = ["tomo", "--samples", _samples_file(tmp_path), "--covariance-out", str(cov_out)]
+        assert main(argv + ["--cumulants-out", str(cum_out)]) == 0
+        entries = np.array(json.loads(cov_out.read_text())["entries"]).reshape(4, 4)
+        second = json.loads(cum_out.read_text())["second_order"]
+        names = ("I1", "Q1", "I2", "Q2")
+        for i in range(4):
+            for j in range(4):
+                key = names[i] + names[j] if i <= j else names[j] + names[i]
+                assert entries[i, j] == second[key]
+
+    def test_covariance_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # only the projection goes through LAPACK
+        data = sample_gaussian(ideal_tms(0.5), 2000, np.random.default_rng(11))
+        samples = tmp_path / "samples.csv"
+        samples.write_text(samples_to_csv(QuadratureSamples(data)))
+        samples = str(samples)
+        native, haswell = tmp_path / "native.json", tmp_path / "haswell.json"
+        assert main(["tomo", "--samples", samples, "--covariance-out", str(native)]) == 0
+        src = os.path.dirname(os.path.dirname(tmsflow.__file__))
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        argv = ["--samples", samples, "--covariance-out", str(haswell)]
+        subprocess.run([sys.executable, "-m", "tmsflow.cli", "tomo", *argv], env=env, check=True)
+        assert haswell.read_bytes() == native.read_bytes()
+
+    @pytest.mark.parametrize("threshold", ["0", "-1"])
+    def test_threshold_must_be_positive(self, threshold, tmp_path, capsys):
+        cum_out = tmp_path / "cum.json"
+        argv = ["tomo", "--samples", _samples_file(tmp_path), "--threshold", threshold]
+        assert main(argv + ["--cumulants-out", str(cum_out)]) == 2
+        assert capsys.readouterr().err == f"tmsflow: threshold must be > 0, got {float(threshold)!r}\n"
+        assert not cum_out.exists()
 
     def test_constant_column_is_usage_error(self, tmp_path, capsys):
         data = sample_gaussian(ideal_tms(0.5), 200, np.random.default_rng(3))

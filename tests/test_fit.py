@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from tmsflow.errors import DomainError, ModelFailureError
+from tmsflow.errors import DomainError, ModelFailureError, NumericalError
 from tmsflow.fit import (
     MeasurementRecord,
     cost,
@@ -134,6 +135,15 @@ class TestFit:
     def test_failing_start_raises(self, clean_records):
         with pytest.raises(ModelFailureError), np.errstate(invalid="ignore"):
             fit(clean_records, initial=(1e308, 1.0))
+
+    @pytest.mark.parametrize("sigma", [1e-152, 1e-200, 1e-320])
+    def test_overflowing_cost_raises(self, clean_records, sigma):
+        # at 1e-152 the cost is finite at the start and J^T J is not
+        records = [dataclasses.replace(r, d_a=r.d_a + 0.01) for r in clean_records]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite|overflow"):
+                fit(_with_sigma(records, sigma))
 
     def test_error_bars_and_reduced_chi2(self):
         noisy = synthetic_records(S_GRID, N_GRID, chi=CHI_TRUE, noise=0.01, seed=3)

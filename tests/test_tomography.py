@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from tmsflow import tomography
 from tmsflow.correlations import discord
-from tmsflow.errors import NonFiniteError, NumericalError, TmsflowError, TooFewSamplesError
+from tmsflow.errors import DomainError, NonFiniteError, NumericalError, TmsflowError, TooFewSamplesError
 from tmsflow.states import ideal_tms, vacuum
 from tmsflow.symplectic import CovarianceMatrix, require_valid, validate
 from tmsflow.tomography import (
@@ -44,6 +45,32 @@ class TestCovarianceFromSamples:
         est = covariance_from_samples(samples)
         verdict = validate(est)
         assert not verdict.ok
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-30, 2.0**230])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_entries_are_the_second_order_report(self, scale, offset, rng):
+        # bit for bit, with column means far from zero too
+        data = sample_gaussian(ideal_tms(0.7), 3000, rng)
+        samples = QuadratureSamples(scale * (data + offset * np.array([1.0, -2.0, 3.0, 0.5])))
+        est = covariance_from_samples(samples).entries
+        second = cumulants(samples).second_order
+        names = tomography.COLUMN_NAMES
+        for i in range(4):
+            for j in range(i, 4):
+                assert est[i, j] == est[j, i] == second[names[i] + names[j]]
+
+    def test_entries_near_the_double_range(self, rng):
+        # variances near 1e306 are doubles, though the squares of unscaled
+        # samples at 1e153 overflow; at 1e160 they are not
+        data = sample_gaussian(vacuum(2), 200, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            large = covariance_from_samples(QuadratureSamples(1e153 * data)).entries
+            unit = covariance_from_samples(QuadratureSamples(data)).entries
+            assert np.isfinite(large).all()
+            assert np.allclose(large, 1e306 * unit, rtol=1e-14, atol=0.0)
+            with pytest.raises(NumericalError, match="leaves the double range"):
+                covariance_from_samples(QuadratureSamples(1e160 * data))
 
     def test_permutation_invariance(self, rng):
         data = sample_gaussian(ideal_tms(0.5), 5000, rng)
@@ -191,6 +218,12 @@ class TestCumulants:
             if not cumulants(samples).gaussian:
                 alarms += 1
         assert alarms <= 3  # 5% of 60
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+    def test_threshold_must_be_positive(self, threshold, rng):
+        samples = QuadratureSamples(sample_gaussian(vacuum(2), 200, rng))
+        with pytest.raises(DomainError, match="threshold must be > 0"):
+            cumulants(samples, threshold=threshold)
 
     def test_minimum_sample_count(self, rng):
         with pytest.raises(TooFewSamplesError):
