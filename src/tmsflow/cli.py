@@ -61,7 +61,7 @@ from .symplectic import _covariance_doc, covariance_from_csv, covariance_from_js
 from .tomography import (
     DEFAULT_THRESHOLD,
     _cumulant_report_doc,
-    covariance_from_samples,
+    _report_covariance,
     cumulants,
     project_to_physical,
     samples_from_csv,
@@ -449,7 +449,7 @@ def _cmd_tomo(settings: _Settings) -> int:
         report = cumulants(samples, threshold=threshold)
     except (DomainError, TooFewSamplesError) as exc:  # a constant column, too few rows
         raise ConfigError(f"samples: {exc}") from None
-    cov = covariance_from_samples(samples)
+    cov = _report_covariance(report)
     if project:
         cov = project_to_physical(cov)
     _emit(

@@ -118,6 +118,7 @@ def _residuals(records, chi, weights, coupling_beta: float) -> np.ndarray:
     return ((np.array(scale) * (predicted - measured)) / np.array(sigma)).ravel()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a cost beyond the double range raises below
 def cost(
     records: list[MeasurementRecord],
     chi: tuple[float, float],
@@ -125,11 +126,15 @@ def cost(
     coupling_beta: float = DEFAULT_COUPLING,
 ) -> float:
     """Sum of squared residuals of (D_A, D_B, E_F) over records: weighted
-    by ``weights``, or by ``1/sigma**2`` for a record that carries sigma."""
+    by ``weights``, or by ``1/sigma**2`` for a record that carries sigma.
+    A cost that is not a finite double raises :class:`NumericalError`."""
     if not records:
         raise DomainError("cost needs at least one record")
     r = _residuals(records, chi, weights, coupling_beta)
-    return float(r @ r)
+    c = float(r @ r)
+    if not math.isfinite(c):
+        raise NumericalError(f"the cost at chi = {tuple(map(float, chi))} is not finite")
+    return c
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a cost beyond the double range raises below

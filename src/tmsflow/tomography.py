@@ -57,10 +57,13 @@ _HIGHER_ORDERS = [
     (1, 3),
     (0, 4),
 ]
+_ORDERS = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), *_HIGHER_ORDERS]
 
 DEFAULT_THRESHOLD = 5.0  # standard errors
 _BATCHES = 25
-_MIN_BATCH = 40  # samples per batch: ten per cumulant order, up to the fourth
+# The fewest samples cumulants takes, and the fewest rows per batch from 80
+# samples on: 40-79 samples give 2 batches of 20-39 rows.
+_MIN_BATCH = 40
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
@@ -111,23 +114,20 @@ class CumulantReport:
 def covariance_from_samples(samples: QuadratureSamples) -> TwoModeCovariance:
     """Unbiased sample covariance mapped to (q1, p1, q2, p2) ordering.
 
-    Entry ``[i, j]`` is ``n/(n-1)`` times the mean product of the centred
-    columns i and j (:func:`_centred`), formed for ``i <= j`` and mirrored:
-    the second-order k-statistic that :func:`cumulants` reports, bit for bit
-    wherever the products of the unscaled columns are normal doubles.  No
-    matrix product is involved, so the entries do not depend on the BLAS
-    build.  Each centred column is scaled by a power of two first, which is
-    exact, so no product overflows where the entry itself is a double; an
-    entry beyond the double range raises :class:`NumericalError`.
+    Entry ``[i, j]`` is the second-order k-statistic of columns i and j,
+    formed for ``i <= j`` and mirrored: ``n/(n-1)`` times the mean product
+    of the centred columns, merged from the batches of :func:`_moment_pass`
+    with no pass over the whole sample.  It is the second-order entry that
+    :func:`cumulants` reports, bit for bit.  No matrix product is involved,
+    so the entries do not depend on the BLAS build.  The centred columns
+    are scaled by a power of two first, which is exact, so no product
+    overflows where the entry itself is a double; an entry beyond the
+    double range raises :class:`NumericalError`.
     """
-    d = _centred(samples.data)
-    _, e = np.frexp(np.abs(d).max(axis=1))
-    d = np.ldexp(d, -e[:, None])
     n = float(samples.n_samples)
-    cov = np.empty((len(d), len(d)))
-    for i in range(len(d)):
-        cov[i, i:] = cov[i:, i] = n / (n - 1.0) * (d[i] * d[i:]).mean(axis=1)
-    cov = np.ldexp(cov, e[:, None] + e[None, :])
+    e, _, _, pooled = _moment_pass(samples.data, top=2)
+    k = _unscaled(_k_from_moments(n, pooled), e)[1, 1]
+    cov = np.triu(k) + np.triu(k, 1).T
     if not np.isfinite(cov).all():
         raise NumericalError("a sample covariance entry leaves the double range")
     return CovarianceMatrix(cov)
@@ -156,30 +156,26 @@ def project_to_physical(V: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(0.5 * (out + out.T))
 
 
-def _centred(block: np.ndarray) -> np.ndarray:
-    """The columns of a sample block, less their means, as contiguous rows."""
-    d = np.ascontiguousarray(block.T)
-    return d - d.mean(axis=1, keepdims=True)
+def _moments(block: np.ndarray, e: np.ndarray, top: int):
+    """The column means of a sample block and the central moments m_pq of
+    its columns, each centred column scaled by ``2**-e``: ``{(p, q): m_pq}``
+    for 1 <= p + q <= ``top``.  The first moments are zero but for the
+    rounding of the means.
 
-
-def _k_statistics(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Unbiased joint cumulant estimators k_mn (2 <= m + n <= 4) of the
-    column pairs of a sample block: entry ``[i, j]`` has power m on column
-    i and n on column j.
-
-    Only the entries :func:`cumulants` reads are estimated: ``i <= j`` for
-    k_11 and ``i < j`` for the other mixed orders; the rest are NaN.  The
-    univariate orders fill every entry.  Central-moment formulas (Kendall &
-    Stuart): third order scales m_mn by n^2/((n-1)(n-2)); fourth order
-    combines (n+1) m_4-type terms with products of second-order moments.
-    Each mixed moment is formed one leading column at a time, from row
-    slices of the centred columns (``d``) and their squares; the third and
-    fourth powers are formed where they are used.  Means run along a
-    contiguous sample axis with no matrix product, so results do not depend
-    on the BLAS build, and no gather copies a power of the columns.
+    Entry ``[i, j]`` of m_pq has power p on column i and q on column j.
+    Only the entries :func:`cumulants` reads are formed: ``i <= j`` for
+    m_11 and ``i < j`` for the other mixed orders; the rest are NaN.  The
+    univariate m_p0 is a ``(4, 1)`` column and m_0q a ``(1, 4)`` row.  Each
+    mixed moment is formed one leading column at a time, from row slices of
+    the centred columns (``d``) and their squares; the third and fourth
+    powers are formed where they are used.  Means run along a contiguous
+    sample axis with no matrix product, so results do not depend on the
+    BLAS build, and no gather copies a power of the columns.
     """
-    n = float(block.shape[0])
-    d = _centred(block)
+    d = np.array(block.T, order="C")  # a copy, centred in place
+    mean = d.mean(axis=1)
+    d -= mean[:, None]
+    np.ldexp(d, -e[:, None], out=d)  # exact
     d2 = d * d
 
     def power(k: int, cols) -> np.ndarray:
@@ -188,35 +184,140 @@ def _k_statistics(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
             return (d, d2)[k - 1][cols]
         return d2[cols] * (d if k == 3 else d2)[cols]
 
+    univariate = [None] + [power(k, slice(None)).mean(axis=1) for k in range(1, top + 1)]
+
     def m(p: int, q: int) -> np.ndarray:
         if q == 0:
-            return power(p, slice(None)).mean(axis=1)[:, None]
+            return univariate[p][:, None]
         if p == 0:
-            return power(q, slice(None)).mean(axis=1)[None, :]
+            return univariate[q][None, :]
         out = np.full((len(d), len(d)), np.nan)
         first = 0 if (p, q) == (1, 1) else 1  # the offset of column j from column i
         for i in range(len(d) - first):
             out[i, i + first :] = (power(p, i) * power(q, slice(i + first, None))).mean(axis=1)
         return out
 
-    c3 = n * n / ((n - 1.0) * (n - 2.0))
-    c4 = n * n / ((n - 1.0) * (n - 2.0) * (n - 3.0))
-    m20, m02, m11 = m(2, 0), m(0, 2), m(1, 1)
-    out = {
-        (2, 0): n / (n - 1.0) * m20,
-        (1, 1): n / (n - 1.0) * m11,
-        (0, 2): n / (n - 1.0) * m02,
-        (3, 0): c3 * m(3, 0),
-        (2, 1): c3 * m(2, 1),
-        (1, 2): c3 * m(1, 2),
-        (0, 3): c3 * m(0, 3),
-        (4, 0): c4 * ((n + 1.0) * m(4, 0) - 3.0 * (n - 1.0) * m20 * m20),
-        (3, 1): c4 * ((n + 1.0) * m(3, 1) - 3.0 * (n - 1.0) * m20 * m11),
-        (2, 2): c4 * ((n + 1.0) * m(2, 2) - (n - 1.0) * (m20 * m02 + 2.0 * m11 * m11)),
-        (1, 3): c4 * ((n + 1.0) * m(1, 3) - 3.0 * (n - 1.0) * m02 * m11),
-        (0, 4): c4 * ((n + 1.0) * m(0, 4) - 3.0 * (n - 1.0) * m02 * m02),
-    }
+    return mean, {order: m(*order) for order in _ORDERS if sum(order) <= top}
+
+
+def _k_from_moments(n, m: dict) -> dict[tuple[int, int], np.ndarray]:
+    """Unbiased joint cumulant estimators k_pq of n samples from their
+    central moments ``m`` (:func:`_moments`, for the second orders alone or
+    up to the fourth); ``n`` broadcasts against the moments.
+
+    Central-moment formulas (Kendall & Stuart): second order scales m_pq
+    by n/(n-1), third order by n^2/((n-1)(n-2)); fourth order combines
+    (n+1) m_4-type terms with products of second-order moments.  The
+    univariate orders are broadcast to the shape of k_11.
+    """
+    m20, m02, m11 = m[2, 0], m[0, 2], m[1, 1]
+    c2 = n / (n - 1.0)
+    out = {(2, 0): c2 * m20, (1, 1): c2 * m11, (0, 2): c2 * m02}
+    if (3, 0) in m:
+        c3 = n * n / ((n - 1.0) * (n - 2.0))
+        c4 = n * n / ((n - 1.0) * (n - 2.0) * (n - 3.0))
+        out.update({
+            (3, 0): c3 * m[3, 0],
+            (2, 1): c3 * m[2, 1],
+            (1, 2): c3 * m[1, 2],
+            (0, 3): c3 * m[0, 3],
+            (4, 0): c4 * ((n + 1.0) * m[4, 0] - 3.0 * (n - 1.0) * m20 * m20),
+            (3, 1): c4 * ((n + 1.0) * m[3, 1] - 3.0 * (n - 1.0) * m20 * m11),
+            (2, 2): c4 * ((n + 1.0) * m[2, 2] - (n - 1.0) * (m20 * m02 + 2.0 * m11 * m11)),
+            (1, 3): c4 * ((n + 1.0) * m[1, 3] - 3.0 * (n - 1.0) * m02 * m11),
+            (0, 4): c4 * ((n + 1.0) * m[0, 4] - 3.0 * (n - 1.0) * m02 * m02),
+        })
     return {order: np.broadcast_to(k, m11.shape) for order, k in out.items()}
+
+
+def _k_statistics(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """Unbiased joint cumulant estimators k_mn (2 <= m + n <= 4) of the
+    column pairs of one sample block: entry ``[i, j]`` has power m on
+    column i and n on column j, formed where :func:`_moments` forms it."""
+    _, m = _moments(block, np.zeros(block.shape[1], dtype=int), top=4)
+    return _k_from_moments(float(block.shape[0]), m)
+
+
+def _moment_pass(data: np.ndarray, top: int):
+    """One pass over the batches of an ``(N, 4)`` sample: returns the
+    column exponents ``e``, the batch sizes, the central moments of each
+    batch (:func:`_moments` up to order ``top`` of the columns scaled by
+    ``2**-e``, stacked along a leading batch axis) and the central moments
+    of the whole sample merged from them.  There are ``_BATCHES`` batches,
+    or fewer so that each holds at least ``_MIN_BATCH`` rows, but at
+    least 2.
+
+    ``2**e`` exceeds the range of each column, so every finite scaled
+    centred value is below 1 in magnitude.  No temporary is as long as the
+    sample.
+    """
+    n = data.shape[0]
+    _, e = np.frexp(data.max(axis=0) / 2 - data.min(axis=0) / 2)  # half the range
+    e += 1
+    n_batches = max(2, min(_BATCHES, n // _MIN_BATCH))
+    bounds = np.linspace(0, n, n_batches + 1, dtype=int)
+    batches = [_moments(data[a:b], e, top) for a, b in zip(bounds[:-1], bounds[1:])]
+    counts = np.diff(bounds).astype(float)
+    means = np.array([mean for mean, _ in batches])
+    shifts = np.ldexp(means - (means * counts[:, None]).sum(axis=0) / n, -e)
+    moments = {order: np.array([m[order] for _, m in batches]) for order in batches[0][1]}
+    return e, counts, moments, _merged(counts, shifts, moments)
+
+
+def _merged(counts: np.ndarray, shifts: np.ndarray, moments: dict) -> dict:
+    """The central moments (p + q >= 2) of the union of sample blocks, from
+    each block's size, the shift of its column means from a common centre
+    near the pooled means, and its moments about its means, all stacked
+    along a leading block axis.
+
+    Each block's moments are shifted to the pooled means with the binomial
+    expansion of ``(d + delta)**p (d' + delta')**q``, where delta is the
+    block's mean less the pooled mean, and averaged with weights
+    n_b / N: the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37,
+    242 (1983)) and Pebay (SAND2008-6212), applied to all blocks at once.
+    The offsets take the blocks' first moments into account, which the
+    rounding of a mean far from zero leaves nonzero, so the merge does not
+    lose the precision that centring on the rounded means would.
+    """
+    n = counts.sum()
+    # A block's first moment is the rounding of its mean, so shift plus first
+    # moment is its exact mean less the centre; their weighted mean is the
+    # pooled mean less the centre.
+    offsets = shifts + moments[1, 0][:, :, 0]
+    delta = shifts - (offsets * counts[:, None]).sum(axis=0) / n
+    di, dj = delta[:, :, None], delta[:, None, :]
+    # powers 0..4 of delta for column i (rows) and column j (columns)
+    pi, pj = [1.0, di, di * di], [1.0, dj, dj * dj]
+    pi += [pi[2] * di, pi[2] * pi[2]]
+    pj += [pj[2] * dj, pj[2] * pj[2]]
+    out = {}
+    for p, q in moments:
+        if p + q < 2:
+            continue
+        shifted = pi[p] * pj[q]  # the (a, c) = (0, 0) term
+        for a in range(p + 1):
+            for c in range(q + 1):
+                if a + c >= 1:
+                    coeff = math.comb(p, a) * math.comb(q, c)
+                    shifted = shifted + coeff * pi[p - a] * pj[q - c] * moments[a, c]
+        out[p, q] = _batch_sum(counts[:, None, None] * shifted) / n
+    return out
+
+
+def _batch_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=0)``, correctly rounded (``math.fsum``) wherever
+    every term is finite."""
+    flat = terms.reshape(len(terms), -1)
+    out = flat.sum(axis=0)
+    for k in np.flatnonzero(np.isfinite(flat).all(axis=0)):
+        out[k] = math.fsum(flat[:, k])
+    return out.reshape(terms.shape[1:])
+
+
+def _unscaled(k: dict, e: np.ndarray) -> dict:
+    """Estimates of order (p, q) of columns scaled by ``2**-e``, at the
+    columns' own scale: entry ``[i, j]`` times ``2**(p e_i + q e_j)``."""
+    return {(p, q): np.ldexp(v, p * e[:, None] + q * e[None, :]) for (p, q), v in k.items()}
 
 
 @np.errstate(all="ignore")  # a value beyond the double range raises below
@@ -228,13 +329,16 @@ def cumulants(
 
     The verdict is true iff every third- and fourth-order k-statistic
     stays below ``threshold`` batch-estimated standard errors in
-    magnitude.  One :func:`_k_statistics` pass on the whole sample (which
-    also gives the second-order entries) plus one per batch; each
-    univariate cumulant is reported once, under its first pair.  A
-    constant column has no normalized cumulants and raises
-    :class:`DomainError`; samples so large or so small that a cumulant, the
-    product of standard deviations it is normalized by, or its standard
-    error leaves the range of normal doubles raise :class:`NumericalError`.
+    magnitude.  One pass over the batches (:func:`_moment_pass`) forms
+    each batch's central moments once: their k-statistics give the
+    standard errors, and the moments merged to the pooled mean give the
+    whole sample's k-statistics, the second-order entries included, with
+    no pass over the whole sample.  Each univariate cumulant is reported
+    once, under its first pair.  A constant column has no normalized
+    cumulants and raises :class:`DomainError`; samples so large or so small
+    that a cumulant, the product of standard deviations it is normalized
+    by, or its standard error leaves the range of normal doubles raise
+    :class:`NumericalError`.
     A threshold that is not > 0 raises :class:`DomainError`.
     """
     if not threshold > 0.0:
@@ -248,10 +352,11 @@ def cumulants(
     if constant.size:
         raise DomainError(f"column {COLUMN_NAMES[constant[0]]} is constant")
     n = samples.n_samples
-    n_batches = max(2, min(_BATCHES, n // _MIN_BATCH))
-    bounds = np.linspace(0, n, n_batches + 1, dtype=int)
-    full = _k_statistics(data)
-    batches = [_k_statistics(data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    e, counts, batch_moments, pooled = _moment_pass(data, top=4)
+    n_batches = len(counts)
+    full = _unscaled(_k_from_moments(float(n), pooled), e)
+    batches = _k_from_moments(counts[:, None, None], batch_moments)
+    spreads = _unscaled({o: _spread(batches[o]) for o in _HIGHER_ORDERS}, e)
 
     cov = full[(1, 1)]
     sigmas = np.sqrt(np.diag(cov))
@@ -262,7 +367,6 @@ def cumulants(
     entries: list[CumulantEntry] = []
     gaussian = True
     seen_univariate: set[tuple[int, int]] = set()
-    spreads = {o: _spread(np.array([b[o] for b in batches])) for o in _HIGHER_ORDERS}
     for i, j in combinations(range(4), 2):
         for order in _HIGHER_ORDERS:
             m_i, m_j = order
@@ -406,6 +510,15 @@ def samples_to_csv(samples: QuadratureSamples) -> str:
     for row in samples.data:
         lines.append(",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def _report_covariance(report: CumulantReport) -> TwoModeCovariance:
+    """The covariance matrix of a report's second-order entries:
+    :func:`covariance_from_samples` of the same samples, bit for bit."""
+    second, names = report.second_order, COLUMN_NAMES
+    return CovarianceMatrix(
+        np.array([[second[names[min(i, j)] + names[max(i, j)]] for j in range(4)] for i in range(4)])
+    )
 
 
 def _cumulant_report_doc(report: CumulantReport) -> dict:

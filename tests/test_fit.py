@@ -72,6 +72,14 @@ class TestCost:
         with pytest.raises(DomainError):
             cost([], CHI_TRUE)
 
+    def test_overflowing_cost_raises(self):
+        # the residual 1e200 is a double, its square is not
+        records = records_from_csv("s_db,n,d_a,d_b,e_f\n3,0,1e200,0,0\n6,0,0,0,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="the cost at chi = \\(0.0, 1.0\\) is not finite"):
+                cost(records, (0.0, 1.0))
+
     def test_model_failure_reports_index(self):
         bad = [
             MeasurementRecord(s_db=3.0, n=0.1, d_a=0.5, d_b=0.5, e_f=0.4),
