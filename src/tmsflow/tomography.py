@@ -125,7 +125,7 @@ def covariance_from_samples(samples: QuadratureSamples) -> TwoModeCovariance:
     double range raises :class:`NumericalError`.
     """
     n = float(samples.n_samples)
-    e, _, _, pooled = _moment_pass(samples.data, top=2)
+    e, _, _, pooled = _moment_pass(samples.data, *_column_bounds(samples.data), top=2)
     k = _unscaled(_k_from_moments(n, pooled), e)[1, 1]
     cov = np.triu(k) + np.triu(k, 1).T
     if not np.isfinite(cov).all():
@@ -172,9 +172,14 @@ def _moments(block: np.ndarray, e: np.ndarray, top: int):
     sample axis with no matrix product, so results do not depend on the
     BLAS build, and no gather copies a power of the columns.
     """
+
+    def mean(x: np.ndarray) -> np.ndarray:
+        """``x.mean(axis=1)``, bit for bit, without its Python overhead."""
+        return np.add.reduce(x, axis=1) / x.shape[1]
+
     d = np.array(block.T, order="C")  # a copy, centred in place
-    mean = d.mean(axis=1)
-    d -= mean[:, None]
+    means = mean(d)
+    d -= means[:, None]
     np.ldexp(d, -e[:, None], out=d)  # exact
     d2 = d * d
 
@@ -184,7 +189,7 @@ def _moments(block: np.ndarray, e: np.ndarray, top: int):
             return (d, d2)[k - 1][cols]
         return d2[cols] * (d if k == 3 else d2)[cols]
 
-    univariate = [None] + [power(k, slice(None)).mean(axis=1) for k in range(1, top + 1)]
+    univariate = [None] + [mean(power(k, slice(None))) for k in range(1, top + 1)]
 
     def m(p: int, q: int) -> np.ndarray:
         if q == 0:
@@ -194,10 +199,10 @@ def _moments(block: np.ndarray, e: np.ndarray, top: int):
         out = np.full((len(d), len(d)), np.nan)
         first = 0 if (p, q) == (1, 1) else 1  # the offset of column j from column i
         for i in range(len(d) - first):
-            out[i, i + first :] = (power(p, i) * power(q, slice(i + first, None))).mean(axis=1)
+            out[i, i + first :] = mean(power(p, i) * power(q, slice(i + first, None)))
         return out
 
-    return mean, {order: m(*order) for order in _ORDERS if sum(order) <= top}
+    return means, {order: m(*order) for order in _ORDERS if sum(order) <= top}
 
 
 def _k_from_moments(n, m: dict) -> dict[tuple[int, int], np.ndarray]:
@@ -238,7 +243,16 @@ def _k_statistics(block: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     return _k_from_moments(float(block.shape[0]), m)
 
 
-def _moment_pass(data: np.ndarray, top: int):
+def _column_bounds(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``data.min(axis=0)`` and ``data.max(axis=0)`` of an ``(N, 4)``
+    sample, reduced along contiguous rows of transposed 4096-row blocks:
+    NumPy reduces the columns of the sample itself about 15x slower."""
+    blocks = (np.array(data[a : a + 4096].T, order="C") for a in range(0, len(data), 4096))
+    lo, hi = zip(*((block.min(axis=1), block.max(axis=1)) for block in blocks))
+    return np.min(lo, axis=0), np.max(hi, axis=0)
+
+
+def _moment_pass(data: np.ndarray, lo: np.ndarray, hi: np.ndarray, top: int):
     """One pass over the batches of an ``(N, 4)`` sample: returns the
     column exponents ``e``, the batch sizes, the central moments of each
     batch (:func:`_moments` up to order ``top`` of the columns scaled by
@@ -247,12 +261,12 @@ def _moment_pass(data: np.ndarray, top: int):
     or fewer so that each holds at least ``_MIN_BATCH`` rows, but at
     least 2.
 
-    ``2**e`` exceeds the range of each column, so every finite scaled
-    centred value is below 1 in magnitude.  No temporary is as long as the
-    sample.
+    ``2**e`` exceeds the range ``hi - lo`` of each column, so every finite
+    scaled centred value is below 1 in magnitude.  No temporary is as long
+    as the sample.
     """
     n = data.shape[0]
-    _, e = np.frexp(data.max(axis=0) / 2 - data.min(axis=0) / 2)  # half the range
+    _, e = np.frexp(hi / 2 - lo / 2)  # half the range, which does not overflow
     e += 1
     n_batches = max(2, min(_BATCHES, n // _MIN_BATCH))
     bounds = np.linspace(0, n, n_batches + 1, dtype=int)
@@ -348,11 +362,12 @@ def cumulants(
             f"need at least {_MIN_BATCH} samples, got {samples.n_samples}"
         )
     data = samples.data
-    constant = np.flatnonzero(data.min(axis=0) == data.max(axis=0))
+    lo, hi = _column_bounds(data)
+    constant = np.flatnonzero(lo == hi)
     if constant.size:
         raise DomainError(f"column {COLUMN_NAMES[constant[0]]} is constant")
     n = samples.n_samples
-    e, counts, batch_moments, pooled = _moment_pass(data, top=4)
+    e, counts, batch_moments, pooled = _moment_pass(data, lo, hi, top=4)
     n_batches = len(counts)
     full = _unscaled(_k_from_moments(float(n), pooled), e)
     batches = _k_from_moments(counts[:, None, None], batch_moments)
