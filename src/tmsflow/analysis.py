@@ -25,10 +25,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
+from . import _floatrepr
 from .correlations import CorrelationArrays, CorrelationReport, correlation_arrays
 from .errors import DomainError, NoSignChangeError, NumericalError, TmsflowError
 from .states import StateModel, _squeezing_factor
@@ -269,37 +269,81 @@ SWEEP_CSV_HEADER = "S_db,n,D_A,D_B,E_F,I_AB,delta_A,delta_B,delta_AB,status"
 # Cells per block of sweep output.
 SWEEP_BLOCK = 4096
 
-# One %-template per row: ``%r`` of a float is ``float.__repr__``, which is
-# what ``json.dumps`` writes, and the JSON separators are its defaults.
-_CSV_ROW = "%s,%s," + ",".join(["%r"] * 7) + ",ok"
-_CSV_FAILED = "%s,%s," + ",".join(["nan"] * 7) + ",%s"
-_JSON_ROW = '{"s_db": %s, "n": %s, ' + ", ".join(
-    f'"{name}": %r' for name in CorrelationArrays._fields[:-1]
-) + "}"
-_JSON_FAILED = '{"s_db": %s, "n": %s, "error": %s}'
+# Values per call of the float formatter.
+_FORMAT_BATCH = 4096
+
+_CSV_FAILED = "%s,%s," + ",".join(["nan"] * 7) + ",%s\n"
+_JSON_FAILED = ', {"s_db": %s, "n": %s, "error": %s}'
 
 
-def _row_blocks(grid: SweepGrid, row: str, failed, fields: int):
-    """The rows of every cell in row-major order, as lists of at most
-    :data:`SWEEP_BLOCK` rows: ``row % (s, n, *values)`` with the axes'
-    ``repr`` strings and the first ``fields`` kernel fields, and ``failed(s,
-    n, exc)`` for a failed cell."""
+def _text_words(texts) -> np.ndarray:
+    """ASCII ``texts`` as rows of little-endian ``uint64`` words, padded with
+    zero bytes to the longest."""
+    texts = [text.encode("ascii") for text in texts]
+    width = -(-max(map(len, texts)) // 8) * 8
+    raw = b"".join(text.ljust(width, b"\0") for text in texts)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(texts), -1)
+
+
+def _row_blocks(grid: SweepGrid, fields: int, s_form, n_form, keys, sep, tail, failed):
+    """The rows of every cell in row-major order, in blocks of text of at
+    most :data:`SWEEP_BLOCK` rows.  A row is ``s_form % s + n_form % n``
+    with the axes' ``repr`` strings, then ``key + repr(value) + sep`` for each of the first
+    ``fields`` kernel fields and its key, then ``tail``; a failed cell's
+    row is ``failed(s, n, exc)``.
+
+    Rows are laid out as ``uint64`` words, at most :data:`_FORMAT_BATCH`
+    values at a time: each value's words from
+    :func:`~tmsflow._floatrepr.repr_words`, the prefix words of its axis
+    values, the constant words of the keys and tail, zero bytes as padding.
+    One nonzero mask compacts them to text, and a failed cell's row, left
+    all zero, is spliced in at its offset."""
     s_reprs = list(map(repr, grid.s_values))
     n_reprs = list(map(repr, grid.n_values))
-    s_col = list(chain.from_iterable(repeat(s, len(n_reprs)) for s in s_reprs))
-    n_col = n_reprs * len(s_reprs)
+    s_words = _text_words(s_form % s for s in s_reprs)
+    n_words = _text_words(n_form % n for n in n_reprs)
+    key_words = _text_words(keys)
+    tail_word = _text_words([tail])
     columns = [field.ravel() for field in grid.arrays[:fields]]
     failures = sorted(grid.arrays.errors.items())  # by cell index
-    k = 0
-    for start in range(0, len(s_col), SWEEP_BLOCK):
-        stop = start + SWEEP_BLOCK
-        values = (column[start:stop].tolist() for column in columns)
-        rows = list(map(row.__mod__, zip(s_col[start:stop], n_col[start:stop], *values)))
-        while k < len(failures) and failures[k][0] < stop:
-            i, exc = failures[k]
-            rows[i - start] = failed(s_col[i], n_col[i], exc)
-            k += 1
-        yield rows
+    ws, wn, wk = s_words.shape[1], n_words.shape[1], key_words.shape[1]
+    width = ws + wn + fields * (wk + _floatrepr.WORDS) + tail_word.shape[1]
+    batch = max(1, _FORMAT_BATCH // fields)
+    sep_word = np.uint64(ord(sep) << 56 if sep else 0)
+    cells, k = len(columns[0]), 0
+    for start in range(0, cells, SWEEP_BLOCK):
+        pieces = []
+        for lo in range(start, min(start + SWEEP_BLOCK, cells), batch):
+            hi = min(lo + batch, start + SWEEP_BLOCK, cells)
+            i_s, i_n = np.divmod(np.arange(lo, hi), len(n_reprs))
+            values = np.stack([column[lo:hi] for column in columns], axis=1)
+            words = _floatrepr.repr_words(values).reshape(hi - lo, fields, -1)
+            words[:, :, -1] |= sep_word
+            rows = np.empty((hi - lo, width), dtype="<u8")
+            rows[:, :ws] = s_words[i_s]
+            rows[:, ws : ws + wn] = n_words[i_n]
+            slots = rows[:, ws + wn : width - tail_word.shape[1]].reshape(hi - lo, fields, -1)
+            slots[:, :, :wk] = key_words
+            slots[:, :, wk:] = words
+            rows[:, width - tail_word.shape[1] :] = tail_word
+            here = []
+            while k < len(failures) and failures[k][0] < hi:
+                here.append(failures[k])
+                k += 1
+            rows[[i - lo for i, _ in here]] = 0
+            raw = rows.view("u1")
+            kept = raw != 0
+            text = raw[kept].tobytes().decode("ascii")
+            if not here:
+                pieces.append(text)
+                continue
+            ends = np.cumsum(np.count_nonzero(kept, axis=1)).tolist()
+            done = 0
+            for i, exc in here:
+                pieces += [text[done : ends[i - lo]], failed(s_reprs[i_s[i - lo]], n_reprs[i_n[i - lo]], exc)]
+                done = ends[i - lo]
+            pieces.append(text[done:])
+        yield "".join(pieces)
 
 
 def csv_status(message: str) -> str:
@@ -320,9 +364,7 @@ def sweep_blocks_to_csv(grid: SweepGrid):
     """The sweep CSV (header line, then one row per cell with the status
     ``ok`` or the cell's error) in blocks of text."""
     yield SWEEP_CSV_HEADER + "\n"
-    for rows in _row_blocks(grid, _CSV_ROW, _csv_failed, 7):
-        rows.append("")
-        yield "\n".join(rows)
+    yield from _row_blocks(grid, 7, "%s,", "%s,", [""] * 7, ",", "ok\n", _csv_failed)
 
 
 def sweep_blocks_to_json(grid: SweepGrid, meta: dict):
@@ -330,11 +372,15 @@ def sweep_blocks_to_json(grid: SweepGrid, meta: dict):
     "meta"}`` and a newline, in blocks of text: one report per cell with
     every kernel field, or its ``error``, as ``json.dumps(...,
     allow_nan=False)`` writes it."""
-    sep = '{"s_values": [%s], "n_values": [%s], "reports": [' % (
+    names = CorrelationArrays._fields[:-1]
+    keys = [f', "{name}": ' for name in names]
+    s_form = ', {"s_db": %s, "n": '
+    blocks = _row_blocks(grid, len(names), s_form, "%s", keys, "", "}", _json_failed)
+    # Every report starts with ", ", which the first one drops.
+    yield '{"s_values": [%s], "n_values": [%s], "reports": [%s' % (
         ", ".join(map(repr, grid.s_values)),
         ", ".join(map(repr, grid.n_values)),
+        next(blocks)[2:],
     )
-    for rows in _row_blocks(grid, _JSON_ROW, _json_failed, len(CorrelationArrays._fields) - 1):
-        yield sep + ", ".join(rows)
-        sep = ", "
+    yield from blocks
     yield '], "meta": ' + json.dumps(meta, allow_nan=False) + "}\n"
