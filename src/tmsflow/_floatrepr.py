@@ -36,7 +36,7 @@ constant words.
 
 Every constant is an explicit ``np.uint64``, so no mixed-type operation
 turns to float64 under NumPy 1.x promotion, and the only floating-point
-step is reading the bits.  Calls take about 4096 values at a time.
+step is reading the bits.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = ["repr_words", "text"]
 
 _U = np.uint64
 WORDS = 4  # per value; byte 7 of the last word is always zero
+BATCH = 4096  # values per pass: larger arrays ran slower per value
 _M32, _M63 = _U(2**32 - 1), _U(2**63 - 1)
 _MASK64 = 2**64 - 1
 _B01, _B7F, _B80 = (_U(0x0101010101010101 * b) for b in (1, 0x7F, 0x80))
@@ -89,7 +90,24 @@ def _powers_of_ten() -> np.ndarray:
 
 
 _G = _powers_of_ten()
-_E_OFFSET = 330  # row of decimal exponent E in the layout table
+_E_OFFSET = 330  # column of decimal exponent E in the layout table
+
+
+def _binary_table() -> np.ndarray:
+    """Per biased exponent, and again from column 2048 for a zero fraction
+    (an irregular interval but at the lowest exponents): the six words of
+    ``g`` for ``10^-k``, the shifts of ``c`` to ``cp`` and of ``g`` to the
+    upper and lower bounds, and the layout column of ``E = k + 16``."""
+    biased = np.arange(4096) % 2048
+    irregular = (np.arange(4096) >= 2048) & (biased > 1)
+    q = biased - 1075
+    k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10pow2(q))
+    h = q + _flog2pow10(-k) + 2
+    shifts = [h + 2, h + 1, h + 1 - irregular, k + _E_OFFSET + 16]
+    return np.concatenate([_G[:, 292 - k], np.array(shifts, dtype="<u8")])
+
+
+_BINARY = _binary_table()
 
 
 def _layout_table() -> np.ndarray:
@@ -115,7 +133,7 @@ def _layout_table() -> np.ndarray:
         prefix = _word("0." + "0" * (_E_OFFSET - row - 1), 1) if p == 0 else 0
         words = (prefix, 0, low & _MASK64, low >> 64, *((marks >> 64 * i) & _MASK64 for i in range(3)))
         table[row] = (*words, 0)
-    return table
+    return table.T.copy()
 
 
 _LAYOUT = _layout_table()
@@ -147,33 +165,30 @@ def _shifted(products, g, shift, sign):
         d_low, d_high = limb << shift, limb >> rshift
         if sign > 0:
             new_low = low + d_low
-            moved += [high + d_high + (new_low < low), new_low]
+            moved += [high + d_high + (new_low < low).astype(_U), new_low]
         else:
             new_low = low - d_low
-            moved += [high - d_high - (new_low > low), new_low]
+            moved += [high - d_high - (new_low > low).astype(_U), new_low]
     return _round_to_odd(moved[0], moved[2], moved[3])
 
 
 def _shortest(bits, biased):
-    """The shortest digits ``f`` and exponent ``k`` of each normal value,
-    ``|x| = f 10^k`` to the shortest, closest decimal (Schubfach)."""
+    """The shortest digits ``f`` of each normal value, the closest where
+    two are as short, and its column of :data:`_BINARY` (Schubfach)."""
     fraction = bits & _U(2**52 - 1)
-    q = biased.astype(np.int64) - 1075
-    irregular = (fraction == _U(0)) & (biased > _U(1))
-    k = (q * 661971961083 - irregular * 274743187321) >> 41
-    h = (q + _flog2pow10(-k) + 2).astype(_U)
-    g = _G.take(292 - k, axis=1)  # g1, g0 and their 32-bit halves
-    cp = (fraction | _U(2**52)) << (h + _U(2))
+    column = (biased | ((fraction == _U(0)).astype(_U) << _U(11))).astype(np.intp)
+    t = _BINARY.take(column, axis=1)
+    cp = (fraction | _U(2**52)) << t[6]
     b_hi, b_lo = cp >> _U(32), cp & _M32
-    x1, x0 = _mul(g[4], g[5], b_hi, b_lo)
-    y1, y0 = _mul(g[2], g[3], b_hi, b_lo)
+    x1, x0 = _mul(t[4], t[5], b_hi, b_lo)
+    y1, y0 = _mul(t[2], t[3], b_hi, b_lo)
     products = (x1, x0, y1, y0)
     vb = _round_to_odd(x1, y1, y0)
     # The bounds c -+ 1/2 (c - 1/4 below an irregular power), inclusive
     # where c is even.
     out = bits & _U(1)
-    vbl = _shifted(products, g, h + _U(1) - irregular, -1) + out
-    vbr = _shifted(products, g, h + _U(1), 1) - out
+    vbl = _shifted(products, t, t[8], -1) + out
+    vbr = _shifted(products, t, t[7], 1) - out
     s = vb >> _U(2)
     # One digit fewer: at most one multiple of 10^(k+1) lies in the interval.
     sp10 = (s // _U(10)) * _U(10)
@@ -186,9 +201,9 @@ def _shortest(bits, biased):
     uin = vbl <= s4
     win = s4 + _U(4) <= vbr
     closer = ((_U(0x37) >> (vb & _U(7))) & _U(1)).astype(bool)
-    f = s + ~(uin & (~win | closer))
-    f = np.where(upin != wpin, sp10 + ~upin * _U(10), f)
-    return f, k
+    f = s + (~(uin & (~win | closer))).astype(_U)
+    f = np.where(upin != wpin, np.where(upin, sp10, sp10 + _U(10)), f)
+    return f, t[9]
 
 
 def _swar8(x):
@@ -239,8 +254,17 @@ def repr_words(x) -> np.ndarray:
     """The ``repr`` text of every value of the float64 array ``x``
     (flattened), as ``(x.size, 4)`` little-endian ``uint64`` words: the text
     bytes in order, with zero bytes among and after them.  Byte 7 of the
-    last word is always zero."""
+    last word is always zero.  Formats :data:`BATCH` values at a time."""
     bits = np.ascontiguousarray(x, dtype="<f8").ravel().view("<u8")
+    if len(bits) <= BATCH:
+        return _words(bits)
+    words = np.empty((len(bits), WORDS), dtype="<u8")
+    for start in range(0, len(bits), BATCH):
+        words[start : start + BATCH] = _words(bits[start : start + BATCH])
+    return words
+
+
+def _words(bits):
     biased = (bits >> _U(52)) & _U(0x7FF)
     special = biased - _U(1) >= _U(0x7FE)  # 0 or 0x7FF
     any_special = special.any()
@@ -248,10 +272,10 @@ def repr_words(x) -> np.ndarray:
     if any_special:
         normal = np.where(special, _U(0x3FF0000000000000), bits)  # 1.0
         biased = np.where(special, _U(0x3FF), biased)
-    f, k = _shortest(normal, biased)
+    f, column = _shortest(normal, biased)
     short = f < _U(10**16)
     f = np.where(short, f * _U(10), f)  # 17 digits
-    layout = _LAYOUT.take(k + (_E_OFFSET + 16) - short, axis=0).T
+    layout = _LAYOUT.take((column - short.astype(_U)).astype(np.intp), axis=1)
     top = f // _U(10**9)
     rest = f - top * _U(10**9)
     mid = rest // _U(10)
@@ -268,7 +292,7 @@ def repr_words(x) -> np.ndarray:
     words[:, 0] = layout[0] | ((bits >> _U(63)) * _U(ord("-")))
     # A one-digit exponent form has no point: sig0 is then the first digit.
     single = (sig0 >> _U(8)) == _U(0)
-    words[:, 1] = (l0 | (h0 << _U(8)) | layout[4]) & ~(layout[7] * single)
+    words[:, 1] = (l0 | (h0 << _U(8)) | layout[4]) & ~(layout[7] * single.astype(_U))
     words[:, 2] = l1 | (h1 << _U(8)) | (h0 >> _U(56)) | layout[5]
     words[:, 3] = (x2 << _U(8)) | (h1 >> _U(56)) | layout[6] | layout[1]
     if any_special:

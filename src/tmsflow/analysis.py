@@ -151,16 +151,20 @@ def sudden_death_point(model: StateModel, s_db: float) -> float:
     model's amplifier prefactor ``p = 1 + 2 n_jpa(e^{2r})``
     (:meth:`StateModel.amplifier_prefactor`, 1 without amplifier) and
     ``beta = 0`` for the ideal model, ``n_sd = [delta p (2 - beta (1 + p))
-    - (p - 1)^2] / [2p (p delta + (p - 1))]``; exactly 1 for the ideal
-    channel and ``1 - beta`` for the coupler at every squeezing level.  No
-    state is built.  The squeezing level is checked as in
-    :meth:`StateModel.state`, with the same errors; raises
-    :class:`NoSignChangeError` when the state is separable even at n = 0.
+    - (p - 1)^2] / [2p (p delta + (p - 1))]``.  Without amplifier (p = 1)
+    that is ``1 - beta`` at every squeezing level above 0 dB, 1 for the
+    ideal channel, and it is returned as such: the quotient would round,
+    and ``delta`` underflows below about 1e-160 dB.  No state is built.
+    The squeezing level is checked as in :meth:`StateModel.state`, with the
+    same errors; raises :class:`NoSignChangeError` when the state is
+    separable even at n = 0, as at 0 dB.
     """
     r = _squeezing_factor(s_db)
-    delta = 2.0 * math.sinh(r) ** 2
     beta = model.coupling_beta or 0.0
     p = model.amplifier_prefactor(r)
+    if p == 1.0 and r > 0.0:
+        return 1.0 - beta
+    delta = 2.0 * math.sinh(r) ** 2
     # (p - 1) * (p - 1) rounds to inf where (p - 1) ** 2 would raise OverflowError.
     num = delta * p * (2.0 - beta * (1.0 + p)) - (p - 1.0) * (p - 1.0)
     if not num > 0.0:
@@ -269,9 +273,6 @@ SWEEP_CSV_HEADER = "S_db,n,D_A,D_B,E_F,I_AB,delta_A,delta_B,delta_AB,status"
 # Cells per block of sweep output.
 SWEEP_BLOCK = 4096
 
-# Values per call of the float formatter.
-_FORMAT_BATCH = 4096
-
 _CSV_FAILED = "%s,%s," + ",".join(["nan"] * 7) + ",%s\n"
 _JSON_FAILED = ', {"s_db": %s, "n": %s, "error": %s}'
 
@@ -288,61 +289,61 @@ def _text_words(texts) -> np.ndarray:
 def _row_blocks(grid: SweepGrid, fields: int, s_form, n_form, keys, sep, tail, failed):
     """The rows of every cell in row-major order, in blocks of text of at
     most :data:`SWEEP_BLOCK` rows.  A row is ``s_form % s + n_form % n``
-    with the axes' ``repr`` strings, then ``key + repr(value) + sep`` for each of the first
-    ``fields`` kernel fields and its key, then ``tail``; a failed cell's
-    row is ``failed(s, n, exc)``.
+    with the axes' ``repr`` strings, then ``key + repr(value) + sep`` for
+    each of the first ``fields`` kernel fields and its key, then ``tail``;
+    a failed cell's row is ``failed(s, n, exc)``.
 
-    Rows are laid out as ``uint64`` words, at most :data:`_FORMAT_BATCH`
-    values at a time: each value's words from
-    :func:`~tmsflow._floatrepr.repr_words`, the prefix words of its axis
-    values, the constant words of the keys and tail, zero bytes as padding.
-    One nonzero mask compacts them to text, and a failed cell's row, left
-    all zero, is spliced in at its offset."""
+    Rows are laid out as ``uint64`` words, at most
+    :data:`~tmsflow._floatrepr.BATCH` values at a time, in one buffer: the
+    words of the axis values' prefixes, of the keys and of the tail, and
+    each value's words from :func:`~tmsflow._floatrepr.repr_words`, with
+    zero bytes as padding.  One nonzero mask compacts them to text; a
+    failed cell's row is masked out and its text spliced in at its
+    offset."""
     s_reprs = list(map(repr, grid.s_values))
     n_reprs = list(map(repr, grid.n_values))
     s_words = _text_words(s_form % s for s in s_reprs)
     n_words = _text_words(n_form % n for n in n_reprs)
-    key_words = _text_words(keys)
-    tail_word = _text_words([tail])
+    key_words, tail_words = _text_words(keys), _text_words([tail])
+    ws, wn, wk, wt = s_words.shape[1], n_words.shape[1], key_words.shape[1], tail_words.shape[1]
+    width = ws + wn + fields * (wk + _floatrepr.WORDS) + wt
+    batch = max(1, _floatrepr.BATCH // fields)
+    rows = np.empty((batch, width), dtype="<u8")
+    slots = rows[:, ws + wn : width - wt].reshape(batch, fields, -1)
+    slots[:, :, :wk] = key_words
+    rows[:, width - wt :] = tail_words
+    kept = np.empty((batch, 8 * width), dtype=bool)
+    sep_word = np.uint64(ord(sep) << 56 if sep else 0)
     columns = [field.ravel() for field in grid.arrays[:fields]]
     failures = sorted(grid.arrays.errors.items())  # by cell index
-    ws, wn, wk = s_words.shape[1], n_words.shape[1], key_words.shape[1]
-    width = ws + wn + fields * (wk + _floatrepr.WORDS) + tail_word.shape[1]
-    batch = max(1, _FORMAT_BATCH // fields)
-    sep_word = np.uint64(ord(sep) << 56 if sep else 0)
     cells, k = len(columns[0]), 0
     for start in range(0, cells, SWEEP_BLOCK):
         pieces = []
         for lo in range(start, min(start + SWEEP_BLOCK, cells), batch):
             hi = min(lo + batch, start + SWEEP_BLOCK, cells)
-            i_s, i_n = np.divmod(np.arange(lo, hi), len(n_reprs))
             values = np.stack([column[lo:hi] for column in columns], axis=1)
             words = _floatrepr.repr_words(values).reshape(hi - lo, fields, -1)
             words[:, :, -1] |= sep_word
-            rows = np.empty((hi - lo, width), dtype="<u8")
-            rows[:, :ws] = s_words[i_s]
-            rows[:, ws : ws + wn] = n_words[i_n]
-            slots = rows[:, ws + wn : width - tail_word.shape[1]].reshape(hi - lo, fields, -1)
-            slots[:, :, :wk] = key_words
-            slots[:, :, wk:] = words
-            rows[:, width - tail_word.shape[1] :] = tail_word
+            slots[: hi - lo, :, wk:] = words
+            i_s, i_n = np.divmod(np.arange(lo, hi), len(n_reprs))
+            rows[: hi - lo, :ws] = s_words[i_s]
+            rows[: hi - lo, ws : ws + wn] = n_words[i_n]
+            raw = rows[: hi - lo].view("u1")
+            mask = np.not_equal(raw, 0, out=kept[: hi - lo])
             here = []
             while k < len(failures) and failures[k][0] < hi:
-                here.append(failures[k])
+                here.append((failures[k][0] - lo, failures[k][1]))
                 k += 1
-            rows[[i - lo for i, _ in here]] = 0
-            raw = rows.view("u1")
-            kept = raw != 0
-            text = raw[kept].tobytes().decode("ascii")
-            if not here:
-                pieces.append(text)
-                continue
-            ends = np.cumsum(np.count_nonzero(kept, axis=1)).tolist()
-            done = 0
-            for i, exc in here:
-                pieces += [text[done : ends[i - lo]], failed(s_reprs[i_s[i - lo]], n_reprs[i_n[i - lo]], exc)]
-                done = ends[i - lo]
-            pieces.append(text[done:])
+            mask[[i for i, _ in here]] = False
+            text = raw[mask].tobytes().decode("ascii")
+            if here:
+                ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+                done = 0
+                for i, exc in here:
+                    pieces += [text[done : ends[i]], failed(s_reprs[i_s[i]], n_reprs[i_n[i]], exc)]
+                    done = ends[i]
+                text = text[done:]
+            pieces.append(text)
         yield "".join(pieces)
 
 

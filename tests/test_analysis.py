@@ -199,6 +199,20 @@ class TestSuddenDeath:
             beta = model.coupling_beta or 0.0
             assert sudden_death_point(model, 6.5) == pytest.approx(1.0 - beta, abs=1e-12)
 
+    @pytest.mark.parametrize("beta", [None, 0.01, 0.3, 0.5])
+    def test_one_minus_beta_exactly_without_amplifier(self, beta, rng):
+        """At every level above 0 dB, down to where delta = 2 sinh^2 r
+        underflows, and on 1199 levels where the quotient rounded."""
+        model = IDEAL if beta is None else StateModel.coupler(beta)
+        levels = [1e-300, 1e-161, 3e-161, 1e-160, 1e-12, *rng.uniform(0.0, 40.0, 1199)]
+        assert {sudden_death_point(model, s_db) for s_db in levels} == {1.0 - (beta or 0.0)}
+
+    def test_features_nsd_at_a_tiny_coupler_level(self, capsys):
+        from tmsflow import cli
+
+        assert cli.main(["features", "--s", "1e-161", "--model", "coupler", "--what", "nsd"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1e-161,0.99,ok"
+
     @pytest.mark.parametrize(
         "model", [IDEAL, StateModel.coupler(0.01), REALISTIC], ids=["ideal", "coupler", "realistic"]
     )

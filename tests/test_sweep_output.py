@@ -208,3 +208,99 @@ class TestCachedParser:
         assert runs[0][0] == (0 if argv and "--no-such-flag" not in argv else 2)
         assert any(runs[0][1:])
 
+
+
+# Values that take every branch of the float formatter's layout: zeros,
+# subnormals, exponent form below 1e-4 and from 1e16 on (one digit, two-
+# and three-digit exponents), 0.000ddd, integral values with ".0",
+# 17-digit values and the layout switches.
+BRANCH_VALUES = [
+    0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1e-300, 3.0000000000000004e-05, 1e-05,
+    9.999999999999999e-05, 0.0001, 0.000123456789, 0.1, 0.30000000000000004, 0.5, 1.0,
+    3.141592653589793, 12.0, 100.0, 1e15, 1234567890123456.8, 9999999999999998.0, 1e16,
+    1.2345678901234567e16, 5e20, 1.7976931348623157e308,
+]  # fmt: skip
+
+
+def synthetic_grid(rows, cols, failures=(), seed=0):
+    """A grid whose kernel columns mix random finite doubles with
+    :data:`BRANCH_VALUES` of either sign; failed cells hold inf and NaN."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2**64, 8 * rows * cols, dtype=np.uint64).view(np.float64)
+    values = np.where(np.isfinite(values), values, 1.5)
+    branches = rng.choice(BRANCH_VALUES, values.size) * rng.choice([-1.0, 1.0], values.size)
+    values = np.where(rng.random(values.size) < 0.5, branches, values).reshape(8, -1)
+    errors = {}
+    for k, i in enumerate(failures):
+        values[:, i] = [np.inf, -np.inf, np.nan] * 2 + [0.0, 5e-324]
+        errors[i] = NumericalError(MESSAGES[k % len(MESSAGES)])
+    s_values = tuple(np.linspace(-1e-300, 3e16, rows).tolist())
+    n_values = tuple(sorted(set(np.geomspace(1e-310, 1e20, cols).tolist()) | {0.0}))[:cols]
+    arrays = CorrelationArrays(*(v.reshape(rows, cols) for v in values), errors)
+    return SweepGrid(s_values, n_values, arrays)
+
+
+@pytest.mark.parametrize("batch", [7, 24, 4096])
+@pytest.mark.parametrize("block", [1, 5, 4096])
+def test_synthetic_columns_in_every_layout(block, batch):
+    """Failed cells on both sides of block edges, and of the formatter's
+    batches of rows, splice in where the per-cell writers put them."""
+    grid = synthetic_grid(7, 6, failures=[0, 4, 5, 9, 10, 20, 41])
+    with mock.patch.object(analysis, "SWEEP_BLOCK", block):
+        with mock.patch.object(analysis._floatrepr, "BATCH", batch):
+            _assert_writers_match(grid)
+            assert "".join(sweep_blocks_to_csv(synthetic_grid(9, 5, seed=1))) == reference_csv(
+                synthetic_grid(9, 5, seed=1)
+            )
+
+
+def test_every_cell_failed_and_none_failed():
+    _assert_writers_match(synthetic_grid(3, 4, failures=range(12)))
+    _assert_writers_match(synthetic_grid(1, 1))
+    _assert_writers_match(synthetic_grid(1, 1, failures=[0]))
+
+
+def test_non_finite_values_in_csv_rows():
+    """The writer formats inf and NaN as ``repr`` does, should a grid hold
+    them in a cell that did not fail."""
+    grid = synthetic_grid(2, 3)
+    for field, value in zip(grid.arrays[:7], [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1.0]):
+        field[0, 1] = value
+    assert "".join(sweep_blocks_to_csv(grid)) == reference_csv(grid)
+    assert ",inf,-inf,nan,nan,0.0,-0.0,1.0,ok\n" in reference_csv(grid)
+
+
+def test_model_grids_need_no_per_value_repr():
+    """Kernel values are normal doubles or zeros: the per-value ``repr``
+    fallback, which subnormals take, never runs on a model grid."""
+    fallback = mock.Mock(wraps=analysis._floatrepr._repr_words)
+    with mock.patch.object(analysis._floatrepr, "_repr_words", fallback):
+        for model in MODELS:
+            grid = sweep(model, np.linspace(0.0, 40.0, 81), np.geomspace(1e-9, 1e3, 61))
+            _assert_writers_match(grid)
+        assert fallback.call_count == 0
+        grid = synthetic_grid(2, 2)
+        grid.arrays.d_a[1, 1] = -5e-324
+        _assert_writers_match(grid)  # the fallback is live
+        assert fallback.call_count > 0
+
+
+@pytest.mark.parametrize("writer", ["csv", "json"])
+def test_writer_memory_is_bounded_per_block(writer):
+    """Writing four times the cells takes no more peak memory (within
+    10 %): the writer holds one block of rows at a time."""
+    import tracemalloc
+
+    def peak(rows):
+        grid = synthetic_grid(rows, 500)
+        tracemalloc.start()
+        try:
+            blocks = sweep_blocks_to_csv(grid) if writer == "csv" else sweep_blocks_to_json(grid, META)
+            written = sum(map(len, blocks))
+            return tracemalloc.get_traced_memory()[1], written
+        finally:
+            tracemalloc.stop()
+
+    (small, small_chars), (large, large_chars) = peak(100), peak(400)
+    assert large_chars > 3.9 * small_chars
+    assert large <= 1.1 * small, (small, large)
