@@ -21,10 +21,10 @@ inclusive where ``c`` is even.  Only the shortest digits are sought: there
 is no two-digit minimum, which no normal value needs.  Subnormals are left
 to ``repr`` itself (:func:`_repr_words`).
 
-**Digits to text.** The 17 digits (the digits times a power of ten that
-makes 17) are three SWAR words (several decimal digits packed into one
-64-bit word, split by multiply-and-shift), first digit in the low byte.
-Trailing zeros stay zero bytes; every other digit gets its ASCII offset.
+**Digits to text.** The digits, scaled by a power of ten to 17, become
+three SWAR words (several decimal digits packed into one 64-bit word, split
+by multiply-and-shift), first digit in the low byte.  Trailing zeros stay
+zero bytes; every other digit gets its ASCII offset.
 
 **Layout** (Python's ``repr``, for decimal exponent ``E``): positional for
 ``-4 <= E < 16``, ``0.000ddd`` below 1, and ``.0`` after an integral
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["repr_words", "text"]
+__all__ = ["repr_words"]
 
 _U = np.uint64
 WORDS = 4  # per value; byte 7 of the last word is always zero
@@ -95,7 +95,7 @@ _E_OFFSET = 330  # column of decimal exponent E in the layout table
 
 def _binary_table() -> np.ndarray:
     """Per biased exponent, and again from column 2048 for a zero fraction
-    (an irregular interval but at the lowest exponents): the six words of
+    (an irregular interval from biased exponent 2 on): the six words of
     ``g`` for ``10^-k``, the shifts of ``c`` to ``cp`` and of ``g`` to the
     upper and lower bounds, and the layout column of ``E = k + 16``."""
     biased = np.arange(4096) % 2048
@@ -131,8 +131,8 @@ def _layout_table() -> np.ndarray:
         p = max(row - _E_OFFSET + 1, 0)  # digits before the point
         low, marks = (1 << 8 * p) - 1, _word(".0", p) if p else 0
         prefix = _word("0." + "0" * (_E_OFFSET - row - 1), 1) if p == 0 else 0
-        words = (prefix, 0, low & _MASK64, low >> 64, *((marks >> 64 * i) & _MASK64 for i in range(3)))
-        table[row] = (*words, 0)
+        dots = ((marks >> 64 * i) & _MASK64 for i in range(3))
+        table[row] = (prefix, 0, low & _MASK64, low >> 64, *dots, 0)
     return table.T.copy()
 
 
@@ -156,8 +156,9 @@ def _round_to_odd(x1, y1, y0):
 
 
 def _shifted(products, g, shift, sign):
-    """``products`` of :func:`_shortest` for ``cp + sign 2^shift``: each
-    128-bit product moves by the limb shifted left by ``shift``."""
+    """:func:`_round_to_odd` at ``cp + sign 2^shift`` from the products at
+    ``cp``: each 128-bit product gains or loses its limb of ``g`` shifted
+    left by ``shift``, with the carry."""
     x1, x0, y1, y0 = products
     rshift = _U(64) - shift
     moved = []
@@ -265,6 +266,7 @@ def repr_words(x) -> np.ndarray:
 
 
 def _words(bits):
+    """:func:`repr_words` of one batch of bits."""
     biased = (bits >> _U(52)) & _U(0x7FF)
     special = biased - _U(1) >= _U(0x7FE)  # 0 or 0x7FF
     any_special = special.any()
@@ -290,7 +292,7 @@ def _words(bits):
     h0, h1 = x0 ^ l0, x1 ^ l1
     words = np.empty((len(bits), WORDS), dtype="<u8")
     words[:, 0] = layout[0] | ((bits >> _U(63)) * _U(ord("-")))
-    # A one-digit exponent form has no point: sig0 is then the first digit.
+    # Only the first digit is nonzero: an exponent form then drops its point.
     single = (sig0 >> _U(8)) == _U(0)
     words[:, 1] = (l0 | (h0 << _U(8)) | layout[4]) & ~(layout[7] * single.astype(_U))
     words[:, 2] = l1 | (h1 << _U(8)) | (h0 >> _U(56)) | layout[5]
@@ -298,10 +300,3 @@ def _words(bits):
     if any_special:
         words[special] = _special_words(bits[special])
     return words
-
-
-def text(words) -> str:
-    """The text of ``words`` (any shape of ``uint64`` words), zero bytes
-    dropped."""
-    raw = words.view("u1")
-    return raw[raw != 0].tobytes().decode("ascii")

@@ -20,7 +20,8 @@ def formatted(values) -> str:
     words = _floatrepr.repr_words(values)
     assert not (words[:, -1] >> np.uint64(56)).any()  # the free byte
     words[:, -1] |= np.uint64(ord("\n")) << np.uint64(56)
-    return _floatrepr.text(words)
+    raw = words.view("u1")
+    return raw[raw != 0].tobytes().decode("ascii")
 
 
 def assert_reprs(values):
