@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["repr_words"]
+__all__ = ["repr_words", "text_words"]
 
 _U = np.uint64
 WORDS = 4  # per value; byte 7 of the last word is always zero
@@ -241,14 +241,23 @@ def _special_words(bits):
     words[:, 0] = first
     sub = np.flatnonzero((magnitude != _U(0)) & (magnitude < _U(2**52)))
     if len(sub):
-        words[sub] = _repr_words(bits[sub].view("<f8"))
+        texts = _repr_words(bits[sub].view("<f8"))
+        words[sub, : texts.shape[1]] = texts
     return words
 
 
 def _repr_words(values) -> np.ndarray:
-    """Words of each value's ``repr``, one value at a time."""
-    raw = b"".join(repr(v).encode("ascii").ljust(8 * WORDS, b"\0") for v in values.tolist())
-    return np.frombuffer(raw, dtype="<u8").reshape(-1, WORDS)
+    """:func:`text_words` of each value's ``repr``, one value at a time."""
+    return text_words(map(repr, values.tolist()))
+
+
+def text_words(texts) -> np.ndarray:
+    """ASCII ``texts`` as rows of little-endian ``uint64`` words, padded with
+    zero bytes to the longest."""
+    texts = [text.encode("ascii") for text in texts]
+    width = -(-max(map(len, texts)) // 8) * 8
+    raw = b"".join(text.ljust(width, b"\0") for text in texts)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(texts), -1)
 
 
 def repr_words(x) -> np.ndarray:

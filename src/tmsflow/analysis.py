@@ -277,15 +277,6 @@ _CSV_FAILED = "%s,%s," + ",".join(["nan"] * 7) + ",%s\n"
 _JSON_FAILED = ', {"s_db": %s, "n": %s, "error": %s}'
 
 
-def _text_words(texts) -> np.ndarray:
-    """ASCII ``texts`` as rows of little-endian ``uint64`` words, padded with
-    zero bytes to the longest."""
-    texts = [text.encode("ascii") for text in texts]
-    width = -(-max(map(len, texts)) // 8) * 8
-    raw = b"".join(text.ljust(width, b"\0") for text in texts)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(texts), -1)
-
-
 def _row_blocks(grid: SweepGrid, fields: int, s_form, n_form, keys, sep, tail, failed):
     """The rows of every cell in row-major order, in blocks of text of at
     most :data:`SWEEP_BLOCK` rows.  A row is ``s_form % s + n_form % n``
@@ -302,9 +293,10 @@ def _row_blocks(grid: SweepGrid, fields: int, s_form, n_form, keys, sep, tail, f
     offset."""
     s_reprs = list(map(repr, grid.s_values))
     n_reprs = list(map(repr, grid.n_values))
-    s_words = _text_words(s_form % s for s in s_reprs)
-    n_words = _text_words(n_form % n for n in n_reprs)
-    key_words, tail_words = _text_words(keys), _text_words([tail])
+    s_words, n_words, key_words, tail_words = map(
+        _floatrepr.text_words,
+        ([s_form % s for s in s_reprs], [n_form % n for n in n_reprs], keys, [tail]),
+    )
     ws, wn, wk, wt = s_words.shape[1], n_words.shape[1], key_words.shape[1], tail_words.shape[1]
     width = ws + wn + fields * (wk + _floatrepr.WORDS) + wt
     batch = max(1, _floatrepr.BATCH // fields)
