@@ -47,7 +47,7 @@ __all__ = ["repr_words", "text_words"]
 
 _U = np.uint64
 WORDS = 4  # per value; byte 7 of the last word is always zero
-BATCH = 4096  # values per pass: larger arrays ran slower per value
+BATCH = 4096  # values per call of the sweep writer: larger arrays ran slower per value
 _M32, _M63 = _U(2**32 - 1), _U(2**63 - 1)
 _MASK64 = 2**64 - 1
 _B01, _B7F, _B80 = (_U(0x0101010101010101 * b) for b in (1, 0x7F, 0x80))
@@ -264,18 +264,10 @@ def repr_words(x) -> np.ndarray:
     """The ``repr`` text of every value of the float64 array ``x``
     (flattened), as ``(x.size, 4)`` little-endian ``uint64`` words: the text
     bytes in order, with zero bytes among and after them.  Byte 7 of the
-    last word is always zero.  Formats :data:`BATCH` values at a time."""
+    last word is always zero.  Formats every value in one pass, whose
+    temporaries take about 300 bytes a value: the sweep writer passes
+    :data:`BATCH` values at a time."""
     bits = np.ascontiguousarray(x, dtype="<f8").ravel().view("<u8")
-    if len(bits) <= BATCH:
-        return _words(bits)
-    words = np.empty((len(bits), WORDS), dtype="<u8")
-    for start in range(0, len(bits), BATCH):
-        words[start : start + BATCH] = _words(bits[start : start + BATCH])
-    return words
-
-
-def _words(bits):
-    """:func:`repr_words` of one batch of bits."""
     biased = (bits >> _U(52)) & _U(0x7FF)
     special = biased - _U(1) >= _U(0x7FE)  # 0 or 0x7FF
     any_special = special.any()

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _floatrepr
 from .correlations import CorrelationArrays, CorrelationReport, correlation_arrays
 from .errors import DomainError, NoSignChangeError, NumericalError, TmsflowError
 from .states import StateModel, _squeezing_factor
@@ -270,27 +269,26 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
 
 SWEEP_CSV_HEADER = "S_db,n,D_A,D_B,E_F,I_AB,delta_A,delta_B,delta_AB,status"
 
-# Cells per block of sweep output.
-SWEEP_BLOCK = 4096
-
 _CSV_FAILED = "%s,%s," + ",".join(["nan"] * 7) + ",%s\n"
 _JSON_FAILED = ', {"s_db": %s, "n": %s, "error": %s}'
 
 
 def _row_blocks(grid: SweepGrid, fields: int, s_form, n_form, keys, sep, tail, failed):
-    """The rows of every cell in row-major order, in blocks of text of at
-    most :data:`SWEEP_BLOCK` rows.  A row is ``s_form % s + n_form % n``
-    with the axes' ``repr`` strings, then ``key + repr(value) + sep`` for
-    each of the first ``fields`` kernel fields and its key, then ``tail``;
-    a failed cell's row is ``failed(s, n, exc)``.
+    """The rows of every cell in row-major order, one block of text per
+    batch of ``max(1, BATCH // fields)`` cells: at most
+    :data:`~tmsflow._floatrepr.BATCH` values, formatted by one call of
+    :func:`~tmsflow._floatrepr.repr_words`.  A row is ``s_form % s +
+    n_form % n`` with the axes' ``repr`` strings, then ``key + repr(value)
+    + sep`` for each of the first ``fields`` kernel fields and its key,
+    then ``tail``; a failed cell's row is ``failed(s, n, exc)``.
 
-    Rows are laid out as ``uint64`` words, at most
-    :data:`~tmsflow._floatrepr.BATCH` values at a time, in one buffer: the
-    words of the axis values' prefixes, of the keys and of the tail, and
-    each value's words from :func:`~tmsflow._floatrepr.repr_words`, with
-    zero bytes as padding.  One nonzero mask compacts them to text; a
-    failed cell's row is masked out and its text spliced in at its
-    offset."""
+    A batch's rows are laid out as ``uint64`` words in one reused buffer
+    (prefixes, keys, tail and values, zero bytes as padding) and compacted
+    to text with one nonzero mask; a failed cell's row is masked out and
+    its text spliced in at its offset.  The formatter's tables are built
+    when the first sweep is written."""
+    from . import _floatrepr
+
     s_reprs = list(map(repr, grid.s_values))
     n_reprs = list(map(repr, grid.n_values))
     s_words, n_words, key_words, tail_words = map(
@@ -309,34 +307,31 @@ def _row_blocks(grid: SweepGrid, fields: int, s_form, n_form, keys, sep, tail, f
     columns = [field.ravel() for field in grid.arrays[:fields]]
     failures = sorted(grid.arrays.errors.items())  # by cell index
     cells, k = len(columns[0]), 0
-    for start in range(0, cells, SWEEP_BLOCK):
-        pieces = []
-        for lo in range(start, min(start + SWEEP_BLOCK, cells), batch):
-            hi = min(lo + batch, start + SWEEP_BLOCK, cells)
-            values = np.stack([column[lo:hi] for column in columns], axis=1)
-            words = _floatrepr.repr_words(values).reshape(hi - lo, fields, -1)
-            words[:, :, -1] |= sep_word
-            slots[: hi - lo, :, wk:] = words
-            i_s, i_n = np.divmod(np.arange(lo, hi), len(n_reprs))
-            rows[: hi - lo, :ws] = s_words[i_s]
-            rows[: hi - lo, ws : ws + wn] = n_words[i_n]
-            raw = rows[: hi - lo].view("u1")
-            mask = np.not_equal(raw, 0, out=kept[: hi - lo])
-            here = []
-            while k < len(failures) and failures[k][0] < hi:
-                here.append((failures[k][0] - lo, failures[k][1]))
-                k += 1
-            mask[[i for i, _ in here]] = False
-            text = raw[mask].tobytes().decode("ascii")
-            if here:
-                ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
-                done = 0
-                for i, exc in here:
-                    pieces += [text[done : ends[i]], failed(s_reprs[i_s[i]], n_reprs[i_n[i]], exc)]
-                    done = ends[i]
-                text = text[done:]
-            pieces.append(text)
-        yield "".join(pieces)
+    for lo in range(0, cells, batch):
+        hi = min(lo + batch, cells)
+        values = np.stack([column[lo:hi] for column in columns], axis=1)
+        words = _floatrepr.repr_words(values).reshape(hi - lo, fields, -1)
+        words[:, :, -1] |= sep_word
+        slots[: hi - lo, :, wk:] = words
+        i_s, i_n = np.divmod(np.arange(lo, hi), len(n_reprs))
+        rows[: hi - lo, :ws] = s_words[i_s]
+        rows[: hi - lo, ws : ws + wn] = n_words[i_n]
+        raw = rows[: hi - lo].view("u1")
+        mask = np.not_equal(raw, 0, out=kept[: hi - lo])
+        here = []
+        while k < len(failures) and failures[k][0] < hi:
+            here.append((failures[k][0] - lo, failures[k][1]))
+            k += 1
+        mask[[i for i, _ in here]] = False
+        text = raw[mask].tobytes().decode("ascii")
+        if here:
+            ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+            pieces, done = [], 0
+            for i, exc in here:
+                pieces += [text[done : ends[i]], failed(s_reprs[i_s[i]], n_reprs[i_n[i]], exc)]
+                done = ends[i]
+            text = "".join(pieces) + text[done:]
+        yield text
 
 
 def csv_status(message: str) -> str:

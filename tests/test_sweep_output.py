@@ -4,6 +4,9 @@ writers it replaced, finite by construction, and one parser per process."""
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tmsflow import analysis, cli
+from tmsflow import _floatrepr, analysis, cli
 from tmsflow.analysis import (
     SWEEP_CSV_HEADER,
     SweepGrid,
@@ -96,30 +99,35 @@ def _axis(low, high):
     s_values=_axis(-2.0, 3100.0),  # negative levels and 3082 dB and beyond fail
     n_values=_axis(-1.0, 1e4),
     failures=st.dictionaries(st.integers(0, 10**4), st.sampled_from(MESSAGES), max_size=6),
-    block=st.integers(1, 7),
+    batch=st.integers(1, 64),  # 1 to 9 rows per writer batch
 )
 @example(MODELS[0], [0.0, 6.0], [0.0, 1000.0], {0: MESSAGES[0]}, 1)
-def test_writers_match_the_per_cell_writers(model, s_values, n_values, failures, block):
+def test_writers_match_the_per_cell_writers(model, s_values, n_values, failures, batch):
     grid = _with_failures(sweep(model, s_values, n_values), failures)
-    with mock.patch.object(analysis, "SWEEP_BLOCK", block):
+    with mock.patch.object(_floatrepr, "BATCH", batch):
         _assert_writers_match(grid)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 @pytest.mark.parametrize("model", MODELS, ids=["ideal", "coupler", "realistic"])
-def test_grids_straddling_the_block_size(extra, model):
-    cells = analysis.SWEEP_BLOCK + extra
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grids_straddling_the_block_size(fmt, model, extra):
+    """One block of text per writer batch, 585 CSV rows or 512 JSON
+    reports, with failed cells on both sides of the batch edge."""
+    batch = _floatrepr.BATCH // (7 if fmt == "csv" else 8)
+    cells = batch + extra
     rows = next(r for r in range(64, 0, -1) if cells % r == 0)
     grid = sweep(model, np.linspace(0.0, 30.0, rows), np.linspace(0.0, 4.0, cells // rows))
-    edges = [0, analysis.SWEEP_BLOCK - 1, analysis.SWEEP_BLOCK, cells - 1]
-    _assert_writers_match(_with_failures(grid, dict(zip(edges, MESSAGES))))
-    blocks = list(sweep_blocks_to_json(grid, META))
-    assert len(blocks) == 2 + (cells > analysis.SWEEP_BLOCK)  # row blocks, then the tail
+    edges = [0, batch - 1, batch, cells - 1]
+    grid = _with_failures(grid, dict(zip(edges, MESSAGES)))
+    _assert_writers_match(grid)
+    blocks = list(sweep_blocks_to_csv(grid) if fmt == "csv" else sweep_blocks_to_json(grid, META))
+    assert len(blocks) == 2 + (cells > batch)  # the header or the tail, and one block a batch
 
 
 def test_csv_blocks_join_to_the_document():
     grid = sweep(MODELS[1], [1.0, 2.0, 3.0], [0.0, 0.5])
-    with mock.patch.object(analysis, "SWEEP_BLOCK", 4):
+    with mock.patch.object(_floatrepr, "BATCH", 28):  # 4 rows of 7 values
         blocks = list(sweep_blocks_to_csv(grid))
     assert blocks[0] == SWEEP_CSV_HEADER + "\n"
     assert [block.count("\n") for block in blocks[1:]] == [4, 2]
@@ -240,15 +248,13 @@ def synthetic_grid(rows, cols, failures=(), seed=0):
     return SweepGrid(s_values, n_values, arrays)
 
 
-@pytest.mark.parametrize("batch", [7, 24, 4096])
-@pytest.mark.parametrize("block", [1, 5, 4096])
-def test_synthetic_columns_in_every_layout(block, batch):
-    """Failed cells on both sides of block edges, and of the formatter's
-    batches of rows, splice in where the per-cell writers put them."""
+@pytest.mark.parametrize("batch", [1, 7, 24, 40, 4096])
+def test_synthetic_columns_in_every_layout(batch):
+    """Failed cells on both sides of the edges of the writer's batches of
+    rows splice in where the per-cell writers put them."""
     grid = synthetic_grid(7, 6, failures=[0, 4, 5, 9, 10, 20, 41])
-    with mock.patch.object(analysis, "SWEEP_BLOCK", block):
-        with mock.patch.object(analysis._floatrepr, "BATCH", batch):
-            _assert_writers_match(grid)
+    with mock.patch.object(_floatrepr, "BATCH", batch):
+        _assert_writers_match(grid)
 
 
 def test_every_cell_failed_and_none_failed():
@@ -270,8 +276,8 @@ def test_non_finite_values_in_csv_rows():
 def test_model_grids_need_no_per_value_repr():
     """Kernel values are normal doubles or zeros: the per-value ``repr``
     fallback, which subnormals take, never runs on a model grid."""
-    fallback = mock.Mock(wraps=analysis._floatrepr._repr_words)
-    with mock.patch.object(analysis._floatrepr, "_repr_words", fallback):
+    fallback = mock.Mock(wraps=_floatrepr._repr_words)
+    with mock.patch.object(_floatrepr, "_repr_words", fallback):
         for model in MODELS:
             grid = sweep(model, np.linspace(0.0, 40.0, 81), np.geomspace(1e-9, 1e3, 61))
             _assert_writers_match(grid)
@@ -300,3 +306,33 @@ def test_writer_memory_is_bounded_per_block(writer):
     (small, small_chars), (large, large_chars) = peak(100), peak(400)
     assert large_chars > 3.9 * small_chars
     assert large <= 1.1 * small, (small, large)
+
+
+def test_only_sweep_loads_the_formatter(tmp_path):
+    """A fresh process builds the float formatter's tables only when it
+    writes a sweep: every other command leaves the module unloaded."""
+    golden.write_samples(tmp_path / "samples.csv")
+    jobs = [
+        ["features", "--s", "2:12:2", "--out", "features.csv"],
+        ["qkd", "--s", "10", "--nq", "0.25", "--threshold-out", "t.csv", "--out", "q.json"],
+        ["gen-synthetic", "--out", "records.csv"],
+        ["fit", "--records", "records.csv", "--out", "fit.json"],
+        ["tomo", "--samples", "samples.csv", "--covariance-out", "cov.json"]
+        + ["--cumulants-out", "cum.json"],
+        ["validate", "--state", "cov.json", "--out", "valid.json"],
+        ["sweep", "--s", "6", "--n", "0,0.1", "--out", "sweep.csv"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from tmsflow.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(argv[0], main(argv), 'tmsflow._floatrepr' in sys.modules)\n"
+    )
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(jobs)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = [line.split() for line in proc.stdout.splitlines()]
+    assert loaded == [[argv[0], "0", str(argv[0] == "sweep")] for argv in jobs], proc.stderr
