@@ -147,28 +147,30 @@ def sudden_death_point(model: StateModel, s_db: float) -> float:
 
     Closed form, since the separability boundary ``(a - 1)(b - 1) = c^2``
     of every model is linear in n: with ``delta = 2 sinh^2 r``, the
-    model's amplifier prefactor ``p = 1 + 2 n_jpa(e^{2r})``
-    (:meth:`StateModel.amplifier_prefactor`, 1 without amplifier) and
-    ``beta = 0`` for the ideal model, ``n_sd = [delta p (2 - beta (1 + p))
-    - (p - 1)^2] / [2p (p delta + (p - 1))]``.  Without amplifier (p = 1)
-    that is ``1 - beta`` at every squeezing level above 0 dB, 1 for the
-    ideal channel, and it is returned as such: the quotient would round,
-    and ``delta`` underflows below about 1e-160 dB.  No state is built.
-    The squeezing level is checked as in :meth:`StateModel.state`, with the
-    same errors; raises :class:`NoSignChangeError` when the state is
-    separable even at n = 0, as at 0 dB.
+    model's amplifier excess ``q = p - 1 = 2 n_jpa(e^{2r})`` (of the
+    prefactor :meth:`StateModel.amplifier_prefactor`, formed from
+    ``expm1(2r)``; 0 without amplifier) and ``beta = 0`` for the ideal
+    model, ``n_sd = [delta p (2 - beta (1 + p)) - q^2] / [2p (p delta +
+    q)]``.  Without amplifier (q = 0) that is ``1 - beta`` at every
+    squeezing level above 0 dB, 1 for the ideal channel, and it is
+    returned as such: the quotient would round, and ``delta`` underflows
+    below about 1e-160 dB.  No state is built.  The squeezing level is
+    checked as in :meth:`StateModel.state`, with the same errors; raises
+    :class:`NoSignChangeError` when the state is separable even at n = 0,
+    as at 0 dB and wherever the amplifier noise outweighs weak squeezing.
     """
     r = _squeezing_factor(s_db)
     beta = model.coupling_beta or 0.0
-    p = model.amplifier_prefactor(r)
-    if p == 1.0 and r > 0.0:
+    q = model._amplifier_excess(r)
+    if q == 0.0 and r > 0.0:
         return 1.0 - beta
+    p = 1.0 + q
     delta = 2.0 * math.sinh(r) ** 2
-    # (p - 1) * (p - 1) rounds to inf where (p - 1) ** 2 would raise OverflowError.
-    num = delta * p * (2.0 - beta * (1.0 + p)) - (p - 1.0) * (p - 1.0)
+    # q * q rounds to inf where q ** 2 would raise OverflowError.
+    num = delta * p * (2.0 - beta * (1.0 + p)) - q * q
     if not num > 0.0:
         raise NoSignChangeError(f"not entangled at {s_db} dB even without injected noise")
-    return num / (2.0 * p * (p * delta + (p - 1.0)))
+    return num / (2.0 * p * (p * delta + q))
 
 
 # Lower end of every crossover bracket.

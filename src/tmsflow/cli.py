@@ -56,7 +56,7 @@ from .qkd import (
     key_result_to_csv_row,
     secret_key,
 )
-from .states import StateModel, squeezing_db_to_r
+from .states import StateModel, _squeezing_factor
 from .symplectic import _covariance_doc, covariance_from_csv, covariance_from_json, validate
 from .tomography import (
     DEFAULT_THRESHOLD,
@@ -391,16 +391,17 @@ def _cmd_features(settings: _Settings) -> int:
 def _cmd_qkd(settings: _Settings) -> int:
     out, threshold_out = settings["out"], settings["threshold-out"]
     s_vals, nq_vals = parse_grid(settings["s"]), parse_grid(settings["nq"])
+    r_vals = [_checked(_squeezing_factor, s_db) for s_db in s_vals]
     beta = settings["cloner-beta"]
     echo = settings.echo(("s", "nq", "cloner-beta"))
     if len(s_vals) == 1 and len(nq_vals) == 1:
-        scenario = _checked(QkdScenario, squeezing_db_to_r(s_vals[0]), nq_vals[0], beta)
+        scenario = _checked(QkdScenario, r_vals[0], nq_vals[0], beta)
         text = _json_with_meta(_key_result_doc(scenario, secret_key(scenario)), echo)
     else:
         rows = []
-        for s_db in s_vals:
+        for s_db, r in zip(s_vals, r_vals):
             for n_q in nq_vals:
-                scenario = _checked(QkdScenario, squeezing_db_to_r(s_db), n_q, beta)
+                scenario = _checked(QkdScenario, r, n_q, beta)
                 rows.append(key_result_to_csv_row(s_db, n_q, secret_key(scenario)))
         text = _csv_header_lines(echo) + QKD_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     if not threshold_out:
@@ -487,6 +488,8 @@ def _cmd_gen_synthetic(settings: _Settings) -> int:
         raise ConfigError(f"noise amplitude must be >= 0, got {noise}")
     _checked(StateModel.realistic, chi1, chi2, beta)
     s_vals, n_vals = parse_grid(settings["s"]), parse_grid(settings["n"])
+    for s_db in s_vals:
+        _checked(_squeezing_factor, s_db)
     records = synthetic_records(
         s_vals, n_vals, chi=(chi1, chi2), coupling_beta=beta, noise=noise, seed=seed
     )

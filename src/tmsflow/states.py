@@ -160,12 +160,17 @@ def jpa_noise(G: float, jpa: JpaNoiseModel) -> float:
     """Amplifier noise photon number at degenerate gain G >= 1."""
     if G < 1.0:
         raise DomainError(f"degenerate gain must be >= 1, got {G}")
-    if G == 1.0:
+    return _excess_noise(G - 1.0, jpa)
+
+
+def _excess_noise(excess: float, jpa: JpaNoiseModel) -> float:
+    """:func:`jpa_noise` from the gain excess ``G - 1 >= 0``."""
+    if excess == 0.0:
         return 0.0
     try:
-        return jpa.chi1 * (G - 1.0) ** jpa.chi2
+        return jpa.chi1 * excess**jpa.chi2
     except OverflowError:
-        raise _gain_overflow(G) from None
+        raise _gain_overflow(1.0 + excess) from None
 
 
 def _gain_overflow(G: float) -> NumericalError:
@@ -214,13 +219,18 @@ class StateModel:
         """Scale ``1 + 2 n_jpa(e^{2r})`` of the whole realistic matrix at
         squeezing factor r; 1 for models without amplifier noise.  Raises
         :class:`NumericalError` where it is not a finite double."""
+        return 1.0 + self._amplifier_excess(r)
+
+    def _amplifier_excess(self, r: float) -> float:
+        """``q = p - 1 = 2 n_jpa`` of :meth:`amplifier_prefactor`, from the
+        gain excess ``e^{2r} - 1 = expm1(2r)``: it does not cancel, so weak
+        squeezing keeps its amplifier noise where ``1 + q`` rounds to 1."""
         if self.jpa is None:
-            return 1.0
-        G = math.exp(2.0 * r)
-        p = 1.0 + 2.0 * jpa_noise(G, self.jpa)
-        if not math.isfinite(p):
-            raise _gain_overflow(G)
-        return p
+            return 0.0
+        q = 2.0 * _excess_noise(math.expm1(2.0 * r), self.jpa)
+        if not math.isfinite(q):
+            raise _gain_overflow(math.exp(2.0 * r))
+        return q
 
     def state(self, s_db: float, n: float) -> TwoModeCovariance:
         """State at squeezing level ``s_db`` (dB) with ``n`` noise photons
@@ -244,7 +254,7 @@ class StateModel:
 
         In vacuum-1 units, with ``A = cosh 2r = 1 + u``, ``S = sinh 2r``,
         ``t = sqrt(1 - beta)`` (``beta = 0`` for the ideal model) and the
-        amplifier prefactor ``p`` (1 without amplifier), every state has
+        amplifier prefactor ``p = 1 + q`` (1 without amplifier), every state has
         ``a = p A``, ``b = p (A - beta u + 2n)``, ``c1 = -c2 = p t S`` and
         ``g = ab - c^2 = p^2 g0`` with ``g0 = 1 + beta u + 2n A`` (``1 + 2an``
         for the ideal model).  Nothing that cancels is formed by
@@ -256,7 +266,8 @@ class StateModel:
         * at ``p = 1``, ``N = (nu+^2 - 1)(nu-^2 - 1) = 4n(n + beta) S^2``
           (``4 n^2 c^2`` for the ideal model) and ``nu+^2 - 1 + nu-^2 - 1 =
           beta^2 u^2 + 2 beta u + 4n(1 - beta) u + 4n(n + 1)``; with the
-          amplifier each factor becomes ``p^2 (nu0^2 - 1) + p^2 - 1``;
+          amplifier each factor becomes ``p^2 (nu0^2 - 1) + p^2 - 1``, with
+          ``p^2 - 1 = q (q + 2)``;
         * the first-branch discord radicands are ``(b^2 - 1) N + w_A^2`` and
           ``(a^2 - 1) N + w_B^2`` with ``w_B = a^2 - c^2 - 1 = p^2 - 1 + p^2
           beta S^2`` and ``w_A = b^2 - c^2 - 1 = p^2 - 1 + p^2 (4n((1 -
@@ -274,24 +285,24 @@ class StateModel:
 
     def _levels(self, s: np.ndarray) -> tuple:
         """The noise-independent part of :meth:`standard_form` on an array
-        of squeezing levels: r and the amplifier prefactor p per level, and
-        ``(index, error)`` lists of rejected levels and of overflowing
-        prefactors.  A root finder computes it once per batch."""
-        r, p = np.zeros(s.shape), np.ones(s.shape)
+        of squeezing levels: r and the amplifier excess ``q = p - 1`` per
+        level, and ``(index, error)`` lists of rejected levels and of
+        overflowing prefactors.  A root finder computes it once per batch."""
+        r, q = np.zeros(s.shape), np.zeros(s.shape)
         level_errors, gain_errors = [], []
         for i, level in enumerate(s.flat):
             try:
                 r.flat[i] = _squeezing_factor(float(level))
-                p.flat[i] = self.amplifier_prefactor(float(r.flat[i]))
+                q.flat[i] = self._amplifier_excess(float(r.flat[i]))
             except DomainError as exc:
                 level_errors.append((i, exc))
             except NumericalError as exc:
                 gain_errors.append((i, exc))
-        return r, p, level_errors, gain_errors
+        return r, q, level_errors, gain_errors
 
     def _standard_form(self, s: np.ndarray, levels: tuple, n) -> StandardForm:
         """:meth:`standard_form` on levels ``s`` whose :meth:`_levels` are given."""
-        r, p, level_errors, gain_errors = levels
+        r, q, level_errors, gain_errors = levels
         n = np.asarray(n, dtype=float)
         full = np.zeros(np.broadcast_shapes(s.shape, n.shape))
         noise_errors = []
@@ -309,7 +320,7 @@ class StateModel:
         t = math.sqrt(1.0 - beta)
         t_minus, t_plus = beta / (1.0 + t), 1.0 + t  # 1 - t and 1 + t
         with np.errstate(all="ignore"):
-            r, p, n = r + full, p + full, n + full  # every field takes the full shape
+            r, q, n = r + full, q + full, n + full  # every field takes the full shape
             u = 2.0 * np.sinh(r) ** 2  # A - 1
             big_s = np.sinh(2.0 * r)
             s2 = big_s * big_s
@@ -327,7 +338,8 @@ class StateModel:
             n0 = 4.0 * n * (n + beta) * s2
             minus0 = n0 / np.where(plus0 > 0.0, plus0, 1.0)  # nu-^2 - 1; n0 = 0 where plus0 is
             # Amplifier scaling.
-            p2, q2 = p * p, (p - 1.0) * (p + 1.0)
+            p = 1.0 + q
+            p2, q2 = p * p, q * (q + 2.0)  # p^2 and p^2 - 1
             a, b, c = p * (1.0 + u), p * (1.0 + v), p * t * big_s
             nu_plus = 0.5 * p * (spread + width)
             g = p2 * g0

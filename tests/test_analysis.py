@@ -19,13 +19,15 @@ IDEAL = StateModel.ideal()
 REALISTIC = StateModel.realistic(0.05, 0.56, 0.01)
 
 
-def sudden_death_reference(model, s_db):
-    """50-digit root of the PT boundary (p a - 1)(p b - 1) = p^2 c^2 in
-    vacuum-1 units, with a = cosh 2r, b = (1 - beta) a + beta + 2n,
-    c^2 = (1 - beta) sinh^2 2r and p = 1 + 2 chi1 (G - 1)^chi2, G = e^{2r}."""
+def sudden_death_reference(model, s_db, digits=50):
+    """Root of the PT boundary (p a - 1)(p b - 1) = p^2 c^2 in vacuum-1
+    units to ``digits`` digits, with a = cosh 2r, b = (1 - beta) a + beta +
+    2n, c^2 = (1 - beta) sinh^2 2r and p = 1 + 2 chi1 (G - 1)^chi2, G =
+    e^{2r}.  A level of 10^-k dB needs more than 2k digits, since a - 1 is
+    of order r^2."""
     import mpmath as mp
 
-    with mp.workdps(50):
+    with mp.workdps(digits):
         r = mp.mpf(s_db) * mp.log(10) / 20
         beta = mp.mpf(model.coupling_beta or 0)
         p = mp.mpf(1)
@@ -206,6 +208,30 @@ class TestSuddenDeath:
         model = IDEAL if beta is None else StateModel.coupler(beta)
         levels = [1e-300, 1e-161, 3e-161, 1e-160, 1e-12, *rng.uniform(0.0, 40.0, 1199)]
         assert {sudden_death_point(model, s_db) for s_db in levels} == {1.0 - (beta or 0.0)}
+
+    def test_realistic_weak_squeezing_is_never_entangled(self):
+        """Below about 0.03 dB the amplifier noise outweighs the squeezing.
+        That holds also where 1 + 2 n_jpa rounds to 1 (below about 1e-15
+        dB): the excess 2 n_jpa is formed from expm1(2r), not as p - 1."""
+        levels = [*np.geomspace(1e-300, 0.02, 61).tolist(), 1e-16, 1e-15, 1e-14]
+        for s_db in levels:
+            assert sudden_death_reference(REALISTIC, s_db, digits=700) < 0.0, s_db
+            with pytest.raises(NoSignChangeError):
+                sudden_death_point(REALISTIC, s_db)
+        assert sudden_death_point(REALISTIC, 0.03) == pytest.approx(
+            sudden_death_reference(REALISTIC, 0.03), rel=1e-12
+        )
+
+    def test_features_nsd_at_tiny_realistic_levels(self, capsys):
+        from tmsflow import cli
+
+        argv = ["features", "--s", "1e-300,1e-30,1e-16,0.02", "--model", "realistic", "--what", "nsd"]
+        assert cli.main(argv) == 3
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert [row.split(",")[1:] for row in rows] == [
+            ["nan", f"n_sd: not entangled at {s} dB even without injected noise"]
+            for s in ("1e-300", "1e-30", "1e-16", "0.02")
+        ]
 
     def test_features_nsd_at_a_tiny_coupler_level(self, capsys):
         from tmsflow import cli

@@ -159,9 +159,9 @@ class TestFeaturesCommand:
             return original(sf)
 
         monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", counted)
-        prefactors, prefactor = [], StateModel.amplifier_prefactor
+        prefactors, excess = [], StateModel._amplifier_excess
         monkeypatch.setattr(
-            StateModel, "amplifier_prefactor", lambda self, r: prefactors.append(r) or prefactor(self, r)
+            StateModel, "_amplifier_excess", lambda self, r: prefactors.append(r) or excess(self, r)
         )
         out = tmp_path / "f.csv"
         assert main(["features", "--s", s_spec, *model, "--out", str(out)]) == 0
@@ -189,9 +189,9 @@ class TestFeaturesCommand:
             raise AssertionError("a kernel call")
 
         monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", refused)
-        prefactors, prefactor = [], StateModel.amplifier_prefactor
+        prefactors, excess = [], StateModel._amplifier_excess
         monkeypatch.setattr(
-            StateModel, "amplifier_prefactor", lambda self, r: prefactors.append(r) or prefactor(self, r)
+            StateModel, "_amplifier_excess", lambda self, r: prefactors.append(r) or excess(self, r)
         )
         alone = rows("nsd")
         assert len(prefactors) == len(alone) - 1  # one per level
@@ -511,13 +511,31 @@ class TestScalarInputs:
         assert len(rows) == 2 and all("exact invariant beyond the double range" in r for r in rows)
 
     @pytest.mark.parametrize(
-        "argv", [["sweep", "--n", "0.1"], ["features"], ["qkd", "--nq", "0.1"]]
+        "argv, code", [(["sweep", "--n", "0.1"], 3), (["features"], 3), (["qkd", "--nq", "0.1"], 2)]
     )
-    def test_overflowing_squeezing_level(self, argv, tmp_path, capsys):
+    def test_overflowing_squeezing_level(self, argv, code, tmp_path, capsys):
+        """sweep and features report the level per cell or row; qkd refuses it."""
         out = tmp_path / "out.csv"
-        assert main(argv + ["--s", "1e6", "--out", str(out)]) == 3
+        assert main(argv + ["--s", "1e6", "--out", str(out)]) == code
         text = out.read_text() if out.exists() else capsys.readouterr().err
         assert "above 3082.5 dB" in text
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["qkd", "--s", "4000", "--nq", "0.1"], "squeezing level 4000.0 dB is above 3082.5 dB"),
+            (["qkd", "--s", "5,4000", "--nq", "0.1"], "squeezing level 4000.0 dB is above 3082.5 dB"),
+            (["qkd", "--s", "-1", "--nq", "0.1"], "squeezing level must be >= 0 dB, got -1.0"),
+            (["gen-synthetic", "--s=-1,6", "--n", "0"], "squeezing level must be >= 0 dB, got -1.0"),
+            (["gen-synthetic", "--s", "4000", "--n", "0"], "squeezing level 4000.0 dB is above 3082.5 dB"),
+        ],
+        ids=["qkd-high", "qkd-list-high", "qkd-negative", "gen-synthetic-negative", "gen-synthetic-high"],
+    )
+    def test_rejected_squeezing_level_is_a_usage_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"tmsflow: {message}\n"
+        assert not out.exists()
 
 
 class TestFitAndGenSynthetic:

@@ -176,6 +176,15 @@ class TestRealisticTms:
         assert ratio == pytest.approx(1.1, abs=1e-14)  # global prefactor 1 + 2 chi1
         assert ratio / 4.0 == pytest.approx(0.275, abs=1e-14)
 
+    def test_excess_does_not_cancel_at_weak_squeezing(self):
+        """2 n_jpa comes from expm1(2r): it stays positive where the gain
+        e^{2r} and the prefactor round to 1."""
+        model = StateModel.realistic(0.05, 0.56, 0.01)
+        for r in (1e-40, 1e-100, 1e-300):
+            assert model.amplifier_prefactor(r) == 1.0
+            assert model._amplifier_excess(r) == pytest.approx(0.1 * (2.0 * r) ** 0.56, rel=1e-14)
+        assert StateModel.coupler(0.01)._amplifier_excess(1.0) == 0.0
+
     def test_weak_coupling_limit_converges_to_ideal(self):
         r = squeezing_db_to_r(6.0)
         n = 0.4
