@@ -264,9 +264,8 @@ def repr_words(x) -> np.ndarray:
     """The ``repr`` text of every value of the float64 array ``x``
     (flattened), as ``(x.size, 4)`` little-endian ``uint64`` words: the text
     bytes in order, with zero bytes among and after them.  Byte 7 of the
-    last word is always zero.  Formats every value in one pass, whose
-    temporaries take about 300 bytes a value: the sweep writer passes
-    :data:`BATCH` values at a time."""
+    last word is always zero.  One pass: its temporaries take about 300
+    bytes a value, so the sweep writer passes :data:`BATCH` at a time."""
     bits = np.ascontiguousarray(x, dtype="<f8").ravel().view("<u8")
     biased = (bits >> _U(52)) & _U(0x7FF)
     special = biased - _U(1) >= _U(0x7FE)  # 0 or 0x7FF

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,25 +148,23 @@ def sudden_death_point(model: StateModel, s_db: float) -> float:
 
     Closed form, since the separability boundary ``(a - 1)(b - 1) = c^2``
     of every model is linear in n: with ``delta = 2 sinh^2 r``, the
-    model's amplifier excess ``q = p - 1 = 2 n_jpa(e^{2r})`` (of the
-    prefactor :meth:`StateModel.amplifier_prefactor`, formed from
-    ``expm1(2r)``; 0 without amplifier) and ``beta = 0`` for the ideal
-    model, ``n_sd = [delta p (2 - beta (1 + p)) - q^2] / [2p (p delta +
-    q)]``.  Without amplifier (q = 0) that is ``1 - beta`` at every
-    squeezing level above 0 dB, 1 for the ideal channel, and it is
+    model's amplifier excess ``q = p - 1 = 2 n_jpa(e^{2r})`` (0 without
+    amplifier; ``p`` is :meth:`StateModel.amplifier_prefactor`) and ``beta
+    = 0`` for the ideal model, ``n_sd = [delta p (2 - beta (1 + p)) - q^2]
+    / [2p (p delta + q)]``.  Without amplifier that is ``1 - beta`` at
+    every squeezing level above 0 dB, 1 for the ideal channel, and it is
     returned as such: the quotient would round, and ``delta`` underflows
     below about 1e-160 dB.  No state is built.  The squeezing level is
     checked as in :meth:`StateModel.state`, with the same errors; raises
     :class:`NoSignChangeError` when the state is separable even at n = 0,
-    as at 0 dB and wherever the amplifier noise outweighs weak squeezing.
+    as at 0 dB and, with amplifier noise, below about 0.03 dB.
     """
     r = _squeezing_factor(s_db)
     beta = model.coupling_beta or 0.0
-    q = model._amplifier_excess(r)
+    q = model._amplifier_excess(r)  # from expm1(2r): 1 + q rounds to 1 at weak squeezing
     if q == 0.0 and r > 0.0:
         return 1.0 - beta
-    p = 1.0 + q
-    delta = 2.0 * math.sinh(r) ** 2
+    p, delta = 1.0 + q, 2.0 * math.sinh(r) ** 2
     # q * q rounds to inf where q ** 2 would raise OverflowError.
     num = delta * p * (2.0 - beta * (1.0 + p)) - q * q
     if not num > 0.0:
@@ -277,18 +276,17 @@ _JSON_FAILED = ', {"s_db": %s, "n": %s, "error": %s}'
 
 def _row_blocks(grid: SweepGrid, fields: int, s_form, n_form, keys, sep, tail, failed):
     """The rows of every cell in row-major order, one block of text per
-    batch of ``max(1, BATCH // fields)`` cells: at most
-    :data:`~tmsflow._floatrepr.BATCH` values, formatted by one call of
-    :func:`~tmsflow._floatrepr.repr_words`.  A row is ``s_form % s +
-    n_form % n`` with the axes' ``repr`` strings, then ``key + repr(value)
-    + sep`` for each of the first ``fields`` kernel fields and its key,
-    then ``tail``; a failed cell's row is ``failed(s, n, exc)``.
-
-    A batch's rows are laid out as ``uint64`` words in one reused buffer
-    (prefixes, keys, tail and values, zero bytes as padding) and compacted
-    to text with one nonzero mask; a failed cell's row is masked out and
-    its text spliced in at its offset.  The formatter's tables are built
-    when the first sweep is written."""
+    batch of ``max(1, BATCH // fields)`` cells, whose at most
+    :data:`~tmsflow._floatrepr.BATCH` values are one call of
+    :func:`~tmsflow._floatrepr.repr_words`.  A row is ``s_form % s + n_form
+    % n`` with the axes' ``repr`` strings, then ``key + repr(value) + sep``
+    for each of the first ``fields`` kernel fields and its key, then
+    ``tail``; a failed cell's row is ``failed(s, n, exc)``.  A batch's rows
+    are laid out as ``uint64`` words in one reused buffer (prefixes, keys,
+    tail and values, zero bytes as padding) and compacted to text with one
+    nonzero mask; a failed cell's row is masked out and its text spliced in
+    at its offset.  The formatter's tables are built when the first sweep
+    is written."""
     from . import _floatrepr
 
     s_reprs = list(map(repr, grid.s_values))
@@ -308,7 +306,7 @@ def _row_blocks(grid: SweepGrid, fields: int, s_form, n_form, keys, sep, tail, f
     sep_word = np.uint64(ord(sep) << 56 if sep else 0)
     columns = [field.ravel() for field in grid.arrays[:fields]]
     failures = sorted(grid.arrays.errors.items())  # by cell index
-    cells, k = len(columns[0]), 0
+    cells = len(columns[0])
     for lo in range(0, cells, batch):
         hi = min(lo + batch, cells)
         values = np.stack([column[lo:hi] for column in columns], axis=1)
@@ -320,10 +318,8 @@ def _row_blocks(grid: SweepGrid, fields: int, s_form, n_form, keys, sep, tail, f
         rows[: hi - lo, ws : ws + wn] = n_words[i_n]
         raw = rows[: hi - lo].view("u1")
         mask = np.not_equal(raw, 0, out=kept[: hi - lo])
-        here = []
-        while k < len(failures) and failures[k][0] < hi:
-            here.append((failures[k][0] - lo, failures[k][1]))
-            k += 1
+        failed_here = failures[bisect_left(failures, (lo,)) : bisect_left(failures, (hi,))]
+        here = [(i - lo, exc) for i, exc in failed_here]
         mask[[i for i, _ in here]] = False
         text = raw[mask].tobytes().decode("ascii")
         if here:

@@ -222,9 +222,8 @@ class StateModel:
         return 1.0 + self._amplifier_excess(r)
 
     def _amplifier_excess(self, r: float) -> float:
-        """``q = p - 1 = 2 n_jpa`` of :meth:`amplifier_prefactor`, from the
-        gain excess ``e^{2r} - 1 = expm1(2r)``: it does not cancel, so weak
-        squeezing keeps its amplifier noise where ``1 + q`` rounds to 1."""
+        """``q = p - 1 = 2 n_jpa`` of :meth:`amplifier_prefactor` from the gain
+        excess ``expm1(2r)``, which keeps it where ``1 + q`` rounds to 1."""
         if self.jpa is None:
             return 0.0
         q = 2.0 * _excess_noise(math.expm1(2.0 * r), self.jpa)
@@ -266,8 +265,7 @@ class StateModel:
         * at ``p = 1``, ``N = (nu+^2 - 1)(nu-^2 - 1) = 4n(n + beta) S^2``
           (``4 n^2 c^2`` for the ideal model) and ``nu+^2 - 1 + nu-^2 - 1 =
           beta^2 u^2 + 2 beta u + 4n(1 - beta) u + 4n(n + 1)``; with the
-          amplifier each factor becomes ``p^2 (nu0^2 - 1) + p^2 - 1``, with
-          ``p^2 - 1 = q (q + 2)``;
+          amplifier each factor becomes ``p^2 (nu0^2 - 1) + q (q + 2)``;
         * the first-branch discord radicands are ``(b^2 - 1) N + w_A^2`` and
           ``(a^2 - 1) N + w_B^2`` with ``w_B = a^2 - c^2 - 1 = p^2 - 1 + p^2
           beta S^2`` and ``w_A = b^2 - c^2 - 1 = p^2 - 1 + p^2 (4n((1 -
