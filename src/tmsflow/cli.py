@@ -56,7 +56,7 @@ from .qkd import (
     key_result_to_csv_row,
     secret_key,
 )
-from .states import StateModel, _squeezing_factor
+from .states import StateModel, _check_noise, _squeezing_factor
 from .symplectic import _covariance_doc, covariance_from_csv, covariance_from_json, validate
 from .tomography import (
     DEFAULT_THRESHOLD,
@@ -490,6 +490,8 @@ def _cmd_gen_synthetic(settings: _Settings) -> int:
     s_vals, n_vals = parse_grid(settings["s"]), parse_grid(settings["n"])
     for s_db in s_vals:
         _checked(_squeezing_factor, s_db)
+    for n in n_vals:
+        _checked(_check_noise, n)
     records = synthetic_records(
         s_vals, n_vals, chi=(chi1, chi2), coupling_beta=beta, noise=noise, seed=seed
     )

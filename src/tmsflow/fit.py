@@ -4,7 +4,9 @@ Fits the two coefficients of ``n_jpa(G) = chi1 (G - 1)**chi2`` against
 measured (squeezing level, injected noise, discord/EoF) records by
 minimizing a weighted sum of squared residuals with a damped Gauss-Newton
 (Levenberg) iteration on a forward-difference Jacobian, and reports
-standard errors of both coefficients from the same Jacobian.  Ships a
+standard errors of both coefficients from the same Jacobian.  Each trial
+point is one kernel call that also carries its two forward-difference
+points, so an accepted trial brings the next Jacobian with it.  Ships a
 synthetic-record generator so the recovery pipeline can be exercised
 without access to raw measurement data.
 
@@ -94,16 +96,23 @@ def _residuals(records, chi, weights, coupling_beta: float) -> np.ndarray:
     / sigma`` for a record that carries sigma, ``sqrt(w) (model - measured)``
     otherwise.  All records are one kernel call; the first record whose
     model evaluation fails raises :class:`ModelFailureError`."""
+    (r,) = _evaluator(records, weights, coupling_beta)([chi])
+    if isinstance(r, ModelFailureError):
+        raise r
+    return r
+
+
+def _evaluator(records, weights, coupling_beta: float):
+    """:func:`_residuals` of ``records`` as a function of a list of chi
+    points, evaluated together in one kernel call.
+
+    The per-record arrays are built once, and each point derives the
+    amplifier levels once per distinct squeezing level.  For each point the
+    function returns its residual vector or, unraised, the
+    :class:`ModelFailureError` that :func:`_residuals` raises there.
+    """
     s_db, n = np.array([[rec.s_db, rec.n] for rec in records]).reshape(-1, 2).T
-    res = correlation_arrays(_fit_model(chi, coupling_beta).standard_form(s_db, n))
-    if res.errors:
-        idx = min(res.errors)
-        rec = records[idx]
-        raise ModelFailureError(
-            f"model evaluation failed for record {idx} "
-            f"(S={rec.s_db} dB, n={rec.n}): {res.errors[idx]}",
-            record_index=idx,
-        ) from res.errors[idx]
+    levels, inverse = np.unique(s_db, return_inverse=True)
     root_w = [math.sqrt(w) for w in weights]
     scale, sigma = [], []
     for rec in records:
@@ -113,9 +122,42 @@ def _residuals(records, chi, weights, coupling_beta: float) -> np.ndarray:
         else:
             scale.append((1.0, 1.0, 1.0))
             sigma.append((rec.sd_a, rec.sd_b, rec.se_f))
-    predicted = np.stack((res.d_a, res.d_b, res.e_f), axis=-1)
+    scale, sigma = np.array(scale), np.array(sigma)
     measured = np.array([(rec.d_a, rec.d_b, rec.e_f) for rec in records])
-    return ((np.array(scale) * (predicted - measured)) / np.array(sigma)).ravel()
+    m = len(records)
+
+    def evaluate(points: list) -> list:
+        models = [_fit_model(chi, coupling_beta) for chi in points]
+        r, q, level_errors, gain_errors = [], [], [], []
+        for k, model in enumerate(models):
+            r_k, q_k, level_k, gain_k = model._levels(levels)
+            r.append(r_k[inverse])
+            q.append(q_k[inverse])
+            # one error per record at a failed level, indexed into the (point, record) stack
+            for into, failed in ((level_errors, level_k), (gain_errors, gain_k)):
+                for level, exc in failed:
+                    into += [(k * m + int(i), exc) for i in np.flatnonzero(inverse == level)]
+        stacked = (np.stack(r), np.stack(q), level_errors, gain_errors)
+        # _standard_form reads only beta from the model; chi enters through q alone
+        s = np.broadcast_to(s_db, (len(points), m))
+        res = correlation_arrays(models[0]._standard_form(s, stacked, n))
+        predicted = np.stack((res.d_a, res.d_b, res.e_f), axis=-1)
+        values = list(((scale * (predicted - measured)) / sigma).reshape(len(points), -1))
+        first: dict = {}  # the first failing record of each failed point
+        for cell in res.errors:
+            k, idx = divmod(cell, m)
+            first[k] = min(idx, first.get(k, idx))
+        for k, idx in first.items():
+            rec, cause = records[idx], res.errors[k * m + idx]
+            values[k] = ModelFailureError(
+                f"model evaluation failed for record {idx} "
+                f"(S={rec.s_db} dB, n={rec.n}): {cause}",
+                record_index=idx,
+            )
+            values[k].__cause__ = cause
+        return values
+
+    return evaluate
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a cost beyond the double range raises below
@@ -151,7 +193,7 @@ def fit(
     not all zero, or the cost has no minimum.
 
     Each iteration forms the forward-difference Jacobian J of the residual
-    vector r (two extra residual evaluations) and tries the damped step
+    vector r and tries the damped step
     ``-(J^T J + lam tr(J^T J) I)^-1 J^T r``: a step that lowers the cost is
     taken and lam divided by 10, otherwise lam is multiplied by 10 (a step
     on which the model fails, or whose cost is not a finite double, counts
@@ -160,7 +202,10 @@ def fit(
     ``clamp_activations``; a start where the model fails raises
     ``ModelFailureError``, and one whose cost, or the ``J^T J`` and ``J^T
     r`` of a point reached, is not finite raises :class:`NumericalError`.
-    ``iterations`` counts taken steps.
+    ``iterations`` counts taken steps.  The start and each trial are one
+    kernel call, which also evaluates the point's two forward-difference
+    points; a failure at one of those is raised only once the point is
+    taken, as a ``ModelFailureError``.
 
     The fit has converged when the Gauss-Newton step from the current
     point, over the coefficients not held at the bound, predicts a cost
@@ -193,11 +238,22 @@ def fit(
             chi = np.array([0.0, chi[1]])
         return chi
 
-    def residuals(chi: np.ndarray) -> np.ndarray:
-        return _residuals(usable, (float(chi[0]), float(chi[1])), weights, coupling_beta)
+    evaluate = _evaluator(usable, weights, coupling_beta)
+
+    def with_jacobian_points(chi: np.ndarray) -> tuple[list, list]:
+        """chi and its two forward-difference points, evaluated in one call."""
+        points = [chi]
+        for j in range(2):
+            shifted = chi.copy()
+            shifted[j] += _FD_STEP * max(abs(chi[j]), 1.0)
+            points.append(shifted)
+        return points, evaluate([(float(p[0]), float(p[1])) for p in points])
 
     x = projected(np.array(initial, dtype=float))
-    r = residuals(x)
+    points, values = with_jacobian_points(x)
+    r = values[0]
+    if isinstance(r, ModelFailureError):
+        raise r
     c = float(r @ r)
     if not math.isfinite(c):
         raise NumericalError(f"the cost at the start chi = {tuple(x.tolist())} is not finite")
@@ -205,7 +261,12 @@ def fit(
     iterations = 0
     converged = False
     while True:
-        J = _jacobian(residuals, x, r)
+        J = np.empty((len(r), 2))
+        for j in range(2):
+            shifted, r_shifted = points[j + 1], values[j + 1]
+            if isinstance(r_shifted, ModelFailureError):
+                raise r_shifted  # held since x was evaluated
+            J[:, j] = (r_shifted - r) / (shifted[j] - x[j])
         A, g = J.T @ J, J.T @ r
         if not (np.isfinite(A).all() and np.isfinite(g).all()):
             raise NumericalError(f"the cost's derivatives at chi = {tuple(x.tolist())} overflow")
@@ -217,11 +278,9 @@ def fit(
         while lam <= _MAX_DAMPING:
             step = np.linalg.solve(A + lam * np.trace(A) * np.eye(2), -g)
             trial = projected(x + step)
-            try:
-                r_trial = residuals(trial)
-                c_trial = float(r_trial @ r_trial)
-            except ModelFailureError:
-                c_trial = math.inf
+            points, values = with_jacobian_points(trial)
+            r_trial = values[0]
+            c_trial = math.inf if isinstance(r_trial, ModelFailureError) else float(r_trial @ r_trial)
             if c_trial < c:
                 break
             lam *= 10.0
@@ -243,16 +302,6 @@ def fit(
         chi2_se=chi2_se,
         reduced_chi2=reduced,
     )
-
-
-def _jacobian(residuals, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian of ``residuals`` at x, where it is r."""
-    J = np.empty((len(r), 2))
-    for j in range(2):
-        shifted = x.copy()
-        shifted[j] += _FD_STEP * max(abs(x[j]), 1.0)
-        J[:, j] = (residuals(shifted) - r) / (shifted[j] - x[j])
-    return J
 
 
 def _stationary(x: np.ndarray, A: np.ndarray, g: np.ndarray, c: float) -> bool:

@@ -84,6 +84,12 @@ def _squeezing_factor(s_db: float) -> float:
     return squeezing_db_to_r(s_db)
 
 
+def _check_noise(n: float) -> None:
+    """Reject an injected noise photon number below 0."""
+    if n < 0:
+        raise DomainError(f"injected noise photon number must be >= 0, got {n}")
+
+
 def ideal_tms(r: float) -> TwoModeCovariance:
     """Pure two-mode squeezed state for a squeezing factor r.
 
@@ -117,8 +123,7 @@ def inject_noise_ideal(V: TwoModeCovariance, n: float) -> TwoModeCovariance:
     the cross correlations untouched (the beta -> 0 limit of the
     directional coupler at fixed injected photon number).
     """
-    if n < 0:
-        raise DomainError(f"injected noise photon number must be >= 0, got {n}")
+    _check_noise(n)
     if V.n_modes != 2:
         raise DomainError("noise injection expects a two-mode state")
     m = np.array(V.entries)
@@ -237,8 +242,7 @@ class StateModel:
         r = _squeezing_factor(s_db)
         if self.coupling_beta is None:
             return inject_noise_ideal(ideal_tms(r), n)
-        if n < 0:
-            raise DomainError(f"injected noise photon number must be >= 0, got {n}")
+        _check_noise(n)
         V = inject_noise_coupler(ideal_tms(r), self.coupling_beta, n / self.coupling_beta)
         if self.jpa is None:
             return V

@@ -537,6 +537,15 @@ class TestScalarInputs:
         assert capsys.readouterr().err == f"tmsflow: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, bad", [("-1", "-1.0"), ("0,0.5,-0.25", "-0.25")])
+    def test_negative_injected_noise_is_a_usage_error(self, n, bad, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["gen-synthetic", "--s", "3", "--n", n, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"tmsflow: injected noise photon number must be >= 0, got {bad}\n"
+        )
+        assert not out.exists()
+
 
 class TestFitAndGenSynthetic:
     def test_synthetic_then_fit_roundtrip(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import itertools
 import json
 import math
 import warnings
@@ -6,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from tmsflow.correlations import correlation_arrays
 from tmsflow.errors import DomainError, ModelFailureError, NumericalError
 from tmsflow.fit import (
+    FitResult,
     MeasurementRecord,
     cost,
     fit,
@@ -209,6 +213,171 @@ class TestFit:
     def test_synthetic_records_reject_a_bad_noise_amplitude(self, noise):
         with pytest.raises(DomainError, match="noise amplitude"):
             synthetic_records([6.0], [0.1], noise=noise)
+
+
+# the module, not the function the package exports under the same name
+fit_module = importlib.import_module("tmsflow.fit")
+
+
+def _pinned_sets():
+    """Record sets and fit arguments whose results are pinned below."""
+    zero_rows = [
+        MeasurementRecord(s_db=0.0, n=0.1, d_a=0.0, d_b=0.0, e_f=0.0),
+        MeasurementRecord(s_db=0.0, n=0.5, d_a=0.1, d_b=0.1, e_f=0.0),
+    ]
+    return {
+        "noisy-seed-0": (synthetic_records(S_GRID_09, N_GRID_09, noise=0.01, seed=0), {}),
+        "noisy-seed-7": (synthetic_records(S_GRID_09, N_GRID_09, noise=0.01, seed=7), {}),
+        "sigma": (_with_sigma(synthetic_records(S_GRID, N_GRID, noise=0.01, seed=3), 0.01), {}),
+        "clamped-start": (synthetic_records(S_GRID, N_GRID), {"initial": (-0.2, 1.0)}),
+        "chi1-zero-optimum": (synthetic_records(S_GRID, N_GRID, chi=(0.0, 1.0)), {}),
+        "zero-squeezing-rows": (
+            zero_rows + synthetic_records(S_GRID, N_GRID, noise=0.01, seed=9), {}
+        ),
+        "rejected-trial": (
+            synthetic_records(S_GRID_09, N_GRID_09, noise=0.01, seed=2), {"initial": (0.5, 0.1)}
+        ),
+    }
+
+
+# every field, bit for bit, as a fit that gives each point its own kernel call finds it
+PINNED = {
+    "noisy-seed-0": FitResult(
+        chi1=0.04940529467755579, chi2=0.5495313532214254, final_cost=0.004922259693946266,
+        iterations=8, converged=True, clamp_activations=0, chi1_se=0.0013684061569636272,
+        chi2_se=0.017642418734167796, reduced_chi2=5.5934769249389384e-05,
+    ),
+    "noisy-seed-7": FitResult(
+        chi1=0.054049612930443934, chi2=0.5153058290802283, final_cost=0.004201387633249659,
+        iterations=8, converged=True, clamp_activations=0, chi1_se=0.001314247101813123,
+        chi2_se=0.01559882224261948, reduced_chi2=4.7743041286927944e-05,
+    ),
+    "sigma": FitResult(
+        chi1=0.05065947873648605, chi2=0.5390057123585453, final_cost=35.85613400655482,
+        iterations=8, converged=True, clamp_activations=0, chi1_se=0.0034595231646982693,
+        chi2_se=0.040221628748022396, reduced_chi2=1.4342453602621927,
+    ),
+    "clamped-start": FitResult(
+        chi1=0.04999999999976479, chi2=0.5600000000020942, final_cost=7.353881735351069e-25,
+        iterations=7, converged=True, clamp_activations=1, chi1_se=5.4902978526951586e-14,
+        chi2_se=6.484959326738623e-13, reduced_chi2=2.9415526941404273e-26,
+    ),
+    "chi1-zero-optimum": FitResult(
+        chi1=0.0, chi2=1.0, final_cost=0.0, iterations=0, converged=True, clamp_activations=0,
+        chi1_se=None, chi2_se=None, reduced_chi2=0.0,
+    ),
+    "zero-squeezing-rows": FitResult(
+        chi1=0.051758168226531974, chi2=0.5211019495805695, final_cost=0.0021057893768673813,
+        iterations=8, converged=True, clamp_activations=0, chi1_se=0.003006321588294478,
+        chi2_se=0.034529448874874975, reduced_chi2=8.423157507469525e-05,
+    ),
+    "rejected-trial": FitResult(
+        chi1=0.04735869704700997, chi2=0.5870865557346526, final_cost=0.005686725668119965,
+        iterations=9, converged=True, clamp_activations=1, chi1_se=0.0014305029231671768,
+        chi2_se=0.019108869259329024, reduced_chi2=6.462188259227233e-05,
+    ),
+}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The shape of every correlation-kernel call the fit module makes."""
+    shapes = []
+
+    def counted(sf):
+        shapes.append(sf.a.shape)
+        return correlation_arrays(sf)
+
+    monkeypatch.setattr(fit_module, "correlation_arrays", counted)
+    return shapes
+
+
+def _failing_kernel(monkeypatch, call, cells):
+    """Make the fit module's kernel call number ``call`` (from 1) fail at
+    ``(point, record)`` cells of its (point, record) stack."""
+    made = itertools.count(1)
+
+    def failing(sf):
+        res = correlation_arrays(sf)
+        if next(made) != call:
+            return res
+        errors = dict(res.errors)
+        for point, record in cells:
+            errors[point * sf.a.shape[1] + record] = NumericalError(f"injected at {point}")
+        return res._replace(errors=errors)
+
+    monkeypatch.setattr(fit_module, "correlation_arrays", failing)
+
+
+class TestOneKernelCallPerTrial:
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_results_are_pinned(self, name):
+        records, kwargs = _pinned_sets()[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the S = 0 exclusion
+            assert fit(records, **kwargs) == PINNED[name]
+
+    def test_default_records_take_nine_calls(self, kernel_calls):
+        # the gen-synthetic default grid; every trial on it is accepted
+        records = synthetic_records(S_GRID_09, N_GRID_09)
+        kernel_calls.clear()
+        result = fit(records)
+        assert len(kernel_calls) == 1 + result.iterations == 9
+        assert set(kernel_calls) == {(3, len(records))}
+
+    def test_a_call_per_trial_with_rejections(self, kernel_calls):
+        records, kwargs = _pinned_sets()["rejected-trial"]
+        kernel_calls.clear()
+        result = fit(records, **kwargs)
+        assert len(kernel_calls) > 1 + result.iterations  # one trial or more rejected
+        assert set(kernel_calls) == {(3, len(records))}
+
+    def test_zero_squeezing_rows_are_not_evaluated(self, kernel_calls):
+        records, _ = _pinned_sets()["zero-squeezing-rows"]
+        kernel_calls.clear()
+        with pytest.warns(UserWarning, match="S = 0"):
+            fit(records)
+        assert set(kernel_calls) == {(3, len(records) - 2)}
+
+    def test_cost_is_one_call(self, kernel_calls, clean_records):
+        kernel_calls.clear()
+        cost(clean_records, CHI_TRUE)
+        assert kernel_calls == [(1, len(clean_records))]
+
+    def test_accepted_trial_raises_the_held_jacobian_failure(self, monkeypatch):
+        records = synthetic_records(S_GRID_09, N_GRID_09)
+        # call 2 is the first trial, accepted on these records; the chi1
+        # point is differenced first, so its failure wins over the chi2 point's
+        _failing_kernel(monkeypatch, 2, [(2, 1), (1, 7), (1, 9)])
+        with pytest.raises(ModelFailureError) as err:
+            fit(records)
+        rec = records[7]
+        assert err.value.record_index == 7
+        assert str(err.value) == (
+            f"model evaluation failed for record 7 (S={rec.s_db} dB, n={rec.n}): injected at 1"
+        )
+        assert isinstance(err.value.__cause__, NumericalError)
+
+    def test_failing_start_point_raises_before_its_jacobian_points(self, monkeypatch, clean_records):
+        _failing_kernel(monkeypatch, 1, [(1, 0), (0, 5)])
+        with pytest.raises(ModelFailureError, match="record 5 .*: injected at 0$"):
+            fit(clean_records)
+
+    def test_rejected_trials_never_raise_their_held_failures(self, monkeypatch, kernel_calls):
+        records, kwargs = _pinned_sets()["rejected-trial"]
+        kernel_calls.clear()
+        expected = fit(records, **kwargs)
+        calls, returned = len(kernel_calls), 0
+        for call in range(2, calls + 1):  # every trial in turn
+            _failing_kernel(monkeypatch, call, [(1, 3), (2, 3)])
+            try:
+                result = fit(records, **kwargs)
+            except ModelFailureError as exc:  # an accepted trial
+                assert exc.record_index == 3 and str(exc).endswith("injected at 1")
+            else:
+                assert result == expected
+                returned += 1
+        assert returned == calls - 1 - expected.iterations > 0
 
 
 class TestRecordsCsv:
