@@ -43,9 +43,9 @@ fl(hi / 10^-k)`` is corrected by the exact residual ``hi - q 10^-k``
 where ``x - y``, known to about 2^-49 of a spacing, lies inside half the
 spacing below ``y`` by a margin of 2^-40 of it.  A token left over (near
 a tie, outside the exponent range, a wide M with ``k >= 0``, or M from
-10^19 on) is read by ``float`` itself: one at a time when few are, else by
-one float64 ``np.fromstring`` of the whole block, which calls the same
-correctly rounded routine.
+10^19 on) is read by one float64 ``np.fromstring`` of the leftover tokens'
+bytes, gathered with their separators, which calls the same correctly
+rounded routine as ``float``.
 """
 
 from __future__ import annotations
@@ -158,9 +158,8 @@ def _scaled(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact = (j.view(_U) <= 2 * _MAX_POWER) & (m < _M_LIMIT)
     powers = _POWERS.take(np.where(exact, j, _MAX_POWER), axis=1)
     y = np.minimum(m, _M_LIMIT).astype(np.float64) / powers[0]  # right to M = 2^53
-    wide = m > _EXACT
-    wide = slice(None) if 2 * np.count_nonzero(wide) > len(m) else np.flatnonzero(wide)
-    if len(m[wide]):
+    wide = np.flatnonzero(m > _EXACT)
+    if len(wide):
         yw, clear = _corrected(np.minimum(m[wide], _M_LIMIT), powers[:, wide], y[wide])
         y[wide] = yw
         exact[wide] &= clear & (k[wide] < 0)
@@ -240,11 +239,13 @@ def _rows(b: bytes) -> np.ndarray | None:
     starts = np.concatenate(([0], ends[:-1] + 1))
     y *= _SIGNS.take(a.take(starts))
     inexact = np.flatnonzero(~exact)
-    if 4 * len(inexact) > len(y):
-        y = _numbers(b[:-1].translate(_NEWLINE_TO_COMMA), np.float64, len(ends))
-        inexact = slice(None)
-    else:
-        y[inexact] = [float(b[i:j]) for i, j in zip(starts[inexact].tolist(), ends[inexact].tolist())]
-    if y is None or not np.isfinite(y[inexact]).all():
-        return None
+    if len(inexact):  # their bytes, each with the separator after it, read at once
+        first = starts.take(inexact)
+        sizes = ends.take(inexact) + 1 - first
+        offsets = np.repeat(first - (np.cumsum(sizes) - sizes), sizes)  # of each gathered byte
+        text = a.take(np.arange(len(offsets)) + offsets).tobytes()
+        values = _numbers(text[:-1].translate(_NEWLINE_TO_COMMA), np.float64, len(inexact))
+        if values is None or not np.isfinite(values).all():
+            return None
+        y[inexact] = values
     return y.reshape(-1, 4)

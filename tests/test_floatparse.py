@@ -112,6 +112,34 @@ def test_decimals_at_and_near_rounding_ties_match_float():
     _assert_floats(_hard_ties())
 
 
+def _mantissas_and_exponents(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``M`` and ``k`` of each token ``M 10^k`` as the reader forms them."""
+    parts = [Decimal(t).as_tuple() for t in tokens]
+    m = [int("".join(map(str, p.digits))) for p in parts]
+    return np.array(m, dtype=np.uint64), np.array([p.exponent for p in parts])
+
+
+def test_the_tie_guard_leaves_exactly_the_near_ties_to_float():
+    """A wide mantissa's corrected quotient is proven only where the token
+    lies more than 2^-41 of a spacing from a tie.  The constructed tokens
+    ``M e-n`` lie ``5^-n / 2`` of a spacing from one: 2^-40.5 at n = 17,
+    2^-42.8 at n = 18.  Exact ties are never proven, though rounding half
+    to even would give their value anyway."""
+    m, k = _mantissas_and_exponents(_hard_ties())
+    exact = _floatparse._scaled(m, k)[1]
+    assert m.min() > 2**53
+    assert exact[k >= -17].all() and not exact[k <= -18].any()
+    with localcontext() as ctx:
+        ctx.prec = 60
+        m, k = _mantissas_and_exponents(_exact_ties(np.random.default_rng(8), 2000))
+    wide = (m > 2**53) & (k < 0)
+    assert wide.sum() > 500
+    assert not _floatparse._scaled(m[wide], k[wide])[1].any()
+    rng = np.random.default_rng(9)
+    m, k = _mantissas_and_exponents(["%.17g" % v for v in rng.standard_normal(10_000).tolist()])
+    assert _floatparse._scaled(m, k)[1].all()
+
+
 EDGE_TOKENS = [
     # integers around 2^53, where a double holds every other one
     *(str(2**53 + d) for d in range(-3, 8)),
