@@ -259,17 +259,18 @@ def _load_config(path: str | None) -> dict:
 def _read_input(settings: _Settings, name: str, parse, what: str):
     """``parse`` of the open file the path setting ``name`` names; a file
     that cannot be opened or decoded as UTF-8, or is malformed, is a usage
-    error.  A decode error names the byte's offset in the file: the bytes
-    the decoder failed on end where the file has been read to."""
+    error.  A decode error names the byte's offset in a seekable file: the
+    bytes the decoder failed on end where the file has been read to."""
     try:
         with open(settings[name], "r", encoding="utf-8") as fh:
             try:
                 return parse(fh)
             except UnicodeDecodeError as exc:
-                at = fh.buffer.tell() - len(exc.object) + exc.start
+                byte = f"byte 0x{exc.object[exc.start]:02x}"
+                if fh.buffer.seekable():  # a pipe has no offset
+                    byte += f" at file offset {fh.buffer.tell() - len(exc.object) + exc.start}"
                 raise ConfigError(
-                    f"cannot read {name}: 'utf-8' codec can't decode byte "
-                    f"0x{exc.object[exc.start]:02x} at file offset {at}: {exc.reason}"
+                    f"cannot read {name}: 'utf-8' codec can't decode {byte}: {exc.reason}"
                 ) from None
     except OSError as exc:
         raise ConfigError(f"cannot read {name}: {exc}") from None

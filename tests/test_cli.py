@@ -425,6 +425,31 @@ class TestScalarInputs:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "argv, name, head",
+        [
+            (["tomo", "--samples"], "samples", "I1,Q1,I2,Q2\n"),
+            (["fit", "--records"], "records", "s_db,n,d_a,d_b,e_f\n"),
+            (["validate", "--state"], "state", "# \u00e9\n"),
+        ],
+    )
+    def test_undecodable_byte_in_a_pipe_is_named_without_an_offset(
+        self, argv, name, head, tmp_path, capsys
+    ):
+        read_end, write_end = os.pipe()
+        os.write(write_end, head.encode() + b"\xff\n")
+        os.close(write_end)
+        try:
+            argv = argv + [f"/dev/fd/{read_end}"]
+            assert main(argv + [_out_flag(argv), str(tmp_path / "out")]) == 2
+        finally:
+            os.close(read_end)
+        assert capsys.readouterr().err == (
+            f"tmsflow: cannot read {name}: 'utf-8' codec can't decode byte 0xff: "
+            "invalid start byte\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "argv, name, head, row",
         [
             (["tomo", "--samples"], "samples", "I1,Q1,I2,Q2\n", "0.125,-0.25,0.5,1.0\n"),

@@ -230,10 +230,10 @@ def test_savetxt_default_format_skips_the_line_scanner(monkeypatch):
     """``numpy.savetxt``'s default ``%.18e`` (19 significant digits) is read
     by the block reader alone, with the same values as ``repr`` text."""
 
-    def scan(source):
+    def scan(lines):
         raise AssertionError("the line scanner ran")
 
-    monkeypatch.setattr(tomography, "_scan_samples", scan)
+    monkeypatch.setattr(tomography, "_float_rows", scan)
     values = np.random.default_rng(3).standard_normal((5000, 4))
     rows = "".join(",".join("%.18e" % v for v in row) + "\n" for row in values.tolist())
     parsed = samples_from_csv("I1,Q1,I2,Q2\n" + rows).data

@@ -406,12 +406,25 @@ class TestSamplesCsv:
         assert peak < 16 * rows, f"{peak / rows:.1f} bytes per row"
 
     def test_well_formed_text_skips_the_line_scanner(self, monkeypatch):
-        def scan(text):
+        def scan(lines):
             raise AssertionError("the line scanner ran")
 
-        monkeypatch.setattr("tmsflow.tomography._scan_samples", scan)
+        monkeypatch.setattr("tmsflow.tomography._float_rows", scan)
         text = "I1,Q1,I2,Q2\r\n\n# comment\n 1, 2 ,3,4\n  \n-5e-1,6,7,8.5\n"
         assert samples_from_csv(text).data.tolist() == [[1, 2, 3, 4], [-0.5, 6, 7, 8.5]]
+
+
+class _Pipe(io.StringIO):
+    """A text stream that reads front to back only, as a pipe does."""
+
+    def seekable(self):
+        return False
+
+    def tell(self):
+        raise io.UnsupportedOperation("underlying stream is not seekable")
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("underlying stream is not seekable")
 
 
 def _outcome(parse, text):
@@ -496,11 +509,36 @@ def _sample_texts(draw):
 @example("I1,Q1,I2,Q2\u2028" + "1,2,3,4\x85" * 3, 5)
 def test_bulk_parse_matches_the_line_scanner(text, chunk):
     """Every text gives the scanner's array bit for bit, or its error: as a
-    string or an open stream, read in blocks of the default size or of
-    ``chunk`` characters, so that lines straddle the block boundaries.  The
-    scanner reads the text in one block: the lines of ``text.splitlines()``."""
+    string, an open stream or a stream that cannot seek, read in blocks of
+    the default size or of ``chunk`` characters, so that lines straddle the
+    block boundaries.  The scanner reads the text in one block: the lines
+    of ``text.splitlines()``."""
     expected = _outcome(lambda t: QuadratureSamples(_scan_samples(io.StringIO(t))).data, text)
     for size in (tomography._CHUNK, chunk):
         with mock.patch.object(tomography, "_CHUNK", size):
-            for source in (text, io.StringIO(text)):
+            for source in (text, io.StringIO(text), _Pipe(text)):
                 assert _outcome(lambda t: samples_from_csv(t).data, source) == expected, size
+
+
+@pytest.mark.parametrize("last", ["1,2,3", "1_0,2,3,4"])
+def test_a_refused_block_is_read_line_by_line_alone(last, monkeypatch):
+    """A last line the block reader refuses sends only the lines of its own
+    block to the ``float`` reader, which names it or reads it as the
+    scanner does."""
+    rows = [f"{i},{i + 0.5},-{i},{i}e-3" for i in range(200)]
+    text = "\n".join(["I1,Q1,I2,Q2", *rows, last]) + "\n"
+    expected = _outcome(lambda t: QuadratureSamples(_scan_samples(io.StringIO(t))).data, text)
+    read = []
+    float_rows = tomography._float_rows
+
+    def counted(lines):
+        lines = list(lines)
+        read.extend(line_no for line_no, _ in lines)
+        return float_rows(lines)
+
+    monkeypatch.setattr(tomography, "_CHUNK", 80)  # a last block of 4 lines
+    monkeypatch.setattr(tomography, "_float_rows", counted)
+    assert _outcome(lambda t: samples_from_csv(t).data, _Pipe(text)) == expected
+    block = list(tomography._text_blocks(io.StringIO(text)))[-1].splitlines()
+    assert 1 < len(block) < 10
+    assert read == list(range(203 - len(block), 203))
