@@ -455,7 +455,7 @@ def samples_from_csv(source: str | TextIO) -> QuadratureSamples:
     line.  The rows go into one array grown in place, so memory follows
     the ``(N, 4)`` array, not the text.  17-digit values below about 1e-6
     take a slower exact routine of ``rows``: a 100k-row ``%.17g`` file of
-    them reads about 3.5 times slower than one of values near 1.
+    them takes 3 to 4 times as long as one of values near 1.
     """
     from . import _floatparse
 
