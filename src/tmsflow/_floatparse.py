@@ -30,19 +30,26 @@ signs deleted and every ``e`` and newline made a comma, one
 every exponent with NumPy's C integer parser; a mantissa of 10^19 or more
 is out of range or saturates, and is read by ``float``.  A token's sign is
 its first byte, so ``-0`` keeps it, and an exponent's sign is the byte
-after its ``e``.  ``k`` is the exponent less the number of digits between
-the point and the next event.
+after its ``e``.  ``k`` is the exponent less the digits after the point.
+Only digits follow a point, so a token's point, where it has one, is the
+event just before the end of its mantissa field, and those digits lie
+between the two.
 
 **Scaling** (Clinger, *PLDI* 1990, widened with Dekker's exact product,
-*Numer. Math.* 18, 224 (1971)).  The powers ``10^j``, ``j <= 22``, are
-exact doubles, so for ``M <= 2^53`` one division (``k < 0``) or product
-(``k >= 0``) is correctly rounded.  For a wider M and ``k < 0`` M is
-``hi = fl(M)`` plus the exact integer ``lo = M - hi``; the quotient ``q =
-fl(hi / 10^-k)`` is corrected by the exact residual ``hi - q 10^-k``
-(Dekker's TwoProduct) plus ``lo``, and the rounded result ``y`` is kept
+*Numer. Math.* 18, 224 (1971)).  Every token takes one path.  M is ``hi =
+fl(M)`` plus the exact integer ``lo = M - hi``.  The quotient ``q = fl(hi
+/ d)`` by the divisor ``d = fl(10^-k)`` (1 for ``k >= 0``) is corrected
+by the residual ``M - q 10^-k``: ``hi - q d``, exact by Dekker's
+TwoProduct, plus ``lo``, less ``q r`` for the divisor's remainder ``r =
+10^-k - d``.  For ``-44 <= k <= 22``, ``10^-k`` is ``d + r`` exactly with
+``r`` a double (0 from ``k = -22`` on; 5^44 has 103 bits), and ``q r``
+rounds by about 2^-54 of a spacing.  The rounded result ``y`` is kept
 where ``x - y``, known to about 2^-49 of a spacing, lies inside half the
-spacing below ``y`` by a margin of 2^-40 of it.  A token left over (near
-a tie, outside the exponent range, a wide M with ``k >= 0``, or M from
+spacing below ``y`` by a margin of 2^-40 of it; a quotient that is
+already correctly rounded, as for ``M <= 2^53`` and ``k >= -22``, stays.
+For ``k >= 0``, ``y`` is multiplied by the exact ``10^k``, one more
+rounding, so it is kept only for ``M <= 2^53``.  A token left over (near
+a tie, ``k`` outside -44 to 22, a wider M with ``k >= 0``, or M from
 10^19 on) is read by one float64 ``np.fromstring`` of the leftover tokens'
 bytes, gathered with their separators, which calls the same correctly
 rounded routine as ``float``.
@@ -62,6 +69,7 @@ _LINE = np.frombuffer(b",,,\n", dtype=np.uint8)  # the separators of a line
 _M_LIMIT = _U(10**19)  # every M below it has at most 19 digits, exactly parsed
 _EXACT = _U(2**53)  # every M up to it is an exact double
 _MAX_POWER = 22  # 10^22 is the largest exact power of ten
+_MIN_POWER = 44  # 10^44 is exact as fl(10^44) plus a double
 _EXPONENT_BITS = _U(0x7FF0000000000000)
 _HALF_SPACING = 2.0**-53 * (1.0 - 2.0**-40)  # of 2^e, less the tie margin
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
@@ -74,10 +82,18 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-# Columns j = k + 22 for k = -22 .. 22, rows: the divisor 10^-k (1 from k = 0
-# on), split in two, and the multiplier 10^k (1 below k = 0).
-_DIVISOR = np.array([10.0 ** max(-k, 0) for k in range(-_MAX_POWER, _MAX_POWER + 1)])
-_POWERS = np.array([_DIVISOR, *_split(_DIVISOR), _DIVISOR[::-1]])
+# Columns j = k + 44 for k = -44 .. 22, rows: the divisor fl(10^-k) (1 from
+# k = 0 on), split in two, its exact remainder 10^-k - fl(10^-k) (0 from
+# k = -22 on; 5^44 has 103 bits, so it has at most 50), and the multiplier
+# 10^k (1 below k = 0).
+_K = range(-_MIN_POWER, _MAX_POWER + 1)
+_DIVISOR = np.array([float(10 ** max(-k, 0)) for k in _K])
+_POWERS = np.array([
+    _DIVISOR,
+    *_split(_DIVISOR),
+    [float(10 ** max(-k, 0) - int(d)) for k, d in zip(_K, _DIVISOR.tolist())],
+    [10.0 ** max(k, 0) for k in _K],
+])
 
 # Event classes of the non-digit bytes, even numbers: an event's code is its
 # class plus 1 where digits lie before it.  A pad is a run of spaces and tabs.
@@ -130,18 +146,19 @@ _ALLOWED = np.array([
 ])
 
 
-def _corrected(m: np.ndarray, powers: np.ndarray, q: np.ndarray):
-    """``M / 10^-k`` (``k < 0``) rounded to the nearest double, from the
-    columns of :data:`_POWERS` for k and the quotient ``q = fl(fl(M) /
-    10^-k)``, and whether no rounding tie lies within reach of the
-    residual's error."""
+def _corrected(m: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``M / 10^-k`` rounded to the nearest double, from the columns of
+    :data:`_POWERS` for k, and whether no rounding tie lies within reach of
+    the residual's error."""
+    divisor, d_hi, d_lo, remainder, _ = powers
     hi = m.astype(np.float64)
     lo = (m - hi.astype(_U)).view(np.int64).astype(np.float64)  # exact below 10^19
-    divisor, d_hi, d_lo, _ = powers
+    q = hi / divisor
     q_hi, q_lo = _split(q)
     p = q * divisor
     e = ((q_hi * d_hi - p) + q_hi * d_lo + q_lo * d_hi) + q_lo * d_lo  # p + e = q divisor
-    c = (((hi - p) - e) + lo) / divisor  # the exact residual M - q divisor, over divisor
+    # the residual M - q 10^-k (rounded only in q remainder), over the divisor
+    c = ((((hi - p) - e) + lo) - q * remainder) / divisor
     y = q + c
     # x - y is (q - y) + c, q - y exact (Sterbenz); half the spacing below y
     # is 2^-53 times 2^e of the double just below y, which is no more than
@@ -152,18 +169,16 @@ def _corrected(m: np.ndarray, powers: np.ndarray, q: np.ndarray):
 
 def _scaled(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``M 10^k`` rounded to the nearest double, and where that is proven:
-    ``|k| <= 22`` and ``M < 10^19``, ``M <= 2^53`` for ``k >= 0``, and no
-    rounding tie within reach of the residual's error for ``M > 2^53``."""
-    j = k + _MAX_POWER
-    exact = (j.view(_U) <= 2 * _MAX_POWER) & (m < _M_LIMIT)
-    powers = _POWERS.take(np.where(exact, j, _MAX_POWER), axis=1)
-    y = np.minimum(m, _M_LIMIT).astype(np.float64) / powers[0]  # right to M = 2^53
-    wide = np.flatnonzero(m > _EXACT)
-    if len(wide):
-        yw, clear = _corrected(np.minimum(m[wide], _M_LIMIT), powers[:, wide], y[wide])
-        y[wide] = yw
-        exact[wide] &= clear & (k[wide] < 0)
-    y *= powers[3]  # exact below k = 0; one rounding of M 10^k from it on
+    ``-44 <= k <= 22``, ``M < 10^19``, no rounding tie within reach of the
+    residual's error, and ``M <= 2^53`` for ``k >= 0``, where the product
+    rounds once more."""
+    j = k + _MIN_POWER
+    exact = (j.view(_U) <= _MIN_POWER + _MAX_POWER) & (m < _M_LIMIT)
+    powers = _POWERS.take(np.where(exact, j, _MIN_POWER), axis=1)
+    m = np.minimum(m, _M_LIMIT)
+    y, clear = _corrected(m, powers)
+    exact &= clear & ((k < 0) | (m <= _EXACT))
+    y *= powers[4]  # exact below k = 0; one rounding of M 10^k from it on
     return y, exact
 
 
@@ -222,19 +237,20 @@ def _rows(b: bytes) -> np.ndarray | None:
     ints = _numbers(b[:-1].translate(_FIELDS, b".+-"), _U, len(fields))
     if ints is None:
         return None
-    # k of each token: minus the digits after its point, up to the next
-    # event, summed over the events of the token; plus its exponent.
-    shift = np.zeros(len(events), dtype=np.int64)
-    dot = np.flatnonzero(cls == _DOT)
-    shift[dot] = events.take(dot) + 1 - events.take(dot + 1)
-    k = np.diff(np.cumsum(shift).take(fields[last]), prepend=0)
-    m = ints
+    k, mantissa = 0, slice(None)  # the field of each token's mantissa
     if len(ends) < len(fields):
         has_exp = exponent.take(last - 1)  # field -1 is the block's last, not an exponent
-        m = ints.take(last - has_exp)
+        mantissa = last - has_exp
         value = np.where(has_exp, np.minimum(ints.take(last), _U(10**6)), _U(0)).astype(np.int64)
         sign = a.take(events.take(fields.take(last - 1)) + 1, mode="clip")  # after an "e"
-        k += np.where(sign == _MINUS, -value, value)  # beyond 10^6, read by float
+        k = np.where(sign == _MINUS, -value, value)  # beyond 10^6, read by float
+    m, before = ints[mantissa], fields[mantissa] - 1
+    # Only digits follow a point, so a token's point is the event just
+    # before the end of its mantissa, and k is its exponent less the digits
+    # between the two.  Clipped, the block's first event stands before
+    # itself, and it is no point.
+    point = cls.take(before, mode="clip") == _DOT
+    k = k + np.where(point, events.take(before, mode="clip") + 1 - events.take(before + 1), 0)
     y, exact = _scaled(m, k)
     starts = np.concatenate(([0], ends[:-1] + 1))
     y *= _SIGNS.take(a.take(starts))

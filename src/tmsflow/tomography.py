@@ -453,9 +453,7 @@ def samples_from_csv(source: str | TextIO) -> QuadratureSamples:
     :func:`_float_rows` reads them with ``float``, which takes all of its
     grammar (digit underscores, non-ASCII digits) and names the first bad
     line.  The rows go into one array grown in place, so memory follows
-    the ``(N, 4)`` array, not the text.  17-digit values below about 1e-6
-    take a slower exact routine of ``rows``: a 100k-row ``%.17g`` file of
-    them takes 3 to 4 times as long as one of values near 1.
+    the ``(N, 4)`` array, not the text.
     """
     from . import _floatparse
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,10 +52,19 @@ def _normals(rng: np.random.Generator, bound: float) -> np.ndarray:
     return rng.standard_normal(TOKENS) * 10.0 ** rng.uniform(-6, 6, TOKENS)
 
 
+def _small_normals(rng: np.random.Generator, bound: float) -> np.ndarray:
+    """Normal deviates scaled by 10^-30 to 10^-6, whose 17 to 19 digit
+    tokens have ``k`` from about -50 to -22."""
+    return rng.standard_normal(TOKENS) * 10.0 ** rng.uniform(-30, -6, TOKENS)
+
+
+SOURCES = [_bit_patterns, _normals, _small_normals]
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("source", [_bit_patterns, _normals])
+@pytest.mark.parametrize("source", SOURCES)
 def test_random_values_match_float(source, fmt):
-    rng = np.random.default_rng([FORMATS.index(fmt), source is _normals])
+    rng = np.random.default_rng([FORMATS.index(fmt), SOURCES.index(source)])
     values = source(rng, 1e22 if fmt == "%.10f" else np.inf)  # fixed point at a bounded width
     assert len(values) == TOKENS
     _assert_floats([fmt % v for v in values.tolist()])
@@ -85,11 +95,38 @@ def _exact_ties(rng: np.random.Generator, count: int) -> list[str]:
     return [t for t in tokens if len(t.replace(".", "").lstrip("0")) <= 19]
 
 
+def _lattice_points(n: int, s: int, bound: int) -> list[tuple[int, int]]:
+    """Pairs ``(c, d)`` with ``2^s`` dividing ``c 5^n + d``, ``|d| < bound``
+    and ``c`` within 2^52 of 1.5 2^53: the points of that lattice, ``d``
+    scaled by ``2^52 / bound``, nearest the box's centre in a
+    Lagrange-Gauss reduced basis."""
+    b1, b2 = (bound, -(5**n % 2**s) << 52), (0, 2**s << 52)  # (c bound, d 2^52)
+    dot = lambda u, v: u[0] * v[0] + u[1] * v[1]
+    while True:
+        if dot(b1, b1) > dot(b2, b2):
+            b1, b2 = b2, b1
+        mu = round(Fraction(dot(b1, b2), dot(b1, b1)))
+        if not mu:
+            break
+        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+    centre, det = 3 * 2**52 * bound, b1[0] * b2[1] - b1[1] * b2[0]
+    a0, b0 = round(Fraction(centre * b2[1], det)), round(Fraction(-centre * b1[1], det))
+    points = []
+    for a in range(a0 - 6, a0 + 7):
+        for b in range(b0 - 6, b0 + 7):
+            c, d = (a * b1[0] + b * b2[0]) // bound, (a * b1[1] + b * b2[1]) >> 52
+            if 2**53 <= c < 2**54 and abs(d) < bound:
+                points.append((c, d))
+    return points
+
+
 def _hard_ties(per_case: int = 50) -> list[str]:
-    """Decimals ``M e-n`` of 17 to 19 digits within ``5^-n / 2`` of a spacing
-    of a midpoint ``c 2^-s / 10^n`` (odd ``c`` of 54 bits), on either side:
-    ``c 5^n = 2^s M -+ 1``.  Nearer to a tie than any random decimal of
-    their length comes."""
+    """Decimals ``M e-n`` of 17 to 19 digits, ``M > 2^53``, that lie
+    ``|d| 5^-n / 2`` of a spacing from a midpoint ``c 2^-(s+n)`` between
+    doubles (odd ``c`` of 54 bits), on either side: ``2^s M = c 5^n + d``.
+    For n = 12..22 ``d = -+1``; for n = 23..44, where such a ``c`` is
+    seldom of 54 bits, ``|d| < 5^n 2^-44``, under 2^-45 of a spacing.
+    Nearer to a tie than any random decimal of their length comes."""
     tokens = []
     for n in range(12, 23):
         for side in (1, -1):
@@ -101,6 +138,13 @@ def _hard_ties(per_case: int = 50) -> list[str]:
                     m = (c * 5**n - side) >> s
                     if 2**53 < m < 10**19:
                         tokens.append(f"{m}e-{n}")
+    for n in range(23, 45):
+        top = (5**n).bit_length()
+        for s in range(top - 11, top + 1):  # M from 2^53 to 10^19
+            for c, d in _lattice_points(n, s, 5**n >> 44):
+                m = (c * 5**n + d) >> s
+                if c % 2 and 2**53 < m < 10**19:
+                    tokens.append(f"{m}e-{n}")
     return tokens
 
 
@@ -120,8 +164,8 @@ def _mantissas_and_exponents(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]
 
 
 def test_the_tie_guard_leaves_exactly_the_near_ties_to_float():
-    """A wide mantissa's corrected quotient is proven only where the token
-    lies more than 2^-41 of a spacing from a tie.  The constructed tokens
+    """Every corrected quotient is proven only where the token lies more
+    than 2^-41 of a spacing from a tie.  The constructed tokens
     ``M e-n`` lie ``5^-n / 2`` of a spacing from one: 2^-40.5 at n = 17,
     2^-42.8 at n = 18.  Exact ties are never proven, though rounding half
     to even would give their value anyway."""
@@ -138,6 +182,31 @@ def test_the_tie_guard_leaves_exactly_the_near_ties_to_float():
     rng = np.random.default_rng(9)
     m, k = _mantissas_and_exponents(["%.17g" % v for v in rng.standard_normal(10_000).tolist()])
     assert _floatparse._scaled(m, k)[1].all()
+
+
+def _unproven(fmt: str, values: np.ndarray) -> int:
+    """How many tokens of the values in the format ``_scaled`` leaves over."""
+    m, k = _mantissas_and_exponents([fmt % v for v in values.tolist()])
+    return int((~_floatparse._scaled(m, k)[1]).sum())
+
+
+@pytest.mark.parametrize("fmt", ["%.15e", "%.10f"])
+def test_narrow_mantissas_are_proven_through_the_correction(fmt):
+    """Mantissas up to 2^53 take the corrected quotient too, which keeps
+    the correctly rounded one and proves it."""
+    values = np.random.default_rng(10).standard_normal(10_000)
+    assert _unproven(fmt, values) == 0
+
+
+@pytest.mark.parametrize("fmt", ["%.17g", "%.18e", "%r"])
+def test_values_far_below_one_are_proven(fmt):
+    """Tokens of values from 1e-20 to 1e-6 have ``k`` from about -42 to
+    -22, in the range of the double-double powers of ten.  Only a value
+    below about 1e-26 (``k < -44``) or within 2^-41 of a spacing of a tie
+    would be left over; these 10k hold none."""
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-20, -6, 10_000)
+    assert _unproven(fmt, values) == 0
 
 
 EDGE_TOKENS = [
