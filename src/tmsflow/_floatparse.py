@@ -87,11 +87,12 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # k = -22 on; 5^44 has 103 bits, so it has at most 50), and the multiplier
 # 10^k (1 below k = 0).
 _K = range(-_MIN_POWER, _MAX_POWER + 1)
-_DIVISOR = np.array([float(10 ** max(-k, 0)) for k in _K])
+_TENS = [10 ** max(-k, 0) for k in _K]  # 10^-k as integers
+_DIVISOR = np.array([float(t) for t in _TENS])  # correctly rounded
 _POWERS = np.array([
     _DIVISOR,
     *_split(_DIVISOR),
-    [float(10 ** max(-k, 0) - int(d)) for k, d in zip(_K, _DIVISOR.tolist())],
+    [float(t - int(d)) for t, d in zip(_TENS, _DIVISOR.tolist())],
     [10.0 ** max(k, 0) for k in _K],
 ])
 
@@ -157,7 +158,8 @@ def _corrected(m: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarra
     q_hi, q_lo = _split(q)
     p = q * divisor
     e = ((q_hi * d_hi - p) + q_hi * d_lo + q_lo * d_hi) + q_lo * d_lo  # p + e = q divisor
-    # the residual M - q 10^-k (rounded only in q remainder), over the divisor
+    # the residual M - q 10^-k, rounded only in q times the remainder, over
+    # the divisor
     c = ((((hi - p) - e) + lo) - q * remainder) / divisor
     y = q + c
     # x - y is (q - y) + c, q - y exact (Sterbenz); half the spacing below y
@@ -244,12 +246,8 @@ def _rows(b: bytes) -> np.ndarray | None:
         value = np.where(has_exp, np.minimum(ints.take(last), _U(10**6)), _U(0)).astype(np.int64)
         sign = a.take(events.take(fields.take(last - 1)) + 1, mode="clip")  # after an "e"
         k = np.where(sign == _MINUS, -value, value)  # beyond 10^6, read by float
-    m, before = ints[mantissa], fields[mantissa] - 1
-    # Only digits follow a point, so a token's point is the event just
-    # before the end of its mantissa, and k is its exponent less the digits
-    # between the two.  Clipped, the block's first event stands before
-    # itself, and it is no point.
-    point = cls.take(before, mode="clip") == _DOT
+    m, before = ints[mantissa], fields[mantissa] - 1  # a token's point, if any
+    point = cls.take(before, mode="clip") == _DOT  # clipped, event 0 is no point
     k = k + np.where(point, events.take(before, mode="clip") + 1 - events.take(before + 1), 0)
     y, exact = _scaled(m, k)
     starts = np.concatenate(([0], ends[:-1] + 1))

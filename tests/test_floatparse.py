@@ -166,9 +166,10 @@ def _mantissas_and_exponents(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]
 def test_the_tie_guard_leaves_exactly_the_near_ties_to_float():
     """Every corrected quotient is proven only where the token lies more
     than 2^-41 of a spacing from a tie.  The constructed tokens
-    ``M e-n`` lie ``5^-n / 2`` of a spacing from one: 2^-40.5 at n = 17,
-    2^-42.8 at n = 18.  Exact ties are never proven, though rounding half
-    to even would give their value anyway."""
+    ``M e-n`` lie ``5^-n / 2`` of a spacing from one up to n = 22: 2^-40.5
+    at n = 17, 2^-42.8 at n = 18; beyond, under 2^-45.  Exact ties are
+    never proven, though rounding half to even would give their value
+    anyway."""
     m, k = _mantissas_and_exponents(_hard_ties())
     exact = _floatparse._scaled(m, k)[1]
     assert m.min() > 2**53
@@ -179,34 +180,24 @@ def test_the_tie_guard_leaves_exactly_the_near_ties_to_float():
     wide = (m > 2**53) & (k < 0)
     assert wide.sum() > 500
     assert not _floatparse._scaled(m[wide], k[wide])[1].any()
+
+
+@pytest.mark.parametrize(
+    "fmt, low, high",
+    [("%.17g", 0, 0), ("%.15e", 0, 0), ("%.10f", 0, 0),
+     ("%.17g", -20, -6), ("%.18e", -20, -6), ("%r", -20, -6)],
+)
+def test_tokens_away_from_ties_are_proven(fmt, low, high):
+    """``_scaled`` proves every token of 10k normals times 10^U(low, high).
+    Mantissas up to 2^53 take the corrected quotient too, which keeps the
+    correctly rounded one; values from 1e-20 to 1e-6 have ``k`` from about
+    -42 to -22, in the range of the double-double powers of ten.  Only a
+    value below about 1e-26 (``k < -44``) or within 2^-41 of a spacing of
+    a tie would be left over; these hold none."""
     rng = np.random.default_rng(9)
-    m, k = _mantissas_and_exponents(["%.17g" % v for v in rng.standard_normal(10_000).tolist()])
-    assert _floatparse._scaled(m, k)[1].all()
-
-
-def _unproven(fmt: str, values: np.ndarray) -> int:
-    """How many tokens of the values in the format ``_scaled`` leaves over."""
+    values = rng.standard_normal(10_000) * 10.0 ** rng.uniform(low, high, 10_000)
     m, k = _mantissas_and_exponents([fmt % v for v in values.tolist()])
-    return int((~_floatparse._scaled(m, k)[1]).sum())
-
-
-@pytest.mark.parametrize("fmt", ["%.15e", "%.10f"])
-def test_narrow_mantissas_are_proven_through_the_correction(fmt):
-    """Mantissas up to 2^53 take the corrected quotient too, which keeps
-    the correctly rounded one and proves it."""
-    values = np.random.default_rng(10).standard_normal(10_000)
-    assert _unproven(fmt, values) == 0
-
-
-@pytest.mark.parametrize("fmt", ["%.17g", "%.18e", "%r"])
-def test_values_far_below_one_are_proven(fmt):
-    """Tokens of values from 1e-20 to 1e-6 have ``k`` from about -42 to
-    -22, in the range of the double-double powers of ten.  Only a value
-    below about 1e-26 (``k < -44``) or within 2^-41 of a spacing of a tie
-    would be left over; these 10k hold none."""
-    rng = np.random.default_rng(11)
-    values = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-20, -6, 10_000)
-    assert _unproven(fmt, values) == 0
+    assert _floatparse._scaled(m, k)[1].all()
 
 
 EDGE_TOKENS = [
