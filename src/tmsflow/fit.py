@@ -6,12 +6,13 @@ minimizing a weighted sum of squared residuals with a damped Gauss-Newton
 (Levenberg) iteration on a forward-difference Jacobian, and reports
 standard errors of both coefficients from the same Jacobian.  Each trial
 point is one kernel call that also carries its two forward-difference
-points, so an accepted trial brings the next Jacobian with it.  Ships a
-synthetic-record generator so the recovery pipeline can be exercised
-without access to raw measurement data.
+points, so an accepted trial brings the next Jacobian with it.  The sums
+are exactly rounded and the 2x2 algebra is closed-form, so no BLAS or
+LAPACK routine runs.  Ships a synthetic-record generator so the recovery
+pipeline can be exercised without access to raw measurement data.
 
 Refs: Levenberg, Q. Appl. Math. 2, 164 (1944); Marquardt, SIAM J. Appl.
-Math. 11, 431 (1963).
+Math. 11, 431 (1963); Shewchuk, Discrete Comput. Geom. 18, 305 (1997).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .correlations import correlation_arrays
 from .errors import DomainError, ModelFailureError, NumericalError
-from .states import StateModel
+from .states import StateModel, _amplified, _amplifier_q, _squeezing_factor
 
 DEFAULT_WEIGHTS = (0.5, 0.5, 1.0)
 DEFAULT_COUPLING = 0.01  # -20 dB directional coupler
@@ -41,6 +42,7 @@ _MAX_DAMPING = 1e16
 _DECREMENT_TOL = 1e-12  # Gauss-Newton decrement relative to the cost
 _STEP_TOL = 1e-10  # Gauss-Newton step relative to |chi|
 _MAX_CONDITION = 1e8  # of the normalised J^T J; the forward difference resolves no more
+_PINV_CUTOFF = 1e-15  # numpy.linalg.pinv's default relative cutoff
 
 
 @dataclass(frozen=True)
@@ -86,16 +88,12 @@ class FitResult:
     reduced_chi2: float | None = None
 
 
-def _fit_model(chi: tuple[float, float], coupling_beta: float) -> StateModel:
-    """The realistic model at chi, with chi1 clamped to >= 0."""
-    return StateModel.realistic(chi1=max(chi[0], 0.0), chi2=chi[1], beta=coupling_beta)
-
-
 def _residuals(records, chi, weights, coupling_beta: float) -> np.ndarray:
-    """Residuals of (D_A, D_B, E_F), three per record: ``(model - measured)
-    / sigma`` for a record that carries sigma, ``sqrt(w) (model - measured)``
-    otherwise.  All records are one kernel call; the first record whose
-    model evaluation fails raises :class:`ModelFailureError`."""
+    """Residuals of D_A, D_B and E_F, in that order, each over all records:
+    ``(model - measured) / sigma`` for a record that carries sigma, ``sqrt(w)
+    (model - measured)`` otherwise.  All records are one kernel call; the
+    first record whose model evaluation fails raises
+    :class:`ModelFailureError`."""
     (r,) = _evaluator(records, weights, coupling_beta)([chi])
     if isinstance(r, ModelFailureError):
         raise r
@@ -106,13 +104,28 @@ def _evaluator(records, weights, coupling_beta: float):
     """:func:`_residuals` of ``records`` as a function of a list of chi
     points, evaluated together in one kernel call.
 
-    The per-record arrays are built once, and each point derives the
-    amplifier levels once per distinct squeezing level.  For each point the
-    function returns its residual vector or, unraised, the
+    What does not depend on chi is formed once: the per-record arrays, r
+    and the gain excess ``expm1(2r)`` of each distinct squeezing level, and
+    the amplifier-free part of the standard form for each number of
+    points.  A point adds only ``q = 2 chi1 excess**chi2`` per level, by
+    the float operations, and with the errors, of
+    :meth:`StateModel._amplifier_excess`, and the amplifier scaling.  For
+    each point the function returns its residual vector or, unraised, the
     :class:`ModelFailureError` that :func:`_residuals` raises there.
     """
-    s_db, n = np.array([[rec.s_db, rec.n] for rec in records]).reshape(-1, 2).T
+    model = StateModel.coupler(coupling_beta)  # _standard_form reads only beta
+    s_db = np.array([rec.s_db for rec in records])
+    n = np.array([rec.n for rec in records])
     levels, inverse = np.unique(s_db, return_inverse=True)
+    gains, level_errors = [], []  # (r, expm1(2r)) of each level; (0, 0), so q = 0, where rejected
+    for i, level in enumerate(levels.tolist()):
+        try:
+            r = _squeezing_factor(level)
+        except DomainError as exc:
+            r = 0.0
+            level_errors += [(int(j), exc) for j in np.flatnonzero(inverse == i)]
+        gains.append((r, math.expm1(2.0 * r)))
+    r_records = np.array([r for r, _ in gains])[inverse]
     root_w = [math.sqrt(w) for w in weights]
     scale, sigma = [], []
     for rec in records:
@@ -122,27 +135,34 @@ def _evaluator(records, weights, coupling_beta: float):
         else:
             scale.append((1.0, 1.0, 1.0))
             sigma.append((rec.sd_a, rec.sd_b, rec.se_f))
-    scale, sigma = np.array(scale), np.array(sigma)
-    measured = np.array([(rec.d_a, rec.d_b, rec.e_f) for rec in records])
+    # (D_A, D_B, E_F) blocks of m records, as the kernel's results are joined
+    scale, sigma = np.array(scale).T.ravel(), np.array(sigma).T.ravel()
+    measured = np.array([(rec.d_a, rec.d_b, rec.e_f) for rec in records]).T.ravel()
     m = len(records)
+    bases: dict = {}  # the base family of a stack of that many points
 
     def evaluate(points: list) -> list:
-        models = [_fit_model(chi, coupling_beta) for chi in points]
-        r, q, level_errors, gain_errors = [], [], [], []
-        for k, model in enumerate(models):
-            r_k, q_k, level_k, gain_k = model._levels(levels)
-            r.append(r_k[inverse])
-            q.append(q_k[inverse])
+        if len(points) not in bases:
             # one error per record at a failed level, indexed into the (point, record) stack
-            for into, failed in ((level_errors, level_k), (gain_errors, gain_k)):
-                for level, exc in failed:
-                    into += [(k * m + int(i), exc) for i in np.flatnonzero(inverse == level)]
-        stacked = (np.stack(r), np.stack(q), level_errors, gain_errors)
-        # _standard_form reads only beta from the model; chi enters through q alone
-        s = np.broadcast_to(s_db, (len(points), m))
-        res = correlation_arrays(models[0]._standard_form(s, stacked, n))
-        predicted = np.stack((res.d_a, res.d_b, res.e_f), axis=-1)
-        values = list(((scale * (predicted - measured)) / sigma).reshape(len(points), -1))
+            failed = [(k * m + i, exc) for k in range(len(points)) for i, exc in level_errors]
+            s = np.broadcast_to(s_db, (len(points), m))
+            with np.errstate(all="ignore"):
+                bases[len(points)] = model._base_family(s, r_records, failed, n)
+        q, gain_errors = [], []
+        for k, chi in enumerate(points):
+            chi1, chi2 = max(chi[0], 0.0), chi[1]
+            for i, (r, excess) in enumerate(gains):
+                try:
+                    q.append(_amplifier_q(r, excess, chi1, chi2))
+                except NumericalError as exc:
+                    q.append(0.0)
+                    gain_errors += [(k * m + int(j), exc) for j in np.flatnonzero(inverse == i)]
+        q = np.array(q).reshape(len(points), -1)[:, inverse]
+        with np.errstate(all="ignore"):
+            form = _amplified(bases[len(points)], q, gain_errors)
+        res = correlation_arrays(form)
+        predicted = np.concatenate((res.d_a, res.d_b, res.e_f), axis=1)
+        values = list((scale * (predicted - measured)) / sigma)
         first: dict = {}  # the first failing record of each failed point
         for cell in res.errors:
             k, idx = divmod(cell, m)
@@ -160,6 +180,16 @@ def _evaluator(records, weights, coupling_beta: float):
     return evaluate
 
 
+def _sum(terms: np.ndarray) -> float:
+    """The exactly rounded sum of ``terms`` (``math.fsum``), so that neither
+    a BLAS kernel nor an order of summation enters; nan where the sum is
+    not a finite double."""
+    try:
+        return math.fsum(terms.tolist())
+    except (OverflowError, ValueError):  # beyond the double range, or inf - inf
+        return math.nan
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a cost beyond the double range raises below
 def cost(
     records: list[MeasurementRecord],
@@ -169,11 +199,12 @@ def cost(
 ) -> float:
     """Sum of squared residuals of (D_A, D_B, E_F) over records: weighted
     by ``weights``, or by ``1/sigma**2`` for a record that carries sigma.
-    A cost that is not a finite double raises :class:`NumericalError`."""
+    The sum is exactly rounded, as in :func:`fit`.  A cost that is not a
+    finite double raises :class:`NumericalError`."""
     if not records:
         raise DomainError("cost needs at least one record")
     r = _residuals(records, chi, weights, coupling_beta)
-    c = float(r @ r)
+    c = _sum(r * r)
     if not math.isfinite(c):
         raise NumericalError(f"the cost at chi = {tuple(map(float, chi))} is not finite")
     return c
@@ -207,6 +238,12 @@ def fit(
     points; a failure at one of those is raised only once the point is
     taken, as a ``ModelFailureError``.
 
+    The cost ``r^T r`` and the entries of ``J^T J`` and ``J^T r`` are
+    exactly rounded sums of the elementwise products (``math.fsum``, after
+    Shewchuk), and every 2x2 solve is a closed form evaluated on exact
+    integers, so no BLAS or LAPACK routine runs and the result does not
+    depend on the machine's BLAS kernel.
+
     The fit has converged when the Gauss-Newton step from the current
     point, over the coefficients not held at the bound, predicts a cost
     decrease below 1e-12 of the cost, or is shorter than 1e-10 |chi| (a
@@ -231,56 +268,59 @@ def fit(
 
     clamps = 0
 
-    def projected(chi: np.ndarray) -> np.ndarray:
+    def projected(chi: tuple[float, float]) -> tuple[float, float]:
         nonlocal clamps
         if chi[0] < 0.0:
             clamps += 1
-            chi = np.array([0.0, chi[1]])
+            chi = (0.0, chi[1])
         return chi
 
     evaluate = _evaluator(usable, weights, coupling_beta)
 
-    def with_jacobian_points(chi: np.ndarray) -> tuple[list, list]:
+    def with_jacobian_points(chi: tuple[float, float]) -> tuple[list, list]:
         """chi and its two forward-difference points, evaluated in one call."""
-        points = [chi]
-        for j in range(2):
-            shifted = chi.copy()
-            shifted[j] += _FD_STEP * max(abs(chi[j]), 1.0)
-            points.append(shifted)
-        return points, evaluate([(float(p[0]), float(p[1])) for p in points])
+        x0, x1 = chi
+        points = [
+            chi,
+            (x0 + _FD_STEP * max(abs(x0), 1.0), x1),
+            (x0, x1 + _FD_STEP * max(abs(x1), 1.0)),
+        ]
+        return points, evaluate(points)
 
-    x = projected(np.array(initial, dtype=float))
+    x0, x1 = initial
+    x = projected((float(x0), float(x1)))
     points, values = with_jacobian_points(x)
     r = values[0]
     if isinstance(r, ModelFailureError):
         raise r
-    c = float(r @ r)
+    c = _sum(r * r)
     if not math.isfinite(c):
-        raise NumericalError(f"the cost at the start chi = {tuple(x.tolist())} is not finite")
+        raise NumericalError(f"the cost at the start chi = {x} is not finite")
     lam = _INITIAL_DAMPING
     iterations = 0
     converged = False
     while True:
-        J = np.empty((len(r), 2))
+        J = []
         for j in range(2):
             shifted, r_shifted = points[j + 1], values[j + 1]
             if isinstance(r_shifted, ModelFailureError):
                 raise r_shifted  # held since x was evaluated
-            J[:, j] = (r_shifted - r) / (shifted[j] - x[j])
-        A, g = J.T @ J, J.T @ r
-        if not (np.isfinite(A).all() and np.isfinite(g).all()):
-            raise NumericalError(f"the cost's derivatives at chi = {tuple(x.tolist())} overflow")
+            J.append((r_shifted - r) / (shifted[j] - x[j]))
+        A = (_sum(J[0] * J[0]), _sum(J[0] * J[1]), _sum(J[1] * J[1]))
+        g = (_sum(J[0] * r), _sum(J[1] * r))
+        if not all(map(math.isfinite, A + g)):
+            raise NumericalError(f"the cost's derivatives at chi = {x} overflow")
         if _stationary(x, A, g, c):
             converged = True
             break
         if iterations == _MAX_ITERATIONS:
             break
         while lam <= _MAX_DAMPING:
-            step = np.linalg.solve(A + lam * np.trace(A) * np.eye(2), -g)
-            trial = projected(x + step)
+            step = _damped_step(A, g, lam)
+            trial = projected((x[0] + step[0], x[1] + step[1]))
             points, values = with_jacobian_points(trial)
             r_trial = values[0]
-            c_trial = math.inf if isinstance(r_trial, ModelFailureError) else float(r_trial @ r_trial)
+            c_trial = math.inf if isinstance(r_trial, ModelFailureError) else _sum(r_trial * r_trial)
             if c_trial < c:
                 break
             lam *= 10.0
@@ -292,8 +332,8 @@ def fit(
     reduced = c / (len(r) - 2)
     chi1_se, chi2_se = _standard_errors(A, reduced)
     return FitResult(
-        chi1=float(x[0]),
-        chi2=float(x[1]),
+        chi1=x[0],
+        chi2=x[1],
         final_cost=c,
         iterations=iterations,
         converged=converged,
@@ -304,30 +344,93 @@ def fit(
     )
 
 
-def _stationary(x: np.ndarray, A: np.ndarray, g: np.ndarray, c: float) -> bool:
+# The 2x2 algebra below works on a symmetric A = J^T J, given as its entries
+# (a, b, c) = (A00, A01, A11), and g = J^T r.  Inverses and determinants are
+# taken on the exact integers of the float inputs, and a quotient of two
+# integers is correctly rounded, so a solve is correct to half an ulp in
+# each component, and a cut on the condition number is decided exactly,
+# however ill-conditioned A is.  Only the rank-one pseudo-inverse works in
+# floats.
+
+
+def _integers(*values: float) -> tuple[list[int], int]:
+    """Integers ``n_i`` and a shift ``s`` with ``values[i] = n_i / 2**s`` exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    shift = max(d for _, d in ratios).bit_length() - 1
+    return [n << (shift - d.bit_length() + 1) for n, d in ratios], shift
+
+
+def _damped_step(A: tuple, g: tuple, lam: float) -> tuple[float, float]:
+    """The Levenberg step ``-(A + lam tr(A) I)^-1 g``, by Cramer's rule with
+    the damped diagonal formed exactly."""
+    (a, b, c, g0, g1), _ = _integers(*A, *g)
+    num, den = lam.as_integer_ratio()  # lam = num / den
+    damping = num * (a + c)
+    a, b, c, g0, g1 = den * a + damping, den * b, den * c + damping, den * g0, den * g1
+    det = a * c - b * b
+    return (b * g1 - c * g0) / det, (b * g0 - a * g1) / det
+
+
+def _pinv_step(A: tuple, g: tuple) -> tuple[float, float]:
+    """``-pinv(A) g`` with ``numpy.linalg.pinv``'s default cutoff: an
+    eigenvalue at or below 1e-15 of the largest counts as zero, so A is
+    inverted, or its rank-one part, or it is zero and the step is 0."""
+    (a, b, c, g0, g1), _ = _integers(*A, *g)
+    trace, det = a + c, a * c - b * b
+    # lambda_min > k lambda_max, for the eigenvalues of trace and determinant
+    # given and k = num / den, is det (den + num)^2 > num den trace^2.
+    num, den = _PINV_CUTOFF.as_integer_ratio()
+    if det * (den + num) ** 2 > num * den * trace * trace:
+        return (b * g1 - c * g0) / det, (b * g0 - a * g1) / det
+    if trace == 0:
+        return 0.0, 0.0
+    # The unit eigenvector w of the largest eigenvalue lam: the step is -(w.g) w / lam.
+    a, b, c = A
+    half_gap = 0.5 * (a - c)
+    h = math.hypot(half_gap, b)
+    v = (half_gap + h, b) if half_gap >= 0.0 else (b, h - half_gap)
+    norm, lam = math.hypot(*v), 0.5 * a + 0.5 * c + h
+    w0, w1 = v[0] / norm, v[1] / norm
+    k = -(w0 * g[0] + w1 * g[1]) / lam
+    return k * w0, k * w1
+
+
+def _stationary(x: tuple, A: tuple, g: tuple, c: float) -> bool:
     """Whether the Gauss-Newton step over the free coefficients is negligible.
 
-    chi1 is held when it sits on the bound and the cost rises with it.
+    chi1 is held when it sits on the bound and the cost rises with it; the
+    step over chi2 alone is ``-g1 / A11``, or 0 where ``A11 = 0``.
     """
-    free = np.array([x[0] > 0.0 or g[0] <= 0.0, True])
-    step = np.zeros(2)
-    step[free] = -np.linalg.pinv(A[np.ix_(free, free)]) @ g[free]
-    decrement = -float(g @ step)
-    return decrement <= _DECREMENT_TOL * c or bool(
-        np.linalg.norm(step) <= _STEP_TOL * (np.linalg.norm(x) + _STEP_TOL)
+    if x[0] > 0.0 or g[0] <= 0.0:
+        step = _pinv_step(A, g)
+    else:
+        step = (0.0, -g[1] / A[2] if A[2] > 0.0 else 0.0)
+    decrement = -(g[0] * step[0] + g[1] * step[1])
+    return decrement <= _DECREMENT_TOL * c or math.hypot(*step) <= _STEP_TOL * (
+        math.hypot(*x) + _STEP_TOL
     )
 
 
-def _standard_errors(A: np.ndarray, reduced_chi2: float) -> tuple[float | None, float | None]:
-    """sqrt(diag((J^T J)^-1) reduced_chi2), or None twice if J^T J is singular."""
-    d = np.sqrt(np.diag(A))
-    if not np.all(d > 0.0):
+def _standard_errors(A: tuple, reduced_chi2: float) -> tuple[float | None, float | None]:
+    """sqrt(diag(A^-1) reduced_chi2), or None twice where A is singular: a
+    zero diagonal entry, or a condition number of the unit-diagonal
+    ``A / sqrt(A_ii A_jj)`` above 1e8.
+
+    That matrix is ``[[1, rho], [rho, 1]]`` with ``rho^2 = b^2 / ac``, whose
+    condition number ``(1 + |rho|) / (1 - |rho|)`` is at most K exactly when
+    ``b^2 (K + 1)^2 <= (K - 1)^2 ac``; ``diag(A^-1) = (c, a) / det``.
+    """
+    if not (A[0] > 0.0 and A[2] > 0.0):
         return None, None
-    normalised = A / np.outer(d, d)
-    if not np.linalg.cond(normalised) <= _MAX_CONDITION:
+    (a, b, c), shift = _integers(*A)
+    k = int(_MAX_CONDITION)
+    if b * b * (k + 1) ** 2 > (k - 1) ** 2 * a * c:
         return None, None
-    variances = np.diag(np.linalg.inv(normalised)) / d**2 * reduced_chi2
-    return float(math.sqrt(variances[0])), float(math.sqrt(variances[1]))
+    det = a * c - b * b
+    return (
+        math.sqrt(reduced_chi2 * ((c << shift) / det)),
+        math.sqrt(reduced_chi2 * ((a << shift) / det)),
+    )
 
 
 def synthetic_records(
@@ -344,7 +447,7 @@ def synthetic_records(
         raise DomainError(f"noise amplitude must be >= 0, got {noise}")
     s_vals = [float(s_db) for s_db in s_values]
     n_vals = [float(n) for n in n_values]
-    model = _fit_model(chi, coupling_beta)
+    model = StateModel.realistic(chi1=max(chi[0], 0.0), chi2=chi[1], beta=coupling_beta)
     res = correlation_arrays(model.standard_form(np.array(s_vals)[:, None], np.array(n_vals)))
     if res.errors:
         raise res.errors[min(res.errors)]

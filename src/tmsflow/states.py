@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,17 +166,28 @@ def jpa_noise(G: float, jpa: JpaNoiseModel) -> float:
     """Amplifier noise photon number at degenerate gain G >= 1."""
     if G < 1.0:
         raise DomainError(f"degenerate gain must be >= 1, got {G}")
-    return _excess_noise(G - 1.0, jpa)
-
-
-def _excess_noise(excess: float, jpa: JpaNoiseModel) -> float:
-    """:func:`jpa_noise` from the gain excess ``G - 1 >= 0``."""
+    excess = G - 1.0
     if excess == 0.0:
         return 0.0
     try:
         return jpa.chi1 * excess**jpa.chi2
     except OverflowError:
         raise _gain_overflow(1.0 + excess) from None
+
+
+def _amplifier_q(r: float, excess: float, chi1: float, chi2: float) -> float:
+    """``q = 2 n_jpa`` at squeezing factor r from its gain excess ``excess
+    = expm1(2r)``, which keeps it where ``1 + q`` rounds to 1.  Raises
+    :class:`NumericalError` where it is not a finite double."""
+    if excess == 0.0:
+        return 0.0
+    try:
+        q = 2.0 * (chi1 * excess**chi2)
+    except OverflowError:
+        raise _gain_overflow(1.0 + excess) from None
+    if not math.isfinite(q):
+        raise _gain_overflow(math.exp(2.0 * r))
+    return q
 
 
 def _gain_overflow(G: float) -> NumericalError:
@@ -190,6 +202,62 @@ def _spread(errors: dict, shape: tuple, part: np.ndarray, failures) -> None:
         hit.flat[i] = True
         for cell in np.flatnonzero(np.broadcast_to(hit, shape)):
             errors.setdefault(int(cell), exc)
+
+
+class _BaseFamily(NamedTuple):
+    """The amplifier-free (p = 1) part of :meth:`StateModel.standard_form`
+    on one broadcast shape (see there): every array :func:`_amplified`
+    reads, and the errors of rejected levels and noise."""
+
+    full: np.ndarray  # zeros
+    errors: dict
+    beta: float
+    t: float  # sqrt(1 - beta)
+    a0: np.ndarray
+    b0: np.ndarray
+    v: np.ndarray  # b0 - 1
+    v_plus_2: np.ndarray
+    big_s: np.ndarray  # sinh 2r
+    s2: np.ndarray
+    g0: np.ndarray
+    nu_sum: np.ndarray  # (nu+ - nu-) + (nu+ + nu-)
+    plus0: np.ndarray  # nu+^2 - 1
+    minus0: np.ndarray  # nu-^2 - 1
+    w_a0: np.ndarray
+    entry: np.ndarray  # the largest matrix entry at p = 1
+
+
+def _amplified(base: _BaseFamily, q: np.ndarray, gain_errors: list) -> StandardForm:
+    """The standard form of a base family scaled by the amplifier prefactor
+    ``p = 1 + q``; ``q`` is indexed like the levels, as are the
+    ``(index, error)`` pairs of its overflowing levels.  Call it, like
+    :meth:`StateModel._base_family`, under ``np.errstate(all="ignore")``."""
+    (full, errors, beta, t, a0, b0, v, v_plus_2, big_s, s2, g0, nu_sum, plus0, minus0, w_a0,
+     entry) = base
+    errors = dict(errors)
+    _spread(errors, full.shape, q, gain_errors)
+    q = q + full
+    p = 1.0 + q
+    p2, q2 = p * p, q * (q + 2.0)  # p^2 and p^2 - 1
+    a, b, c = p * a0, p * b0, p * t * big_s
+    nu_plus = 0.5 * p * nu_sum
+    g = p2 * g0
+    nu_minus, c_minus = g / nu_plus, 2.0 * c
+    n_prod = (p2 * plus0 + q2) * (p2 * minus0 + q2)
+    a2m1 = p2 * s2 + q2
+    b2m1 = p2 * v * v_plus_2 + q2
+    root_n = np.sqrt(n_prod)
+    root_a = np.hypot(np.sqrt(b2m1) * root_n, q2 + p2 * w_a0)
+    root_b = np.hypot(np.sqrt(a2m1) * root_n, q2 + p2 * beta * s2)
+    entries = np.isfinite(p * entry)
+    if not entries.all():
+        for cell in np.flatnonzero(~entries):
+            errors.setdefault(int(cell), NonFiniteError("covariance matrix has NaN or infinite entries"))
+    first = np.ones(full.shape, dtype=bool)
+    return StandardForm(
+        a, b, c_minus, full, g, g, nu_plus, nu_minus, n_prod, a2m1, b2m1,
+        root_a, root_b, first, first, errors=errors,
+    )
 
 
 @dataclass(frozen=True)
@@ -227,14 +295,10 @@ class StateModel:
         return 1.0 + self._amplifier_excess(r)
 
     def _amplifier_excess(self, r: float) -> float:
-        """``q = p - 1 = 2 n_jpa`` of :meth:`amplifier_prefactor` from the gain
-        excess ``expm1(2r)``, which keeps it where ``1 + q`` rounds to 1."""
+        """``q = p - 1`` of :meth:`amplifier_prefactor` (:func:`_amplifier_q`)."""
         if self.jpa is None:
             return 0.0
-        q = 2.0 * _excess_noise(math.expm1(2.0 * r), self.jpa)
-        if not math.isfinite(q):
-            raise _gain_overflow(math.exp(2.0 * r))
-        return q
+        return _amplifier_q(r, math.expm1(2.0 * r), self.jpa.chi1, self.jpa.chi2)
 
     def state(self, s_db: float, n: float) -> TwoModeCovariance:
         """State at squeezing level ``s_db`` (dB) with ``n`` noise photons
@@ -305,6 +369,13 @@ class StateModel:
     def _standard_form(self, s: np.ndarray, levels: tuple, n) -> StandardForm:
         """:meth:`standard_form` on levels ``s`` whose :meth:`_levels` are given."""
         r, q, level_errors, gain_errors = levels
+        with np.errstate(all="ignore"):
+            return _amplified(self._base_family(s, r, level_errors, n), q, gain_errors)
+
+    def _base_family(self, s: np.ndarray, r: np.ndarray, level_errors: list, n) -> _BaseFamily:
+        """The part of :meth:`_standard_form` that does not read the
+        amplifier excess q, with the errors of rejected levels and noise.
+        Call it under ``np.errstate(all="ignore")``."""
         n = np.asarray(n, dtype=float)
         full = np.zeros(np.broadcast_shapes(s.shape, n.shape))
         noise_errors = []
@@ -316,51 +387,32 @@ class StateModel:
         errors: dict = {}
         _spread(errors, full.shape, s, level_errors)
         _spread(errors, full.shape, n, noise_errors)
-        _spread(errors, full.shape, s, gain_errors)
 
         beta = self.coupling_beta or 0.0
         t = math.sqrt(1.0 - beta)
         t_minus, t_plus = beta / (1.0 + t), 1.0 + t  # 1 - t and 1 + t
-        with np.errstate(all="ignore"):
-            r, q, n = r + full, q + full, n + full  # every field takes the full shape
-            u = 2.0 * np.sinh(r) ** 2  # A - 1
-            big_s = np.sinh(2.0 * r)
-            s2 = big_s * big_s
-            gain = np.exp(2.0 * r)
-            v = (1.0 - beta) * u + 2.0 * n  # b0 - 1
-            g0 = 1.0 + beta * u + 2.0 * n * (1.0 + u)
-            # Base family (p = 1): EPR variances, nu+ and the two factors of N.
-            e_minus = 0.5 * (gain * t_minus**2 + t_plus**2 / gain) + beta + 2.0 * n
-            e_plus = 0.5 * (gain * t_plus**2 + t_minus**2 / gain) + beta + 2.0 * n
-            spread = np.abs(beta * u - 2.0 * n)  # |a0 - b0| = nu+ - nu-
-            width = np.sqrt(e_minus) * np.sqrt(e_plus)  # nu+ + nu-
-            w_a0 = 4.0 * n * ((1.0 - beta) * u + n + 1.0)
-            plus0 = 0.5 * (beta * u * (beta * u + 2.0) + w_a0 + spread * width)  # nu+^2 - 1
-            w_a0 -= beta * (1.0 - beta) * u * u
-            n0 = 4.0 * n * (n + beta) * s2
-            minus0 = n0 / np.where(plus0 > 0.0, plus0, 1.0)  # nu-^2 - 1; n0 = 0 where plus0 is
-            # Amplifier scaling.
-            p = 1.0 + q
-            p2, q2 = p * p, q * (q + 2.0)  # p^2 and p^2 - 1
-            a, b, c = p * (1.0 + u), p * (1.0 + v), p * t * big_s
-            nu_plus = 0.5 * p * (spread + width)
-            g = p2 * g0
-            nu_minus, c_minus = g / nu_plus, 2.0 * c
-            n_prod = (p2 * plus0 + q2) * (p2 * minus0 + q2)
-            a2m1 = p2 * s2 + q2
-            b2m1 = p2 * v * (v + 2.0) + q2
-            root_n = np.sqrt(n_prod)
-            root_a = np.hypot(np.sqrt(b2m1) * root_n, q2 + p2 * w_a0)
-            root_b = np.hypot(np.sqrt(a2m1) * root_n, q2 + p2 * beta * s2)
-            # The matrix entries are a/4 and b/4 (c <= a).
-            entries = np.isfinite(p * (0.25 * np.maximum(1.0 + u, 1.0 + v)))
-        if not entries.all():
-            for cell in np.flatnonzero(~entries):
-                errors.setdefault(int(cell), NonFiniteError("covariance matrix has NaN or infinite entries"))
-        first = np.ones(full.shape, dtype=bool)
-        return StandardForm(
-            a, b, c_minus, full, g, g, nu_plus, nu_minus, n_prod, a2m1, b2m1,
-            root_a, root_b, first, first, errors=errors,
+        r, n = r + full, n + full  # every field takes the full shape
+        u = 2.0 * np.sinh(r) ** 2  # A - 1
+        big_s = np.sinh(2.0 * r)
+        s2 = big_s * big_s
+        gain = np.exp(2.0 * r)
+        v = (1.0 - beta) * u + 2.0 * n  # b0 - 1
+        g0 = 1.0 + beta * u + 2.0 * n * (1.0 + u)
+        # Base family (p = 1): EPR variances, nu+ and the two factors of N.
+        e_minus = 0.5 * (gain * t_minus**2 + t_plus**2 / gain) + beta + 2.0 * n
+        e_plus = 0.5 * (gain * t_plus**2 + t_minus**2 / gain) + beta + 2.0 * n
+        spread = np.abs(beta * u - 2.0 * n)  # |a0 - b0| = nu+ - nu-
+        width = np.sqrt(e_minus) * np.sqrt(e_plus)  # nu+ + nu-
+        w_a0 = 4.0 * n * ((1.0 - beta) * u + n + 1.0)
+        plus0 = 0.5 * (beta * u * (beta * u + 2.0) + w_a0 + spread * width)  # nu+^2 - 1
+        w_a0 -= beta * (1.0 - beta) * u * u
+        n0 = 4.0 * n * (n + beta) * s2
+        minus0 = n0 / np.where(plus0 > 0.0, plus0, 1.0)  # nu-^2 - 1; n0 = 0 where plus0 is
+        a0, b0 = 1.0 + u, 1.0 + v
+        # The matrix entries are p a0/4 and p b0/4 (c <= a).
+        return _BaseFamily(
+            full, errors, beta, t, a0, b0, v, v + 2.0, big_s, s2, g0, spread + width,
+            plus0, minus0, w_a0, 0.25 * np.maximum(a0, b0),
         )
 
     @classmethod

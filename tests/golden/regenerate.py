@@ -11,7 +11,10 @@ difference in the change log:
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Every job runs in-process in a scratch directory with relative paths,
-since input paths are echoed into the outputs' meta.  The manifest lists
+since input paths are echoed into the outputs' meta.  ``tomo_cov.json``
+comes from ``tomo --project``, the one LAPACK-dependent output, so it is
+the one file whose bytes may change with the BLAS kernel
+(``OPENBLAS_CORETYPE``); the others must not.  The manifest lists
 ``<sha256>  <file>`` lines, as ``sha256sum`` prints them.
 """
 

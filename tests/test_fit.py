@@ -76,6 +76,12 @@ class TestCost:
         with pytest.raises(DomainError):
             cost([], CHI_TRUE)
 
+    @pytest.mark.parametrize("name", ["noisy-seed-0", "sigma", "clamped-start", "rejected-trial"])
+    def test_equals_the_final_cost_of_a_fit_bit_for_bit(self, name):
+        records, kwargs = _pinned_sets()[name]
+        result = fit(records, **kwargs)
+        assert cost(records, (result.chi1, result.chi2)) == result.final_cost
+
     def test_overflowing_cost_raises(self):
         # the residual 1e200 is a double, its square is not
         records = records_from_csv("s_db,n,d_a,d_b,e_f\n3,0,1e200,0,0\n6,0,0,0,0\n")
@@ -240,41 +246,41 @@ def _pinned_sets():
     }
 
 
-# every field, bit for bit, as a fit that gives each point its own kernel call finds it
+# every field, bit for bit, as the fit finds it with no BLAS or LAPACK call
 PINNED = {
     "noisy-seed-0": FitResult(
-        chi1=0.04940529467755579, chi2=0.5495313532214254, final_cost=0.004922259693946266,
-        iterations=8, converged=True, clamp_activations=0, chi1_se=0.0013684061569636272,
-        chi2_se=0.017642418734167796, reduced_chi2=5.5934769249389384e-05,
+        chi1=0.04940529532435107, chi2=0.5495313444033268, final_cost=0.004922259693946219,
+        iterations=8, converged=True, clamp_activations=0, chi1_se=0.0013684063638778425,
+        chi2_se=0.017642420446339662, reduced_chi2=5.5934769249388855e-05,
     ),
     "noisy-seed-7": FitResult(
-        chi1=0.054049612930443934, chi2=0.5153058290802283, final_cost=0.004201387633249659,
-        iterations=8, converged=True, clamp_activations=0, chi1_se=0.001314247101813123,
-        chi2_se=0.01559882224261948, reduced_chi2=4.7743041286927944e-05,
+        chi1=0.05404961387971824, chi2=0.5153058170346576, final_cost=0.004201387633249646,
+        iterations=8, converged=True, clamp_activations=0, chi1_se=0.0013142470225010357,
+        chi2_se=0.01559882108079525, reduced_chi2=4.77430412869278e-05,
     ),
     "sigma": FitResult(
-        chi1=0.05065947873648605, chi2=0.5390057123585453, final_cost=35.85613400655482,
-        iterations=8, converged=True, clamp_activations=0, chi1_se=0.0034595231646982693,
-        chi2_se=0.040221628748022396, reduced_chi2=1.4342453602621927,
+        chi1=0.05065947903380962, chi2=0.5390057085737275, final_cost=35.85613400655489,
+        iterations=8, converged=True, clamp_activations=0, chi1_se=0.003459523156276522,
+        chi2_se=0.04022162767901542, reduced_chi2=1.4342453602621956,
     ),
     "clamped-start": FitResult(
-        chi1=0.04999999999976479, chi2=0.5600000000020942, final_cost=7.353881735351069e-25,
-        iterations=7, converged=True, clamp_activations=1, chi1_se=5.4902978526951586e-14,
-        chi2_se=6.484959326738623e-13, reduced_chi2=2.9415526941404273e-26,
+        chi1=0.049999999999776105, chi2=0.5600000000019245, final_cost=7.182841606734346e-25,
+        iterations=7, converged=True, clamp_activations=1, chi1_se=5.426075029149003e-14,
+        chi2_se=6.409100970554583e-13, reduced_chi2=2.873136642693738e-26,
     ),
     "chi1-zero-optimum": FitResult(
         chi1=0.0, chi2=1.0, final_cost=0.0, iterations=0, converged=True, clamp_activations=0,
         chi1_se=None, chi2_se=None, reduced_chi2=0.0,
     ),
     "zero-squeezing-rows": FitResult(
-        chi1=0.051758168226531974, chi2=0.5211019495805695, final_cost=0.0021057893768673813,
-        iterations=8, converged=True, clamp_activations=0, chi1_se=0.003006321588294478,
-        chi2_se=0.034529448874874975, reduced_chi2=8.423157507469525e-05,
+        chi1=0.05175816697863583, chi2=0.5211019648549555, final_cost=0.0021057893768675544,
+        iterations=8, converged=True, clamp_activations=0, chi1_se=0.003006321693821746,
+        chi2_se=0.03452945223776134, reduced_chi2=8.423157507470217e-05,
     ),
     "rejected-trial": FitResult(
-        chi1=0.04735869704700997, chi2=0.5870865557346526, final_cost=0.005686725668119965,
-        iterations=9, converged=True, clamp_activations=1, chi1_se=0.0014305029231671768,
-        chi2_se=0.019108869259329024, reduced_chi2=6.462188259227233e-05,
+        chi1=0.047358697103886196, chi2=0.5870865548326143, final_cost=0.005686725668119977,
+        iterations=9, converged=True, clamp_activations=1, chi1_se=0.0014305029133837408,
+        chi2_se=0.01910886980697802, reduced_chi2=6.462188259227246e-05,
     ),
 }
 
@@ -378,6 +384,143 @@ class TestOneKernelCallPerTrial:
                 assert result == expected
                 returned += 1
         assert returned == calls - 1 - expected.iterations > 0
+
+
+class TestClosedFormAlgebra:
+    """The fit's 2x2 algebra on ``A = J^T J`` against 50-digit mpmath on the
+    exact values of the float inputs: the damped and the full-rank
+    pseudo-inverse steps are correctly rounded, the rank-one step is within
+    a few ulps of the step's scale, and the condition cut of the standard
+    errors is decided exactly."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _reference_steps(A, g, lam):
+        """The damped step and ``-pinv(A) g`` (cutoff 1e-15 of the largest
+        singular value) at 50 digits, the step's scale ``|g| / lambda_max``
+        and the rank pinv keeps."""
+        import mpmath as mp
+
+        with mp.workdps(50):
+            a, b, c = map(mp.mpf, A)
+            g = mp.matrix([mp.mpf(float(v)) for v in g])
+            damping = mp.mpf(lam) * (a + c)
+            damped = None
+            if a + c > 0:
+                damped = -mp.lu_solve(mp.matrix([[a + damping, b], [b, c + damping]]), g)
+            values, vectors = mp.eigsy(mp.matrix([[a, b], [b, c]]))
+            largest = max(abs(v) for v in values)
+            pinv_step = mp.matrix([0, 0])
+            for i in range(2):
+                if abs(values[i]) > mp.mpf(1e-15) * largest:
+                    w = vectors[:, i]
+                    pinv_step -= w * ((w.T * g)[0] / values[i])
+            scale = mp.sqrt(g[0] ** 2 + g[1] ** 2) / largest if largest else mp.mpf(0)
+            rank = sum(abs(v) > mp.mpf(1e-15) * largest for v in values)
+            return damped, pinv_step, float(scale), rank
+
+    @staticmethod
+    def _rounded(got, exact) -> bool:
+        """Whether each float of ``got`` is the exact value rounded to
+        nearest, allowing for the reference's own error of about ``cond(A)
+        10^-50`` relative (a tie stays a tie)."""
+        import mpmath as mp
+
+        with mp.workdps(50):
+            return all(
+                abs(mp.mpf(x) - e) <= mp.mpf(math.ulp(x)) / 2 + abs(e) * mp.mpf(10) ** -33
+                for x, e in zip(got, exact)
+            )
+
+    @staticmethod
+    def _reference_errors(A, reduced):
+        import mpmath as mp
+
+        with mp.workdps(50):
+            a, b, c = map(mp.mpf, A)
+            if not (a > 0 and c > 0):
+                return None, None
+            rho = abs(b) / mp.sqrt(a * c)
+            if not (rho < 1 and (1 + rho) / (1 - rho) <= mp.mpf(1e8)):
+                return None, None
+            det = a * c - b * b
+            return float(mp.sqrt(reduced * c / det)), float(mp.sqrt(reduced * a / det))
+
+    @classmethod
+    def _cases(cls):
+        """(A, g) pairs: random normal equations formed as the fit forms
+        them, near-singular ones with condition numbers from 1e4 to past
+        1e16, rank-one ones and the zero matrix."""
+        rng = np.random.default_rng(30)
+        cases = []
+        for _ in range(40):
+            J = rng.standard_normal((90, 2)) * 10.0 ** rng.uniform(-4, 4, 2)
+            r = rng.standard_normal(90) * 10.0 ** rng.uniform(-3, 3)
+            A = tuple(fit_module._sum(J[:, i] * J[:, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+            cases.append((A, tuple(fit_module._sum(J[:, i] * r) for i in range(2))))
+        # [[1, 1], [1, 1 + d]] has condition number about 4 / d.
+        for k in (12, 20, 24, 25, 26, 27, 30, 40, 46, 50, 52, 60):
+            for scale in (1.0, 2.0**-70, 3.0e40):
+                for sign in (1.0, -1.0):
+                    A = (scale, sign * scale, scale * (1.0 + 2.0**-k))
+                    cases.append((A, tuple(rng.standard_normal(2) * scale)))
+        for A in ((2.5, 0.0, 0.0), (0.0, 0.0, 7.0), (4.0, -2.0, 1.0), (0.0, 0.0, 0.0)):
+            cases.append((A, (0.3, -1.7)))
+        return cases
+
+    def test_steps_match_fifty_digit_references(self):
+        rank_one = full_rank = 0
+        for A, g in self._cases():
+            for lam in (1e-12, 1e-3, 10.0, 1e16):
+                damped, pinv_step, scale, rank = self._reference_steps(A, g, lam)
+                if damped is not None:  # the fit never damps the zero matrix: g = 0 there
+                    assert self._rounded(fit_module._damped_step(A, g, lam), damped), (A, g, lam)
+            step = fit_module._pinv_step(A, g)
+            if rank == 2:
+                full_rank += 1
+                assert self._rounded(step, pinv_step), (A, g)
+            else:
+                rank_one += rank == 1
+                misses = [abs(x - float(e)) for x, e in zip(step, pinv_step)]
+                assert max(misses) <= 8 * self.EPS * scale, (A, g)
+        assert full_rank > 40 and rank_one >= 20
+
+    def test_pseudo_inverse_keeps_numpys_cutoff(self):
+        # eigenvalue ratios 1.8e-15 and 4.4e-16, either side of the 1e-15 cutoff
+        g = (1.0, 2.0)
+        kept = fit_module._pinv_step((1.0, 1.0, 1.0 + 2.0**-47), g)
+        dropped = fit_module._pinv_step((1.0, 1.0, 1.0 + 2.0**-49), g)
+        assert abs(kept[0]) > 1e13 and abs(dropped[0]) < 1.0
+        assert fit_module._pinv_step((2.5, 0.0, 0.0), g) == (-0.4, 0.0)  # the chi1-zero optimum
+        assert fit_module._pinv_step((0.0, 0.0, 0.0), g) == (0.0, 0.0)
+
+    def test_standard_errors_match_fifty_digit_references(self):
+        rng = np.random.default_rng(31)
+        cut = (1e8 - 1) / (1e8 + 1)  # |rho| of condition number 1e8
+        rhos = [cut, math.nextafter(cut, 0.0), math.nextafter(cut, 1.0), 1.0, 0.999, 0.0, 0.5]
+        rhos += [1.0 - 2.0**-k for k in (10, 20, 25, 26, 30, 52)]
+        cases = [(A, 1.0) for A, _ in self._cases()]
+        for rho in rhos:
+            for sign in (1.0, -1.0):
+                s0, s1 = 10.0 ** rng.uniform(-5, 5, 2)
+                cases.append(((s0 * s0, sign * rho * s0 * s1, s1 * s1), rng.uniform(0.1, 10.0)))
+        cases.append(((1.0, cut, 1.0), 2.0))  # the cut in doubles: the exact rho decides
+        # within a few ulps of the cut, where a cut taken in floats errs now and then
+        for k in rng.integers(-6, 7, 200):
+            s0, s1 = 10.0 ** rng.uniform(-5, 5, 2)
+            rho = cut + int(k) * math.ulp(cut)
+            cases.append(((s0 * s0, rho * s0 * s1, s1 * s1), 1.0))
+        kept = 0
+        for A, reduced in cases:
+            expected = self._reference_errors(A, reduced)
+            got = fit_module._standard_errors(A, reduced)
+            assert (got[0] is None) == (expected[0] is None), (A, got, expected)
+            if expected[0] is not None:
+                kept += 1
+                for value, reference in zip(got, expected):
+                    assert abs(value - reference) <= 2 * self.EPS * reference, (A, got, expected)
+        assert kept > 40 and len(cases) - kept > 20
 
 
 class TestRecordsCsv:

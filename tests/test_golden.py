@@ -6,8 +6,14 @@ A change that alters output bytes on purpose regenerates the manifest with
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import tmsflow
 from tmsflow.cli import main
 
 _spec = importlib.util.spec_from_file_location(
@@ -19,6 +25,35 @@ _spec.loader.exec_module(golden)
 
 def test_cli_outputs_match_golden_manifest(tmp_path):
     assert golden.run_jobs(tmp_path) == golden.read_manifest()
+
+
+# Prints the digests of the golden jobs run in the directory given.
+_RUN_JOBS = """
+import importlib.util, json, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("golden_regenerate", sys.argv[1])
+golden = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(golden)
+print(json.dumps(golden.run_jobs(Path(sys.argv[2]))))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "SandyBridge"])
+def test_only_the_projection_depends_on_the_blas_kernel(tmp_path, coretype):
+    """Under another OpenBLAS kernel every golden file but ``tomo_cov.json``,
+    the output of ``tomo --project`` and the one that goes through LAPACK,
+    keeps its bytes."""
+    src = str(Path(tmsflow.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    regenerate = str(Path(golden.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_JOBS, regenerate, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    digests, expected = json.loads(run.stdout), golden.read_manifest()
+    del digests["tomo_cov.json"], expected["tomo_cov.json"]
+    assert digests == expected
 
 
 # Flags that say where and in which format a job writes; its config echo
