@@ -28,7 +28,8 @@ import numpy as np
 
 from .correlations import correlation_arrays
 from .errors import DomainError, ModelFailureError, NumericalError
-from .states import StateModel, _amplified, _amplifier_q, _squeezing_factor
+from .states import StateModel, _amplified, _amplifier_q
+from .symplectic import _integers
 
 DEFAULT_WEIGHTS = (0.5, 0.5, 1.0)
 DEFAULT_COUPLING = 0.01  # -20 dB directional coupler
@@ -104,28 +105,22 @@ def _evaluator(records, weights, coupling_beta: float):
     """:func:`_residuals` of ``records`` as a function of a list of chi
     points, evaluated together in one kernel call.
 
-    What does not depend on chi is formed once: the per-record arrays, r
-    and the gain excess ``expm1(2r)`` of each distinct squeezing level, and
-    the amplifier-free part of the standard form for each number of
-    points.  A point adds only ``q = 2 chi1 excess**chi2`` per level, by
-    the float operations, and with the errors, of
-    :meth:`StateModel._amplifier_excess`, and the amplifier scaling.  For
-    each point the function returns its residual vector or, unraised, the
+    What does not depend on chi is formed once: the per-record arrays,
+    the :meth:`StateModel._levels` of the distinct squeezing levels (r,
+    the gain excess ``expm1(2r)`` and the rejected levels), and the
+    amplifier-free part of the standard form for each number of points.
+    A point adds only ``q = 2 chi1 excess**chi2`` per level, by
+    :func:`_amplifier_q`, and the amplifier scaling.  For each point the
+    function returns its residual vector or, unraised, the
     :class:`ModelFailureError` that :func:`_residuals` raises there.
     """
-    model = StateModel.coupler(coupling_beta)  # _standard_form reads only beta
+    model = StateModel.coupler(coupling_beta)  # _levels and _standard_form read only beta
     s_db = np.array([rec.s_db for rec in records])
     n = np.array([rec.n for rec in records])
     levels, inverse = np.unique(s_db, return_inverse=True)
-    gains, level_errors = [], []  # (r, expm1(2r)) of each level; (0, 0), so q = 0, where rejected
-    for i, level in enumerate(levels.tolist()):
-        try:
-            r = _squeezing_factor(level)
-        except DomainError as exc:
-            r = 0.0
-            level_errors += [(int(j), exc) for j in np.flatnonzero(inverse == i)]
-        gains.append((r, math.expm1(2.0 * r)))
-    r_records = np.array([r for r, _ in gains])[inverse]
+    r, excess, _, rejected, _ = model._levels(levels)  # excess 0, so q = 0, where rejected
+    level_errors = [(int(j), exc) for i, exc in rejected for j in np.flatnonzero(inverse == i)]
+    excess, r_records = excess.tolist(), r[inverse]
     root_w = [math.sqrt(w) for w in weights]
     scale, sigma = [], []
     for rec in records:
@@ -151,9 +146,9 @@ def _evaluator(records, weights, coupling_beta: float):
         q, gain_errors = [], []
         for k, chi in enumerate(points):
             chi1, chi2 = max(chi[0], 0.0), chi[1]
-            for i, (r, excess) in enumerate(gains):
+            for i, gain_excess in enumerate(excess):
                 try:
-                    q.append(_amplifier_q(r, excess, chi1, chi2))
+                    q.append(_amplifier_q(gain_excess, chi1, chi2))
                 except NumericalError as exc:
                     q.append(0.0)
                     gain_errors += [(k * m + int(j), exc) for j in np.flatnonzero(inverse == i)]
@@ -346,24 +341,18 @@ def fit(
 
 # The 2x2 algebra below works on a symmetric A = J^T J, given as its entries
 # (a, b, c) = (A00, A01, A11), and g = J^T r.  Inverses and determinants are
-# taken on the exact integers of the float inputs, and a quotient of two
+# taken on the exact integers of the float inputs over their common
+# power-of-two denominator (symplectic._integers), and a quotient of two
 # integers is correctly rounded, so a solve is correct to half an ulp in
 # each component, and a cut on the condition number is decided exactly,
 # however ill-conditioned A is.  Only the rank-one pseudo-inverse works in
 # floats.
 
 
-def _integers(*values: float) -> tuple[list[int], int]:
-    """Integers ``n_i`` and a shift ``s`` with ``values[i] = n_i / 2**s`` exactly."""
-    ratios = [v.as_integer_ratio() for v in values]
-    shift = max(d for _, d in ratios).bit_length() - 1
-    return [n << (shift - d.bit_length() + 1) for n, d in ratios], shift
-
-
 def _damped_step(A: tuple, g: tuple, lam: float) -> tuple[float, float]:
     """The Levenberg step ``-(A + lam tr(A) I)^-1 g``, by Cramer's rule with
     the damped diagonal formed exactly."""
-    (a, b, c, g0, g1), _ = _integers(*A, *g)
+    (a, b, c, g0, g1), _ = _integers([*A, *g])
     num, den = lam.as_integer_ratio()  # lam = num / den
     damping = num * (a + c)
     a, b, c, g0, g1 = den * a + damping, den * b, den * c + damping, den * g0, den * g1
@@ -375,7 +364,7 @@ def _pinv_step(A: tuple, g: tuple) -> tuple[float, float]:
     """``-pinv(A) g`` with ``numpy.linalg.pinv``'s default cutoff: an
     eigenvalue at or below 1e-15 of the largest counts as zero, so A is
     inverted, or its rank-one part, or it is zero and the step is 0."""
-    (a, b, c, g0, g1), _ = _integers(*A, *g)
+    (a, b, c, g0, g1), _ = _integers([*A, *g])
     trace, det = a + c, a * c - b * b
     # lambda_min > k lambda_max, for the eigenvalues of trace and determinant
     # given and k = num / den, is det (den + num)^2 > num den trace^2.
@@ -422,14 +411,14 @@ def _standard_errors(A: tuple, reduced_chi2: float) -> tuple[float | None, float
     """
     if not (A[0] > 0.0 and A[2] > 0.0):
         return None, None
-    (a, b, c), shift = _integers(*A)
+    (a, b, c), scale = _integers(A)
     k = int(_MAX_CONDITION)
     if b * b * (k + 1) ** 2 > (k - 1) ** 2 * a * c:
         return None, None
     det = a * c - b * b
     return (
-        math.sqrt(reduced_chi2 * ((c << shift) / det)),
-        math.sqrt(reduced_chi2 * ((a << shift) / det)),
+        math.sqrt(reduced_chi2 * ((c * scale) / det)),
+        math.sqrt(reduced_chi2 * ((a * scale) / det)),
     )
 
 

@@ -6,9 +6,10 @@ coupler) and the squeezing-level conversions.  :class:`StateModel` maps
 (squeezing level, injected noise) to a state for each of the three noise
 models, either as a covariance matrix or, broadcast over arrays of both
 parameters, as the factored standard form that the correlation kernel
-reads; it alone checks a model's parameters (the coupling beta once, when
-the model is built) and knows the amplifier prefactor of the model used
-for fitting.
+reads.  It alone checks a model's parameters (the coupling beta once, when
+the model is built) and squeezing levels, and evaluates the amplifier law
+n(G) = chi1 (G - 1)**chi2 (:func:`_amplifier_q`), also for the fit
+(:meth:`StateModel._levels`) and for :func:`jpa_noise`.
 
 Squeezing conventions: the TMS state is the 50:50 superposition of a
 q-squeezed mode A and a p-squeezed mode B with equal squeezing factor r,
@@ -163,35 +164,28 @@ def inject_noise_coupler(
 
 
 def jpa_noise(G: float, jpa: JpaNoiseModel) -> float:
-    """Amplifier noise photon number at degenerate gain G >= 1."""
-    if G < 1.0:
+    """Amplifier noise photon number n(G) at degenerate gain G >= 1: half
+    of :func:`_amplifier_q`, which raises :class:`NumericalError` where
+    ``2 n`` is not a finite double."""
+    if not G >= 1.0:
         raise DomainError(f"degenerate gain must be >= 1, got {G}")
-    excess = G - 1.0
-    if excess == 0.0:
-        return 0.0
-    try:
-        return jpa.chi1 * excess**jpa.chi2
-    except OverflowError:
-        raise _gain_overflow(1.0 + excess) from None
+    return 0.5 * _amplifier_q(G - 1.0, jpa.chi1, jpa.chi2)
 
 
-def _amplifier_q(r: float, excess: float, chi1: float, chi2: float) -> float:
-    """``q = 2 n_jpa`` at squeezing factor r from its gain excess ``excess
-    = expm1(2r)``, which keeps it where ``1 + q`` rounds to 1.  Raises
-    :class:`NumericalError` where it is not a finite double."""
+def _amplifier_q(excess: float, chi1: float, chi2: float) -> float:
+    """``q = 2 n_jpa`` from the gain excess ``excess = G - 1``, given as
+    ``expm1(2r)`` at squeezing factor r so that it stays where ``1 + q``
+    rounds to 1.  The one evaluation of the power law: raises
+    :class:`NumericalError` where q is not a finite double."""
     if excess == 0.0:
         return 0.0
     try:
         q = 2.0 * (chi1 * excess**chi2)
     except OverflowError:
-        raise _gain_overflow(1.0 + excess) from None
+        q = math.inf
     if not math.isfinite(q):
-        raise _gain_overflow(math.exp(2.0 * r))
+        raise NumericalError(f"amplifier noise at gain {1.0 + excess:.3g} overflows double precision")
     return q
-
-
-def _gain_overflow(G: float) -> NumericalError:
-    return NumericalError(f"amplifier noise at gain {G:.3g} overflows double precision")
 
 
 def _spread(errors: dict, shape: tuple, part: np.ndarray, failures) -> None:
@@ -298,7 +292,7 @@ class StateModel:
         """``q = p - 1`` of :meth:`amplifier_prefactor` (:func:`_amplifier_q`)."""
         if self.jpa is None:
             return 0.0
-        return _amplifier_q(r, math.expm1(2.0 * r), self.jpa.chi1, self.jpa.chi2)
+        return _amplifier_q(math.expm1(2.0 * r), self.jpa.chi1, self.jpa.chi2)
 
     def state(self, s_db: float, n: float) -> TwoModeCovariance:
         """State at squeezing level ``s_db`` (dB) with ``n`` noise photons
@@ -351,24 +345,27 @@ class StateModel:
 
     def _levels(self, s: np.ndarray) -> tuple:
         """The noise-independent part of :meth:`standard_form` on an array
-        of squeezing levels: r and the amplifier excess ``q = p - 1`` per
-        level, and ``(index, error)`` lists of rejected levels and of
-        overflowing prefactors.  A root finder computes it once per batch."""
-        r, q = np.zeros(s.shape), np.zeros(s.shape)
+        of squeezing levels: r, the gain excess ``expm1(2r)`` and the
+        amplifier excess ``q = p - 1`` per level (each 0 at a rejected
+        level), and ``(index, error)`` lists of rejected levels and of
+        overflowing prefactors.  A root finder computes it once per batch,
+        and the fit once per fit on its distinct levels."""
+        r, excess, q = np.zeros(s.shape), np.zeros(s.shape), np.zeros(s.shape)
         level_errors, gain_errors = [], []
         for i, level in enumerate(s.flat):
             try:
-                r.flat[i] = _squeezing_factor(float(level))
-                q.flat[i] = self._amplifier_excess(float(r.flat[i]))
+                r.flat[i] = r_i = _squeezing_factor(float(level))
+                excess.flat[i] = math.expm1(2.0 * r_i)
+                q.flat[i] = self._amplifier_excess(r_i)
             except DomainError as exc:
                 level_errors.append((i, exc))
             except NumericalError as exc:
                 gain_errors.append((i, exc))
-        return r, q, level_errors, gain_errors
+        return r, excess, q, level_errors, gain_errors
 
     def _standard_form(self, s: np.ndarray, levels: tuple, n) -> StandardForm:
         """:meth:`standard_form` on levels ``s`` whose :meth:`_levels` are given."""
-        r, q, level_errors, gain_errors = levels
+        r, _, q, level_errors, gain_errors = levels
         with np.errstate(all="ignore"):
             return _amplified(self._base_family(s, r, level_errors, n), q, gain_errors)
 

@@ -485,9 +485,10 @@ def homodyne_condition(
     """Covariance of the remaining modes after a homodyne detection.
 
     Implements the general Schur-complement rule
-    ``A' = A - C (Pi B Pi)^+ C^T`` with the Moore-Penrose pseudoinverse of
-    the projected 2x2 block of the measured mode, so no isotropy of that
-    block is assumed.
+    ``A' = A - C (Pi B Pi)^+ C^T``, where ``Pi`` projects onto the measured
+    quadrature x of that mode, so no isotropy of its block B is assumed.
+    The pseudoinverse of the projected block is rank one, so ``A' = A - c
+    c^T / B_xx`` with c the column of C for x.
     """
     n = V.n_modes
     if not 0 <= measured_mode < n:
@@ -496,22 +497,17 @@ def homodyne_condition(
         raise BadIndexError("conditioning needs at least one unmeasured mode")
     if quadrature not in ("q", "p"):
         raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
-    off = "qp".index(quadrature)
-    if V.entries[2 * measured_mode + off, 2 * measured_mode + off] <= 0.0:
+    m = V.entries
+    x = 2 * measured_mode + "qp".index(quadrature)
+    if m[x, x] <= 0.0:
         raise SingularMeasurementError(
             f"measured {quadrature} variance is not positive"
         )
     require_valid(V)
 
-    m = V.entries
-    meas = [2 * measured_mode, 2 * measured_mode + 1]
-    rest = [i for i in range(2 * n) if i not in meas]
-    a = m[np.ix_(rest, rest)]
-    c = m[np.ix_(rest, meas)]
-    b = m[np.ix_(meas, meas)]
-    pi = np.zeros((2, 2))
-    pi[off, off] = 1.0
-    return CovarianceMatrix(a - c @ np.linalg.pinv(pi @ b @ pi) @ c.T)
+    rest = [i for i in range(2 * n) if i // 2 != measured_mode]
+    c = m[rest, x]
+    return CovarianceMatrix(m[np.ix_(rest, rest)] - np.outer(c, c) / m[x, x])
 
 
 # ---------------------------------------------------------------------------

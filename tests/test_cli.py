@@ -625,6 +625,18 @@ class TestFitAndGenSynthetic:
         err = capsys.readouterr().err
         assert err == "tmsflow: the cost at the start chi = (0.0, 1.0) is not finite\n"
 
+    def test_a_level_above_the_double_range_is_a_model_failure(self, tmp_path, capsys):
+        records, out = tmp_path / "records.csv", tmp_path / "fit.json"
+        records.write_text("s_db,n,d_a,d_b,e_f\n3,0.1,0.5,0.5,0.4\n4000,0.1,0.5,0.5,0.4\n6,0.1,0.5,0.5,0.4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--records", str(records), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "tmsflow: model evaluation failed for record 1 (S=4000.0 dB, n=0.1): "
+            "squeezing level 4000.0 dB is above 3082.5 dB\n"
+        )
+
     def test_truncated_csv_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("s_db,n,d_a,d_b,e_f\n3.0,0.1,0.4,0.4\n")

@@ -154,6 +154,19 @@ class TestFit:
         with pytest.raises(ModelFailureError), np.errstate(invalid="ignore"):
             fit(clean_records, initial=(1e308, 1.0))
 
+    def test_a_level_above_the_double_range_names_its_record(self, clean_records):
+        high = MeasurementRecord(s_db=4000.0, n=0.1, d_a=0.5, d_b=0.5, e_f=0.4)
+        with pytest.raises(ModelFailureError) as err, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit(clean_records[:4] + [high] + clean_records[4:])
+        assert err.value.record_index == 4
+        assert str(err.value) == (
+            "model evaluation failed for record 4 (S=4000.0 dB, n=0.1): "
+            "squeezing level 4000.0 dB is above 3082.5 dB"
+        )
+        assert type(err.value.__cause__) is DomainError
+        assert str(err.value.__cause__) == "squeezing level 4000.0 dB is above 3082.5 dB"
+
     @pytest.mark.parametrize("sigma", [1e-152, 1e-200, 1e-320])
     def test_overflowing_cost_raises(self, clean_records, sigma):
         # at 1e-152 the cost is finite at the start and J^T J is not

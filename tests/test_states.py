@@ -151,6 +151,22 @@ class TestJpaNoise:
             0.14125848923814343, abs=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "gain, expected", [(1.0, 0.0), (2.0, 0.05), (math.exp(2.0), 0.14125848923814344)]
+    )
+    def test_finite_values_are_pinned(self, gain, expected):
+        assert jpa_noise(gain, JpaNoiseModel(0.05, 0.56)) == expected
+
+    def test_overflow_raises_as_the_amplifier_prefactor_does(self):
+        # (G - 1)**chi2 is finite at G = 1e300 and only its product with chi1 overflows
+        r = 0.5 * math.log(1e300)
+        with pytest.raises(NumericalError) as prefactor:
+            StateModel.realistic(1e10, 1.0, 0.5).amplifier_prefactor(r)
+        with pytest.raises(NumericalError) as err:
+            jpa_noise(1e300, JpaNoiseModel(1e10, 1.0))
+        assert str(err.value) == str(prefactor.value)
+        assert str(err.value) == "amplifier noise at gain 1e+300 overflows double precision"
+
     def test_below_unit_gain_rejected(self):
         with pytest.raises(DomainError):
             jpa_noise(0.99, JpaNoiseModel(0.05, 0.56))
