@@ -90,32 +90,45 @@ class CrossoverResult:
     bracket: tuple[float, float]
 
 
-def _refine(f, lo, hi, f_lo, f_hi) -> tuple[np.ndarray, dict]:
+def _refine(f, lo, hi, failed: dict) -> tuple[np.ndarray, dict]:
     """Chandrupatla's bracketing root finder (*Adv. Eng. Softw.* 28, 145
-    (1997)) on every entry's bracket ``[lo, hi]`` (1-D arrays), where
-    ``f_lo`` and ``f_hi`` are ``f`` at the ends, of opposite signs.
+    (1997)) on every entry's bracket ``[lo, hi]`` (1-D arrays).
 
     ``f(points)`` returns ``(values, errors)``: ``f`` at every point and the
-    error of each point that failed, by index.  Each step is one call of
-    ``f`` on all entries.  An entry's next point is the inverse quadratic
-    interpolant through its last three points where Chandrupatla's xi/phi
-    test says that it is monotone on the bracket, and the midpoint
-    otherwise; it is kept at least half the stop width from either end of
-    the bracket, so every point lies strictly inside ``[lo, hi]``.  An
-    entry stops once its bracket is no wider than ``1e-12 max(1, hi)``, or
-    at a point where ``f`` is exactly 0, or after 100 steps; it fails with
-    the error of the first point it reads that failed.  A stopped entry
-    reads the newest point it kept again, and every operation is
-    elementwise, so every entry takes the steps, and ends at the root, of
-    a batch of one.  Returns the
-    midpoint of each final bracket (the zero itself where ``f`` hit one)
-    and the errors of the failed entries by index.
+    error of each point that failed, by flat index.  The first call reads
+    the ``(2, entries)`` array of every entry's ends, the lower ends first.
+    An entry fails with the error of an end that failed, its lower end's
+    first, or with :class:`NoSignChangeError` where ``f`` does not change
+    sign strictly between its ends, in either direction.  The entries in
+    ``failed`` (errors by index) are carried through unsearched with their
+    errors.  Each step is then one call of ``f`` on all entries.  An
+    entry's next point is the inverse quadratic interpolant through its
+    last three points where Chandrupatla's xi/phi test says that it is
+    monotone on the bracket, and the midpoint otherwise; it is kept at
+    least half the stop width from either end of the bracket, so every
+    point lies strictly inside ``[lo, hi]``.  An entry stops once its
+    bracket is no wider than ``1e-12 max(1, hi)``, or at a point where
+    ``f`` is exactly 0, or after 100 steps; it fails with the error of the
+    first point it reads that failed.  A stopped or failed entry reads the
+    newest point it kept (a failed one its lower end) again, and every
+    operation is elementwise, so every entry takes the steps, and ends at
+    the root, of a batch of one.  Returns the midpoint of each final
+    bracket (the zero itself where ``f`` hit one) and the errors of the
+    failed entries by index.
     """
-    x1, f1, x2, f2 = lo, f_lo, hi, f_hi  # the bracket: x1 the newest point, x2 the far end
+    (f1, f2), end_errors = f(np.stack((lo, hi)))
+    errors = dict(failed)
+    for j, exc in sorted(end_errors.items()):  # the lower ends come first
+        errors.setdefault(j % len(lo), exc)
+    for j in np.flatnonzero(np.sign(f1) * np.sign(f2) != -1.0).tolist():  # NaN counts too
+        ends = f"f({lo[j]:.4g}) = {f1[j]:.3e}, f({hi[j]:.4g}) = {f2[j]:.3e}"
+        bracket = f"[{lo[j]:.4g}, {hi[j]:.4g}]"
+        errors.setdefault(j, NoSignChangeError(f"no sign change on {bracket} ({ends})"))
+    x1, x2 = lo, hi  # the bracket: x1 the newest point, x2 the far end
     x3, f3 = x2, f2  # the point that left the bracket last
     t = np.full(lo.shape, 0.5)
     active = np.ones(lo.shape, dtype=bool)
-    errors: dict = {}
+    active[list(errors)] = False
     for _ in range(100):
         width, stop = np.abs(x2 - x1), 1e-12 * np.maximum(1.0, np.maximum(x1, x2))
         active &= (width > stop) & (f1 != 0.0)
@@ -124,8 +137,8 @@ def _refine(f, lo, hi, f_lo, f_hi) -> tuple[np.ndarray, dict]:
         with np.errstate(divide="ignore", invalid="ignore"):
             tl = 0.5 * stop / width
             x = np.where(active, x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1), x1)
-        values, failed = f(x)
-        for i, exc in failed.items():
+        values, step_errors = f(x)
+        for i, exc in step_errors.items():
             if active[i]:
                 errors[i] = exc
                 active[i] = False
@@ -194,45 +207,28 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
     level, with the error that ends a search in place of a value.
 
     All levels' A and B roots are one :func:`_refine` batch over a
-    ``(levels, 2)`` grid of entries, one column per flavor: one kernel
-    call evaluates every bracket end, and each refinement step is one more
-    on the grid of new points, about 10 to 20 calls in all.  AB is the
-    mean of A and B and carries A's error first, then B's.
+    ``(levels, 2)`` grid of entries, one column per flavor, each on its
+    level's ``[1e-3, n_sd]``; a level without ``n_sd`` fails both entries
+    with its error.  One kernel call evaluates every bracket end, and each
+    refinement step is one more on the grid of new points, about 10 to 20
+    calls in all.  AB is the mean of A and B and carries A's error first,
+    then B's.
     """
     s_col = np.array(s_values, dtype=float)[:, None]
     rows = len(s_col)
     table = _sudden_deaths(model, s_col[:, 0].tolist())
-    hi = np.full((rows, 2), _N_LOW)
-    failed: dict = {}  # by flat entry index 2 * level + (0 for A, 1 for B)
-    for i, row in enumerate(table):
-        if isinstance(row["n_sd"], TmsflowError):
-            failed[2 * i] = failed[2 * i + 1] = row["n_sd"]
-        else:
-            hi[i] = row["n_sd"]
+    n_sd = [row["n_sd"] for row in table for _ in "AB"]  # by flat entry 2 * level + flavor
+    failed = {j: exc for j, exc in enumerate(n_sd) if isinstance(exc, TmsflowError)}
+    hi = np.array([_N_LOW if j in failed else x for j, x in enumerate(n_sd)])  # failed: never searched
     levels = model._levels(s_col)
-    bracket_ends = np.stack((np.full(rows, _N_LOW), hi[:, 0]), 1)
-    ends = correlation_arrays(model._standard_form(s_col, levels, bracket_ends))
-    for i, n_sd in enumerate(hi[:, 0].tolist()):
-        level_exc = failed.get(2 * i) or ends.errors.get(2 * i, ends.errors.get(2 * i + 1))
-        for k, (flavor, d) in enumerate((("A", ends.delta_a), ("B", ends.delta_b))):
-            exc, (d_lo, d_hi) = level_exc, d[i].tolist()
-            if exc is None and not d_lo < 0.0 < d_hi:
-                exc = NoSignChangeError(
-                    f"delta_{flavor} does not go from negative to positive on [{_N_LOW:.4g}, "
-                    f"{n_sd:.4g}] (delta({_N_LOW:.4g}) = {d_lo:.3e}, delta(n_sd) = {d_hi:.3e})"
-                )
-            if exc is not None:
-                failed[2 * i + k] = exc
-                hi[i, k] = _N_LOW  # an empty bracket: no step reads this entry
 
     def delta(n: np.ndarray) -> tuple[np.ndarray, dict]:
-        res = correlation_arrays(model._standard_form(s_col, levels, n.reshape(rows, 2)))
-        return np.where([True, False], res.delta_a, res.delta_b).ravel(), res.errors
+        grid = n.reshape(n.shape[:-1] + (rows, 2))  # the ends, or a step, by level and flavor
+        res = correlation_arrays(model._standard_form(s_col, levels, grid))
+        return np.where([True, False], res.delta_a, res.delta_b).reshape(n.shape), res.errors
 
-    f_lo, f_hi = np.stack((ends.delta_a, ends.delta_b), 1).reshape(-1, 2).T
-    roots, errors = _refine(delta, np.full(2 * rows, _N_LOW), hi.ravel(), f_lo, f_hi)
-    failed.update(errors)
-    n_c = [failed.get(j, root) for j, root in enumerate(roots.tolist())]
+    roots, errors = _refine(delta, np.full(2 * rows, _N_LOW), hi, failed)
+    n_c = [errors.get(j, root) for j, root in enumerate(roots.tolist())]
     for row, n_a, n_b in zip(table, n_c[0::2], n_c[1::2]):
         n_ab = next((x for x in (n_a, n_b) if isinstance(x, TmsflowError)), None)
         row.update(A=n_a, B=n_b, AB=0.5 * (n_a + n_b) if n_ab is None else n_ab)
@@ -248,10 +244,12 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
     sudden-death point: there ``E_F = 0`` while the state is still
     correlated, so ``delta(n_sd) = D > 0``, and beyond it the signed
     ``E_F`` is negative, so no root with that orientation lies above.  The
-    curve must be negative at 1e-3 and positive at ``n_sd``, otherwise
-    :class:`NoSignChangeError` is raised.  The root is refined with
-    Chandrupatla's method (:func:`_refine`), which keeps a sign change
-    inside the bracket at every step, down to width ``1e-12 max(1, n_sd)``.
+    curve must change sign strictly between the ends, so be negative at
+    1e-3, otherwise :class:`NoSignChangeError` is raised; a kernel error at
+    an end or at a refinement point is raised as it is.  The root is
+    refined with Chandrupatla's method (:func:`_refine`), which keeps a
+    sign change inside the bracket at every step, down to width
+    ``1e-12 max(1, n_sd)``.
     Flavor AB returns the arithmetic mean of the A and B crossover points,
     which share the bracket.  One level of the batch that ``features``
     solves, with the same steps whatever the batch.

@@ -16,6 +16,7 @@ ln 2 so that K is unit-consistent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,6 @@ from .analysis import _refine
 from .errors import (
     BadCouplingError,
     DomainError,
-    NoSignChangeError,
     NumericalError,
     TmsflowError,
 )
@@ -116,20 +116,20 @@ def holevo_quantity(scenario: QkdScenario) -> float:
     ``nu+ = (sqrt((b - a)^2 + 4g) + |b - a|)/2`` and ``nu- = g/nu+``, and
     homodyning q on B leaves A with ``nu_A|x_B = sqrt(ag/b)``.  Where g
     overflows (near the top squeezing level with a large W), ``sqrt(g)``
-    and ``g/nu+`` are taken factor by factor.
+    and ``g/nu+`` are taken factor by factor, and so is ``sqrt(ag/b)``
+    wherever ``ag/b`` overflows.
     """
     beta, w = scenario.beta, scenario.w
     a = math.cosh(2.0 * scenario.r)
     b = (1.0 - beta) * a + beta * w
     g = (1.0 - beta) + beta * a * w
     d = abs(beta * (a - w))
-    if math.isinf(g):  # then g = beta a W to double precision
-        root_g = math.sqrt(beta * w) * math.sqrt(a)
-        nu_plus = 0.5 * (math.hypot(d, 2.0 * root_g) + d)
-        nu_minus, nu_cond = beta * w * (a / nu_plus), math.sqrt(a / b) * root_g
-    else:
-        nu_plus = 0.5 * (math.hypot(d, 2.0 * math.sqrt(g)) + d)
-        nu_minus, nu_cond = g / nu_plus, math.sqrt(a / b * g)
+    g_inf = math.isinf(g)  # then g = beta a W to double precision
+    root_g = math.sqrt(beta * w) * math.sqrt(a) if g_inf else math.sqrt(g)
+    nu_plus = 0.5 * (math.hypot(d, 2.0 * root_g) + d)
+    nu_minus = beta * w * (a / nu_plus) if g_inf else g / nu_plus
+    # a g / b overflows wherever g does, and from about 3075 dB also where g does not
+    nu_cond = math.sqrt(a / b) * root_g if math.isinf(a / b * g) else math.sqrt(a / b * g)
     s_ab = entropy_f(VACUUM_VARIANCE * nu_plus) + entropy_f(VACUUM_VARIANCE * nu_minus)
     chi = (s_ab - entropy_f(VACUUM_VARIANCE * nu_cond)) / _LN2
     return max(chi, 0.0)
@@ -161,15 +161,17 @@ def key_threshold(s_db: float, *, beta: float = DEFAULT_CLONER_COUPLING) -> floa
     """Noise photon number n_q at which the secret key changes sign.
 
     Chandrupatla's method (:func:`~tmsflow.analysis._refine`) on
-    ``[1e-4, 2]``; the key must be positive at the lower end and negative at
-    the upper end (it decreases with noise), otherwise
-    :class:`NoSignChangeError` is raised.  The bracket is refined down to
-    width 1e-12 max(1, n_q) in about ten steps, and the returned point (the
-    midpoint of the final bracket) is checked to satisfy |K| < 1e-6 bits.
-    K is evaluated in closed form with about 1e-15 bits of rounding noise,
-    so that width, not the evaluation, sets |K| at the returned point (a few
-    1e-12 bits).  One level of the batch that ``qkd --threshold-out``
-    refines, with the same steps whatever the batch.
+    ``[1e-4, 2]``; the key must change sign strictly between the ends (it
+    falls with noise, so it is positive at the lower end), otherwise
+    :class:`~tmsflow.errors.NoSignChangeError` is raised.  An error of K
+    at an end or at a refinement point is raised as it is.  The bracket is
+    refined down to width 1e-12 max(1, n_q) in about ten steps, and the
+    returned point (the midpoint of the final bracket) is checked to
+    satisfy |K| < 1e-6 bits.  K is evaluated in closed form with about
+    1e-15 bits of rounding noise, so that width, not the evaluation, sets
+    |K| at the returned point (a few 1e-12 bits).  One level of the batch
+    that ``qkd --threshold-out`` refines, with the same steps whatever the
+    batch.
     """
     threshold = _key_thresholds([s_db], beta)[0]
     if isinstance(threshold, TmsflowError):
@@ -179,49 +181,45 @@ def key_threshold(s_db: float, *, beta: float = DEFAULT_CLONER_COUPLING) -> floa
 
 def _key_thresholds(s_values, beta: float) -> list:
     """:func:`key_threshold` at every squeezing level, with the error that
-    ends a level's search in place of its threshold: all levels are one
-    :func:`~tmsflow.analysis._refine` batch from the K already computed at
-    the bracket ends, K the scalar closed form, evaluated once per point
-    of a level that has not stopped."""
-
-    def key_at(r: float, n_q: float) -> float:
-        return secret_key(QkdScenario(r=r, n_q=n_q, beta=beta)).key
-
-    lo, hi = _KEY_BRACKET
-    found, rs, ends = {}, {}, []  # by level: the threshold or error; r and K at lo, hi
+    ends a level's search in place of its threshold.  All levels are one
+    :func:`~tmsflow.analysis._refine` batch: a level that is not above
+    0 dB fails unsearched, and a level where K fails at a point fails
+    alone.  K is the scalar closed form, evaluated once per distinct point
+    of a level, the check at the refined point included."""
+    rs, failed = [], {}  # by level: r, or None where the level check failed
     for i, s_db in enumerate(s_values):
         try:
             if s_db <= 0:
                 raise DomainError(f"squeezing level must be > 0 dB, got {s_db}")
-            r = squeezing_db_to_r(s_db)
-            k_lo, k_hi = key_at(r, lo), key_at(r, hi)
-            if not (k_lo > 0.0 > k_hi):
-                raise NoSignChangeError(
-                    f"no key sign change on [{lo}, {hi}] at {s_db} dB "
-                    f"(K({lo}) = {k_lo:.3e}, K({hi}) = {k_hi:.3e})"
-                )
-            rs[i] = r
-            ends.append((k_lo, k_hi))
+            rs.append(squeezing_db_to_r(s_db))
         except TmsflowError as exc:
-            found[i] = exc
+            rs.append(None)
+            failed[i] = exc
 
-    newest = [(lo, k) for k, _ in ends]  # by entry: its newest point and K there
+    @functools.cache
+    def key_at(r: float, n_q: float) -> float:
+        return secret_key(QkdScenario(r=r, n_q=n_q, beta=beta)).key
 
     def keys(n_q: np.ndarray) -> tuple[np.ndarray, dict]:
-        # A stopped entry reads its newest point again; it keeps the K it has.
-        for j, (r, x) in enumerate(zip(rs.values(), n_q.tolist())):
-            if x != newest[j][0]:
-                newest[j] = (x, key_at(r, x))
-        return np.array([k for _, k in newest]), {}
+        values, errors = np.full(n_q.shape, np.nan), {}
+        for j, x in enumerate(n_q.ravel().tolist()):
+            r = rs[j % len(rs)]
+            try:
+                values.flat[j] = np.nan if r is None else key_at(r, x)
+            except TmsflowError as exc:
+                errors[j] = exc
+        return values, errors
 
-    k_lo, k_hi = np.array(ends).reshape(-1, 2).T
-    mids, _ = _refine(keys, np.full(len(rs), lo), np.full(len(rs), hi), k_lo, k_hi)
-    for (i, r), mid in zip(rs.items(), mids.tolist()):
-        k = key_at(r, mid)
-        found[i] = mid if abs(k) < _KEY_CHECK else NumericalError(
-            f"key at the refined point is not zero: |{k:.3e}| >= {_KEY_CHECK}"
-        )
-    return [found[i] for i in range(len(found))]
+    lo, hi = _KEY_BRACKET
+    mids, errors = _refine(keys, np.full(len(rs), lo), np.full(len(rs), hi), failed)
+    for i in errors:
+        rs[i] = None  # no check where the search failed
+    k, check_errors = keys(mids)
+    for i in np.flatnonzero(~(np.abs(k) < _KEY_CHECK)).tolist():
+        errors.setdefault(i, check_errors.get(i) or NumericalError(
+            f"key at the refined point is not zero: |{k[i]:.3e}| >= {_KEY_CHECK}"
+        ))
+    return [errors.get(i, mid) for i, mid in enumerate(mids.tolist())]
 
 
 def _key_result_doc(scenario: QkdScenario, result: KeyResult) -> dict:

@@ -341,31 +341,23 @@ class TestCrossover:
         monkeypatch.setattr(StateModel, "_standard_form", recorded)
         table = _crossovers(model, levels)
         monkeypatch.undo()
-        steps = np.stack(grids[1:])  # the first call evaluated the bracket ends
+        assert grids[0].shape == (2, len(levels), 2)  # the first call evaluated the bracket ends
+        steps = np.stack(grids[1:])
         assert steps.shape[1:] == (len(levels), 2)
         for i, s_db in enumerate(levels):
             for k, flavor in enumerate("AB"):
                 key = "delta_a" if flavor == "A" else "delta_b"
                 points = []
 
-                def kernel(n):
+                def delta(n):
+                    if n.ndim == 1:  # a step, not the bracket ends
+                        points.append(float(n[0]))
                     res = correlation_arrays(model.standard_form(s_db, n))
                     return getattr(res, key), res.errors
 
-                def delta(n):
-                    points.append(float(n[0]))
-                    return kernel(n)
-
                 try:
-                    lo, hi = 1e-3, sudden_death_point(model, s_db)
-                    (d_lo, d_hi), failed = kernel(np.array([lo, hi]))
-                    if failed:
-                        raise failed[min(failed)]
-                    if not d_lo < 0.0 < d_hi:
-                        raise NoSignChangeError("no crossover")
-                    roots, errors = _refine(
-                        delta, np.array([lo]), np.array([hi]), np.array([d_lo]), np.array([d_hi])
-                    )
+                    hi = sudden_death_point(model, s_db)
+                    roots, errors = _refine(delta, np.array([1e-3]), np.array([hi]), {})
                     if errors:
                         raise errors[0]
                 except (NoSignChangeError, NumericalError) as exc:
@@ -412,21 +404,47 @@ class TestCrossover:
 
         def f(x):
             calls.append(x)
-            # entry 1 fails at its third step; entry 3's bracket is empty, so
-            # its failure is never read
+            # entry 1 fails at its third step; entry 3 failed before the
+            # search, so its failure is never read
             failed = {1: NumericalError("third"), 3: NumericalError("unread")}
-            return x * x - roots * roots, failed if len(calls) == 3 else {}
+            return x * x - roots * roots, failed if len(calls) == 4 else {}
 
         lo, hi = np.array([0.0, 0.0, 0.0, 0.5, 0.0]), np.array([1.0, 1.0, 1.0, 0.5, 1.0])
-        found, errors = _refine(f, lo, hi, lo * lo - roots * roots, hi * hi - roots * roots)
-        assert len(calls) == 8
-        assert list(errors) == [1] and str(errors[1]) == "third"
+        carried = NumericalError("carried")
+        found, errors = _refine(f, lo, hi, {3: carried})
+        assert calls[0].tolist() == [lo.tolist(), hi.tolist()]  # the bracket ends
+        steps = calls[1:]
+        assert len(steps) == 8
+        assert sorted(errors) == [1, 3] and str(errors[1]) == "third" and errors[3] is carried
         assert np.abs(found[[0, 2]] - roots[[0, 2]]).max() < 1e-12
-        assert found[3] == 0.5
+        assert found[3] == 0.5 and [x[3] for x in steps] == [0.5] * 8
         # entry 4's first point is its root: it stops there, and reads it again
-        assert found[4] == 0.5 and [x[4] for x in calls] == [0.5] * 8
-        for x in calls:
+        assert found[4] == 0.5 and [x[4] for x in steps] == [0.5] * 8
+        for x in steps:
             assert ((x > lo) & (x < hi))[[0, 1, 2, 4]].all()
+
+    def test_refine_fails_an_entry_at_its_ends(self):
+        # entries: a rising and a falling bracket, no sign change, a zero at
+        # an end, a NaN at an end, and two ends whose evaluation fails
+        lo, hi = np.zeros(6), np.array([1.0, 1.0, 1.0, 0.5, 1.0, 1.0])
+        sign = np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+        shift = np.array([0.5, 0.5, -0.5, 0.5, 0.5, 0.5])
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            values = sign * (x - shift)
+            if x.ndim == 1:
+                return values, {}
+            values[1, 4] = np.nan
+            return values, {6 + 5: NumericalError("upper"), 5: NumericalError("lower")}
+
+        found, errors = _refine(f, lo, hi, {})
+        assert calls[0] == (2, 6) and set(calls[1:]) == {(6,)}
+        assert found[0] == found[1] == 0.5 and sorted(errors) == [2, 3, 4, 5]
+        assert all(isinstance(errors[j], NoSignChangeError) for j in (2, 3, 4))
+        assert str(errors[2]) == "no sign change on [0, 1] (f(0) = 5.000e-01, f(1) = 1.500e+00)"
+        assert str(errors[5]) == "lower"  # the lower end's error first
 
     def test_ab_is_the_mean_of_the_a_and_b_entries(self):
         for row in _crossovers(StateModel.coupler(0.3), [0.05, 2.0, 6.0, 12.0]):

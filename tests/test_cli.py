@@ -137,6 +137,14 @@ class TestFeaturesCommand:
             assert f"{name}: " in cells[5]
         assert rows[1].endswith(",ok")
 
+    def test_bracket_without_a_sign_change_is_named(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["features", "--s", "0.05,6", "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        reason = "no sign change on [0.001; 1] (f(0.001) = 5.328e-07; f(1) = 1.645e-04)"
+        assert rows[0].endswith(f",n_c_B: {reason}; n_c_AB: {reason}")
+        assert rows[1].endswith(",ok")
+
     def test_failing_row_is_marked_per_column(self, tmp_path):
         out = tmp_path / "f.csv"
         assert main(["features", "--s", "6,2000", "--out", str(out)]) == 0
@@ -148,8 +156,8 @@ class TestFeaturesCommand:
     @pytest.mark.parametrize("s_spec", ["6", "1,6", "2:12:0.5", "0.05:30:0.05"])
     @pytest.mark.parametrize("model", [["--model", "ideal"], ["--model", "realistic"]])
     def test_kernel_calls_per_job_do_not_grow_with_rows(self, s_spec, model, tmp_path, monkeypatch):
-        # one call for every bracket end, then one per refinement step: at
-        # most 23 for any table here (bisection took 40)
+        # one call for every bracket end of both flavors, then one per
+        # refinement step: at most 23 for any table here (bisection took 40)
         import tmsflow.analysis
 
         calls, original = [], tmsflow.analysis.correlation_arrays
@@ -167,7 +175,7 @@ class TestFeaturesCommand:
         assert main(["features", "--s", s_spec, *model, "--out", str(out)]) == 0
         rows = len(parse_grid(s_spec))
         assert 2 < len(calls) <= 24
-        assert set(calls) == {(rows, 2)}
+        assert calls[0] == (2, rows, 2) and set(calls[1:]) == {(rows, 2)}
         # the n_sd of each level and the batch's levels: not once per step
         assert len(prefactors) == 2 * rows
 
@@ -312,6 +320,37 @@ class TestQkdCommand:
         th_rows = [l for l in th_out.read_text().splitlines() if not l.startswith("#")]
         assert th_rows[0] == "s_db,n_q_threshold,status"
         assert float(th_rows[1].split(",")[1]) == pytest.approx(0.26, abs=0.01)
+
+    def test_key_error_fails_only_its_threshold_row(self, tmp_path, monkeypatch):
+        import tmsflow.qkd
+        from tmsflow.errors import NumericalError
+        from tmsflow.states import squeezing_db_to_r
+
+        original, r_bad = tmsflow.qkd.secret_key, squeezing_db_to_r(10.0)
+
+        def failing(sc):
+            if sc.r == r_bad and 1e-4 < sc.n_q < 2.0:
+                raise NumericalError("interior point")
+            return original(sc)
+
+        monkeypatch.setattr(tmsflow.qkd, "secret_key", failing)
+        th_out, out = tmp_path / "t.csv", tmp_path / "k.csv"
+        argv = ["qkd", "--s", "6,10,30", "--nq", "0.1", "--threshold-out", str(th_out)]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = [l.split(",") for l in th_out.read_text().splitlines() if not l.startswith("#")]
+        assert [row[2] for row in rows[1:]] == ["ok", "interior point", "ok"]
+        assert out.exists()
+
+    def test_level_whose_key_overflowed_keeps_the_threshold_table(self, tmp_path, capsys):
+        # a g / b overflows at 3082 dB with beta = 0.3 for n_q near 0.45
+        assert main(["qkd", "--s", "3082", "--nq", "0.45", "--cloner-beta", "0.3"]) == 0
+        assert json.loads(capsys.readouterr().out)["key_bits"] == pytest.approx(-0.784, abs=1e-3)
+        th_out, out = tmp_path / "t.csv", tmp_path / "k.csv"
+        argv = ["qkd", "--s", "10,3082", "--nq", "0.1", "--cloner-beta", "0.3"]
+        assert main(argv + ["--threshold-out", str(th_out), "--out", str(out)]) == 0
+        rows = [l.split(",") for l in th_out.read_text().splitlines() if not l.startswith("#")]
+        assert [row[2] for row in rows[1:]] == ["ok", "ok"]
+        assert float(rows[2][1]) == pytest.approx(0.26374921215, abs=1e-11)
 
     def test_threshold_config_key_is_not_a_switch(self, tmp_path, capsys):
         # "threshold" is tomo's Gaussianity level; a shared config file
@@ -856,6 +895,14 @@ class TestConfigFile:
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('["s", "6"]')
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "tmsflow: config file must hold a JSON object\n"
         assert not out.exists()
 
     def test_key_given_twice_is_usage_error(self, tmp_path, capsys):

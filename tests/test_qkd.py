@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tmsflow.qkd
-from tmsflow.errors import BadCouplingError, DomainError, NoSignChangeError
+from tmsflow.errors import BadCouplingError, DomainError, NoSignChangeError, NumericalError
 from tmsflow.qkd import (
     DEFAULT_CLONER_COUPLING,
     QkdScenario,
@@ -206,6 +206,24 @@ class TestHolevo:
         s = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q)
         assert holevo_quantity(s) == pytest.approx(holevo_reference(s_db, n_q, s.beta), abs=1e-10)
 
+    @pytest.mark.parametrize("beta", [1e-4, 0.1, 0.3, 0.5, 0.9])
+    def test_finite_where_the_conditional_product_overflows(self, beta):
+        # a g / b leaves the double range from about 3075 dB with beta >= 0.1
+        # while g itself does not: K stays finite and falls with noise
+        for s_db in np.linspace(3075.0, 3082.5, 16).tolist():
+            r = squeezing_db_to_r(s_db)
+            keys = [
+                secret_key(QkdScenario(r=r, n_q=n_q, beta=beta)).key
+                for n_q in np.linspace(0.0, 2.0, 201).tolist()
+            ]
+            assert all(math.isfinite(k) for k in keys), s_db
+            assert all(a > b for a, b in zip(keys[1:], keys[2:])), s_db
+
+    @pytest.mark.parametrize("s_db, n_q, beta", [(3082.0, 0.45, 0.3), (3076.0, 1.0, 0.9)])
+    def test_matches_reference_where_the_conditional_product_overflows(self, s_db, n_q, beta):
+        s = QkdScenario(r=squeezing_db_to_r(s_db), n_q=n_q, beta=beta)
+        assert holevo_quantity(s) == pytest.approx(holevo_reference(s_db, n_q, beta), abs=1e-10)
+
     def test_nonnegative(self, rng):
         for _ in range(20):
             s = QkdScenario(
@@ -352,10 +370,40 @@ class TestKeyThreshold:
         assert batch_calls == len(calls) - batch_calls
         assert list(map(repr, batch)) == list(map(repr, singles))
 
+    def test_threshold_where_the_conditional_product_overflows(self):
+        plateau = key_threshold(3000.0, beta=0.3)
+        for s_db in np.linspace(3075.0, 3082.5, 7).tolist():
+            assert key_threshold(s_db, beta=0.3) == pytest.approx(plateau, rel=1e-11), s_db
+
+    def test_key_error_fails_only_its_level(self, monkeypatch):
+        levels = [6.0, 10.0, 30.0]
+        clean = _key_thresholds(levels, DEFAULT_CLONER_COUPLING)
+        original, r_bad = tmsflow.qkd.secret_key, squeezing_db_to_r(10.0)
+
+        def failing(sc):
+            if sc.r == r_bad and 1e-4 < sc.n_q < 2.0:
+                raise NumericalError("interior point")
+            return original(sc)
+
+        monkeypatch.setattr(tmsflow.qkd, "secret_key", failing)
+        found = _key_thresholds(levels, DEFAULT_CLONER_COUPLING)
+        assert str(found[1]) == "interior point"
+        assert [found[0], found[2]] == [clean[0], clean[2]]
+        with pytest.raises(NumericalError):
+            key_threshold(10.0)
+
+    def test_refined_key_that_is_not_zero_fails_the_level(self, monkeypatch):
+        monkeypatch.setattr(tmsflow.qkd, "_KEY_CHECK", 0.0)
+        found = _key_thresholds([0.001, 10.0], DEFAULT_CLONER_COUPLING)
+        assert isinstance(found[0], NoSignChangeError)
+        assert isinstance(found[1], NumericalError)
+        assert str(found[1]).startswith("key at the refined point is not zero: |")
+
     def test_no_sign_change(self):
         # K(1e-4) is already negative at 0.005 dB
-        with pytest.raises(NoSignChangeError):
+        with pytest.raises(NoSignChangeError) as exc:
             key_threshold(0.005)
+        assert str(exc.value).startswith("no sign change on [0.0001, 2] (f(0.0001) = -")
 
     def test_domain(self):
         with pytest.raises(DomainError):
