@@ -184,16 +184,6 @@ def _scaled(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, exact
 
 
-def _numbers(text: bytes, dtype, count: int) -> np.ndarray | None:
-    """The ``count`` comma-separated numbers of ``text`` read by
-    ``np.fromstring``; ``None`` where it reads another count."""
-    try:
-        out = np.fromstring(text, dtype=dtype, sep=",")
-    except ValueError:  # NumPy 2 refuses a text it cannot read to the end
-        return None
-    return out if len(out) == count else None
-
-
 def rows(text: str) -> np.ndarray | None:
     """The ``(L, 4)`` floats of a block of plain lines (the module
     docstring), each entry Python's ``float`` of its token bit for bit;
@@ -235,10 +225,10 @@ def _rows(b: bytes) -> np.ndarray | None:
     if len(ends) % 4 or (a.take(ends).reshape(-1, 4) != _LINE).any():
         return None
 
-    # One integer field per mantissa and per exponent, signs and points deleted.
-    ints = _numbers(b[:-1].translate(_FIELDS, b".+-"), _U, len(fields))
-    if ints is None:
-        return None
+    # One integer field per mantissa and per exponent, signs and points
+    # deleted: by the grammar each is a run of digits, so np.fromstring
+    # reads every one (one beyond 2^64 - 1 saturates there).
+    ints = np.fromstring(b[:-1].translate(_FIELDS, b".+-"), dtype=_U, sep=",")
     k, mantissa = 0, slice(None)  # the field of each token's mantissa
     if len(ends) < len(fields):
         has_exp = exponent.take(last - 1)  # field -1 is the block's last, not an exponent
@@ -258,8 +248,8 @@ def _rows(b: bytes) -> np.ndarray | None:
         sizes = ends.take(inexact) + 1 - first
         offsets = np.repeat(first - (np.cumsum(sizes) - sizes), sizes)  # of each gathered byte
         text = a.take(np.arange(len(offsets)) + offsets).tobytes()
-        values = _numbers(text[:-1].translate(_NEWLINE_TO_COMMA), np.float64, len(inexact))
-        if values is None or not np.isfinite(values).all():
+        values = np.fromstring(text[:-1].translate(_NEWLINE_TO_COMMA), sep=",")  # float literals
+        if not np.isfinite(values).all():
             return None
         y[inexact] = values
     return y.reshape(-1, 4)

@@ -174,7 +174,7 @@ def sudden_death_point(model: StateModel, s_db: float) -> float:
     """
     r = _squeezing_factor(s_db)
     beta = model.coupling_beta or 0.0
-    q = model._amplifier_excess(r)  # from expm1(2r): 1 + q rounds to 1 at weak squeezing
+    q = model._amplifier_excess(math.expm1(2.0 * r))  # 1 + q rounds to 1 at weak squeezing
     if q == 0.0 and r > 0.0:
         return 1.0 - beta
     p, delta = 1.0 + q, 2.0 * math.sinh(r) ** 2

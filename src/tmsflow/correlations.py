@@ -117,25 +117,22 @@ def _exact_standard_form(nus, invariants: tuple) -> StandardForm:
     n = max(i4 - (i1 + i2 + 2 * i3) * q + qq, 0)
     t = i12 + i33 - i4
     prod = t * t - 4 * i33 * i12
-    try:
-        a, b = math.sqrt(_ratio(i1, q)), math.sqrt(_ratio(i2, q))
-        ab = a * b
-        big = _ratio(t, qq) + 2.0 * abs(_ratio(i3, q)) * ab
-        small = _ratio(prod, qq * qq) / big if prod else 0.0
-        m_minus, m_plus = (big, small) if i3 < 0 else (small, big)
-        c_minus, c_plus = math.sqrt(m_minus / ab), math.sqrt(m_plus / ab)
-        g2 = 0.5 * (_ratio(i12 - i33 + i4, qq) / ab + c_minus * c_plus)
-        roots, branches = [], []
-        for unmeasured, measured in ((i1, i2), (i2, i1)):
-            rad = (measured - q) * n + (measured + i3 - q) ** 2 * q
-            roots.append(_sqrt_ratio(rad, q * qq))
-            branches.append((i4 - i12) ** 2 * q <= (q + measured) * i33 * (unmeasured * q + i4))
-        fields = (
-            a, b, c_minus, c_plus, _ratio(i4, qq) / g2, g2, 4.0 * nus[0], 4.0 * nus[1],
-            _ratio(n, qq), _ratio(i1 - q, q), _ratio(i2 - q, q), *roots, *branches,
-        )
-    except OverflowError:
-        raise NumericalError("exact invariant beyond the double range") from None
+    a, b = math.sqrt(_ratio(i1, q)), math.sqrt(_ratio(i2, q))
+    ab = a * b
+    big = _ratio(t, qq) + 2.0 * abs(_ratio(i3, q)) * ab
+    small = _ratio(prod, qq * qq) / big if prod else 0.0
+    m_minus, m_plus = (big, small) if i3 < 0 else (small, big)
+    c_minus, c_plus = math.sqrt(m_minus / ab), math.sqrt(m_plus / ab)
+    g2 = 0.5 * (_ratio(i12 - i33 + i4, qq) / ab + c_minus * c_plus)
+    roots, branches = [], []
+    for unmeasured, measured in ((i1, i2), (i2, i1)):
+        rad = (measured - q) * n + (measured + i3 - q) ** 2 * q
+        roots.append(_sqrt_ratio(rad, q * qq))
+        branches.append((i4 - i12) ** 2 * q <= (q + measured) * i33 * (unmeasured * q + i4))
+    fields = (
+        a, b, c_minus, c_plus, _ratio(i4, qq) / g2, g2, 4.0 * nus[0], 4.0 * nus[1],
+        _ratio(n, qq), _ratio(i1 - q, q), _ratio(i2 - q, q), *roots, *branches,
+    )
     return StandardForm(*(np.asarray(f) for f in fields), errors={})
 
 

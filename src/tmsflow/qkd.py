@@ -65,6 +65,8 @@ class QkdScenario:
     beta: float = DEFAULT_CLONER_COUPLING
 
     def __post_init__(self) -> None:
+        for name in ("r", "n_q", "beta"):  # Python floats: NumPy scalars warn where they overflow
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.r < 0:
             raise DomainError(f"squeezing factor must be >= 0, got {self.r}")
         if self.n_q < 0:

@@ -286,13 +286,14 @@ class StateModel:
         """Scale ``1 + 2 n_jpa(e^{2r})`` of the whole realistic matrix at
         squeezing factor r; 1 for models without amplifier noise.  Raises
         :class:`NumericalError` where it is not a finite double."""
-        return 1.0 + self._amplifier_excess(r)
+        return 1.0 + self._amplifier_excess(math.expm1(2.0 * r))
 
-    def _amplifier_excess(self, r: float) -> float:
-        """``q = p - 1`` of :meth:`amplifier_prefactor` (:func:`_amplifier_q`)."""
+    def _amplifier_excess(self, excess: float) -> float:
+        """``q = p - 1`` of :meth:`amplifier_prefactor` at the gain excess
+        ``excess = expm1(2r)`` (:func:`_amplifier_q`)."""
         if self.jpa is None:
             return 0.0
-        return _amplifier_q(math.expm1(2.0 * r), self.jpa.chi1, self.jpa.chi2)
+        return _amplifier_q(excess, self.jpa.chi1, self.jpa.chi2)
 
     def state(self, s_db: float, n: float) -> TwoModeCovariance:
         """State at squeezing level ``s_db`` (dB) with ``n`` noise photons
@@ -355,8 +356,8 @@ class StateModel:
         for i, level in enumerate(s.flat):
             try:
                 r.flat[i] = r_i = _squeezing_factor(float(level))
-                excess.flat[i] = math.expm1(2.0 * r_i)
-                q.flat[i] = self._amplifier_excess(r_i)
+                excess.flat[i] = e_i = math.expm1(2.0 * r_i)
+                q.flat[i] = self._amplifier_excess(e_i)
             except DomainError as exc:
                 level_errors.append((i, exc))
             except NumericalError as exc:

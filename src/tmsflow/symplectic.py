@@ -167,7 +167,9 @@ def validate(V: CovarianceMatrix) -> ValidationVerdict:
     Reported violations: asymmetry beyond tolerance, failure of positive
     definiteness, and symplectic eigenvalues below the Heisenberg bound
     1/4 (within ``PHYSICALITY_TOL``).  Raises :class:`NonFiniteError` if
-    any entry is NaN or infinite.
+    any entry is NaN or infinite, and :class:`NumericalError` where, from
+    three modes on, the Cholesky factorisation of the Williamson form fails
+    on a matrix whose ``eigvalsh`` spectrum is positive.
     """
     return _validate(V)[0]
 
@@ -249,7 +251,8 @@ def _williamson(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orthogonal Q, and ``S = L Q D^(-1/2)``.  That Hermitian eigensolve
     keeps degenerate pairs and strongly squeezed states at full accuracy
     where a direct non-symmetric eigensolve of ``i Omega V`` loses half the
-    digits.  Entries beyond the double range raise :class:`NumericalError`.
+    digits.  Entries beyond the double range, and a matrix whose Cholesky
+    factorisation fails, raise :class:`NumericalError`.
     """
     n = sym.shape[0] // 2
     if not np.isfinite(sym).all():
@@ -257,12 +260,7 @@ def _williamson(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         chol = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
-        # Barely-PD fallback: the eigh route is less accurate for strongly
-        # squeezed states but tolerates semi-definite roundoff.
-        w, u = np.linalg.eigh(sym)
-        if w.min() <= 0:
-            raise NumericalError("Williamson form requested for a non-PD matrix")
-        chol = u * np.sqrt(w)
+        raise NumericalError("Williamson form requested for a non-PD matrix") from None
     w, z = np.linalg.eigh(1j * (chol.T @ symplectic_form(n) @ chol))
     nus, pairs = w[n:][::-1], math.sqrt(2.0) * z[:, n:][:, ::-1]
     q = np.empty((2 * n, 2 * n))
@@ -321,9 +319,10 @@ def _ratio(num: int, den: int) -> float:
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
-    """``sqrt(num / den)`` for integers ``num >= 0``, ``den > 0``."""
+    """``sqrt(num / den)`` for integers ``num >= 0``, ``den > 0``;
+    :class:`NumericalError` beyond the double range, as :func:`_ratio`."""
     shift = max(0, 2 * _GUARD + den.bit_length() - num.bit_length()) // 2
-    return math.isqrt((num << 2 * shift) // den) / (1 << shift)
+    return _ratio(math.isqrt((num << 2 * shift) // den), 1 << shift)
 
 
 def _two_mode_nu(invariants: tuple, partial_transpose: bool = False) -> tuple[float, float]:
@@ -521,9 +520,15 @@ def _covariance_doc(V: CovarianceMatrix) -> dict:
 
 
 def covariance_from_json(text: str) -> CovarianceMatrix:
+    """The matrix of a JSON object ``{"n_modes": n, "entries": [...]}``;
+    raises ValueError naming a field of the wrong type."""
     data = json.loads(text)
-    n = int(data["n_modes"])
-    flat = np.array(data["entries"], dtype=float)
+    n, flat = data["n_modes"], data["entries"]
+    if type(n) is not int or n < 0:  # a bool is not a mode count
+        raise ValueError(f"n_modes must be an integer >= 0, got {json.dumps(n)}")
+    if type(flat) is not list or not all(type(x) in (int, float) for x in flat):
+        raise ValueError("entries must be an array of numbers")
+    flat = np.array(flat, dtype=float)
     if flat.size != (2 * n) ** 2:
         raise DimensionMismatchError(
             f"expected {(2 * n) ** 2} entries for {n} modes, got {flat.size}"

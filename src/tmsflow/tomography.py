@@ -155,8 +155,8 @@ def project_to_physical(V: CovarianceMatrix) -> CovarianceMatrix:
     routine that validates states of three or more modes), the usual
     post-processing step between reconstruction and analysis; the
     perturbation is of the order of the statistical noise itself.  A
-    symmetrised estimate that is not positive definite raises
-    :class:`~tmsflow.errors.NumericalError`.
+    symmetrised estimate whose Cholesky factorisation fails (one that is
+    not positive definite) raises :class:`~tmsflow.errors.NumericalError`.
     """
     sym = 0.5 * (V.entries + V.entries.T)
     nus, s_mat = _williamson(sym)

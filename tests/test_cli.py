@@ -624,6 +624,12 @@ class TestFitAndGenSynthetic:
         assert doc["chi2"] == pytest.approx(0.56, abs=1e-4)
         assert doc["converged"] is True
 
+    def test_synthetic_records_beyond_the_double_range(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["gen-synthetic", "--s", "1e-300", "--n", "1e300", "--out", str(out)]) == 3
+        assert "exact invariant beyond the double range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_squeezing_warning_is_one_line(self, tmp_path, capsys):
         records = tmp_path / "records.csv"
         assert main(["gen-synthetic", "--s", "0,3,6", "--n", "0,0.5", "--out", str(records)]) == 0
@@ -840,6 +846,20 @@ class TestValidateCommand:
         assert main(["validate", "--state", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True and doc["min_symplectic_eigenvalue"] == 1e200
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            *((f'"n_modes": {n}, "entries": [0.25, 0, 0, 0.25]', "n_modes")
+              for n in ("null", "[2]", "1e400", '"2"', "true", "1.7")),
+            ('"n_modes": 1, "entries": {"a": 1}', "entries"),
+        ],
+    )
+    def test_field_of_the_wrong_type_is_usage_error(self, fields, named, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        path.write_text("{" + fields + "}")
+        assert main(["validate", "--state", str(path)]) == 2
+        assert f"malformed state file: {named} must be" in capsys.readouterr().err
 
     def test_csv_state_accepted(self, tmp_path, capsys):
         path = tmp_path / "v.csv"

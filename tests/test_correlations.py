@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 from tmsflow.correlations import (
+    correlation_arrays,
     correlation_report,
     discord,
     eof_gamma,
@@ -13,7 +14,7 @@ from tmsflow.correlations import (
     gamma_ideal,
 )
 from tmsflow.analysis import sweep, sweep_blocks_to_csv
-from tmsflow.errors import DomainError
+from tmsflow.errors import DimensionMismatchError, DomainError, NumericalError
 from tmsflow.qkd import QkdScenario, secret_key
 from tmsflow.states import (
     StateModel,
@@ -24,7 +25,7 @@ from tmsflow.states import (
     vacuum,
 )
 from tmsflow import symplectic
-from tmsflow.symplectic import apply_symplectic, symplectic_summary, tensor
+from tmsflow.symplectic import CovarianceMatrix, apply_symplectic, symplectic_summary, tensor, validate
 
 from conftest import random_local_op, random_physical_state
 
@@ -556,3 +557,38 @@ class TestCorrelationReport:
         assert len(fields) == 10 and fields[-1] == "ok"
         assert float(fields[0]) == 4.34
         assert float(fields[2]) == pytest.approx(rep.d_a)
+
+
+class TestGuards:
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_report_needs_two_modes(self, n_modes):
+        with pytest.raises(DimensionMismatchError, match="require a two-mode state"):
+            correlation_report(vacuum(n_modes))
+
+    def test_report_beyond_the_double_range(self):
+        # in vacuum-1 units I4 = (4e77)**4 = 2.6e310
+        with pytest.raises(NumericalError, match="exact invariant beyond the double range"):
+            correlation_report(CovarianceMatrix(1e77 * np.eye(4)))
+
+    def test_a_state_the_kernel_fails_raises(self):
+        """Validation accepts this state inside its eigvalsh noise band
+        (nu- = 0.082, below 1/4); the kernel's gamma is NaN there, and the
+        report raises the cell's error rather than return NaN fields."""
+        a, b, c1, c2 = 1.5e9, 2.0, 54700.0, -33000.0
+        V = CovarianceMatrix([[a, 0, c1, 0], [0, a, 0, c2], [c1, 0, b, 0], [0, c2, 0, b]])
+        assert validate(V).ok and validate(V).min_symplectic_eigenvalue < 0.1
+        with pytest.raises(NumericalError):
+            correlation_report(V)
+
+    def test_discord_below_the_clamp_window_fails_its_cell(self):
+        """No model or random state gives a discord below -1e-10, so the
+        window is reached only by an inconsistent standard form: here nu+
+        of the middle cell is raised by half."""
+        sf = StateModel.ideal().standard_form(np.array([3.0, 6.0, 9.0]), 0.5)
+        clean = correlation_arrays(sf)
+        res = correlation_arrays(sf._replace(nu_plus=sf.nu_plus * np.array([1.0, 1.5, 1.0])))
+        assert list(res.errors) == [1]
+        assert str(res.errors[1]) == "discord -1.850e-01 below the clamp window"
+        assert res.d_a[1] == res.d_b[1] == 0.0
+        for field in ("d_a", "d_b", "e_f"):
+            assert getattr(res, field)[[0, 2]].tolist() == getattr(clean, field)[[0, 2]].tolist()

@@ -228,6 +228,24 @@ class TestFit:
         with pytest.raises(DomainError, match="weights"):
             fit(clean_records, weights=weights)
 
+    def test_stops_unconverged_at_the_step_cap(self):
+        # chi1 crawls along a shallow valley towards 1e-6 and chi2 towards 4
+        records = synthetic_records([3, 6, 9, 12], [0.5], chi=(1e-5, 3.0), noise=0.01, seed=2)
+        result = fit(records, initial=(1.0, 1.0))
+        assert result.iterations == 200 and not result.converged
+
+    def test_stops_unconverged_where_no_damping_lowers_the_cost(self):
+        # the Gauss-Newton decrement exceeds 1e-12 of the cost, yet no damped step up to
+        # lam = 1e16 lowers it
+        records = synthetic_records([3, 6, 9, 12], [0.5], chi=(1e-5, 4.0), noise=0.001, seed=1)
+        result = fit(records, initial=(1e-3, 1.0))
+        assert 0 < result.iterations < 200 and not result.converged
+        assert result.final_cost == cost(records, (result.chi1, result.chi2))
+
+    def test_synthetic_records_beyond_the_double_range(self):
+        with pytest.raises(NumericalError, match="exact invariant beyond the double range"):
+            synthetic_records([1e-300], [1e300])
+
     @pytest.mark.parametrize("noise", [-1.0, -1e-12, float("nan")])
     def test_synthetic_records_reject_a_bad_noise_amplitude(self, noise):
         with pytest.raises(DomainError, match="noise amplitude"):
@@ -576,6 +594,14 @@ class TestRecordsCsv:
         text = "s_db,n,d_a,d_b,e_f\n3.0,0.1,0.5,0.5,0.4\n6.0,0.2,oops,0.5,0.4\n"
         with pytest.raises(ValueError, match="line 3"):
             records_from_csv(text)
+
+    def test_header_line_is_optional(self):
+        records = records_from_csv("3.0,0.1,0.5,0.5,0.4\n6.0,0.2,0.6,0.5,0.4\n")
+        assert [(r.s_db, r.n) for r in records] == [(3.0, 0.1), (6.0, 0.2)]
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(DomainError, match="noise photon number must be >= 0, got -0.1"):
+            MeasurementRecord(s_db=3.0, n=-0.1, d_a=0.5, d_b=0.5, e_f=0.4)
 
     def test_wrong_column_count_reported(self):
         text = "s_db,n,d_a,d_b,e_f\n3.0,0.1,0.5\n"

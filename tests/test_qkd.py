@@ -110,6 +110,14 @@ class TestScenario:
         assert s.sigma2 == pytest.approx(math.sinh(2 * r) / 2.0, abs=1e-12)
         assert s.sigma2 == pytest.approx(2.475, abs=1e-12)
 
+    def test_numpy_parameters_are_stored_as_python_floats(self):
+        # at the top level, NumPy scalar arithmetic would overflow with a RuntimeWarning
+        r = squeezing_db_to_r(3082.5)
+        scenario = QkdScenario(np.float64(r), np.float64(2.0), np.float64(1e-4))
+        assert all(type(x) is float for x in (scenario.r, scenario.n_q, scenario.beta))
+        assert secret_key(scenario) == secret_key(QkdScenario(r, 2.0))
+        assert secret_key(scenario).key == -2.9426950408513903
+
     def test_validation(self):
         with pytest.raises(DomainError):
             QkdScenario(r=-0.1, n_q=0.1)

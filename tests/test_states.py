@@ -198,8 +198,10 @@ class TestRealisticTms:
         model = StateModel.realistic(0.05, 0.56, 0.01)
         for r in (1e-40, 1e-100, 1e-300):
             assert model.amplifier_prefactor(r) == 1.0
-            assert model._amplifier_excess(r) == pytest.approx(0.1 * (2.0 * r) ** 0.56, rel=1e-14)
-        assert StateModel.coupler(0.01)._amplifier_excess(1.0) == 0.0
+            assert model._amplifier_excess(math.expm1(2.0 * r)) == pytest.approx(
+                0.1 * (2.0 * r) ** 0.56, rel=1e-14
+            )
+        assert StateModel.coupler(0.01)._amplifier_excess(math.expm1(2.0)) == 0.0
 
     def test_weak_coupling_limit_converges_to_ideal(self):
         r = squeezing_db_to_r(6.0)
@@ -312,3 +314,20 @@ class TestScenarioFiles:
     def test_coupler_beta_checked_on_construction(self, beta):
         with pytest.raises(BadCouplingError):
             StateModel.coupler(beta)
+
+
+class TestArgumentChecks:
+    def test_negative_thermal_photon_number(self):
+        with pytest.raises(DomainError, match="photon number must be >= 0, got -0.1"):
+            thermal(-0.1)
+
+    def test_negative_squeezing_factor(self):
+        with pytest.raises(DomainError, match="squeezing factor must be >= 0, got -0.1"):
+            ideal_tms(-0.1)
+
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_noise_goes_into_a_two_mode_state(self, n_modes):
+        with pytest.raises(DomainError, match="noise injection expects a two-mode state"):
+            inject_noise_ideal(vacuum(n_modes), 0.1)
+        with pytest.raises(DomainError, match="noise injection expects a two-mode state"):
+            inject_noise_coupler(vacuum(n_modes), 0.1, 1.0)

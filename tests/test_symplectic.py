@@ -476,3 +476,68 @@ class TestSerialization:
     def test_json_shape_check(self):
         with pytest.raises(DimensionMismatchError):
             covariance_from_json('{"n_modes": 2, "entries": [1, 2, 3]}')
+
+    @pytest.mark.parametrize(
+        "n_modes", ["null", "[2]", "1e400", '"2"', "true", "1.7", "-1"]
+    )
+    def test_json_mode_count_must_be_an_integer(self, n_modes):
+        text = '{"n_modes": %s, "entries": [0.25, 0, 0, 0.25]}' % n_modes
+        with pytest.raises(ValueError, match="n_modes must be an integer >= 0, got "):
+            covariance_from_json(text)
+
+    @pytest.mark.parametrize(
+        "entries", ['{"a": 1}', '"0.25"', "[0.25, 0, 0, true]", '[0.25, 0, 0, "0.25"]',
+                    "[[0.25, 0], [0, 0.25]]", "null"]
+    )
+    def test_json_entries_must_be_an_array_of_numbers(self, entries):
+        with pytest.raises(ValueError, match="entries must be an array of numbers"):
+            covariance_from_json('{"n_modes": 1, "entries": %s}' % entries)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (3, 3), (1, 2, 2)])
+    def test_covariance_matrix_shape(self, shape):
+        with pytest.raises(DimensionMismatchError, match="must be square with even size"):
+            CovarianceMatrix(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (3, 3)])
+    def test_symplectic_operation_shape(self, shape):
+        with pytest.raises(DimensionMismatchError, match="must be square with even size"):
+            SymplecticOperation(np.zeros(shape))
+
+    @pytest.mark.parametrize("coupling", [-0.1, 1.5, math.nan])
+    def test_beam_splitter_coupling_outside_the_unit_interval(self, coupling):
+        with pytest.raises(DomainError, match="coupling must lie in"):
+            beam_splitter(coupling, 0, 1, 2)
+
+    def test_homodyne_needs_an_unmeasured_mode(self):
+        with pytest.raises(BadIndexError, match="at least one unmeasured mode"):
+            homodyne_condition(vacuum(1), 0)
+
+    def test_homodyne_quadrature_is_q_or_p(self):
+        with pytest.raises(DomainError, match="quadrature must be 'q' or 'p'"):
+            homodyne_condition(vacuum(2), 1, "x")
+
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_summary_needs_two_modes(self, n_modes):
+        with pytest.raises(DimensionMismatchError, match="requires a two-mode state"):
+            symplectic_summary(vacuum(n_modes))
+
+    def test_the_state_of_no_modes_is_valid(self):
+        verdict = validate(CovarianceMatrix(np.zeros((0, 0))))
+        assert verdict.ok and verdict.min_symplectic_eigenvalue is None
+
+
+class TestDoubleRange:
+    def test_summary_of_invariants_beyond_the_double_range(self):
+        # I4 = det V = 1.6e309 overflows; the matrix itself validates
+        V = CovarianceMatrix(2e77 * np.eye(4))
+        assert validate(V).ok
+        assert symplectic_summary(CovarianceMatrix(1e77 * np.eye(4))).i4 == 1e308
+        with pytest.raises(NumericalError, match="exact invariant beyond the double range"):
+            symplectic_summary(V)
+
+    def test_square_root_beyond_the_double_range(self):
+        assert symplectic._sqrt_ratio(1 << 2040, 1) == 2.0**1020
+        with pytest.raises(NumericalError, match="exact invariant beyond the double range"):
+            symplectic._sqrt_ratio(1 << 2050, 1)

@@ -335,6 +335,18 @@ class TestCumulants:
         with pytest.raises(NumericalError, match="leaves the double range"):
             cumulants(QuadratureSamples(data))
 
+    def test_a_cumulant_with_no_batch_spread_decides_the_verdict(self):
+        """A skewed 40-row block of small integers, each column's mean 0,
+        tiled 25 times: every batch is the same block, and many cumulants
+        get a standard error of exactly 0.  With a threshold so large that
+        no other entry counts, those nonzero cumulants alone make the
+        verdict non-Gaussian."""
+        r = np.arange(40)
+        block = np.stack([np.where(r == k, 39.0, -1.0) for k in range(4)], axis=1)
+        report = cumulants(QuadratureSamples(np.tile(block, (25, 1))), threshold=1e300)
+        assert any(e.standard_error == 0.0 and e.value != 0.0 for e in report.entries)
+        assert not report.gaussian
+
     def test_report_json(self, rng):
         import json
 
