@@ -112,9 +112,15 @@ def _refine(f, lo, hi, failed: dict) -> tuple[np.ndarray, dict]:
     first point it reads that failed.  A stopped or failed entry reads the
     newest point it kept (a failed one its lower end) again, and every
     operation is elementwise, so every entry takes the steps, and ends at
-    the root, of a batch of one.  Returns the midpoint of each final
-    bracket (the zero itself where ``f`` hit one) and the errors of the
-    failed entries by index.
+    the root, of a batch of one.  ``f`` must give a point the same value
+    whatever the other points: a stopped entry keeps the value it reads
+    again, so a step is its interpolation arithmetic under one
+    ``np.errstate``, one call of ``f`` and four ``np.where`` updates of
+    the bracket.  What ``f`` needs of an entry that does not change from
+    step to step (the level terms of a squeezing level) its caller forms
+    once per batch.  Returns the midpoint of each final bracket (the zero
+    itself where ``f`` hit one) and the errors of the failed entries by
+    index.
     """
     (f1, f2), end_errors = f(np.stack((lo, hi)))
     errors = dict(failed)
@@ -126,33 +132,37 @@ def _refine(f, lo, hi, failed: dict) -> tuple[np.ndarray, dict]:
         errors.setdefault(j, NoSignChangeError(f"no sign change on {bracket} ({ends})"))
     x1, x2 = lo, hi  # the bracket: x1 the newest point, x2 the far end
     x3, f3 = x2, f2  # the point that left the bracket last
-    t = np.full(lo.shape, 0.5)
     active = np.ones(lo.shape, dtype=bool)
     active[list(errors)] = False
     for _ in range(100):
-        width, stop = np.abs(x2 - x1), 1e-12 * np.maximum(1.0, np.maximum(x1, x2))
+        dx = x2 - x1
+        width, stop = np.abs(dx), 1e-12 * np.maximum(1.0, np.maximum(x1, x2))
         active &= (width > stop) & (f1 != 0.0)
         if not active.any():
             break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tl = 0.5 * stop / width
-            x = np.where(active, x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1), x1)
-        values, step_errors = f(x)
-        for i, exc in step_errors.items():
-            if active[i]:
-                errors[i] = exc
-                active[i] = False
-        same = (values > 0.0) == (f1 > 0.0)  # a NaN counts as negative
-        moved = (x, values, np.where(same, x2, x1), np.where(same, f2, f1))
-        moved += (np.where(same, x1, x2), np.where(same, f1, f2))
-        state = (x1, f1, x2, f2, x3, f3)
-        x1, f1, x2, f2, x3, f3 = (np.where(active, a, b) for a, b in zip(moved, state))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        with np.errstate(all="ignore"):  # x3 = x2 before the first step: phi is inf, t 0.5
+            df, df3 = f1 - f2, f3 - f2
+            xi, phi = (x1 - x2) / (x3 - x2), df / df3
             iqi = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
-            alpha = (x3 - x1) / (x2 - x1)
-            t = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
-        t = np.where(iqi, t, 0.5)
+            alpha = (x3 - x1) / dx
+            t = f1 / df * f3 / df3 - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+            tl = 0.5 * stop / width
+            t = np.minimum(np.maximum(np.where(iqi, t, 0.5), tl), 1.0 - tl)
+            x = np.where(active, x1 + t * dx, x1)
+        values, step_errors = f(x)
+        lost = [i for i in step_errors if active[i]]
+        for i in lost:
+            errors[i] = step_errors[i]
+        if lost:  # an entry that failed keeps its newest point
+            active[lost] = False
+            x, values = np.where(active, x, x1), np.where(active, values, f1)
+        # Where an entry is not active, x and values are its x1 and f1 (f
+        # reads each point alike), and its x3 and f3 are never read again.
+        keep = (values > 0.0) == (f1 > 0.0)  # a NaN counts as negative
+        keep |= ~active
+        x2, x3 = np.where(keep, x2, x1), np.where(keep, x1, x2)
+        f2, f3 = np.where(keep, f2, f1), np.where(keep, f1, f2)
+        x1, f1 = x, values
     return np.where(f1 == 0.0, x1, 0.5 * (x1 + x2)), errors
 
 
@@ -209,10 +219,11 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
     All levels' A and B roots are one :func:`_refine` batch over a
     ``(levels, 2)`` grid of entries, one column per flavor, each on its
     level's ``[1e-3, n_sd]``; a level without ``n_sd`` fails both entries
-    with its error.  One kernel call evaluates every bracket end, and each
-    refinement step is one more on the grid of new points, about 10 to 20
-    calls in all.  AB is the mean of A and B and carries A's error first,
-    then B's.
+    with its error.  What the levels alone determine
+    (:meth:`StateModel._levels`) is formed once for the batch.  One kernel
+    call evaluates every bracket end, and each refinement step is one more
+    on the grid of new points, about 10 to 20 calls in all.  AB is the
+    mean of A and B and carries A's error first, then B's.
     """
     s_col = np.array(s_values, dtype=float)[:, None]
     rows = len(s_col)
@@ -220,11 +231,12 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
     n_sd = [row["n_sd"] for row in table for _ in "AB"]  # by flat entry 2 * level + flavor
     failed = {j: exc for j, exc in enumerate(n_sd) if isinstance(exc, TmsflowError)}
     hi = np.array([_N_LOW if j in failed else x for j, x in enumerate(n_sd)])  # failed: never searched
-    levels = model._levels(s_col)
+    s_grid = np.repeat(s_col, 2, axis=1)  # by entry, so a step's arrays share one shape
+    levels = model._levels(s_grid)
 
     def delta(n: np.ndarray) -> tuple[np.ndarray, dict]:
         grid = n.reshape(n.shape[:-1] + (rows, 2))  # the ends, or a step, by level and flavor
-        res = correlation_arrays(model._standard_form(s_col, levels, grid))
+        res = correlation_arrays(model._standard_form(s_grid, levels, grid))
         return np.where([True, False], res.delta_a, res.delta_b).reshape(n.shape), res.errors
 
     roots, errors = _refine(delta, np.full(2 * rows, _N_LOW), hi, failed)

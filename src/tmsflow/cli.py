@@ -51,9 +51,10 @@ from .qkd import (
     DEFAULT_CLONER_COUPLING,
     QKD_CSV_HEADER,
     QkdScenario,
+    _key_bits,
     _key_result_doc,
     _key_thresholds,
-    key_result_to_csv_row,
+    _level,
     secret_key,
 )
 from .states import StateModel, _check_noise, _squeezing_factor
@@ -399,11 +400,15 @@ def _cmd_qkd(settings: _Settings) -> int:
         scenario = _checked(QkdScenario, r_vals[0], nq_vals[0], beta)
         text = _json_with_meta(_key_result_doc(scenario, secret_key(scenario)), echo)
     else:
-        rows = []
-        for s_db, r in zip(s_vals, r_vals):
-            for n_q in nq_vals:
-                scenario = _checked(QkdScenario, r, n_q, beta)
-                rows.append(key_result_to_csv_row(s_db, n_q, secret_key(scenario)))
+        # each cell's key_result_to_csv_row, with the level terms and reprs formed once
+        rows, nq_reprs = [], [repr(n_q) for n_q in nq_vals]
+        for i, (s_db, r) in enumerate(zip(s_vals, r_vals)):
+            level, s_repr = _level(r), repr(s_db)
+            for n_q, nq_repr in zip(nq_vals, nq_reprs):
+                if not i:  # the other rows read the same n_q and beta
+                    _checked(QkdScenario, r, n_q, beta)
+                mi, chi = _key_bits(level, n_q, beta)
+                rows.append(f"{s_repr},{nq_repr},{mi!r},{chi!r},{mi - chi!r}")
         text = _csv_header_lines(echo) + QKD_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
     if not threshold_out:
         _emit((text, out))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .correlations import correlation_arrays
 from .errors import DomainError, ModelFailureError, NumericalError
-from .states import StateModel, _amplified, _amplifier_q
+from .states import StateModel, _Family, _amplified, _amplifier_q, _amplifier_terms
 from .symplectic import _integers
 
 DEFAULT_WEIGHTS = (0.5, 0.5, 1.0)
@@ -106,11 +106,13 @@ def _evaluator(records, weights, coupling_beta: float):
     points, evaluated together in one kernel call.
 
     What does not depend on chi is formed once: the per-record arrays,
-    the :meth:`StateModel._levels` of the distinct squeezing levels (r,
-    the gain excess ``expm1(2r)`` and the rejected levels), and the
-    amplifier-free part of the standard form for each number of points.
-    A point adds only ``q = 2 chi1 excess**chi2`` per level, by
-    :func:`_amplifier_q`, and the amplifier scaling.  For each point the
+    the :meth:`StateModel._levels` of the distinct squeezing levels (the
+    gain excess ``expm1(2r)``, the rejected levels and the level terms of
+    the base family), and, for each number of points, those level terms
+    and the amplifier-free part of the standard form on the stack of
+    points.  A point adds only ``q = 2 chi1 excess**chi2`` per level, by
+    :func:`_amplifier_q`, and the amplifier scaling
+    (:func:`_amplifier_terms` and :func:`_amplified`).  For each point the
     function returns its residual vector or, unraised, the
     :class:`ModelFailureError` that :func:`_residuals` raises there.
     """
@@ -118,9 +120,11 @@ def _evaluator(records, weights, coupling_beta: float):
     s_db = np.array([rec.s_db for rec in records])
     n = np.array([rec.n for rec in records])
     levels, inverse = np.unique(s_db, return_inverse=True)
-    r, excess, _, rejected, _ = model._levels(levels)  # excess 0, so q = 0, where rejected
-    level_errors = [(int(j), exc) for i, exc in rejected for j in np.flatnonzero(inverse == i)]
-    excess, r_records = excess.tolist(), r[inverse]
+    level_terms = model._levels(levels)  # excess 0, so q = 0, where rejected
+    level_errors = [
+        (int(j), exc) for i, exc in level_terms.level_errors for j in np.flatnonzero(inverse == i)
+    ]
+    excess = level_terms.excess.tolist()
     root_w = [math.sqrt(w) for w in weights]
     scale, sigma = [], []
     for rec in records:
@@ -134,15 +138,18 @@ def _evaluator(records, weights, coupling_beta: float):
     scale, sigma = np.array(scale).T.ravel(), np.array(sigma).T.ravel()
     measured = np.array([(rec.d_a, rec.d_b, rec.e_f) for rec in records]).T.ravel()
     m = len(records)
-    bases: dict = {}  # the base family of a stack of that many points
+    bases: dict = {}  # the level terms and base family of a stack of that many points
 
     def evaluate(points: list) -> list:
         if len(points) not in bases:
             # one error per record at a failed level, indexed into the (point, record) stack
             failed = [(k * m + i, exc) for k in range(len(points)) for i, exc in level_errors]
             s = np.broadcast_to(s_db, (len(points), m))
+            by_cell = np.tile(inverse, (len(points), 1))  # the level of each (point, record)
+            stacked = _Family._make(terms[by_cell] for terms in level_terms.family)
             with np.errstate(all="ignore"):
-                bases[len(points)] = model._base_family(s, r_records, failed, n)
+                bases[len(points)] = stacked, model._base_family(s, stacked, failed, n)
+        stacked, base = bases[len(points)]
         q, gain_errors = [], []
         for k, chi in enumerate(points):
             chi1, chi2 = max(chi[0], 0.0), chi[1]
@@ -152,9 +159,9 @@ def _evaluator(records, weights, coupling_beta: float):
                 except NumericalError as exc:
                     q.append(0.0)
                     gain_errors += [(k * m + int(j), exc) for j in np.flatnonzero(inverse == i)]
-        q = np.array(q).reshape(len(points), -1)[:, inverse]
+        q = np.array(q).reshape(len(points), -1)[:, inverse].copy()  # C order, like the base
         with np.errstate(all="ignore"):
-            form = _amplified(bases[len(points)], q, gain_errors)
+            form = _amplified(base, _amplifier_terms(stacked, q, coupling_beta), gain_errors)
         res = correlation_arrays(form)
         predicted = np.concatenate((res.d_a, res.d_b, res.e_f), axis=1)
         values = list((scale * (predicted - measured)) / sigma)

@@ -12,6 +12,13 @@ in the two-mode channel state (:func:`holevo_quantity`);
 :func:`cloner_state` builds the full state for checks.  This module alone
 works in bits: the entropy kernel is evaluated in nats and divided by
 ln 2 so that K is unit-consistent.
+
+A key map and a threshold search read a squeezing level at many noise
+points, so what K reads of the level alone (``cosh 2r``, ``sinh(2r)/2``
+and ``e^{-2r}``, :func:`_level`) is formed once per level, and each point
+is one call of :func:`_key_bits` on scalars; :func:`secret_key`,
+:func:`shannon_mi` and :func:`holevo_quantity` are the same arithmetic at
+one :class:`QkdScenario`.
 """
 
 from __future__ import annotations
@@ -107,22 +114,26 @@ def cloner_state(scenario: QkdScenario) -> CovarianceMatrix:
     return apply_symplectic(joint, beam_splitter(scenario.beta, 1, 2, 4))
 
 
-def holevo_quantity(scenario: QkdScenario) -> float:
-    """Eavesdropper's Holevo bound in bits for reverse reconciliation.
+def _level(r: float) -> tuple[float, float, float]:
+    """What the key reads of a squeezing factor r: ``(cosh 2r, sinh(2r)/2,
+    e^{-2r})``."""
+    return math.cosh(2.0 * r), 0.5 * math.sinh(2.0 * r), math.exp(-2.0 * r)
 
-    (A, B, E1, E2) is pure, and so is (A, E1, E2) after B is homodyned, so
-    chi_E = S(E) - S(E|x_B) = S(AB') - S(A|x_B), taken on the two-mode
-    channel state AB': the coupler with Eve's E1 (variance W/4) at its port.
-    In vacuum-1 units, with ``a = cosh 2r``, ``b = (1 - beta) a + beta W``
-    and ``g = ab - c^2 = (1 - beta) + beta a W``, AB' has
-    ``nu+ = (sqrt((b - a)^2 + 4g) + |b - a|)/2`` and ``nu- = g/nu+``, and
-    homodyning q on B leaves A with ``nu_A|x_B = sqrt(ag/b)``.  Where g
-    overflows (near the top squeezing level with a large W), ``sqrt(g)``
-    and ``g/nu+`` are taken factor by factor, and so is ``sqrt(ag/b)``
-    wherever ``ag/b`` overflows.
-    """
-    beta, w = scenario.beta, scenario.w
-    a = math.cosh(2.0 * scenario.r)
+
+def _shannon_bits(level: tuple, n_q: float, beta: float) -> float:
+    """:func:`shannon_mi` at the :func:`_level` terms of r."""
+    _, sigma2, decay = level
+    noise = (1.0 - beta) * decay + 4.0 * n_q
+    snr = 4.0 * (1.0 - beta) * sigma2 / noise
+    if math.isinf(snr):
+        return 0.5 * (math.log2(4.0 * (1.0 - beta)) + math.log2(sigma2) - math.log2(noise))
+    return 0.5 * math.log2(1.0 + snr)
+
+
+def _holevo_bits(level: tuple, n_q: float, beta: float) -> float:
+    """:func:`holevo_quantity` at the :func:`_level` terms of r."""
+    a = level[0]
+    w = max(1.0, 2.0 * (2.0 * n_q) / beta)  # QkdScenario.w
     b = (1.0 - beta) * a + beta * w
     g = (1.0 - beta) + beta * a * w
     d = abs(beta * (a - w))
@@ -137,6 +148,33 @@ def holevo_quantity(scenario: QkdScenario) -> float:
     return max(chi, 0.0)
 
 
+def _key_bits(level: tuple, n_q: float, beta: float) -> tuple[float, float]:
+    """``(I_s, chi_E)`` in bits at one point: the squeezing level's
+    :func:`_level` terms, formed once per level, the detected-quadrature
+    noise ``n_q >= 0`` and the cloner coupling ``beta`` in (0, 1), none of
+    them checked.  The one evaluation of the key that the key map and the
+    threshold search make; :func:`secret_key` is the same at a
+    :class:`QkdScenario`."""
+    return _shannon_bits(level, n_q, beta), _holevo_bits(level, n_q, beta)
+
+
+def holevo_quantity(scenario: QkdScenario) -> float:
+    """Eavesdropper's Holevo bound in bits for reverse reconciliation.
+
+    (A, B, E1, E2) is pure, and so is (A, E1, E2) after B is homodyned, so
+    chi_E = S(E) - S(E|x_B) = S(AB') - S(A|x_B), taken on the two-mode
+    channel state AB': the coupler with Eve's E1 (variance W/4) at its port.
+    In vacuum-1 units, with ``a = cosh 2r``, ``b = (1 - beta) a + beta W``
+    and ``g = ab - c^2 = (1 - beta) + beta a W``, AB' has
+    ``nu+ = (sqrt((b - a)^2 + 4g) + |b - a|)/2`` and ``nu- = g/nu+``, and
+    homodyning q on B leaves A with ``nu_A|x_B = sqrt(ag/b)``.  Where g
+    overflows (near the top squeezing level with a large W), ``sqrt(g)``
+    and ``g/nu+`` are taken factor by factor, and so is ``sqrt(ag/b)``
+    wherever ``ag/b`` overflows.
+    """
+    return _holevo_bits(_level(scenario.r), scenario.n_q, scenario.beta)
+
+
 def shannon_mi(scenario: QkdScenario) -> float:
     """Shannon mutual information of the homodyne channel in bits.
 
@@ -145,17 +183,11 @@ def shannon_mi(scenario: QkdScenario) -> float:
     SNR overflows (from about 3077 dB at n_q = 0.1, and far lower without
     noise), ``1 + SNR = SNR`` and its logarithm is taken factor by factor.
     """
-    beta = scenario.beta
-    noise = (1.0 - beta) * math.exp(-2.0 * scenario.r) + 4.0 * scenario.n_q
-    snr = 4.0 * (1.0 - beta) * scenario.sigma2 / noise
-    if math.isinf(snr):
-        return 0.5 * (math.log2(4.0 * (1.0 - beta)) + math.log2(scenario.sigma2) - math.log2(noise))
-    return 0.5 * math.log2(1.0 + snr)
+    return _shannon_bits(_level(scenario.r), scenario.n_q, scenario.beta)
 
 
 def secret_key(scenario: QkdScenario) -> KeyResult:
-    mi = shannon_mi(scenario)
-    chi = holevo_quantity(scenario)
+    mi, chi = _key_bits(_level(scenario.r), scenario.n_q, scenario.beta)
     return KeyResult(shannon_mi=mi, holevo=chi, key=mi - chi)
 
 
@@ -185,32 +217,39 @@ def _key_thresholds(s_values, beta: float) -> list:
     """:func:`key_threshold` at every squeezing level, with the error that
     ends a level's search in place of its threshold.  All levels are one
     :func:`~tmsflow.analysis._refine` batch: a level that is not above
-    0 dB fails unsearched, and a level where K fails at a point fails
-    alone.  K is the scalar closed form, evaluated once per distinct point
+    0 dB fails unsearched, as does every level where ``beta`` is not a
+    coupling, and a level where K fails at a point fails alone.  K is the
+    scalar closed form (:func:`_key_bits`) on the level's :func:`_level`
+    terms, formed once per level, and is evaluated once per distinct point
     of a level, the check at the refined point included."""
     rs, failed = [], {}  # by level: r, or None where the level check failed
     for i, s_db in enumerate(s_values):
         try:
             if s_db <= 0:
                 raise DomainError(f"squeezing level must be > 0 dB, got {s_db}")
-            rs.append(squeezing_db_to_r(s_db))
+            scenario = QkdScenario(r=squeezing_db_to_r(s_db), n_q=0.0, beta=beta)  # checks beta
+            rs.append(scenario.r)
         except TmsflowError as exc:
             rs.append(None)
             failed[i] = exc
+    beta = float(beta)
+    levels = {r: _level(r) for r in rs if r is not None}
 
     @functools.cache
     def key_at(r: float, n_q: float) -> float:
-        return secret_key(QkdScenario(r=r, n_q=n_q, beta=beta)).key
+        mi, chi = _key_bits(levels[r], n_q, beta)
+        return mi - chi
 
     def keys(n_q: np.ndarray) -> tuple[np.ndarray, dict]:
-        values, errors = np.full(n_q.shape, np.nan), {}
+        values, errors = [], {}
         for j, x in enumerate(n_q.ravel().tolist()):
             r = rs[j % len(rs)]
             try:
-                values.flat[j] = np.nan if r is None else key_at(r, x)
+                values.append(math.nan if r is None else key_at(r, x))
             except TmsflowError as exc:
+                values.append(math.nan)
                 errors[j] = exc
-        return values, errors
+        return np.array(values).reshape(n_q.shape), errors
 
     lo, hi = _KEY_BRACKET
     mids, errors = _refine(keys, np.full(len(rs), lo), np.full(len(rs), hi), failed)

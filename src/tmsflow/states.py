@@ -198,21 +198,92 @@ def _spread(errors: dict, shape: tuple, part: np.ndarray, failures) -> None:
             errors.setdefault(int(cell), exc)
 
 
+class _Family(NamedTuple):
+    """The terms of the base family (p = 1) of
+    :meth:`StateModel.standard_form` that read only the squeezing level,
+    on an array of levels, with ``u = A - 1``, ``S = sinh 2r`` and ``t =
+    sqrt(1 - beta)`` (see there); a ``*_level`` field is the level part of
+    the :class:`_BaseFamily` field of that name."""
+
+    big_s: np.ndarray  # S
+    s2: np.ndarray  # S^2
+    a0: np.ndarray  # 1 + u
+    v0: np.ndarray  # (1 - beta) u
+    bu: np.ndarray  # beta u
+    g0_level: np.ndarray  # 1 + beta u
+    e_minus_level: np.ndarray  # (e^{2r} (1 - t)^2 + (1 + t)^2 / e^{2r}) / 2 + beta
+    e_plus_level: np.ndarray  # (e^{2r} (1 + t)^2 + (1 - t)^2 / e^{2r}) / 2 + beta
+    plus0_level: np.ndarray  # beta u (beta u + 2)
+    w_a0_level: np.ndarray  # beta (1 - beta) u^2
+
+
+def _family(r: np.ndarray, beta: float) -> _Family:
+    """The :class:`_Family` of squeezing factors ``r`` at coupling ``beta``.
+    Call it under ``np.errstate(all="ignore")``."""
+    t = math.sqrt(1.0 - beta)
+    t_minus, t_plus = beta / (1.0 + t), 1.0 + t  # 1 - t and 1 + t
+    u = 2.0 * np.sinh(r) ** 2  # A - 1
+    big_s = np.sinh(2.0 * r)
+    gain = np.exp(2.0 * r)
+    bu = beta * u
+    return _Family(
+        big_s, big_s * big_s, 1.0 + u, (1.0 - beta) * u, bu, 1.0 + bu,
+        0.5 * (gain * t_minus**2 + t_plus**2 / gain) + beta,
+        0.5 * (gain * t_plus**2 + t_minus**2 / gain) + beta,
+        bu * (bu + 2.0), beta * (1.0 - beta) * u * u,
+    )
+
+
+class _Amplifier(NamedTuple):
+    """The terms of :meth:`StateModel.standard_form` that read only the
+    squeezing level and the amplifier prefactor ``p = 1 + q``."""
+
+    p: np.ndarray
+    p2: np.ndarray  # p^2
+    q2: np.ndarray  # q (q + 2) = p^2 - 1
+    a: np.ndarray  # p A
+    c_minus: np.ndarray  # 2 p t S
+    half_p: np.ndarray  # p / 2
+    a2m1: np.ndarray  # p^2 S^2 + q (q + 2)
+    root_a2m1: np.ndarray
+    w_b: np.ndarray  # q (q + 2) + p^2 beta S^2
+
+
+def _amplifier_terms(family: _Family, q: np.ndarray, beta: float) -> _Amplifier:
+    """The :class:`_Amplifier` terms of a family at amplifier excess ``q``, which
+    broadcasts against the family's arrays.  Call it under
+    ``np.errstate(all="ignore")``."""
+    p = 1.0 + q
+    p2, q2 = p * p, q * (q + 2.0)
+    a2m1 = p2 * family.s2 + q2
+    return _Amplifier(
+        p, p2, q2, p * family.a0, 2.0 * (p * math.sqrt(1.0 - beta) * family.big_s), 0.5 * p,
+        a2m1, np.sqrt(a2m1), q2 + p2 * beta * family.s2,
+    )
+
+
+class _Levels(NamedTuple):
+    """:meth:`StateModel._levels`: the noise-independent part of
+    :meth:`StateModel.standard_form` on an array of squeezing levels."""
+
+    excess: np.ndarray  # the gain excess expm1(2r); 0 at a rejected level
+    level_errors: list  # (index, error) of each rejected level
+    gain_errors: list  # (index, error) of each level whose prefactor overflows
+    family: _Family
+    amplifier: _Amplifier
+
+
 class _BaseFamily(NamedTuple):
-    """The amplifier-free (p = 1) part of :meth:`StateModel.standard_form`
-    on one broadcast shape (see there): every array :func:`_amplified`
-    reads, and the errors of rejected levels and noise."""
+    """The noise-dependent part of the amplifier-free (p = 1) family of
+    :meth:`StateModel.standard_form` on one broadcast shape (see there):
+    every such array :func:`_amplified` reads, and the errors of rejected
+    levels and noise."""
 
     full: np.ndarray  # zeros
     errors: dict
-    beta: float
-    t: float  # sqrt(1 - beta)
-    a0: np.ndarray
     b0: np.ndarray
     v: np.ndarray  # b0 - 1
     v_plus_2: np.ndarray
-    big_s: np.ndarray  # sinh 2r
-    s2: np.ndarray
     g0: np.ndarray
     nu_sum: np.ndarray  # (nu+ - nu-) + (nu+ + nu-)
     plus0: np.ndarray  # nu+^2 - 1
@@ -221,36 +292,35 @@ class _BaseFamily(NamedTuple):
     entry: np.ndarray  # the largest matrix entry at p = 1
 
 
-def _amplified(base: _BaseFamily, q: np.ndarray, gain_errors: list) -> StandardForm:
+def _amplified(base: _BaseFamily, amplifier: _Amplifier, gain_errors: list) -> StandardForm:
     """The standard form of a base family scaled by the amplifier prefactor
-    ``p = 1 + q``; ``q`` is indexed like the levels, as are the
-    ``(index, error)`` pairs of its overflowing levels.  Call it, like
+    ``p = 1 + q``, whose level terms ``amplifier`` are indexed like the levels,
+    as are the ``(index, error)`` pairs of its overflowing levels.  Only
+    what reads the noise is formed here.  Call it, like
     :meth:`StateModel._base_family`, under ``np.errstate(all="ignore")``."""
-    (full, errors, beta, t, a0, b0, v, v_plus_2, big_s, s2, g0, nu_sum, plus0, minus0, w_a0,
-     entry) = base
+    full, errors, b0, v, v_plus_2, g0, nu_sum, plus0, minus0, w_a0, entry = base
+    p, p2, q2, a, c_minus, half_p, a2m1, root_a2m1, w_b = amplifier
     errors = dict(errors)
-    _spread(errors, full.shape, q, gain_errors)
-    q = q + full
-    p = 1.0 + q
-    p2, q2 = p * p, q * (q + 2.0)  # p^2 and p^2 - 1
-    a, b, c = p * a0, p * b0, p * t * big_s
-    nu_plus = 0.5 * p * nu_sum
+    _spread(errors, full.shape, p, gain_errors)
+    b = p * b0
+    nu_plus = half_p * nu_sum
     g = p2 * g0
-    nu_minus, c_minus = g / nu_plus, 2.0 * c
+    nu_minus = g / nu_plus
     n_prod = (p2 * plus0 + q2) * (p2 * minus0 + q2)
-    a2m1 = p2 * s2 + q2
     b2m1 = p2 * v * v_plus_2 + q2
     root_n = np.sqrt(n_prod)
     root_a = np.hypot(np.sqrt(b2m1) * root_n, q2 + p2 * w_a0)
-    root_b = np.hypot(np.sqrt(a2m1) * root_n, q2 + p2 * beta * s2)
+    root_b = np.hypot(root_a2m1 * root_n, w_b)
     entries = np.isfinite(p * entry)
     if not entries.all():
         for cell in np.flatnonzero(~entries):
             errors.setdefault(int(cell), NonFiniteError("covariance matrix has NaN or infinite entries"))
+    if a.shape != full.shape:  # level terms that the noise broadcasts
+        a, c_minus, a2m1 = a + full, c_minus + full, a2m1 + full
     first = np.ones(full.shape, dtype=bool)
     return StandardForm(
-        a, b, c_minus, full, g, g, nu_plus, nu_minus, n_prod, a2m1, b2m1,
-        root_a, root_b, first, first, errors=errors,
+        a, b, c_minus, full, g, g, nu_plus, nu_minus, n_prod, a2m1, b2m1, root_a, root_b,
+        first, first, errors=errors,
     )
 
 
@@ -344,38 +414,58 @@ class StateModel:
         s = np.asarray(s_db, dtype=float)
         return self._standard_form(s, self._levels(s), n)
 
-    def _levels(self, s: np.ndarray) -> tuple:
+    def _levels(self, s: np.ndarray) -> _Levels:
         """The noise-independent part of :meth:`standard_form` on an array
-        of squeezing levels: r, the gain excess ``expm1(2r)`` and the
-        amplifier excess ``q = p - 1`` per level (each 0 at a rejected
-        level), and ``(index, error)`` lists of rejected levels and of
-        overflowing prefactors.  A root finder computes it once per batch,
-        and the fit once per fit on its distinct levels."""
+        of squeezing levels: the gain excess ``expm1(2r)`` per level, the
+        ``(index, error)`` lists of rejected levels and of overflowing
+        prefactors, and every array that reads only the level and the
+        amplifier excess ``q = p - 1`` (a rejected level reads r = 0 and an
+        overflowing prefactor q = 0).  Each distinct level is checked and
+        its prefactor evaluated once, so a batch may list a level once per
+        entry.  A root finder forms it once per batch, so that each step
+        forms only the noise-dependent rest, and the fit once per fit on
+        its distinct levels, adding its own q per point
+        (:func:`_amplifier_terms`)."""
         r, excess, q = np.zeros(s.shape), np.zeros(s.shape), np.zeros(s.shape)
         level_errors, gain_errors = [], []
-        for i, level in enumerate(s.flat):
-            try:
-                r.flat[i] = r_i = _squeezing_factor(float(level))
-                excess.flat[i] = e_i = math.expm1(2.0 * r_i)
-                q.flat[i] = self._amplifier_excess(e_i)
-            except DomainError as exc:
-                level_errors.append((i, exc))
-            except NumericalError as exc:
-                gain_errors.append((i, exc))
-        return r, excess, q, level_errors, gain_errors
-
-    def _standard_form(self, s: np.ndarray, levels: tuple, n) -> StandardForm:
-        """:meth:`standard_form` on levels ``s`` whose :meth:`_levels` are given."""
-        r, _, q, level_errors, gain_errors = levels
+        done: dict = {}  # level -> its r, excess, q and error
+        for i, level in enumerate(s.ravel().tolist()):
+            if level not in done:
+                r_i = e_i = q_i = 0.0
+                error = None
+                try:
+                    r_i = _squeezing_factor(level)
+                    e_i = math.expm1(2.0 * r_i)
+                    q_i = self._amplifier_excess(e_i)
+                except (DomainError, NumericalError) as exc:
+                    error = exc
+                done[level] = r_i, e_i, q_i, error
+            r.flat[i], excess.flat[i], q.flat[i], error = done[level]
+            if isinstance(error, DomainError):
+                level_errors.append((i, error))
+            elif error is not None:
+                gain_errors.append((i, error))
+        beta = self.coupling_beta or 0.0
         with np.errstate(all="ignore"):
-            return _amplified(self._base_family(s, r, level_errors, n), q, gain_errors)
+            family = _family(r + 0.0, beta)  # -0 dB reads as r = +0
+            amplifier = _amplifier_terms(family, q, beta)
+        return _Levels(excess, level_errors, gain_errors, family, amplifier)
 
-    def _base_family(self, s: np.ndarray, r: np.ndarray, level_errors: list, n) -> _BaseFamily:
-        """The part of :meth:`_standard_form` that does not read the
-        amplifier excess q, with the errors of rejected levels and noise.
-        Call it under ``np.errstate(all="ignore")``."""
+    def _standard_form(self, s: np.ndarray, levels: _Levels, n) -> StandardForm:
+        """:meth:`standard_form` on levels ``s`` whose :meth:`_levels` are
+        given: only the operations that read the noise ``n``."""
+        with np.errstate(all="ignore"):
+            base = self._base_family(s, levels.family, levels.level_errors, n)
+            return _amplified(base, levels.amplifier, levels.gain_errors)
+
+    def _base_family(self, s: np.ndarray, family: _Family, level_errors: list, n) -> _BaseFamily:
+        """The noise-dependent part of :meth:`_standard_form` that does not
+        read the amplifier excess q, on the levels ``s`` whose
+        :class:`_Family` is given (indexed like ``s``), with the errors of
+        rejected levels and noise.  Call it under
+        ``np.errstate(all="ignore")``."""
         n = np.asarray(n, dtype=float)
-        full = np.zeros(np.broadcast_shapes(s.shape, n.shape))
+        full = np.zeros(np.broadcast(s, n).shape)
         noise_errors = []
         if (n < 0.0).any():
             noise_errors = [
@@ -387,30 +477,23 @@ class StateModel:
         _spread(errors, full.shape, n, noise_errors)
 
         beta = self.coupling_beta or 0.0
-        t = math.sqrt(1.0 - beta)
-        t_minus, t_plus = beta / (1.0 + t), 1.0 + t  # 1 - t and 1 + t
-        r, n = r + full, n + full  # every field takes the full shape
-        u = 2.0 * np.sinh(r) ** 2  # A - 1
-        big_s = np.sinh(2.0 * r)
-        s2 = big_s * big_s
-        gain = np.exp(2.0 * r)
-        v = (1.0 - beta) * u + 2.0 * n  # b0 - 1
-        g0 = 1.0 + beta * u + 2.0 * n * (1.0 + u)
+        n = n + full  # every field takes the full shape
+        two_n, four_n = 2.0 * n, 4.0 * n
+        v = family.v0 + two_n  # b0 - 1
+        g0 = family.g0_level + two_n * family.a0
         # Base family (p = 1): EPR variances, nu+ and the two factors of N.
-        e_minus = 0.5 * (gain * t_minus**2 + t_plus**2 / gain) + beta + 2.0 * n
-        e_plus = 0.5 * (gain * t_plus**2 + t_minus**2 / gain) + beta + 2.0 * n
-        spread = np.abs(beta * u - 2.0 * n)  # |a0 - b0| = nu+ - nu-
-        width = np.sqrt(e_minus) * np.sqrt(e_plus)  # nu+ + nu-
-        w_a0 = 4.0 * n * ((1.0 - beta) * u + n + 1.0)
-        plus0 = 0.5 * (beta * u * (beta * u + 2.0) + w_a0 + spread * width)  # nu+^2 - 1
-        w_a0 -= beta * (1.0 - beta) * u * u
-        n0 = 4.0 * n * (n + beta) * s2
+        spread = np.abs(family.bu - two_n)  # |a0 - b0| = nu+ - nu-
+        width = np.sqrt(family.e_minus_level + two_n) * np.sqrt(family.e_plus_level + two_n)
+        w_a0 = four_n * (family.v0 + n + 1.0)
+        plus0 = 0.5 * (family.plus0_level + w_a0 + spread * width)  # nu+^2 - 1
+        w_a0 = w_a0 - family.w_a0_level
+        n0 = four_n * (n + beta) * family.s2
         minus0 = n0 / np.where(plus0 > 0.0, plus0, 1.0)  # nu-^2 - 1; n0 = 0 where plus0 is
-        a0, b0 = 1.0 + u, 1.0 + v
+        b0 = 1.0 + v
         # The matrix entries are p a0/4 and p b0/4 (c <= a).
         return _BaseFamily(
-            full, errors, beta, t, a0, b0, v, v + 2.0, big_s, s2, g0, spread + width,
-            plus0, minus0, w_a0, 0.25 * np.maximum(a0, b0),
+            full, errors, b0, v, v + 2.0, g0, spread + width, plus0, minus0, w_a0,
+            0.25 * np.maximum(family.a0, b0),
         )
 
     @classmethod

@@ -416,12 +416,22 @@ def entropy_f(x: float) -> float:
     return math.log1p(m) + m * math.log1p(1.0 / m) if m > 0.0 else 0.0
 
 
+# 1/m overflows for m at or below 2**-1024 (about 5.6e-309).
+_INVERSE_OVERFLOW = 2.0**-1024
+
+
 def _entropy(m: np.ndarray) -> np.ndarray:
     """:func:`entropy_f` over arrays of ``m = 2x - 1/2 >= 0``; NaN passes
-    through, so a failed input stays visible."""
+    through, so a failed input stays visible.  Where ``1/m`` overflows,
+    ``m log1p(1/m)`` is taken as ``m (log1p(m) - log m)``.  Call it, as the
+    correlation kernel does, under ``np.errstate(all="ignore")``."""
     positive = m > 0.0
     safe = np.where(positive, m, 1.0)
-    return np.where(positive, np.log1p(safe) + safe * np.log1p(1.0 / safe), m)
+    tail = safe * np.log1p(1.0 / safe)
+    tiny = safe <= _INVERSE_OVERFLOW
+    if tiny.any():
+        tail = np.where(tiny, safe * (np.log1p(safe) - np.log(safe)), tail)
+    return np.where(positive, np.log1p(safe) + tail, m)
 
 
 def von_neumann_entropy(V: CovarianceMatrix) -> float:

@@ -470,6 +470,50 @@ class TestEvaluationSite:
             alone = sweep(model, [s_axis[i_s]], [n_axis[i_n]]).report(0, 0)
             assert repr(grid.report(i_s, i_n)) == repr(alone)
 
+    def test_level_terms_are_formed_once_per_batch(self, monkeypatch):
+        # Outside the kernel, np.sinh and np.exp run only in the batch's
+        # StateModel._levels: their count does not grow with the steps, and
+        # no step's _standard_form calls them.
+        import tmsflow.analysis
+
+        calls, counting, per_form = [], [True], []
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                if counting[0]:
+                    calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return call
+
+        def uncounted_kernel(form, kernel=tmsflow.analysis.correlation_arrays):
+            counting[0] = False
+            try:
+                return kernel(form)
+            finally:
+                counting[0] = True
+
+        def recorded(self, s_db, levels, n, original=StateModel._standard_form):
+            before = len(calls)
+            form = original(self, s_db, levels, n)
+            per_form.append(len(calls) - before)
+            return form
+
+        monkeypatch.setattr(np, "sinh", counted(np.sinh))
+        monkeypatch.setattr(np, "exp", counted(np.exp))
+        monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", uncounted_kernel)
+        monkeypatch.setattr(StateModel, "_standard_form", recorded)
+        counts, forms = [], []
+        for levels in ([1.0, 2.0, 3.0], [0.1, 12.0, 30.0]):
+            calls.clear()
+            per_form.clear()
+            _crossovers(REALISTIC, levels)
+            counts.append(len(calls))
+            forms.append(len(per_form))
+            assert per_form == [0] * len(per_form)
+        assert forms[0] != forms[1]  # the batches take different numbers of steps
+        assert counts[0] == counts[1] == 3  # sinh r, sinh 2r and exp 2r of the level array
+
     @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
     def test_crossover_delta_equals_the_sweep_cell(self, name, monkeypatch):
         import tmsflow.analysis

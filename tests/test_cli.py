@@ -55,6 +55,31 @@ class TestSweepCommand:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_subnormal_cells_are_ok(self, tmp_path, monkeypatch):
+        # The entropy kernel reads m = 1e-320 and 1e-310 here, where 1/m
+        # overflows; every measure is 0 to double precision.
+        import mpmath as mp
+
+        import tmsflow.correlations
+
+        seen, kernel = [], tmsflow.correlations._entropy
+        monkeypatch.setattr(tmsflow.correlations, "_entropy", lambda m: seen.append(m) or kernel(m))
+        grids = (
+            (["--s", "0", "--n", "0,1e-320"], 2),
+            (["--model", "coupler", "--s", "1e-320,1e-310,1e-300", "--n", "0,1e-320,1e-310,1e-300"], 12),
+        )
+        for argv, cells in grids:
+            out = tmp_path / "s.csv"
+            assert main(["sweep", *argv, "--out", str(out)]) == 0
+            rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+            assert len(rows) == cells and all(row.endswith(",ok") for row in rows), rows
+        m = np.unique(np.concatenate([x.ravel() for x in seen]))
+        assert ((m > 0.0) & (m <= 2.0**-1024)).sum() == 2
+        with mp.workdps(50), np.errstate(over="ignore"):  # as the kernel calls it
+            for x, got in zip(m.tolist(), kernel(m).tolist()):
+                ref = float(mp.log1p(x) + x * mp.log1p(1 / mp.mpf(x))) if x else 0.0
+                assert abs(got - ref) <= 1e-15 * ref + 1e-323, x
+
     def test_metadata_header(self, tmp_path):
         out = tmp_path / "s.csv"
         main(["sweep", "--s", "6.5", "--n", "0,0.1", "--out", str(out)])
@@ -321,19 +346,41 @@ class TestQkdCommand:
         assert th_rows[0] == "s_db,n_q_threshold,status"
         assert float(th_rows[1].split(",")[1]) == pytest.approx(0.26, abs=0.01)
 
+    @pytest.mark.parametrize("beta", ["1e-4", "0.3"])
+    def test_key_map_rows_are_the_cells_keys(self, beta, tmp_path):
+        # every overflow branch of the key: the SNR, g and a g / b leave the
+        # double range near the top level, and W = 1 below n_q = beta / 4
+        from tmsflow.qkd import QkdScenario, key_result_to_csv_row, secret_key
+        from tmsflow.states import squeezing_db_to_r
+
+        s_vals = [0.0, 0.5, 10.0, 3000.0, 3075.0, 3077.0, 3080.0, 3082.0, 3082.5]
+        nq_vals = [0.0, 1e-4, 0.45, 2.0]
+        out = tmp_path / "k.csv"
+        argv = ["qkd", "--s", ",".join(map(repr, s_vals)), "--nq", ",".join(map(repr, nq_vals))]
+        assert main(argv + ["--cloner-beta", beta, "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        expected = [
+            key_result_to_csv_row(
+                s_db, n_q, secret_key(QkdScenario(squeezing_db_to_r(s_db), n_q, float(beta)))
+            )
+            for s_db in s_vals
+            for n_q in nq_vals
+        ]
+        assert rows == expected
+
     def test_key_error_fails_only_its_threshold_row(self, tmp_path, monkeypatch):
         import tmsflow.qkd
         from tmsflow.errors import NumericalError
         from tmsflow.states import squeezing_db_to_r
 
-        original, r_bad = tmsflow.qkd.secret_key, squeezing_db_to_r(10.0)
+        original, bad = tmsflow.qkd._key_bits, tmsflow.qkd._level(squeezing_db_to_r(10.0))
 
-        def failing(sc):
-            if sc.r == r_bad and 1e-4 < sc.n_q < 2.0:
+        def failing(level, n_q, beta):
+            if level == bad and 1e-4 < n_q < 2.0:
                 raise NumericalError("interior point")
-            return original(sc)
+            return original(level, n_q, beta)
 
-        monkeypatch.setattr(tmsflow.qkd, "secret_key", failing)
+        monkeypatch.setattr(tmsflow.qkd, "_key_bits", failing)
         th_out, out = tmp_path / "t.csv", tmp_path / "k.csv"
         argv = ["qkd", "--s", "6,10,30", "--nq", "0.1", "--threshold-out", str(th_out)]
         assert main(argv + ["--out", str(out)]) == 0

@@ -9,6 +9,7 @@ from tmsflow.qkd import (
     DEFAULT_CLONER_COUPLING,
     QkdScenario,
     _key_thresholds,
+    _level,
     cloner_state,
     holevo_quantity,
     key_threshold,
@@ -357,20 +358,20 @@ class TestKeyThreshold:
     def test_few_key_evaluations_and_the_bisection_root(self, monkeypatch):
         # two bracket ends, about ten refinement steps and the check of |K|
         # (bisection took 44 evaluations)
-        calls, original = [], tmsflow.qkd.secret_key
-        monkeypatch.setattr(tmsflow.qkd, "secret_key", lambda sc: calls.append(sc) or original(sc))
+        calls, original = [], tmsflow.qkd._key_bits
+        monkeypatch.setattr(tmsflow.qkd, "_key_bits", lambda *point: calls.append(point) or original(*point))
         for s_db in (0.25, 1.0, 10.0, 30.0, 40.0, 3082.5):
             calls.clear()
             th = key_threshold(s_db)
             assert len(calls) <= 20, s_db
             r = squeezing_db_to_r(s_db)
-            bisected = bisected_root(lambda n_q: -original(QkdScenario(r, n_q)).key, 1e-4, 2.0)
+            bisected = bisected_root(lambda n_q: -secret_key(QkdScenario(r, n_q)).key, 1e-4, 2.0)
             assert abs(th - bisected) <= 1e-11 * max(1.0, th), s_db
 
     def test_batch_evaluates_as_often_as_its_levels_one_at_a_time(self, monkeypatch):
         # a level that has stopped keeps its K while the others refine
-        calls, original = [], tmsflow.qkd.secret_key
-        monkeypatch.setattr(tmsflow.qkd, "secret_key", lambda sc: calls.append(sc) or original(sc))
+        calls, original = [], tmsflow.qkd._key_bits
+        monkeypatch.setattr(tmsflow.qkd, "_key_bits", lambda *point: calls.append(point) or original(*point))
         levels = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 16.0, 20.0, 30.0, 40.0]
         batch = _key_thresholds(levels, DEFAULT_CLONER_COUPLING)
         batch_calls = len(calls)
@@ -386,14 +387,14 @@ class TestKeyThreshold:
     def test_key_error_fails_only_its_level(self, monkeypatch):
         levels = [6.0, 10.0, 30.0]
         clean = _key_thresholds(levels, DEFAULT_CLONER_COUPLING)
-        original, r_bad = tmsflow.qkd.secret_key, squeezing_db_to_r(10.0)
+        original, bad = tmsflow.qkd._key_bits, _level(squeezing_db_to_r(10.0))
 
-        def failing(sc):
-            if sc.r == r_bad and 1e-4 < sc.n_q < 2.0:
+        def failing(level, n_q, beta):
+            if level == bad and 1e-4 < n_q < 2.0:
                 raise NumericalError("interior point")
-            return original(sc)
+            return original(level, n_q, beta)
 
-        monkeypatch.setattr(tmsflow.qkd, "secret_key", failing)
+        monkeypatch.setattr(tmsflow.qkd, "_key_bits", failing)
         found = _key_thresholds(levels, DEFAULT_CLONER_COUPLING)
         assert str(found[1]) == "interior point"
         assert [found[0], found[2]] == [clean[0], clean[2]]

@@ -199,7 +199,7 @@ class TestRealisticTms:
         for r in (1e-40, 1e-100, 1e-300):
             assert model.amplifier_prefactor(r) == 1.0
             assert model._amplifier_excess(math.expm1(2.0 * r)) == pytest.approx(
-                0.1 * (2.0 * r) ** 0.56, rel=1e-14
+                0.1 * (2.0 * r) ** 0.56, rel=1e-14, abs=0
             )
         assert StateModel.coupler(0.01)._amplifier_excess(math.expm1(2.0)) == 0.0
 
