@@ -9,6 +9,7 @@ win on conflict.  Every output embeds the tool version and the effective
 config, as ``#`` comment lines in CSV or a ``meta`` field in JSON, and
 identical configs produce byte-identical files.  Every setting is declared
 once, in ``_SETTINGS``; ``_COMMANDS`` lists each subcommand's settings.
+Each subcommand imports the model modules it runs, so a job loads no other.
 
 Exit codes: 0 success, 2 usage or config error, 3 model or numeric
 failure.
@@ -28,45 +29,15 @@ from itertools import chain
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .analysis import (
-    _crossovers,
-    _sudden_deaths,
-    csv_status,
-    sweep,
-    sweep_blocks_to_csv,
-    sweep_blocks_to_json,
-)
-from .errors import DomainError, TmsflowError, TooFewSamplesError
-from .fit import (
+from ._defaults import (
     DEFAULT_CHI,
+    DEFAULT_CLONER_COUPLING,
     DEFAULT_COUPLING,
     DEFAULT_INITIAL,
-    DEFAULT_WEIGHTS,
-    fit,
-    records_from_csv,
-    records_to_csv,
-    synthetic_records,
-)
-from .qkd import (
-    DEFAULT_CLONER_COUPLING,
-    QKD_CSV_HEADER,
-    QkdScenario,
-    _key_bits,
-    _key_result_doc,
-    _key_thresholds,
-    _level,
-    secret_key,
-)
-from .states import StateModel, _check_noise, _squeezing_factor
-from .symplectic import _covariance_doc, covariance_from_csv, covariance_from_json, validate
-from .tomography import (
     DEFAULT_THRESHOLD,
-    _cumulant_report_doc,
-    _report_covariance,
-    cumulants,
-    project_to_physical,
-    samples_from_csv,
+    DEFAULT_WEIGHTS,
 )
+from .errors import DomainError, TmsflowError, TooFewSamplesError
 
 
 class ConfigError(Exception):
@@ -290,6 +261,8 @@ def _checked(build, *args, **kwargs):
 
 
 def _build_model(settings: _Settings) -> StateModel:
+    from .states import StateModel
+
     name = str(settings["model"])
     if name == "ideal":
         return StateModel.ideal()
@@ -351,6 +324,8 @@ def _json_with_meta(payload: dict, config_echo: str) -> str:
 
 
 def _cmd_sweep(settings: _Settings) -> int:
+    from .analysis import sweep, sweep_blocks_to_csv, sweep_blocks_to_json
+
     out, fmt = settings["out"], settings["format"]
     model = _checked(_build_model, settings)
     s_vals, n_vals = parse_grid(settings["s"]), parse_grid(settings["n"])
@@ -364,6 +339,8 @@ def _cmd_sweep(settings: _Settings) -> int:
 
 
 def _cmd_features(settings: _Settings) -> int:
+    from .analysis import _crossovers, _sudden_deaths, csv_status
+
     out = settings["out"]
     model = _checked(_build_model, settings)
     s_vals = parse_grid(settings["s"])
@@ -391,6 +368,18 @@ def _cmd_features(settings: _Settings) -> int:
 
 
 def _cmd_qkd(settings: _Settings) -> int:
+    from .analysis import csv_status
+    from .qkd import (
+        QKD_CSV_HEADER,
+        QkdScenario,
+        _key_bits,
+        _key_result_doc,
+        _key_thresholds,
+        _level,
+        secret_key,
+    )
+    from .states import _squeezing_factor
+
     out, threshold_out = settings["out"], settings["threshold-out"]
     s_vals, nq_vals = parse_grid(settings["s"]), parse_grid(settings["nq"])
     r_vals = [_checked(_squeezing_factor, s_db) for s_db in s_vals]
@@ -426,6 +415,9 @@ def _cmd_qkd(settings: _Settings) -> int:
 
 
 def _cmd_fit(settings: _Settings) -> int:
+    from .fit import fit, records_from_csv
+    from .states import StateModel
+
     out = settings["out"]
     records = _read_input(settings, "records", records_from_csv, "records CSV")
     weights = (settings["w1"], settings["w2"], settings["w3"])
@@ -447,6 +439,15 @@ def _cmd_fit(settings: _Settings) -> int:
 
 
 def _cmd_tomo(settings: _Settings) -> int:
+    from .symplectic import _covariance_doc
+    from .tomography import (
+        _cumulant_report_doc,
+        _report_covariance,
+        cumulants,
+        project_to_physical,
+        samples_from_csv,
+    )
+
     covariance_out, cumulants_out = settings["covariance-out"], settings["cumulants-out"]
     samples = _read_input(settings, "samples", samples_from_csv, "samples CSV")
     threshold, project = settings["threshold"], settings["project"]
@@ -468,11 +469,15 @@ def _cmd_tomo(settings: _Settings) -> int:
 
 def _covariance_from_file(fh):
     """A stored covariance: JSON where the text starts with ``{``, else CSV."""
+    from .symplectic import covariance_from_csv, covariance_from_json
+
     text = fh.read()
     return (covariance_from_json if text.lstrip().startswith("{") else covariance_from_csv)(text)
 
 
 def _cmd_validate(settings: _Settings) -> int:
+    from .symplectic import validate
+
     out = settings["out"]
     cov = _read_input(settings, "state", _covariance_from_file, "state file")
     verdict = validate(cov)
@@ -487,6 +492,9 @@ def _cmd_validate(settings: _Settings) -> int:
 
 
 def _cmd_gen_synthetic(settings: _Settings) -> int:
+    from .fit import records_to_csv, synthetic_records
+    from .states import StateModel, _check_noise, _squeezing_factor
+
     out = settings["out"]
     chi1, chi2, beta = settings["chi1"], settings["chi2"], settings["beta"]
     noise, seed = settings["noise"], settings["seed"]

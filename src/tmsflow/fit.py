@@ -26,15 +26,12 @@ from typing import TextIO
 
 import numpy as np
 
+from ._defaults import DEFAULT_CHI, DEFAULT_COUPLING, DEFAULT_INITIAL, DEFAULT_WEIGHTS
 from .correlations import correlation_arrays
 from .errors import DomainError, ModelFailureError, NumericalError
 from .states import StateModel, _Family, _amplified, _amplifier_q, _amplifier_terms
 from .symplectic import _integers
 
-DEFAULT_WEIGHTS = (0.5, 0.5, 1.0)
-DEFAULT_COUPLING = 0.01  # -20 dB directional coupler
-DEFAULT_INITIAL = (0.0, 1.0)
-DEFAULT_CHI = (0.05, 0.56)  # amplifier noise chi1, chi2 of synthetic records
 _MAX_ITERATIONS = 200
 _FD_STEP = math.sqrt(np.finfo(float).eps)  # relative forward-difference step
 _INITIAL_DAMPING = 1e-3

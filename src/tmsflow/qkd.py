@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._defaults import DEFAULT_CLONER_COUPLING
 from .analysis import _refine
 from .errors import (
     BadCouplingError,
@@ -48,7 +49,6 @@ from .states import eve_tms, ideal_tms, squeezing_db_to_r
 
 _LN2 = math.log(2.0)
 
-DEFAULT_CLONER_COUPLING = 1e-4
 # Largest |K| in bits accepted at a refined key threshold, a safety check:
 # the refined roots reach a few 1e-12 bits.
 _KEY_CHECK = 1e-6
@@ -134,6 +134,11 @@ def _holevo_bits(level: tuple, n_q: float, beta: float) -> float:
     """:func:`holevo_quantity` at the :func:`_level` terms of r."""
     a = level[0]
     w = max(1.0, 2.0 * (2.0 * n_q) / beta)  # QkdScenario.w
+    if math.isinf(w):
+        raise NumericalError(
+            f"cloner variance W = 4 n_q / beta overflows double precision"
+            f" at n_q = {n_q:.3g}, beta = {beta:.3g}"
+        )
     b = (1.0 - beta) * a + beta * w
     g = (1.0 - beta) + beta * a * w
     d = abs(beta * (a - w))
@@ -170,7 +175,8 @@ def holevo_quantity(scenario: QkdScenario) -> float:
     homodyning q on B leaves A with ``nu_A|x_B = sqrt(ag/b)``.  Where g
     overflows (near the top squeezing level with a large W), ``sqrt(g)``
     and ``g/nu+`` are taken factor by factor, and so is ``sqrt(ag/b)``
-    wherever ``ag/b`` overflows.
+    wherever ``ag/b`` overflows.  Where W overflows (n_q above about
+    4.5e307 beta), :class:`~tmsflow.errors.NumericalError` is raised.
     """
     return _holevo_bits(_level(scenario.r), scenario.n_q, scenario.beta)
 

@@ -43,6 +43,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
+from ._defaults import DEFAULT_THRESHOLD
 from .errors import DomainError, NonFiniteError, NumericalError, TooFewSamplesError
 from .symplectic import VACUUM_VARIANCE, CovarianceMatrix, TwoModeCovariance, _williamson
 
@@ -62,7 +63,6 @@ _HIGHER_ORDERS = [
 ]
 _ORDERS = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), *_HIGHER_ORDERS]
 
-DEFAULT_THRESHOLD = 5.0  # standard errors
 _BATCHES = 25
 # The fewest samples cumulants takes, and the fewest rows per batch from 80
 # samples on: 40-79 samples give 2 batches of 20-39 rows.

@@ -301,6 +301,21 @@ class TestQkdCommand:
     def test_missing_axis_is_usage_error(self):
         assert main(["qkd", "--s", "1:30:1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, at",
+        [
+            (["--s", "10", "--nq", "1e305"], "n_q = 1e+305, beta = 0.0001"),
+            (["--s", "10,20", "--nq", "0.1,1e305"], "n_q = 1e+305, beta = 0.0001"),
+            (["--s", "10", "--nq", "0.1", "--cloner-beta", "1e-310"], "n_q = 0.1, beta = 1e-310"),
+        ],
+        ids=["point", "map", "threshold"],
+    )
+    def test_overflowing_cloner_variance_is_a_model_failure(self, argv, at, tmp_path, capsys):
+        argv = ["qkd", *argv, "--out", str(tmp_path / "k"), "--threshold-out", str(tmp_path / "t")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"tmsflow: cloner variance W = 4 n_q / beta overflows double precision at {at}\n"
+
     @pytest.mark.parametrize("extra", [[], ["--cloner-beta", "0.01"]])
     def test_threshold_batch_is_invisible(self, extra, tmp_path):
         # a failing row (no squeezing at 0 dB) and, at 3082.5 dB, K at the
@@ -382,7 +397,8 @@ class TestQkdCommand:
 
         monkeypatch.setattr(tmsflow.qkd, "_key_bits", failing)
         th_out, out = tmp_path / "t.csv", tmp_path / "k.csv"
-        argv = ["qkd", "--s", "6,10,30", "--nq", "0.1", "--threshold-out", str(th_out)]
+        # the key map reads the patched _key_bits too, at a bracket end, where it does not fail
+        argv = ["qkd", "--s", "6,10,30", "--nq", "2", "--threshold-out", str(th_out)]
         assert main(argv + ["--out", str(out)]) == 0
         rows = [l.split(",") for l in th_out.read_text().splitlines() if not l.startswith("#")]
         assert [row[2] for row in rows[1:]] == ["ok", "interior point", "ok"]
@@ -1082,16 +1098,40 @@ class TestConfigFile:
             assert "project must be true or false" in capsys.readouterr().err
 
 
-def _loaded_scipy(code, *argv):
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+def _fresh_interpreter(code, *argv):
+    """What a fresh interpreter prints after running ``code`` with ``argv``."""
     src = os.path.dirname(os.path.dirname(tmsflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code, *argv],
         env=env, capture_output=True, text=True, check=True,
     )
     return proc.stdout.strip()
+
+
+def _loaded_scipy(code, *argv):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return _fresh_interpreter(code, *argv)
+
+
+# Records the name of each module whose body runs, loaded lazily or not.
+_RECORD_BODIES = """import importlib.machinery
+ran, exec_module = [], importlib.machinery.SourceFileLoader.exec_module
+def recorded(loader, module):
+    ran.append(loader.name)
+    return exec_module(loader, module)
+importlib.machinery.SourceFileLoader.exec_module = recorded
+"""
+
+
+def _bodies_run(code, *argv):
+    """The tmsflow modules whose bodies a fresh interpreter runs for ``code``."""
+    code = _RECORD_BODIES + code + "\nprint(*(m for m in ran if m.split('.')[0] == 'tmsflow'))"
+    return set(_fresh_interpreter(code, *argv).split())
+
+
+_RUN_JOB = "from tmsflow.cli import main\nassert main(sys.argv[1:]) == 0"
 
 
 class TestStartup:
@@ -1118,6 +1158,46 @@ class TestStartup:
 
     def test_cli_import_does_not_load_scipy(self):
         assert _loaded_scipy("import tmsflow.cli") == "[]"
+
+    def test_cli_import_runs_no_model_module(self):
+        # perfbench/tracing.py looks up each module it traces in sys.modules
+        code = (
+            "import tmsflow.cli\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from tracing import BOUNDARIES\n"
+            "assert all(module in sys.modules for _, module, _ in BOUNDARIES)"
+        )
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+        ran = _bodies_run(code, perfbench)
+        assert ran == {"tmsflow", "tmsflow.cli", "tmsflow._defaults", "tmsflow.errors"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--s", "6", "--n", "0,0.1"],
+            ["features", "--s", "6"],
+            ["qkd", "--s", "6,10", "--nq", "0.1", "--threshold-out", "{tmp}/t.csv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_model_jobs_do_not_run_fit_or_tomography(self, argv, tmp_path):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        ran = _bodies_run(_RUN_JOB, *argv, "--out", str(tmp_path / "out"))
+        assert "tmsflow.analysis" in ran
+        assert not ran & {"tmsflow.fit", "tmsflow.tomography"}
+
+    @pytest.mark.parametrize("command", ["tomo", "validate"])
+    def test_measured_data_jobs_do_not_run_the_model_modules(self, command, tmp_path):
+        if command == "tomo":
+            argv = ["tomo", "--samples", _samples_file(tmp_path), "--project"]
+            argv += ["--covariance-out", str(tmp_path / "c"), "--cumulants-out", str(tmp_path / "k")]
+        else:
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps(_covariance_doc(ideal_tms(0.5))))
+            argv = ["validate", "--state", str(state), "--out", str(tmp_path / "v")]
+        ran = _bodies_run(_RUN_JOB, *argv)
+        assert "tmsflow.symplectic" in ran
+        assert not ran & {"tmsflow.analysis", "tmsflow.qkd", "tmsflow.fit"}
 
     def test_projection_does_not_load_scipy(self):
         code = (

@@ -298,6 +298,16 @@ class TestSecretKey:
         ]
         assert all(a > b for a, b in zip(keys, keys[1:]))
 
+    @pytest.mark.parametrize("evaluate", [secret_key, holevo_quantity])
+    def test_overflowing_cloner_variance_is_named(self, evaluate):
+        # W = 4 n_q / beta = 4e309 at the default beta
+        with pytest.raises(NumericalError) as exc:
+            evaluate(QkdScenario(r=squeezing_db_to_r(10.0), n_q=1e305))
+        assert str(exc.value) == (
+            "cloner variance W = 4 n_q / beta overflows double precision"
+            " at n_q = 1e+305, beta = 0.0001"
+        )
+
 
 class TestTwoModeKeyPath:
     def test_no_four_mode_state_is_built(self, monkeypatch):
@@ -400,6 +410,17 @@ class TestKeyThreshold:
         assert [found[0], found[2]] == [clean[0], clean[2]]
         with pytest.raises(NumericalError):
             key_threshold(10.0)
+
+    def test_overflowing_cloner_variance_fails_the_level(self):
+        # W = 4 n_q / beta is finite at the lower bracket end, 4e-4 / 1e-310,
+        # and overflows at the upper one
+        found = _key_thresholds([10.0, 20.0], 1e-310)
+        message = (
+            "cloner variance W = 4 n_q / beta overflows double precision at n_q = 2, beta = 1e-310"
+        )
+        assert [(type(e), str(e)) for e in found] == [(NumericalError, message)] * 2
+        with pytest.raises(NumericalError, match="cloner variance W"):
+            key_threshold(10.0, beta=1e-310)
 
     def test_refined_key_that_is_not_zero_fails_the_level(self, monkeypatch):
         monkeypatch.setattr(tmsflow.qkd, "_KEY_CHECK", 0.0)
