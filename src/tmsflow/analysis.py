@@ -120,8 +120,10 @@ def _refine(f, lo, hi, failed: dict) -> tuple[np.ndarray, dict]:
     step to step (the level terms of a squeezing level) its caller forms
     once per batch.  Returns the midpoint of each final bracket (the zero
     itself where ``f`` hit one) and the errors of the failed entries by
-    index.
+    index.  Where every entry is in ``failed``, ``f`` is not called.
     """
+    if len(failed) == len(lo):  # nothing to search
+        return 0.5 * (lo + hi), dict(failed)
     (f1, f2), end_errors = f(np.stack((lo, hi)))
     errors = dict(failed)
     for j, exc in sorted(end_errors.items()):  # the lower ends come first
@@ -219,17 +221,22 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
     All levels' A and B roots are one :func:`_refine` batch over a
     ``(levels, 2)`` grid of entries, one column per flavor, each on its
     level's ``[1e-3, n_sd]``; a level without ``n_sd`` fails both entries
-    with its error.  What the levels alone determine
-    (:meth:`StateModel._levels`) is formed once for the batch.  One kernel
-    call evaluates every bracket end, and each refinement step is one more
-    on the grid of new points, about 10 to 20 calls in all.  AB is the
-    mean of A and B and carries A's error first, then B's.
+    with its error, and one whose ``n_sd`` is not above 1e-3 with
+    :class:`NoSignChangeError` naming the empty bracket, unsearched.  What
+    the levels alone determine (:meth:`StateModel._levels`) is formed once
+    for the batch.  One kernel call evaluates every bracket end, and each
+    refinement step is one more on the grid of new points, about 10 to 20
+    calls in all.  AB is the mean of A and B and carries A's error first,
+    then B's.
     """
     s_col = np.array(s_values, dtype=float)[:, None]
     rows = len(s_col)
     table = _sudden_deaths(model, s_col[:, 0].tolist())
     n_sd = [row["n_sd"] for row in table for _ in "AB"]  # by flat entry 2 * level + flavor
     failed = {j: exc for j, exc in enumerate(n_sd) if isinstance(exc, TmsflowError)}
+    for j, x in enumerate(n_sd):
+        if j not in failed and x <= _N_LOW:  # no point lies between the ends
+            failed[j] = NoSignChangeError(f"empty bracket [{_N_LOW:g}, n_sd] with n_sd = {x:.4g}")
     hi = np.array([_N_LOW if j in failed else x for j, x in enumerate(n_sd)])  # failed: never searched
     s_grid = np.repeat(s_col, 2, axis=1)  # by entry, so a step's arrays share one shape
     levels = model._levels(s_grid)
@@ -256,8 +263,9 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
     sudden-death point: there ``E_F = 0`` while the state is still
     correlated, so ``delta(n_sd) = D > 0``, and beyond it the signed
     ``E_F`` is negative, so no root with that orientation lies above.  The
-    curve must change sign strictly between the ends, so be negative at
-    1e-3, otherwise :class:`NoSignChangeError` is raised; a kernel error at
+    bracket must not be empty (``n_sd > 1e-3``) and the curve must change
+    sign strictly between its ends, so be negative at 1e-3, otherwise
+    :class:`NoSignChangeError` is raised; a kernel error at
     an end or at a refinement point is raised as it is.  The root is
     refined with Chandrupatla's method (:func:`_refine`), which keeps a
     sign change inside the bracket at every step, down to width

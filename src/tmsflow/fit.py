@@ -29,7 +29,7 @@ import numpy as np
 from ._defaults import DEFAULT_CHI, DEFAULT_COUPLING, DEFAULT_INITIAL, DEFAULT_WEIGHTS
 from .correlations import correlation_arrays
 from .errors import DomainError, ModelFailureError, NumericalError
-from .states import StateModel, _Family, _amplified, _amplifier_q, _amplifier_terms
+from .states import StateModel, _amplified, _amplifier_q
 from .symplectic import _integers
 
 _MAX_ITERATIONS = 200
@@ -102,26 +102,19 @@ def _evaluator(records, weights, coupling_beta: float):
     """:func:`_residuals` of ``records`` as a function of a list of chi
     points, evaluated together in one kernel call.
 
-    What does not depend on chi is formed once: the per-record arrays,
-    the :meth:`StateModel._levels` of the distinct squeezing levels (the
-    gain excess ``expm1(2r)``, the rejected levels and the level terms of
-    the base family), and, for each number of points, those level terms
-    and the amplifier-free part of the standard form on the stack of
-    points.  A point adds only ``q = 2 chi1 excess**chi2`` per level, by
-    :func:`_amplifier_q`, and the amplifier scaling
-    (:func:`_amplifier_terms` and :func:`_amplified`).  For each point the
-    function returns its residual vector or, unraised, the
-    :class:`ModelFailureError` that :func:`_residuals` raises there.
+    What does not depend on chi is formed once: the per-record arrays
+    and, for each number of points, the :meth:`StateModel._levels` (the
+    gain excess ``expm1(2r)``, the rejected levels and the level terms)
+    and :meth:`StateModel._base_family` of the (point, record) stack.  A
+    point adds only ``q = 2 chi1 excess**chi2`` per distinct level, by
+    :func:`_amplifier_q`, and the amplifier scaling (:func:`_amplified`).
+    For each point the function returns its residual vector or, unraised,
+    the :class:`ModelFailureError` that :func:`_residuals` raises there.
     """
-    model = StateModel.coupler(coupling_beta)  # _levels and _standard_form read only beta
+    model = StateModel.coupler(coupling_beta)  # _levels and _base_family read only beta
     s_db = np.array([rec.s_db for rec in records])
     n = np.array([rec.n for rec in records])
-    levels, inverse = np.unique(s_db, return_inverse=True)
-    level_terms = model._levels(levels)  # excess 0, so q = 0, where rejected
-    level_errors = [
-        (int(j), exc) for i, exc in level_terms.level_errors for j in np.flatnonzero(inverse == i)
-    ]
-    excess = level_terms.excess.tolist()
+    _, first_record, inverse = np.unique(s_db, return_index=True, return_inverse=True)
     root_w = [math.sqrt(w) for w in weights]
     scale, sigma = [], []
     for rec in records:
@@ -135,22 +128,20 @@ def _evaluator(records, weights, coupling_beta: float):
     scale, sigma = np.array(scale).T.ravel(), np.array(sigma).T.ravel()
     measured = np.array([(rec.d_a, rec.d_b, rec.e_f) for rec in records]).T.ravel()
     m = len(records)
-    bases: dict = {}  # the level terms and base family of a stack of that many points
+    stacks: dict = {}  # the level terms and base family of a stack of that many points
 
     def evaluate(points: list) -> list:
-        if len(points) not in bases:
-            # one error per record at a failed level, indexed into the (point, record) stack
-            failed = [(k * m + i, exc) for k in range(len(points)) for i, exc in level_errors]
+        if len(points) not in stacks:
             s = np.broadcast_to(s_db, (len(points), m))
-            by_cell = np.tile(inverse, (len(points), 1))  # the level of each (point, record)
-            stacked = _Family._make(terms[by_cell] for terms in level_terms.family)
+            stack = model._levels(s)  # excess 0, so q = 0, where rejected
             with np.errstate(all="ignore"):
-                bases[len(points)] = stacked, model._base_family(s, stacked, failed, n)
-        stacked, base = bases[len(points)]
+                base = model._base_family(s, stack.family, stack.level_errors, n)
+            stacks[len(points)] = stack.family, base, stack.excess[0, first_record].tolist()
+        family, base, excess = stacks[len(points)]
         q, gain_errors = [], []
         for k, chi in enumerate(points):
             chi1, chi2 = max(chi[0], 0.0), chi[1]
-            for i, gain_excess in enumerate(excess):
+            for i, gain_excess in enumerate(excess):  # of each distinct level
                 try:
                     q.append(_amplifier_q(gain_excess, chi1, chi2))
                 except NumericalError as exc:
@@ -158,7 +149,7 @@ def _evaluator(records, weights, coupling_beta: float):
                     gain_errors += [(k * m + int(j), exc) for j in np.flatnonzero(inverse == i)]
         q = np.array(q).reshape(len(points), -1)[:, inverse].copy()  # C order, like the base
         with np.errstate(all="ignore"):
-            form = _amplified(base, _amplifier_terms(stacked, q, coupling_beta), gain_errors)
+            form = _amplified(base, family, q, gain_errors, coupling_beta)
         res = correlation_arrays(form)
         predicted = np.concatenate((res.d_a, res.d_b, res.e_f), axis=1)
         values = list((scale * (predicted - measured)) / sigma)

@@ -8,8 +8,14 @@ models, either as a covariance matrix or, broadcast over arrays of both
 parameters, as the factored standard form that the correlation kernel
 reads.  It alone checks a model's parameters (the coupling beta once, when
 the model is built) and squeezing levels, and evaluates the amplifier law
-n(G) = chi1 (G - 1)**chi2 (:func:`_amplifier_q`), also for the fit
-(:meth:`StateModel._levels`) and for :func:`jpa_noise`.
+n(G) = chi1 (G - 1)**chi2 (:func:`_amplifier_q`), also for the fit and for
+:func:`jpa_noise`.  The standard form has three stages: the level terms
+(:meth:`StateModel._levels`), the noise terms of the amplifier-free family
+(:meth:`StateModel._base_family`) and the scaling by the amplifier
+prefactor ``p = 1 + q`` (:func:`_amplified`).  A sweep runs each once; the
+crossover root finder varies the noise, so it forms the level terms once
+per batch; the fit varies chi, so q, and forms the first two stages once
+per number of points.
 
 Squeezing conventions: the TMS state is the 50:50 superposition of a
 q-squeezed mode A and a p-squeezed mode B with equal squeezing factor r,
@@ -234,34 +240,6 @@ def _family(r: np.ndarray, beta: float) -> _Family:
     )
 
 
-class _Amplifier(NamedTuple):
-    """The terms of :meth:`StateModel.standard_form` that read only the
-    squeezing level and the amplifier prefactor ``p = 1 + q``."""
-
-    p: np.ndarray
-    p2: np.ndarray  # p^2
-    q2: np.ndarray  # q (q + 2) = p^2 - 1
-    a: np.ndarray  # p A
-    c_minus: np.ndarray  # 2 p t S
-    half_p: np.ndarray  # p / 2
-    a2m1: np.ndarray  # p^2 S^2 + q (q + 2)
-    root_a2m1: np.ndarray
-    w_b: np.ndarray  # q (q + 2) + p^2 beta S^2
-
-
-def _amplifier_terms(family: _Family, q: np.ndarray, beta: float) -> _Amplifier:
-    """The :class:`_Amplifier` terms of a family at amplifier excess ``q``, which
-    broadcasts against the family's arrays.  Call it under
-    ``np.errstate(all="ignore")``."""
-    p = 1.0 + q
-    p2, q2 = p * p, q * (q + 2.0)
-    a2m1 = p2 * family.s2 + q2
-    return _Amplifier(
-        p, p2, q2, p * family.a0, 2.0 * (p * math.sqrt(1.0 - beta) * family.big_s), 0.5 * p,
-        a2m1, np.sqrt(a2m1), q2 + p2 * beta * family.s2,
-    )
-
-
 class _Levels(NamedTuple):
     """:meth:`StateModel._levels`: the noise-independent part of
     :meth:`StateModel.standard_form` on an array of squeezing levels."""
@@ -270,7 +248,7 @@ class _Levels(NamedTuple):
     level_errors: list  # (index, error) of each rejected level
     gain_errors: list  # (index, error) of each level whose prefactor overflows
     family: _Family
-    amplifier: _Amplifier
+    q: np.ndarray  # the amplifier excess p - 1; 0 at a rejected level or overflowing prefactor
 
 
 class _BaseFamily(NamedTuple):
@@ -292,25 +270,30 @@ class _BaseFamily(NamedTuple):
     entry: np.ndarray  # the largest matrix entry at p = 1
 
 
-def _amplified(base: _BaseFamily, amplifier: _Amplifier, gain_errors: list) -> StandardForm:
-    """The standard form of a base family scaled by the amplifier prefactor
-    ``p = 1 + q``, whose level terms ``amplifier`` are indexed like the levels,
-    as are the ``(index, error)`` pairs of its overflowing levels.  Only
-    what reads the noise is formed here.  Call it, like
-    :meth:`StateModel._base_family`, under ``np.errstate(all="ignore")``."""
+def _amplified(
+    base: _BaseFamily, family: _Family, q: np.ndarray, gain_errors: list, beta: float
+) -> StandardForm:
+    """The last stage of :meth:`StateModel.standard_form`: the base family
+    scaled by the amplifier prefactor ``p = 1 + q``.  ``family``, ``q`` and
+    the ``(index, error)`` pairs of the overflowing prefactors are indexed
+    like the levels; every term that reads ``q`` is formed here.  Call it,
+    like :meth:`StateModel._base_family`, under ``np.errstate(all="ignore")``."""
     full, errors, b0, v, v_plus_2, g0, nu_sum, plus0, minus0, w_a0, entry = base
-    p, p2, q2, a, c_minus, half_p, a2m1, root_a2m1, w_b = amplifier
     errors = dict(errors)
-    _spread(errors, full.shape, p, gain_errors)
+    _spread(errors, full.shape, q, gain_errors)
+    p = 1.0 + q
+    p2, q2 = p * p, q * (q + 2.0)
+    a, c_minus = p * family.a0, 2.0 * (p * math.sqrt(1.0 - beta) * family.big_s)
+    a2m1 = p2 * family.s2 + q2
     b = p * b0
-    nu_plus = half_p * nu_sum
+    nu_plus = 0.5 * p * nu_sum
     g = p2 * g0
     nu_minus = g / nu_plus
     n_prod = (p2 * plus0 + q2) * (p2 * minus0 + q2)
     b2m1 = p2 * v * v_plus_2 + q2
     root_n = np.sqrt(n_prod)
     root_a = np.hypot(np.sqrt(b2m1) * root_n, q2 + p2 * w_a0)
-    root_b = np.hypot(root_a2m1 * root_n, w_b)
+    root_b = np.hypot(np.sqrt(a2m1) * root_n, q2 + p2 * beta * family.s2)  # w_B
     entries = np.isfinite(p * entry)
     if not entries.all():
         for cell in np.flatnonzero(~entries):
@@ -418,14 +401,13 @@ class StateModel:
         """The noise-independent part of :meth:`standard_form` on an array
         of squeezing levels: the gain excess ``expm1(2r)`` per level, the
         ``(index, error)`` lists of rejected levels and of overflowing
-        prefactors, and every array that reads only the level and the
-        amplifier excess ``q = p - 1`` (a rejected level reads r = 0 and an
+        prefactors, the :class:`_Family` of the levels and the amplifier
+        excess ``q = p - 1`` (a rejected level reads r = 0 and an
         overflowing prefactor q = 0).  Each distinct level is checked and
         its prefactor evaluated once, so a batch may list a level once per
-        entry.  A root finder forms it once per batch, so that each step
-        forms only the noise-dependent rest, and the fit once per fit on
-        its distinct levels, adding its own q per point
-        (:func:`_amplifier_terms`)."""
+        entry.  A root finder forms it once per batch, and the fit once
+        per number of points on its (point, record) stack, whose q it
+        forms itself."""
         r, excess, q = np.zeros(s.shape), np.zeros(s.shape), np.zeros(s.shape)
         level_errors, gain_errors = [], []
         done: dict = {}  # level -> its r, excess, q and error
@@ -445,18 +427,17 @@ class StateModel:
                 level_errors.append((i, error))
             elif error is not None:
                 gain_errors.append((i, error))
-        beta = self.coupling_beta or 0.0
         with np.errstate(all="ignore"):
-            family = _family(r + 0.0, beta)  # -0 dB reads as r = +0
-            amplifier = _amplifier_terms(family, q, beta)
-        return _Levels(excess, level_errors, gain_errors, family, amplifier)
+            family = _family(r + 0.0, self.coupling_beta or 0.0)  # -0 dB reads as r = +0
+        return _Levels(excess, level_errors, gain_errors, family, q)
 
     def _standard_form(self, s: np.ndarray, levels: _Levels, n) -> StandardForm:
         """:meth:`standard_form` on levels ``s`` whose :meth:`_levels` are
         given: only the operations that read the noise ``n``."""
         with np.errstate(all="ignore"):
             base = self._base_family(s, levels.family, levels.level_errors, n)
-            return _amplified(base, levels.amplifier, levels.gain_errors)
+            beta = self.coupling_beta or 0.0
+            return _amplified(base, levels.family, levels.q, levels.gain_errors, beta)
 
     def _base_family(self, s: np.ndarray, family: _Family, level_errors: list, n) -> _BaseFamily:
         """The noise-dependent part of :meth:`_standard_form` that does not

@@ -211,10 +211,10 @@ def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
         # precision with their spectrum resolved better than about
         # eps * norm * sqrt(cond) (times pipeline length), so the
         # Heisenberg slack grows with the conditioning; for ordinary
-        # states the 1e-9 floor applies.
-        noise = 1000.0 * np.finfo(float).eps * eigs.max() * math.sqrt(
-            eigs.max() / eigs.min()
-        )
+        # states the 1e-9 floor applies.  In Python floats, which reach inf
+        # beyond the double range without a warning.
+        hi, lo = float(eigs.max()), float(eigs.min())
+        noise = 1000.0 * float(np.finfo(float).eps) * hi * math.sqrt(hi / lo)
         spectrum = (nus, noise, invariants)
         min_nu = float(nus.min())
         if min_nu < VACUUM_VARIANCE - max(PHYSICALITY_TOL, noise):

@@ -302,6 +302,26 @@ class TestCrossover:
         with pytest.raises(DomainError):
             crossover_point(IDEAL, 6.0, "C")
 
+    @pytest.mark.parametrize(
+        "model, s_db",
+        [(StateModel.coupler(0.9995), 5.0), (REALISTIC, 0.031)],
+        ids=["coupler", "realistic"],
+    )
+    def test_empty_bracket_fails_unsearched(self, model, s_db, monkeypatch):
+        import tmsflow.analysis
+
+        n_sd = sudden_death_point(model, s_db)
+        assert 0.0 < n_sd < 1e-3  # so the bracket [1e-3, n_sd] holds no point
+
+        def refused(sf):
+            raise AssertionError("a kernel call")
+
+        monkeypatch.setattr(tmsflow.analysis, "correlation_arrays", refused)
+        for flavor in ("A", "B", "AB"):
+            with pytest.raises(NoSignChangeError) as err:
+                crossover_point(model, s_db, flavor)
+            assert str(err.value) == f"empty bracket [0.001, n_sd] with n_sd = {n_sd:.4g}"
+
     @pytest.mark.parametrize("name", sorted(CROSSOVER_TABLE))
     def test_status_and_values_match_the_table(self, name):
         model = TABLE_MODELS[name]

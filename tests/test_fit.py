@@ -19,6 +19,7 @@ from tmsflow.fit import (
     records_to_csv,
     synthetic_records,
 )
+from tmsflow.states import StateModel
 
 CHI_TRUE = (0.05, 0.56)
 S_GRID = [3.0, 6.0, 9.0]
@@ -380,6 +381,36 @@ class TestOneKernelCallPerTrial:
         kernel_calls.clear()
         cost(clean_records, CHI_TRUE)
         assert kernel_calls == [(1, len(clean_records))]
+
+    @pytest.mark.parametrize("above_range", [False, True])
+    def test_each_point_equals_the_model_path_bit_for_bit(self, clean_records, above_range):
+        # the third point's prefactor overflows at 100 dB (excess 1e10) alone
+        records = _with_sigma(clean_records[:3], 0.1) + clean_records[3:]
+        records.insert(5, MeasurementRecord(s_db=100.0, n=0.5, d_a=0.5, d_b=0.5, e_f=0.4))
+        if above_range:
+            records.append(MeasurementRecord(s_db=4000.0, n=0.1, d_a=0.5, d_b=0.5, e_f=0.4))
+        weights, beta = (1.0, 2.0, 0.5), 0.02
+        points = [(0.05, 0.56), (0.07, 0.5), (0.05, 40.0)]
+        s, n = np.array([r.s_db for r in records]), np.array([r.n for r in records])
+        measured = np.array([(r.d_a, r.d_b, r.e_f) for r in records]).T.ravel()
+        root_w = np.sqrt(weights).repeat(len(records))
+        plain = np.tile([r.sd_a is None for r in records], 3)
+        scale = np.where(plain, root_w, 1.0)
+        sigma = np.array([[r.sd_a or 1.0, r.sd_b or 1.0, r.se_f or 1.0] for r in records]).T.ravel()
+        values = fit_module._evaluator(records, weights, beta)(points)
+        failures = 0
+        for (chi1, chi2), value in zip(points, values):
+            res = correlation_arrays(StateModel.realistic(chi1, chi2, beta).standard_form(s, n))
+            if res.errors:
+                failures += 1
+                idx = min(res.errors)
+                assert isinstance(value, ModelFailureError) and value.record_index == idx
+                assert str(value.__cause__) == str(res.errors[idx])
+                continue
+            predicted = np.concatenate((res.d_a, res.d_b, res.e_f))
+            expected = (scale * (predicted - measured)) / sigma
+            assert value.tobytes() == expected.tobytes(), (chi1, chi2)
+        assert failures == (3 if above_range else 1)
 
     def test_accepted_trial_raises_the_held_jacobian_failure(self, monkeypatch):
         records = synthetic_records(S_GRID_09, N_GRID_09)

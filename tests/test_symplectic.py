@@ -85,6 +85,14 @@ class TestValidate:
         assert verdict.ok
         assert verdict.min_symplectic_eigenvalue == 1e308
 
+    @pytest.mark.parametrize(
+        "diagonal, nu", [([0.25, 1e308], 5e153), ([0.25] * 5 + [1e308], 0.25)], ids=["1", "3"]
+    )
+    def test_eigenvalue_ratio_beyond_the_double_range(self, diagonal, nu):
+        # eigs.max() / eigs.min() = 4e308 overflows; the slack forms without a warning
+        verdict = validate(CovarianceMatrix(np.diag(diagonal)))
+        assert verdict.ok and verdict.min_symplectic_eigenvalue == nu
+
     def test_nan_raises(self):
         m = 0.25 * np.eye(4)
         m[2, 2] = np.nan
