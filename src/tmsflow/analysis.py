@@ -23,7 +23,6 @@ lower and elsewhere.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .correlations import CorrelationArrays, CorrelationReport, correlation_arrays
 from .errors import DomainError, NoSignChangeError, NumericalError, TmsflowError
-from .states import StateModel, _squeezing_factor
+from .states import StateModel
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ def _check_axis(values, name: str) -> tuple[float, ...]:
     vals = tuple(float(v) for v in values)
     if not vals:
         raise DomainError(f"{name} axis is empty")
-    if any(b <= a for a, b in zip(vals, vals[1:])):
+    if not all(b > a for a, b in zip(vals, vals[1:])):  # NaN fails too
         raise DomainError(f"{name} axis must be strictly increasing")
     return vals
 
@@ -179,22 +178,15 @@ def sudden_death_point(model: StateModel, s_db: float) -> float:
     / [2p (p delta + q)]``.  Without amplifier that is ``1 - beta`` at
     every squeezing level above 0 dB, 1 for the ideal channel, and it is
     returned as such: the quotient would round, and ``delta`` underflows
-    below about 1e-160 dB.  No state is built.  The squeezing level is
-    checked as in :meth:`StateModel.state`, with the same errors; raises
+    below about 1e-160 dB.  No state is built: r, q and the level's error
+    come from the model's level pass (:meth:`StateModel._n_sd`).  Raises
     :class:`NoSignChangeError` when the state is separable even at n = 0,
     as at 0 dB and, with amplifier noise, below about 0.03 dB.
     """
-    r = _squeezing_factor(s_db)
-    beta = model.coupling_beta or 0.0
-    q = model._amplifier_excess(math.expm1(2.0 * r))  # 1 + q rounds to 1 at weak squeezing
-    if q == 0.0 and r > 0.0:
-        return 1.0 - beta
-    p, delta = 1.0 + q, 2.0 * math.sinh(r) ** 2
-    # q * q rounds to inf where q ** 2 would raise OverflowError.
-    num = delta * p * (2.0 - beta * (1.0 + p)) - q * q
-    if not num > 0.0:
-        raise NoSignChangeError(f"not entangled at {s_db} dB even without injected noise")
-    return num / (2.0 * p * (p * delta + q))
+    n_sd = _sudden_deaths(model, [s_db])[0]["n_sd"]
+    if isinstance(n_sd, TmsflowError):
+        raise n_sd
+    return n_sd
 
 
 # Lower end of every crossover bracket.
@@ -204,13 +196,8 @@ _N_LOW = 1e-3
 def _sudden_deaths(model: StateModel, s_values) -> list[dict]:
     """A row ``{"n_sd": n_sd}`` per squeezing level, with the error that
     :func:`sudden_death_point` raises in place of ``n_sd``; no kernel call."""
-    table: list[dict] = []
-    for s_db in s_values:
-        try:
-            table.append({"n_sd": sudden_death_point(model, s_db)})
-        except TmsflowError as exc:
-            table.append({"n_sd": exc})
-    return table
+    s = np.array(s_values, dtype=float)
+    return [{"n_sd": n_sd} for n_sd in model._n_sd(s, model._levels(s))]
 
 
 def _crossovers(model: StateModel, s_values) -> list[dict]:
@@ -223,30 +210,28 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
     level's ``[1e-3, n_sd]``; a level without ``n_sd`` fails both entries
     with its error, and one whose ``n_sd`` is not above 1e-3 with
     :class:`NoSignChangeError` naming the empty bracket, unsearched.  What
-    the levels alone determine (:meth:`StateModel._levels`) is formed once
-    for the batch.  One kernel call evaluates every bracket end, and each
-    refinement step is one more on the grid of new points, about 10 to 20
-    calls in all.  AB is the mean of A and B and carries A's error first,
-    then B's.
+    the levels alone determine, ``n_sd`` too, is formed once for the batch
+    (:meth:`StateModel._levels`).  One kernel call evaluates every bracket
+    end, and each refinement step is one more on the grid of new points,
+    about 10 to 20 calls in all.  AB is the mean of A and B and carries A's
+    error first, then B's.
     """
-    s_col = np.array(s_values, dtype=float)[:, None]
-    rows = len(s_col)
-    table = _sudden_deaths(model, s_col[:, 0].tolist())
-    n_sd = [row["n_sd"] for row in table for _ in "AB"]  # by flat entry 2 * level + flavor
+    s_grid = np.repeat(np.array(s_values, dtype=float), 2).reshape(-1, 2)  # by level and flavor
+    levels = model._levels(s_grid)
+    n_sd = model._n_sd(s_grid, levels)  # by flat entry 2 * level + flavor
+    table = [{"n_sd": x} for x in n_sd[0::2]]
     failed = {j: exc for j, exc in enumerate(n_sd) if isinstance(exc, TmsflowError)}
     for j, x in enumerate(n_sd):
         if j not in failed and x <= _N_LOW:  # no point lies between the ends
             failed[j] = NoSignChangeError(f"empty bracket [{_N_LOW:g}, n_sd] with n_sd = {x:.4g}")
     hi = np.array([_N_LOW if j in failed else x for j, x in enumerate(n_sd)])  # failed: never searched
-    s_grid = np.repeat(s_col, 2, axis=1)  # by entry, so a step's arrays share one shape
-    levels = model._levels(s_grid)
 
     def delta(n: np.ndarray) -> tuple[np.ndarray, dict]:
-        grid = n.reshape(n.shape[:-1] + (rows, 2))  # the ends, or a step, by level and flavor
+        grid = n.reshape(n.shape[:-1] + s_grid.shape)  # the ends, or a step, by level and flavor
         res = correlation_arrays(model._standard_form(s_grid, levels, grid))
         return np.where([True, False], res.delta_a, res.delta_b).reshape(n.shape), res.errors
 
-    roots, errors = _refine(delta, np.full(2 * rows, _N_LOW), hi, failed)
+    roots, errors = _refine(delta, np.full(s_grid.size, _N_LOW), hi, failed)
     n_c = [errors.get(j, root) for j, root in enumerate(roots.tolist())]
     for row, n_a, n_b in zip(table, n_c[0::2], n_c[1::2]):
         n_ab = next((x for x in (n_a, n_b) if isinstance(x, TmsflowError)), None)

@@ -359,13 +359,13 @@ def _pinv_step(A: tuple, g: tuple) -> tuple[float, float]:
     """``-pinv(A) g`` with ``numpy.linalg.pinv``'s default cutoff: an
     eigenvalue at or below 1e-15 of the largest counts as zero, so A is
     inverted, or its rank-one part, or it is zero and the step is 0."""
-    (a, b, c, g0, g1), _ = _integers([*A, *g])
+    (a, b, c), _ = _integers(list(A))  # the cutoff test is homogeneous in A
     trace, det = a + c, a * c - b * b
     # lambda_min > k lambda_max, for the eigenvalues of trace and determinant
     # given and k = num / den, is det (den + num)^2 > num den trace^2.
     num, den = _PINV_CUTOFF.as_integer_ratio()
     if det * (den + num) ** 2 > num * den * trace * trace:
-        return (b * g1 - c * g0) / det, (b * g0 - a * g1) / det
+        return _damped_step(A, g, 0.0)  # lambda = 0: the same integers, so the same bits
     if trace == 0:
         return 0.0, 0.0
     # The unit eigenvector w of the largest eigenvalue lam: the step is -(w.g) w / lam.

@@ -64,7 +64,8 @@ class QkdScenario:
     The codebook variance ``sigma2 = sinh(2r)/2`` is the variance of the
     modulated quadrature of the resource state.  The cloner variance factor is
     ``W = max(1, 2n/beta)`` with ``n = 2 n_q``; the clamp at 1 keeps the
-    ancilla physical when the noise is weaker than the coupling.
+    ancilla physical when the noise is weaker than the coupling.  Reading
+    ``w`` raises :class:`~tmsflow.errors.NumericalError` where W overflows.
     """
 
     r: float
@@ -91,7 +92,18 @@ class QkdScenario:
 
     @property
     def w(self) -> float:
-        return max(1.0, 2.0 * self.n / self.beta)
+        return _cloner_w(self.n_q, self.beta)
+
+
+def _cloner_w(n_q: float, beta: float) -> float:
+    """:attr:`QkdScenario.w`, which the key reads too; raises where W overflows."""
+    w = max(1.0, 2.0 * (2.0 * n_q) / beta)
+    if math.isinf(w):
+        raise NumericalError(
+            f"cloner variance W = 4 n_q / beta overflows double precision"
+            f" at n_q = {n_q:.3g}, beta = {beta:.3g}"
+        )
+    return w
 
 
 @dataclass(frozen=True)
@@ -106,9 +118,9 @@ class KeyResult:
 def cloner_state(scenario: QkdScenario) -> CovarianceMatrix:
     """Joint 4-mode covariance (A, B, E1, E2) after the cloner coupling.
 
-    Built compositionally: the resource TMS state stacked with the
-    eavesdropper pair, then the beam splitter on (B, E1).  The result is
-    pure since the inputs are pure and the coupling is symplectic.
+    Built compositionally: the resource TMS state stacked with the eavesdropper
+    pair, then the beam splitter on (B, E1), pure since the inputs are pure and
+    the coupling symplectic.  Raises :class:`NumericalError` where W overflows.
     """
     joint = tensor(ideal_tms(scenario.r), eve_tms(scenario.w))
     return apply_symplectic(joint, beam_splitter(scenario.beta, 1, 2, 4))
@@ -132,13 +144,7 @@ def _shannon_bits(level: tuple, n_q: float, beta: float) -> float:
 
 def _holevo_bits(level: tuple, n_q: float, beta: float) -> float:
     """:func:`holevo_quantity` at the :func:`_level` terms of r."""
-    a = level[0]
-    w = max(1.0, 2.0 * (2.0 * n_q) / beta)  # QkdScenario.w
-    if math.isinf(w):
-        raise NumericalError(
-            f"cloner variance W = 4 n_q / beta overflows double precision"
-            f" at n_q = {n_q:.3g}, beta = {beta:.3g}"
-        )
+    a, w = level[0], _cloner_w(n_q, beta)
     b = (1.0 - beta) * a + beta * w
     g = (1.0 - beta) + beta * a * w
     d = abs(beta * (a - w))

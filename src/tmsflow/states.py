@@ -8,14 +8,14 @@ models, either as a covariance matrix or, broadcast over arrays of both
 parameters, as the factored standard form that the correlation kernel
 reads.  It alone checks a model's parameters (the coupling beta once, when
 the model is built) and squeezing levels, and evaluates the amplifier law
-n(G) = chi1 (G - 1)**chi2 (:func:`_amplifier_q`), also for the fit and for
+n(G) = chi1 (G - 1)**chi2 (:func:`_amplifier_q`), also for the fit and
 :func:`jpa_noise`.  The standard form has three stages: the level terms
 (:meth:`StateModel._levels`), the noise terms of the amplifier-free family
 (:meth:`StateModel._base_family`) and the scaling by the amplifier
 prefactor ``p = 1 + q`` (:func:`_amplified`).  A sweep runs each once; the
-crossover root finder varies the noise, so it forms the level terms once
-per batch; the fit varies chi, so q, and forms the first two stages once
-per number of points.
+crossover root finder varies the noise, so it forms the level terms, and
+n_sd from their r and q (:meth:`StateModel._n_sd`), once per batch; the fit
+varies chi, so q, and forms the first two stages once per number of points.
 
 Squeezing conventions: the TMS state is the 50:50 superposition of a
 q-squeezed mode A and a p-squeezed mode B with equal squeezing factor r,
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadCouplingError, DomainError, NonFiniteError, NumericalError
+from .errors import BadCouplingError, DomainError, NoSignChangeError, NonFiniteError, NumericalError
 from .symplectic import CovarianceMatrix, StandardForm, TwoModeCovariance, VACUUM_VARIANCE
 
 _DB_PER_UNIT_R = 20.0 * math.log10(math.e)
@@ -244,6 +244,7 @@ class _Levels(NamedTuple):
     """:meth:`StateModel._levels`: the noise-independent part of
     :meth:`StateModel.standard_form` on an array of squeezing levels."""
 
+    r: np.ndarray  # the squeezing factor; 0 at a rejected level
     excess: np.ndarray  # the gain excess expm1(2r); 0 at a rejected level
     level_errors: list  # (index, error) of each rejected level
     gain_errors: list  # (index, error) of each level whose prefactor overflows
@@ -398,23 +399,21 @@ class StateModel:
         return self._standard_form(s, self._levels(s), n)
 
     def _levels(self, s: np.ndarray) -> _Levels:
-        """The noise-independent part of :meth:`standard_form` on an array
-        of squeezing levels: the gain excess ``expm1(2r)`` per level, the
-        ``(index, error)`` lists of rejected levels and of overflowing
-        prefactors, the :class:`_Family` of the levels and the amplifier
-        excess ``q = p - 1`` (a rejected level reads r = 0 and an
-        overflowing prefactor q = 0).  Each distinct level is checked and
-        its prefactor evaluated once, so a batch may list a level once per
-        entry.  A root finder forms it once per batch, and the fit once
-        per number of points on its (point, record) stack, whose q it
-        forms itself."""
+        """The noise-independent part of :meth:`standard_form` on an array of
+        squeezing levels: the factor r, the gain excess ``expm1(2r)`` and the
+        amplifier excess ``q = p - 1`` per level (a rejected level reads r = 0
+        and an overflowing prefactor q = 0), the ``(index, error)`` lists of
+        both and the :class:`_Family` of the levels.  Each distinct level is
+        checked and its prefactor evaluated once, so a batch may list a level
+        once per entry.  A root finder forms it, and n_sd from it
+        (:meth:`_n_sd`), once per batch, and the fit once per number of
+        points on its (point, record) stack, whose q it forms itself."""
         r, excess, q = np.zeros(s.shape), np.zeros(s.shape), np.zeros(s.shape)
         level_errors, gain_errors = [], []
         done: dict = {}  # level -> its r, excess, q and error
         for i, level in enumerate(s.ravel().tolist()):
             if level not in done:
-                r_i = e_i = q_i = 0.0
-                error = None
+                r_i, e_i, q_i, error = 0.0, 0.0, 0.0, None
                 try:
                     r_i = _squeezing_factor(level)
                     e_i = math.expm1(2.0 * r_i)
@@ -429,7 +428,22 @@ class StateModel:
                 gain_errors.append((i, error))
         with np.errstate(all="ignore"):
             family = _family(r + 0.0, self.coupling_beta or 0.0)  # -0 dB reads as r = +0
-        return _Levels(excess, level_errors, gain_errors, family, q)
+        return _Levels(r, excess, level_errors, gain_errors, family, q)
+
+    def _n_sd(self, s: np.ndarray, levels: _Levels) -> list:
+        """:func:`~tmsflow.analysis.sudden_death_point`, or its error, per flat index of ``s``."""
+        beta, errors, n_sd = self.coupling_beta or 0.0, dict(levels.level_errors + levels.gain_errors), []
+        for i, (s_db, r, q) in enumerate(zip(*(x.ravel().tolist() for x in (s, levels.r, levels.q)))):
+            if i in errors or (q == 0.0 and r > 0.0):  # without amplifier 1 - beta, which would round
+                n_sd.append(errors.get(i, 1.0 - beta))
+                continue
+            p, delta = 1.0 + q, 2.0 * math.sinh(r) ** 2
+            num = delta * p * (2.0 - beta * (1.0 + p)) - q * q  # q * q is inf where q ** 2 would raise
+            if num > 0.0:
+                n_sd.append(num / (2.0 * p * (p * delta + q)))
+            else:
+                n_sd.append(NoSignChangeError(f"not entangled at {s_db} dB even without injected noise"))
+        return n_sd
 
     def _standard_form(self, s: np.ndarray, levels: _Levels, n) -> StandardForm:
         """:meth:`standard_form` on levels ``s`` whose :meth:`_levels` are

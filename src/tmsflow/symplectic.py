@@ -191,8 +191,7 @@ def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
     if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
         violations.append("asymmetric beyond 1e-12 relative tolerance")
 
-    half = 0.5 * m  # halved first: m + m.T overflows beyond 9e307
-    sym = half + half.T
+    sym = _symmetrised(m)
     eigs = np.linalg.eigvalsh(sym)
     invariants = _exact_invariants(sym) if V.n_modes == 2 else None
     min_nu: float | None = None
@@ -238,6 +237,11 @@ def require_valid(V: CovarianceMatrix) -> tuple:
             violations=verdict.violations,
         )
     return spectrum
+
+
+def _symmetrised(m: np.ndarray) -> np.ndarray:
+    """``(m + m.T) / 2``, halved first: ``m + m.T`` overflows beyond 9e307."""
+    return 0.5 * m + 0.5 * m.T
 
 
 def _williamson(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,7 @@ import numpy as np
 
 from ._defaults import DEFAULT_THRESHOLD
 from .errors import DomainError, NonFiniteError, NumericalError, TooFewSamplesError
-from .symplectic import VACUUM_VARIANCE, CovarianceMatrix, TwoModeCovariance, _williamson
+from .symplectic import VACUUM_VARIANCE, CovarianceMatrix, TwoModeCovariance, _symmetrised, _williamson
 
 COLUMN_NAMES = ("I1", "Q1", "I2", "Q2")
 
@@ -147,24 +147,23 @@ def covariance_from_samples(samples: QuadratureSamples) -> TwoModeCovariance:
 def project_to_physical(V: CovarianceMatrix) -> CovarianceMatrix:
     """Clamp the symplectic spectrum up to the Heisenberg bound.
 
-    Finite-sample covariance estimates of nearly pure states routinely dip
-    a few standard errors below nu = 1/4, which blocks the correlation
-    formulas.  This projects onto the physical set by raising every
-    symplectic eigenvalue to at least 1/4 in the Williamson basis of the
-    symmetrised estimate (:func:`~tmsflow.symplectic._williamson`, the
-    routine that validates states of three or more modes), the usual
-    post-processing step between reconstruction and analysis; the
+    Finite-sample covariance estimates of nearly pure states routinely dip a
+    few standard errors below nu = 1/4, which blocks the correlation formulas.
+    This projects onto the physical set by raising every symplectic eigenvalue
+    to at least 1/4 in the Williamson basis (:func:`_williamson`, the routine
+    that validates states of three or more modes) of the estimate, symmetrised
+    as in validation (:func:`_symmetrised`, finite up to the double range),
+    the usual post-processing step between reconstruction and analysis; the
     perturbation is of the order of the statistical noise itself.  A
-    symmetrised estimate whose Cholesky factorisation fails (one that is
-    not positive definite) raises :class:`~tmsflow.errors.NumericalError`.
+    symmetrised estimate whose Cholesky factorisation fails (one that is not
+    positive definite) raises :class:`NumericalError`.
     """
-    sym = 0.5 * (V.entries + V.entries.T)
+    sym = _symmetrised(V.entries)
     nus, s_mat = _williamson(sym)
     if nus.min() >= VACUUM_VARIANCE:
         return CovarianceMatrix(sym)
     clamped = np.repeat(np.maximum(nus, VACUUM_VARIANCE), 2)
-    out = (s_mat * clamped) @ s_mat.T
-    return CovarianceMatrix(0.5 * (out + out.T))
+    return CovarianceMatrix(_symmetrised((s_mat * clamped) @ s_mat.T))
 
 
 def _moments(block: np.ndarray, e: np.ndarray, top: int):

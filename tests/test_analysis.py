@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,14 @@ class TestSweep:
             sweep(IDEAL, [], [0.0])
         with pytest.raises(DomainError):
             sweep(IDEAL, [2.0, 1.0], [0.0])
+
+    @pytest.mark.parametrize(
+        "s_axis, n_axis",
+        [([1.0, math.nan, 0.5], [0.1, math.nan]), ([math.nan, 1.0], [0.1]), ([1.0], [0.1, math.nan])],
+    )
+    def test_axis_with_nan_is_not_increasing(self, s_axis, n_axis):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            sweep(IDEAL, s_axis, n_axis)
 
 
 class TestSuddenDeath:

@@ -201,8 +201,8 @@ class TestFeaturesCommand:
         rows = len(parse_grid(s_spec))
         assert 2 < len(calls) <= 24
         assert calls[0] == (2, rows, 2) and set(calls[1:]) == {(rows, 2)}
-        # the n_sd of each level and the batch's levels: not once per step
-        assert len(prefactors) == 2 * rows
+        # one level pass for the batch, n_sd included: not once per step
+        assert len(prefactors) == rows
 
     @pytest.mark.parametrize("model", [["--model", "ideal"], ["--model", "realistic"]])
     def test_sudden_death_alone_makes_no_kernel_call(self, model, tmp_path, monkeypatch):

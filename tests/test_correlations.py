@@ -488,6 +488,22 @@ class TestCorrelationReport:
         assert abs(rep.delta_b) < 1e-8
         assert abs(rep.delta_ab) < 1e-8
 
+    def test_delta_a_is_conserved_by_the_pure_coupler(self):
+        """At n = 0 the coupler's A, B and its other output port E form a
+        pure state whose A:E state is the coupler at 1 - beta, so delta_A
+        flows from one side to the other: delta_A(A:B) + delta_A(A:E) = 0
+        (Koashi & Winter, PRA 69, 022309 (2004); Fanchini et al., PRA 84,
+        012313 (2011))."""
+        s_axis = 0.5 * np.arange(1, 61)  # 0.5 to 30 dB
+        worst = largest = 0.0
+        for beta in (0.01, 0.1, 0.3, 0.45, 0.5):
+            grids = [sweep(StateModel.coupler(b), s_axis, [0.0]) for b in (beta, 1.0 - beta)]
+            assert not any(grid.arrays.errors for grid in grids)
+            ab, ae = (grid.arrays.delta_a[:, 0] for grid in grids)
+            worst, largest = max(worst, np.abs(ab + ae).max()), max(largest, np.abs(ab).max())
+        assert worst <= 1e-13
+        assert largest > 0.5  # the identity is not met by delta_A = 0 alone
+
     def test_at_sudden_death_delta_b_equals_discord(self):
         rep = correlation_report(noisy_tms(0.75, 1.0))
         assert rep.delta_b == pytest.approx(rep.d_b, abs=1e-7)

@@ -308,6 +308,16 @@ class TestSecretKey:
             " at n_q = 1e+305, beta = 0.0001"
         )
 
+    @pytest.mark.parametrize("evaluate", [lambda s: s.w, cloner_state], ids=["w", "cloner_state"])
+    def test_overflowing_cloner_variance_is_named_by_the_scenario(self, evaluate):
+        # the one W routine of the key: no matrix of NaN entries
+        with pytest.raises(NumericalError) as exc:
+            evaluate(QkdScenario(r=1.0, n_q=1e305, beta=1e-4))
+        assert str(exc.value) == (
+            "cloner variance W = 4 n_q / beta overflows double precision"
+            " at n_q = 1e+305, beta = 0.0001"
+        )
+
 
 class TestTwoModeKeyPath:
     def test_no_four_mode_state_is_built(self, monkeypatch):

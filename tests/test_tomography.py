@@ -128,6 +128,17 @@ class TestProjection:
         out = project_to_physical(V)
         assert np.abs(out.entries - V.entries).max() < 1e-14
 
+    @pytest.mark.parametrize("nu_b", [0.25, 0.2])
+    def test_projects_entries_near_the_double_range(self, nu_b):
+        # V + V.T overflows; the halves do not, so this is no error and no warning
+        V = CovarianceMatrix(np.diag([1.2e308, 1.2e308, nu_b, nu_b]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project_to_physical(V).entries
+        # mode B is physical, or lifted to 1/4, to within 2 ulp of the Williamson pass
+        expected = np.diag([1.2e308, 1.2e308, 0.25, 0.25])
+        np.testing.assert_allclose(out, expected, rtol=2 * np.finfo(float).eps, atol=0.0)
+
     def test_indefinite_estimate_is_refused(self):
         with pytest.raises(NumericalError):
             project_to_physical(CovarianceMatrix(np.diag([0.3, 0.3, 0.3, -0.01])))
