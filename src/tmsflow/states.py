@@ -181,9 +181,9 @@ def jpa_noise(G: float, jpa: JpaNoiseModel) -> float:
 def _amplifier_q(excess: float, chi1: float, chi2: float) -> float:
     """``q = 2 n_jpa`` from the gain excess ``excess = G - 1``, given as
     ``expm1(2r)`` at squeezing factor r so that it stays where ``1 + q``
-    rounds to 1.  The one evaluation of the power law: raises
-    :class:`NumericalError` where q is not a finite double."""
-    if excess == 0.0:
+    rounds to 1.  The one evaluation of the power law, 0 where chi1 is:
+    raises :class:`NumericalError` where q is not a finite double."""
+    if excess == 0.0 or chi1 == 0.0:
         return 0.0
     try:
         q = 2.0 * (chi1 * excess**chi2)

@@ -34,7 +34,7 @@ from .errors import (
 
 VACUUM_VARIANCE = 0.25
 
-# Absolute slack on the Heisenberg bound nu >= 1/4 accepted by validate().
+# Least slack on the Heisenberg bound nu >= 1/4 in validate() (see _spectrum).
 PHYSICALITY_TOL = 1e-9
 
 # Relative tolerance for the symmetry check.
@@ -166,20 +166,19 @@ def validate(V: CovarianceMatrix) -> ValidationVerdict:
 
     Reported violations: asymmetry beyond tolerance, failure of positive
     definiteness, and symplectic eigenvalues below the Heisenberg bound
-    1/4 (within ``PHYSICALITY_TOL``).  Raises :class:`NonFiniteError` if
-    any entry is NaN or infinite, and :class:`NumericalError` where, from
-    three modes on, the Cholesky factorisation of the Williamson form fails
-    on a matrix whose ``eigvalsh`` spectrum is positive.
+    1/4 beyond the noise band of :func:`_spectrum` (at least
+    ``PHYSICALITY_TOL``), which decides one and two modes on exact integers.
+    Raises :class:`NonFiniteError` if any entry is NaN or infinite, and
+    :class:`NumericalError` where, from three modes on, the Cholesky
+    factorisation of the Williamson form fails on a matrix whose
+    ``eigvalsh`` spectrum is positive.
     """
     return _validate(V)[0]
 
 
 def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
-    """:func:`validate` plus the only spectral pass, ``(nus, noise,
-    invariants)`` of the symmetrised matrix (None unless positive definite):
-    symplectic eigenvalues, their noise band and, for two modes, the exact
-    integer invariants of :func:`_exact_invariants`, which also decide
-    positive definiteness exactly."""
+    """:func:`validate` plus its only spectral pass, :func:`_spectrum` of
+    the symmetrised matrix."""
     m = V.entries
     if not np.all(np.isfinite(m)):
         raise NonFiniteError("covariance matrix has NaN or infinite entries")
@@ -191,35 +190,12 @@ def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
     if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
         violations.append("asymmetric beyond 1e-12 relative tolerance")
 
-    sym = _symmetrised(m)
-    eigs = np.linalg.eigvalsh(sym)
-    invariants = _exact_invariants(sym) if V.n_modes == 2 else None
-    min_nu: float | None = None
-    spectrum = None
-    if eigs.min() <= 0.0 or (V.n_modes == 2 and invariants is None):
+    spectrum = _spectrum(_symmetrised(m))
+    min_nu = None if spectrum is None else float(spectrum[0].min())
+    if spectrum is None:
         violations.append("not positive definite")
-    else:
-        if V.n_modes == 1:
-            (a, b, d), q = _integers([sym[0, 0], sym[0, 1], sym[1, 1]])
-            nus = np.array([_sqrt_ratio(max(a * d - b * b, 0), q * q)])
-        elif V.n_modes == 2:
-            nus = np.array(_two_mode_nu(invariants))
-        else:
-            nus = _williamson(sym)[0]
-        # Strongly squeezed states cannot even be assembled in double
-        # precision with their spectrum resolved better than about
-        # eps * norm * sqrt(cond) (times pipeline length), so the
-        # Heisenberg slack grows with the conditioning; for ordinary
-        # states the 1e-9 floor applies.  In Python floats, which reach inf
-        # beyond the double range without a warning.
-        hi, lo = float(eigs.max()), float(eigs.min())
-        noise = 1000.0 * float(np.finfo(float).eps) * hi * math.sqrt(hi / lo)
-        spectrum = (nus, noise, invariants)
-        min_nu = float(nus.min())
-        if min_nu < VACUUM_VARIANCE - max(PHYSICALITY_TOL, noise):
-            violations.append(
-                f"symplectic eigenvalue {min_nu:.6g} below the Heisenberg bound 1/4"
-            )
+    elif min_nu < VACUUM_VARIANCE - max(PHYSICALITY_TOL, spectrum[1]):
+        violations.append(f"symplectic eigenvalue {min_nu:.6g} below the Heisenberg bound 1/4")
     return ValidationVerdict(
         ok=not violations,
         violations=tuple(violations),
@@ -227,9 +203,43 @@ def _validate(V: CovarianceMatrix) -> tuple[ValidationVerdict, tuple | None]:
     ), spectrum
 
 
+# Error of each entry, in eps of itself, that the one- and two-mode noise band
+# allows; 1, 8 and 64 give the same verdicts on model and random states.
+_ENTRY_ULPS = 8
+
+
+def _spectrum(sym: np.ndarray) -> tuple | None:
+    """Symplectic eigenvalues, their noise band and, for two modes, the exact
+    invariants; None unless ``sym`` is positive definite.  One and two modes
+    run no LAPACK: exact integers decide (Sylvester) and give nu, and the band
+    is nu times ``_ENTRY_ULPS eps sum |V_ij C_ij| / det`` (cofactors C), the
+    first-order change of det as each entry moves by that much of itself.
+    From three modes on, ``eigvalsh`` and :func:`_williamson`, with the band
+    ``1000 eps norm sqrt(cond)`` in Python floats (inf beyond the double range)."""
+    eps = math.ulp(1.0)
+    if len(sym) > 4:
+        eigs = np.linalg.eigvalsh(sym)
+        hi, lo = float(eigs.max()), float(eigs.min())
+        if lo <= 0.0:
+            return None
+        return _williamson(sym)[0], 1000.0 * eps * hi * math.sqrt(hi / lo), None
+    if len(sym) == 2:
+        (a, b, d), q = _integers([sym[0, 0], sym[0, 1], sym[1, 1]])
+        det, spread, invariants = a * d - b * b, 2 * abs(a * d) + 2 * b * b, None
+        if a <= 0 or det <= 0:
+            return None
+        nus = [_sqrt_ratio(det, q * q)]
+    else:
+        invariants = _exact_invariants(sym)
+        if invariants is None:
+            return None
+        det, spread, nus = invariants[3], invariants.spread, _two_mode_nu(invariants)
+    return np.array(nus), min(nus) * _ENTRY_ULPS * eps * _ratio(spread, det), invariants
+
+
 def require_valid(V: CovarianceMatrix) -> tuple:
     """Raise :class:`UnphysicalStateError` unless ``V`` validates; return
-    the spectral pass ``(nus, noise, invariants)`` of :func:`_validate`."""
+    the spectral pass ``(nus, noise, invariants)`` (:func:`_spectrum`)."""
     verdict, spectrum = _validate(V)
     if not verdict.ok:
         raise UnphysicalStateError(
@@ -240,8 +250,9 @@ def require_valid(V: CovarianceMatrix) -> tuple:
 
 
 def _symmetrised(m: np.ndarray) -> np.ndarray:
-    """``(m + m.T) / 2``, halved first: ``m + m.T`` overflows beyond 9e307."""
-    return 0.5 * m + 0.5 * m.T
+    """``(m + m.T) / 2``, a symmetric ``m`` bit for bit; halved first beyond 2**1022."""
+    half = np.where(np.maximum(np.abs(m), np.abs(m.T)) < 2.0**1022, 1.0, 0.5)
+    return (half * m + half * m.T) * (0.5 / half)
 
 
 def _williamson(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +294,11 @@ def _integers(values: list) -> tuple[list[int], int]:
     return [num * (scale // den) for num, den in ratios], scale
 
 
-def _exact_invariants(sym: np.ndarray) -> tuple | None:
+class _Invariants(tuple):
+    """``(i1, i2, i3, i4, e)`` with ``spread``, ``sum |V_ij C_ij|`` in the units of ``i4``."""
+
+
+def _exact_invariants(sym: np.ndarray) -> _Invariants | None:
     """Exact invariants ``(i1, i2, i3, i4, e)`` of a symmetric 4x4 matrix.
 
     Integer determinants of the A, B and cross blocks and of the whole
@@ -308,9 +323,19 @@ def _exact_invariants(sym: np.ndarray) -> tuple | None:
     b13 = a12 * a33 - a23 * a13
     b23 = a22 * a33 - a23 * a23
     det = t01 * b23 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + t23 * t23
-    if a00 <= 0 or t01 <= 0 or a02 * t12 - a12 * t02 + a22 * t01 <= 0 or det <= 0:
+    c33 = a02 * t12 - a12 * t02 + a22 * t01
+    if a00 <= 0 or t01 <= 0 or c33 <= 0 or det <= 0:
         return None
-    return t01, b23, t23, det, scale.bit_length() - 1
+    invariants = _Invariants((t01, b23, t23, det, scale.bit_length() - 1))
+    # The upper triangle's cofactors up to sign, each off-diagonal pair twice.
+    invariants.spread = sum(abs(v * c) for v, c in zip(
+        (a00, a11, a22, a33, 2 * a01, 2 * a02, 2 * a03, 2 * a12, 2 * a13, 2 * a23), (
+            a11 * b23 - a12 * b13 + a13 * b12, a00 * b23 - a02 * b03 + a03 * b02,
+            a33 * t01 - a13 * t03 + a03 * t13, c33, a01 * b23 - a12 * b03 + a13 * b02,
+            a01 * b13 - a11 * b03 + a13 * t23, a01 * b12 - a11 * b02 + a12 * t23,
+            a00 * b13 - a01 * b03 + a03 * t23, a00 * b12 - a01 * b02 + a02 * t23,
+            a23 * t01 - a13 * t02 + a03 * t12)))
+    return invariants
 
 
 def _ratio(num: int, den: int) -> float:

@@ -45,7 +45,8 @@ import numpy as np
 
 from ._defaults import DEFAULT_THRESHOLD
 from .errors import DomainError, NonFiniteError, NumericalError, TooFewSamplesError
-from .symplectic import VACUUM_VARIANCE, CovarianceMatrix, TwoModeCovariance, _symmetrised, _williamson
+from .symplectic import VACUUM_VARIANCE, CovarianceMatrix, TwoModeCovariance
+from .symplectic import _symmetrised, _validate, _williamson
 
 COLUMN_NAMES = ("I1", "Q1", "I2", "Q2")
 
@@ -149,19 +150,19 @@ def project_to_physical(V: CovarianceMatrix) -> CovarianceMatrix:
 
     Finite-sample covariance estimates of nearly pure states routinely dip a
     few standard errors below nu = 1/4, which blocks the correlation formulas.
-    This projects onto the physical set by raising every symplectic eigenvalue
-    to at least 1/4 in the Williamson basis (:func:`_williamson`, the routine
-    that validates states of three or more modes) of the estimate, symmetrised
-    as in validation (:func:`_symmetrised`, finite up to the double range),
-    the usual post-processing step between reconstruction and analysis; the
+    Where validation's spectral pass finds nu >= 1/4 throughout, this returns
+    the estimate symmetrised as there (:func:`_symmetrised`, finite up to the
+    double range); otherwise it raises every symplectic eigenvalue to at
+    least 1/4 in the Williamson basis (:func:`_williamson`), the usual
+    post-processing step between reconstruction and analysis; the
     perturbation is of the order of the statistical noise itself.  A
     symmetrised estimate whose Cholesky factorisation fails (one that is not
     positive definite) raises :class:`NumericalError`.
     """
-    sym = _symmetrised(V.entries)
-    nus, s_mat = _williamson(sym)
-    if nus.min() >= VACUUM_VARIANCE:
+    sym, spectrum = _symmetrised(V.entries), _validate(V)[1]
+    if spectrum is not None and (spectrum[0] >= VACUUM_VARIANCE).all():
         return CovarianceMatrix(sym)
+    nus, s_mat = _williamson(sym)
     clamped = np.repeat(np.maximum(nus, VACUUM_VARIANCE), 2)
     return CovarianceMatrix(_symmetrised((s_mat * clamped) @ s_mat.T))
 

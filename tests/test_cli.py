@@ -637,6 +637,17 @@ class TestScalarInputs:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 2 and all("exact invariant beyond the double range" in r for r in rows)
 
+    def test_amplifier_without_noise_matches_the_coupler(self, tmp_path):
+        # chi1 = 0: no amplifier noise at any gain, though 9**400 overflows
+        rows = {}
+        for model in ("realistic", "coupler"):
+            out = tmp_path / f"{model}.csv"
+            argv = ["sweep", "--model", model, "--chi1", "0", "--chi2", "400", "--beta", "0.01"]
+            assert main(argv + ["--s", "6,10", "--n", "0.1", "--out", str(out)]) == 0
+            rows[model] = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert rows["realistic"] == rows["coupler"]
+        assert all(r.endswith(",ok") for r in rows["realistic"][1:])
+
     @pytest.mark.parametrize(
         "argv, code", [(["sweep", "--n", "0.1"], 3), (["features"], 3), (["qkd", "--nq", "0.1"], 2)]
     )

@@ -14,7 +14,7 @@ from tmsflow.correlations import (
     gamma_ideal,
 )
 from tmsflow.analysis import sweep, sweep_blocks_to_csv
-from tmsflow.errors import DimensionMismatchError, DomainError, NumericalError
+from tmsflow.errors import DimensionMismatchError, DomainError, NumericalError, UnphysicalStateError
 from tmsflow.qkd import QkdScenario, secret_key
 from tmsflow.states import (
     StateModel,
@@ -587,13 +587,18 @@ class TestGuards:
             correlation_report(CovarianceMatrix(1e77 * np.eye(4)))
 
     def test_a_state_the_kernel_fails_raises(self):
-        """Validation accepts this state inside its eigvalsh noise band
-        (nu- = 0.082, below 1/4); the kernel's gamma is NaN there, and the
-        report raises the cell's error rather than return NaN fields."""
+        """A state below the Heisenberg bound (nu- = 0.082) is refused before
+        the kernel.  One that validates inside its noise band, strongly
+        squeezed (nu- = 0.10 at 139 dB), fails in the kernel, and the report
+        raises the cell's error rather than return NaN fields."""
         a, b, c1, c2 = 1.5e9, 2.0, 54700.0, -33000.0
         V = CovarianceMatrix([[a, 0, c1, 0], [0, a, 0, c2], [c1, 0, b, 0], [0, c2, 0, b]])
-        assert validate(V).ok and validate(V).min_symplectic_eigenvalue < 0.1
-        with pytest.raises(NumericalError):
+        assert not validate(V).ok and validate(V).min_symplectic_eigenvalue < 0.1
+        with pytest.raises(UnphysicalStateError):
+            correlation_report(V)
+        V = StateModel.coupler(0.01).state(139.0, 0.0)
+        assert validate(V).ok
+        with pytest.raises(NumericalError, match="exact invariant beyond the double range"):
             correlation_report(V)
 
     def test_discord_below_the_clamp_window_fails_its_cell(self):

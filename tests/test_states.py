@@ -167,6 +167,10 @@ class TestJpaNoise:
         assert str(err.value) == str(prefactor.value)
         assert str(err.value) == "amplifier noise at gain 1e+300 overflows double precision"
 
+    def test_zero_chi1_is_noiseless_at_any_gain(self):
+        assert jpa_noise(10.0, JpaNoiseModel(0.0, 400.0)) == 0.0
+        assert StateModel.realistic(0.0, 400.0, 0.01).amplifier_prefactor(100.0) == 1.0
+
     def test_below_unit_gain_rejected(self):
         with pytest.raises(DomainError):
             jpa_noise(0.99, JpaNoiseModel(0.05, 0.56))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,113 @@ class TestValidate:
             assert abs(nu - exact) <= math.ulp(exact), m
 
 
+def _exactly_positive_definite(m) -> bool:
+    """Sylvester's criterion on the stored entries, in exact fractions."""
+    from fractions import Fraction
+
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        return sum(
+            (-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+            for j in range(len(rows))
+        )
+
+    rows = [[Fraction(float(x)) for x in row] for row in m]
+    return all(det([r[:k] for r in rows[:k]]) > 0 for k in range(1, len(rows) + 1))
+
+
+class TestExactVerdicts:
+    """One and two modes are decided on the exact integer entries alone."""
+
+    @pytest.mark.parametrize(
+        "entries, nu",
+        [
+            ([[1.5e9, 0, 54700, 0], [0, 1.5e9, 0, -33000], [54700, 0, 2, 0], [0, -33000, 0, 2]],
+             0.0819647892539613),
+            (np.diag([0.1, 0.1, 0.25, 1e20]), 0.1),
+            (np.diag([1.2e308, 1.2e308, 0.2, 0.2]), 0.2),
+            (np.diag([1e-320, 1e-320, 1.0, 1.0]), 1e-320),
+        ],
+        ids=["nu-0.082", "product-1e20", "double-range", "subnormal"],
+    )
+    def test_violations_of_ill_conditioned_states_are_named(self, entries, nu):
+        verdict = validate(CovarianceMatrix(entries))
+        assert verdict.min_symplectic_eigenvalue == pytest.approx(nu, rel=1e-14)
+        assert verdict.violations == (
+            f"symplectic eigenvalue {verdict.min_symplectic_eigenvalue:.6g} below the Heisenberg bound 1/4",
+        )
+
+    def test_one_mode_with_a_negative_exact_determinant(self):
+        # a squeezed vacuum at 84.6 dB rotated in floats: eigvalsh finds it
+        # positive definite, but a d - b^2 of the stored entries is negative
+        m = [[6296719.8634337075, -20355583.515931465], [-20355583.515931465, 65804067.7147274]]
+        assert not _exactly_positive_definite(m)
+        verdict = validate(CovarianceMatrix(m))
+        assert verdict.violations == ("not positive definite",)
+        assert verdict.min_symplectic_eigenvalue is None
+
+    def test_three_modes_are_decided_by_eigvalsh(self):
+        verdict = validate(CovarianceMatrix(np.diag([0.25] * 5 + [-1.0])))
+        assert verdict.violations == ("not positive definite",)
+
+    def test_strongly_squeezed_model_state_validates(self):
+        verdict = validate(StateModel.ideal().state(131.0, 0.001))
+        assert verdict.ok
+        assert verdict.min_symplectic_eigenvalue == pytest.approx(27719.8, rel=1e-5)
+
+    def test_odd_subnormal_entry_survives_symmetrising(self):
+        # halving 5e-324 before adding would make it 0, and the matrix singular
+        verdict = validate(CovarianceMatrix(np.diag([5e-324, 1e308, 1.0, 1.0])))
+        assert verdict.min_symplectic_eigenvalue == pytest.approx(2.2227587494850775e-08, rel=1e-14)
+        assert len(verdict.violations) == 1 and "Heisenberg" in verdict.violations[0]
+
+    def test_symmetrising_keeps_a_symmetric_matrix_and_the_double_range(self):
+        m = np.diag([0.5, 0.5, 0.5, 0.5])
+        m[0, 2] = m[2, 0] = 1.5e-323
+        assert symplectic._symmetrised(m).tobytes() == m.tobytes()
+        m = np.diag([1.7e308, 1.7e308, 1.0, 1.0])
+        m[0, 1], m[1, 0] = 1.6e308, 1.4e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sym = symplectic._symmetrised(m)
+        assert sym[0, 1] == sym[1, 0] == 1.5e308 and sym[0, 0] == 1.7e308
+
+    def test_float_built_states(self, rng):
+        """No state built in floats fails on the Heisenberg bound, each
+        rejection is a stored matrix that is exactly not positive definite,
+        and every model state up to 80 dB validates."""
+        models = [
+            StateModel.ideal(), StateModel.coupler(0.01), StateModel.coupler(0.3),
+            StateModel.realistic(0.05, 0.56, 0.01),
+        ]
+        states = [
+            (s_db, model.state(s_db, n))
+            for model in models for s_db in np.arange(0.0, 300.1, 2.5) for n in (0.0, 1e-3, 1.0)
+        ]
+        def rotated_squeezer(mode):  # up to 4 nepers, 34.7 dB
+            theta, rot = rng.uniform(0.0, np.pi), np.eye(4)
+            c, s = np.cos(theta), np.sin(theta)
+            rot[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = [[c, -s], [s, c]]
+            return rot @ single_mode_squeezer(rng.uniform(0.0, 4.0), mode, 2).matrix
+
+        for k in range(300):  # S D S^T, pure and mixed: four squeezers and a beam splitter
+            nus = 0.25 * (1.0 + (rng.exponential(1.0, 2) if k % 2 else np.zeros(2)))
+            m = np.diag(np.repeat(nus, 2))
+            splitter = beam_splitter(rng.uniform(0.0, 1.0), 0, 1, 2).matrix
+            ops = [rotated_squeezer(0), rotated_squeezer(1), splitter]
+            for op in ops + [rotated_squeezer(0), rotated_squeezer(1)]:
+                m = op @ m @ op.T
+            states.append((None, CovarianceMatrix(0.5 * (m + m.T))))
+        for s_db, V in states:
+            verdict = validate(V)
+            assert not any("Heisenberg" in v for v in verdict.violations), s_db
+            if not verdict.ok:
+                assert verdict.violations == ("not positive definite",), s_db
+                assert not _exactly_positive_definite(V.entries), s_db
+                assert s_db is not None and s_db > 80.0
+
+
 class TestSymplecticSummary:
     def test_vacuum(self):
         s = symplectic_summary(vacuum(2))
@@ -180,10 +288,10 @@ class TestSymplecticSummary:
         monkeypatch.setattr(symplectic, "_exact_invariants", counting_exact)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         V = inject_noise_ideal(ideal_tms(1.0), 0.3)
-        for f in (symplectic_summary, require_valid, von_neumann_entropy):
+        for f in (symplectic_summary, validate, require_valid, von_neumann_entropy):
             calls.clear()
             f(V)
-            assert (calls.count("exact"), calls.count("eigvalsh")) == (1, 1), f.__name__
+            assert (calls.count("exact"), calls.count("eigvalsh")) == (1, 0), f.__name__
 
     def test_exact_invariants_of_a_dyadic_matrix(self):
         # entries with different power-of-two denominators; integer answers

@@ -139,6 +139,13 @@ class TestProjection:
         expected = np.diag([1.2e308, 1.2e308, 0.25, 0.25])
         np.testing.assert_allclose(out, expected, rtol=2 * np.finfo(float).eps, atol=0.0)
 
+    def test_physical_input_is_returned_bit_for_bit(self):
+        # validation's exact pass finds every nu >= 1/4: nothing is clamped or rounded
+        corner = 0.25 * np.eye(4)
+        corner[0, 3] = corner[3, 0] = 1.5e-323  # an odd subnormal, kept whole
+        for m in (np.diag([1.2e308, 1.2e308, 0.25, 0.25]), corner, np.zeros((0, 0))):
+            assert project_to_physical(CovarianceMatrix(m)).entries.tobytes() == m.tobytes()
+
     def test_indefinite_estimate_is_refused(self):
         with pytest.raises(NumericalError):
             project_to_physical(CovarianceMatrix(np.diag([0.3, 0.3, 0.3, -0.01])))
