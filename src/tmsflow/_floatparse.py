@@ -8,11 +8,11 @@ plain form or holds a value that is not finite.
 
 **Plain form.** Every byte is one of ``0-9 + - . e E , \\n``, a space or
 a tab, every line holds exactly three commas and ends with a newline (or
-``\\r\\n``), and every token is a Python float literal over that
-alphabet, ``[+-]? (d+ [. d*] | . d+) ([eE] [+-]? d+)?``, with spaces and
-tabs before or after it.  Other whitespace, comments, headers, digit
-underscores, other line boundaries and non-ASCII text are the caller's to
-remove or refuse.
+``\\r\\n`` or a lone ``\\r``), and every token is a Python float literal
+over that alphabet, ``[+-]? (d+ [. d*] | . d+) ([eE] [+-]? d+)?``, with
+spaces and tabs before or after it.  Other whitespace, comments,
+headers, digit underscores, other line boundaries and non-ASCII text are
+the caller's to remove or refuse.
 
 **Grammar.** The non-digit bytes (events) are found once, a run of spaces
 and tabs counting as one.  Each event is checked against the two events
@@ -184,22 +184,24 @@ def _scaled(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, exact
 
 
-def rows(text: str) -> np.ndarray | None:
+def rows(block: bytes | str) -> np.ndarray | None:
     """The ``(L, 4)`` floats of a block of plain lines (the module
-    docstring), each entry Python's ``float`` of its token bit for bit;
-    ``None`` where the block is not plain or a value is not finite.  A line
-    may end in ``\\r\\n``, and the last one may lack its newline."""
-    try:
-        b = text.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    if not b:
+    docstring), as bytes or text, each entry Python's ``float`` of its
+    token bit for bit; ``None`` where the block is not plain or a value is
+    not finite.  A line may end in ``\\r\\n`` or ``\\r``, and the last one
+    may lack its newline."""
+    if isinstance(block, str):
+        try:
+            block = block.encode("ascii")
+        except UnicodeEncodeError:
+            return None
+    if not block:
         return np.empty((0, 4))
-    if b[-1] != _NL:
-        b += b"\n"
-    if b"\r" in b:  # a lone carriage return stays, and is refused
-        b = b.replace(b"\r\n", b"\n")
-    return _rows(b)
+    if block[-1] != _NL:
+        block += b"\n"
+    if b"\r" in block:  # a line ends at \r\n or a lone \r, as for str.splitlines
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return _rows(block)
 
 
 def _rows(b: bytes) -> np.ndarray | None:
@@ -227,8 +229,9 @@ def _rows(b: bytes) -> np.ndarray | None:
 
     # One integer field per mantissa and per exponent, signs and points
     # deleted: by the grammar each is a run of digits, so np.fromstring
-    # reads every one (one beyond 2^64 - 1 saturates there).
-    ints = np.fromstring(b[:-1].translate(_FIELDS, b".+-"), dtype=_U, sep=",")
+    # reads every one (one beyond 2^64 - 1 saturates there); the block's
+    # last newline ends the last field.
+    ints = np.fromstring(b.translate(_FIELDS, b".+-"), dtype=_U, sep=",", count=len(fields))
     k, mantissa = 0, slice(None)  # the field of each token's mantissa
     if len(ends) < len(fields):
         has_exp = exponent.take(last - 1)  # field -1 is the block's last, not an exponent
@@ -248,7 +251,8 @@ def _rows(b: bytes) -> np.ndarray | None:
         sizes = ends.take(inexact) + 1 - first
         offsets = np.repeat(first - (np.cumsum(sizes) - sizes), sizes)  # of each gathered byte
         text = a.take(np.arange(len(offsets)) + offsets).tobytes()
-        values = np.fromstring(text[:-1].translate(_NEWLINE_TO_COMMA), sep=",")  # float literals
+        literals = text.translate(_NEWLINE_TO_COMMA)  # each ends in a comma
+        values = np.fromstring(literals, sep=",", count=len(inexact))
         if not np.isfinite(values).all():
             return None
         y[inexact] = values

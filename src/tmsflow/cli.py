@@ -228,19 +228,22 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _read_input(settings: _Settings, name: str, parse, what: str):
-    """``parse`` of the open file the path setting ``name`` names; a file
-    that cannot be opened or decoded as UTF-8, or is malformed, is a usage
-    error.  A decode error names the byte's offset in a seekable file: the
-    bytes the decoder failed on end where the file has been read to."""
+def _read_input(settings: _Settings, name: str, parse, what: str, binary: bool = False):
+    """``parse`` of the open file the path setting ``name`` names, as UTF-8
+    text or, with ``binary``, as bytes; a file that cannot be opened or
+    decoded as UTF-8, or is malformed, is a usage error.  A decode error
+    names the byte's offset in a seekable file: the bytes the decoder
+    failed on, the text stream's last read or the block of bytes ``parse``
+    decoded, end where the file has been read to."""
     try:
-        with open(settings[name], "r", encoding="utf-8") as fh:
+        with open(settings[name], "rb") if binary else open(settings[name], encoding="utf-8") as fh:
             try:
                 return parse(fh)
             except UnicodeDecodeError as exc:
                 byte = f"byte 0x{exc.object[exc.start]:02x}"
-                if fh.buffer.seekable():  # a pipe has no offset
-                    byte += f" at file offset {fh.buffer.tell() - len(exc.object) + exc.start}"
+                raw = fh if binary else fh.buffer
+                if raw.seekable():  # a pipe has no offset
+                    byte += f" at file offset {raw.tell() - len(exc.object) + exc.start}"
                 raise ConfigError(
                     f"cannot read {name}: 'utf-8' codec can't decode {byte}: {exc.reason}"
                 ) from None
@@ -449,7 +452,7 @@ def _cmd_tomo(settings: _Settings) -> int:
     )
 
     covariance_out, cumulants_out = settings["covariance-out"], settings["cumulants-out"]
-    samples = _read_input(settings, "samples", samples_from_csv, "samples CSV")
+    samples = _read_input(settings, "samples", samples_from_csv, "samples CSV", binary=True)
     threshold, project = settings["threshold"], settings["project"]
     # "project" is echoed only when set, so un-projected outputs keep their bytes
     echo = settings.echo(("samples", "threshold"), project=project or None)

@@ -196,12 +196,19 @@ def _amplifier_q(excess: float, chi1: float, chi2: float) -> float:
 
 def _spread(errors: dict, shape: tuple, part: np.ndarray, failures) -> None:
     """Record each ``(index into part, error)`` for every cell of the
-    broadcast ``shape`` that reads that element; earlier records win."""
-    for i, exc in failures:
-        hit = np.zeros(part.shape, dtype=bool)
-        hit.flat[i] = True
-        for cell in np.flatnonzero(np.broadcast_to(hit, shape)):
-            errors.setdefault(int(cell), exc)
+    broadcast ``shape`` that reads that element; earlier records win.
+    Each element is marked with its first failure and the marks are
+    broadcast once, so each failed cell is set once."""
+    if not failures:
+        return
+    indices, excs = zip(*failures)
+    first = np.full(part.shape, len(excs))  # the index of each element's first failure
+    np.minimum.at(first.reshape(-1), list(indices), np.arange(len(excs)))
+    marks = np.broadcast_to(first, shape).ravel()
+    cells = np.flatnonzero(marks < len(excs))
+    if errors:  # cells recorded before keep their error
+        cells = cells[~np.isin(cells, list(errors))]
+    errors.update(zip(cells.tolist(), map(excs.__getitem__, marks.take(cells).tolist())))
 
 
 class _Family(NamedTuple):

@@ -15,12 +15,13 @@ structure.  Samples are assumed pre-calibrated to photon units with
 I mapping to q and Q mapping to p.
 
 Sample files (:func:`samples_from_csv`, from their text or an open text
-stream, a pipe included) are parsed in one forward pass, a block of lines
-at a time, so memory follows the ``(N, 4)`` float array and not the text;
-a block the vectorised reader refuses is read line by line where it
-stands, so a malformed line costs its block, not a second pass.  Their
-lines are those ``str.splitlines`` gives for the whole text, and their
-grammar is:
+or binary stream, a pipe included) are parsed in one forward pass, a block
+of lines at a time, so memory follows the ``(N, 4)`` float array and not
+the text.  The vectorised reader works on bytes: a binary stream's blocks
+reach it as read, and only a block it refuses is decoded, as UTF-8, and
+read line by line where it stands, so a malformed line costs its block,
+not a second pass.  Their lines are those ``str.splitlines`` gives for the
+whole (decoded) text, and their grammar is:
 
 * line 1 is a header, and skipped, when one of its comma-separated fields
   is a column name (``I1``, ``Q1``, ``I2``, ``Q2``, any case); a header on
@@ -39,7 +40,7 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -440,20 +441,20 @@ def _spread(stack: np.ndarray) -> np.ndarray:
     return np.ldexp(np.std(np.ldexp(stack, -e), axis=0, ddof=1), e)
 
 
-def samples_from_csv(source: str | TextIO) -> QuadratureSamples:
-    """Parse an I1,Q1,I2,Q2 table, given as its text or as an open text
-    stream (a pipe will do); raises ValueError naming the bad line.
+def samples_from_csv(source: str | TextIO | BinaryIO) -> QuadratureSamples:
+    """Parse an I1,Q1,I2,Q2 table, given as its text or as an open text or
+    binary stream (a pipe will do); raises ValueError naming the bad line.
 
-    The text is read once, in blocks (:func:`_text_blocks`).
-    :func:`tmsflow._floatparse.rows` converts a block whole, every token
-    bit for bit as Python ``float`` reads it, and takes only blocks whose
-    every line is a data row, so the rows count the block's lines.  A
-    block it refuses is read where it stands: its data lines
-    (:func:`_data_lines`) get a second try joined, then
-    :func:`_float_rows` reads them with ``float``, which takes all of its
-    grammar (digit underscores, non-ASCII digits) and names the first bad
-    line.  The rows go into one array grown in place, so memory follows
-    the ``(N, 4)`` array, not the text.
+    The stream is read once, in blocks (:func:`_text_blocks`).
+    :func:`tmsflow._floatparse.rows` converts a block whole from its bytes,
+    every token bit for bit as Python ``float`` reads it, and takes only
+    blocks whose every line is a data row, so the rows count the block's
+    lines.  A block it refuses is read where it stands, as text (a block of
+    bytes is decoded as UTF-8 first): its data lines (:func:`_data_lines`)
+    get a second try joined, then :func:`_float_rows` reads them with
+    ``float``, which takes all of its grammar (digit underscores, non-ASCII
+    digits) and names the first bad line.  The rows go into one array grown
+    in place, so memory follows the ``(N, 4)`` array, not the text.
     """
     from . import _floatparse
 
@@ -463,7 +464,7 @@ def samples_from_csv(source: str | TextIO) -> QuadratureSamples:
     for block in _text_blocks(source):
         rows = _floatparse.rows(block)
         if rows is None:
-            lines = block.splitlines()
+            lines = (block.decode("utf-8") if isinstance(block, bytes) else block).splitlines()
             numbered = list(_data_lines(lines, line_no))
             rows = _floatparse.rows("".join([line + "\n" for _, line in numbered]))
             if rows is None:
@@ -481,23 +482,35 @@ def samples_from_csv(source: str | TextIO) -> QuadratureSamples:
     return QuadratureSamples(data)
 
 
-_CHUNK = 1 << 16  # characters read at a time from a stream
+_CHUNK = 1 << 16  # characters or bytes read at a time from a stream
 
 
-def _text_blocks(source: TextIO) -> Iterator[str]:
+def _text_blocks(source: TextIO | BinaryIO) -> Iterator[str | bytes]:
     """The text of the stream ``source`` in blocks of about ``_CHUNK``
-    characters, each ending at a ``\\n`` (or the end).
+    characters, or bytes from a binary stream, each ending at a line
+    boundary: a ``\\n``, a ``\\r`` that no ``\\n`` follows, or the end.
 
-    So no ``\\r\\n`` pair is split, and the lines ``str.splitlines``
-    gives for the blocks are those it gives for the whole text: every
-    other boundary it knows (``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``,
-    ``\\x85``, ``\\u2028``, ``\\u2029``, a lone ``\\r``) splits lines as
-    in the whole text.
+    So no ``\\r\\n`` pair or UTF-8 sequence is split, and the lines
+    ``str.splitlines`` gives for the blocks are those it gives for the
+    whole text: every other boundary it knows (``\\x0b``, ``\\x0c``,
+    ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``, ``\\u2029``) splits
+    lines as in the whole text.
     """
+    rest = source.read(0)  # what was read past the last block: empty, of the stream's type
+    newline, cr = ("\n", "\r") if isinstance(rest, str) else (b"\n", b"\r")
     while chunk := source.read(_CHUNK):
-        if chunk[-1] != "\n":
-            chunk += source.readline()
-        yield chunk
+        chunk = rest + chunk
+        if not chunk.endswith(newline):
+            chunk += source.readline(_CHUNK)  # the rest of a line shorter than a chunk
+        end = len(chunk)
+        if not chunk.endswith(newline):  # a longer line, or lines that end in a lone \r:
+            # cut after the last boundary but a last \r, whose \n may come next
+            end = max(chunk.rfind(newline), chunk.rfind(cr, 0, -1)) + 1
+        chunk, rest = chunk[:end], chunk[end:]
+        if chunk:
+            yield chunk
+    if rest:
+        yield rest
 
 
 def _data_lines(lines: Iterable[str], start: int = 0) -> Iterator[tuple[int, str]]:

@@ -575,6 +575,28 @@ class TestScalarInputs:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "before, after",
+        [
+            (b"I1,Q1,I2,Q2\n1,2,3,4\n1,", b"2,3,4\n" * 50),  # inside the first block
+            (b"I1,Q1,I2,Q2\n" + b"1,2,3,4\n" * 127, b"\n" + b"1,2,3,4\n" * 50),  # a block's first byte
+        ],
+        ids=["in the first block", "first byte of a block"],
+    )
+    def test_undecodable_sample_byte_is_named_by_its_offset_in_any_block(
+        self, before, after, tmp_path, capsys, monkeypatch
+    ):
+        from tmsflow import tomography
+
+        monkeypatch.setattr(tomography, "_CHUNK", 256)  # blocks of 256 bytes or a line more
+        path = tmp_path / "samples.csv"
+        path.write_bytes(before + b"\xff" + after)
+        assert main(["tomo", "--samples", str(path), "--covariance-out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "tmsflow: cannot read samples: 'utf-8' codec can't decode byte 0xff "
+            f"at file offset {len(before)}: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["sweep", "--s", "6", "--n", "0.1", "--model", "coupler", "--beta", "2"], "(0, 1)"),

@@ -239,7 +239,7 @@ def test_negative_zero_keeps_its_sign():
         "e5,1,2,3\n", "1e,1,2,3\n", "1e+,1,2,3\n", "1.2.3,1,2,3\n", "-,1,2,3\n",
         ".,1,2,3\n", "-.,1,2,3\n", ".e1,1,2,3\n", "1e5e5,1,2,3\n", "1e5.5,1,2,3\n",
         "1e-.5,1,2,3\n", "1e+-5,1,2,3\n", "+-1,1,2,3\n", "1-2,1,2,3\n", "1.e,1,2,3\n",
-        "1 2,3,4,5\n", "1,2,3,4\n \n", "1,2,3,4\r5,6,7,8\n", "1,2\r,3,4\n", "#,1,2,3\n", "nan,1,2,3\n",
+        "1 2,3,4,5\n", "1,2,3,4\n \n", "1,2\r,3,4\n", "#,1,2,3\n", "nan,1,2,3\n",
         "inf,1,2,3\n", "1_0,1,2,3\n", "١,1,2,3\n", "0x1,1,2,3\n",
         "1e309,1,2,3\n", "-1e999,1,2,3\n", "1e999,1e999,1e999,-1e999\n",
     ],
@@ -282,7 +282,9 @@ def test_line_counts_are_checked_line_by_line():
 
 def test_empty_text_crlf_and_last_line_without_newline():
     assert _floatparse.rows("").shape == (0, 4)
-    for text in ("1,2,3,4\n5,6,7,8", "1,2,3,4\r\n5,6,7,8\r\n", "1,2,3,4\r\n5,6,7,8\r"):
+    for text in (
+        "1,2,3,4\n5,6,7,8", "1,2,3,4\r\n5,6,7,8\r\n", "1,2,3,4\r\n5,6,7,8\r", "1,2,3,4\r5,6,7,8\n"
+    ):
         assert _floatparse.rows(text).tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
 
 

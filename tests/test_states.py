@@ -18,6 +18,8 @@ from tmsflow.states import (
     squeezing_db_to_r,
     thermal,
     vacuum,
+    _amplified,
+    _spread,
 )
 from tmsflow.symplectic import (
     apply_symplectic,
@@ -293,6 +295,41 @@ class TestStateModel:
             correlation_report(model.state(s_db, n))
         sf = model.standard_form(s_db, n)
         assert type(sf.errors[0]) is error and str(sf.errors[0]) == str(err.value)
+
+    def test_failed_cells_keep_the_first_error_of_each_cell(self):
+        """Rejected levels, rejected noise and overflowing prefactors on one
+        grid: every cell holds the same exception object as under the rule
+        of one broadcast mask per failure, earlier records winning."""
+
+        def by_failure(errors, shape, part, failures):
+            for i, exc in failures:
+                hit = np.zeros(np.shape(part), dtype=bool)
+                hit.flat[i] = True
+                for cell in np.flatnonzero(np.broadcast_to(hit, shape)):
+                    errors.setdefault(int(cell), exc)
+
+        model = StateModel.realistic(1e10, 1.0, 0.01)
+        s = np.array([6.0, 3000.0, 3100.0, -1.0, 3000.0, 10.0, math.nan])[:, None]
+        n = np.array([0.1, -1.0, 0.0, 2.0, -0.5])
+        levels = model._levels(s)
+        assert levels.level_errors and levels.gain_errors
+        expected: dict = {}
+        with np.errstate(all="ignore"):
+            base = model._base_family(s, levels.family, levels.level_errors, n)
+            errors = _amplified(base, levels.family, levels.q, levels.gain_errors, 0.01).errors
+            by_failure(expected, base.full.shape, s, levels.level_errors)
+            # the noise errors _base_family made: cells 1 and 4 are n[1] and n[4] at 6 dB
+            by_failure(expected, base.full.shape, n, [(1, base.errors[1]), (4, base.errors[4])])
+            by_failure(expected, base.full.shape, levels.q, levels.gain_errors)
+        assert len(expected) == 29  # all but (6 dB or 10 dB) x (n >= 0)
+        assert {c: id(e) for c, e in errors.items()} == {c: id(e) for c, e in expected.items()}
+        # a part of any shape, records already made, and an element listed twice
+        for part, shape in [(s, (7, 5)), (n, (7, 5)), (np.float64(0.0), (2, 3))]:
+            failures = [(0, DomainError("a")), (np.size(part) - 1, DomainError("b")), (0, DomainError("c"))]
+            got, want = {3: "kept"}, {3: "kept"}
+            _spread(got, shape, part, failures)
+            by_failure(want, shape, part, failures)
+            assert {c: id(e) for c, e in got.items()} == {c: id(e) for c, e in want.items()}
 
 
 class TestEveTms:

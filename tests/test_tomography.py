@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -403,6 +405,10 @@ class TestSamplesCsv:
         stream.readline()  # the scanner, which reads 5_0, starts from here too
         assert samples_from_csv(stream).data.tolist() == [[1, 2, 3, 4], [50, 6, 7, 8]]
 
+    def test_a_lone_surrogate_is_a_non_numeric_entry(self):
+        with pytest.raises(ValueError, match="^line 1: non-numeric entry$"):
+            samples_from_csv("1,2,3,\ud800\n5,6,7,8\n")
+
     def test_parse_and_cumulants_memory_scales_with_the_array(self, tmp_path):
         """Parsing an open 50k-row file and running cumulants on it peaks
         below 58 bytes per row (the float array takes 32): no copy of the
@@ -444,6 +450,22 @@ class TestSamplesCsv:
         assert samples_from_csv(text).data.tolist() == [[1, 2, 3, 4], [-0.5, 6, 7, 8.5]]
 
 
+def test_lone_carriage_returns_end_blocks_and_lines(monkeypatch):
+    """Lines that end in a lone ``\\r`` are cut into blocks of about
+    ``_CHUNK`` bytes at their ends, and the block reader takes them."""
+
+    def scan(lines):
+        raise AssertionError("the line scanner ran")
+
+    monkeypatch.setattr(tomography, "_float_rows", scan)
+    monkeypatch.setattr(tomography, "_CHUNK", 64)
+    data = b"I1,Q1,I2,Q2\r" + b"1,2,3,4\r" * 100
+    blocks = list(tomography._text_blocks(io.BytesIO(data)))
+    assert b"".join(blocks) == data and max(map(len, blocks)) <= 2 * 64
+    assert all(block.endswith(b"\r") for block in blocks)
+    assert samples_from_csv(io.BytesIO(data)).data.tolist() == [[1, 2, 3, 4]] * 100
+
+
 class _Pipe(io.StringIO):
     """A text stream that reads front to back only, as a pipe does."""
 
@@ -455,6 +477,12 @@ class _Pipe(io.StringIO):
 
     def seek(self, *args):
         raise io.UnsupportedOperation("underlying stream is not seekable")
+
+
+class _BinaryPipe(io.BytesIO):
+    """A binary stream that reads front to back only, as a pipe does."""
+
+    seekable, tell, seek = _Pipe.seekable, _Pipe.tell, _Pipe.seek
 
 
 def _outcome(parse, text):
@@ -537,17 +565,32 @@ def _sample_texts(draw):
 @example("1,2,3,4\r\n5,6,7,8\r\n", 8)
 @example("1,2,3,4\r5,6,7,8\r", 8)
 @example("I1,Q1,I2,Q2\u2028" + "1,2,3,4\x85" * 3, 5)
+@example("I1,Q1,I2,Q2\r" + "1,2,3,4\r" * 40 + "5,6,7\r", 8)  # blocks end at lone "\r"s
+@example("1,2,3,\ud800\n5,6,7,8\n", 8)  # a lone surrogate, which no encoding takes
 def test_bulk_parse_matches_the_line_scanner(text, chunk):
     """Every text gives the scanner's array bit for bit, or its error: as a
-    string, an open stream or a stream that cannot seek, read in blocks of
-    the default size or of ``chunk`` characters, so that lines straddle the
-    block boundaries.  The scanner reads the text in one block: the lines
-    of ``text.splitlines()``."""
+    string, an open text stream or a text stream that cannot seek, and as
+    its UTF-8 bytes in an open binary stream, a binary stream that cannot
+    seek and a file opened ``rb``; read in blocks of the default size or of
+    ``chunk`` characters or bytes, so that lines straddle the block
+    boundaries.  The scanner reads the text in one block: the lines of
+    ``text.splitlines()``."""
     expected = _outcome(lambda t: QuadratureSamples(_scan_samples(io.StringIO(t))).data, text)
-    for size in (tomography._CHUNK, chunk):
-        with mock.patch.object(tomography, "_CHUNK", size):
-            for source in (text, io.StringIO(text), _Pipe(text)):
-                assert _outcome(lambda t: samples_from_csv(t).data, source) == expected, size
+    sources = [lambda: text, lambda: io.StringIO(text), lambda: _Pipe(text)]
+    with tempfile.TemporaryDirectory() as tmp:
+        if "\ud800" not in text:  # a lone surrogate has no UTF-8 bytes
+            data, path = text.encode("utf-8"), os.path.join(tmp, "samples.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            sources += [lambda: io.BytesIO(data), lambda: _BinaryPipe(data), lambda: open(path, "rb")]
+        for size in (tomography._CHUNK, chunk):
+            with mock.patch.object(tomography, "_CHUNK", size):
+                for source in sources:
+                    stream = source()
+                    got = _outcome(lambda t: samples_from_csv(t).data, stream)
+                    if not isinstance(stream, str):
+                        stream.close()
+                    assert got == expected, (size, stream)
 
 
 @pytest.mark.parametrize("last", ["1,2,3", "1_0,2,3,4"])
