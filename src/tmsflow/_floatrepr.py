@@ -252,9 +252,9 @@ def _repr_words(values) -> np.ndarray:
 
 
 def text_words(texts) -> np.ndarray:
-    """ASCII ``texts`` as rows of little-endian ``uint64`` words, padded with
-    zero bytes to the longest."""
-    texts = [text.encode("ascii") for text in texts]
+    """``texts`` in UTF-8 as rows of little-endian ``uint64`` words, padded
+    with zero bytes to the longest."""
+    texts = [text.encode() for text in texts]
     width = -(-max(map(len, texts)) // 8) * 8
     raw = b"".join(text.ljust(width, b"\0") for text in texts)
     return np.frombuffer(raw, dtype="<u8").reshape(len(texts), -1)

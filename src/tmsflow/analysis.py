@@ -23,23 +23,22 @@ lower and elsewhere.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correlations import CorrelationArrays, CorrelationReport, correlation_arrays
-from .errors import DomainError, NoSignChangeError, NumericalError, TmsflowError
+from .errors import DomainError, NoSignChangeError, TmsflowError
 from .states import StateModel
 
 
 @dataclass(frozen=True)
 class SweepGrid:
     """Correlation measures on the outer product of two strictly
-    increasing axes, as the kernel computed them: every field of
-    ``arrays`` has shape ``(len(s_values), len(n_values))``, and
-    ``arrays.errors`` holds the error of every failed cell by its
-    row-major (s outer, n inner) index."""
+    increasing axes, as the kernel computed them: every array of
+    ``arrays`` has shape ``(len(s_values), len(n_values))``.  A cell with
+    ``arrays.status`` 0 is ok, with finite values; one with status ``k``
+    failed with the error ``arrays.causes[k - 1]``."""
 
     s_values: tuple[float, ...]
     n_values: tuple[float, ...]
@@ -47,10 +46,10 @@ class SweepGrid:
 
     def report(self, i_s: int, i_n: int) -> CorrelationReport:
         """The measures of one cell; raises the cell's error where it failed."""
-        exc = self.arrays.errors.get(i_s * len(self.n_values) + i_n)
-        if exc is not None:
-            raise exc
-        return CorrelationReport(*(float(field[i_s, i_n]) for field in self.arrays[:-1]))
+        code = self.arrays.status[i_s, i_n]
+        if code:
+            raise self.arrays.causes[code - 1]
+        return CorrelationReport(*(float(field[i_s, i_n]) for field in self.arrays[:-2]))
 
 
 def _check_axis(values, name: str) -> tuple[float, ...]:
@@ -67,16 +66,12 @@ def sweep(model: StateModel, s_values, n_values) -> SweepGrid:
 
     The whole grid is one call of the correlation kernel on the model's
     standard form, so a cell's values do not depend on the grid around it;
-    a cell whose evaluation fails carries its error in ``arrays.errors``.
-    So does a cell with a value that is not finite, as a
-    :class:`NumericalError`: every other cell's values are finite floats.
+    a cell whose evaluation fails, a value that is not finite among them,
+    carries its error in ``arrays.status`` and ``arrays.causes``.
     """
     s_vals = _check_axis(s_values, "squeezing")
     n_vals = _check_axis(n_values, "noise")
     arrays = correlation_arrays(model.standard_form(np.array(s_vals)[:, None], np.array(n_vals)))
-    finite = np.logical_and.reduce([np.isfinite(field) for field in arrays[:-1]])
-    for cell in np.flatnonzero(~finite).tolist():
-        arrays.errors.setdefault(cell, NumericalError("a correlation measure is not finite"))
     return SweepGrid(s_values=s_vals, n_values=n_vals, arrays=arrays)
 
 
@@ -229,7 +224,8 @@ def _crossovers(model: StateModel, s_values) -> list[dict]:
     def delta(n: np.ndarray) -> tuple[np.ndarray, dict]:
         grid = n.reshape(n.shape[:-1] + s_grid.shape)  # the ends, or a step, by level and flavor
         res = correlation_arrays(model._standard_form(s_grid, levels, grid))
-        return np.where([True, False], res.delta_a, res.delta_b).reshape(n.shape), res.errors
+        errors = {j: res.causes[res.status.flat[j] - 1] for j in np.flatnonzero(res.status).tolist()}
+        return np.where([True, False], res.delta_a, res.delta_b).reshape(n.shape), errors
 
     roots, errors = _refine(delta, np.full(s_grid.size, _N_LOW), hi, failed)
     n_c = [errors.get(j, root) for j, root in enumerate(roots.tolist())]
@@ -273,66 +269,56 @@ def crossover_point(model: StateModel, s_db: float, flavor: str) -> CrossoverRes
 
 SWEEP_CSV_HEADER = "S_db,n,D_A,D_B,E_F,I_AB,delta_A,delta_B,delta_AB,status"
 
-_CSV_FAILED = "%s,%s," + ",".join(["nan"] * 7) + ",%s\n"
-_JSON_FAILED = ', {"s_db": %s, "n": %s, "error": %s}'
 
-
-def _row_blocks(grid: SweepGrid, fields: int, s_form, n_form, keys, sep, tail, failed):
+def _row_blocks(grid: SweepGrid, fields: int, s_form, n_form, keys, sep, tails):
     """The rows of every cell in row-major order, one block of text per
     batch of ``max(1, BATCH // fields)`` cells, whose at most
     :data:`~tmsflow._floatrepr.BATCH` values are one call of
     :func:`~tmsflow._floatrepr.repr_words`.  A row is ``s_form % s + n_form
-    % n`` with the axes' ``repr`` strings, then ``key + repr(value) + sep``
-    for each of the first ``fields`` kernel fields and its key, then
-    ``tail``; a failed cell's row is ``failed(s, n, exc)``.  A batch's rows
-    are laid out as ``uint64`` words in one reused buffer (prefixes, keys,
-    tail and values, zero bytes as padding) and compacted to text with one
-    nonzero mask; a failed cell's row is masked out and its text spliced in
-    at its offset.  The formatter's tables are built when the first sweep
-    is written."""
+    % n`` with the axes' ``repr`` strings, then, for a cell that is ok,
+    ``key + repr(value) + sep`` for each of the first ``fields`` kernel
+    fields and its key, then ``tails[code]`` by the cell's status code
+    (``tails[0]`` where it is ok).  A batch's rows are laid out as
+    ``uint64`` words in one reused buffer (prefixes, keys, tail and values,
+    zero bytes as padding) and compacted to text with one nonzero mask,
+    which drops the keys and values of a failed cell.  The formatter's
+    tables are built when the first sweep is written."""
     from . import _floatrepr
 
-    s_reprs = list(map(repr, grid.s_values))
-    n_reprs = list(map(repr, grid.n_values))
-    s_words, n_words, key_words, tail_words = map(
-        _floatrepr.text_words,
-        ([s_form % s for s in s_reprs], [n_form % n for n in n_reprs], keys, [tail]),
-    )
+    s_texts = [s_form % repr(s) for s in grid.s_values]
+    n_texts = [n_form % repr(n) for n in grid.n_values]
+    s_words, n_words, key_words, tail_words = map(_floatrepr.text_words, (s_texts, n_texts, keys, tails))
     ws, wn, wk, wt = s_words.shape[1], n_words.shape[1], key_words.shape[1], tail_words.shape[1]
     width = ws + wn + fields * (wk + _floatrepr.WORDS) + wt
     batch = max(1, _floatrepr.BATCH // fields)
     rows = np.empty((batch, width), dtype="<u8")
     slots = rows[:, ws + wn : width - wt].reshape(batch, fields, -1)
     slots[:, :, :wk] = key_words
-    rows[:, width - wt :] = tail_words
+    rows[:, width - wt :] = tail_words[0]
     kept = np.empty((batch, 8 * width), dtype=bool)
     sep_word = np.uint64(ord(sep) << 56 if sep else 0)
     columns = [field.ravel() for field in grid.arrays[:fields]]
-    failures = sorted(grid.arrays.errors.items())  # by cell index
+    status = grid.arrays.status.ravel()
+    failures = status.any()
     cells = len(columns[0])
     for lo in range(0, cells, batch):
         hi = min(lo + batch, cells)
         values = np.stack([column[lo:hi] for column in columns], axis=1)
+        if failures:
+            failed = status[lo:hi] != 0
+            values[failed] = 0.0  # meaningless: formatted without repr's fallback, then dropped
+            rows[: hi - lo, width - wt :] = tail_words[status[lo:hi]]
         words = _floatrepr.repr_words(values).reshape(hi - lo, fields, -1)
         words[:, :, -1] |= sep_word
         slots[: hi - lo, :, wk:] = words
-        i_s, i_n = np.divmod(np.arange(lo, hi), len(n_reprs))
+        i_s, i_n = np.divmod(np.arange(lo, hi), len(grid.n_values))
         rows[: hi - lo, :ws] = s_words[i_s]
         rows[: hi - lo, ws : ws + wn] = n_words[i_n]
         raw = rows[: hi - lo].view("u1")
         mask = np.not_equal(raw, 0, out=kept[: hi - lo])
-        failed_here = failures[bisect_left(failures, (lo,)) : bisect_left(failures, (hi,))]
-        here = [(i - lo, exc) for i, exc in failed_here]
-        mask[[i for i, _ in here]] = False
-        text = raw[mask].tobytes().decode("ascii")
-        if here:
-            ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
-            pieces, done = [], 0
-            for i, exc in here:
-                pieces += [text[done : ends[i]], failed(s_reprs[i_s[i]], n_reprs[i_n[i]], exc)]
-                done = ends[i]
-            text = "".join(pieces) + text[done:]
-        yield text
+        if failures:
+            mask[failed, 8 * (ws + wn) : 8 * (width - wt)] = False
+        yield raw[mask].tobytes().decode()
 
 
 def csv_status(message: str) -> str:
@@ -341,19 +327,12 @@ def csv_status(message: str) -> str:
     return (message or "failed").replace(",", ";").replace("\n", " ")
 
 
-def _csv_failed(s: str, n: str, exc: Exception) -> str:
-    return _CSV_FAILED % (s, n, csv_status(str(exc)))
-
-
-def _json_failed(s: str, n: str, exc: Exception) -> str:
-    return _JSON_FAILED % (s, n, json.dumps(str(exc)))
-
-
 def sweep_blocks_to_csv(grid: SweepGrid):
     """The sweep CSV (header line, then one row per cell with the status
-    ``ok`` or the cell's error) in blocks of text."""
+    ``ok``, or ``nan`` values and the cell's error) in blocks of text."""
+    tails = ["ok\n", *("nan," * 7 + csv_status(str(exc)) + "\n" for exc in grid.arrays.causes)]
     yield SWEEP_CSV_HEADER + "\n"
-    yield from _row_blocks(grid, 7, "%s,", "%s,", [""] * 7, ",", "ok\n", _csv_failed)
+    yield from _row_blocks(grid, 7, "%s,", "%s,", [""] * 7, ",", tails)
 
 
 def sweep_blocks_to_json(grid: SweepGrid, meta: dict):
@@ -361,10 +340,11 @@ def sweep_blocks_to_json(grid: SweepGrid, meta: dict):
     "meta"}`` and a newline, in blocks of text: one report per cell with
     every kernel field, or its ``error``, as ``json.dumps(...,
     allow_nan=False)`` writes it."""
-    names = CorrelationArrays._fields[:-1]
+    names = CorrelationArrays._fields[:-2]
     keys = [f', "{name}": ' for name in names]
+    tails = ["}", *(', "error": %s}' % json.dumps(str(exc)) for exc in grid.arrays.causes)]
     s_form = ', {"s_db": %s, "n": '
-    blocks = _row_blocks(grid, len(names), s_form, "%s", keys, "", "}", _json_failed)
+    blocks = _row_blocks(grid, len(names), s_form, "%s", keys, "", tails)
     # Every report starts with ", ", which the first one drops.
     yield '{"s_values": [%s], "n_values": [%s], "reports": [%s' % (
         ", ".join(map(repr, grid.s_values)),

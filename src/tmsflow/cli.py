@@ -338,7 +338,7 @@ def _cmd_sweep(settings: _Settings) -> int:
         _emit((sweep_blocks_to_json(grid, _meta(echo)), out))
     else:
         _emit((chain((_csv_header_lines(echo),), sweep_blocks_to_csv(grid)), out))
-    return 3 if len(grid.arrays.errors) == grid.arrays.d_a.size else 0
+    return 3 if grid.arrays.status.all() else 0
 
 
 def _cmd_features(settings: _Settings) -> int:

@@ -35,6 +35,7 @@ from .symplectic import (
     StandardForm,
     TwoModeCovariance,
     _entropy,
+    _failed,
     _ratio,
     _sqrt_ratio,
     require_valid,
@@ -68,7 +69,8 @@ class CorrelationReport:
 
 class CorrelationArrays(NamedTuple):
     """The fields of :class:`CorrelationReport` as arrays over cells, and
-    the error of every failed cell by flat (C-order) index."""
+    the ``status`` and ``causes`` of the cells, as in (and after those of)
+    :class:`~tmsflow.symplectic.StandardForm`."""
 
     d_a: np.ndarray
     d_b: np.ndarray
@@ -78,7 +80,8 @@ class CorrelationArrays(NamedTuple):
     delta_b: np.ndarray
     delta_ab: np.ndarray
     gamma: np.ndarray
-    errors: dict
+    status: np.ndarray
+    causes: tuple
 
 
 def correlation_report(V: TwoModeCovariance) -> CorrelationReport:
@@ -86,15 +89,19 @@ def correlation_report(V: TwoModeCovariance) -> CorrelationReport:
     if V.n_modes != 2:
         raise DimensionMismatchError("correlation measures require a two-mode state")
     nus, _, invariants = require_valid(V)
-    res = correlation_arrays(_exact_standard_form(nus, invariants))
-    if res.errors:
-        raise res.errors[0]
-    return CorrelationReport(*(float(x) for x in res[:-1]))
+    sf, clamped = _exact_standard_form(nus, invariants)
+    res = correlation_arrays(sf)
+    if res.status:
+        if clamped:
+            raise NumericalError("the exact N < 0 of the stored entries, clamped to 0, leaves gamma undefined")
+        raise res.causes[res.status - 1]
+    return CorrelationReport(*(float(x) for x in res[:-2]))
 
 
-def _exact_standard_form(nus, invariants: tuple) -> StandardForm:
+def _exact_standard_form(nus, invariants: tuple) -> tuple[StandardForm, bool]:
     """The kernel's inputs from validation's exact invariants, as
-    shape-``()`` arrays, each correctly rounded or nearly so.
+    shape-``()`` arrays, each correctly rounded or nearly so, and whether
+    ``N`` was clamped.
 
     The block determinants ``I1..I4`` are rescaled to vacuum-1 units as
     exact integers over ``q``, an even power of two (``q**2`` for ``I4``).
@@ -114,7 +121,8 @@ def _exact_standard_form(nus, invariants: tuple) -> StandardForm:
     i1, i2, i3, i4, e = invariants
     i1, i2, i3, i4, q = i1 << 4, i2 << 4, i3 << 4, i4 << 8, 1 << 2 * e
     qq, i12, i33 = q * q, i1 * i2, i3 * i3
-    n = max(i4 - (i1 + i2 + 2 * i3) * q + qq, 0)
+    n = i4 - (i1 + i2 + 2 * i3) * q + qq
+    clamped, n = n < 0, max(n, 0)
     t = i12 + i33 - i4
     prod = t * t - 4 * i33 * i12
     a, b = math.sqrt(_ratio(i1, q)), math.sqrt(_ratio(i2, q))
@@ -133,15 +141,17 @@ def _exact_standard_form(nus, invariants: tuple) -> StandardForm:
         a, b, c_minus, c_plus, _ratio(i4, qq) / g2, g2, 4.0 * nus[0], 4.0 * nus[1],
         _ratio(n, qq), _ratio(i1 - q, q), _ratio(i2 - q, q), *roots, *branches,
     )
-    return StandardForm(*(np.asarray(f) for f in fields), errors={})
+    return StandardForm(*map(np.asarray, fields), np.zeros((), np.uint32), ()), clamped
 
 
 def correlation_arrays(sf: StandardForm) -> CorrelationArrays:
     """Every correlation measure of every cell of ``sf`` in one NumPy pass.
 
-    Cells already failed in ``sf.errors`` keep their error; a cell whose
-    measures leave the double range fails with :class:`NumericalError`, as
-    does a discord below ``-1e-10`` (values above it are clamped to 0).
+    Cells already failed in ``sf.status`` keep their code.  Cells whose
+    measures leave the double range share one :class:`NumericalError`, and
+    so do those of a correlated state (``c1 -+ c2 > 0``) with a discord of
+    exactly 0, which only product states have; a discord below ``-1e-10``
+    fails its cell with its own (values above it are clamped to 0).
 
     E_F: ``z = exp(4 gamma)`` solves ``k4 z^2 + k2 z + k0 = 0`` with the
     EPR-variance products ``k4 = (a+b-2c1)(a+b+2c2)/4 > 0``, ``k0 =
@@ -211,17 +221,23 @@ def correlation_arrays(sf: StandardForm) -> CorrelationArrays:
         i_ab = np.maximum(f_a + f_b - f_plus - f_minus, 0.0)
         finite = np.isfinite(d_a + d_b + e_f + i_ab + gamma)
 
-    errors = dict(sf.errors)
+    status, causes = sf.status, sf.causes
     if not finite.all():
-        for cell in np.flatnonzero(~finite):
-            errors.setdefault(int(cell), NumericalError("exact invariant beyond the double range"))
-    if (np.minimum(d_a, d_b) < -_DISCORD_CLAMP).any():
-        for d in (d_a, d_b):
-            for cell in np.flatnonzero(d < -_DISCORD_CLAMP):
-                errors.setdefault(
-                    int(cell), NumericalError(f"discord {float(d.flat[cell]):.3e} below the clamp window")
-                )
+        cause = NumericalError("exact invariant beyond the double range")
+        status, causes = _failed(status, causes, ~finite, (cause,))
+    low = np.minimum(d_a, d_b)
+    if (low < -_DISCORD_CLAMP).any():  # one code per cell not failed yet, D_A's value first
+        below = (low < -_DISCORD_CLAMP) & (status == 0)
+        d = np.where(d_a < -_DISCORD_CLAMP, d_a, d_b)[below]
+        codes = np.cumsum(below, dtype=np.uint32).reshape(below.shape) * below
+        clamp = (NumericalError(f"discord {x:.3e} below the clamp window") for x in d.tolist())
+        status, causes = _failed(status, causes, codes, tuple(clamp))
     d_a, d_b = np.maximum(d_a, 0.0), np.maximum(d_b, 0.0)
+    zero = low <= 0.0  # only product states have a discord of 0
+    lost = zero & (c_minus + c_plus > 0.0) if zero.any() else zero
+    if lost.any():
+        cause = NumericalError("discord of a correlated state rounds to 0")
+        status, causes = _failed(status, causes, lost, (cause,))
     return CorrelationArrays(
         d_a=d_a,
         d_b=d_b,
@@ -231,7 +247,8 @@ def correlation_arrays(sf: StandardForm) -> CorrelationArrays:
         delta_b=d_b - e_f,
         delta_ab=0.5 * (d_a + d_b) - e_f,
         gamma=gamma,
-        errors=errors,
+        status=status,
+        causes=causes,
     )
 
 

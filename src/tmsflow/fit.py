@@ -135,30 +135,32 @@ def _evaluator(records, weights, coupling_beta: float):
             s = np.broadcast_to(s_db, (len(points), m))
             stack = model._levels(s)  # excess 0, so q = 0, where rejected
             with np.errstate(all="ignore"):
-                base = model._base_family(s, stack.family, stack.level_errors, n)
-            stacks[len(points)] = stack.family, base, stack.excess[0, first_record].tolist()
-        family, base, excess = stacks[len(points)]
-        q, gain_errors = [], []
-        for k, chi in enumerate(points):
+                base = model._base_family(s, stack, n)
+            stacks[len(points)] = stack, base, stack.excess[0, first_record].tolist()
+        stack, base, excess = stacks[len(points)]
+        q, overflow, causes = [], [], []
+        for chi in points:
             chi1, chi2 = max(chi[0], 0.0), chi[1]
-            for i, gain_excess in enumerate(excess):  # of each distinct level
+            for gain_excess in excess:  # of each distinct level
                 try:
                     q.append(_amplifier_q(gain_excess, chi1, chi2))
+                    overflow.append(0)
                 except NumericalError as exc:
                     q.append(0.0)
-                    gain_errors += [(k * m + int(j), exc) for j in np.flatnonzero(inverse == i)]
-        q = np.array(q).reshape(len(points), -1)[:, inverse].copy()  # C order, like the base
+                    causes.append(exc)
+                    overflow.append(len(causes))
+        trial = stack._replace(q=np.array(q).reshape(len(points), -1)[:, inverse].copy())  # C order
+        if causes:  # the stack's own overflow codes are 0: its model has no amplifier
+            overflow = np.array(overflow, np.uint32).reshape(len(points), -1)[:, inverse]
+            trial = trial._replace(overflow=overflow, overflow_causes=tuple(causes))
         with np.errstate(all="ignore"):
-            form = _amplified(base, family, q, gain_errors, coupling_beta)
+            form = _amplified(base, trial, coupling_beta)
         res = correlation_arrays(form)
         predicted = np.concatenate((res.d_a, res.d_b, res.e_f), axis=1)
         values = list((scale * (predicted - measured)) / sigma)
-        first: dict = {}  # the first failing record of each failed point
-        for cell in res.errors:
-            k, idx = divmod(cell, m)
-            first[k] = min(idx, first.get(k, idx))
-        for k, idx in first.items():
-            rec, cause = records[idx], res.errors[k * m + idx]
+        for k in np.flatnonzero(res.status.any(axis=1)).tolist() if res.causes else ():
+            idx = int(np.argmax(res.status[k] != 0))  # the first failing record
+            rec, cause = records[idx], res.causes[res.status[k, idx] - 1]
             values[k] = ModelFailureError(
                 f"model evaluation failed for record {idx} "
                 f"(S={rec.s_db} dB, n={rec.n}): {cause}",
@@ -433,8 +435,8 @@ def synthetic_records(
     n_vals = [float(n) for n in n_values]
     model = StateModel.realistic(chi1=max(chi[0], 0.0), chi2=chi[1], beta=coupling_beta)
     res = correlation_arrays(model.standard_form(np.array(s_vals)[:, None], np.array(n_vals)))
-    if res.errors:
-        raise res.errors[min(res.errors)]
+    if res.status.any():
+        raise res.causes[res.status[res.status != 0][0] - 1]  # the first failed cell's
     observables = zip(res.d_a.ravel().tolist(), res.d_b.ravel().tolist(), res.e_f.ravel().tolist())
     rng = np.random.default_rng(seed)
     records = []

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadCouplingError, DomainError, NoSignChangeError, NonFiniteError, NumericalError
-from .symplectic import CovarianceMatrix, StandardForm, TwoModeCovariance, VACUUM_VARIANCE
+from .symplectic import CovarianceMatrix, StandardForm, TwoModeCovariance, VACUUM_VARIANCE, _failed
 
 _DB_PER_UNIT_R = 20.0 * math.log10(math.e)
 
@@ -194,23 +194,6 @@ def _amplifier_q(excess: float, chi1: float, chi2: float) -> float:
     return q
 
 
-def _spread(errors: dict, shape: tuple, part: np.ndarray, failures) -> None:
-    """Record each ``(index into part, error)`` for every cell of the
-    broadcast ``shape`` that reads that element; earlier records win.
-    Each element is marked with its first failure and the marks are
-    broadcast once, so each failed cell is set once."""
-    if not failures:
-        return
-    indices, excs = zip(*failures)
-    first = np.full(part.shape, len(excs))  # the index of each element's first failure
-    np.minimum.at(first.reshape(-1), list(indices), np.arange(len(excs)))
-    marks = np.broadcast_to(first, shape).ravel()
-    cells = np.flatnonzero(marks < len(excs))
-    if errors:  # cells recorded before keep their error
-        cells = cells[~np.isin(cells, list(errors))]
-    errors.update(zip(cells.tolist(), map(excs.__getitem__, marks.take(cells).tolist())))
-
-
 class _Family(NamedTuple):
     """The terms of the base family (p = 1) of
     :meth:`StateModel.standard_form` that read only the squeezing level,
@@ -253,8 +236,10 @@ class _Levels(NamedTuple):
 
     r: np.ndarray  # the squeezing factor; 0 at a rejected level
     excess: np.ndarray  # the gain excess expm1(2r); 0 at a rejected level
-    level_errors: list  # (index, error) of each rejected level
-    gain_errors: list  # (index, error) of each level whose prefactor overflows
+    rejected: np.ndarray  # k where the level is rejected with rejected_causes[k - 1], else 0
+    rejected_causes: tuple
+    overflow: np.ndarray  # k where the prefactor overflows with overflow_causes[k - 1], else 0
+    overflow_causes: tuple
     family: _Family
     q: np.ndarray  # the amplifier excess p - 1; 0 at a rejected level or overflowing prefactor
 
@@ -262,11 +247,12 @@ class _Levels(NamedTuple):
 class _BaseFamily(NamedTuple):
     """The noise-dependent part of the amplifier-free (p = 1) family of
     :meth:`StateModel.standard_form` on one broadcast shape (see there):
-    every such array :func:`_amplified` reads, and the errors of rejected
-    levels and noise."""
+    every such array :func:`_amplified` reads, and the status of rejected
+    levels and noise (see :class:`~tmsflow.symplectic.StandardForm`)."""
 
     full: np.ndarray  # zeros
-    errors: dict
+    status: np.ndarray
+    causes: tuple
     b0: np.ndarray
     v: np.ndarray  # b0 - 1
     v_plus_2: np.ndarray
@@ -278,17 +264,15 @@ class _BaseFamily(NamedTuple):
     entry: np.ndarray  # the largest matrix entry at p = 1
 
 
-def _amplified(
-    base: _BaseFamily, family: _Family, q: np.ndarray, gain_errors: list, beta: float
-) -> StandardForm:
+def _amplified(base: _BaseFamily, levels: _Levels, beta: float) -> StandardForm:
     """The last stage of :meth:`StateModel.standard_form`: the base family
-    scaled by the amplifier prefactor ``p = 1 + q``.  ``family``, ``q`` and
-    the ``(index, error)`` pairs of the overflowing prefactors are indexed
-    like the levels; every term that reads ``q`` is formed here.  Call it,
-    like :meth:`StateModel._base_family`, under ``np.errstate(all="ignore")``."""
-    full, errors, b0, v, v_plus_2, g0, nu_sum, plus0, minus0, w_a0, entry = base
-    errors = dict(errors)
-    _spread(errors, full.shape, q, gain_errors)
+    scaled by the amplifier prefactor ``p = 1 + q``.  The family, ``q`` and
+    the overflowing prefactors of ``levels`` are indexed like the levels;
+    every term that reads ``q`` is formed here.  Call it, like
+    :meth:`StateModel._base_family`, under ``np.errstate(all="ignore")``."""
+    full, status, causes, b0, v, v_plus_2, g0, nu_sum, plus0, minus0, w_a0, entry = base
+    family, q = levels.family, levels.q
+    status, causes = _failed(status, causes, levels.overflow, levels.overflow_causes)
     p = 1.0 + q
     p2, q2 = p * p, q * (q + 2.0)
     a, c_minus = p * family.a0, 2.0 * (p * math.sqrt(1.0 - beta) * family.big_s)
@@ -304,14 +288,14 @@ def _amplified(
     root_b = np.hypot(np.sqrt(a2m1) * root_n, q2 + p2 * beta * family.s2)  # w_B
     entries = np.isfinite(p * entry)
     if not entries.all():
-        for cell in np.flatnonzero(~entries):
-            errors.setdefault(int(cell), NonFiniteError("covariance matrix has NaN or infinite entries"))
+        cause = NonFiniteError("covariance matrix has NaN or infinite entries")
+        status, causes = _failed(status, causes, ~entries, (cause,))
     if a.shape != full.shape:  # level terms that the noise broadcasts
         a, c_minus, a2m1 = a + full, c_minus + full, a2m1 + full
     first = np.ones(full.shape, dtype=bool)
     return StandardForm(
         a, b, c_minus, full, g, g, nu_plus, nu_minus, n_prod, a2m1, b2m1, root_a, root_b,
-        first, first, errors=errors,
+        first, first, status, causes,
     )
 
 
@@ -396,10 +380,12 @@ class StateModel:
           beta) u + n + 1) - beta (1 - beta) u^2)``; that branch's exact
           condition reduces to ``c^4 (a - b g)^2 >= 0`` and always holds.
 
-        A cell whose parameters are rejected carries, in ``errors``, the
-        error :meth:`state` raises for them: the squeezing level first, then
-        the noise, then an overflowing amplifier prefactor, then entries
-        beyond the double range.  Refs: Serafini, Illuminati and De Siena,
+        A cell whose parameters are rejected carries, in ``status`` and
+        ``causes``, the error :meth:`state` raises for them: the squeezing
+        level first, then the noise, then an overflowing amplifier
+        prefactor, then entries beyond the double range.  Each rejected
+        level, noise value and prefactor has one code, which every cell
+        that reads it shares.  Refs: Serafini, Illuminati and De Siena,
         J. Phys. B 37, L21 (2004); Adesso and Datta, PRL 105, 030501 (2010).
         """
         s = np.asarray(s_db, dtype=float)
@@ -409,76 +395,76 @@ class StateModel:
         """The noise-independent part of :meth:`standard_form` on an array of
         squeezing levels: the factor r, the gain excess ``expm1(2r)`` and the
         amplifier excess ``q = p - 1`` per level (a rejected level reads r = 0
-        and an overflowing prefactor q = 0), the ``(index, error)`` lists of
-        both and the :class:`_Family` of the levels.  Each distinct level is
-        checked and its prefactor evaluated once, so a batch may list a level
-        once per entry.  A root finder forms it, and n_sd from it
-        (:meth:`_n_sd`), once per batch, and the fit once per number of
-        points on its (point, record) stack, whose q it forms itself."""
+        and an overflowing prefactor q = 0), the codes and causes of both
+        and the :class:`_Family` of the levels.  Each distinct level is
+        checked, its prefactor evaluated and its failure coded once, so a
+        batch may list a level once per entry.  A root finder forms it, and
+        n_sd from it (:meth:`_n_sd`), once per batch, and the fit once per
+        number of points on its (point, record) stack, whose q it forms itself."""
         r, excess, q = np.zeros(s.shape), np.zeros(s.shape), np.zeros(s.shape)
-        level_errors, gain_errors = [], []
-        done: dict = {}  # level -> its r, excess, q and error
+        rejected, overflow = np.zeros(s.shape, np.uint32), np.zeros(s.shape, np.uint32)
+        rejected_causes, overflow_causes = [], []
+        done: dict = {}  # level -> its r, excess, q and codes
         for i, level in enumerate(s.ravel().tolist()):
             if level not in done:
-                r_i, e_i, q_i, error = 0.0, 0.0, 0.0, None
+                r_i, e_i, q_i, bad, over = 0.0, 0.0, 0.0, 0, 0
                 try:
                     r_i = _squeezing_factor(level)
                     e_i = math.expm1(2.0 * r_i)
                     q_i = self._amplifier_excess(e_i)
-                except (DomainError, NumericalError) as exc:
-                    error = exc
-                done[level] = r_i, e_i, q_i, error
-            r.flat[i], excess.flat[i], q.flat[i], error = done[level]
-            if isinstance(error, DomainError):
-                level_errors.append((i, error))
-            elif error is not None:
-                gain_errors.append((i, error))
+                except DomainError as exc:
+                    rejected_causes.append(exc)
+                    bad = len(rejected_causes)
+                except NumericalError as exc:
+                    overflow_causes.append(exc)
+                    over = len(overflow_causes)
+                done[level] = r_i, e_i, q_i, bad, over
+            r.flat[i], excess.flat[i], q.flat[i], rejected.flat[i], overflow.flat[i] = done[level]
         with np.errstate(all="ignore"):
             family = _family(r + 0.0, self.coupling_beta or 0.0)  # -0 dB reads as r = +0
-        return _Levels(r, excess, level_errors, gain_errors, family, q)
+        return _Levels(r, excess, rejected, tuple(rejected_causes), overflow, tuple(overflow_causes), family, q)
 
     def _n_sd(self, s: np.ndarray, levels: _Levels) -> list:
         """:func:`~tmsflow.analysis.sudden_death_point`, or its error, per flat index of ``s``."""
-        beta, errors, n_sd = self.coupling_beta or 0.0, dict(levels.level_errors + levels.gain_errors), []
-        for i, (s_db, r, q) in enumerate(zip(*(x.ravel().tolist() for x in (s, levels.r, levels.q)))):
-            if i in errors or (q == 0.0 and r > 0.0):  # without amplifier 1 - beta, which would round
-                n_sd.append(errors.get(i, 1.0 - beta))
-                continue
-            p, delta = 1.0 + q, 2.0 * math.sinh(r) ** 2
-            num = delta * p * (2.0 - beta * (1.0 + p)) - q * q  # q * q is inf where q ** 2 would raise
-            if num > 0.0:
-                n_sd.append(num / (2.0 * p * (p * delta + q)))
+        beta, n_sd = self.coupling_beta or 0.0, []
+        fields = (s, levels.r, levels.q, levels.rejected, levels.overflow)
+        for s_db, r, q, bad, over in zip(*(x.ravel().tolist() for x in fields)):
+            if bad or over:
+                n_sd.append(levels.rejected_causes[bad - 1] if bad else levels.overflow_causes[over - 1])
+            elif q == 0.0 and r > 0.0:  # without amplifier 1 - beta, which would round
+                n_sd.append(1.0 - beta)
             else:
-                n_sd.append(NoSignChangeError(f"not entangled at {s_db} dB even without injected noise"))
+                p, delta = 1.0 + q, 2.0 * math.sinh(r) ** 2
+                num = delta * p * (2.0 - beta * (1.0 + p)) - q * q  # q * q is inf where q ** 2 would raise
+                if num > 0.0:
+                    n_sd.append(num / (2.0 * p * (p * delta + q)))
+                else:
+                    n_sd.append(NoSignChangeError(f"not entangled at {s_db} dB even without injected noise"))
         return n_sd
 
     def _standard_form(self, s: np.ndarray, levels: _Levels, n) -> StandardForm:
         """:meth:`standard_form` on levels ``s`` whose :meth:`_levels` are
         given: only the operations that read the noise ``n``."""
         with np.errstate(all="ignore"):
-            base = self._base_family(s, levels.family, levels.level_errors, n)
-            beta = self.coupling_beta or 0.0
-            return _amplified(base, levels.family, levels.q, levels.gain_errors, beta)
+            base = self._base_family(s, levels, n)
+            return _amplified(base, levels, self.coupling_beta or 0.0)
 
-    def _base_family(self, s: np.ndarray, family: _Family, level_errors: list, n) -> _BaseFamily:
+    def _base_family(self, s: np.ndarray, levels: _Levels, n) -> _BaseFamily:
         """The noise-dependent part of :meth:`_standard_form` that does not
         read the amplifier excess q, on the levels ``s`` whose
-        :class:`_Family` is given (indexed like ``s``), with the errors of
-        rejected levels and noise.  Call it under
-        ``np.errstate(all="ignore")``."""
+        :meth:`_levels` are given, with the status of rejected levels and
+        noise.  Call it under ``np.errstate(all="ignore")``."""
         n = np.asarray(n, dtype=float)
         full = np.zeros(np.broadcast(s, n).shape)
-        noise_errors = []
-        if (n < 0.0).any():
-            noise_errors = [
-                (i, DomainError(f"injected noise photon number must be >= 0, got {float(n.flat[i])}"))
-                for i in np.flatnonzero(n < 0.0)
-            ]
-        errors: dict = {}
-        _spread(errors, full.shape, s, level_errors)
-        _spread(errors, full.shape, n, noise_errors)
+        status, causes = _failed(np.zeros(full.shape, np.uint32), (), levels.rejected, levels.rejected_causes)
+        negative = n < 0.0
+        if negative.any():  # one code per noise value, in C order
+            codes = np.cumsum(negative, dtype=np.uint32).reshape(n.shape) * negative
+            message = "injected noise photon number must be >= 0, got %r"
+            noise = [DomainError(message % x) for x in n[negative].tolist()]
+            status, causes = _failed(status, causes, codes, noise)
 
-        beta = self.coupling_beta or 0.0
+        family, beta = levels.family, self.coupling_beta or 0.0
         n = n + full  # every field takes the full shape
         two_n, four_n = 2.0 * n, 4.0 * n
         v = family.v0 + two_n  # b0 - 1
@@ -494,7 +480,7 @@ class StateModel:
         b0 = 1.0 + v
         # The matrix entries are p a0/4 and p b0/4 (c <= a).
         return _BaseFamily(
-            full, errors, b0, v, v + 2.0, g0, spread + width, plus0, minus0, w_a0,
+            full, status, causes, b0, v, v + 2.0, g0, spread + width, plus0, minus0, w_a0,
             0.25 * np.maximum(family.a0, b0),
         )
 

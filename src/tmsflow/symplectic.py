@@ -383,9 +383,10 @@ class StandardForm(NamedTuple):
     cancel if formed from ``(a, b, c1, c2)`` are supplied directly, by the
     noise models in factored form (:meth:`tmsflow.states.StateModel.
     standard_form`, where ``c1 = -c2 = c`` and ``g1 = g2 = g``) and by the
-    exact integer pass for arbitrary states.  ``errors`` maps the flat
-    (C-order) index of every cell that has already failed to its error;
-    the values of those cells are meaningless.
+    exact integer pass for arbitrary states.  ``status`` is 0 where a cell
+    is ok and ``k`` where it has already failed with ``causes[k - 1]``, the
+    first error it met (:func:`_failed`); the values of failed cells are
+    meaningless.
     """
 
     a: np.ndarray  # sqrt(I1)
@@ -406,7 +407,18 @@ class StandardForm(NamedTuple):
     root_b: np.ndarray
     branch_a: np.ndarray
     branch_b: np.ndarray
-    errors: dict
+    status: np.ndarray  # uint32, the broadcast shape of the fields
+    causes: tuple
+
+
+def _failed(status: np.ndarray, causes: tuple, codes: np.ndarray, more: tuple) -> tuple[np.ndarray, tuple]:
+    """``(status, causes)`` with ``more`` added where ``codes`` (broadcast;
+    a mask for one exception) is ``k`` for ``more[k - 1]``, except at cells
+    that have failed already, so earlier records win."""
+    if not more:
+        return status, causes
+    codes = np.where(codes > 0, codes + np.uint32(len(causes)), np.uint32(0))
+    return np.where(status == 0, codes, status), causes + tuple(more)
 
 
 def symplectic_summary(V: TwoModeCovariance) -> SymplecticSummary:

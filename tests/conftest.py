@@ -6,6 +6,13 @@ import pytest
 from tmsflow.symplectic import CovarianceMatrix, SymplecticOperation, symplectic_form
 
 
+def failed_cells(res) -> dict:
+    """The error of every failed cell of a standard form or kernel result,
+    by flat (C-order) index, read from its ``status`` and ``causes``."""
+    status = np.ravel(res.status)
+    return {cell: res.causes[status[cell] - 1] for cell in np.flatnonzero(status).tolist()}
+
+
 def rotation_matrix(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [-s, c]])

@@ -15,6 +15,7 @@ from tmsflow.correlations import correlation_arrays, correlation_report
 from tmsflow.errors import DomainError, NoSignChangeError, NumericalError
 from tmsflow.states import StateModel
 
+from conftest import failed_cells
 from test_correlations import channel_reference, ideal_reference
 
 IDEAL = StateModel.ideal()
@@ -150,12 +151,12 @@ class TestSweep:
 
     def test_discord_surface_positive(self):
         grid = sweep(IDEAL, list(np.linspace(1, 10, 6)), list(np.linspace(0, 2, 9)))
-        assert not grid.arrays.errors
+        assert not grid.arrays.status.any()
         assert (grid.arrays.d_b > 0.0).all()
 
     def test_failed_cell_is_marked(self):
         grid = sweep(IDEAL, [-1.0, 6.0], [0.1])
-        assert list(grid.arrays.errors) == [0]
+        assert np.flatnonzero(grid.arrays.status).tolist() == [0]
         with pytest.raises(DomainError, match="squeezing level"):
             grid.report(0, 0)
         assert grid.report(1, 0).d_b > 0.0
@@ -383,7 +384,7 @@ class TestCrossover:
                     if n.ndim == 1:  # a step, not the bracket ends
                         points.append(float(n[0]))
                     res = correlation_arrays(model.standard_form(s_db, n))
-                    return getattr(res, key), res.errors
+                    return getattr(res, key), failed_cells(res)
 
                 try:
                     hi = sudden_death_point(model, s_db)

@@ -57,22 +57,24 @@ class TestSweepCommand:
 
     def test_subnormal_cells_are_ok(self, tmp_path, monkeypatch):
         # The entropy kernel reads m = 1e-320 and 1e-310 here, where 1/m
-        # overflows; every measure is 0 to double precision.
+        # overflows; every measure is 0 to double precision.  The coupler's
+        # states are correlated, so their discords fail as rounded to 0.
         import mpmath as mp
 
         import tmsflow.correlations
 
         seen, kernel = [], tmsflow.correlations._entropy
         monkeypatch.setattr(tmsflow.correlations, "_entropy", lambda m: seen.append(m) or kernel(m))
+        lost = ",nan,nan,nan,nan,nan,nan,nan,discord of a correlated state rounds to 0"
         grids = (
-            (["--s", "0", "--n", "0,1e-320"], 2),
-            (["--model", "coupler", "--s", "1e-320,1e-310,1e-300", "--n", "0,1e-320,1e-310,1e-300"], 12),
+            (["--s", "0", "--n", "0,1e-320"], 2, 0, ",0.0,0.0,0.0,0.0,0.0,0.0,0.0,ok"),
+            (["--model", "coupler", "--s", "1e-320,1e-310,1e-300", "--n", "0,1e-320,1e-310,1e-300"], 12, 3, lost),
         )
-        for argv, cells in grids:
+        for argv, cells, code, tail in grids:
             out = tmp_path / "s.csv"
-            assert main(["sweep", *argv, "--out", str(out)]) == 0
+            assert main(["sweep", *argv, "--out", str(out)]) == code
             rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
-            assert len(rows) == cells and all(row.endswith(",ok") for row in rows), rows
+            assert len(rows) == cells and all(row.endswith(tail) for row in rows), rows
         m = np.unique(np.concatenate([x.ravel() for x in seen]))
         assert ((m > 0.0) & (m <= 2.0**-1024)).sum() == 2
         with mp.workdps(50), np.errstate(over="ignore"):  # as the kernel calls it

@@ -27,7 +27,7 @@ from tmsflow.states import (
 from tmsflow import symplectic
 from tmsflow.symplectic import CovarianceMatrix, apply_symplectic, symplectic_summary, tensor, validate
 
-from conftest import random_local_op, random_physical_state
+from conftest import failed_cells, random_local_op, random_physical_state
 
 F_COSH2_QUARTER = 1.6198220928977022644
 GAMMA_R1_N05 = 0.25953945472881448322  # log((e^2 + 1/2)/(1 + e^2/2)) / 2
@@ -197,7 +197,7 @@ def _extreme_block(model, reference, bound):
     """Assert that every extreme-block cell is ok and that each reported
     quantity lies within ``bound(n)`` of ``reference(s_db, n)``."""
     grid = sweep(model, EXTREME_S, EXTREME_N)
-    assert not grid.arrays.errors, grid.arrays.errors
+    assert not grid.arrays.status.any(), failed_cells(grid.arrays)
     for (i_s, s_db), (i_n, n) in product(enumerate(grid.s_values), enumerate(grid.n_values)):
         report = grid.report(i_s, i_n)
         dev = max(abs(getattr(report, key) - value) for key, value in reference(s_db, n).items())
@@ -250,7 +250,7 @@ class TestReference:
         # E_F(80 dB, 0) read 5.59868 from it, and 1000 dB overflowed.  The
         # reference carries 50 + S/2 digits.
         grid = sweep(StateModel.coupler(0.01), s_axis, n_axis)
-        assert not grid.arrays.errors, grid.arrays.errors
+        assert not grid.arrays.status.any(), failed_cells(grid.arrays)
         for (i_s, s_db), (i_n, n) in product(enumerate(grid.s_values), enumerate(grid.n_values)):
             report = grid.report(i_s, i_n)
             ref = channel_reference(s_db, n, 0.01, digits=50 + int(s_db) // 2)
@@ -498,7 +498,7 @@ class TestCorrelationReport:
         worst = largest = 0.0
         for beta in (0.01, 0.1, 0.3, 0.45, 0.5):
             grids = [sweep(StateModel.coupler(b), s_axis, [0.0]) for b in (beta, 1.0 - beta)]
-            assert not any(grid.arrays.errors for grid in grids)
+            assert not any(grid.arrays.status.any() for grid in grids)
             ab, ae = (grid.arrays.delta_a[:, 0] for grid in grids)
             worst, largest = max(worst, np.abs(ab + ae).max()), max(largest, np.abs(ab).max())
         assert worst <= 1e-13
@@ -590,16 +590,34 @@ class TestGuards:
         """A state below the Heisenberg bound (nu- = 0.082) is refused before
         the kernel.  One that validates inside its noise band, strongly
         squeezed (nu- = 0.10 at 139 dB), fails in the kernel, and the report
-        raises the cell's error rather than return NaN fields."""
+        raises an error naming the cause rather than return NaN fields."""
         a, b, c1, c2 = 1.5e9, 2.0, 54700.0, -33000.0
         V = CovarianceMatrix([[a, 0, c1, 0], [0, a, 0, c2], [c1, 0, b, 0], [0, c2, 0, b]])
         assert not validate(V).ok and validate(V).min_symplectic_eigenvalue < 0.1
         with pytest.raises(UnphysicalStateError):
             correlation_report(V)
-        V = StateModel.coupler(0.01).state(139.0, 0.0)
-        assert validate(V).ok
-        with pytest.raises(NumericalError, match="exact invariant beyond the double range"):
-            correlation_report(V)
+        # The exact N of these stored entries is negative and clamped to 0,
+        # which leaves gamma undefined; nothing leaves the double range.
+        for s_db in (139.0, 140.0, 147.5):
+            V = StateModel.coupler(0.01).state(s_db, 0.0)
+            assert validate(V).ok
+            with pytest.raises(NumericalError, match=r"^the exact N < 0 of the stored entries, clamped to 0, leaves gamma undefined$"):
+                correlation_report(V)
+
+    def test_a_discord_that_rounds_to_0_fails_its_cell(self):
+        """Gaussian discord vanishes only for product states (Adesso and
+        Datta, PRL 105, 030501 (2010)).  At 10 dB the true D_A is 1.15e-16
+        at n = 1e8 and 1.15e-24 at 1e12, and the kernel reads 0: those cells
+        fail.  The product states at 0 dB keep their zeros."""
+        grid = sweep(StateModel.ideal(), [0.0, 10.0], [1e6, 1e8, 1e12])
+        assert grid.arrays.status.tolist() == [[0, 0, 0], [0, 1, 1]]
+        assert str(grid.arrays.causes[0]) == "discord of a correlated state rounds to 0"
+        assert (grid.arrays.d_a[0] == 0.0).all() and (grid.arrays.d_b[0] == 0.0).all()
+        assert grid.report(1, 0).d_a == pytest.approx(1.147 / 1e12, rel=2e-3)
+        with pytest.raises(NumericalError, match="rounds to 0"):
+            grid.report(1, 1)
+        with pytest.raises(NumericalError, match="rounds to 0"):  # the stored matrix, too
+            correlation_report(StateModel.ideal().state(10.0, 1e8))
 
     def test_discord_below_the_clamp_window_fails_its_cell(self):
         """No model or random state gives a discord below -1e-10, so the
@@ -608,8 +626,8 @@ class TestGuards:
         sf = StateModel.ideal().standard_form(np.array([3.0, 6.0, 9.0]), 0.5)
         clean = correlation_arrays(sf)
         res = correlation_arrays(sf._replace(nu_plus=sf.nu_plus * np.array([1.0, 1.5, 1.0])))
-        assert list(res.errors) == [1]
-        assert str(res.errors[1]) == "discord -1.850e-01 below the clamp window"
+        assert list(failed_cells(res)) == [1]
+        assert str(failed_cells(res)[1]) == "discord -1.850e-01 below the clamp window"
         assert res.d_a[1] == res.d_b[1] == 0.0
         for field in ("d_a", "d_b", "e_f"):
             assert getattr(res, field)[[0, 2]].tolist() == getattr(clean, field)[[0, 2]].tolist()

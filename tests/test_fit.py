@@ -21,6 +21,8 @@ from tmsflow.fit import (
 )
 from tmsflow.states import StateModel
 
+from conftest import failed_cells
+
 CHI_TRUE = (0.05, 0.56)
 S_GRID = [3.0, 6.0, 9.0]
 N_GRID = [0.0, 0.25, 1.0]
@@ -339,10 +341,11 @@ def _failing_kernel(monkeypatch, call, cells):
         res = correlation_arrays(sf)
         if next(made) != call:
             return res
-        errors = dict(res.errors)
+        status, causes = res.status.copy(), res.causes
         for point, record in cells:
-            errors[point * sf.a.shape[1] + record] = NumericalError(f"injected at {point}")
-        return res._replace(errors=errors)
+            causes += (NumericalError(f"injected at {point}"),)
+            status[point, record] = len(causes)
+        return res._replace(status=status, causes=causes)
 
     monkeypatch.setattr(fit_module, "correlation_arrays", failing)
 
@@ -401,11 +404,12 @@ class TestOneKernelCallPerTrial:
         failures = 0
         for (chi1, chi2), value in zip(points, values):
             res = correlation_arrays(StateModel.realistic(chi1, chi2, beta).standard_form(s, n))
-            if res.errors:
+            errors = failed_cells(res)
+            if errors:
                 failures += 1
-                idx = min(res.errors)
+                idx = min(errors)
                 assert isinstance(value, ModelFailureError) and value.record_index == idx
-                assert str(value.__cause__) == str(res.errors[idx])
+                assert str(value.__cause__) == str(errors[idx])
                 continue
             predicted = np.concatenate((res.d_a, res.d_b, res.e_f))
             expected = (scale * (predicted - measured)) / sigma

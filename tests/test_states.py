@@ -19,7 +19,6 @@ from tmsflow.states import (
     thermal,
     vacuum,
     _amplified,
-    _spread,
 )
 from tmsflow.symplectic import (
     apply_symplectic,
@@ -29,6 +28,8 @@ from tmsflow.symplectic import (
     tensor,
     validate,
 )
+
+from conftest import failed_cells
 
 R_10_DB = 1.151292546497022842  # 10 / (20 log10 e)
 
@@ -275,8 +276,9 @@ class TestStateModel:
         # a rejected cell of a batch fails alone, with the same error
         sf = MODELS[name].standard_form(np.array([[s_db], [6.5]]), np.array([n, 0.1]))
         # cells (s_db, n), (s_db, 0.1), (6.5, n), (6.5, 0.1)
-        assert sorted(sf.errors) == sorted({0} | ({1} if s_db != 6.5 else set()) | ({2} if n < 0 else set()))
-        assert type(sf.errors[0]) is DomainError and str(sf.errors[0]) == message
+        errors = failed_cells(sf)
+        assert sorted(errors) == sorted({0} | ({1} if s_db != 6.5 else set()) | ({2} if n < 0 else set()))
+        assert type(errors[0]) is DomainError and str(errors[0]) == message
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -293,8 +295,8 @@ class TestStateModel:
         with pytest.raises(error) as err, warnings.catch_warnings():
             warnings.simplefilter("error")
             correlation_report(model.state(s_db, n))
-        sf = model.standard_form(s_db, n)
-        assert type(sf.errors[0]) is error and str(sf.errors[0]) == str(err.value)
+        (exc,) = failed_cells(model.standard_form(s_db, n)).values()
+        assert type(exc) is error and str(exc) == str(err.value)
 
     def test_failed_cells_keep_the_first_error_of_each_cell(self):
         """Rejected levels, rejected noise and overflowing prefactors on one
@@ -308,28 +310,41 @@ class TestStateModel:
                 for cell in np.flatnonzero(np.broadcast_to(hit, shape)):
                     errors.setdefault(int(cell), exc)
 
+        def listed(codes, causes):  # (index, error) of each failed element
+            return [(i, causes[code - 1]) for i, code in enumerate(codes.ravel().tolist()) if code]
+
         model = StateModel.realistic(1e10, 1.0, 0.01)
         s = np.array([6.0, 3000.0, 3100.0, -1.0, 3000.0, 10.0, math.nan])[:, None]
         n = np.array([0.1, -1.0, 0.0, 2.0, -0.5])
         levels = model._levels(s)
-        assert levels.level_errors and levels.gain_errors
+        assert levels.rejected_causes and levels.overflow_causes
+        # a level listed twice has one code, and so one exception object
+        assert levels.overflow[1] == levels.overflow[4] == 1 and len(levels.overflow_causes) == 1
         expected: dict = {}
         with np.errstate(all="ignore"):
-            base = model._base_family(s, levels.family, levels.level_errors, n)
-            errors = _amplified(base, levels.family, levels.q, levels.gain_errors, 0.01).errors
-            by_failure(expected, base.full.shape, s, levels.level_errors)
+            base = model._base_family(s, levels, n)
+            errors = failed_cells(_amplified(base, levels, 0.01))
+            by_failure(expected, base.full.shape, s, listed(levels.rejected, levels.rejected_causes))
             # the noise errors _base_family made: cells 1 and 4 are n[1] and n[4] at 6 dB
-            by_failure(expected, base.full.shape, n, [(1, base.errors[1]), (4, base.errors[4])])
-            by_failure(expected, base.full.shape, levels.q, levels.gain_errors)
+            by_failure(expected, base.full.shape, n, [(i, failed_cells(base)[i]) for i in (1, 4)])
+            by_failure(expected, base.full.shape, levels.q, listed(levels.overflow, levels.overflow_causes))
         assert len(expected) == 29  # all but (6 dB or 10 dB) x (n >= 0)
         assert {c: id(e) for c, e in errors.items()} == {c: id(e) for c, e in expected.items()}
-        # a part of any shape, records already made, and an element listed twice
-        for part, shape in [(s, (7, 5)), (n, (7, 5)), (np.float64(0.0), (2, 3))]:
-            failures = [(0, DomainError("a")), (np.size(part) - 1, DomainError("b")), (0, DomainError("c"))]
-            got, want = {3: "kept"}, {3: "kept"}
-            _spread(got, shape, part, failures)
-            by_failure(want, shape, part, failures)
-            assert {c: id(e) for c, e in got.items()} == {c: id(e) for c, e in want.items()}
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_a_zero_dimensional_part_fails_every_cell_it_reaches(self, name):
+        """A rejected noise value of shape () reaches every cell, a cell that
+        failed already keeps its error, and all cells of one level share its
+        exception object."""
+        s = np.array([-1.0, 6.0, -1.0, 3100.0])[:, None]
+        sf = MODELS[name].standard_form(s, np.array(-0.5))
+        assert sf.status.shape == (4, 1) and sf.status.all()
+        first, noise, again, top = (sf.causes[code - 1] for code in sf.status.ravel().tolist())
+        assert first is again and str(first) == "squeezing level must be >= 0 dB, got -1.0"
+        assert str(noise) == "injected noise photon number must be >= 0, got -0.5"
+        assert str(top) == "squeezing level 3100.0 dB is above 3082.5 dB"
+        sf = MODELS[name].standard_form(-1.0, np.array([0.1, -0.5]))
+        assert sf.status.tolist() == [1, 1] and len(sf.causes) == 2  # the noise code reaches no cell
 
 
 class TestEveTms:

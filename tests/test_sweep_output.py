@@ -29,6 +29,8 @@ from tmsflow.correlations import CorrelationArrays
 from tmsflow.errors import NumericalError
 from tmsflow.states import StateModel
 
+from conftest import failed_cells
+
 _spec = importlib.util.spec_from_file_location(
     "golden_regenerate", Path(__file__).with_name("golden") / "regenerate.py"
 )
@@ -46,8 +48,9 @@ MESSAGES = ['quote " here', "back\\slash", "a, b, c", "two\nlines", "Grüße ∞
 def _reference_cells(grid, fields):
     columns = [field.ravel().tolist() for field in grid.arrays[:fields]]
     cells = zip(product(grid.s_values, grid.n_values), zip(*columns))
+    errors = failed_cells(grid.arrays)
     for i, ((s_db, n), values) in enumerate(cells):
-        yield grid.arrays.errors.get(i), s_db, n, values
+        yield errors.get(i), s_db, n, values
 
 
 def reference_csv(grid):
@@ -63,7 +66,7 @@ def reference_csv(grid):
 
 
 def reference_json(grid, meta):
-    names = CorrelationArrays._fields[:-1]
+    names = CorrelationArrays._fields[:-2]
     reports = []
     for exc, s_db, n, values in _reference_cells(grid, len(names)):
         if exc is None:
@@ -77,10 +80,11 @@ def reference_json(grid, meta):
 def _with_failures(grid, failures):
     """The grid with extra failed cells ``{index: message}`` (indices taken
     modulo the cell count)."""
-    errors = dict(grid.arrays.errors)
+    status, causes = grid.arrays.status.copy(), grid.arrays.causes
     for i, message in failures.items():
-        errors[i % grid.arrays.d_a.size] = NumericalError(message)
-    return SweepGrid(grid.s_values, grid.n_values, grid.arrays._replace(errors=errors))
+        causes += (NumericalError(message),)
+        status.flat[i % status.size] = len(causes)
+    return SweepGrid(grid.s_values, grid.n_values, grid.arrays._replace(status=status, causes=causes))
 
 
 def _assert_writers_match(grid):
@@ -134,24 +138,63 @@ def test_csv_blocks_join_to_the_document():
     assert "".join(blocks) == "".join(sweep_blocks_to_csv(grid))
 
 
+def test_each_of_300_rejected_levels_names_its_own(tmp_path):
+    """300 rejected levels, more codes than a byte holds: each row names
+    its own level, and the rows are those of the per-cell formats."""
+    s_values = [3100.0 + i for i in range(300)]
+    csv_row = "%s,%s," + ",".join(["nan"] * 7) + ",%s\n"
+    json_report = ', {"s_db": %s, "n": %s, "error": %s}'
+    cells = [(s, n, f"squeezing level {s!r} dB is above 3082.5 dB") for s in s_values for n in (0.0, 0.1)]
+    argv = ["sweep", "--s", "3100:3399:1", "--n", "0,0.1", "--out"]
+    assert cli.main([*argv, str(tmp_path / "s.csv")]) == 3
+    assert cli.main([*argv, str(tmp_path / "s.json"), "--format", "json"]) == 3
+    lines = (tmp_path / "s.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = "".join(csv_row % (repr(s), repr(n), message) for s, n, message in cells)
+    assert "".join(line for line in lines if not line.startswith("#")) == SWEEP_CSV_HEADER + "\n" + rows
+    reports = "".join(json_report % (repr(s), repr(n), json.dumps(message)) for s, n, message in cells)
+    head = '{"s_values": [%s], "n_values": [0.0, 0.1], "reports": [%s], "meta": '
+    text = (tmp_path / "s.json").read_text(encoding="utf-8")
+    assert text.startswith(head % (", ".join(map(repr, s_values)), reports[2:]))
+    grid = sweep(MODELS[0], s_values, [0.0, 0.1])
+    assert len(grid.arrays.causes) == 300
+    assert grid.arrays.status.tolist() == [[k, k] for k in range(1, 301)]
+
+
+def test_the_first_failure_of_each_cell_is_written():
+    """A rejected level, a rejected noise value, an overflowing amplifier
+    prefactor (at 3000 dB) and a kernel failure (the discord at 6 dB and
+    n = 1e12) meet: each cell is written with its first failure."""
+    grid = sweep(StateModel.realistic(1e10, 1.0, 0.01), [-1.0, 6.0, 3000.0], [-0.5, 0.1, 1e12])
+    level = "squeezing level must be >= 0 dB, got -1.0"
+    noise = "injected noise photon number must be >= 0, got -0.5"
+    gain = "amplifier noise at gain 1e+300 overflows double precision"
+    lost = "discord of a correlated state rounds to 0"
+    expected = [level] * 3 + [noise, "ok", lost] + [noise, gain, gain]
+    rows = "".join(sweep_blocks_to_csv(grid)).splitlines()[1:]
+    assert [row.split(",", 9)[9] for row in rows] == [analysis.csv_status(x) for x in expected]
+    reports = json.loads("".join(sweep_blocks_to_json(grid, META)))["reports"]
+    assert [report.get("error", "ok") for report in reports] == expected
+    _assert_writers_match(grid)
+
+
 class TestNonFiniteGuard:
     @pytest.fixture
     def poisoned(self, monkeypatch):
-        """The kernel with ``inf`` in d_a of cell 1 and in gamma of cell 2."""
+        """The kernel on a standard form with ``inf`` in a of cell 1 and in
+        g1 of cell 2."""
         kernel = analysis.correlation_arrays
 
         def poisoned_kernel(form):
-            res = kernel(form)
-            d_a, gamma = res.d_a.copy(), res.gamma.copy()
-            d_a.flat[1] = gamma.flat[2] = np.inf
-            return res._replace(d_a=d_a, gamma=gamma)
+            a, g1 = form.a.copy(), form.g1.copy()
+            a.flat[1] = g1.flat[2] = np.inf
+            return kernel(form._replace(a=a, g1=g1))
 
         monkeypatch.setattr(analysis, "correlation_arrays", poisoned_kernel)
 
     def test_sweep_marks_the_cells(self, poisoned):
         grid = sweep(MODELS[0], [6.0], [0.0, 0.1, 0.2, 0.3])
-        assert sorted(grid.arrays.errors) == [1, 2]
-        with pytest.raises(NumericalError, match="not finite"):
+        assert np.flatnonzero(grid.arrays.status).tolist() == [1, 2]
+        with pytest.raises(NumericalError, match="beyond the double range"):
             grid.report(0, 2)
         assert grid.report(0, 3).d_a > 0.0
 
@@ -167,14 +210,13 @@ class TestNonFiniteGuard:
             assert ["error" in report for report in reports] == [False, True, True, False]
         else:
             status = [line.rsplit(",", 1)[1] for line in text.splitlines()[3:]]
-            assert status == ["ok", *["a correlation measure is not finite"] * 2, "ok"]
+            assert status == ["ok", *["exact invariant beyond the double range"] * 2, "ok"]
 
     def test_every_cell_poisoned_exits_3(self, monkeypatch, capsys):
         kernel = analysis.correlation_arrays
 
         def nan_kernel(form):
-            res = kernel(form)
-            return res._replace(gamma=np.full(res.gamma.shape, np.nan))
+            return kernel(form._replace(g1=np.full(form.g1.shape, np.nan)))
 
         monkeypatch.setattr(analysis, "correlation_arrays", nan_kernel)
         assert cli.main(["sweep", "--s", "6", "--n", "0,0.1", "--format", "json"]) == 3
@@ -238,13 +280,14 @@ def synthetic_grid(rows, cols, failures=(), seed=0):
     values = np.where(np.isfinite(values), values, 1.5)
     branches = rng.choice(BRANCH_VALUES, values.size) * rng.choice([-1.0, 1.0], values.size)
     values = np.where(rng.random(values.size) < 0.5, branches, values).reshape(8, -1)
-    errors = {}
+    status, causes = np.zeros(rows * cols, np.uint32), ()
     for k, i in enumerate(failures):
         values[:, i] = [np.inf, -np.inf, np.nan] * 2 + [0.0, 5e-324]
-        errors[i] = NumericalError(MESSAGES[k % len(MESSAGES)])
+        causes += (NumericalError(MESSAGES[k % len(MESSAGES)]),)
+        status[i] = len(causes)
     s_values = tuple(np.linspace(-1e-300, 3e16, rows).tolist())
     n_values = tuple(sorted(set(np.geomspace(1e-310, 1e20, cols).tolist()) | {0.0}))[:cols]
-    arrays = CorrelationArrays(*(v.reshape(rows, cols) for v in values), errors)
+    arrays = CorrelationArrays(*(v.reshape(rows, cols) for v in values), status.reshape(rows, cols), causes)
     return SweepGrid(s_values, n_values, arrays)
 
 
